@@ -273,41 +273,38 @@ PackedFilterBank pack_filters(const FilterBank& filters) {
 
 namespace {
 
-/// Core T-way interleave shared by filters and FC weights: permutes `rows`
-/// equal-length word rows into TiledBitMatrix order (full tiles word-major,
-/// remainder rows as-is).
-TiledBitMatrix tile_rows(const std::uint64_t* src, std::int64_t rows, std::int64_t row_words,
-                         std::int64_t tile) {
-  BF_CHECK(tile >= 1, "tile_rows: tile width ", tile);
-  TiledBitMatrix out(rows, row_words, tile);
-  const std::int64_t tiled_rows = out.tiled_rows();
-  for (std::int64_t t = 0; t < out.full_tiles(); ++t) {
-    std::uint64_t* block = out.tile_block(t);
+/// Core T-way interleave shared by filters and FC weights.  `m` adopted its
+/// rows row-major; each full tile block is a [T][row_words] matrix in place,
+/// transposed to [row_words][T] through one block of scratch.  The remainder
+/// rows already sit at their tiled offsets and do not move.
+TiledBitMatrix interleave_in_place(TiledBitMatrix m) {
+  const std::int64_t tile = m.tile();
+  const std::int64_t row_words = m.row_words();
+  std::vector<std::uint64_t> scratch(static_cast<std::size_t>(tile * row_words));
+  for (std::int64_t t = 0; t < m.full_tiles(); ++t) {
+    std::uint64_t* block = m.tile_block(t);
+    std::memcpy(scratch.data(), block, scratch.size() * 8);
     for (std::int64_t l = 0; l < tile; ++l) {
-      const std::uint64_t* row = src + (t * tile + l) * row_words;
-      for (std::int64_t w = 0; w < row_words; ++w) {
-        block[w * tile + l] = row[w];
-      }
+      const std::uint64_t* row = scratch.data() + l * row_words;
+      for (std::int64_t w = 0; w < row_words; ++w) block[w * tile + l] = row[w];
     }
   }
-  for (std::int64_t r = tiled_rows; r < rows; ++r) {
-    const std::uint64_t* row = src + r * row_words;
-    std::uint64_t* dst_row = out.remainder_row(r - tiled_rows);
-    for (std::int64_t w = 0; w < row_words; ++w) dst_row[w] = row[w];
-  }
-  return out;
+  return m;
 }
 
 }  // namespace
 
-TiledFilterBank tile_filters(const PackedFilterBank& filters, std::int64_t tile) {
-  return TiledFilterBank(tile_rows(filters.words(), filters.num_filters(),
-                                   filters.words_per_filter(), tile),
-                         filters.kernel_h(), filters.kernel_w(), filters.channels());
+TiledFilterBank tile_filters(PackedFilterBank filters, std::int64_t tile) {
+  const std::int64_t k = filters.num_filters(), row_words = filters.words_per_filter();
+  const std::int64_t kh = filters.kernel_h(), kw = filters.kernel_w(), c = filters.channels();
+  TiledBitMatrix rows(std::move(filters).release_storage(), k, row_words, tile);
+  return TiledFilterBank(interleave_in_place(std::move(rows)), kh, kw, c);
 }
 
-TiledBitMatrix tile_fc_weights(const PackedMatrix& w, std::int64_t tile) {
-  return tile_rows(w.words(), w.rows(), w.words_per_row(), tile);
+TiledBitMatrix tile_fc_weights(PackedMatrix w, std::int64_t tile) {
+  const std::int64_t rows = w.rows(), row_words = w.words_per_row();
+  TiledBitMatrix tiled(std::move(w).release_storage(), rows, row_words, tile);
+  return interleave_in_place(std::move(tiled));
 }
 
 PackedMatrix pack_transpose_fc_weights(const float* b, std::int64_t n, std::int64_t k) {

@@ -83,13 +83,15 @@ PackedFilterBank pack_filters(const FilterBank& filters);
 /// Re-lays a packed filter bank into the T-way interleaved register-tile
 /// layout (finalize-time, daBNN-style): full tiles [K/T][fh*fw*PC][T], then
 /// the K%T remainder filters filter-major.  A pure permutation of the bank's
-/// words — same total storage, bit-exact contents.
-TiledFilterBank tile_filters(const PackedFilterBank& filters, std::int64_t tile);
+/// words, done in place: the bank is taken by value and its storage becomes
+/// the tiled bank's, so the weights are never held twice (move the bank in;
+/// pass a copy to keep the original).
+TiledFilterBank tile_filters(PackedFilterBank filters, std::int64_t tile);
 
 /// Same interleave for an FC weight matrix (rows = output neurons): the
 /// tiled bgemm reads one contiguous line of T neuron words per activation
-/// word instead of T strided rows.
-TiledBitMatrix tile_fc_weights(const PackedMatrix& w, std::int64_t tile);
+/// word instead of T strided rows.  Also in place, on the matrix's storage.
+TiledBitMatrix tile_fc_weights(PackedMatrix w, std::int64_t tile);
 
 // --- fully connected weights ------------------------------------------------
 

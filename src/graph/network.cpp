@@ -11,6 +11,7 @@
 #include "bitpack/packer.hpp"
 #include "core/ait.hpp"
 #include "core/failpoint.hpp"
+#include "kernels/padding.hpp"
 #include "telemetry/perf_counters.hpp"
 #include "telemetry/profiler.hpp"
 #include "telemetry/trace.hpp"
@@ -87,15 +88,24 @@ struct Stage {
   bool flatten_input = false;     // conv/pool output -> fc row transition
 };
 
-/// Extents of one planned buffer.
+/// Extents of one planned buffer (`margin`: padding ring around the
+/// interior, packed activation buffers only).
 struct PlannedDims {
   std::int64_t h = 0, w = 0, c = 0;
+  std::int64_t margin = 0;
 };
 
 /// The memory plan finalize() computes: every buffer a context must carry,
 /// by extent.  Allocation happens per context in make_context().
+///
+/// The chain is linear, so at most two packed activation buffers are live at
+/// once: stage j reads buffer j and writes buffer j+1.  Buffer j therefore
+/// lives in ping-pong arena j % 2, and each arena is sized to the largest
+/// buffer of its parity — per batch slot, the footprint is
+/// arena_words[0] + arena_words[1] instead of the sum over all buffers.
 struct BufferPlan {
-  std::vector<PlannedDims> acts;         // packed activation buffers
+  std::vector<PlannedDims> acts;         // packed activation buffers (padded extents)
+  std::int64_t arena_words[2] = {0, 0};  // per-slot arena sizes, even / odd buffers
   std::vector<std::int64_t> fc_cols;     // packed fc bit-row widths
   PlannedDims last_conv_dot{};           // float dots if the last stage is a conv
   bool need_last_conv_dot = false;
@@ -157,8 +167,10 @@ struct BinaryNetwork::Impl {
     p.samples.fetch_add(1, std::memory_order_relaxed);
   }
 
-  // Default context backing the batch-1 infer() convenience API.  This is
-  // the only mutable member after finalize(), and only infer() touches it.
+  // Default context backing the batch-1 infer() convenience API, created by
+  // the first infer() (networks served through make_context() never pay for
+  // its pool and buffers).  This is the only mutable member after
+  // finalize(), and only infer() touches it.
   std::unique_ptr<InferenceContext> default_ctx;
   std::vector<double> no_profile;  // empty result pre-finalize
 
@@ -167,15 +179,16 @@ struct BinaryNetwork::Impl {
   }
 };
 
-/// Everything one inference stream mutates: pool + all planned buffers,
-/// replicated per image up to max_batch, plus the pointer arrays the batched
-/// kernels take (pre-sized so steady-state inference never allocates).
+/// Everything one inference stream mutates: pool + the planned buffers for
+/// up to max_batch images, plus the pointer arrays the batched kernels take
+/// (pre-sized so steady-state inference never allocates).
 struct InferenceContext::Impl {
   const BinaryNetwork::Impl* net;  // identity: contexts are net-specific
   std::int64_t max_batch;
   runtime::ThreadPool pool;
 
-  std::vector<std::vector<PackedTensor>> acts;  // [buffer][image]
+  std::vector<AlignedBuffer> arenas;            // [image * 2 + parity]
+  std::vector<std::vector<PackedTensor>> acts;  // [buffer][image]: views into arenas
   std::vector<PackedMatrix> fc_bits;            // max_batch rows each
   std::vector<Tensor> last_conv_dot;            // [image]
   std::vector<PackedTensor> last_pool_out;      // [image]
@@ -201,11 +214,23 @@ struct InferenceContext::Impl {
       : net(n), max_batch(mb), pool(threads) {
     const BufferPlan& plan = n->plan;
     const std::size_t b = static_cast<std::size_t>(mb);
+    arenas.reserve(2 * b);
+    for (std::int64_t i = 0; i < mb; ++i) {
+      for (const std::int64_t words : plan.arena_words) {
+        arenas.emplace_back(static_cast<std::size_t>(words) * sizeof(std::uint64_t));
+      }
+    }
+    // One view per planned buffer and image, built once: buffer j of image
+    // i starts at the base of arena (i, j % 2).
     acts.reserve(plan.acts.size());
-    for (const PlannedDims& d : plan.acts) {
+    for (std::size_t j = 0; j < plan.acts.size(); ++j) {
+      const PlannedDims& d = plan.acts[j];
       std::vector<PackedTensor>& per_image = acts.emplace_back();
       per_image.reserve(b);
-      for (std::int64_t i = 0; i < mb; ++i) per_image.emplace_back(d.h, d.w, d.c);
+      for (std::size_t i = 0; i < b; ++i) {
+        auto* base = reinterpret_cast<std::uint64_t*>(arenas[2 * i + j % 2].data());
+        per_image.emplace_back(base, d.h, d.w, d.c);
+      }
     }
     fc_bits.reserve(plan.fc_cols.size());
     for (const std::int64_t cols : plan.fc_cols) fc_bits.emplace_back(mb, cols);
@@ -240,6 +265,11 @@ InferenceContext& InferenceContext::operator=(InferenceContext&&) noexcept = def
 InferenceContext::~InferenceContext() = default;
 std::int64_t InferenceContext::max_batch() const noexcept { return impl_->max_batch; }
 int InferenceContext::num_threads() const noexcept { return impl_->pool.num_threads(); }
+std::int64_t InferenceContext::activation_bytes() const noexcept {
+  std::int64_t bytes = 0;
+  for (const AlignedBuffer& a : impl_->arenas) bytes += static_cast<std::int64_t>(a.size_bytes());
+  return bytes;
+}
 const std::vector<double>& InferenceContext::last_profile_ms() const {
   return impl_->profile_ms;
 }
@@ -430,7 +460,8 @@ void BinaryNetwork::finalize(TensorDesc input) {
 
   // Pass 2: memory planning.  The margin of each activation buffer equals
   // the padding its *consumer* wants, so padding is realized by writing
-  // interiors (Fig. 5).  Buffer i is the input of layer i.
+  // interiors (Fig. 5) after infer_batch re-zeroes the margin ring.  Buffer
+  // i is the input of layer i.
   auto consumer_margin = [&](std::size_t layer) -> std::int64_t {
     return (layer < n_layers && im.pending[layer].kind == LayerKind::kConv)
                ? im.pending[layer].pad
@@ -440,7 +471,7 @@ void BinaryNetwork::finalize(TensorDesc input) {
 
   // Pass 3: lower layers to stages, pack weights, record the buffer plan.
   // plan.acts[i] holds the packed input of stage i (for conv/pool stages);
-  // contexts allocate one copy per batch slot.
+  // contexts lay it over ping-pong arena i % 2 of each batch slot.
   //
   // With auto-tuning on, each conv/fc layer's plan (tiled vs untiled, tile
   // width, parallel grain) comes from tune::decide() — a cache hit commits
@@ -506,9 +537,9 @@ void BinaryNetwork::finalize(TensorDesc input) {
           }
           s.conv_spec.par_grain = dec.par_grain;
           if (dec.tiled) {
-            // Re-lay into the interleaved register-tile layout and drop the
-            // filter-major bank (same word count, permuted order).
-            s.filters_tiled = bitpack::tile_filters(bank, dec.tile);
+            // Re-lay into the interleaved register-tile layout in place: the
+            // bank's storage becomes the tiled bank's (same words, permuted).
+            s.filters_tiled = bitpack::tile_filters(std::move(bank), dec.tile);
             s.tiled = true;
             s.conv_bin_tiled =
                 kernels::conv_binarize_tiled_batch_kernel(info.isa, wl.vpopcnt, dec.tile);
@@ -554,7 +585,7 @@ void BinaryNetwork::finalize(TensorDesc input) {
           dec = tune::default_decision(wl, im.cfg.tile_weights);
         }
         if (dec.tiled) {
-          s.fc_tiled = bitpack::tile_fc_weights(w, dec.tile);
+          s.fc_tiled = bitpack::tile_fc_weights(std::move(w), dec.tile);
           s.tiled = true;
           s.fc_dot_tiled = kernels::bgemm_rows_tiled_kernel(info.isa, wl.vpopcnt, dec.tile);
           s.fc_bin_tiled =
@@ -576,8 +607,13 @@ void BinaryNetwork::finalize(TensorDesc input) {
     // Buffer routing.
     if (l.kind == LayerKind::kConv || l.kind == LayerKind::kPool) {
       if (im.plan.acts.size() == i && i == 0) {
-        im.plan.acts.push_back(
-            {flow.h + 2 * im.input_margin, flow.w + 2 * im.input_margin, flow.c});
+        // The input buffer; a full-precision first conv reads floats
+        // instead, so it plans an empty one.
+        im.plan.acts.push_back(l.full_precision
+                                   ? PlannedDims{}
+                                   : PlannedDims{flow.h + 2 * im.input_margin,
+                                                 flow.w + 2 * im.input_margin, flow.c,
+                                                 im.input_margin});
       }
       s.in_act = static_cast<int>(i);
       const TensorDesc& out = info.out;
@@ -591,7 +627,8 @@ void BinaryNetwork::finalize(TensorDesc input) {
         im.plan.need_last_pool_out = true;
         im.plan.last_pool_out = {out.h, out.w, out.c};
       } else {
-        im.plan.acts.push_back({out.h + 2 * s.out_margin, out.w + 2 * s.out_margin, out.c});
+        im.plan.acts.push_back(
+            {out.h + 2 * s.out_margin, out.w + 2 * s.out_margin, out.c, s.out_margin});
         s.out_act = static_cast<int>(im.plan.acts.size()) - 1;
       }
     } else {  // fc
@@ -613,6 +650,11 @@ void BinaryNetwork::finalize(TensorDesc input) {
     im.stages.push_back(std::move(s));
   }
   im.plan.scores_size = flow.num_elements();
+  for (std::size_t j = 0; j < im.plan.acts.size(); ++j) {
+    const PlannedDims& d = im.plan.acts[j];
+    std::int64_t& arena = im.plan.arena_words[j % 2];
+    arena = std::max(arena, d.h * d.w * words_for_channels(d.c));
+  }
   im.pending.clear();
   im.pending.shrink_to_fit();
   if (im.cfg.auto_tune && tune_searched_any && !tune_path.empty()) {
@@ -693,9 +735,6 @@ void BinaryNetwork::finalize(TensorDesc input) {
   im.perf_stats = std::make_unique<Impl::PerfStage[]>(n_layers + 1);
 
   im.finalized = true;
-  // The default context backs the legacy batch-1 infer(); creating it here
-  // preserves the "zero allocation per inference" property of that API.
-  im.default_ctx = std::make_unique<InferenceContext>(make_context(1));
 }
 
 InferenceContext BinaryNetwork::make_context(std::int64_t max_batch) const {
@@ -783,6 +822,17 @@ std::span<const float> BinaryNetwork::infer_batch(std::span<const Tensor* const>
     }
   };
   checkpoint();
+  // Padding re-arm: the arena under a padded buffer held another layer's
+  // activations, so its margin ring is zeroed right before the producer
+  // writes the interior — O(perimeter), far below the producer's own work.
+  const auto arm_margins = [&](int buffer) {
+    const std::int64_t margin = im.plan.acts[static_cast<std::size_t>(buffer)].margin;
+    if (margin == 0) return;
+    std::vector<PackedTensor>& views = cx.acts[static_cast<std::size_t>(buffer)];
+    for (std::int64_t b = 0; b < n; ++b) {
+      kernels::zero_margin(views[static_cast<std::size_t>(b)], margin);
+    }
+  };
 
   // Input stage: binarize + pack each image into its batch slot of the
   // first buffer's interior — unless the first layer is the full-precision
@@ -796,6 +846,7 @@ std::span<const float> BinaryNetwork::infer_batch(std::span<const Tensor* const>
       // Nothing to pack: the per-image copy into f_in_padded happens in the
       // stage loop right before each image's float convolution.
     } else if (!starts_with_fc) {
+      arm_margins(0);
       for (std::int64_t b = 0; b < n; ++b) {
         bitpack::pack_activations_into_interior(*inputs[static_cast<std::size_t>(b)],
                                                 cx.acts[0][static_cast<std::size_t>(b)],
@@ -834,6 +885,7 @@ std::span<const float> BinaryNetwork::infer_batch(std::span<const Tensor* const>
           // The float first layer shares one scratch set; images run
           // serially through it (C=3 im2col+sgemm is a tiny slice of total
           // compute, so the batch win comes from the binary layers).
+          if (!s.is_last) arm_margins(s.out_act);
           for (std::int64_t b = 0; b < n; ++b) {
             const Tensor& img = *inputs[static_cast<std::size_t>(b)];
             const std::int64_t margin = im.input_margin;
@@ -879,6 +931,7 @@ std::span<const float> BinaryNetwork::infer_batch(std::span<const Tensor* const>
                       cx.scores.data() + b * out_size);
           }
         } else {
+          arm_margins(s.out_act);
           std::vector<PackedTensor>& out = cx.acts[static_cast<std::size_t>(s.out_act)];
           for (std::int64_t b = 0; b < n; ++b) {
             cx.out_ptrs[static_cast<std::size_t>(b)] = &out[static_cast<std::size_t>(b)];
@@ -905,6 +958,7 @@ std::span<const float> BinaryNetwork::infer_batch(std::span<const Tensor* const>
                       cx.scores.data() + b * out_size);
           }
         } else {
+          arm_margins(s.out_act);
           std::vector<PackedTensor>& out = cx.acts[static_cast<std::size_t>(s.out_act)];
           for (std::int64_t b = 0; b < n; ++b) {
             kernels::binary_maxpool(in[static_cast<std::size_t>(b)], s.pool_spec, s.isa,
@@ -963,6 +1017,9 @@ std::span<const float> BinaryNetwork::infer_batch(std::span<const Tensor* const>
 std::span<const float> BinaryNetwork::infer(const Tensor& input_hwc) {
   Impl& im = *impl_;
   if (!im.finalized) throw std::logic_error("BinaryNetwork: infer before finalize");
+  // Created on first use; every later call reuses it, so steady-state
+  // infer() still allocates nothing.
+  if (!im.default_ctx) im.default_ctx = std::make_unique<InferenceContext>(make_context(1));
   const Tensor* input = &input_hwc;
   return infer_batch({&input, 1}, *im.default_ctx);
 }

@@ -6,10 +6,17 @@
 //   * shape inference over the whole chain (scheduler component 1);
 //   * kernel selection per operator from the channel-multiple rules and the
 //     detected hardware (components 2-3, Fig. 6);
-//   * binarization + bit-packing of all weights, once and for all;
-//   * a memory plan sizing every activation buffer, with each buffer carrying
-//     the *consumer's* padding margin so that padding costs nothing at
-//     inference time (Fig. 5) — the static-graph memory planner.
+//   * binarization + bit-packing of all weights, once and for all (the
+//     register-tile re-layout permutes each bank in place, so no layer's
+//     weights are ever held twice);
+//   * a memory plan for the activation buffers — the static-graph memory
+//     planner.  Each buffer carries the *consumer's* padding margin, so
+//     padding is realized by writing the producer's output into the interior
+//     (Fig. 5).  The chain is linear, so only two buffers are live at once:
+//     buffer j is a view into ping-pong arena j % 2 of its batch slot, each
+//     arena sized to the largest buffer of its parity.  Because arenas are
+//     reused, a padded buffer's margin ring is re-zeroed (O(perimeter))
+//     right before its producer runs, on every inference.
 //
 // Thread-safety / replicated serving (the contract the serve::Engine relies
 // on): after finalize() the network itself is immutable — stages, packed
@@ -19,9 +26,9 @@
 // `make_context()`.  Any number of threads may call `infer_batch()`
 // concurrently on the same finalized network as long as each call uses a
 // different context; a single context must not be used by two calls at once.
-// The convenience `infer()` uses one internal default context and is
-// therefore NOT safe to call concurrently — replicated workers must go
-// through make_context() + infer_batch().
+// The convenience `infer()` uses one internal default context (created by
+// its first call) and is therefore NOT safe to call concurrently —
+// replicated workers must go through make_context() + infer_batch().
 //
 // `infer_batch()` runs N <= max_batch images in one pass with zero
 // allocation at steady state: the batch axis is fused with the spatial
@@ -162,7 +169,8 @@ class BinaryNetwork;
 
 /// All mutable per-inference state of one inference stream: a thread pool
 /// plus every scratch buffer the network's memory plan calls for, sized for
-/// up to `max_batch` images.  Contexts are created by
+/// up to `max_batch` images (two ping-pong activation arenas per image,
+/// with one view per planned buffer built here).  Contexts are created by
 /// BinaryNetwork::make_context(), are move-only, and must not outlive the
 /// network they were made from.  One context serves one infer_batch() call
 /// at a time; replicated workers each own their own context.
@@ -174,6 +182,10 @@ class InferenceContext {
 
   [[nodiscard]] std::int64_t max_batch() const noexcept;
   [[nodiscard]] int num_threads() const noexcept;
+  /// Bytes of packed-activation arena storage this context holds: per
+  /// batch slot, the largest even-indexed plus the largest odd-indexed
+  /// planned buffer, times max_batch.
+  [[nodiscard]] std::int64_t activation_bytes() const noexcept;
   /// Per-layer wall-clock of the most recent infer_batch() through this
   /// context (profile mode only; one extra leading entry is the input pack).
   [[nodiscard]] const std::vector<double>& last_profile_ms() const;
@@ -272,8 +284,8 @@ class BinaryNetwork {
                                      InferenceContext& ctx,
                                      const core::CancelToken& cancel) const;
 
-  /// Batch-1 convenience API over an internal default context (created at
-  /// finalize).  NOT safe to call concurrently — see the header contract.
+  /// Batch-1 convenience API over an internal default context (created by
+  /// the first call).  NOT safe to call concurrently — see the header contract.
   /// The returned span stays valid until the next call.
   std::span<const float> infer(const Tensor& input_hwc);
 

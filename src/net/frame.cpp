@@ -11,14 +11,18 @@ namespace {
 
 // Serialization is explicit byte shuffling, not struct casts: the wire is
 // little-endian by definition, the host may not be, and memcpy through
-// uint8_t stays strict-aliasing clean.
+// uint8_t stays strict-aliasing clean.  Encoders size the whole frame once
+// (grow_frame) and store through a cursor; each put_* returns the cursor
+// advanced past what it wrote.
 
-void put_u32(std::vector<std::uint8_t>& out, std::uint32_t v) {
-  for (int i = 0; i < 4; ++i) out.push_back(static_cast<std::uint8_t>(v >> (8 * i)));
+std::uint8_t* put_u32(std::uint8_t* p, std::uint32_t v) {
+  for (int i = 0; i < 4; ++i) p[i] = static_cast<std::uint8_t>(v >> (8 * i));
+  return p + 4;
 }
 
-void put_u64(std::vector<std::uint8_t>& out, std::uint64_t v) {
-  for (int i = 0; i < 8; ++i) out.push_back(static_cast<std::uint8_t>(v >> (8 * i)));
+std::uint8_t* put_u64(std::uint8_t* p, std::uint64_t v) {
+  for (int i = 0; i < 8; ++i) p[i] = static_cast<std::uint8_t>(v >> (8 * i));
+  return p + 8;
 }
 
 std::uint32_t get_u32(const std::uint8_t* p) {
@@ -30,10 +34,10 @@ std::uint64_t get_u64(const std::uint8_t* p) {
   return get_u32(p) | (std::uint64_t{get_u32(p + 4)} << 32);
 }
 
-void put_f32(std::vector<std::uint8_t>& out, float f) {
+std::uint8_t* put_f32(std::uint8_t* p, float f) {
   std::uint32_t bits;
   std::memcpy(&bits, &f, 4);
-  put_u32(out, bits);
+  return put_u32(p, bits);
 }
 
 float get_f32(const std::uint8_t* p) {
@@ -43,17 +47,22 @@ float get_f32(const std::uint8_t* p) {
   return f;
 }
 
-void put_header(std::vector<std::uint8_t>& out, FrameType type, std::uint8_t priority,
-                std::uint64_t id, std::uint32_t deadline_ms, std::uint32_t length,
-                std::uint8_t flags = 0) {
-  put_u32(out, kMagic);
-  out.push_back(static_cast<std::uint8_t>(type));
-  out.push_back(priority);
-  out.push_back(flags);
-  out.push_back(0);  // reserved
-  put_u64(out, id);
-  put_u32(out, deadline_ms);
-  put_u32(out, length);
+/// Appends room for a whole frame (header + `length` payload bytes) to
+/// `out` in one resize, writes the header, and returns the cursor at the
+/// start of the payload.
+std::uint8_t* grow_frame(std::vector<std::uint8_t>& out, FrameType type, std::uint8_t priority,
+                         std::uint64_t id, std::uint32_t deadline_ms, std::uint32_t length,
+                         std::uint8_t flags = 0) {
+  const std::size_t at = out.size();
+  out.resize(at + kHeaderSize + length);
+  std::uint8_t* p = put_u32(out.data() + at, kMagic);
+  *p++ = static_cast<std::uint8_t>(type);
+  *p++ = priority;
+  *p++ = flags;
+  *p++ = 0;  // reserved
+  p = put_u64(p, id);
+  p = put_u32(p, deadline_ms);
+  return put_u32(p, length);
 }
 
 /// Header-only validation: everything checkable from the first 24 bytes.
@@ -174,28 +183,28 @@ void append_request(std::vector<std::uint8_t>& out, const RequestFrame& req) {
   const std::uint32_t length = 12 +
                                4 * static_cast<std::uint32_t>(req.data.size()) +
                                (flags != 0 ? 8 : 0);
-  put_header(out, FrameType::kInferRequest, req.priority, req.id, req.deadline_ms,
-             length, flags);
-  put_u32(out, req.h);
-  put_u32(out, req.w);
-  put_u32(out, req.c);
-  for (float f : req.data) put_f32(out, f);
-  if (flags != 0) put_u64(out, req.trace_id);
+  std::uint8_t* p = grow_frame(out, FrameType::kInferRequest, req.priority, req.id,
+                               req.deadline_ms, length, flags);
+  p = put_u32(p, req.h);
+  p = put_u32(p, req.w);
+  p = put_u32(p, req.c);
+  for (float f : req.data) p = put_f32(p, f);
+  if (flags != 0) put_u64(p, req.trace_id);
 }
 
 void append_response(std::vector<std::uint8_t>& out, std::uint64_t id,
                      const float* scores, std::size_t n) {
-  put_header(out, FrameType::kInferResponse, 0, id, 0,
-             static_cast<std::uint32_t>(n * 4));
-  for (std::size_t i = 0; i < n; ++i) put_f32(out, scores[i]);
+  std::uint8_t* p = grow_frame(out, FrameType::kInferResponse, 0, id, 0,
+                               static_cast<std::uint32_t>(n * 4));
+  for (std::size_t i = 0; i < n; ++i) p = put_f32(p, scores[i]);
 }
 
 void append_error(std::vector<std::uint8_t>& out, std::uint64_t id,
                   core::ErrorCode code, std::string_view message) {
-  put_header(out, FrameType::kError, 0, id, 0,
-             static_cast<std::uint32_t>(4 + message.size()));
-  put_u32(out, static_cast<std::uint32_t>(code));
-  out.insert(out.end(), message.begin(), message.end());
+  std::uint8_t* p = grow_frame(out, FrameType::kError, 0, id, 0,
+                               static_cast<std::uint32_t>(4 + message.size()));
+  p = put_u32(p, static_cast<std::uint32_t>(code));
+  if (!message.empty()) std::memcpy(p, message.data(), message.size());
 }
 
 core::Result<DecodedFrame> decode_frame(const std::uint8_t* data, std::size_t size) {

@@ -22,9 +22,12 @@ inline constexpr std::size_t kBufferAlignment = 64;
 
 /// Owning, 64-byte aligned, zero-initialized byte buffer.
 ///
-/// Zero-initialization is load-bearing, not a convenience: the paper's
-/// zero-cost padding scheme (Fig. 5) pre-allocates the padded output and
-/// relies on the margin staying all-zero bits.
+/// Zero-initialization gives every fresh tensor defined contents (all-zero
+/// bits decode to -1), which standalone kernel callers rely on for padded
+/// outputs.  It is no longer what keeps the engine's padding margins zero:
+/// the activation arenas are reused by several layers, so
+/// BinaryNetwork::infer_batch re-zeroes each margin ring before use
+/// (kernels::zero_margin).
 class AlignedBuffer {
  public:
   AlignedBuffer() = default;

@@ -16,7 +16,9 @@
 #pragma once
 
 #include <cstdint>
+#include <cstring>
 #include <span>
+#include <utility>
 
 #include "core/check.hpp"
 #include "tensor/aligned_buffer.hpp"
@@ -43,6 +45,17 @@ class PackedTensor {
     BF_CHECK(h >= 0 && w >= 0 && c >= 0, "PackedTensor extents ", h, "x", w, "x", c);
   }
 
+  /// Non-owning view over `storage`, which must hold at least
+  /// h * w * words_for_channels(c) words and outlive the view.  Nothing is
+  /// zeroed: the engine lays several views over one activation arena and
+  /// its producers write every word they later read (copies of a view are
+  /// views of the same storage).
+  PackedTensor(std::uint64_t* storage, std::int64_t h, std::int64_t w, std::int64_t c)
+      : h_(h), w_(w), c_(c), pc_(words_for_channels(c)), borrowed_(storage) {
+    BF_CHECK(h >= 0 && w >= 0 && c >= 0, "PackedTensor extents ", h, "x", w, "x", c);
+    BF_CHECK(storage != nullptr || h * w * pc_ == 0, "PackedTensor view over null storage");
+  }
+
   [[nodiscard]] std::int64_t height() const noexcept { return h_; }
   [[nodiscard]] std::int64_t width() const noexcept { return w_; }
   [[nodiscard]] std::int64_t channels() const noexcept { return c_; }
@@ -51,10 +64,11 @@ class PackedTensor {
   [[nodiscard]] std::int64_t num_words() const noexcept { return h_ * w_ * pc_; }
 
   [[nodiscard]] std::uint64_t* words() noexcept {
-    return reinterpret_cast<std::uint64_t*>(buffer_.data());
+    return borrowed_ != nullptr ? borrowed_ : reinterpret_cast<std::uint64_t*>(buffer_.data());
   }
   [[nodiscard]] const std::uint64_t* words() const noexcept {
-    return reinterpret_cast<const std::uint64_t*>(buffer_.data());
+    return borrowed_ != nullptr ? borrowed_
+                                : reinterpret_cast<const std::uint64_t*>(buffer_.data());
   }
 
   /// Pointer to the first packed word of pixel (h, w).
@@ -90,11 +104,14 @@ class PackedTensor {
     return get_bit(h, w, c) ? 1.0f : -1.0f;
   }
 
-  void zero() noexcept { buffer_.zero(); }
+  void zero() noexcept {
+    if (num_words() > 0) std::memset(words(), 0, static_cast<std::size_t>(num_words()) * 8);
+  }
 
  private:
   std::int64_t h_ = 0, w_ = 0, c_ = 0, pc_ = 0;
-  AlignedBuffer buffer_;
+  AlignedBuffer buffer_;               // empty for a view
+  std::uint64_t* borrowed_ = nullptr;  // non-null for a view
 };
 
 /// Bank of K binary filters, each kh x kw x C, bit-packed along the channel
@@ -174,6 +191,14 @@ class PackedFilterBank {
     return get_bit(k, i, j, c) ? 1.0f : -1.0f;
   }
 
+  /// Hands the word storage (filter-major, exactly K * words_per_filter
+  /// words) to the caller and leaves an empty bank — how the finalize-time
+  /// re-layout takes the weights over without a second copy.
+  [[nodiscard]] AlignedBuffer release_storage() && noexcept {
+    k_ = kh_ = kw_ = c_ = pc_ = 0;
+    return std::move(buffer_);
+  }
+
  private:
   std::int64_t k_ = 0, kh_ = 0, kw_ = 0, c_ = 0, pc_ = 0;
   AlignedBuffer buffer_;
@@ -203,6 +228,20 @@ class TiledBitMatrix {
         buffer_(static_cast<std::size_t>(rows * row_words) * sizeof(std::uint64_t)) {
     BF_CHECK(rows >= 0 && row_words >= 0 && tile >= 1, "TiledBitMatrix extents ", rows, "x",
              row_words, " tile ", tile);
+  }
+
+  /// Adopts `storage` (exactly rows * row_words words) as-is; its contents
+  /// are only in the tiled order once the caller has permuted them
+  /// (bitpack's in-place tiling).
+  TiledBitMatrix(AlignedBuffer storage, std::int64_t rows, std::int64_t row_words,
+                 std::int64_t tile)
+      : rows_(rows), row_words_(row_words), tile_(tile), buffer_(std::move(storage)) {
+    BF_CHECK(rows >= 0 && row_words >= 0 && tile >= 1, "TiledBitMatrix extents ", rows, "x",
+             row_words, " tile ", tile);
+    BF_CHECK(buffer_.size_bytes() ==
+                 static_cast<std::size_t>(rows * row_words) * sizeof(std::uint64_t),
+             "TiledBitMatrix: adopted ", buffer_.size_bytes(), " bytes for ", rows, "x",
+             row_words, " words");
   }
 
   [[nodiscard]] std::int64_t rows() const noexcept { return rows_; }
@@ -355,6 +394,14 @@ class PackedMatrix {
 
   [[nodiscard]] float sign_value(std::int64_t r, std::int64_t c) const noexcept {
     return get_bit(r, c) ? 1.0f : -1.0f;
+  }
+
+  /// Hands the word storage (row-major, exactly rows * words_per_row words)
+  /// to the caller and leaves an empty matrix (see
+  /// PackedFilterBank::release_storage).
+  [[nodiscard]] AlignedBuffer release_storage() && noexcept {
+    rows_ = cols_ = wpr_ = 0;
+    return std::move(buffer_);
   }
 
  private:

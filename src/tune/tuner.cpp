@@ -234,7 +234,9 @@ Decision search(const LayerWorkload& wl, runtime::ThreadPool& pool, bool tile_we
       TiledFilterBank tiled_bank;
       const auto measure_cand = [&](const Candidate& cand, int iters, double total) {
         if (cand.tiled && cand.tile != tiled_width) {
-          tiled_bank = bitpack::tile_filters(bank, cand.tile);
+          // The tiler consumes its argument; the untiled candidates and the
+          // other widths still need `bank`, so tile a copy.
+          tiled_bank = bitpack::tile_filters(PackedFilterBank(bank), cand.tile);
           tiled_width = cand.tile;
         }
         return measure_conv(wl, cand, in, bank, &tiled_bank, pool, iters, total);
@@ -273,7 +275,7 @@ Decision search(const LayerWorkload& wl, runtime::ThreadPool& pool, bool tile_we
       TiledBitMatrix tiled_w;
       const auto measure_cand = [&](const Candidate& cand, int iters, double total) {
         if (cand.tiled && cand.tile != tiled_width) {
-          tiled_w = bitpack::tile_fc_weights(w, cand.tile);
+          tiled_w = bitpack::tile_fc_weights(PackedMatrix(w), cand.tile);  // copy, as above
           tiled_width = cand.tile;
         }
         return measure_fc(wl, cand, a, w, &tiled_w, pool, iters, total);

@@ -10,6 +10,7 @@
 // on exotic hardware is reproducible from the log alone.
 #include <cstdint>
 #include <random>
+#include <set>
 #include <stdexcept>
 #include <string>
 #include <vector>
@@ -454,6 +455,53 @@ TEST(IsaParity, TileFiltersIsAPermutation) {
           ASSERT_EQ(tiled.rows().row_word(k, w), filters.filter(k)[w])
               << "tile_filters lost word " << w << " of filter " << k << " at tile " << tile
               << ", shape " << describe(s);
+        }
+      }
+    }
+  }
+}
+
+TEST(IsaParity, InPlaceTilingMatchesReferencePermutation) {
+  // The tilers permute the moved-in bank's own storage block by block.  At
+  // every tile width some host ISA supports, and for K = T-1 (remainder
+  // only), T (one full tile) and 2T+3 (tiles plus a remainder), every word
+  // must land where row_word() resolves it.  Ragged C and n_bits leave tail
+  // bits in each row's last word.
+  std::set<std::int64_t> widths;
+  for (const IsaLevel isa : simd::supported_isa_levels()) {
+    const kernels::TileWidthSet set = kernels::supported_tile_widths(isa);
+    for (std::int64_t i = 0; i < set.count; ++i) {
+      widths.insert(set.widths[static_cast<std::size_t>(i)]);
+    }
+  }
+  ASSERT_FALSE(widths.empty());
+  std::uint64_t seed = 11500;
+  for (const std::int64_t tile : widths) {
+    for (const std::int64_t k : {tile - 1, tile, 2 * tile + 3}) {
+      PackedFilterBank filters(k, 3, 3, 70);
+      fill_random_bits(filters, seed++);
+      const TiledFilterBank tiled = bitpack::tile_filters(PackedFilterBank(filters), tile);
+      ASSERT_EQ(tiled.num_filters(), k);
+      ASSERT_EQ(tiled.tile(), tile);
+      ASSERT_EQ(tiled.rows().full_tiles(), k / tile);
+      for (std::int64_t f = 0; f < k; ++f) {
+        for (std::int64_t w = 0; w < filters.words_per_filter(); ++w) {
+          ASSERT_EQ(tiled.rows().row_word(f, w), filters.filter(f)[w])
+              << "tile_filters moved word " << w << " of filter " << f << " wrong at T=" << tile
+              << " K=" << k;
+        }
+      }
+
+      PackedMatrix fc(k, 200);
+      fill_random_bits(fc, seed++);
+      const TiledBitMatrix rows = bitpack::tile_fc_weights(PackedMatrix(fc), tile);
+      ASSERT_EQ(rows.rows(), k);
+      ASSERT_EQ(rows.row_words(), fc.words_per_row());
+      for (std::int64_t r = 0; r < k; ++r) {
+        for (std::int64_t w = 0; w < fc.words_per_row(); ++w) {
+          ASSERT_EQ(rows.row_word(r, w), fc.row(r)[w])
+              << "tile_fc_weights moved word " << w << " of row " << r << " wrong at T=" << tile
+              << " K=" << k;
         }
       }
     }

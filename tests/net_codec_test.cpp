@@ -85,6 +85,23 @@ TEST(NetCodec, ResponseRoundtrips) {
   EXPECT_EQ(out->scores, scores);
 }
 
+TEST(NetCodec, EncoderWritesLittleEndianWireBytes) {
+  // Pinned bytes, not a round trip: a byte-order slip in the encoder that
+  // the decoder mirrored would still round-trip.
+  std::vector<std::uint8_t> bytes = {0xAA};  // appends after existing bytes
+  const float score = 1.0f;                  // 0x3F800000
+  append_response(bytes, 0x0102030405060708ull, &score, 1);
+  const std::vector<std::uint8_t> want = {
+      0xAA,                                            // pre-existing byte
+      0x42, 0x46, 0x30, 0x31,                          // magic "BF01"
+      0x02, 0x00, 0x00, 0x00,                          // type, priority, flags, reserved
+      0x08, 0x07, 0x06, 0x05, 0x04, 0x03, 0x02, 0x01,  // id
+      0x00, 0x00, 0x00, 0x00,                          // deadline_ms
+      0x04, 0x00, 0x00, 0x00,                          // payload length
+      0x00, 0x00, 0x80, 0x3F};                         // 1.0f
+  EXPECT_EQ(bytes, want);
+}
+
 TEST(NetCodec, ErrorRoundtrips) {
   std::vector<std::uint8_t> bytes;
   append_error(bytes, 7, ErrorCode::kResourceExhausted, "queue full");

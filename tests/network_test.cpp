@@ -1,6 +1,7 @@
 // BinaryNetwork: shape inference, memory planning (zero-cost padding),
 // kernel selection, and end-to-end equivalence against manual layer-by-layer
 // composition of the standalone kernels.
+#include <algorithm>
 #include <cstdint>
 #include <random>
 #include <stdexcept>
@@ -9,6 +10,8 @@
 
 #include <gtest/gtest.h>
 
+#include "baseline/float_ops.hpp"
+#include "baseline/unopt_binary.hpp"
 #include "bitpack/packer.hpp"
 #include "graph/network.hpp"
 #include "kernels/padding.hpp"
@@ -118,8 +121,8 @@ TEST(BinaryNetwork, SchedulerPolicyDoesNotChangeResults) {
 }
 
 TEST(BinaryNetwork, RepeatedInferenceIsDeterministicAndPaddingStaysArmed) {
-  // The pre-allocated margins must stay zero across runs (the engine never
-  // writes them) or the second inference would differ.
+  // Every run must see all-zero margins although the arenas under the padded
+  // buffers are reused by other layers, or the second inference would differ.
   BinaryNetwork net = make_small_net({});
   Tensor a = Tensor::hwc(16, 16, 16);
   Tensor b = Tensor::hwc(16, 16, 16);
@@ -574,6 +577,181 @@ TEST(BinaryNetwork, ContextAndBatchArgumentValidation) {
   // The context stays usable after a rejected call.
   const auto s = net.infer_batch({&one, 1}, ctx);
   EXPECT_EQ(s.size(), 10u);
+}
+
+// --- ping-pong activation arenas ---------------------------------------------
+
+/// Weights of a chain whose activation buffers stress the arenas: margins
+/// 1,0,1,1,0,0 along buffers 0..5, C = 96 and K = 70 leave tail bits in every
+/// pixel's last word, and both pools and convs write into buffers that sit
+/// over a larger, earlier buffer's data.
+struct ArenaChain {
+  FilterBank c1 = models::random_filters(96, 3, 3, 96, 61);
+  FilterBank c2 = models::random_filters(70, 3, 3, 96, 62);
+  FilterBank c3 = models::random_filters(96, 3, 3, 70, 63);
+  std::vector<float> th1 = thresholds(96, 64), th2 = thresholds(70, 65), th3 = thresholds(96, 66);
+  std::vector<float> f1 = models::random_fc_weights(3 * 3 * 96, 40, 67);
+  std::vector<float> f2 = models::random_fc_weights(40, 10, 68);
+  std::vector<float> thf = thresholds(40, 69);
+
+  static std::vector<float> thresholds(std::int64_t k, std::uint64_t seed) {
+    std::mt19937_64 rng(seed);
+    std::uniform_real_distribution<float> dist(-6.0f, 6.0f);
+    std::vector<float> th(static_cast<std::size_t>(k));
+    for (float& t : th) t = dist(rng);
+    return th;
+  }
+
+  /// 12x12x96 -> conv(p1) -> pool -> conv(p1) -> conv(p1) -> pool -> fc -> fc.
+  [[nodiscard]] BinaryNetwork build(NetworkConfig cfg) const {
+    BinaryNetwork net(cfg);
+    net.add_conv("c1", c1, 1, 1, th1);
+    net.add_maxpool("p1", kernels::PoolSpec{2, 2, 2});
+    net.add_conv("c2", c2, 1, 1, th2);
+    net.add_conv("c3", c3, 1, 1, th3);
+    net.add_maxpool("p2", kernels::PoolSpec{2, 2, 2});
+    net.add_fc("f1", f1, 3 * 3 * 96, 40, thf);
+    net.add_fc("f2", f2, 40, 10);
+    net.finalize(TensorDesc{12, 12, 96});
+    return net;
+  }
+
+  /// The same chain through the unoptimized src/baseline engine (im2col +
+  /// scalar 32-bit words), on freshly allocated float tensors throughout.
+  [[nodiscard]] std::vector<float> baseline_forward(const Tensor& input) const {
+    runtime::ThreadPool pool(1);
+    const auto conv = [&](const Tensor& x, const FilterBank& f, const std::vector<float>& th) {
+      const baseline::UnoptBinaryConv op(f, kernels::ConvSpec{3, 3, 1});
+      Tensor dots = Tensor::hwc(x.height(), x.width(), f.num_filters());
+      op.run(baseline::pad_float(x, 1, -1.0f), pool, dots);  // -1 = zero-bit padding
+      Tensor signs = Tensor::hwc(x.height(), x.width(), f.num_filters());
+      for (std::int64_t i = 0; i < dots.num_elements(); ++i) {
+        const float t = th[static_cast<std::size_t>(i % f.num_filters())];
+        signs.data()[i] = dots.data()[i] >= t ? 1.0f : -1.0f;
+      }
+      return signs;
+    };
+    const auto maxpool = [&](const Tensor& x) {
+      PackedTensor out(x.height() / 2, x.width() / 2, x.channels());
+      baseline::unopt_binary_maxpool(bitpack::pack_activations(x), kernels::PoolSpec{2, 2, 2},
+                                     pool, out);
+      return bitpack::unpack_to_signs(out);
+    };
+    const Tensor a = maxpool(conv(conv(maxpool(conv(input, c1, th1)), c2, th2), c3, th3));
+    std::vector<float> h(40), scores(10);
+    baseline::UnoptBinaryFc(f1.data(), 3 * 3 * 96, 40).run(a.data(), pool, h.data());
+    for (std::size_t i = 0; i < h.size(); ++i) h[i] = h[i] >= thf[i] ? 1.0f : -1.0f;
+    baseline::UnoptBinaryFc(f2.data(), 40, 10).run(h.data(), pool, scores.data());
+    return scores;
+  }
+};
+
+TEST(BinaryNetwork, ArenaReuseMatchesUnoptimizedBaseline) {
+  // Two passes through one context with different images: the second pass
+  // reads margins that the first pass's later layers overwrote, so a missed
+  // margin re-zero or a producer that ORs into stale words diverges here.
+  const ArenaChain chain;
+  for (simd::IsaLevel isa : simd::supported_isa_levels()) {
+    NetworkConfig cfg;
+    cfg.num_threads = 2;
+    cfg.max_isa = isa;
+    const BinaryNetwork net = chain.build(cfg);
+    for (std::int64_t n : {1, 3}) {
+      InferenceContext ctx = net.make_context(n);
+      for (std::uint64_t pass = 0; pass < 2; ++pass) {
+        std::vector<Tensor> inputs;
+        std::vector<const Tensor*> ptrs;
+        for (std::int64_t b = 0; b < n; ++b) {
+          Tensor t = Tensor::hwc(12, 12, 96);
+          fill_uniform(t, 8100 + pass * 10 + static_cast<std::uint64_t>(n * 100 + b));
+          inputs.push_back(std::move(t));
+        }
+        for (const Tensor& t : inputs) ptrs.push_back(&t);
+        const auto got = net.infer_batch(ptrs, ctx);
+        ASSERT_EQ(got.size(), static_cast<std::size_t>(n * 10));
+        for (std::int64_t b = 0; b < n; ++b) {
+          const std::vector<float> want =
+              chain.baseline_forward(inputs[static_cast<std::size_t>(b)]);
+          for (std::size_t i = 0; i < want.size(); ++i) {
+            ASSERT_EQ(got[static_cast<std::size_t>(b * 10) + i], want[i])
+                << "isa " << simd::isa_name(isa) << " n=" << n << " pass " << pass << " image "
+                << b << " score " << i;
+          }
+        }
+      }
+    }
+  }
+}
+
+TEST(BinaryNetwork, Vgg16ContextHoldsTwoArenasPerSlot) {
+  // VGG-16 from packed random weights (float fc6 weights would be 0.4 GB).
+  const models::VggConfig vgg = models::vgg16();
+  BinaryNetwork net{NetworkConfig{}};
+  std::int64_t c = vgg.input_channels, hw = vgg.input_size;
+  std::uint64_t seed = 300;
+  for (std::size_t b = 0; b < vgg.conv_blocks.size(); ++b) {
+    for (const std::int64_t k : vgg.conv_blocks[b]) {
+      PackedFilterBank f(k, 3, 3, c);
+      fill_random_bits(f, ++seed);
+      net.add_conv_packed("conv", std::move(f), 1, 1);
+      c = k;
+    }
+    net.add_maxpool("pool", kernels::PoolSpec{2, 2, 2});
+    hw /= 2;
+  }
+  std::int64_t fan_in = hw * hw * c;
+  for (const std::int64_t k : vgg.fc_sizes) {
+    PackedMatrix w(k, fan_in);
+    fill_random_bits(w, ++seed);
+    net.add_fc_packed("fc", std::move(w));
+    fan_in = k;
+  }
+  net.finalize(TensorDesc{vgg.input_size, vgg.input_size, vgg.input_channels});
+
+  // The planned packed buffers, from the layer list: buffer 0 is the padded
+  // input, buffer i+1 the output of conv/pool layer i padded for layer i+1.
+  const std::vector<LayerInfo>& layers = net.layers();
+  const auto padded_bytes = [](const TensorDesc& d, std::int64_t margin) {
+    return (d.h + 2 * margin) * (d.w + 2 * margin) * words_for_channels(d.c) * 8;
+  };
+  std::vector<std::int64_t> buffers = {padded_bytes(layers[0].in, layers[0].pad)};
+  for (std::size_t i = 0; i + 1 < layers.size() && layers[i].kind != LayerKind::kFc; ++i) {
+    const std::int64_t margin = layers[i + 1].kind == LayerKind::kConv ? layers[i + 1].pad : 0;
+    buffers.push_back(padded_bytes(layers[i].out, margin));
+  }
+  ASSERT_EQ(buffers.size(), 19u);  // input + 13 convs + 5 pools
+  std::int64_t max_even = 0, max_odd = 0, all = 0;
+  for (std::size_t j = 0; j < buffers.size(); ++j) {
+    std::int64_t& m = j % 2 == 0 ? max_even : max_odd;
+    m = std::max(m, buffers[j]);
+    all += buffers[j];
+  }
+
+  const InferenceContext one = net.make_context(1);
+  EXPECT_EQ(one.activation_bytes(), max_even + max_odd);
+  EXPECT_LT(one.activation_bytes() * 2, all);  // 0.78 MiB instead of 2.25 per image
+  const InferenceContext eight = net.make_context(8);
+  EXPECT_EQ(eight.activation_bytes(), 8 * (max_even + max_odd));
+}
+
+TEST(BinaryNetwork, InferCreatesItsDefaultContextOnFirstUse) {
+  // finalize() makes no context; the first infer() does, and it matches an
+  // explicit context bit for bit on this and every later call.
+  NetworkConfig cfg;
+  cfg.profile = true;
+  BinaryNetwork net = make_small_net(cfg);
+  EXPECT_TRUE(net.last_profile_ms().empty());  // no default context yet
+  InferenceContext ctx = net.make_context(1);
+  for (std::uint64_t seed : {31u, 32u}) {
+    Tensor input = Tensor::hwc(16, 16, 16);
+    fill_uniform(input, seed);
+    const Tensor* one = &input;
+    const auto explicit_scores = net.infer_batch({&one, 1}, ctx);
+    const std::vector<float> want(explicit_scores.begin(), explicit_scores.end());
+    const auto got = net.infer(input);
+    ASSERT_EQ(std::vector<float>(got.begin(), got.end()), want) << "seed " << seed;
+    EXPECT_EQ(net.last_profile_ms().size(), 6u);
+  }
 }
 
 }  // namespace

@@ -2,6 +2,7 @@
 // reference, across shapes, strides, channel tails, and both output forms.
 #include <cstdint>
 #include <tuple>
+#include <vector>
 
 #include <gtest/gtest.h>
 
@@ -262,6 +263,26 @@ TEST(Padding, PadPackedAndCopyInterior) {
     EXPECT_FALSE(padded.get_bit(6, 6, c));
   }
   EXPECT_THROW(pad_packed(in, -1), std::invalid_argument);
+}
+
+TEST(Padding, ZeroMarginClearsOnlyTheRing) {
+  // A view over all-ones storage (arena garbage), one word longer than the
+  // view: the ring goes to zero, the interior and the word past the view
+  // keep their bits.
+  const std::int64_t h = 7, w = 6, c = 70, margin = 2;
+  std::vector<std::uint64_t> storage(static_cast<std::size_t>(h * w * 2 + 1), ~0ull);
+  PackedTensor view(storage.data(), h, w, c);
+  zero_margin(view, margin);
+  for (std::int64_t y = 0; y < h; ++y) {
+    for (std::int64_t x = 0; x < w; ++x) {
+      const bool ring = y < margin || y >= h - margin || x < margin || x >= w - margin;
+      for (std::int64_t p = 0; p < 2; ++p) {
+        ASSERT_EQ(view.pixel(y, x)[p], ring ? 0ull : ~0ull) << y << "," << x << " word " << p;
+      }
+    }
+  }
+  EXPECT_EQ(storage.back(), ~0ull);
+  EXPECT_THROW(zero_margin(view, 4), std::invalid_argument);
 }
 
 }  // namespace
