@@ -81,11 +81,11 @@ void pack_row_into(const float* x, std::int64_t count, PackedMatrix& out, std::i
 PackedFilterBank pack_filters(const FilterBank& filters);
 
 /// Re-lays a packed filter bank into the T-way interleaved register-tile
-/// layout (finalize-time, daBNN-style): full tiles [K/T][fh*fw*PC][T], then
-/// the K%T remainder filters filter-major.  A pure permutation of the bank's
-/// words, done in place: the bank is taken by value and its storage becomes
-/// the tiled bank's, so the weights are never held twice (move the bank in;
-/// pass a copy to keep the original).
+/// layout (daBNN-style; once per process, see graph/weights.hpp): full
+/// tiles [K/T][fh*fw*PC][T], then the K%T remainder filters filter-major.
+/// A pure permutation of the bank's words, done in place: the bank is taken
+/// by value and its storage becomes the tiled bank's, so the weights are
+/// never held twice (move the bank in; pass a copy to keep the original).
 TiledFilterBank tile_filters(PackedFilterBank filters, std::int64_t tile);
 
 /// Same interleave for an FC weight matrix (rows = output neurons): the

@@ -21,24 +21,21 @@ namespace bitflow::graph {
 
 namespace {
 
-/// A layer as described by the user, before finalize() lowers it.
+/// A layer as described by the user, before finalize() plans it.  Binary
+/// layers already hold their lowered (possibly shared) weights.
 struct PendingLayer {
   LayerKind kind = LayerKind::kConv;
   std::string name;
   // conv
-  FilterBank conv_weights;
+  ConvWeights conv_weights;
+  FilterBank float_weights;  // full-precision first layer only
   kernels::ConvSpec conv_spec;
   std::int64_t pad = 0;
+  bool full_precision = false;
   // pool
   kernels::PoolSpec pool_spec;
   // fc
-  std::vector<float> fc_weights;
-  std::int64_t fc_n = 0, fc_k = 0;
-  // pre-packed weights (add_conv_packed / add_fc_packed)
-  PackedFilterBank conv_packed;
-  PackedMatrix fc_packed;
-  bool prepacked = false;
-  bool full_precision = false;  // first-layer float conv
+  FcWeights fc_weights;
   // shared
   std::vector<float> thresholds;
 };
@@ -50,17 +47,16 @@ struct Stage {
   simd::IsaLevel isa = simd::IsaLevel::kU64;
   bool is_last = false;  ///< last stage emits float scores, not bits
 
-  // Register-tiled layers hold only the interleaved weights + tiled kernels;
-  // filter-major layers only the untiled set (finalize never keeps both —
-  // the interleave is a permutation, so weight bytes are unchanged).
+  // Register-tiled layers hold interleaved weights and run the tiled
+  // kernels; filter-major layers the untiled ones.  The weights are the
+  // lowered bank itself (shared) or finalize()'s private re-laid copy.
   bool tiled = false;
 
   // conv
   kernels::ConvSpec conv_spec;
-  PackedFilterBank filters;
+  ConvWeights filters;
   kernels::ConvBinarizeBatchFn conv_bin = nullptr;
   kernels::ConvDotBatchFn conv_dot = nullptr;
-  TiledFilterBank filters_tiled;
   kernels::ConvBinarizeTiledBatchFn conv_bin_tiled = nullptr;
   kernels::ConvDotTiledBatchFn conv_dot_tiled = nullptr;
   // first-layer full-precision conv
@@ -72,10 +68,9 @@ struct Stage {
   kernels::PoolSpec pool_spec;
 
   // fc
-  PackedMatrix fc_weights;  // k x n bits (pre-transposed at finalize)
+  FcWeights fc_weights;  // k x n bits (pre-transposed when packed)
   kernels::BgemmRowsFn fc_dot = nullptr;
   kernels::BgemmBinarizeRowsFn fc_bin = nullptr;
-  TiledBitMatrix fc_tiled;
   kernels::BgemmRowsTiledFn fc_dot_tiled = nullptr;
   kernels::BgemmBinarizeRowsTiledFn fc_bin_tiled = nullptr;
 
@@ -286,14 +281,8 @@ void BinaryNetwork::add_conv(std::string name, FilterBank weights, std::int64_t 
       thresholds.size() != static_cast<std::size_t>(weights.num_filters())) {
     throw std::invalid_argument("add_conv: thresholds must have one entry per filter");
   }
-  PendingLayer l;
-  l.kind = LayerKind::kConv;
-  l.name = std::move(name);
-  l.conv_spec = kernels::ConvSpec{weights.kernel_h(), weights.kernel_w(), stride};
-  l.conv_weights = std::move(weights);
-  l.pad = pad;
-  l.thresholds = std::move(thresholds);
-  impl_->pending.push_back(std::move(l));
+  ConvWeights lowered = lower_conv_weights(bitpack::pack_filters(weights), name);
+  add_conv_packed(std::move(name), std::move(lowered), stride, pad, std::move(thresholds));
 }
 
 void BinaryNetwork::add_conv_float(std::string name, FilterBank weights, std::int64_t stride,
@@ -310,16 +299,15 @@ void BinaryNetwork::add_conv_float(std::string name, FilterBank weights, std::in
   l.kind = LayerKind::kConv;
   l.name = std::move(name);
   l.conv_spec = kernels::ConvSpec{weights.kernel_h(), weights.kernel_w(), stride};
-  l.conv_weights = std::move(weights);
+  l.float_weights = std::move(weights);
   l.full_precision = true;
   l.pad = pad;
   l.thresholds = std::move(thresholds);
   impl_->pending.push_back(std::move(l));
 }
 
-void BinaryNetwork::add_conv_packed(std::string name, PackedFilterBank filters,
-                                    std::int64_t stride, std::int64_t pad,
-                                    std::vector<float> thresholds) {
+void BinaryNetwork::add_conv_packed(std::string name, ConvWeights filters, std::int64_t stride,
+                                    std::int64_t pad, std::vector<float> thresholds) {
   if (impl_->finalized) throw std::logic_error("BinaryNetwork: add after finalize");
   if (!thresholds.empty() &&
       thresholds.size() != static_cast<std::size_t>(filters.num_filters())) {
@@ -329,8 +317,7 @@ void BinaryNetwork::add_conv_packed(std::string name, PackedFilterBank filters,
   l.kind = LayerKind::kConv;
   l.name = std::move(name);
   l.conv_spec = kernels::ConvSpec{filters.kernel_h(), filters.kernel_w(), stride};
-  l.conv_packed = std::move(filters);
-  l.prepacked = true;
+  l.conv_weights = std::move(filters);
   l.pad = pad;
   l.thresholds = std::move(thresholds);
   impl_->pending.push_back(std::move(l));
@@ -354,17 +341,12 @@ void BinaryNetwork::add_fc(std::string name, std::vector<float> weights, std::in
   if (!thresholds.empty() && thresholds.size() != static_cast<std::size_t>(k)) {
     throw std::invalid_argument("add_fc: thresholds must have one entry per output");
   }
-  PendingLayer l;
-  l.kind = LayerKind::kFc;
-  l.name = std::move(name);
-  l.fc_weights = std::move(weights);
-  l.fc_n = n;
-  l.fc_k = k;
-  l.thresholds = std::move(thresholds);
-  impl_->pending.push_back(std::move(l));
+  FcWeights lowered =
+      lower_fc_weights(bitpack::pack_transpose_fc_weights(weights.data(), n, k), name);
+  add_fc_packed(std::move(name), std::move(lowered), std::move(thresholds));
 }
 
-void BinaryNetwork::add_fc_packed(std::string name, PackedMatrix weights,
+void BinaryNetwork::add_fc_packed(std::string name, FcWeights weights,
                                   std::vector<float> thresholds) {
   if (impl_->finalized) throw std::logic_error("BinaryNetwork: add after finalize");
   if (!thresholds.empty() && thresholds.size() != static_cast<std::size_t>(weights.rows())) {
@@ -373,10 +355,7 @@ void BinaryNetwork::add_fc_packed(std::string name, PackedMatrix weights,
   PendingLayer l;
   l.kind = LayerKind::kFc;
   l.name = std::move(name);
-  l.fc_n = weights.cols();
-  l.fc_k = weights.rows();
-  l.fc_packed = std::move(weights);
-  l.prepacked = true;
+  l.fc_weights = std::move(weights);
   l.thresholds = std::move(thresholds);
   impl_->pending.push_back(std::move(l));
 }
@@ -418,9 +397,9 @@ void BinaryNetwork::finalize(TensorDesc input) {
       case LayerKind::kConv: {
         if (seen_fc) throw std::invalid_argument("BinaryNetwork: conv after fc unsupported");
         const std::int64_t layer_c =
-            l.prepacked ? l.conv_packed.channels() : l.conv_weights.channels();
+            l.full_precision ? l.float_weights.channels() : l.conv_weights.channels();
         const std::int64_t layer_k =
-            l.prepacked ? l.conv_packed.num_filters() : l.conv_weights.num_filters();
+            l.full_precision ? l.float_weights.num_filters() : l.conv_weights.num_filters();
         if (layer_c != cur.c) {
           throw std::invalid_argument("finalize: " + l.name + " channel mismatch");
         }
@@ -444,13 +423,14 @@ void BinaryNetwork::finalize(TensorDesc input) {
         break;
       }
       case LayerKind::kFc: {
-        if (cur.num_elements() != l.fc_n) {
+        const std::int64_t fc_n = l.fc_weights.cols();
+        if (cur.num_elements() != fc_n) {
           throw std::invalid_argument("finalize: " + l.name + " input size mismatch");
         }
         seen_fc = true;
-        cur = infer_fc(cur, l.fc_k);
-        info.isa = clamp_isa(select_isa(l.fc_n, hw, im.cfg.policy));
-        info.isa_reason = explain_isa_selection(l.fc_n, hw, im.cfg.policy);
+        cur = infer_fc(cur, l.fc_weights.rows());
+        info.isa = clamp_isa(select_isa(fc_n, hw, im.cfg.policy));
+        info.isa_reason = explain_isa_selection(fc_n, hw, im.cfg.policy);
         break;
       }
     }
@@ -469,7 +449,7 @@ void BinaryNetwork::finalize(TensorDesc input) {
   };
   im.input_margin = consumer_margin(0);
 
-  // Pass 3: lower layers to stages, pack weights, record the buffer plan.
+  // Pass 3: lower layers to stages, lay out weights, record the buffer plan.
   // plan.acts[i] holds the packed input of stage i (for conv/pool stages);
   // contexts lay it over ping-pong arena i % 2 of each batch slot.
   //
@@ -478,7 +458,9 @@ void BinaryNetwork::finalize(TensorDesc input) {
   // the remembered plan instantly, a miss microbenchmarks the candidates on
   // the layer's real shapes.  Off, the static default_decision() reproduces
   // the historical heuristic exactly.  Either way every candidate is
-  // bit-exact, so this pass picks speed, never values.
+  // bit-exact, so this pass picks speed, never values.  A layer whose plan
+  // matches the layout its weights were lowered to shares them as they are;
+  // any other plan gets a private re-laid copy.
   tune::TuneCache tune_cache;
   std::string tune_path;
   bool tune_searched_any = false;
@@ -503,17 +485,16 @@ void BinaryNetwork::finalize(TensorDesc input) {
         s.conv_spec = l.conv_spec;
         if (l.full_precision) {
           s.full_precision = true;
-          s.float_k = l.conv_weights.num_filters();
-          s.float_weights_t = baseline::flatten_filters_transposed(l.conv_weights);
+          s.float_k = l.float_weights.num_filters();
+          s.float_weights_t = baseline::flatten_filters_transposed(l.float_weights);
           im.weight_bytes +=
               static_cast<std::int64_t>(s.float_weights_t.size()) * 4;
           im.plan.need_float_first = true;
           im.plan.f_in_padded = {flow.h + 2 * l.pad, flow.w + 2 * l.pad, flow.c};
           im.plan.f_dots = {info.out.h, info.out.w, info.out.c};
         } else {
-          PackedFilterBank bank =
-              l.prepacked ? std::move(l.conv_packed) : bitpack::pack_filters(l.conv_weights);
-          im.weight_bytes += bank.num_filters() * bank.words_per_filter() * 8;
+          const ConvWeights& bank = l.conv_weights;
+          im.weight_bytes += bank.num_words() * 8;
           tune::LayerWorkload wl;
           wl.kind = 0;
           wl.isa = info.isa;
@@ -536,10 +517,8 @@ void BinaryNetwork::finalize(TensorDesc input) {
             dec = tune::default_decision(wl, im.cfg.tile_weights);
           }
           s.conv_spec.par_grain = dec.par_grain;
+          s.filters = bank.in_layout(dec.tiled ? dec.tile : 0);
           if (dec.tiled) {
-            // Re-lay into the interleaved register-tile layout in place: the
-            // bank's storage becomes the tiled bank's (same words, permuted).
-            s.filters_tiled = bitpack::tile_filters(std::move(bank), dec.tile);
             s.tiled = true;
             s.conv_bin_tiled =
                 kernels::conv_binarize_tiled_batch_kernel(info.isa, wl.vpopcnt, dec.tile);
@@ -548,14 +527,15 @@ void BinaryNetwork::finalize(TensorDesc input) {
             info.layout = kernels::WeightLayout::kInterleaved;
             info.tile = dec.tile;
           } else {
-            s.filters = std::move(bank);
             s.conv_bin = kernels::conv_binarize_batch_kernel(info.isa, wl.vpopcnt);
             s.conv_dot = kernels::conv_dot_batch_kernel(info.isa, wl.vpopcnt);
           }
           info.par_grain = dec.par_grain;
           info.tune_source = tune::decision_source_name(dec.source);
+          // The stage holds what it runs: a lowered bank it did not adopt
+          // and nothing else shares is freed here, not at the end.
+          l.conv_weights = ConvWeights();
         }
-        l.conv_weights = FilterBank();  // drop the float weights
         break;
       }
       case LayerKind::kPool: {
@@ -563,11 +543,8 @@ void BinaryNetwork::finalize(TensorDesc input) {
         break;
       }
       case LayerKind::kFc: {
-        PackedMatrix w = l.prepacked
-                             ? std::move(l.fc_packed)
-                             : bitpack::pack_transpose_fc_weights(l.fc_weights.data(), l.fc_n,
-                                                                  l.fc_k);
-        im.weight_bytes += w.rows() * w.words_per_row() * 8;
+        const FcWeights& w = l.fc_weights;
+        im.weight_bytes += w.num_words() * 8;
         tune::LayerWorkload wl;
         wl.kind = 1;
         wl.isa = info.isa;
@@ -584,8 +561,8 @@ void BinaryNetwork::finalize(TensorDesc input) {
         } else {
           dec = tune::default_decision(wl, im.cfg.tile_weights);
         }
+        s.fc_weights = w.in_layout(dec.tiled ? dec.tile : 0);
         if (dec.tiled) {
-          s.fc_tiled = bitpack::tile_fc_weights(std::move(w), dec.tile);
           s.tiled = true;
           s.fc_dot_tiled = kernels::bgemm_rows_tiled_kernel(info.isa, wl.vpopcnt, dec.tile);
           s.fc_bin_tiled =
@@ -593,13 +570,11 @@ void BinaryNetwork::finalize(TensorDesc input) {
           info.layout = kernels::WeightLayout::kInterleaved;
           info.tile = dec.tile;
         } else {
-          s.fc_weights = std::move(w);
           s.fc_dot = kernels::bgemm_rows_kernel(info.isa, wl.vpopcnt);
           s.fc_bin = kernels::bgemm_binarize_rows_kernel(info.isa, wl.vpopcnt);
         }
         info.tune_source = tune::decision_source_name(dec.source);
-        l.fc_weights.clear();
-        l.fc_weights.shrink_to_fit();
+        l.fc_weights = FcWeights();  // as for conv
         break;
       }
     }
@@ -636,13 +611,13 @@ void BinaryNetwork::finalize(TensorDesc input) {
         // First fc in the chain: its packed input row comes from flattening
         // (or, if the network starts with fc, from packing the input).
         s.flatten_input = true;
-        im.plan.fc_cols.push_back(l.fc_n);
+        im.plan.fc_cols.push_back(s.fc_weights.cols());
         s.in_fc = static_cast<int>(im.plan.fc_cols.size()) - 1;
       } else {
         s.in_fc = static_cast<int>(im.plan.fc_cols.size()) - 1;
       }
       if (!s.is_last) {
-        im.plan.fc_cols.push_back(l.fc_k);
+        im.plan.fc_cols.push_back(s.fc_weights.rows());
         s.out_fc = static_cast<int>(im.plan.fc_cols.size()) - 1;
       }
     }
@@ -919,10 +894,10 @@ std::span<const float> BinaryNetwork::infer_batch(std::span<const Tensor* const>
                 &cx.last_conv_dot[static_cast<std::size_t>(b)];
           }
           if (s.tiled) {
-            s.conv_dot_tiled(cx.in_ptrs.data(), n, s.filters_tiled, s.conv_spec, cx.pool,
+            s.conv_dot_tiled(cx.in_ptrs.data(), n, *s.filters.tiled(), s.conv_spec, cx.pool,
                              cx.dot_ptrs.data());
           } else {
-            s.conv_dot(cx.in_ptrs.data(), n, s.filters, s.conv_spec, cx.pool,
+            s.conv_dot(cx.in_ptrs.data(), n, *s.filters.filter_major(), s.conv_spec, cx.pool,
                        cx.dot_ptrs.data());
           }
           for (std::int64_t b = 0; b < n; ++b) {
@@ -937,11 +912,11 @@ std::span<const float> BinaryNetwork::infer_batch(std::span<const Tensor* const>
             cx.out_ptrs[static_cast<std::size_t>(b)] = &out[static_cast<std::size_t>(b)];
           }
           if (s.tiled) {
-            s.conv_bin_tiled(cx.in_ptrs.data(), n, s.filters_tiled, s.conv_spec, th, cx.pool,
-                             cx.out_ptrs.data(), s.out_margin);
+            s.conv_bin_tiled(cx.in_ptrs.data(), n, *s.filters.tiled(), s.conv_spec, th,
+                             cx.pool, cx.out_ptrs.data(), s.out_margin);
           } else {
-            s.conv_bin(cx.in_ptrs.data(), n, s.filters, s.conv_spec, th, cx.pool,
-                       cx.out_ptrs.data(), s.out_margin);
+            s.conv_bin(cx.in_ptrs.data(), n, *s.filters.filter_major(), s.conv_spec, th,
+                       cx.pool, cx.out_ptrs.data(), s.out_margin);
           }
         }
         break;
@@ -979,15 +954,15 @@ std::span<const float> BinaryNetwork::infer_batch(std::span<const Tensor* const>
         }
         if (s.is_last) {
           if (s.tiled) {
-            s.fc_dot_tiled(in, n, s.fc_tiled, cx.pool, cx.scores.data());
+            s.fc_dot_tiled(in, n, *s.fc_weights.tiled(), cx.pool, cx.scores.data());
           } else {
-            s.fc_dot(in, n, s.fc_weights, cx.pool, cx.scores.data());
+            s.fc_dot(in, n, *s.fc_weights.filter_major(), cx.pool, cx.scores.data());
           }
         } else if (s.tiled) {
-          s.fc_bin_tiled(in, n, s.fc_tiled, th, cx.pool,
+          s.fc_bin_tiled(in, n, *s.fc_weights.tiled(), th, cx.pool,
                          cx.fc_bits[static_cast<std::size_t>(s.out_fc)]);
         } else {
-          s.fc_bin(in, n, s.fc_weights, th, cx.pool,
+          s.fc_bin(in, n, *s.fc_weights.filter_major(), th, cx.pool,
                    cx.fc_bits[static_cast<std::size_t>(s.out_fc)]);
         }
         break;

@@ -1,14 +1,19 @@
 // Static binary network graph: BitFlow's network-level optimization layer
 // (paper Sec. IV).
 //
-// A BinaryNetwork is built layer by layer from *float* weights, then
-// `finalize()` performs everything the paper does once at initialization:
+// A BinaryNetwork is built layer by layer from float or packed weights;
+// each binary layer's weights are binarized, packed and lowered into the
+// register-tile layout as they are added (graph/weights.hpp), once per
+// process: a network instantiated from an io::Model shares the Model's
+// immutable banks instead of copying them.  `finalize()` then performs
+// everything else the paper does once at initialization:
 //   * shape inference over the whole chain (scheduler component 1);
 //   * kernel selection per operator from the channel-multiple rules and the
 //     detected hardware (components 2-3, Fig. 6);
-//   * binarization + bit-packing of all weights, once and for all (the
-//     register-tile re-layout permutes each bank in place, so no layer's
-//     weights are ever held twice);
+//   * a weight layout per layer: it adopts the lowered bank when its plan
+//     matches the bank's layout and re-lays a private copy only when it
+//     differs (tiling off, an ISA cap or fallback that changes the tile
+//     width, an auto-tuner decision);
 //   * a memory plan for the activation buffers — the static-graph memory
 //     planner.  Each buffer carries the *consumer's* padding margin, so
 //     padding is realized by writing the producer's output into the interior
@@ -20,10 +25,11 @@
 //
 // Thread-safety / replicated serving (the contract the serve::Engine relies
 // on): after finalize() the network itself is immutable — stages, packed
-// weights, layer metadata and the memory plan are only ever read.  All
-// mutable per-inference state (thread pool, activation buffers, fc bit rows,
-// score buffer, profile log) lives in an InferenceContext created by
-// `make_context()`.  Any number of threads may call `infer_batch()`
+// weights, layer metadata and the memory plan are only ever read, and the
+// weight banks it shares with an io::Model or other networks are immutable
+// too.  All mutable per-inference state (thread pool, activation buffers,
+// fc bit rows, score buffer, profile log) lives in an InferenceContext
+// created by `make_context()`.  Any number of threads may call `infer_batch()`
 // concurrently on the same finalized network as long as each call uses a
 // different context; a single context must not be used by two calls at once.
 // The convenience `infer()` uses one internal default context (created by
@@ -47,6 +53,7 @@
 #include "core/cancel.hpp"
 #include "graph/scheduler.hpp"
 #include "graph/shape_infer.hpp"
+#include "graph/weights.hpp"
 #include "kernels/bgemm.hpp"
 #include "kernels/binary_maxpool.hpp"
 #include "kernels/pressedconv.hpp"
@@ -146,10 +153,11 @@ struct NetworkConfig {
   /// Caps the scheduler's kernel choice (e.g. kAvx2 to model an i7-7700HQ
   /// on wider hardware).  The cap must itself be hardware-supported.
   std::optional<simd::IsaLevel> max_isa;
-  /// Re-lay conv filters and FC weights into the T-way interleaved layout at
-  /// finalize() and run the register-tiled kernels (bit-exact with the
-  /// filter-major path; same weight bytes).  Layers with fewer outputs than
-  /// the tile width keep the filter-major layout either way.
+  /// Run conv and FC layers on the T-way interleaved weight layout and the
+  /// register-tiled kernels (bit-exact with the filter-major path; same
+  /// weight bytes).  Layers with fewer outputs than the tile width keep the
+  /// filter-major layout either way.  Turning this off makes finalize()
+  /// re-lay a private filter-major copy of each tiled bank.
   bool tile_weights = true;
   /// Run the finalize-time auto-tuner (tune/tuner.hpp): microbenchmark each
   /// conv/fc layer's kernel candidates (tiled vs untiled x tile width x
@@ -227,10 +235,10 @@ class BinaryNetwork {
   void add_conv_float(std::string name, FilterBank weights, std::int64_t stride,
                       std::int64_t pad, std::vector<float> thresholds = {});
 
-  /// Appends a binary convolution whose weights are already bit-packed
-  /// (e.g. loaded from a model file via io::Model) — finalize() skips the
-  /// binarize+pack step for this layer.
-  void add_conv_packed(std::string name, PackedFilterBank filters, std::int64_t stride,
+  /// Appends a binary convolution whose weights are already lowered (e.g.
+  /// an io::Model's bank): the network shares them, and finalize() copies
+  /// them only when its plan needs another layout.
+  void add_conv_packed(std::string name, ConvWeights filters, std::int64_t stride,
                        std::int64_t pad, std::vector<float> thresholds = {});
 
   /// Appends a binary max pooling layer.
@@ -241,12 +249,13 @@ class BinaryNetwork {
   void add_fc(std::string name, std::vector<float> weights, std::int64_t n, std::int64_t k,
               std::vector<float> thresholds = {});
 
-  /// Appends a binary fully connected layer from already-packed weights in
-  /// the engine's internal K x N row layout (one packed input-vector row
-  /// per output neuron, as produced by bitpack::pack_transpose_fc_weights).
-  void add_fc_packed(std::string name, PackedMatrix weights, std::vector<float> thresholds = {});
+  /// Appends a binary fully connected layer from already-lowered K x N
+  /// weights (one packed input-vector row per output neuron, as produced by
+  /// bitpack::pack_transpose_fc_weights and lower_fc_weights), shared like
+  /// add_conv_packed's.
+  void add_fc_packed(std::string name, FcWeights weights, std::vector<float> thresholds = {});
 
-  /// Runs shape inference, kernel selection, weight packing and memory
+  /// Runs shape inference, kernel selection, weight layout and memory
   /// planning for input extents `input`.  Must be called exactly once,
   /// after which the network is immutable (see the thread-safety contract
   /// at the top of this header).

@@ -16,8 +16,12 @@
 //             [k x f32 thresholds]; k*kh*kw*c x f32 float weights
 //
 // The format stores packed words in host (little-endian) order; BitFlow
-// targets x86, so no byte swapping is performed.  A corrupt or truncated
-// stream throws std::runtime_error with a description of what failed.
+// targets x86, so no byte swapping is performed.  Words are filter-major
+// (row-major for fc) whatever layout the engine runs: load() lowers each
+// bank into engine layout once, and save() de-interleaves it back one tile
+// block at a time.  Padding bits (above C in a conv tap's last word, above
+// n in an fc row's last word) must be zero.  A corrupt or truncated stream
+// throws std::runtime_error with a description of what failed.
 #include "io/model.hpp"
 
 #include <atomic>
@@ -147,7 +151,7 @@ void Model::add_conv(std::string name, PackedFilterBank filters, std::int64_t st
   LayerRecord r;
   r.kind = graph::LayerKind::kConv;
   r.name = std::move(name);
-  r.filters = std::move(filters);
+  r.filters = graph::lower_conv_weights(std::move(filters), r.name);
   r.stride = stride;
   r.pad = pad;
   r.thresholds = std::move(thresholds);
@@ -186,7 +190,7 @@ void Model::add_fc(std::string name, PackedMatrix weights, std::vector<float> th
   LayerRecord r;
   r.kind = graph::LayerKind::kFc;
   r.name = std::move(name);
-  r.fc_weights = std::move(weights);
+  r.fc_weights = graph::lower_fc_weights(std::move(weights), r.name);
   r.thresholds = std::move(thresholds);
   layers_.push_back(std::move(r));
 }
@@ -195,29 +199,19 @@ graph::BinaryNetwork Model::instantiate(graph::NetworkConfig cfg) const {
   graph::BinaryNetwork net(cfg);
   for (const LayerRecord& r : layers_) {
     switch (r.kind) {
-      case graph::LayerKind::kConv: {
+      case graph::LayerKind::kConv:
         if (r.full_precision) {
           net.add_conv_float(r.name, r.float_filters, r.stride, r.pad, r.thresholds);
-          break;
+        } else {
+          net.add_conv_packed(r.name, r.filters, r.stride, r.pad, r.thresholds);
         }
-        PackedFilterBank copy(r.filters.num_filters(), r.filters.kernel_h(),
-                              r.filters.kernel_w(), r.filters.channels());
-        std::memcpy(copy.words(), r.filters.words(),
-                    static_cast<std::size_t>(r.filters.num_filters() *
-                                             r.filters.words_per_filter() * 8));
-        net.add_conv_packed(r.name, std::move(copy), r.stride, r.pad, r.thresholds);
         break;
-      }
       case graph::LayerKind::kPool:
         net.add_maxpool(r.name, r.pool);
         break;
-      case graph::LayerKind::kFc: {
-        PackedMatrix copy(r.fc_weights.rows(), r.fc_weights.cols());
-        std::memcpy(copy.words(), r.fc_weights.words(),
-                    static_cast<std::size_t>(r.fc_weights.num_words() * 8));
-        net.add_fc_packed(r.name, std::move(copy), r.thresholds);
+      case graph::LayerKind::kFc:
+        net.add_fc_packed(r.name, r.fc_weights, r.thresholds);
         break;
-      }
     }
   }
   net.finalize(input_);
@@ -228,8 +222,7 @@ std::int64_t Model::weight_bytes() const {
   std::int64_t total = 0;
   for (const LayerRecord& r : layers_) {
     if (r.kind == graph::LayerKind::kConv) {
-      total += r.full_precision ? r.float_filters.num_elements() * 4
-                                : r.filters.num_filters() * r.filters.words_per_filter() * 8;
+      total += r.full_precision ? r.float_filters.num_elements() * 4 : r.filters.num_words() * 8;
     } else if (r.kind == graph::LayerKind::kFc) {
       total += r.fc_weights.num_words() * 8;
     }
@@ -238,6 +231,9 @@ std::int64_t Model::weight_bytes() const {
 }
 
 void Model::save(std::ostream& os) const {
+  const graph::WordSink write_words = [&os](const std::uint64_t* words, std::int64_t count) {
+    os.write(reinterpret_cast<const char*>(words), static_cast<std::streamsize>(count * 8));
+  };
   os.write(kMagic, 4);
   write_pod<std::uint32_t>(os, kVersion);
   write_pod<std::int64_t>(os, input_.h);
@@ -272,9 +268,7 @@ void Model::save(std::ostream& os) const {
         write_pod<std::int64_t>(os, r.stride);
         write_pod<std::int64_t>(os, r.pad);
         write_thresholds(os, r.thresholds);
-        os.write(reinterpret_cast<const char*>(r.filters.words()),
-                 static_cast<std::streamsize>(r.filters.num_filters() *
-                                              r.filters.words_per_filter() * 8));
+        r.filters.for_each_filter_major(write_words);
         break;
       }
       case graph::LayerKind::kPool: {
@@ -287,8 +281,7 @@ void Model::save(std::ostream& os) const {
         write_pod<std::int64_t>(os, r.fc_weights.rows());
         write_pod<std::int64_t>(os, r.fc_weights.cols());
         write_thresholds(os, r.thresholds);
-        os.write(reinterpret_cast<const char*>(r.fc_weights.words()),
-                 static_cast<std::streamsize>(r.fc_weights.num_words() * 8));
+        r.fc_weights.for_each_filter_major(write_words);
         break;
       }
     }
@@ -341,11 +334,12 @@ Model Model::load(std::istream& is) {
                       "conv weights");
         budget.charge(checked_mul(k, 4, "conv thresholds"), "conv thresholds");
         r.thresholds = read_thresholds(is, k);
-        r.filters = PackedFilterBank(k, kh, kw, c);
+        PackedFilterBank filters(k, kh, kw, c);
         BF_FAILPOINT("io.read_weights");
-        is.read(reinterpret_cast<char*>(r.filters.words()),
-                static_cast<std::streamsize>(k * r.filters.words_per_filter() * 8));
+        is.read(reinterpret_cast<char*>(filters.words()),
+                static_cast<std::streamsize>(k * filters.words_per_filter() * 8));
         if (!is) throw std::runtime_error("model load: truncated conv weights");
+        r.filters = graph::lower_conv_weights(std::move(filters), r.name);
         break;
       }
       case 1: {
@@ -364,11 +358,12 @@ Model Model::load(std::istream& is) {
             "fc weights");
         budget.charge(checked_mul(k, 4, "fc thresholds"), "fc thresholds");
         r.thresholds = read_thresholds(is, k);
-        r.fc_weights = PackedMatrix(k, n);
+        PackedMatrix weights(k, n);
         BF_FAILPOINT("io.read_weights");
-        is.read(reinterpret_cast<char*>(r.fc_weights.words()),
-                static_cast<std::streamsize>(r.fc_weights.num_words() * 8));
+        is.read(reinterpret_cast<char*>(weights.words()),
+                static_cast<std::streamsize>(weights.num_words() * 8));
         if (!is) throw std::runtime_error("model load: truncated fc weights");
+        r.fc_weights = graph::lower_fc_weights(std::move(weights), r.name);
         break;
       }
       case 3: {

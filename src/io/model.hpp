@@ -1,16 +1,21 @@
 // Serializable model container: the deployment artifact of BitFlow.
 //
-// A Model holds an engine-independent description of a binarized network —
-// layer sequence, bit-packed weights, folded thresholds, input extents —
-// and converts in both directions:
+// A Model holds a binarized network — layer sequence, bit-packed weights,
+// folded thresholds, input extents — and converts in both directions:
 //
 //   train::Sequential --export_to_model()--> Model --save()--> .bflow file
 //   .bflow file --Model::load()--> Model --instantiate()--> BinaryNetwork
 //
 // The on-disk format ("BFLW", version 1) is little-endian and
 // self-describing; see format.md-style notes in model.cpp.  Packed weights
-// are stored verbatim (1 bit per weight), so a VGG-16 model file is ~17 MB
-// against ~528 MB of float weights — the deployment half of Table V.
+// are stored 1 bit per weight, so a VGG-16 model file is ~17 MB against
+// ~528 MB of float weights — the deployment half of Table V.
+//
+// In memory the binary weights are already in engine layout: load() and
+// add_conv()/add_fc() lower each bank once (graph/weights.hpp), and every
+// network instantiate() builds shares those immutable banks instead of
+// copying them.  The file format does not follow the memory layout:
+// save() writes the v1 filter-major words, de-interleaving as it goes.
 #pragma once
 
 #include <cstdint>
@@ -19,6 +24,7 @@
 #include <vector>
 
 #include "graph/network.hpp"
+#include "graph/weights.hpp"
 #include "kernels/binary_maxpool.hpp"
 #include "tensor/filter_bank.hpp"
 #include "tensor/packed_tensor.hpp"
@@ -48,14 +54,14 @@ struct LayerRecord {
   std::string name;
   // conv
   bool full_precision = false;   ///< first-layer float conv (kind == kConv)
-  PackedFilterBank filters;      ///< binary conv weights
+  graph::ConvWeights filters;    ///< binary conv weights (engine layout, shared)
   FilterBank float_filters;      ///< full-precision conv weights
   std::int64_t stride = 1;
   std::int64_t pad = 0;
   // pool
   kernels::PoolSpec pool;
   // fc
-  PackedMatrix fc_weights;  // K x N rows (engine layout)
+  graph::FcWeights fc_weights;  ///< K x N rows (engine layout, shared)
   // conv / fc
   std::vector<float> thresholds;
 };
@@ -72,7 +78,8 @@ class Model {
   [[nodiscard]] const std::vector<LayerRecord>& layers() const noexcept { return layers_; }
   [[nodiscard]] std::size_t num_layers() const noexcept { return layers_.size(); }
 
-  /// Appends a conv layer with packed filters.
+  /// Appends a conv layer with packed filters, lowered into engine layout
+  /// (std::runtime_error when a padding bit is set).
   void add_conv(std::string name, PackedFilterBank filters, std::int64_t stride,
                 std::int64_t pad, std::vector<float> thresholds = {});
   /// Appends a full-precision first-layer conv with float filters.
@@ -80,10 +87,13 @@ class Model {
                       std::int64_t pad, std::vector<float> thresholds = {});
   /// Appends a max pooling layer.
   void add_maxpool(std::string name, kernels::PoolSpec spec);
-  /// Appends a fully connected layer with packed K x N weights.
+  /// Appends a fully connected layer with packed K x N weights, lowered
+  /// like add_conv's.
   void add_fc(std::string name, PackedMatrix weights, std::vector<float> thresholds = {});
 
-  /// Builds and finalizes an engine network for this model.
+  /// Builds and finalizes an engine network for this model.  The network
+  /// shares this Model's weight banks (it may outlive the Model) and copies
+  /// a layer's bank only when `cfg` plans another layout for it.
   [[nodiscard]] graph::BinaryNetwork instantiate(graph::NetworkConfig cfg) const;
 
   /// Total packed weight bytes (the model-file payload size).
@@ -96,7 +106,7 @@ class Model {
   void save(std::ostream& os) const;
 
   /// Reads a model from `path` (throws std::runtime_error on I/O failure or
-  /// malformed/unsupported content).
+  /// malformed/unsupported content, including a set weight padding bit).
   [[nodiscard]] static Model load(const std::string& path);
   [[nodiscard]] static Model load(std::istream& is);
 

@@ -192,8 +192,8 @@ class PackedFilterBank {
   }
 
   /// Hands the word storage (filter-major, exactly K * words_per_filter
-  /// words) to the caller and leaves an empty bank — how the finalize-time
-  /// re-layout takes the weights over without a second copy.
+  /// words) to the caller and leaves an empty bank — how the weight
+  /// lowering (graph/weights.hpp) re-lays the weights without a second copy.
   [[nodiscard]] AlignedBuffer release_storage() && noexcept {
     k_ = kh_ = kw_ = c_ = pc_ = 0;
     return std::move(buffer_);
@@ -204,8 +204,9 @@ class PackedFilterBank {
   AlignedBuffer buffer_;
 };
 
-/// T-way interleaved bank of equal-length packed bit rows — the finalize-time
-/// weight re-layout behind the register-tiled kernels (daBNN-style).
+/// T-way interleaved bank of equal-length packed bit rows — the weight
+/// layout behind the register-tiled kernels (daBNN-style), produced once
+/// when the weights enter the process (graph/weights.hpp).
 ///
 /// The first `rows / tile` rows are grouped into tiles of `tile` rows each;
 /// inside a tile the words are interleaved word-major:
@@ -284,6 +285,18 @@ class TiledBitMatrix {
     return words() + tiled_rows() * row_words_ + r * row_words_;
   }
 
+  /// Writes tile `t`'s rows to `rows` row-major (tile * row_words words):
+  /// the inverse of the interleave, one block at a time, for writers that
+  /// need the filter-major order back without a whole second copy.
+  void untile_block(std::int64_t t, std::uint64_t* rows) const noexcept {
+    const std::uint64_t* block = tile_block(t);
+    for (std::int64_t l = 0; l < tile_; ++l) {
+      for (std::int64_t w = 0; w < row_words_; ++w) {
+        rows[l * row_words_ + w] = block[w * tile_ + l];
+      }
+    }
+  }
+
   /// Word `w` of logical row `k`, resolving the interleave — packers and
   /// tests only; kernels walk the tile blocks directly.
   [[nodiscard]] std::uint64_t row_word(std::int64_t k, std::int64_t w) const noexcept {
@@ -310,7 +323,7 @@ class TiledBitMatrix {
 
 /// Interleaved counterpart of PackedFilterBank: each logical row of the
 /// underlying TiledBitMatrix is one filter's kh*kw*pc packed words, grouped
-/// into tiles of T filters (produced once at finalize by
+/// into tiles of T filters (produced once per process by
 /// bitpack::tile_filters, consumed by the register-tiled PressedConv).
 class TiledFilterBank {
  public:

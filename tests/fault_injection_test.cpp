@@ -338,7 +338,7 @@ TEST_F(FailpointFrameworkTest, CatalogIsExhaustivelyCovered) {
       "io.open",                  // open-phase matrix above
       "io.read_header",           // open-phase matrix above
       "io.read_weights",          // open-phase matrix above
-      "alloc.buffer",             // open-phase matrix above; chaos_test
+      "alloc.buffer",             // open-phase matrix above; chaos_test; io_test ModelSharing
       "runtime.worker",           // infer-phase matrix above; lifecycle_test breaker
       "runtime.worker_stall",     // InjectedStallDegradesToDeadlineExceeded
       "serve.infer",              // infer-phase matrix above; engine_test

@@ -5,8 +5,9 @@
 //   * flips one deterministic bit in every byte position,
 // asserting that Model::load either succeeds or throws a clean
 // std::exception — never crashes, leaks, or trips UB (the suite runs under
-// ASan+UBSan in CI).  Seeding is fully deterministic so a failure
-// reproduces from the test name alone.
+// ASan+UBSan in CI) — and that every flip landing in a weight padding bit
+// is rejected.  Seeding is fully deterministic so a failure reproduces from
+// the test name alone.
 #include <cstdint>
 #include <sstream>
 #include <string>
@@ -36,17 +37,39 @@ class BudgetGuard {
   std::int64_t saved_;
 };
 
-std::string serialized_test_model() {
+/// The first `layers` layers of conv (C = 8, one word per tap) -> pool ->
+/// fc (n = 72, two words per row), serialized.
+std::string serialized_test_model(std::size_t layers = 3) {
   Model m(graph::TensorDesc{6, 6, 8});
   FilterBank filters = models::random_filters(8, 3, 3, 8, 21);
   std::vector<float> th(8, 0.5f);
   m.add_conv("conv", bitpack::pack_filters(filters), 1, 1, th);
-  m.add_maxpool("pool", kernels::PoolSpec{2, 2, 2});
+  if (layers > 1) m.add_maxpool("pool", kernels::PoolSpec{2, 2, 2});
   const auto w = models::random_fc_weights(3 * 3 * 8, 4, 22);
-  m.add_fc("fc", bitpack::pack_transpose_fc_weights(w.data(), 3 * 3 * 8, 4));
+  if (layers > 2) m.add_fc("fc", bitpack::pack_transpose_fc_weights(w.data(), 3 * 3 * 8, 4));
   std::stringstream ss;
   m.save(ss);
   return ss.str();
+}
+
+/// True when bit `bit` of byte `offset` of serialized_test_model() is a
+/// weight padding bit.  Each layer's weights end the stream of the model cut
+/// after it: the conv's 72 tap words (bits 8..63 above C = 8), and the fc's
+/// 4 rows of 2 words (bits 8..63 of each row's second word, above n = 72).
+bool is_padding_bit(std::size_t offset, unsigned bit) {
+  static const std::size_t conv_end = serialized_test_model(1).size();
+  static const std::size_t fc_end = serialized_test_model().size();
+  const auto bit_in_word = [&](std::size_t payload_start) {
+    return static_cast<unsigned>((offset - payload_start) % 8) * 8 + bit;
+  };
+  if (offset >= conv_end - 72 * 8 && offset < conv_end) {
+    return bit_in_word(conv_end - 72 * 8) >= 8;
+  }
+  if (offset >= fc_end - 8 * 8) {
+    const std::size_t word = (offset - (fc_end - 8 * 8)) / 8;
+    return word % 2 == 1 && bit_in_word(fc_end - 8 * 8) >= 8;
+  }
+  return false;
 }
 
 /// load() must either succeed or throw std::exception; anything else
@@ -80,15 +103,24 @@ TEST(ModelFuzz, TruncationAtEveryOffsetIsRejectedCleanly) {
 TEST(ModelFuzz, SingleBitFlipAtEveryByteNeverCrashes) {
   const BudgetGuard guard(std::int64_t{16} << 20);
   const std::string bytes = serialized_test_model();
-  std::size_t rejected = 0;
+  std::size_t rejected = 0, padding_flips = 0;
   for (std::size_t i = 0; i < bytes.size(); ++i) {
     std::string mutated = bytes;
     // Deterministic bit choice per offset — reproducible without a seed dump.
     const unsigned bit = static_cast<unsigned>((i * 7 + 3) % 8);
     mutated[i] = static_cast<char>(static_cast<unsigned char>(mutated[i]) ^ (1u << bit));
     SCOPED_TRACE("bit " + std::to_string(bit) + " flipped at offset " + std::to_string(i));
-    if (try_load(mutated) == Outcome::kRejected) ++rejected;
+    const Outcome outcome = try_load(mutated);
+    if (outcome == Outcome::kRejected) ++rejected;
+    if (is_padding_bit(i, bit)) {
+      ++padding_flips;
+      // The kernels do not mask weight tails: a set padding bit would
+      // silently change scores, so the loader must refuse it.
+      EXPECT_EQ(outcome, Outcome::kRejected) << "padding bit accepted";
+    }
   }
+  // 7 of every 8 bytes of each conv tap word, 7 of 16 per fc row.
+  EXPECT_EQ(padding_flips, 72u * 7 + 4 * 7);
   // Most positions are load-bearing (magic, extents, sizes): a healthy
   // validator rejects a substantial share of single-bit corruptions.
   EXPECT_GT(rejected, bytes.size() / 16);

@@ -3,15 +3,27 @@
 #include <algorithm>
 #include <cstdio>
 #include <filesystem>
+#include <new>
+#include <optional>
+#include <random>
 #include <sstream>
+#include <thread>
 #include <vector>
 
 #include <gtest/gtest.h>
 
+#include "baseline/float_ops.hpp"
+#include "baseline/unopt_binary.hpp"
 #include "bitpack/packer.hpp"
+#include "core/failpoint.hpp"
 #include "data/synthetic.hpp"
+#include "graph/scheduler.hpp"
 #include "io/model.hpp"
 #include "models/vgg.hpp"
+#include "serve/engine.hpp"
+#include "simd/cpu_features.hpp"
+#include "simd/parity.hpp"
+#include "telemetry/flight_recorder.hpp"
 #include "tensor/util.hpp"
 #include "train/export.hpp"
 #include "train/models.hpp"
@@ -48,18 +60,26 @@ TEST(ModelIo, StreamRoundTripPreservesEverything) {
     EXPECT_EQ(lb.thresholds, la.thresholds);
     if (la.kind == graph::LayerKind::kConv) {
       ASSERT_EQ(lb.filters.num_filters(), la.filters.num_filters());
+      ASSERT_EQ(lb.filters.kernel_h(), la.filters.kernel_h());
+      ASSERT_EQ(lb.filters.kernel_w(), la.filters.kernel_w());
       ASSERT_EQ(lb.filters.channels(), la.filters.channels());
       EXPECT_EQ(lb.stride, la.stride);
       EXPECT_EQ(lb.pad, la.pad);
-      const std::int64_t words = la.filters.num_filters() * la.filters.words_per_filter();
-      for (std::int64_t w = 0; w < words; ++w) {
-        ASSERT_EQ(lb.filters.words()[w], la.filters.words()[w]);
+      // Every logical word, whatever layout each side was lowered to.
+      for (std::int64_t k = 0; k < la.filters.num_filters(); ++k) {
+        for (std::int64_t w = 0; w < la.filters.words_per_filter(); ++w) {
+          ASSERT_EQ(lb.filters.word(k, w), la.filters.word(k, w))
+              << "filter " << k << " word " << w;
+        }
       }
     } else if (la.kind == graph::LayerKind::kFc) {
       ASSERT_EQ(lb.fc_weights.rows(), la.fc_weights.rows());
       ASSERT_EQ(lb.fc_weights.cols(), la.fc_weights.cols());
-      for (std::int64_t w = 0; w < la.fc_weights.num_words(); ++w) {
-        ASSERT_EQ(lb.fc_weights.words()[w], la.fc_weights.words()[w]);
+      for (std::int64_t r = 0; r < la.fc_weights.rows(); ++r) {
+        for (std::int64_t w = 0; w < la.fc_weights.words_per_row(); ++w) {
+          ASSERT_EQ(lb.fc_weights.word(r, w), la.fc_weights.word(r, w))
+              << "row " << r << " word " << w;
+        }
       }
     } else {
       EXPECT_EQ(lb.pool.pool_h, la.pool.pool_h);
@@ -187,6 +207,323 @@ TEST(ModelIo, VggScaleModelFileSize) {
   const auto file_size = static_cast<std::int64_t>(ss.str().size());
   EXPECT_LT(file_size, float_bytes / 30) << "file must be ~32x smaller than float weights";
   EXPECT_GT(file_size, float_bytes / 34);
+}
+
+// --- pinned v1 bytes ---------------------------------------------------------
+
+/// conv -> conv -> pool -> fc in which every binary layer has K mod T != 0
+/// at both tile widths (K = 11, 13, 10) and the later layers have channel
+/// tails (C = 11, N = 52): save() must de-interleave the full tiles and
+/// write the remainder rows and padded last words unchanged.
+Model make_tail_model() {
+  Model m(graph::TensorDesc{4, 4, 256});
+  PackedFilterBank c1(11, 3, 3, 256);
+  fill_random_bits(c1, 1301);
+  std::vector<float> th(11);
+  for (std::size_t i = 0; i < th.size(); ++i) th[i] = static_cast<float>(i) - 5.5f;
+  m.add_conv("c1", std::move(c1), 1, 1, th);
+  PackedFilterBank c2(13, 3, 3, 11);
+  fill_random_bits(c2, 1302);
+  m.add_conv("c2", std::move(c2), 1, 1);
+  m.add_maxpool("p1", kernels::PoolSpec{2, 2, 2});
+  PackedMatrix f1(10, 2 * 2 * 13);
+  fill_random_bits(f1, 1303);
+  m.add_fc("f1", std::move(f1));
+  return m;
+}
+
+TEST(ModelIo, SaveWritesPinnedFilterMajorBytes) {
+  const Model m = make_tail_model();
+  for (const LayerRecord& r : m.layers()) {
+    // Every binary bank is interleaved in memory.
+    const std::int64_t tile = r.kind == graph::LayerKind::kConv ? r.filters.tile()
+                              : r.kind == graph::LayerKind::kFc ? r.fc_weights.tile()
+                                                                 : 1;
+    EXPECT_GT(tile, 0) << r.name;
+  }
+  std::stringstream ss;
+  m.save(ss);
+  const std::string bytes = ss.str();
+  // The v1 format stores every bank filter-major; a writer that skipped
+  // or botched the de-interleave would change these bytes.
+  EXPECT_EQ(bytes.size(), 4431u);
+  EXPECT_EQ(telemetry::fnv1a64(bytes.data(), bytes.size()), 0x70cc82660364b63full);
+  std::stringstream again;
+  Model::load(ss).save(again);
+  EXPECT_EQ(again.str(), bytes) << "load -> save must reproduce the bytes";
+}
+
+// --- padding bits ------------------------------------------------------------
+
+/// `m` saved, with bit `bit` set in packed word `word` of its last layer,
+/// whose `words` weight words end the stream.
+std::string saved_with_weight_bit(const Model& m, std::int64_t words, std::int64_t word,
+                                  int bit) {
+  std::stringstream ss;
+  m.save(ss);
+  std::string bytes = ss.str();
+  const std::size_t at = bytes.size() - static_cast<std::size_t>((words - word) * 8) +
+                         static_cast<std::size_t>(bit / 8);
+  bytes[at] = static_cast<char>(static_cast<unsigned char>(bytes[at]) | (1u << (bit % 8)));
+  return bytes;
+}
+
+void expect_rejected_naming(const std::string& bytes, const std::string& layer) {
+  std::stringstream in(bytes);
+  try {
+    (void)Model::load(in);
+    FAIL() << "a set padding bit loaded";
+  } catch (const std::runtime_error& e) {
+    EXPECT_NE(std::string(e.what()).find("'" + layer + "'"), std::string::npos) << e.what();
+  }
+}
+
+TEST(ModelPadding, ConvTapTailBitIsRejected) {
+  // C = 70: the second word of every tap holds channels 64..69, bits 6..63
+  // are padding.
+  Model m(graph::TensorDesc{4, 4, 70});
+  PackedFilterBank f(5, 3, 3, 70);
+  fill_random_bits(f, 7);
+  m.add_conv("tail_conv", std::move(f), 1, 1);
+  const std::int64_t words = 5 * 3 * 3 * 2;
+  expect_rejected_naming(saved_with_weight_bit(m, words, 1, 63), "tail_conv");
+  expect_rejected_naming(saved_with_weight_bit(m, words, words - 1, 6), "tail_conv");
+  std::stringstream channel_69(saved_with_weight_bit(m, words, 1, 5));
+  EXPECT_NO_THROW((void)Model::load(channel_69));
+  // A bank handed over in memory goes through the same check.
+  PackedFilterBank bad(5, 3, 3, 70);
+  bad.tap(4, 2, 1)[1] |= std::uint64_t{1} << 40;
+  EXPECT_THROW(m.add_conv("tail_conv_2", std::move(bad), 1, 1), std::runtime_error);
+}
+
+TEST(ModelPadding, FcRowTailBitIsRejected) {
+  // n = 70 with bit 63 of row 0's last word set: the kernels do not mask
+  // weight tails, so such a file would load and shift score 0 by 2.
+  Model m(graph::TensorDesc{1, 1, 70});
+  PackedMatrix w(10, 70);
+  fill_random_bits(w, 8);
+  m.add_fc("tail_fc", std::move(w));
+  const std::int64_t words = 10 * 2;
+  expect_rejected_naming(saved_with_weight_bit(m, words, 1, 63), "tail_fc");
+  expect_rejected_naming(saved_with_weight_bit(m, words, words - 1, 6), "tail_fc");
+  std::stringstream neuron_69(saved_with_weight_bit(m, words, 1, 5));
+  EXPECT_NO_THROW((void)Model::load(neuron_69));
+  PackedMatrix bad(10, 70);
+  bad.row(0)[1] |= std::uint64_t{1} << 63;
+  EXPECT_THROW(m.add_fc("tail_fc_2", std::move(bad)), std::runtime_error);
+}
+
+// --- weights shared between a Model and its networks -------------------------
+
+/// conv(3x3, pad 1, K) -> pool -> fc(K) -> fc(10) over a 6x6xC input, from
+/// float weights so that the src/baseline engine can score it on its own.
+struct SharedChain {
+  std::int64_t c, k;
+  FilterBank conv;
+  std::vector<float> conv_th, fc1, fc1_th, fc2;
+
+  SharedChain(std::int64_t channels, std::int64_t filters, std::uint64_t seed = 90)
+      : c(channels),
+        k(filters),
+        conv(models::random_filters(filters, 3, 3, channels, seed)),
+        conv_th(thresholds(filters, seed + 1)),
+        fc1(models::random_fc_weights(9 * filters, filters, seed + 2)),
+        fc1_th(thresholds(filters, seed + 3)),
+        fc2(models::random_fc_weights(filters, 10, seed + 4)) {}
+
+  static std::vector<float> thresholds(std::int64_t n, std::uint64_t seed) {
+    std::mt19937_64 rng(seed);
+    std::uniform_real_distribution<float> dist(-4.0f, 4.0f);
+    std::vector<float> th(static_cast<std::size_t>(n));
+    for (float& t : th) t = dist(rng);
+    return th;
+  }
+
+  /// Built, saved and loaded again: the banks come from Model::load.
+  [[nodiscard]] Model loaded_model() const {
+    Model m(graph::TensorDesc{6, 6, c});
+    m.add_conv("c1", bitpack::pack_filters(conv), 1, 1, conv_th);
+    m.add_maxpool("p1", kernels::PoolSpec{2, 2, 2});
+    m.add_fc("f1", bitpack::pack_transpose_fc_weights(fc1.data(), 9 * k, k), fc1_th);
+    m.add_fc("f2", bitpack::pack_transpose_fc_weights(fc2.data(), k, 10));
+    std::stringstream ss;
+    m.save(ss);
+    return Model::load(ss);
+  }
+
+  [[nodiscard]] Tensor input(std::uint64_t seed) const {
+    Tensor t = Tensor::hwc(6, 6, c);
+    fill_uniform(t, seed);
+    return t;
+  }
+
+  /// The chain through the unoptimized engine (im2col + scalar words).
+  [[nodiscard]] std::vector<float> baseline_scores(const Tensor& x) const {
+    runtime::ThreadPool pool(1);
+    Tensor act = Tensor::hwc(6, 6, k);
+    baseline::UnoptBinaryConv(conv, kernels::ConvSpec{3, 3, 1})
+        .run(baseline::pad_float(x, 1, -1.0f), pool, act);  // -1 = zero-bit padding
+    for (std::int64_t i = 0; i < act.num_elements(); ++i) {
+      act.data()[i] = act.data()[i] >= conv_th[static_cast<std::size_t>(i % k)] ? 1.0f : -1.0f;
+    }
+    PackedTensor pooled(3, 3, k);
+    baseline::unopt_binary_maxpool(bitpack::pack_activations(act), kernels::PoolSpec{2, 2, 2},
+                                   pool, pooled);
+    const Tensor flat = bitpack::unpack_to_signs(pooled);
+    std::vector<float> hidden(static_cast<std::size_t>(k)), scores(10);
+    baseline::UnoptBinaryFc(fc1.data(), 9 * k, k).run(flat.data(), pool, hidden.data());
+    for (std::size_t i = 0; i < hidden.size(); ++i) {
+      hidden[i] = hidden[i] >= fc1_th[i] ? 1.0f : -1.0f;
+    }
+    baseline::UnoptBinaryFc(fc2.data(), k, 10).run(hidden.data(), pool, scores.data());
+    return scores;
+  }
+};
+
+/// The register-tile width the conv's default plan uses for C channels.
+std::int64_t default_tile_for(std::int64_t c) {
+  return kernels::weight_tile_width(graph::select_isa(c, simd::cpu_features()));
+}
+
+/// One chain per C in {96 (channel tail), 256} and K in {T-1, T, 2T+3}.
+std::vector<SharedChain> shared_chains() {
+  std::vector<SharedChain> chains;
+  for (const std::int64_t c : {96, 256}) {
+    const std::int64_t t = default_tile_for(c);
+    for (const std::int64_t k : {t - 1, t, 2 * t + 3}) chains.emplace_back(c, k);
+  }
+  return chains;
+}
+
+std::vector<float> scores_of(const graph::BinaryNetwork& net, const Tensor& x,
+                             int threads = 1) {
+  graph::InferenceContext ctx = net.make_context(1, threads);
+  const Tensor* one = &x;
+  const auto s = net.infer_batch({&one, 1}, ctx);
+  return {s.begin(), s.end()};
+}
+
+/// Every AlignedBuffer allocation throws std::bad_alloc while in scope.
+class AllocationsFail {
+ public:
+  AllocationsFail() {
+    failpoint::arm("alloc.buffer", failpoint::Config{failpoint::Action::kBadAlloc,
+                                                     failpoint::Trigger::kAlways});
+  }
+  ~AllocationsFail() { failpoint::disarm("alloc.buffer"); }
+  AllocationsFail(const AllocationsFail&) = delete;
+  AllocationsFail& operator=(const AllocationsFail&) = delete;
+};
+
+TEST(ModelSharing, InstantiateAllocatesNoWeightStorage) {
+  for (const SharedChain& chain : shared_chains()) {
+    SCOPED_TRACE("C=" + std::to_string(chain.c) + " K=" + std::to_string(chain.k));
+    const Model model = chain.loaded_model();
+    std::optional<graph::BinaryNetwork> a, b;
+    {
+      // Every layer takes its default plan, so both networks adopt the
+      // Model's banks and allocate no weight storage at all.
+      const AllocationsFail no_alloc;
+      a.emplace(model.instantiate(graph::NetworkConfig{}));
+      b.emplace(model.instantiate(graph::NetworkConfig{}));
+      // A plan with another layout needs a private copy: the allocation
+      // that fails here is that copy.
+      graph::NetworkConfig untiled;
+      untiled.tile_weights = false;
+      EXPECT_THROW((void)model.instantiate(untiled), std::bad_alloc);
+      if (chain.c == 256 && default_tile_for(256) == 8) {
+        graph::NetworkConfig capped;
+        capped.max_isa = simd::IsaLevel::kSse;  // T 8 -> 4
+        EXPECT_THROW((void)model.instantiate(capped), std::bad_alloc);
+      }
+    }
+    for (const std::uint64_t seed : {5u, 6u}) {
+      const Tensor x = chain.input(seed);
+      const std::vector<float> want = chain.baseline_scores(x);
+      EXPECT_EQ(scores_of(*a, x), want) << "seed " << seed;
+      EXPECT_EQ(scores_of(*b, x), want) << "seed " << seed;
+    }
+  }
+}
+
+TEST(ModelSharing, EveryPlanIsBitExactAgainstTheBaseline) {
+  std::vector<graph::NetworkConfig> plans(2);
+  plans[1].tile_weights = false;
+  for (const simd::IsaLevel isa : simd::supported_isa_levels()) {
+    plans.emplace_back().max_isa = isa;
+  }
+  for (const SharedChain& chain : shared_chains()) {
+    const Model model = chain.loaded_model();
+    const Tensor x = chain.input(7);
+    const std::vector<float> want = chain.baseline_scores(x);
+    for (std::size_t p = 0; p < plans.size(); ++p) {
+      EXPECT_EQ(scores_of(model.instantiate(plans[p]), x), want)
+          << "C=" << chain.c << " K=" << chain.k << " plan " << p;
+    }
+  }
+}
+
+TEST(ModelSharing, NetworksOutliveTheModelAndRunConcurrently) {
+  const SharedChain chain(96, 2 * default_tile_for(96) + 3);
+  std::optional<graph::BinaryNetwork> one_thread, three_threads;
+  {
+    const Model model = chain.loaded_model();
+    graph::NetworkConfig cfg;
+    one_thread.emplace(model.instantiate(cfg));
+    cfg.num_threads = 3;
+    three_threads.emplace(model.instantiate(cfg));
+  }  // the Model and its handles on the banks are gone
+  std::vector<Tensor> inputs;
+  std::vector<std::vector<float>> want;
+  for (std::uint64_t seed = 10; seed < 16; ++seed) {
+    inputs.push_back(chain.input(seed));
+    want.push_back(chain.baseline_scores(inputs.back()));
+  }
+  const auto run = [&](const graph::BinaryNetwork& net, std::vector<int>& mismatches) {
+    graph::InferenceContext ctx = net.make_context(1);
+    for (int round = 0; round < 4; ++round) {
+      for (std::size_t i = 0; i < inputs.size(); ++i) {
+        const Tensor* x = &inputs[i];
+        const auto s = net.infer_batch({&x, 1}, ctx);
+        if (!std::equal(s.begin(), s.end(), want[i].begin(), want[i].end())) {
+          mismatches.push_back(round);
+        }
+      }
+    }
+  };
+  std::vector<int> bad_one, bad_three;
+  std::thread t1([&] { run(*one_thread, bad_one); });
+  std::thread t3([&] { run(*three_threads, bad_three); });
+  t1.join();
+  t3.join();
+  EXPECT_TRUE(bad_one.empty());
+  EXPECT_TRUE(bad_three.empty());
+}
+
+TEST(ModelSharing, EngineReloadServesTheModelsBanks) {
+  // Same shapes, different weights.
+  const SharedChain first(96, 11, 100), second(96, 11, 200);
+  serve::EngineConfig cfg;
+  cfg.workers = 1;
+  auto created = serve::Engine::create(first.loaded_model(), cfg);
+  ASSERT_TRUE(created.is_ok()) << created.status().to_string();
+  serve::Engine& engine = created.value();
+  const Tensor x = first.input(20);
+  // One answered request: the worker has built its context before
+  // allocations are made to fail.
+  auto served = engine.submit(x).get();
+  ASSERT_TRUE(served.is_ok()) << served.status().to_string();
+  EXPECT_EQ(served.value(), first.baseline_scores(x));
+  {
+    const Model model = second.loaded_model();
+    // The new generation adopts the Model's banks: nothing to allocate.
+    const AllocationsFail no_alloc;
+    const core::Status st = engine.reload(model);
+    ASSERT_TRUE(st.is_ok()) << st.to_string();
+  }  // the Model is gone; the serving network keeps the banks alive
+  served = engine.submit(x).get();
+  ASSERT_TRUE(served.is_ok()) << served.status().to_string();
+  EXPECT_EQ(served.value(), second.baseline_scores(x));
 }
 
 // --- load-budget hardening ---------------------------------------------------

@@ -693,7 +693,7 @@ TEST(BinaryNetwork, Vgg16ContextHoldsTwoArenasPerSlot) {
     for (const std::int64_t k : vgg.conv_blocks[b]) {
       PackedFilterBank f(k, 3, 3, c);
       fill_random_bits(f, ++seed);
-      net.add_conv_packed("conv", std::move(f), 1, 1);
+      net.add_conv_packed("conv", lower_conv_weights(std::move(f), "conv"), 1, 1);
       c = k;
     }
     net.add_maxpool("pool", kernels::PoolSpec{2, 2, 2});
@@ -703,7 +703,7 @@ TEST(BinaryNetwork, Vgg16ContextHoldsTwoArenasPerSlot) {
   for (const std::int64_t k : vgg.fc_sizes) {
     PackedMatrix w(k, fan_in);
     fill_random_bits(w, ++seed);
-    net.add_fc_packed("fc", std::move(w));
+    net.add_fc_packed("fc", lower_fc_weights(std::move(w), "fc"));
     fan_in = k;
   }
   net.finalize(TensorDesc{vgg.input_size, vgg.input_size, vgg.input_channels});
