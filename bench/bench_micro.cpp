@@ -5,8 +5,10 @@
 //
 // After the google-benchmark run, main() prints one machine-readable
 // `BENCH {...}` JSON line per supported ISA level for the headline tiling
-// workload (3x3, C = K = 256, 16x16 output); CI's perf-smoke job and the
-// committed BENCH_pressedconv.json baseline both come from these lines.
+// workload (3x3, C = K = 256, 16x16 output), and one comparing the default
+// plan with the paper-rule plan at VGG-16 conv1_2's shape; CI's perf-smoke
+// job and the committed BENCH_pressedconv.json baseline come from these
+// lines.
 #include <algorithm>
 #include <chrono>
 #include <cstdint>
@@ -229,6 +231,51 @@ void emit_tiling_bench_json() {
   std::fflush(stdout);
 }
 
+// One `BENCH {"bench":"narrow_layer_plan",...}` line: the fused-binarize
+// tiled conv at VGG-16 conv1_2's shape (226x226x64 padded input, K = 64),
+// single core, under the engine's default plan (graph::default_kernel_plan:
+// the widest ISA, T = 16 on AVX2/AVX-512) against the paper-rule plan
+// (select_isa: C = 64 -> u64, T = 4).  CI's perf-smoke job gates the
+// default plan at >= 1.0x: a slowdown here stays bit-exact, so no unit test
+// would catch it.
+void emit_narrow_layer_bench_json() {
+  constexpr std::int64_t kIn = 226, kC = 64, kK = 64, kKernel = 3;
+  std::mt19937_64 rng(72);
+  PackedTensor in(kIn, kIn, kC);
+  for (std::int64_t i = 0; i < in.num_words(); ++i) in.words()[i] = rng();
+  PackedFilterBank filters(kK, kKernel, kKernel, kC);
+  for (std::int64_t i = 0; i < kK * filters.words_per_filter(); ++i) filters.words()[i] = rng();
+  const kernels::ConvSpec spec{kKernel, kKernel, 1};
+  PackedTensor out(kIn - kKernel + 1, kIn - kKernel + 1, kK);
+  runtime::ThreadPool pool(1);
+  const simd::CpuFeatures& hw = simd::cpu_features();
+  const graph::KernelPlan engine = graph::default_kernel_plan(
+      kC, kK, hw, graph::SchedulerPolicy::kPaperRules, /*tile_weights=*/true);
+  const simd::IsaLevel paper_isa = graph::select_isa(kC, hw);
+  const graph::KernelPlan paper{paper_isa, kernels::weight_tile_width(paper_isa)};
+  const std::vector<std::int64_t> limits = kernels::sign_limits(filters.bits_per_filter(), kK);
+  const auto seconds = [&](const graph::KernelPlan& plan) {
+    const TiledFilterBank bank = bitpack::tile_filters(filters, plan.tile);
+    const auto fn =
+        kernels::conv_binarize_tiled_batch_kernel(plan.isa, hw.avx512vpopcntdq, plan.tile);
+    const PackedTensor* ins[] = {&in};
+    PackedTensor* outs[] = {&out};
+    return runtime::measure_best_seconds(
+        [&] { fn(ins, 1, bank, spec, limits.data(), pool, outs, 0); }, 5, 0.2);
+  };
+  const double engine_s = seconds(engine);
+  const double paper_s = seconds(paper);
+  std::printf(
+      "BENCH {\"bench\":\"narrow_layer_plan\",\"layer\":\"conv1_2\",\"in\":%lld,\"c\":%lld,"
+      "\"k\":%lld,\"engine_isa\":\"%s\",\"engine_tile\":%lld,\"paper_isa\":\"%s\","
+      "\"paper_tile\":%lld,\"engine_ms\":%.3f,\"paper_ms\":%.3f,\"speedup\":%.3f}\n",
+      static_cast<long long>(kIn), static_cast<long long>(kC), static_cast<long long>(kK),
+      std::string(simd::isa_name(engine.isa)).c_str(), static_cast<long long>(engine.tile),
+      std::string(simd::isa_name(paper.isa)).c_str(), static_cast<long long>(paper.tile),
+      engine_s * 1e3, paper_s * 1e3, paper_s / engine_s);
+  std::fflush(stdout);
+}
+
 /// Median ns/iteration of `body` over `reps` timed repetitions.  A plain
 /// steady-clock loop (not google-benchmark) so the JSON line below is
 /// reproducible with a fixed iteration count and a proper median.
@@ -419,30 +466,81 @@ void emit_tune_finalize_json() {
   std::fflush(stdout);
 }
 
+// --plans mode: the single-thread matrix of the fused-binarize tiled conv
+// over VGG-16's 13 conv shapes (224x224 input, 3x3, pad 1), at every (ISA
+// variant, tile width) the host runs — both AVX-512 popcount lowerings
+// included.  One `BENCH {"bench":"vgg16_conv_plan",...}` line per (layer,
+// variant, T); "default" marks the plan the engine commits.  The source of
+// EXPERIMENTS.md's "Full-width tiles" matrix.
+void emit_vgg16_plan_matrix_json() {
+  const models::VggConfig vgg = models::vgg16();
+  const simd::CpuFeatures& features = simd::cpu_features();
+  runtime::ThreadPool pool(1);
+  std::uint64_t seed = 73;
+  std::int64_t c = vgg.input_channels, hw = vgg.input_size;
+  for (std::size_t b = 0; b < vgg.conv_blocks.size(); ++b, hw /= 2) {
+    for (std::size_t j = 0; j < vgg.conv_blocks[b].size(); ++j) {
+      const std::int64_t k = vgg.conv_blocks[b][j];
+      const std::string layer = "conv" + std::to_string(b + 1) + "_" + std::to_string(j + 1);
+      PackedTensor in(hw + 2, hw + 2, c);  // padded input, as the engine plans it
+      fill_random_bits(in, seed++);
+      PackedFilterBank filters(k, 3, 3, c);
+      fill_random_bits(filters, seed++);
+      const kernels::ConvSpec spec{3, 3, 1};
+      PackedTensor out(hw, hw, k);
+      const PackedTensor* ins[] = {&in};
+      PackedTensor* outs[] = {&out};
+      const std::vector<std::int64_t> limits = kernels::sign_limits(filters.bits_per_filter(), k);
+      const graph::KernelPlan def = graph::default_kernel_plan(
+          c, k, features, graph::SchedulerPolicy::kPaperRules, /*tile_weights=*/true);
+      for (const simd::IsaVariant& v : simd::supported_isa_variants()) {
+        const kernels::TileWidthSet widths = kernels::supported_tile_widths(v.isa);
+        for (std::int64_t i = 0; i < widths.count; ++i) {
+          const std::int64_t t = widths.widths[static_cast<std::size_t>(i)];
+          const TiledFilterBank bank = bitpack::tile_filters(filters, t);
+          const auto fn = kernels::conv_binarize_tiled_batch_kernel(v.isa, v.use_vpopcntdq, t);
+          const double ms =
+              1e3 * runtime::measure_best_seconds(
+                        [&] { fn(ins, 1, bank, spec, limits.data(), pool, outs, 0); }, 3, 0.05);
+          const bool is_default =
+              v.isa == def.isa && t == def.tile &&
+              v.use_vpopcntdq == (def.isa == simd::IsaLevel::kAvx512 && features.avx512vpopcntdq);
+          std::printf(
+              "BENCH {\"bench\":\"vgg16_conv_plan\",\"layer\":\"%s\",\"hw\":%lld,\"c\":%lld,"
+              "\"k\":%lld,\"isa\":\"%s\",\"tile\":%lld,\"default\":%s,\"ms\":%.3f}\n",
+              layer.c_str(), static_cast<long long>(hw), static_cast<long long>(c),
+              static_cast<long long>(k), std::string(v.name).c_str(), static_cast<long long>(t),
+              is_default ? "true" : "false", ms);
+        }
+        std::fflush(stdout);
+      }
+      c = k;
+    }
+  }
+}
+
 }  // namespace
 
 int main(int argc, char** argv) {
-  // --tune runs the auto-tuner sweep + finalize timing instead of the
-  // google-benchmark suite (strip the flag before benchmark sees it).
-  bool tune_mode = false;
+  // --tune runs the auto-tuner sweep + finalize timing, and --plans the
+  // VGG-16 plan matrix, instead of the google-benchmark suite.
   for (int i = 1; i < argc; ++i) {
     if (std::string_view(argv[i]) == "--tune") {
-      tune_mode = true;
-      for (int j = i; j + 1 < argc; ++j) argv[j] = argv[j + 1];
-      --argc;
-      break;
+      emit_tune_sweep_json();
+      emit_tune_finalize_json();
+      return 0;
     }
-  }
-  if (tune_mode) {
-    emit_tune_sweep_json();
-    emit_tune_finalize_json();
-    return 0;
+    if (std::string_view(argv[i]) == "--plans") {
+      emit_vgg16_plan_matrix_json();
+      return 0;
+    }
   }
   benchmark::Initialize(&argc, argv);
   if (benchmark::ReportUnrecognizedArguments(argc, argv)) return 1;
   benchmark::RunSpecifiedBenchmarks();
   benchmark::Shutdown();
   emit_tiling_bench_json();
+  emit_narrow_layer_bench_json();
   emit_telemetry_bench_json();
   emit_cancel_bench_json();
   return 0;

@@ -74,7 +74,11 @@ struct Stage {
   kernels::BgemmRowsTiledFn fc_dot_tiled = nullptr;
   kernels::BgemmBinarizeRowsTiledFn fc_bin_tiled = nullptr;
 
-  std::vector<float> thresholds;  // empty = sign at zero
+  // Binarizing output: a binary layer compares each filter's popcount
+  // against its limit (popcount_limit, one per filter, computed here once);
+  // the full-precision first conv keeps the float thresholds (empty = sign).
+  std::vector<std::int64_t> limits;
+  std::vector<float> thresholds;
 
   // buffer routing (indices into the context's buffers)
   int in_act = -1, out_act = -1;  // packed activation tensors
@@ -372,20 +376,25 @@ void BinaryNetwork::finalize(TensorDesc input) {
         " is not executable on this CPU");
   }
 
-  // Pass 1: shape inference + validation + ISA selection.
+  // Pass 1: shape inference + validation + kernel plan (ISA and, for conv
+  // and fc, the register-tile width default_kernel_plan gives).
   im.input = input;
   TensorDesc cur = input;
   bool seen_fc = false;
-  auto clamp_isa = [&](simd::IsaLevel isa) {
+  std::vector<KernelPlan> plans(n_layers);
+  const auto layer_cap = [&]() -> std::optional<simd::IsaLevel> {
     // Armed simd.force_fallback degrades every layer to the scalar u64
     // kernels — the ISA-parity harness guarantees this changes nothing but
     // throughput, which is exactly what the fault matrix asserts.
     if (BF_FAILPOINT_TRIGGERED("simd.force_fallback")) return simd::IsaLevel::kU64;
-    if (im.cfg.max_isa.has_value() &&
-        static_cast<int>(isa) > static_cast<int>(*im.cfg.max_isa)) {
-      return *im.cfg.max_isa;
-    }
-    return isa;
+    return im.cfg.max_isa;
+  };
+  const auto plan_layer = [&](std::size_t i, std::int64_t channels, std::int64_t k,
+                              LayerInfo& info) {
+    plans[i] = default_kernel_plan(channels, k, hw, im.cfg.policy, im.cfg.tile_weights,
+                                   layer_cap());
+    info.isa = plans[i].isa;
+    info.isa_reason = explain_kernel_plan(plans[i], channels, k, hw, im.cfg.policy);
   };
   for (std::size_t i = 0; i < n_layers; ++i) {
     PendingLayer& l = im.pending[i];
@@ -410,15 +419,15 @@ void BinaryNetwork::finalize(TensorDesc input) {
           info.isa = simd::IsaLevel::kU64;
           info.isa_reason = "full-precision first layer (im2col + sgemm)";
         } else {
-          info.isa = clamp_isa(select_isa(layer_c, hw, im.cfg.policy));
-          info.isa_reason = explain_isa_selection(layer_c, hw, im.cfg.policy);
+          plan_layer(i, layer_c, layer_k, info);
         }
         break;
       }
       case LayerKind::kPool: {
         if (seen_fc) throw std::invalid_argument("BinaryNetwork: pool after fc unsupported");
         cur = infer_pool(cur, l.pool_spec);
-        info.isa = clamp_isa(select_isa(cur.c, hw, im.cfg.policy));
+        info.isa = std::min(select_isa(cur.c, hw, im.cfg.policy),
+                            layer_cap().value_or(simd::IsaLevel::kAvx512));
         info.isa_reason = explain_isa_selection(cur.c, hw, im.cfg.policy);
         break;
       }
@@ -429,8 +438,7 @@ void BinaryNetwork::finalize(TensorDesc input) {
         }
         seen_fc = true;
         cur = infer_fc(cur, l.fc_weights.rows());
-        info.isa = clamp_isa(select_isa(fc_n, hw, im.cfg.policy));
-        info.isa_reason = explain_isa_selection(fc_n, hw, im.cfg.policy);
+        plan_layer(i, fc_n, l.fc_weights.rows(), info);
         break;
       }
     }
@@ -454,13 +462,13 @@ void BinaryNetwork::finalize(TensorDesc input) {
   // contexts lay it over ping-pong arena i % 2 of each batch slot.
   //
   // With auto-tuning on, each conv/fc layer's plan (tiled vs untiled, tile
-  // width, parallel grain) comes from tune::decide() — a cache hit commits
-  // the remembered plan instantly, a miss microbenchmarks the candidates on
-  // the layer's real shapes.  Off, the static default_decision() reproduces
-  // the historical heuristic exactly.  Either way every candidate is
-  // bit-exact, so this pass picks speed, never values.  A layer whose plan
-  // matches the layout its weights were lowered to shares them as they are;
-  // any other plan gets a private re-laid copy.
+  // width, parallel grain) at its pass-1 ISA comes from tune::decide() — a
+  // cache hit commits the remembered plan instantly, a miss microbenchmarks
+  // the candidates on the layer's real shapes.  Off, pass 1's
+  // default_kernel_plan is committed as it is.  Either way every candidate
+  // is bit-exact, so this pass picks speed, never values.  A layer whose
+  // plan matches the layout its weights were lowered to shares them as they
+  // are; any other plan gets a private re-laid copy.
   tune::TuneCache tune_cache;
   std::string tune_path;
   bool tune_searched_any = false;
@@ -479,12 +487,16 @@ void BinaryNetwork::finalize(TensorDesc input) {
     s.kind = l.kind;
     s.isa = info.isa;
     s.is_last = (i + 1 == n_layers);
-    s.thresholds = std::move(l.thresholds);
+    // The committed plan when tuning is off: pass 1's default.
+    tune::Decision dec;
+    dec.tiled = plans[i].tile > 0;
+    dec.tile = plans[i].tile;
     switch (l.kind) {
       case LayerKind::kConv: {
         s.conv_spec = l.conv_spec;
         if (l.full_precision) {
           s.full_precision = true;
+          s.thresholds = std::move(l.thresholds);
           s.float_k = l.float_weights.num_filters();
           s.float_weights_t = baseline::flatten_filters_transposed(l.float_weights);
           im.weight_bytes +=
@@ -508,13 +520,13 @@ void BinaryNetwork::finalize(TensorDesc input) {
           wl.kw = l.conv_spec.kernel_w;
           wl.stride = l.conv_spec.stride;
           wl.fused_binarize = !s.is_last;
-          tune::Decision dec;
           if (im.cfg.auto_tune) {
             bool searched = false;
             dec = tune::decide(wl, tune_cache, *tune_pool, im.cfg.tile_weights, &searched);
             tune_searched_any = tune_searched_any || searched;
-          } else {
-            dec = tune::default_decision(wl, im.cfg.tile_weights);
+          }
+          if (wl.fused_binarize) {
+            s.limits = popcount_limits(bank.bits_per_filter(), l.thresholds, wl.k);
           }
           s.conv_spec.par_grain = dec.par_grain;
           s.filters = bank.in_layout(dec.tiled ? dec.tile : 0);
@@ -553,14 +565,12 @@ void BinaryNetwork::finalize(TensorDesc input) {
         wl.c = w.cols();  // input neurons
         wl.k = w.rows();  // output neurons
         wl.fused_binarize = !s.is_last;
-        tune::Decision dec;
         if (im.cfg.auto_tune) {
           bool searched = false;
           dec = tune::decide(wl, tune_cache, *tune_pool, im.cfg.tile_weights, &searched);
           tune_searched_any = tune_searched_any || searched;
-        } else {
-          dec = tune::default_decision(wl, im.cfg.tile_weights);
         }
+        if (wl.fused_binarize) s.limits = popcount_limits(w.cols(), l.thresholds, wl.k);
         s.fc_weights = w.in_layout(dec.tiled ? dec.tile : 0);
         if (dec.tiled) {
           s.tiled = true;
@@ -852,6 +862,7 @@ std::span<const float> BinaryNetwork::infer_batch(std::span<const Tensor* const>
     checkpoint();  // layer boundary: abandoned batches stop within one layer
     const Stage& s = im.stages[i];
     const float* th = s.thresholds.empty() ? nullptr : s.thresholds.data();
+    const std::int64_t* limits = s.limits.data();
     telemetry::TraceSpan layer_span(im.span_names[i].c_str(), "layer", n);
     telemetry::TraceSpan kernel_span(im.kernel_names[i].c_str(), "kernel", n);
     switch (s.kind) {
@@ -912,10 +923,10 @@ std::span<const float> BinaryNetwork::infer_batch(std::span<const Tensor* const>
             cx.out_ptrs[static_cast<std::size_t>(b)] = &out[static_cast<std::size_t>(b)];
           }
           if (s.tiled) {
-            s.conv_bin_tiled(cx.in_ptrs.data(), n, *s.filters.tiled(), s.conv_spec, th,
+            s.conv_bin_tiled(cx.in_ptrs.data(), n, *s.filters.tiled(), s.conv_spec, limits,
                              cx.pool, cx.out_ptrs.data(), s.out_margin);
           } else {
-            s.conv_bin(cx.in_ptrs.data(), n, *s.filters.filter_major(), s.conv_spec, th,
+            s.conv_bin(cx.in_ptrs.data(), n, *s.filters.filter_major(), s.conv_spec, limits,
                        cx.pool, cx.out_ptrs.data(), s.out_margin);
           }
         }
@@ -959,10 +970,10 @@ std::span<const float> BinaryNetwork::infer_batch(std::span<const Tensor* const>
             s.fc_dot(in, n, *s.fc_weights.filter_major(), cx.pool, cx.scores.data());
           }
         } else if (s.tiled) {
-          s.fc_bin_tiled(in, n, *s.fc_weights.tiled(), th, cx.pool,
+          s.fc_bin_tiled(in, n, *s.fc_weights.tiled(), limits, cx.pool,
                          cx.fc_bits[static_cast<std::size_t>(s.out_fc)]);
         } else {
-          s.fc_bin(in, n, *s.fc_weights.filter_major(), th, cx.pool,
+          s.fc_bin(in, n, *s.fc_weights.filter_major(), limits, cx.pool,
                    cx.fc_bits[static_cast<std::size_t>(s.out_fc)]);
         }
         break;

@@ -8,8 +8,10 @@
 // immutable banks instead of copying them.  `finalize()` then performs
 // everything else the paper does once at initialization:
 //   * shape inference over the whole chain (scheduler component 1);
-//   * kernel selection per operator from the channel-multiple rules and the
-//     detected hardware (components 2-3, Fig. 6);
+//   * kernel selection per operator from the detected hardware (components
+//     2-3): conv and fc layers run register-tiled at the widest ISA, pools
+//     and untiled layers by the channel-multiple rules of Fig. 6
+//     (graph/scheduler.hpp);
 //   * a weight layout per layer: it adopts the lowered bank when its plan
 //     matches the bank's layout and re-lays a private copy only when it
 //     differs (tiling off, an ISA cap or fallback that changes the tile
@@ -93,8 +95,8 @@ struct LayerInfo {
   kernels::WeightLayout layout = kernels::WeightLayout::kFilterMajor;
   /// Committed register-tile width T (0 = filter-major kernels) and
   /// parallel-axis grain of the fused spatial range — the execution plan the
-  /// stage will dispatch.  With auto-tuning off these mirror the static
-  /// heuristic (weight_tile_width / grain 1).
+  /// stage will dispatch.  With auto-tuning off these are default_kernel_plan's
+  /// width and grain 1.
   std::int64_t tile = 0;
   std::int64_t par_grain = 1;
   /// Provenance of the plan: "default" (static heuristic), "search"
@@ -151,12 +153,14 @@ struct NetworkConfig {
   SchedulerPolicy policy = SchedulerPolicy::kPaperRules;
   bool profile = false;  ///< record per-layer wall-clock on every inference
   /// Caps the scheduler's kernel choice (e.g. kAvx2 to model an i7-7700HQ
-  /// on wider hardware).  The cap must itself be hardware-supported.
+  /// on wider hardware), tiled layers included.  The cap must itself be
+  /// hardware-supported.
   std::optional<simd::IsaLevel> max_isa;
   /// Run conv and FC layers on the T-way interleaved weight layout and the
   /// register-tiled kernels (bit-exact with the filter-major path; same
-  /// weight bytes).  Layers with fewer outputs than the tile width keep the
-  /// filter-major layout either way.  Turning this off makes finalize()
+  /// weight bytes) at the widest ISA.  Layers with fewer than 4 outputs keep
+  /// the filter-major layout either way.  Turning this off puts every layer
+  /// on the untiled kernels and the channel rule, and makes finalize()
   /// re-lay a private filter-major copy of each tiled bank.
   bool tile_weights = true;
   /// Run the finalize-time auto-tuner (tune/tuner.hpp): microbenchmark each

@@ -1,6 +1,16 @@
 #include "graph/scheduler.hpp"
 
+#include "tune/tuner.hpp"
+
 namespace bitflow::graph {
+
+namespace {
+
+simd::IsaLevel clamp(simd::IsaLevel isa, std::optional<simd::IsaLevel> cap) {
+  return cap.has_value() && isa > *cap ? *cap : isa;
+}
+
+}  // namespace
 
 simd::IsaLevel select_isa(std::int64_t channels, const simd::CpuFeatures& f,
                           SchedulerPolicy policy) {
@@ -31,6 +41,25 @@ std::string explain_isa_selection(std::int64_t channels, const simd::CpuFeatures
     s += " (rule 4: channel tail zero-padded, scalar word kernel)";
   }
   return s;
+}
+
+KernelPlan default_kernel_plan(std::int64_t channels, std::int64_t k, const simd::CpuFeatures& f,
+                               SchedulerPolicy policy, bool tile_weights,
+                               std::optional<simd::IsaLevel> cap) {
+  tune::LayerWorkload wl;
+  wl.isa = clamp(f.best_isa(), cap);
+  wl.k = k;
+  const tune::Decision d = tune::default_decision(wl, tile_weights);
+  if (d.tiled) return {wl.isa, d.tile};
+  return {clamp(select_isa(channels, f, policy), cap), 0};
+}
+
+std::string explain_kernel_plan(const KernelPlan& plan, std::int64_t channels, std::int64_t k,
+                                const simd::CpuFeatures& f, SchedulerPolicy policy) {
+  if (plan.tile == 0) return explain_isa_selection(channels, f, policy);
+  return "K=" + std::to_string(k) + " -> " + std::string(isa_name(plan.isa)) +
+         " (register tiles: T=" + std::to_string(plan.tile) +
+         " filters per activation broadcast vectorize along K, so the widest ISA)";
 }
 
 }  // namespace bitflow::graph

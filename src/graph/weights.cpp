@@ -1,5 +1,7 @@
 #include "graph/weights.hpp"
 
+#include <algorithm>
+#include <cmath>
 #include <cstring>
 #include <stdexcept>
 #include <utility>
@@ -9,23 +11,19 @@
 #include "graph/network.hpp"
 #include "graph/scheduler.hpp"
 #include "simd/cpu_features.hpp"
-#include "tune/tuner.hpp"
 
 namespace bitflow::graph {
 
 namespace {
 
 /// The layout finalize() commits for a layer under a default NetworkConfig:
-/// tune::default_decision at the ISA its packed dimension selects.  Returns
-/// the tile width, 0 for filter-major.  Consults no failpoint.
-std::int64_t default_tile(std::uint8_t kind, std::int64_t packed_dim, std::int64_t k) {
+/// the tile width of its default_kernel_plan, 0 for filter-major.  Consults
+/// no failpoint.
+std::int64_t default_tile(std::int64_t packed_dim, std::int64_t k) {
   const NetworkConfig defaults;
-  tune::LayerWorkload wl;
-  wl.kind = kind;
-  wl.isa = select_isa(packed_dim, simd::cpu_features(), defaults.policy);
-  wl.k = k;
-  const tune::Decision d = tune::default_decision(wl, defaults.tile_weights);
-  return d.tiled ? d.tile : 0;
+  return default_kernel_plan(packed_dim, k, simd::cpu_features(), defaults.policy,
+                             defaults.tile_weights, defaults.max_isa)
+      .tile;
 }
 
 /// Throws when a padding bit is set: `words` holds `runs` runs of
@@ -103,7 +101,7 @@ ConvWeights lower_conv_weights(PackedFilterBank filters, const std::string& laye
   const std::int64_t taps = filters.kernel_h() * filters.kernel_w();
   check_padding(filters.words(), filters.num_filters() * taps, filters.words_per_pixel(),
                 filters.channels(), taps, layer, "C", "filter");
-  const std::int64_t tile = default_tile(0, filters.channels(), filters.num_filters());
+  const std::int64_t tile = default_tile(filters.channels(), filters.num_filters());
   return ConvWeights(std::move(filters), tile);
 }
 
@@ -140,8 +138,38 @@ FcWeights FcWeights::in_layout(std::int64_t tile) const {
 FcWeights lower_fc_weights(PackedMatrix weights, const std::string& layer) {
   check_padding(weights.words(), weights.rows(), weights.words_per_row(), weights.cols(), 1,
                 layer, "N", "row");
-  const std::int64_t tile = default_tile(1, weights.cols(), weights.rows());
+  const std::int64_t tile = default_tile(weights.cols(), weights.rows());
   return FcWeights(std::move(weights), tile);
+}
+
+// --- binarize thresholds ------------------------------------------------------
+
+std::int64_t popcount_limit(std::int64_t bits, float threshold) noexcept {
+  // float(bits - 2p) is non-increasing in p, so the popcounts that pass form
+  // a prefix [0, L] of [0, bits].
+  const auto passes = [&](std::int64_t p) {
+    return static_cast<float>(bits - 2 * p) >= threshold;
+  };
+  if (!passes(0)) return -1;      // NaN, or above every dot
+  if (passes(bits)) return bits;  // at or below every dot
+  // Now 0 <= L < bits.  Start at the exact-arithmetic answer (the float
+  // rounding of large fan-ins moves the boundary by a step or two) and walk
+  // to where the rule itself flips.
+  std::int64_t p = static_cast<std::int64_t>(
+      std::floor((static_cast<double>(bits) - static_cast<double>(threshold)) / 2.0));
+  p = std::clamp<std::int64_t>(p, 0, bits - 1);
+  while (!passes(p)) --p;     // stops at p = 0 at the latest
+  while (passes(p + 1)) ++p;  // stops at p = bits - 1 at the latest
+  return p;
+}
+
+std::vector<std::int64_t> popcount_limits(std::int64_t bits,
+                                          const std::vector<float>& thresholds, std::int64_t k) {
+  std::vector<std::int64_t> limits(static_cast<std::size_t>(k));
+  for (std::size_t i = 0; i < limits.size(); ++i) {
+    limits[i] = popcount_limit(bits, thresholds.empty() ? 0.0f : thresholds[i]);
+  }
+  return limits;
 }
 
 }  // namespace bitflow::graph

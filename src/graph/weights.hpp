@@ -6,11 +6,15 @@
 // BinaryNetwork::add_conv_packed / add_fc_packed take weights already
 // lowered.  Lowering rejects set padding bits, then permutes the
 // bank in place (bitpack::tile_*) into the layout finalize() commits under a
-// default NetworkConfig — the same tune::default_decision rule: the T-way
-// register-tile interleave at the tile width of the layer's paper-rule ISA,
-// or filter-major when K < T.  The result is immutable and shared_ptr-owned,
+// default NetworkConfig — both take it from the same default_kernel_plan
+// (graph/scheduler.hpp): the T-way register-tile interleave, or
+// filter-major when K < 4.  The result is immutable and shared_ptr-owned,
 // so an io::Model and every network instantiated from it read the same bytes,
 // and the bank lives exactly as long as its last holder.
+//
+// The file also lowers a binarizing layer's float thresholds into the
+// integer popcount limits the fused binarize kernels compare against
+// (popcount_limit), once per layer when finalize() builds its plan.
 //
 // finalize() adopts a bank whose layout matches its plan and re-lays a
 // private copy (in_layout()) only when the plan differs: tile_weights =
@@ -24,6 +28,7 @@
 #include <memory>
 #include <string>
 #include <variant>
+#include <vector>
 
 #include "tensor/packed_tensor.hpp"
 
@@ -130,5 +135,19 @@ class FcWeights {
 /// std::runtime_error naming `layer` when a bit above N is set in the last
 /// word of any row.
 [[nodiscard]] FcWeights lower_fc_weights(PackedMatrix weights, const std::string& layer);
+
+/// The popcount limit L of one binarized filter with `bits` valid bits: a
+/// popcount p in [0, bits] passes `float(bits - 2p) >= threshold` — the
+/// fused binarize's rule, dot >= threshold — exactly when p <= L.  L is the
+/// largest passing p, or -1 when none passes (NaN, or a threshold above
+/// `bits`).  Exact for every float, infinities included, and for fan-ins
+/// past 2^24 where float(bits - 2p) rounds.
+[[nodiscard]] std::int64_t popcount_limit(std::int64_t bits, float threshold) noexcept;
+
+/// popcount_limit for each of a layer's `k` filters; empty `thresholds`
+/// means sign(dot) (every threshold 0).
+[[nodiscard]] std::vector<std::int64_t> popcount_limits(std::int64_t bits,
+                                                        const std::vector<float>& thresholds,
+                                                        std::int64_t k);
 
 }  // namespace bitflow::graph

@@ -12,12 +12,12 @@ namespace bitflow::kernels {
 namespace detail {
 #define BITFLOW_DECLARE_BGEMM(SUFFIX)                                                         \
   void bgemm_##SUFFIX(const PackedMatrix&, const PackedMatrix&, runtime::ThreadPool&, float*); \
-  void bgemm_binarize_##SUFFIX(const PackedMatrix&, const PackedMatrix&, const float*,         \
+  void bgemm_binarize_##SUFFIX(const PackedMatrix&, const PackedMatrix&, const std::int64_t*,  \
                                runtime::ThreadPool&, PackedMatrix&);                           \
   void bgemm_rows_##SUFFIX(const PackedMatrix&, std::int64_t, const PackedMatrix&,             \
                            runtime::ThreadPool&, float*);                                      \
   void bgemm_binarize_rows_##SUFFIX(const PackedMatrix&, std::int64_t, const PackedMatrix&,    \
-                                    const float*, runtime::ThreadPool&, PackedMatrix&);
+                                    const std::int64_t*, runtime::ThreadPool&, PackedMatrix&);
 BITFLOW_DECLARE_BGEMM(u64)
 BITFLOW_DECLARE_BGEMM(sse)
 BITFLOW_DECLARE_BGEMM(avx2)
@@ -31,7 +31,7 @@ BITFLOW_DECLARE_BGEMM(avx512vp)
   void bgemm_rows_tiled_##SUFFIX(const PackedMatrix&, std::int64_t, const TiledBitMatrix&,     \
                                  runtime::ThreadPool&, float*);                                \
   void bgemm_binarize_rows_tiled_##SUFFIX(const PackedMatrix&, std::int64_t,                   \
-                                          const TiledBitMatrix&, const float*,                 \
+                                          const TiledBitMatrix&, const std::int64_t*,          \
                                           runtime::ThreadPool&, PackedMatrix&);
 BITFLOW_DECLARE_BGEMM_TILED(u64_t4)
 BITFLOW_DECLARE_BGEMM_TILED(u64_t8)
@@ -171,9 +171,9 @@ void bgemm(const PackedMatrix& a, const PackedMatrix& w, runtime::ThreadPool& po
   bgemm_kernel(simd::cpu_features().best_isa())(a, w, pool, y);
 }
 
-void bgemm_binarize(const PackedMatrix& a, const PackedMatrix& w, const float* thresholds,
+void bgemm_binarize(const PackedMatrix& a, const PackedMatrix& w, const std::int64_t* limits,
                     runtime::ThreadPool& pool, PackedMatrix& out) {
-  bgemm_binarize_kernel(simd::cpu_features().best_isa())(a, w, thresholds, pool, out);
+  bgemm_binarize_kernel(simd::cpu_features().best_isa())(a, w, limits, pool, out);
 }
 
 }  // namespace bitflow::kernels

@@ -26,10 +26,12 @@ namespace bitflow::kernels {
 using BgemmFn = void (*)(const PackedMatrix& a, const PackedMatrix& w, runtime::ThreadPool& pool,
                          float* y);
 
-/// Fused bgemm + binarize: bit k of output row m is dot(m,k) >=
-/// thresholds[k] (null thresholds = sign).  `out` must be M x K bits.
+/// Fused bgemm + binarize: bit k of output row m is set iff the
+/// xor-popcount of A row m against W row k is <= limits[k], the popcount
+/// limit of `dot(m,k) >= threshold[k]` (graph::popcount_limit; null limits =
+/// sign, popcount <= N / 2).  `out` must be M x K bits.
 using BgemmBinarizeFn = void (*)(const PackedMatrix& a, const PackedMatrix& w,
-                                 const float* thresholds, runtime::ThreadPool& pool,
+                                 const std::int64_t* limits, runtime::ThreadPool& pool,
                                  PackedMatrix& out);
 
 /// Row-limited raw-dot bgemm: computes only rows [0, m_rows) of A.  The
@@ -42,7 +44,7 @@ using BgemmRowsFn = void (*)(const PackedMatrix& a, std::int64_t m_rows, const P
 /// Row-limited fused bgemm + binarize; rows [m_rows, out.rows()) of `out`
 /// are left untouched.
 using BgemmBinarizeRowsFn = void (*)(const PackedMatrix& a, std::int64_t m_rows,
-                                     const PackedMatrix& w, const float* thresholds,
+                                     const PackedMatrix& w, const std::int64_t* limits,
                                      runtime::ThreadPool& pool, PackedMatrix& out);
 
 /// Row-limited raw-dot bgemm over the interleaved weight layout: W is the
@@ -56,7 +58,7 @@ using BgemmRowsTiledFn = void (*)(const PackedMatrix& a, std::int64_t m_rows,
 
 /// Row-limited fused bgemm + binarize over the interleaved weight layout.
 using BgemmBinarizeRowsTiledFn = void (*)(const PackedMatrix& a, std::int64_t m_rows,
-                                          const TiledBitMatrix& w, const float* thresholds,
+                                          const TiledBitMatrix& w, const std::int64_t* limits,
                                           runtime::ThreadPool& pool, PackedMatrix& out);
 
 /// Returns the raw-dot bgemm compiled for `isa` (hardware support is the
@@ -97,7 +99,7 @@ using BgemmBinarizeRowsTiledFn = void (*)(const PackedMatrix& a, std::int64_t m_
 
 /// Dispatching wrappers (widest hardware ISA).
 void bgemm(const PackedMatrix& a, const PackedMatrix& w, runtime::ThreadPool& pool, float* y);
-void bgemm_binarize(const PackedMatrix& a, const PackedMatrix& w, const float* thresholds,
+void bgemm_binarize(const PackedMatrix& a, const PackedMatrix& w, const std::int64_t* limits,
                     runtime::ThreadPool& pool, PackedMatrix& out);
 
 }  // namespace bitflow::kernels

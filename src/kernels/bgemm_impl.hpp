@@ -14,7 +14,9 @@
 #include <algorithm>
 #include <cstdint>
 #include <stdexcept>
+#include <vector>
 
+#include "kernels/conv_spec.hpp"
 #include "runtime/thread_pool.hpp"
 #include "tensor/packed_tensor.hpp"
 
@@ -70,7 +72,7 @@ void bgemm_impl(const PackedMatrix& a, const PackedMatrix& w, runtime::ThreadPoo
 
 template <typename Ops>
 void bgemm_binarize_rows_impl(const PackedMatrix& a, std::int64_t m_rows, const PackedMatrix& w,
-                              const float* thresholds, runtime::ThreadPool& pool,
+                              const std::int64_t* limits, runtime::ThreadPool& pool,
                               PackedMatrix& out) {
   if (a.cols() != w.cols()) throw std::invalid_argument("bgemm_binarize: N mismatch");
   if (out.rows() != a.rows() || out.cols() != w.rows()) {
@@ -81,8 +83,9 @@ void bgemm_binarize_rows_impl(const PackedMatrix& a, std::int64_t m_rows, const 
   }
   const std::int64_t k_rows = w.rows();
   const std::int64_t n_words = a.words_per_row();
-  const std::int64_t bits = a.cols();
   const std::int64_t out_words = out.words_per_row();
+  std::vector<std::int64_t> sign;
+  limits = resolve_limits(limits, a.cols(), k_rows, sign);
   // Parallelize over whole output words (fused across rows) so no two
   // workers share a word.
   pool.parallel_for(m_rows * out_words, [&](runtime::Range r, int) {
@@ -95,9 +98,7 @@ void bgemm_binarize_rows_impl(const PackedMatrix& a, std::int64_t m_rows, const 
       std::uint64_t packed = 0;
       for (std::int64_t b = 0; b < block; ++b) {
         const std::uint64_t p = Ops::xor_popcount(xa, w.row(k0 + b), n_words);
-        const float dot = static_cast<float>(bits - 2 * static_cast<std::int64_t>(p));
-        const float th = thresholds != nullptr ? thresholds[k0 + b] : 0.0f;
-        packed |= static_cast<std::uint64_t>(dot >= th) << b;
+        packed |= limit_bit(p, limits[k0 + b]) << b;
       }
       out.row(m)[wi] = packed;
     }
@@ -105,9 +106,10 @@ void bgemm_binarize_rows_impl(const PackedMatrix& a, std::int64_t m_rows, const 
 }
 
 template <typename Ops>
-void bgemm_binarize_impl(const PackedMatrix& a, const PackedMatrix& w, const float* thresholds,
-                         runtime::ThreadPool& pool, PackedMatrix& out) {
-  bgemm_binarize_rows_impl<Ops>(a, a.rows(), w, thresholds, pool, out);
+void bgemm_binarize_impl(const PackedMatrix& a, const PackedMatrix& w,
+                         const std::int64_t* limits, runtime::ThreadPool& pool,
+                         PackedMatrix& out) {
+  bgemm_binarize_rows_impl<Ops>(a, a.rows(), w, limits, pool, out);
 }
 
 // --- register-tiled variants over the interleaved weight layout --------------
@@ -116,11 +118,13 @@ void bgemm_binarize_impl(const PackedMatrix& a, const PackedMatrix& w, const flo
 // activation word; after the finalize-time interleave (bitpack::
 // tile_fc_weights) the T = Tile::kWidth matching weight words are one
 // contiguous line, and the T neuron counters stay in registers across the
-// whole activation row.  Remainder neurons (K % T) stayed row-major in the
-// tiled matrix and take the word-run path.
+// whole activation row; the fused binarize compares them against the T
+// popcount limits in registers.  Remainder neurons (K % T) stayed row-major
+// in the tiled matrix and take the word-run path.
 //
 // Tile is an explicit template parameter (not Ops::Tile) so each per-ISA TU
-// can stamp one entry point per supported width — the auto-tuner's T axis.
+// can stamp one entry point per supported width (the static rule's default
+// and the auto-tuner's T axis).
 
 template <typename Ops, typename Tile>
 void bgemm_rows_tiled_impl(const PackedMatrix& a, std::int64_t m_rows, const TiledBitMatrix& w,
@@ -170,7 +174,7 @@ void bgemm_rows_tiled_impl(const PackedMatrix& a, std::int64_t m_rows, const Til
 
 template <typename Ops, typename Tile>
 void bgemm_binarize_rows_tiled_impl(const PackedMatrix& a, std::int64_t m_rows,
-                                    const TiledBitMatrix& w, const float* thresholds,
+                                    const TiledBitMatrix& w, const std::int64_t* limits,
                                     runtime::ThreadPool& pool, PackedMatrix& out) {
   constexpr std::int64_t kT = Tile::kWidth;
   static_assert(64 % Tile::kWidth == 0, "neuron tiles must not straddle output words");
@@ -188,9 +192,10 @@ void bgemm_binarize_rows_tiled_impl(const PackedMatrix& a, std::int64_t m_rows,
   }
   const std::int64_t k_rows = w.rows();
   const std::int64_t n_words = a.words_per_row();
-  const std::int64_t bits = a.cols();
   const std::int64_t tiled_rows = w.tiled_rows();
   const std::int64_t out_words = out.words_per_row();
+  std::vector<std::int64_t> sign;
+  limits = resolve_limits(limits, a.cols(), k_rows, sign);
   pool.parallel_for(m_rows * out_words, [&](runtime::Range r, int) {
     for (std::int64_t idx = r.begin; idx < r.end; ++idx) {
       const std::int64_t m = idx / out_words;
@@ -208,21 +213,12 @@ void bgemm_binarize_rows_tiled_impl(const PackedMatrix& a, std::int64_t m_rows,
         for (std::int64_t nw = 0; nw < n_words; ++nw, f += kT) {
           acc.accumulate(xa[nw], f);
         }
-        std::uint64_t pops[kT];
-        acc.reduce(pops);
-        for (std::int64_t l = 0; l < kT; ++l) {
-          const std::int64_t k = k0 + b + l;
-          const float dot = static_cast<float>(bits - 2 * static_cast<std::int64_t>(pops[l]));
-          const float th = thresholds != nullptr ? thresholds[k] : 0.0f;
-          packed |= static_cast<std::uint64_t>(dot >= th) << (b + l);
-        }
+        packed |= acc.le_mask(limits + k0 + b) << b;
       }
       for (; b < block; ++b) {
         const std::uint64_t p =
             Ops::xor_popcount(xa, w.remainder_row(k0 + b - tiled_rows), n_words);
-        const float dot = static_cast<float>(bits - 2 * static_cast<std::int64_t>(p));
-        const float th = thresholds != nullptr ? thresholds[k0 + b] : 0.0f;
-        packed |= static_cast<std::uint64_t>(dot >= th) << b;
+        packed |= limit_bit(p, limits[k0 + b]) << b;
       }
       out.row(m)[wi] = packed;
     }
@@ -240,18 +236,18 @@ void bgemm_binarize_rows_tiled_impl(const PackedMatrix& a, std::int64_t m_rows,
     impl::bgemm_impl<OPS>(a, w, pool, y);                                                       \
   }                                                                                             \
   void bgemm_binarize_##SUFFIX(const PackedMatrix& a, const PackedMatrix& w,                    \
-                               const float* thresholds, runtime::ThreadPool& pool,              \
+                               const std::int64_t* limits, runtime::ThreadPool& pool,           \
                                PackedMatrix& out) {                                             \
-    impl::bgemm_binarize_impl<OPS>(a, w, thresholds, pool, out);                                \
+    impl::bgemm_binarize_impl<OPS>(a, w, limits, pool, out);                                    \
   }                                                                                             \
   void bgemm_rows_##SUFFIX(const PackedMatrix& a, std::int64_t m_rows, const PackedMatrix& w,   \
                            runtime::ThreadPool& pool, float* y) {                               \
     impl::bgemm_rows_impl<OPS>(a, m_rows, w, pool, y);                                          \
   }                                                                                             \
   void bgemm_binarize_rows_##SUFFIX(const PackedMatrix& a, std::int64_t m_rows,                 \
-                                    const PackedMatrix& w, const float* thresholds,             \
+                                    const PackedMatrix& w, const std::int64_t* limits,          \
                                     runtime::ThreadPool& pool, PackedMatrix& out) {             \
-    impl::bgemm_binarize_rows_impl<OPS>(a, m_rows, w, thresholds, pool, out);                   \
+    impl::bgemm_binarize_rows_impl<OPS>(a, m_rows, w, limits, pool, out);                       \
   }                                                                                             \
   }  // namespace bitflow::kernels::detail
 
@@ -265,8 +261,8 @@ void bgemm_binarize_rows_tiled_impl(const PackedMatrix& a, std::int64_t m_rows,
     impl::bgemm_rows_tiled_impl<OPS, TILE>(a, m_rows, w, pool, y);                              \
   }                                                                                             \
   void bgemm_binarize_rows_tiled_##SUFFIX(const PackedMatrix& a, std::int64_t m_rows,           \
-                                          const TiledBitMatrix& w, const float* thresholds,     \
+                                          const TiledBitMatrix& w, const std::int64_t* limits,  \
                                           runtime::ThreadPool& pool, PackedMatrix& out) {       \
-    impl::bgemm_binarize_rows_tiled_impl<OPS, TILE>(a, m_rows, w, thresholds, pool, out);       \
+    impl::bgemm_binarize_rows_tiled_impl<OPS, TILE>(a, m_rows, w, limits, pool, out);           \
   }                                                                                             \
   }  // namespace bitflow::kernels::detail

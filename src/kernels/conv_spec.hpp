@@ -10,6 +10,7 @@
 #include <array>
 #include <cstdint>
 #include <stdexcept>
+#include <vector>
 
 #include "core/check.hpp"
 #include "simd/isa.hpp"
@@ -37,14 +38,38 @@ enum class WeightLayout : std::uint8_t {
 
 /// Register-tile width T for the interleaved layout on a given ISA: how many
 /// filters one TileAcc tracks at once.  4 on scalar/SSE (four independent
-/// 64-bit popcnt chains), 8 on AVX2/AVX-512 (qword lanes of one or two
-/// vector accumulators).  T always divides 64, so filter tiles never
+/// 64-bit popcnt chains), 16 on AVX2/AVX-512 (qword lanes of four 256-bit or
+/// two 512-bit accumulators).  T always divides 64, so filter tiles never
 /// straddle a 64-bit output word in the fused-binarize kernels.
 ///
 /// This is the *default* width — what finalize() commits when auto-tuning is
-/// off.  The tuner searches over supported_tile_widths() instead.
+/// off and K covers it (tune::default_decision takes the largest supported
+/// width <= K otherwise).  The tuner searches over supported_tile_widths().
 [[nodiscard]] constexpr std::int64_t weight_tile_width(simd::IsaLevel isa) noexcept {
-  return isa >= simd::IsaLevel::kAvx2 ? 8 : 4;
+  return isa >= simd::IsaLevel::kAvx2 ? 16 : 4;
+}
+
+/// The fused binarize's output bit for a filter whose xor-popcount is `pops`:
+/// set iff pops <= `limit` (see graph::popcount_limit for how a float
+/// threshold becomes that limit; -1 clears it for every popcount).
+[[nodiscard]] inline std::uint64_t limit_bit(std::uint64_t pops, std::int64_t limit) noexcept {
+  return static_cast<std::uint64_t>(static_cast<std::int64_t>(pops) <= limit);
+}
+
+/// The popcount limits of sign(dot) for `k` filters of `bits` bits:
+/// bits - 2p >= 0, i.e. p <= bits / 2.
+[[nodiscard]] inline std::vector<std::int64_t> sign_limits(std::int64_t bits, std::int64_t k) {
+  return std::vector<std::int64_t>(static_cast<std::size_t>(k), bits / 2);
+}
+
+/// Resolves the `limits` argument of a fused binarize kernel: null means
+/// sign(dot), materialized into `storage`.
+[[nodiscard]] inline const std::int64_t* resolve_limits(const std::int64_t* limits,
+                                                        std::int64_t bits, std::int64_t k,
+                                                        std::vector<std::int64_t>& storage) {
+  if (limits != nullptr) return limits;
+  storage = sign_limits(bits, k);
+  return storage.data();
 }
 
 /// The register-tile widths an ISA has kernel instantiations for — the

@@ -15,13 +15,15 @@ namespace detail {
   void conv_dot_##SUFFIX(const PackedTensor&, const PackedFilterBank&, const ConvSpec&,          \
                          runtime::ThreadPool&, Tensor&);                                         \
   void conv_binarize_##SUFFIX(const PackedTensor&, const PackedFilterBank&, const ConvSpec&,     \
-                              const float*, runtime::ThreadPool&, PackedTensor&, std::int64_t);  \
+                              const std::int64_t*, runtime::ThreadPool&, PackedTensor&,          \
+                              std::int64_t);                                                     \
   void conv_dot_batch_##SUFFIX(const PackedTensor* const*, std::int64_t,                         \
                                const PackedFilterBank&, const ConvSpec&, runtime::ThreadPool&,   \
                                Tensor* const*);                                                  \
   void conv_binarize_batch_##SUFFIX(const PackedTensor* const*, std::int64_t,                    \
-                                    const PackedFilterBank&, const ConvSpec&, const float*,      \
-                                    runtime::ThreadPool&, PackedTensor* const*, std::int64_t);
+                                    const PackedFilterBank&, const ConvSpec&,                    \
+                                    const std::int64_t*, runtime::ThreadPool&,                   \
+                                    PackedTensor* const*, std::int64_t);
 BITFLOW_DECLARE_PRESSEDCONV(u64)
 BITFLOW_DECLARE_PRESSEDCONV(sse)
 BITFLOW_DECLARE_PRESSEDCONV(avx2)
@@ -36,9 +38,9 @@ BITFLOW_DECLARE_PRESSEDCONV(avx512vp)
                                      const TiledFilterBank&, const ConvSpec&,                    \
                                      runtime::ThreadPool&, Tensor* const*);                      \
   void conv_binarize_tiled_batch_##SUFFIX(const PackedTensor* const*, std::int64_t,              \
-                                          const TiledFilterBank&, const ConvSpec&, const float*, \
-                                          runtime::ThreadPool&, PackedTensor* const*,            \
-                                          std::int64_t);
+                                          const TiledFilterBank&, const ConvSpec&,               \
+                                          const std::int64_t*, runtime::ThreadPool&,             \
+                                          PackedTensor* const*, std::int64_t);
 BITFLOW_DECLARE_PRESSEDCONV_TILED(u64_t4)
 BITFLOW_DECLARE_PRESSEDCONV_TILED(u64_t8)
 BITFLOW_DECLARE_PRESSEDCONV_TILED(sse_t4)
@@ -217,7 +219,7 @@ void pressed_conv_dot(const PackedTensor& in, const PackedFilterBank& filters,
 }
 
 void pressed_conv_binarize(const PackedTensor& in, const PackedFilterBank& filters,
-                           const ConvSpec& spec, const float* thresholds,
+                           const ConvSpec& spec, const std::int64_t* limits,
                            runtime::ThreadPool& pool, PackedTensor& out, std::int64_t margin) {
   check_conv_args(in, filters, spec);
   BF_CHECK(margin >= 0, "pressed_conv_binarize: negative margin ", margin);
@@ -227,7 +229,7 @@ void pressed_conv_binarize(const PackedTensor& in, const PackedFilterBank& filte
       out.channels() != filters.num_filters()) {
     throw std::invalid_argument("pressed_conv_binarize: output tensor mis-shaped for margin");
   }
-  conv_binarize_kernel(simd::cpu_features().best_isa())(in, filters, spec, thresholds, pool, out,
+  conv_binarize_kernel(simd::cpu_features().best_isa())(in, filters, spec, limits, pool, out,
                                                         margin);
 }
 

@@ -13,7 +13,10 @@
 //  * `_binarize` — fused sign(dot - threshold[k]) re-packed straight into
 //                  the (optionally margin-carrying) output of the next
 //                  layer.  The per-output-channel threshold is how folded
-//                  batch-normalization enters a BNN at inference time.
+//                  batch-normalization enters a BNN at inference time; the
+//                  kernels take it as an integer popcount limit per filter
+//                  (graph::popcount_limit), so the epilogue is one integer
+//                  compare per filter, vectorized across a register tile.
 //
 // Each ISA variant is compiled in its own TU with exactly that ISA enabled;
 // `conv_dot_kernel(isa)` / `conv_binarize_kernel(isa)` return the variant,
@@ -35,14 +38,17 @@ namespace bitflow::kernels {
 using ConvDotFn = void (*)(const PackedTensor& in, const PackedFilterBank& filters,
                            const ConvSpec& spec, runtime::ThreadPool& pool, Tensor& out);
 
-/// Fused PressedConv + binarize: bit k of output pixel (y, x) is
-/// `dot(y,x,k) >= thresholds[k]` (thresholds may be null for sign(dot)).
-/// The result is written into the interior of `out` at offset `margin` on
-/// each side; `out` extents must be (out_h + 2*margin, out_w + 2*margin, K)
-/// and its margin region is left untouched (zero bits = -1), realizing the
-/// next layer's padding at zero cost (paper Fig. 5).
+/// Fused PressedConv + binarize: bit k of output pixel (y, x) is set iff
+/// the xor-popcount p of that window against filter k is <= limits[k] —
+/// `dot(y,x,k) >= threshold[k]` with the threshold lowered to a popcount
+/// limit once per layer (graph::popcount_limit).  `limits` holds K entries,
+/// or is null for sign(dot) (p <= bits / 2).  The result is written into the
+/// interior of `out` at offset `margin` on each side; `out` extents must be
+/// (out_h + 2*margin, out_w + 2*margin, K) and its margin region is left
+/// untouched (zero bits = -1), realizing the next layer's padding at zero
+/// cost (paper Fig. 5).
 using ConvBinarizeFn = void (*)(const PackedTensor& in, const PackedFilterBank& filters,
-                                const ConvSpec& spec, const float* thresholds,
+                                const ConvSpec& spec, const std::int64_t* limits,
                                 runtime::ThreadPool& pool, PackedTensor& out,
                                 std::int64_t margin);
 
@@ -60,14 +66,16 @@ using ConvDotBatchFn = void (*)(const PackedTensor* const* in, std::int64_t n,
 /// contract, applied to each of the `n` outputs.
 using ConvBinarizeBatchFn = void (*)(const PackedTensor* const* in, std::int64_t n,
                                      const PackedFilterBank& filters, const ConvSpec& spec,
-                                     const float* thresholds, runtime::ThreadPool& pool,
+                                     const std::int64_t* limits, runtime::ThreadPool& pool,
                                      PackedTensor* const* out, std::int64_t margin);
 
 /// Batch-N raw-dot PressedConv over the interleaved weight layout: same
 /// contract as ConvDotBatchFn, but the filters are a register-tile bank
 /// produced by bitpack::tile_filters with tile = weight_tile_width(isa).
-/// Bit-exact with the filter-major kernels; throws std::invalid_argument if
-/// the bank's tile width does not match the kernel's.
+/// These kernels vectorize along K (one activation word against T filter
+/// words), not along C, so any channel count fills every lane.  Bit-exact
+/// with the filter-major kernels; throws std::invalid_argument if the
+/// bank's tile width does not match the kernel's.
 using ConvDotTiledBatchFn = void (*)(const PackedTensor* const* in, std::int64_t n,
                                      const TiledFilterBank& filters, const ConvSpec& spec,
                                      runtime::ThreadPool& pool, Tensor* const* out);
@@ -76,7 +84,7 @@ using ConvDotTiledBatchFn = void (*)(const PackedTensor* const* in, std::int64_t
 /// see ConvBinarizeBatchFn for the margin contract.
 using ConvBinarizeTiledBatchFn = void (*)(const PackedTensor* const* in, std::int64_t n,
                                           const TiledFilterBank& filters, const ConvSpec& spec,
-                                          const float* thresholds, runtime::ThreadPool& pool,
+                                          const std::int64_t* limits, runtime::ThreadPool& pool,
                                           PackedTensor* const* out, std::int64_t margin);
 
 /// Returns the raw-dot kernel compiled for `isa`.  The caller must have
@@ -122,13 +130,13 @@ using ConvBinarizeTiledBatchFn = void (*)(const PackedTensor* const* in, std::in
 [[nodiscard]] ConvBinarizeFn conv_binarize_kernel(simd::IsaLevel isa, bool use_vpopcntdq);
 
 /// Convenience wrappers that dispatch to the widest kernel the executing CPU
-/// supports (still honouring the channel-multiple rules is the scheduler's
-/// job; these pick purely by hardware).
+/// supports (the scheduler picks ISAs per layer; these pick purely by
+/// hardware).
 void pressed_conv_dot(const PackedTensor& in, const PackedFilterBank& filters,
                       const ConvSpec& spec, runtime::ThreadPool& pool, Tensor& out);
 
 void pressed_conv_binarize(const PackedTensor& in, const PackedFilterBank& filters,
-                           const ConvSpec& spec, const float* thresholds,
+                           const ConvSpec& spec, const std::int64_t* limits,
                            runtime::ThreadPool& pool, PackedTensor& out, std::int64_t margin);
 
 /// Validates extents shared by every PressedConv entry point; throws

@@ -26,6 +26,7 @@
 #include <algorithm>
 #include <cstdint>
 #include <stdexcept>
+#include <vector>
 
 #include "kernels/conv_spec.hpp"
 #include "runtime/thread_pool.hpp"
@@ -149,12 +150,11 @@ void conv_dot_impl(const PackedTensor& in, const PackedFilterBank& filters, cons
 /// Fused binarize counterpart of conv_dot_3x3_w1_batch.
 inline void conv_binarize_3x3_w1_batch(const PackedTensor* const* in, std::int64_t n,
                                        const PackedFilterBank& filters, const ConvSpec& spec,
-                                       const float* thresholds, runtime::ThreadPool& pool,
+                                       const std::int64_t* limits, runtime::ThreadPool& pool,
                                        PackedTensor* const* out, std::int64_t margin) {
   const std::int64_t out_h = spec.out_h(in[0]->height());
   const std::int64_t out_w = spec.out_w(in[0]->width());
   const std::int64_t pixels = out_h * out_w;
-  const std::int64_t bits = filters.bits_per_filter();
   const std::int64_t num_k = filters.num_filters();
   const std::int64_t in_w = in[0]->width();
   const std::int64_t stride = spec.stride;
@@ -189,9 +189,7 @@ inline void conv_binarize_3x3_w1_batch(const PackedTensor* const* in, std::int64
           pops += __builtin_popcountll(a6 ^ f[6]);
           pops += __builtin_popcountll(a7 ^ f[7]);
           pops += __builtin_popcountll(a8 ^ f[8]);
-          const float dot = static_cast<float>(bits - 2 * pops);
-          const float th = thresholds != nullptr ? thresholds[k] : 0.0f;
-          packed |= static_cast<std::uint64_t>(dot >= th) << b;
+          packed |= limit_bit(static_cast<std::uint64_t>(pops), limits[k]) << b;
         }
         out_px[word_idx++] = packed;
       }
@@ -202,10 +200,12 @@ inline void conv_binarize_3x3_w1_batch(const PackedTensor* const* in, std::int64
 template <typename Ops>
 void conv_binarize_batch_impl(const PackedTensor* const* in, std::int64_t n,
                               const PackedFilterBank& filters, const ConvSpec& spec,
-                              const float* thresholds, runtime::ThreadPool& pool,
+                              const std::int64_t* limits, runtime::ThreadPool& pool,
                               PackedTensor* const* out, std::int64_t margin) {
+  std::vector<std::int64_t> sign;
+  limits = resolve_limits(limits, filters.bits_per_filter(), filters.num_filters(), sign);
   if (in[0]->words_per_pixel() == 1 && filters.kernel_h() == 3 && filters.kernel_w() == 3) {
-    conv_binarize_3x3_w1_batch(in, n, filters, spec, thresholds, pool, out, margin);
+    conv_binarize_3x3_w1_batch(in, n, filters, spec, limits, pool, out, margin);
     return;
   }
   const std::int64_t out_h = spec.out_h(in[0]->height());
@@ -215,7 +215,6 @@ void conv_binarize_batch_impl(const PackedTensor* const* in, std::int64_t n,
   const std::int64_t kw = filters.kernel_w();
   const std::int64_t pc = in[0]->words_per_pixel();
   const std::int64_t row_words = kw * pc;
-  const std::int64_t bits = filters.bits_per_filter();
   const std::int64_t num_k = filters.num_filters();
   const std::int64_t in_w = in[0]->width();
   const std::int64_t stride = spec.stride;
@@ -240,9 +239,7 @@ void conv_binarize_batch_impl(const PackedTensor* const* in, std::int64_t n,
           for (std::int64_t i = 0; i < kh; ++i) {
             pops += Ops::xor_popcount(window + i * in_w * pc, f0 + i * row_words, row_words);
           }
-          const float dot = static_cast<float>(bits - 2 * static_cast<std::int64_t>(pops));
-          const float th = thresholds != nullptr ? thresholds[k] : 0.0f;
-          packed |= static_cast<std::uint64_t>(dot >= th) << b;
+          packed |= limit_bit(pops, limits[k]) << b;
         }
         out_px[word_idx++] = packed;
       }
@@ -252,11 +249,11 @@ void conv_binarize_batch_impl(const PackedTensor* const* in, std::int64_t n,
 
 template <typename Ops>
 void conv_binarize_impl(const PackedTensor& in, const PackedFilterBank& filters,
-                        const ConvSpec& spec, const float* thresholds, runtime::ThreadPool& pool,
-                        PackedTensor& out, std::int64_t margin) {
+                        const ConvSpec& spec, const std::int64_t* limits,
+                        runtime::ThreadPool& pool, PackedTensor& out, std::int64_t margin) {
   const PackedTensor* in_ptr = &in;
   PackedTensor* out_ptr = &out;
-  conv_binarize_batch_impl<Ops>(&in_ptr, 1, filters, spec, thresholds, pool, &out_ptr, margin);
+  conv_binarize_batch_impl<Ops>(&in_ptr, 1, filters, spec, limits, pool, &out_ptr, margin);
 }
 
 // --- register-tiled variants over the interleaved weight layout --------------
@@ -266,12 +263,15 @@ void conv_binarize_impl(const PackedTensor& in, const PackedFilterBank& filters,
 // activation word is loaded once, broadcast, and XOR+popcounted against the T
 // matching filter words, which the finalize-time interleave
 // (bitpack::tile_filters) made contiguous.  T per-filter counters live in
-// registers across the whole kh*kw*pc word walk and spill exactly once per
-// tile.  The K % T remainder filters were left filter-major by the repack and
-// take the word-run path of the untiled kernel.
+// registers across the whole kh*kw*pc word walk; the raw-dot kernel spills
+// them once per tile, the fused binarize compares them in registers against
+// the tile's T popcount limits and ORs the T result bits straight into the
+// output word.  The K % T remainder filters were left filter-major by the
+// repack and take the word-run path of the untiled kernel.
 //
 // Tile is an explicit template parameter (not Ops::Tile) so each per-ISA TU
-// can stamp one entry point per supported width — the auto-tuner's T axis.
+// can stamp one entry point per supported width (the static rule's default
+// and the auto-tuner's T axis).
 
 template <typename Ops, typename Tile>
 void conv_dot_tiled_batch_impl(const PackedTensor* const* in, std::int64_t n,
@@ -336,20 +336,21 @@ void conv_dot_tiled_batch_impl(const PackedTensor* const* in, std::int64_t n,
 template <typename Ops, typename Tile>
 void conv_binarize_tiled_batch_impl(const PackedTensor* const* in, std::int64_t n,
                                     const TiledFilterBank& filters, const ConvSpec& spec,
-                                    const float* thresholds, runtime::ThreadPool& pool,
+                                    const std::int64_t* limits, runtime::ThreadPool& pool,
                                     PackedTensor* const* out, std::int64_t margin) {
   constexpr std::int64_t kT = Tile::kWidth;
   static_assert(64 % Tile::kWidth == 0, "filter tiles must not straddle output words");
   if (filters.tile() != kT) {
     throw std::invalid_argument("PressedConv tiled: bank tile width does not match kernel");
   }
+  std::vector<std::int64_t> sign;
+  limits = resolve_limits(limits, filters.bits_per_filter(), filters.num_filters(), sign);
   const std::int64_t out_h = spec.out_h(in[0]->height());
   const std::int64_t out_w = spec.out_w(in[0]->width());
   const std::int64_t pixels = out_h * out_w;
   const std::int64_t kh = filters.kernel_h();
   const std::int64_t pc = in[0]->words_per_pixel();
   const std::int64_t row_words = filters.kernel_w() * pc;
-  const std::int64_t bits = filters.bits_per_filter();
   const std::int64_t num_k = filters.num_filters();
   const std::int64_t in_w = in[0]->width();
   const std::int64_t stride = spec.stride;
@@ -367,7 +368,7 @@ void conv_binarize_tiled_batch_impl(const PackedTensor* const* in, std::int64_t 
       std::uint64_t* out_px = out[img]->pixel(y + margin, x + margin);
       std::uint64_t packed = 0;
       std::int64_t bit = 0, word_idx = 0, k = 0;
-      for (std::int64_t t = 0; t < full_tiles; ++t) {
+      for (std::int64_t t = 0; t < full_tiles; ++t, k += kT) {
         Tile acc{};
         const std::uint64_t* f = bank.tile_block(t);
         for (std::int64_t i = 0; i < kh; ++i) {
@@ -376,19 +377,14 @@ void conv_binarize_tiled_batch_impl(const PackedTensor* const* in, std::int64_t 
             acc.accumulate(row[w], f);
           }
         }
-        std::uint64_t pops[kT];
-        acc.reduce(pops);
         // kT divides 64, so a tile's bits never split across output words
         // and `bit` can only hit 64 between tiles.
-        for (std::int64_t l = 0; l < kT; ++l, ++k) {
-          const float dot = static_cast<float>(bits - 2 * static_cast<std::int64_t>(pops[l]));
-          const float th = thresholds != nullptr ? thresholds[k] : 0.0f;
-          packed |= static_cast<std::uint64_t>(dot >= th) << bit;
-          if (++bit == 64) {
-            out_px[word_idx++] = packed;
-            packed = 0;
-            bit = 0;
-          }
+        packed |= acc.le_mask(limits + k) << bit;
+        bit += kT;
+        if (bit == 64) {
+          out_px[word_idx++] = packed;
+          packed = 0;
+          bit = 0;
         }
       }
       for (; k < num_k; ++k) {
@@ -397,9 +393,7 @@ void conv_binarize_tiled_batch_impl(const PackedTensor* const* in, std::int64_t 
         for (std::int64_t i = 0; i < kh; ++i) {
           pops += Ops::xor_popcount(window + i * in_w * pc, f0 + i * row_words, row_words);
         }
-        const float dot = static_cast<float>(bits - 2 * static_cast<std::int64_t>(pops));
-        const float th = thresholds != nullptr ? thresholds[k] : 0.0f;
-        packed |= static_cast<std::uint64_t>(dot >= th) << bit;
+        packed |= limit_bit(pops, limits[k]) << bit;
         if (++bit == 64) {
           out_px[word_idx++] = packed;
           packed = 0;
@@ -422,10 +416,10 @@ void conv_binarize_tiled_batch_impl(const PackedTensor* const* in, std::int64_t 
     impl::conv_dot_impl<OPS>(in, filters, spec, pool, out);                                     \
   }                                                                                             \
   void conv_binarize_##SUFFIX(const PackedTensor& in, const PackedFilterBank& filters,          \
-                              const ConvSpec& spec, const float* thresholds,                    \
+                              const ConvSpec& spec, const std::int64_t* limits,                 \
                               runtime::ThreadPool& pool, PackedTensor& out,                     \
                               std::int64_t margin) {                                            \
-    impl::conv_binarize_impl<OPS>(in, filters, spec, thresholds, pool, out, margin);            \
+    impl::conv_binarize_impl<OPS>(in, filters, spec, limits, pool, out, margin);                \
   }                                                                                             \
   void conv_dot_batch_##SUFFIX(const PackedTensor* const* in, std::int64_t n,                   \
                                const PackedFilterBank& filters, const ConvSpec& spec,           \
@@ -434,9 +428,9 @@ void conv_binarize_tiled_batch_impl(const PackedTensor* const* in, std::int64_t 
   }                                                                                             \
   void conv_binarize_batch_##SUFFIX(const PackedTensor* const* in, std::int64_t n,              \
                                     const PackedFilterBank& filters, const ConvSpec& spec,      \
-                                    const float* thresholds, runtime::ThreadPool& pool,         \
+                                    const std::int64_t* limits, runtime::ThreadPool& pool,      \
                                     PackedTensor* const* out, std::int64_t margin) {            \
-    impl::conv_binarize_batch_impl<OPS>(in, n, filters, spec, thresholds, pool, out, margin);   \
+    impl::conv_binarize_batch_impl<OPS>(in, n, filters, spec, limits, pool, out, margin);       \
   }                                                                                             \
   }  // namespace bitflow::kernels::detail
 
@@ -452,9 +446,9 @@ void conv_binarize_tiled_batch_impl(const PackedTensor* const* in, std::int64_t 
   }                                                                                             \
   void conv_binarize_tiled_batch_##SUFFIX(                                                      \
       const PackedTensor* const* in, std::int64_t n, const TiledFilterBank& filters,            \
-      const ConvSpec& spec, const float* thresholds, runtime::ThreadPool& pool,                 \
+      const ConvSpec& spec, const std::int64_t* limits, runtime::ThreadPool& pool,              \
       PackedTensor* const* out, std::int64_t margin) {                                          \
-    impl::conv_binarize_tiled_batch_impl<OPS, TILE>(in, n, filters, spec, thresholds, pool,     \
-                                                    out, margin);                               \
+    impl::conv_binarize_tiled_batch_impl<OPS, TILE>(in, n, filters, spec, limits, pool, out,    \
+                                                    margin);                                    \
   }                                                                                             \
   }  // namespace bitflow::kernels::detail

@@ -24,8 +24,7 @@ BinaryConvOp::BinaryConvOp(FilterBank weights, std::int64_t stride, std::int64_t
       pad_(pad),
       filters_(bitpack::pack_filters(weights)),
       isa_(pick_isa(weights.channels(), options)),
-      dot_fn_(kernels::conv_dot_kernel(isa_)),
-      bin_fn_(kernels::conv_binarize_kernel(isa_)) {
+      dot_fn_(kernels::conv_dot_kernel(isa_)) {
   if (pad < 0) throw std::invalid_argument("BinaryConvOp: negative pad");
 }
 
@@ -44,13 +43,6 @@ void BinaryConvOp::run(const Tensor& in, runtime::ThreadPool& pool, Tensor& out)
     throw std::invalid_argument("BinaryConvOp: output mis-shaped");
   }
   dot_fn_(in_buf_, filters_, spec_, pool, out);
-}
-
-void BinaryConvOp::run_packed(const PackedTensor& in_padded, const float* thresholds,
-                              runtime::ThreadPool& pool, PackedTensor& out,
-                              std::int64_t margin) const {
-  kernels::check_conv_args(in_padded, filters_, spec_);
-  bin_fn_(in_padded, filters_, spec_, thresholds, pool, out, margin);
 }
 
 // --- BinaryFcOp --------------------------------------------------------------

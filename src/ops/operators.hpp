@@ -44,11 +44,6 @@ class BinaryConvOp {
   /// receives Eq. 1 dot products (extents out_h x out_w x K).
   void run(const Tensor& in, runtime::ThreadPool& pool, Tensor& out);
 
-  /// Packed-to-packed fused conv+binarize on an already padded input (the
-  /// graph-engine path exposed standalone).
-  void run_packed(const PackedTensor& in_padded, const float* thresholds,
-                  runtime::ThreadPool& pool, PackedTensor& out, std::int64_t margin) const;
-
   [[nodiscard]] simd::IsaLevel isa() const noexcept { return isa_; }
   [[nodiscard]] const kernels::ConvSpec& spec() const noexcept { return spec_; }
   [[nodiscard]] std::int64_t pad() const noexcept { return pad_; }
@@ -60,7 +55,6 @@ class BinaryConvOp {
   PackedFilterBank filters_;
   simd::IsaLevel isa_;
   kernels::ConvDotFn dot_fn_;
-  kernels::ConvBinarizeFn bin_fn_;
   PackedTensor in_buf_;  // padded packed input, allocated on first run()
 };
 

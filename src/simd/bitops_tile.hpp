@@ -6,10 +6,12 @@
 // for the whole filter-block word loop: accumulate(a, f) broadcasts one
 // activation word against kWidth *contiguous* filter words (one interleaved
 // tile row, at most one cache line) and adds the kWidth xor+popcounts into
-// the counters; reduce() spills them exactly once per filter block.  This is
-// the dual of bitops_inline.hpp's word-run primitives: there the activation
-// run streams against one filter, here one activation word fans out across a
-// tile of filters.
+// the counters; at the end of the filter block reduce() spills them once (raw
+// dot products), or le_mask() compares them in registers against the fused
+// binarize's per-filter popcount limits and returns the kWidth output bits.
+// This is the dual of bitops_inline.hpp's word-run primitives: there the
+// activation run streams against one filter, here one activation word fans
+// out across a tile of filters.
 //
 // Like bitops_inline.hpp, this is a SIMD implementation header: the bodies
 // lower to whatever ISA the including translation unit enables, so only the
@@ -25,6 +27,12 @@
 #include "simd/bitops_inline.hpp"
 
 namespace bitflow::simd::inl {
+
+/// 1 when popcount `count` is within `limit`, else 0.  Limits may be -1
+/// (no popcount passes), so the compare is signed.
+inline std::uint64_t le_bit(std::uint64_t count, std::int64_t limit) noexcept {
+  return static_cast<std::uint64_t>(static_cast<std::int64_t>(count) <= limit);
+}
 
 /// 4-filter tile in four independent scalar 64-bit lanes (u64 and SSE
 /// kernels: hardware popcnt has no vector form below AVX-512VPOPCNTDQ, so
@@ -46,13 +54,20 @@ struct TileAcc4Scalar {
     out[2] = c2;
     out[3] = c3;
   }
+
+  /// Bit l is set iff counter l <= limits[l].
+  inline std::uint64_t le_mask(const std::int64_t* limits) const noexcept {
+    return le_bit(c0, limits[0]) | le_bit(c1, limits[1]) << 1 | le_bit(c2, limits[2]) << 2 |
+           le_bit(c3, limits[3]) << 3;
+  }
 };
 
 /// 8-filter tile in eight scalar popcnt chains.  Wider than the port count
 /// of any x86 core, so whether it beats TileAcc4Scalar depends on how much
 /// the loop bottlenecks on the activation reload instead — exactly the kind
 /// of question the finalize-time auto-tuner answers by measuring, which is
-/// why both widths are candidates on the scalar/SSE paths.
+/// why both widths are candidates on the scalar/SSE paths (T = 4 is the
+/// static default there).
 struct TileAcc8Scalar {
   static constexpr std::int64_t kWidth = 8;
   std::uint64_t c0 = 0, c1 = 0, c2 = 0, c3 = 0, c4 = 0, c5 = 0, c6 = 0, c7 = 0;
@@ -78,9 +93,24 @@ struct TileAcc8Scalar {
     out[6] = c6;
     out[7] = c7;
   }
+
+  inline std::uint64_t le_mask(const std::int64_t* limits) const noexcept {
+    return le_bit(c0, limits[0]) | le_bit(c1, limits[1]) << 1 | le_bit(c2, limits[2]) << 2 |
+           le_bit(c3, limits[3]) << 3 | le_bit(c4, limits[4]) << 4 | le_bit(c5, limits[5]) << 5 |
+           le_bit(c6, limits[6]) << 6 | le_bit(c7, limits[7]) << 7;
+  }
 };
 
 #ifdef __AVX2__
+
+/// 4-bit mask of the qword lanes of `counts` that are <= their limit.  AVX2
+/// has only a signed greater-than qword compare, so the mask is the
+/// complement of cmpgt's movemask.
+inline std::uint64_t le_mask_256(__m256i counts, const std::int64_t* limits) noexcept {
+  const __m256i lim = _mm256_loadu_si256(reinterpret_cast<const __m256i*>(limits));
+  const int gt = _mm256_movemask_pd(_mm256_castsi256_pd(_mm256_cmpgt_epi64(counts, lim)));
+  return static_cast<std::uint64_t>(~gt & 0xF);
+}
 
 /// 8-filter tile in two 256-bit qword accumulators: one broadcast activation
 /// word is XORed against 8 contiguous filter words, per-byte LUT popcounts
@@ -107,13 +137,18 @@ struct TileAcc8Avx2 {
     _mm256_storeu_si256(reinterpret_cast<__m256i*>(out), lo);
     _mm256_storeu_si256(reinterpret_cast<__m256i*>(out + 4), hi);
   }
+
+  inline std::uint64_t le_mask(const std::int64_t* limits) const noexcept {
+    return le_mask_256(lo, limits) | le_mask_256(hi, limits + 4) << 4;
+  }
 };
 
 /// 16-filter tile in four 256-bit qword accumulators: same vertical
 /// popcount-and-add scheme as TileAcc8Avx2 over twice the filter fan-out.
 /// Doubles the activation-word reuse at the cost of four live accumulator
-/// registers — whether that wins over T = 8 depends on the layer's word
-/// count per filter, which is what the auto-tuner measures.
+/// registers; with the compare epilogue it beats T = 8 over VGG-16's conv
+/// shapes, so it is AVX2's default width (EXPERIMENTS.md, "Full-width
+/// tiles").
 struct TileAcc16Avx2 {
   static constexpr std::int64_t kWidth = 16;
   __m256i c0 = _mm256_setzero_si256();
@@ -144,6 +179,11 @@ struct TileAcc16Avx2 {
     _mm256_storeu_si256(reinterpret_cast<__m256i*>(out + 8), c2);
     _mm256_storeu_si256(reinterpret_cast<__m256i*>(out + 12), c3);
   }
+
+  inline std::uint64_t le_mask(const std::int64_t* limits) const noexcept {
+    return le_mask_256(c0, limits) | le_mask_256(c1, limits + 4) << 4 |
+           le_mask_256(c2, limits + 8) << 8 | le_mask_256(c3, limits + 12) << 12;
+  }
 };
 
 #endif  // __AVX2__
@@ -167,12 +207,15 @@ struct TileAcc8Avx512 {
   inline void reduce(std::uint64_t* out) const noexcept {
     _mm512_storeu_si512(out, acc);
   }
+
+  inline std::uint64_t le_mask(const std::int64_t* limits) const noexcept {
+    return _mm512_cmple_epi64_mask(acc, _mm512_loadu_si512(limits));
+  }
 };
 
 /// 16-filter tile in two 512-bit qword accumulators: one broadcast against
 /// two cache lines of interleaved filter words.  Twice the activation reuse
-/// of TileAcc8Avx512 per broadcast; the tuner decides per shape whether the
-/// extra live registers pay off.
+/// of TileAcc8Avx512 per broadcast; AVX-512's default width.
 struct TileAcc16Avx512 {
   static constexpr std::int64_t kWidth = 16;
   __m512i lo = _mm512_setzero_si512();
@@ -189,6 +232,12 @@ struct TileAcc16Avx512 {
   inline void reduce(std::uint64_t* out) const noexcept {
     _mm512_storeu_si512(out, lo);
     _mm512_storeu_si512(out + 8, hi);
+  }
+
+  inline std::uint64_t le_mask(const std::int64_t* limits) const noexcept {
+    return static_cast<std::uint64_t>(_mm512_cmple_epi64_mask(lo, _mm512_loadu_si512(limits))) |
+           static_cast<std::uint64_t>(_mm512_cmple_epi64_mask(hi, _mm512_loadu_si512(limits + 8)))
+               << 8;
   }
 };
 

@@ -19,8 +19,8 @@ namespace bitflow::tune {
 namespace {
 
 /// Below this direct-conv arithmetic intensity the layer is memory-bound and
-/// register-tile choice barely moves the needle: the search drops T = 16 and
-/// grain candidates and measures with a smaller repetition budget.
+/// register-tile choice barely moves the needle: the search drops the grain
+/// candidates and measures with a smaller repetition budget.
 constexpr double kShallowAit = 24.0;
 
 /// A non-default candidate must beat the static heuristic's plan by more
@@ -92,8 +92,7 @@ std::vector<Candidate> enumerate(const LayerWorkload& wl, bool shallow) {
   const kernels::TileWidthSet widths = kernels::supported_tile_widths(wl.isa);
   for (std::int64_t i = 0; i < widths.count; ++i) {
     const std::int64_t t = widths.widths[static_cast<std::size_t>(i)];
-    if (wl.k < t) continue;          // tiling needs at least one full tile
-    if (shallow && t == 16) continue;  // widest tile only pays when compute-bound
+    if (wl.k < t) continue;  // tiling needs at least one full tile
     for (const std::int64_t g : grains) out.push_back({true, t, g});
   }
   return out;
@@ -113,16 +112,19 @@ double measure_conv(const LayerWorkload& wl, const Candidate& cand, const Packed
   if (wl.fused_binarize) {
     PackedTensor out(out_h, out_w, wl.k);
     PackedTensor* out_ptrs[1] = {&out};
+    // Real limits, as the network passes them (null would allocate per call).
+    const std::vector<std::int64_t> limits = kernels::sign_limits(bank.bits_per_filter(), wl.k);
     if (cand.tiled) {
       const auto fn =
           kernels::conv_binarize_tiled_batch_kernel(wl.isa, wl.vpopcnt, cand.tile);
       return runtime::measure_best_seconds(
-          [&] { fn(in_ptrs, 1, *tiled_bank, spec, nullptr, pool, out_ptrs, 0); }, min_iters,
-          min_total);
+          [&] { fn(in_ptrs, 1, *tiled_bank, spec, limits.data(), pool, out_ptrs, 0); },
+          min_iters, min_total);
     }
     const auto fn = kernels::conv_binarize_batch_kernel(wl.isa, wl.vpopcnt);
     return runtime::measure_best_seconds(
-        [&] { fn(in_ptrs, 1, bank, spec, nullptr, pool, out_ptrs, 0); }, min_iters, min_total);
+        [&] { fn(in_ptrs, 1, bank, spec, limits.data(), pool, out_ptrs, 0); }, min_iters,
+        min_total);
   }
   Tensor out = Tensor::hwc(out_h, out_w, wl.k);
   Tensor* out_ptrs[1] = {&out};
@@ -141,14 +143,15 @@ double measure_fc(const LayerWorkload& wl, const Candidate& cand, const PackedMa
                   runtime::ThreadPool& pool, int min_iters, double min_total) {
   if (wl.fused_binarize) {
     PackedMatrix out(1, wl.k);
+    const std::vector<std::int64_t> limits = kernels::sign_limits(wl.c, wl.k);
     if (cand.tiled) {
       const auto fn = kernels::bgemm_binarize_rows_tiled_kernel(wl.isa, wl.vpopcnt, cand.tile);
       return runtime::measure_best_seconds(
-          [&] { fn(a, 1, *tiled_w, nullptr, pool, out); }, min_iters, min_total);
+          [&] { fn(a, 1, *tiled_w, limits.data(), pool, out); }, min_iters, min_total);
     }
     const auto fn = kernels::bgemm_binarize_rows_kernel(wl.isa, wl.vpopcnt);
-    return runtime::measure_best_seconds([&] { fn(a, 1, w, nullptr, pool, out); }, min_iters,
-                                         min_total);
+    return runtime::measure_best_seconds([&] { fn(a, 1, w, limits.data(), pool, out); },
+                                         min_iters, min_total);
   }
   std::vector<float> y(static_cast<std::size_t>(wl.k));
   if (cand.tiled) {
@@ -181,10 +184,17 @@ Key key_for(const LayerWorkload& wl) {
 
 Decision default_decision(const LayerWorkload& wl, bool tile_weights) {
   Decision d;
-  const std::int64_t tile = kernels::weight_tile_width(wl.isa);
-  if (tile_weights && wl.k >= tile) {
-    d.tiled = true;
-    d.tile = tile;
+  if (!tile_weights) return d;
+  // The ISA's default width, or the largest supported width K still fills.
+  const kernels::TileWidthSet widths = kernels::supported_tile_widths(wl.isa);
+  const std::int64_t preferred = kernels::weight_tile_width(wl.isa);
+  for (std::int64_t i = widths.count - 1; i >= 0; --i) {
+    const std::int64_t t = widths.widths[static_cast<std::size_t>(i)];
+    if (t <= preferred && t <= wl.k) {
+      d.tiled = true;
+      d.tile = t;
+      break;
+    }
   }
   return d;
 }

@@ -1,8 +1,8 @@
 // Finalize-time kernel auto-tuner (the "empirical scheduler" companion to
 // graph/scheduler.hpp's analytical rules).
 //
-// The scheduler's channel-multiple rules pick the ISA; within an ISA the
-// repository still has real choices — filter-major vs register-tiled
+// The scheduler (graph::default_kernel_plan) picks the ISA; within an ISA
+// the repository still has real choices — filter-major vs register-tiled
 // kernels, the tile width T (supported_tile_widths), and the parallel-axis
 // grain of the fused H*W range — whose best setting depends on the layer's
 // shape in ways no closed-form rule captures (K < T makes tiling impossible,
@@ -19,9 +19,9 @@
 //
 // Search effort is budgeted by the paper's AIT model (core/ait.hpp): a
 // memory-bound layer (low ait_direct) gains little from register-tile
-// tweaks, so it gets a shallow search — fewer repetitions, no T = 16 and no
-// grain candidates — keeping cold finalize time proportional to where the
-// tuning can actually pay.
+// tweaks, so it gets a shallow search — fewer repetitions and no grain
+// candidates — keeping cold finalize time proportional to where the tuning
+// can actually pay.
 #pragma once
 
 #include <cstdint>
@@ -51,9 +51,11 @@ struct LayerWorkload {
 /// The cache key identifying `wl` (kind, ISA variant, threads, full shape).
 [[nodiscard]] Key key_for(const LayerWorkload& wl);
 
-/// The static heuristic finalize() commits with tuning off — register-tiled
-/// at weight_tile_width(isa) when `tile_weights` allows and K is wide
-/// enough, filter-major otherwise.  Also the fallback when a search faults.
+/// The static heuristic finalize() commits with tuning off: when
+/// `tile_weights` allows, register-tiled at weight_tile_width(isa), or at
+/// the largest supported width <= K when K is smaller; filter-major when
+/// tiling is off or K is below every width.  Also the fallback when a
+/// search faults.
 [[nodiscard]] Decision default_decision(const LayerWorkload& wl, bool tile_weights);
 
 /// True when `d` is executable for `wl` as-is: the tile width has a kernel

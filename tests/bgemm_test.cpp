@@ -4,6 +4,7 @@
 
 #include <gtest/gtest.h>
 
+#include "graph/weights.hpp"
 #include "kernels/bgemm.hpp"
 #include "simd/cpu_features.hpp"
 #include "tensor/util.hpp"
@@ -71,8 +72,10 @@ TEST(Bgemm, BinarizeMatchesDotPlusThreshold) {
   bgemm(a, w, pool, y.data());
   std::vector<float> th(static_cast<std::size_t>(k));
   for (std::int64_t j = 0; j < k; ++j) th[static_cast<std::size_t>(j)] = static_cast<float>(j % 5) - 2.0f;
+  // The kernels take each threshold as the popcount limit it lowers to.
+  const std::vector<std::int64_t> limits = graph::popcount_limits(n, th, k);
   PackedMatrix out(1, k);
-  bgemm_binarize(a, w, th.data(), pool, out);
+  bgemm_binarize(a, w, limits.data(), pool, out);
   for (std::int64_t j = 0; j < k; ++j) {
     ASSERT_EQ(out.get_bit(0, j), y[static_cast<std::size_t>(j)] >= th[static_cast<std::size_t>(j)]);
   }

@@ -120,8 +120,10 @@ TEST(EdgeCases, ExtremeThresholdsSaturateBits) {
   fill_random_bits(in, 11);
   fill_random_bits(f, 12);
   runtime::ThreadPool pool(1);
-  const std::vector<float> always{-1e30f, -1e30f};
-  const std::vector<float> never{1e30f, 1e30f};
+  const std::vector<std::int64_t> always =
+      graph::popcount_limits(f.bits_per_filter(), {-1e30f, -1e30f}, 2);
+  const std::vector<std::int64_t> never =
+      graph::popcount_limits(f.bits_per_filter(), {1e30f, 1e30f}, 2);
   PackedTensor out(2, 2, 2);
   kernels::pressed_conv_binarize(in, f, kernels::ConvSpec{3, 3, 1}, always.data(), pool, out, 0);
   for (std::int64_t h = 0; h < 2; ++h)

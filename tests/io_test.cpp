@@ -380,17 +380,26 @@ struct SharedChain {
   }
 };
 
-/// The register-tile width the conv's default plan uses for C channels.
-std::int64_t default_tile_for(std::int64_t c) {
-  return kernels::weight_tile_width(graph::select_isa(c, simd::cpu_features()));
+/// The register-tile width of a C-channel, K-filter conv's plan under
+/// `cap` (none: the default plan lowering and finalize() both commit).
+std::int64_t default_tile_for(std::int64_t c, std::int64_t k,
+                              std::optional<simd::IsaLevel> cap = std::nullopt) {
+  return graph::default_kernel_plan(c, k, simd::cpu_features(),
+                                    graph::SchedulerPolicy::kPaperRules, true, cap)
+      .tile;
 }
 
-/// One chain per C in {96 (channel tail), 256} and K in {T-1, T, 2T+3}.
+/// One chain per C in {96 (channel tail), 256} and K in {T-1, T, 2T+3} at
+/// the default width T of a wide layer, plus C in {3, 64} (VGG's first two
+/// fan-ins) with K in {15, 16, 17} around T = 16.
 std::vector<SharedChain> shared_chains() {
   std::vector<SharedChain> chains;
   for (const std::int64_t c : {96, 256}) {
-    const std::int64_t t = default_tile_for(c);
+    const std::int64_t t = default_tile_for(c, 64);
     for (const std::int64_t k : {t - 1, t, 2 * t + 3}) chains.emplace_back(c, k);
+  }
+  for (const std::int64_t c : {3, 64}) {
+    for (const std::int64_t k : {15, 16, 17}) chains.emplace_back(c, k);
   }
   return chains;
 }
@@ -431,9 +440,12 @@ TEST(ModelSharing, InstantiateAllocatesNoWeightStorage) {
       graph::NetworkConfig untiled;
       untiled.tile_weights = false;
       EXPECT_THROW((void)model.instantiate(untiled), std::bad_alloc);
-      if (chain.c == 256 && default_tile_for(256) == 8) {
+      // So does an ISA cap that changes the conv's tile width (T 16 or 8
+      // -> 4 on AVX2 and AVX-512 hosts).
+      if (default_tile_for(chain.c, chain.k, simd::IsaLevel::kSse) !=
+          default_tile_for(chain.c, chain.k)) {
         graph::NetworkConfig capped;
-        capped.max_isa = simd::IsaLevel::kSse;  // T 8 -> 4
+        capped.max_isa = simd::IsaLevel::kSse;
         EXPECT_THROW((void)model.instantiate(capped), std::bad_alloc);
       }
     }
@@ -464,7 +476,7 @@ TEST(ModelSharing, EveryPlanIsBitExactAgainstTheBaseline) {
 }
 
 TEST(ModelSharing, NetworksOutliveTheModelAndRunConcurrently) {
-  const SharedChain chain(96, 2 * default_tile_for(96) + 3);
+  const SharedChain chain(96, 2 * default_tile_for(96, 64) + 3);
   std::optional<graph::BinaryNetwork> one_thread, three_threads;
   {
     const Model model = chain.loaded_model();

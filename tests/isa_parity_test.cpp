@@ -8,7 +8,9 @@
 // stride/margin combinations, tiny spatial extents, and one large-H*W case.
 // Failures name the kernel, the variant, and the full shape so a divergence
 // on exotic hardware is reproducible from the log alone.
+#include <cmath>
 #include <cstdint>
+#include <limits>
 #include <random>
 #include <set>
 #include <stdexcept>
@@ -17,7 +19,9 @@
 
 #include <gtest/gtest.h>
 
+#include "baseline/unopt_binary.hpp"
 #include "bitpack/packer.hpp"
+#include "graph/weights.hpp"
 #include "kernels/bgemm.hpp"
 #include "kernels/binary_maxpool.hpp"
 #include "kernels/pressedconv.hpp"
@@ -71,6 +75,59 @@ std::string describe(const ConvShape& s) {
                   std::to_string(s.kernel) + " stride=" + std::to_string(s.stride) +
                   " margin=" + std::to_string(s.margin);
   return d;
+}
+
+/// Fails (once, naming the first differing word) unless `got` and `want`
+/// hold the same words.
+template <typename Packed>
+void expect_words_eq(const Packed& got, const Packed& want, const std::string& what) {
+  ASSERT_EQ(got.num_words(), want.num_words()) << what;
+  for (std::int64_t i = 0; i < want.num_words(); ++i) {
+    if (got.words()[i] != want.words()[i]) {
+      ADD_FAILURE() << what << " diverges at word " << i;
+      return;
+    }
+  }
+}
+
+/// The float oracle of the fused conv binarize: src/baseline's dot products
+/// (direct float conv on the decoded signs), then `dot >= threshold` per
+/// filter, packed into the interior of a margin-`margin` buffer.
+PackedTensor float_oracle(const PackedTensor& in, const PackedFilterBank& filters,
+                          const ConvSpec& spec, const std::vector<float>& thresholds,
+                          std::int64_t margin) {
+  const Tensor dots = testing::reference_binary_conv(in, filters, spec);
+  PackedTensor out(dots.height() + 2 * margin, dots.width() + 2 * margin, dots.channels());
+  bitpack::pack_thresholded_into_interior(dots, thresholds.data(), out, margin);
+  return out;
+}
+
+/// The float oracle of the fused bgemm binarize over rows [0, m_rows) of A:
+/// src/baseline's float fc on the decoded signs, then `dot >= threshold`.
+PackedMatrix float_oracle(const PackedMatrix& a, std::int64_t m_rows, const PackedMatrix& w,
+                          const std::vector<float>& thresholds) {
+  const std::int64_t n = a.cols(), k = w.rows();
+  std::vector<float> w_nk(static_cast<std::size_t>(n * k));  // the paper's n x k layout
+  for (std::int64_t j = 0; j < k; ++j) {
+    for (std::int64_t i = 0; i < n; ++i) {
+      w_nk[static_cast<std::size_t>(i * k + j)] = static_cast<float>(w.sign_value(j, i));
+    }
+  }
+  runtime::ThreadPool pool(1);
+  PackedMatrix out(a.rows(), k);
+  std::vector<float> x(static_cast<std::size_t>(n)), dots(static_cast<std::size_t>(k));
+  for (std::int64_t m = 0; m < m_rows; ++m) {
+    for (std::int64_t i = 0; i < n; ++i) {
+      x[static_cast<std::size_t>(i)] = static_cast<float>(a.sign_value(m, i));
+    }
+    baseline::float_fc(w_nk.data(), x.data(), dots.data(), n, k, pool);
+    for (std::int64_t j = 0; j < k; ++j) {
+      if (dots[static_cast<std::size_t>(j)] >= thresholds[static_cast<std::size_t>(j)]) {
+        out.row(m)[j >> 6] |= std::uint64_t{1} << (j & 63);
+      }
+    }
+  }
+  return out;
 }
 
 // Fixed adversarial shapes plus seeded random draws.  Channels are chosen to
@@ -157,13 +214,19 @@ TEST(IsaParity, PressedConvBinarizeAllVariants) {
     std::mt19937_64 trng(seed);
     std::uniform_real_distribution<float> tdist(-3.0f, 3.0f);
     for (auto& t : thresholds) t = tdist(trng);
+    const std::vector<std::int64_t> limits =
+        graph::popcount_limits(filters.bits_per_filter(), thresholds, s.k);
 
     PackedTensor ref(oh + 2 * s.margin, ow + 2 * s.margin, s.k);
-    kernels::conv_binarize_kernel(IsaLevel::kU64, false)(in, filters, spec, thresholds.data(),
-                                                         pool, ref, s.margin);
+    kernels::conv_binarize_kernel(IsaLevel::kU64, false)(in, filters, spec, limits.data(), pool,
+                                                         ref, s.margin);
+    // The scalar kernel is pinned to the float compare over the baseline's
+    // dot products, so variant agreement is agreement with the oracle.
+    expect_words_eq(ref, float_oracle(in, filters, spec, thresholds, s.margin),
+                    "conv_binarize[u64] vs float oracle, shape " + describe(s));
     for (const IsaVariant& v : variants) {
       PackedTensor out(oh + 2 * s.margin, ow + 2 * s.margin, s.k);
-      kernels::conv_binarize_kernel(v.isa, v.use_vpopcntdq)(in, filters, spec, thresholds.data(),
+      kernels::conv_binarize_kernel(v.isa, v.use_vpopcntdq)(in, filters, spec, limits.data(),
                                                             pool, out, s.margin);
       // Whole-buffer word compare: covers payload bits, tail-zero invariant,
       // and the untouched zero margin in one pass.
@@ -248,12 +311,15 @@ TEST(IsaParity, BgemmBinarizeAllVariants) {
     std::mt19937_64 trng(seed);
     std::uniform_real_distribution<float> tdist(-5.0f, 5.0f);
     for (auto& t : thresholds) t = tdist(trng);
+    const std::vector<std::int64_t> limits = graph::popcount_limits(s.n_bits, thresholds, s.k);
 
     PackedMatrix ref(s.m, s.k);
-    kernels::bgemm_binarize_kernel(IsaLevel::kU64, false)(a, w, thresholds.data(), pool, ref);
+    kernels::bgemm_binarize_kernel(IsaLevel::kU64, false)(a, w, limits.data(), pool, ref);
+    expect_words_eq(ref, float_oracle(a, s.m, w, thresholds),
+                    "bgemm_binarize[u64] vs float oracle, shape " + describe(s));
     for (const IsaVariant& v : variants) {
       PackedMatrix out(s.m, s.k);
-      kernels::bgemm_binarize_kernel(v.isa, v.use_vpopcntdq)(a, w, thresholds.data(), pool, out);
+      kernels::bgemm_binarize_kernel(v.isa, v.use_vpopcntdq)(a, w, limits.data(), pool, out);
       for (std::int64_t i = 0; i < ref.num_words(); ++i) {
         ASSERT_EQ(out.words()[i], ref.words()[i])
             << "kernel bgemm_binarize[" << v.name << "] diverges from u64 at word " << i
@@ -318,6 +384,8 @@ TEST(IsaParity, PressedConvBinarizeBatchMatchesSingleImageAllVariants) {
     std::mt19937_64 trng(seed++);
     std::uniform_real_distribution<float> tdist(-3.0f, 3.0f);
     for (auto& t : thresholds) t = tdist(trng);
+    const std::vector<std::int64_t> limits =
+        graph::popcount_limits(filters.bits_per_filter(), thresholds, s.k);
 
     const std::int64_t n = 3;
     std::vector<PackedTensor> in;
@@ -336,13 +404,11 @@ TEST(IsaParity, PressedConvBinarizeBatchMatchesSingleImageAllVariants) {
       }
       for (PackedTensor& t : out) out_ptrs.push_back(&t);
       kernels::conv_binarize_batch_kernel(v.isa, v.use_vpopcntdq)(
-          in_ptrs.data(), n, filters, spec, thresholds.data(), pool, out_ptrs.data(),
-          s.margin);
+          in_ptrs.data(), n, filters, spec, limits.data(), pool, out_ptrs.data(), s.margin);
       for (std::int64_t b = 0; b < n; ++b) {
         PackedTensor ref(oh + 2 * s.margin, ow + 2 * s.margin, s.k);
         kernels::conv_binarize_kernel(v.isa, v.use_vpopcntdq)(
-            in[static_cast<std::size_t>(b)], filters, spec, thresholds.data(), pool, ref,
-            s.margin);
+            in[static_cast<std::size_t>(b)], filters, spec, limits.data(), pool, ref, s.margin);
         for (std::int64_t i = 0; i < ref.num_words(); ++i) {
           ASSERT_EQ(out[static_cast<std::size_t>(b)].words()[i], ref.words()[i])
               << "kernel conv_binarize_batch[" << v.name << "] image " << b
@@ -408,17 +474,18 @@ TEST(IsaParity, BgemmBinarizeRowsMatchesFullAndLeavesTailUntouched) {
     std::mt19937_64 trng(seed++);
     std::uniform_real_distribution<float> tdist(-5.0f, 5.0f);
     for (auto& t : thresholds) t = tdist(trng);
+    const std::vector<std::int64_t> limits = graph::popcount_limits(s.n_bits, thresholds, s.k);
 
     PackedMatrix full(rows, s.k);
-    kernels::bgemm_binarize_kernel(IsaLevel::kU64, false)(a, w, thresholds.data(), pool, full);
+    kernels::bgemm_binarize_kernel(IsaLevel::kU64, false)(a, w, limits.data(), pool, full);
 
     for (const IsaVariant& v : variants) {
       PackedMatrix out(rows, s.k);
       fill_random_bits(out, seed);  // same fill per variant: sentinel for rows >= m_rows
       PackedMatrix sentinel(rows, s.k);
       fill_random_bits(sentinel, seed);
-      kernels::bgemm_binarize_rows_kernel(v.isa, v.use_vpopcntdq)(a, s.m, w,
-                                                                  thresholds.data(), pool, out);
+      kernels::bgemm_binarize_rows_kernel(v.isa, v.use_vpopcntdq)(a, s.m, w, limits.data(),
+                                                                  pool, out);
       const std::int64_t words_per_row = out.num_words() / rows;
       for (std::int64_t m = 0; m < rows; ++m) {
         const PackedMatrix& want = m < s.m ? full : sentinel;
@@ -437,8 +504,8 @@ TEST(IsaParity, BgemmBinarizeRowsMatchesFullAndLeavesTailUntouched) {
 // --- register-tiled PressedConv / bgemm (interleaved weight layout) --------
 //
 // The conv_shapes() K values (3..40) and gemm_shapes() k values straddle the
-// tile widths (4 and 8), so K < T, K = T exactly, and K % T != 0 remainder
-// paths are all exercised on every variant.
+// tile widths (4, 8 and 16), so K < T, K = T exactly, and K % T != 0
+// remainder paths are all exercised on every variant.
 
 TEST(IsaParity, TileFiltersIsAPermutation) {
   std::uint64_t seed = 11000;
@@ -554,52 +621,101 @@ TEST(IsaParity, PressedConvTiledDotMatchesUntiledAllVariants) {
   }
 }
 
-TEST(IsaParity, PressedConvTiledBinarizeMatchesUntiledAllVariants) {
-  runtime::ThreadPool pool(3);
-  const auto variants = simd::supported_isa_variants();
-  std::uint64_t seed = 13000;
-  for (const ConvShape& s : conv_shapes()) {
-    const ConvSpec spec{s.kernel, s.kernel, s.stride};
-    const std::int64_t oh = spec.out_h(s.h), ow = spec.out_w(s.w);
-    PackedFilterBank filters(s.k, s.kernel, s.kernel, s.c);
-    fill_random_bits(filters, seed++);
-    std::vector<float> thresholds(static_cast<std::size_t>(s.k));
-    std::mt19937_64 trng(seed++);
-    std::uniform_real_distribution<float> tdist(-3.0f, 3.0f);
-    for (auto& t : thresholds) t = tdist(trng);
+// The fused binarize at every (ISA variant, tile width) pair, tiled and
+// untiled, against the float oracle.  Tiled and untiled kernels share the
+// popcount-limit epilogue, so they are checked against the float compare
+// they replace, not against each other.  Thresholds hit every edge of the
+// limit: NaN, infinities, signed zeros, integers exactly on a dot product
+// the fan-in's parity can reach (dot == threshold passes) and one off it,
+// and their float neighbours.
 
-    const std::int64_t n = 2;
-    std::vector<PackedTensor> in;
-    std::vector<const PackedTensor*> in_ptrs;
-    for (std::int64_t b = 0; b < n; ++b) {
-      in.emplace_back(s.h, s.w, s.c);
-      fill_random_bits(in.back(), seed++);
+/// Edge-case thresholds for `k` filters of `bits` bits, cycling through the
+/// kinds above.  The reachable dots are drawn where random data's dots land
+/// (popcount ~ Binomial(bits, 1/2)), so both outcomes occur.
+std::vector<float> edge_thresholds(std::int64_t bits, std::int64_t k, std::uint64_t seed) {
+  std::mt19937_64 rng(seed);
+  std::binomial_distribution<std::int64_t> pop(bits, 0.5);
+  std::uniform_real_distribution<float> real(-6.0f, 6.0f);
+  constexpr float kInf = std::numeric_limits<float>::infinity();
+  std::vector<float> th(static_cast<std::size_t>(k));
+  for (std::int64_t i = 0; i < k; ++i) {
+    const auto dot = static_cast<float>(bits - 2 * pop(rng));
+    float& t = th[static_cast<std::size_t>(i)];
+    switch (i % 11) {
+      case 0: t = std::numeric_limits<float>::quiet_NaN(); break;
+      case 1: t = kInf; break;
+      case 2: t = -kInf; break;
+      case 3: t = (i / 11) % 2 == 0 ? 0.0f : -0.0f; break;
+      case 4: t = dot; break;         // on a reachable dot: passes
+      case 5: t = dot + 1.0f; break;  // the other parity: between two dots
+      case 6: t = dot - 1.0f; break;
+      case 7: t = std::nextafter(dot, kInf); break;
+      case 8: t = std::nextafter(dot, -kInf); break;
+      case 9: t = dot + 0.5f; break;
+      default: t = real(rng); break;
     }
-    for (const PackedTensor& t : in) in_ptrs.push_back(&t);
+  }
+  return th;
+}
 
-    for (const IsaVariant& v : variants) {
-      const TiledFilterBank tiled =
-          bitpack::tile_filters(filters, kernels::weight_tile_width(v.isa));
-      std::vector<PackedTensor> out, ref;
-      std::vector<PackedTensor*> out_ptrs, ref_ptrs;
+/// The K values of the oracle tests: K mod 16 in {1, 8, 15}, below and
+/// past one 64-bit output word, so every width has remainder filters.
+constexpr std::int64_t kOracleKs[] = {1, 17, 24, 31, 65, 72, 79};
+constexpr std::int64_t kOracleCs[] = {3, 64, 96, 128, 513};
+
+TEST(IsaParity, PressedConvBinarizeMatchesFloatOracleAtEveryTileWidth) {
+  runtime::ThreadPool pool(3);
+  std::uint64_t seed = 13000;
+  for (const std::int64_t c : kOracleCs) {
+    for (const std::int64_t k : kOracleKs) {
+      const std::int64_t stride = 1 + k % 2, margin = k % 3;
+      const ConvSpec spec{3, 3, stride};
+      const std::int64_t h = 7, w = 8;
+      const std::int64_t oh = spec.out_h(h), ow = spec.out_w(w);
+      PackedFilterBank filters(k, 3, 3, c);
+      fill_random_bits(filters, seed++);
+      const std::vector<float> thresholds = edge_thresholds(filters.bits_per_filter(), k, seed++);
+      const std::vector<std::int64_t> limits =
+          graph::popcount_limits(filters.bits_per_filter(), thresholds, k);
+      const std::int64_t n = 2;
+      std::vector<PackedTensor> in;
+      std::vector<const PackedTensor*> in_ptrs;
+      std::vector<PackedTensor> want;
       for (std::int64_t b = 0; b < n; ++b) {
-        out.emplace_back(oh + 2 * s.margin, ow + 2 * s.margin, s.k);
-        ref.emplace_back(oh + 2 * s.margin, ow + 2 * s.margin, s.k);
+        in.emplace_back(h, w, c);
+        fill_random_bits(in.back(), seed++);
+        want.push_back(float_oracle(in.back(), filters, spec, thresholds, margin));
       }
-      for (PackedTensor& t : out) out_ptrs.push_back(&t);
-      for (PackedTensor& t : ref) ref_ptrs.push_back(&t);
-      kernels::conv_binarize_batch_kernel(v.isa, v.use_vpopcntdq)(
-          in_ptrs.data(), n, filters, spec, thresholds.data(), pool, ref_ptrs.data(),
-          s.margin);
-      kernels::conv_binarize_tiled_batch_kernel(v.isa, v.use_vpopcntdq)(
-          in_ptrs.data(), n, tiled, spec, thresholds.data(), pool, out_ptrs.data(), s.margin);
-      for (std::int64_t b = 0; b < n; ++b) {
-        for (std::int64_t i = 0; i < ref[static_cast<std::size_t>(b)].num_words(); ++i) {
-          ASSERT_EQ(out[static_cast<std::size_t>(b)].words()[i],
-                    ref[static_cast<std::size_t>(b)].words()[i])
-              << "kernel conv_binarize_tiled_batch[" << v.name << "] image " << b
-              << " diverges from the filter-major kernel at word " << i << ", shape "
-              << describe(s);
+      for (const PackedTensor& t : in) in_ptrs.push_back(&t);
+      const std::string shape = "C=" + std::to_string(c) + " K=" + std::to_string(k) +
+                                " stride=" + std::to_string(stride) +
+                                " margin=" + std::to_string(margin);
+
+      const auto check = [&](const std::string& kernel, const auto& run) {
+        std::vector<PackedTensor> out;
+        std::vector<PackedTensor*> out_ptrs;
+        for (std::int64_t b = 0; b < n; ++b) out.emplace_back(oh + 2 * margin, ow + 2 * margin, k);
+        for (PackedTensor& t : out) out_ptrs.push_back(&t);
+        run(out_ptrs.data());
+        for (std::int64_t b = 0; b < n; ++b) {
+          expect_words_eq(out[static_cast<std::size_t>(b)], want[static_cast<std::size_t>(b)],
+                          kernel + " image " + std::to_string(b) + ", " + shape);
+        }
+      };
+      for (const IsaVariant& v : simd::supported_isa_variants()) {
+        check("conv_binarize_batch[" + std::string(v.name) + "]", [&](PackedTensor* const* out) {
+          kernels::conv_binarize_batch_kernel(v.isa, v.use_vpopcntdq)(
+              in_ptrs.data(), n, filters, spec, limits.data(), pool, out, margin);
+        });
+        const kernels::TileWidthSet widths = kernels::supported_tile_widths(v.isa);
+        for (std::int64_t i = 0; i < widths.count; ++i) {
+          const std::int64_t t = widths.widths[static_cast<std::size_t>(i)];
+          const TiledFilterBank tiled = bitpack::tile_filters(filters, t);
+          check("conv_binarize_tiled_batch[" + std::string(v.name) + ",t" + std::to_string(t) + "]",
+                [&](PackedTensor* const* out) {
+                  kernels::conv_binarize_tiled_batch_kernel(v.isa, v.use_vpopcntdq, t)(
+                      in_ptrs.data(), n, tiled, spec, limits.data(), pool, out, margin);
+                });
         }
       }
     }
@@ -651,33 +767,35 @@ TEST(IsaParity, BgemmTiledRowsMatchesUntiledAllVariants) {
   }
 }
 
-TEST(IsaParity, BgemmTiledBinarizeRowsMatchesUntiledAllVariants) {
+TEST(IsaParity, BgemmBinarizeRowsMatchesFloatOracleAtEveryTileWidth) {
   runtime::ThreadPool pool(3);
-  const auto variants = simd::supported_isa_variants();
   std::uint64_t seed = 15000;
-  for (const GemmShape& s : gemm_shapes()) {
-    const std::int64_t rows = s.m + 1;
-    PackedMatrix a(rows, s.n_bits), w(s.k, s.n_bits);
-    fill_random_bits(a, seed++);
-    fill_random_bits(w, seed++);
-    std::vector<float> thresholds(static_cast<std::size_t>(s.k));
-    std::mt19937_64 trng(seed++);
-    std::uniform_real_distribution<float> tdist(-5.0f, 5.0f);
-    for (auto& t : thresholds) t = tdist(trng);
-
-    PackedMatrix ref(rows, s.k);
-    kernels::bgemm_binarize_rows_kernel(IsaLevel::kU64, false)(a, s.m, w, thresholds.data(),
-                                                               pool, ref);
-    for (const IsaVariant& v : variants) {
-      const TiledBitMatrix tiled = bitpack::tile_fc_weights(w, kernels::weight_tile_width(v.isa));
-      PackedMatrix out(rows, s.k);
-      kernels::bgemm_binarize_rows_tiled_kernel(v.isa, v.use_vpopcntdq)(
-          a, s.m, tiled, thresholds.data(), pool, out);
-      const std::int64_t words_per_row = out.num_words() / rows;
-      for (std::int64_t i = 0; i < s.m * words_per_row; ++i) {
-        ASSERT_EQ(out.words()[i], ref.words()[i])
-            << "kernel bgemm_binarize_rows_tiled[" << v.name << "] diverges at word " << i
-            << ", shape " << describe(s) << " m_rows=" << s.m;
+  for (const std::int64_t n_bits : kOracleCs) {
+    for (const std::int64_t k : kOracleKs) {
+      const std::int64_t rows = 3, m_rows = 2;
+      PackedMatrix a(rows, n_bits), w(k, n_bits);
+      fill_random_bits(a, seed++);
+      fill_random_bits(w, seed++);
+      const std::vector<float> thresholds = edge_thresholds(n_bits, k, seed++);
+      const std::vector<std::int64_t> limits = graph::popcount_limits(n_bits, thresholds, k);
+      const PackedMatrix want = float_oracle(a, m_rows, w, thresholds);
+      const std::string shape = "N=" + std::to_string(n_bits) + " K=" + std::to_string(k);
+      for (const IsaVariant& v : simd::supported_isa_variants()) {
+        PackedMatrix out(rows, k);
+        kernels::bgemm_binarize_rows_kernel(v.isa, v.use_vpopcntdq)(a, m_rows, w, limits.data(),
+                                                                    pool, out);
+        expect_words_eq(out, want, "bgemm_binarize_rows[" + std::string(v.name) + "], " + shape);
+        const kernels::TileWidthSet widths = kernels::supported_tile_widths(v.isa);
+        for (std::int64_t i = 0; i < widths.count; ++i) {
+          const std::int64_t t = widths.widths[static_cast<std::size_t>(i)];
+          const TiledBitMatrix tiled = bitpack::tile_fc_weights(w, t);
+          PackedMatrix tiled_out(rows, k);
+          kernels::bgemm_binarize_rows_tiled_kernel(v.isa, v.use_vpopcntdq, t)(
+              a, m_rows, tiled, limits.data(), pool, tiled_out);
+          const std::string kernel =
+              "bgemm_binarize_rows_tiled[" + std::string(v.name) + ",t" + std::to_string(t) + "]";
+          expect_words_eq(tiled_out, want, kernel + ", " + shape);
+        }
       }
     }
   }

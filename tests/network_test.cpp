@@ -2,7 +2,9 @@
 // kernel selection, and end-to-end equivalence against manual layer-by-layer
 // composition of the standalone kernels.
 #include <algorithm>
+#include <cmath>
 #include <cstdint>
+#include <limits>
 #include <random>
 #include <stdexcept>
 #include <string>
@@ -16,12 +18,95 @@
 #include "graph/network.hpp"
 #include "kernels/padding.hpp"
 #include "models/vgg.hpp"
+#include "simd/cpu_features.hpp"
 #include "simd/parity.hpp"
 #include "telemetry/profiler.hpp"
 #include "tensor/util.hpp"
 
 namespace bitflow::graph {
 namespace {
+
+// --- popcount limits --------------------------------------------------------
+
+constexpr float kInf = std::numeric_limits<float>::infinity();
+
+/// Thresholds every fan-in is checked at: NaN, infinities, signed zeros and
+/// the extreme finite floats.
+std::vector<float> special_thresholds() {
+  const float max = std::numeric_limits<float>::max();
+  return {std::numeric_limits<float>::quiet_NaN(), kInf, -kInf, 0.0f, -0.0f, max, -max};
+}
+
+/// Appends each integer in [lo, hi], its float neighbours and its +-0.5
+/// offsets.
+void append_integers(std::vector<float>& ths, std::int64_t lo, std::int64_t hi) {
+  for (std::int64_t t = lo; t <= hi; ++t) {
+    const auto f = static_cast<float>(t);
+    ths.insert(ths.end(),
+               {f, std::nextafter(f, kInf), std::nextafter(f, -kInf), f + 0.5f, f - 0.5f});
+  }
+}
+
+/// Popcounts p among `pops` where `p <= limit` disagrees with the fused
+/// binarize's float rule `float(bits - 2p) >= th`.
+std::int64_t limit_mismatches(std::int64_t bits, float th, std::int64_t limit,
+                              const std::vector<std::int64_t>& pops) {
+  std::int64_t bad = 0;
+  for (const std::int64_t p : pops) {
+    bad += (p <= limit) != (static_cast<float>(bits - 2 * p) >= th) ? 1 : 0;
+  }
+  return bad;
+}
+
+TEST(PopcountLimit, MatchesTheFloatCompareAtEveryPopcountOfSmallFanIns) {
+  for (std::int64_t bits = 1; bits <= 600; ++bits) {
+    std::vector<float> ths = special_thresholds();
+    append_integers(ths, -bits - 2, bits + 2);
+    std::vector<std::int64_t> every_p(static_cast<std::size_t>(bits + 1));
+    for (std::int64_t p = 0; p <= bits; ++p) every_p[static_cast<std::size_t>(p)] = p;
+    for (const float th : ths) {
+      const std::int64_t limit = popcount_limit(bits, th);
+      ASSERT_GE(limit, -1) << "bits " << bits << " th " << th;
+      ASSERT_LE(limit, bits) << "bits " << bits << " th " << th;
+      ASSERT_EQ(limit_mismatches(bits, th, limit, every_p), 0)
+          << "bits " << bits << " th " << th << " limit " << limit;
+    }
+  }
+}
+
+TEST(PopcountLimit, MatchesTheFloatCompareAroundTheBoundaryOfLargeFanIns) {
+  // VGG-16's conv5 and fc6 fan-ins, and fan-ins where float(bits - 2p)
+  // rounds (|dot| > 2^24).
+  constexpr std::int64_t k24 = std::int64_t{1} << 24;
+  for (const std::int64_t bits : {std::int64_t{4608}, std::int64_t{25088}, k24 - 1, k24, k24 + 1,
+                                  2 * k24 + 3}) {
+    std::vector<float> ths = special_thresholds();
+    for (const std::int64_t centre : {std::int64_t{0}, bits, -bits, k24, -k24}) {
+      append_integers(ths, centre - 3, centre + 3);
+    }
+    for (const float th : ths) {
+      const std::int64_t limit = popcount_limit(bits, th);
+      ASSERT_GE(limit, -1) << "bits " << bits << " th " << th;
+      ASSERT_LE(limit, bits) << "bits " << bits << " th " << th;
+      std::vector<std::int64_t> pops = {0, bits};
+      for (std::int64_t p = std::max<std::int64_t>(0, limit - 64);
+           p <= std::min(bits, limit + 64); ++p) {
+        pops.push_back(p);
+      }
+      ASSERT_EQ(limit_mismatches(bits, th, limit, pops), 0)
+          << "bits " << bits << " th " << th << " limit " << limit;
+    }
+  }
+}
+
+TEST(PopcountLimit, EmptyThresholdsAreSignAtZero) {
+  EXPECT_EQ(popcount_limits(27, {}, 3), (std::vector<std::int64_t>{13, 13, 13}));
+  EXPECT_EQ(popcount_limits(576, {}, 2), (std::vector<std::int64_t>{288, 288}));
+  EXPECT_EQ(popcount_limits(576, {0.0f, 1.0f, -576.0f, 577.0f}, 4),
+            (std::vector<std::int64_t>{288, 287, 576, -1}));
+}
+
+// --- networks ----------------------------------------------------------------
 
 FilterBank random_filters(std::int64_t k, std::int64_t c, std::uint64_t seed) {
   return models::random_filters(k, 3, 3, c, seed);
@@ -679,6 +764,81 @@ TEST(BinaryNetwork, ArenaReuseMatchesUnoptimizedBaseline) {
           }
         }
       }
+    }
+  }
+}
+
+TEST(BinaryNetwork, VggShapedChainUnderTheDefaultPlanMatchesBaseline) {
+  // VGG's first block shapes, C = 3 -> 64 -> 64 -> 128, under a default
+  // NetworkConfig: every conv and fc is register-tiled at the widest ISA,
+  // whatever its C, and binarizes through popcount limits.  Integer
+  // thresholds of both parities put some dots exactly on a threshold.
+  const FilterBank c1 = random_filters(64, 3, 81), c2 = random_filters(64, 64, 82),
+                   c3 = random_filters(128, 64, 83);
+  const std::vector<float> f1 = models::random_fc_weights(4 * 4 * 128, 24, 84);
+  const std::vector<float> f2 = models::random_fc_weights(24, 10, 85);
+  const auto integer_thresholds = [](std::int64_t k, std::uint64_t seed) {
+    std::mt19937_64 rng(seed);
+    std::uniform_int_distribution<int> dist(-6, 6);
+    std::vector<float> th(static_cast<std::size_t>(k));
+    for (float& t : th) t = static_cast<float>(dist(rng));
+    return th;
+  };
+  const std::vector<float> th1 = integer_thresholds(64, 86), th2 = integer_thresholds(64, 87),
+                           th3 = integer_thresholds(128, 88), thf = integer_thresholds(24, 89);
+
+  BinaryNetwork net{NetworkConfig{}};
+  net.add_conv("conv1_1", c1, 1, 1, th1);
+  net.add_conv("conv1_2", c2, 1, 1, th2);
+  net.add_maxpool("pool1", kernels::PoolSpec{2, 2, 2});
+  net.add_conv("conv2_1", c3, 1, 1, th3);
+  net.add_maxpool("pool2", kernels::PoolSpec{2, 2, 2});
+  net.add_fc("fc1", f1, 4 * 4 * 128, 24, thf);
+  net.add_fc("fc2", f2, 24, 10);
+  net.finalize(TensorDesc{16, 16, 3});
+  const simd::IsaLevel widest = simd::cpu_features().best_isa();
+  const std::int64_t t_max = kernels::weight_tile_width(widest);
+  for (const LayerInfo& l : net.layers()) {
+    if (l.kind == LayerKind::kPool) continue;
+    EXPECT_EQ(l.isa, widest) << l.name;
+    // The ISA's default width, or the largest one K fills (fc2: K = 10).
+    EXPECT_EQ(l.tile, l.out.c >= t_max ? t_max : 8) << l.name;
+    EXPECT_NE(l.isa_reason.find("register tiles"), std::string::npos) << l.isa_reason;
+  }
+
+  runtime::ThreadPool pool(1);
+  const auto conv = [&](const Tensor& x, const FilterBank& f, const std::vector<float>& th) {
+    Tensor dots = Tensor::hwc(x.height(), x.width(), f.num_filters());
+    baseline::UnoptBinaryConv(f, kernels::ConvSpec{3, 3, 1})
+        .run(baseline::pad_float(x, 1, -1.0f), pool, dots);  // -1 = zero-bit padding
+    for (std::int64_t i = 0; i < dots.num_elements(); ++i) {
+      const float t = th[static_cast<std::size_t>(i % f.num_filters())];
+      dots.data()[i] = dots.data()[i] >= t ? 1.0f : -1.0f;
+    }
+    return dots;
+  };
+  const auto maxpool = [&](const Tensor& x) {
+    PackedTensor out(x.height() / 2, x.width() / 2, x.channels());
+    baseline::unopt_binary_maxpool(bitpack::pack_activations(x), kernels::PoolSpec{2, 2, 2},
+                                   pool, out);
+    return bitpack::unpack_to_signs(out);
+  };
+  InferenceContext ctx = net.make_context(2);
+  std::vector<Tensor> inputs;
+  for (std::uint64_t seed : {90u, 91u}) {
+    inputs.push_back(Tensor::hwc(16, 16, 3));
+    fill_uniform(inputs.back(), seed);
+  }
+  const std::vector<const Tensor*> ptrs = {&inputs[0], &inputs[1]};
+  const auto got = net.infer_batch(ptrs, ctx);
+  for (std::size_t b = 0; b < inputs.size(); ++b) {
+    const Tensor a = maxpool(conv(maxpool(conv(conv(inputs[b], c1, th1), c2, th2)), c3, th3));
+    std::vector<float> h(24), scores(10);
+    baseline::UnoptBinaryFc(f1.data(), 4 * 4 * 128, 24).run(a.data(), pool, h.data());
+    for (std::size_t i = 0; i < h.size(); ++i) h[i] = h[i] >= thf[i] ? 1.0f : -1.0f;
+    baseline::UnoptBinaryFc(f2.data(), 24, 10).run(h.data(), pool, scores.data());
+    for (std::size_t i = 0; i < scores.size(); ++i) {
+      ASSERT_EQ(got[b * 10 + i], scores[i]) << "image " << b << " score " << i;
     }
   }
 }

@@ -6,6 +6,7 @@
 
 #include <gtest/gtest.h>
 
+#include "graph/weights.hpp"
 #include "kernels/padding.hpp"
 #include "kernels/pressedconv.hpp"
 #include "simd/cpu_features.hpp"
@@ -134,8 +135,11 @@ TEST(PressedConv, BinarizeMatchesDotPlusSign) {
   pressed_conv_dot(in, filters, spec, pool, dots);
   std::vector<float> thresholds(70);
   for (int k = 0; k < 70; ++k) thresholds[static_cast<std::size_t>(k)] = static_cast<float>(k % 7) - 3.0f;
+  // The kernels take each threshold as the popcount limit it lowers to.
+  const std::vector<std::int64_t> limits =
+      graph::popcount_limits(filters.bits_per_filter(), thresholds, 70);
   PackedTensor out(5, 5, 70);
-  pressed_conv_binarize(in, filters, spec, thresholds.data(), pool, out, 0);
+  pressed_conv_binarize(in, filters, spec, limits.data(), pool, out, 0);
   for (std::int64_t y = 0; y < 5; ++y) {
     for (std::int64_t x = 0; x < 5; ++x) {
       for (std::int64_t k = 0; k < 70; ++k) {

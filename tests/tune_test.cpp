@@ -8,6 +8,7 @@
 //     re-searched, never committed;
 //   * plumbing: $BITFLOW_TUNE_CACHE, LayerInfo provenance, profile_report
 //     kernel strings, and a tuned engine behind ShardRouter hot reload.
+#include <algorithm>
 #include <cstdint>
 #include <cstdio>
 #include <cstdlib>
@@ -133,10 +134,24 @@ TEST(TunerUnit, DefaultDecisionMirrorsStaticHeuristic) {
     EXPECT_EQ(wide.par_grain, 1);
     EXPECT_EQ(wide.source, DecisionSource::kDefault);
 
-    // K below the tile width, or tiling disabled: filter-major.
-    const Decision narrow = default_decision(conv_workload(isa, t - 1), true);
-    EXPECT_FALSE(narrow.tiled) << simd::isa_name(isa);
-    EXPECT_EQ(narrow.tile, 0);
+    // 4 <= K < T: the largest supported width K still fills.
+    const kernels::TileWidthSet widths = kernels::supported_tile_widths(isa);
+    for (std::int64_t k = 4; k < t; ++k) {
+      std::int64_t largest = 0;
+      for (std::int64_t i = 0; i < widths.count; ++i) {
+        const std::int64_t w = widths.widths[static_cast<std::size_t>(i)];
+        if (w <= k) largest = std::max(largest, w);
+      }
+      const Decision mid = default_decision(conv_workload(isa, k), true);
+      EXPECT_TRUE(mid.tiled) << simd::isa_name(isa) << " K=" << k;
+      EXPECT_EQ(mid.tile, largest) << simd::isa_name(isa) << " K=" << k;
+    }
+    // K < 4 (below every width), or tiling disabled: filter-major.
+    for (std::int64_t k = 1; k < 4; ++k) {
+      const Decision narrow = default_decision(conv_workload(isa, k), true);
+      EXPECT_FALSE(narrow.tiled) << simd::isa_name(isa) << " K=" << k;
+      EXPECT_EQ(narrow.tile, 0);
+    }
     const Decision off = default_decision(conv_workload(isa, 64), false);
     EXPECT_FALSE(off.tiled) << simd::isa_name(isa);
   }
