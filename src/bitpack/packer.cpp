@@ -271,12 +271,21 @@ PackedFilterBank pack_filters(const FilterBank& filters) {
   return out;
 }
 
+void interleave_block(const std::uint64_t* rows, std::int64_t tile, std::int64_t row_words,
+                      std::uint64_t* block) noexcept {
+  // Sequential stores: on a freshly allocated bank they are also the first
+  // touch of its pages.
+  for (std::int64_t w = 0; w < row_words; ++w) {
+    for (std::int64_t l = 0; l < tile; ++l) block[w * tile + l] = rows[l * row_words + w];
+  }
+}
+
 namespace {
 
 /// Core T-way interleave shared by filters and FC weights.  `m` adopted its
 /// rows row-major; each full tile block is a [T][row_words] matrix in place,
-/// transposed to [row_words][T] through one block of scratch.  The remainder
-/// rows already sit at their tiled offsets and do not move.
+/// copied to one block of scratch and interleaved back.  The remainder rows
+/// already sit at their tiled offsets and do not move.
 TiledBitMatrix interleave_in_place(TiledBitMatrix m) {
   const std::int64_t tile = m.tile();
   const std::int64_t row_words = m.row_words();
@@ -284,10 +293,7 @@ TiledBitMatrix interleave_in_place(TiledBitMatrix m) {
   for (std::int64_t t = 0; t < m.full_tiles(); ++t) {
     std::uint64_t* block = m.tile_block(t);
     std::memcpy(scratch.data(), block, scratch.size() * 8);
-    for (std::int64_t l = 0; l < tile; ++l) {
-      const std::uint64_t* row = scratch.data() + l * row_words;
-      for (std::int64_t w = 0; w < row_words; ++w) block[w * tile + l] = row[w];
-    }
+    interleave_block(scratch.data(), tile, row_words, block);
   }
   return m;
 }

@@ -93,6 +93,14 @@ TiledFilterBank tile_filters(PackedFilterBank filters, std::int64_t tile);
 /// word instead of T strided rows.  Also in place, on the matrix's storage.
 TiledBitMatrix tile_fc_weights(PackedMatrix w, std::int64_t tile);
 
+/// Writes one T-way tile block: `rows` holds `tile` rows of `row_words`
+/// words each, row-major, and `block` receives them word-major ([w][lane],
+/// TiledBitMatrix::tile_block's layout).  The two must not overlap.  The one
+/// interleave behind tile_filters/tile_fc_weights and the model loader's
+/// streamed lowering (graph/weights.hpp).
+void interleave_block(const std::uint64_t* rows, std::int64_t tile, std::int64_t row_words,
+                      std::uint64_t* block) noexcept;
+
 // --- fully connected weights ------------------------------------------------
 
 /// Fused binarize + bit-pack + implicit transpose (Table III): input is the

@@ -3,13 +3,23 @@
 #include <algorithm>
 #include <cmath>
 #include <cstring>
+#include <exception>
+#include <limits>
 #include <stdexcept>
+#include <thread>
 #include <utility>
 #include <vector>
 
+#if defined(__linux__)
+#include <sched.h>
+#endif
+
 #include "bitpack/packer.hpp"
+#include "core/sync.hpp"
+#include "core/thread_annotations.hpp"
 #include "graph/network.hpp"
 #include "graph/scheduler.hpp"
+#include "runtime/thread_pool.hpp"
 #include "simd/cpu_features.hpp"
 
 namespace bitflow::graph {
@@ -26,23 +36,165 @@ std::int64_t default_tile(std::int64_t packed_dim, std::int64_t k) {
       .tile;
 }
 
-/// Throws when a padding bit is set: `words` holds `runs` runs of
-/// `run_words` words with `bits` valid bits each, and every bit from `bits`
-/// up in a run's last word must be zero.  The error names the layer and the
-/// offending filter or row (`runs_per_unit` runs each).
-void check_padding(const std::uint64_t* words, std::int64_t runs, std::int64_t run_words,
-                   std::int64_t bits, std::int64_t runs_per_unit, const std::string& layer,
-                   const char* dim, const char* unit) {
-  if (bits % 64 == 0) return;
-  const std::uint64_t padding = ~std::uint64_t{0} << (bits % 64);
-  for (std::int64_t r = 0; r < runs; ++r) {
-    if ((words[(r + 1) * run_words - 1] & padding) != 0) {
-      throw std::runtime_error("weights of layer '" + layer + "': padding bits above " + dim +
-                               "=" + std::to_string(bits) + " are set in " + unit + " " +
-                               std::to_string(r / runs_per_unit));
+/// A bank's padding rule: each row (a filter or an fc row, named `unit` in
+/// errors) is `runs` runs of `run_words` words with `bits` valid bits each,
+/// and every bit from `bits` up in a run's last word must be zero.
+struct Padding {
+  std::int64_t runs, run_words, bits;
+  const char* dim;
+  const char* unit;
+};
+
+/// Throws when a padding bit is set in the `rows` rows at `words`, which are
+/// the bank's rows from `first_row` on: the error names the layer and the
+/// offending row by its index in the bank.
+void check_padding(const std::uint64_t* words, std::int64_t first_row, std::int64_t rows,
+                   const Padding& p, const std::string& layer) {
+  if (p.bits % 64 == 0) return;
+  const std::uint64_t padding = ~std::uint64_t{0} << (p.bits % 64);
+  for (std::int64_t r = 0; r < rows * p.runs; ++r) {
+    if ((words[(r + 1) * p.run_words - 1] & padding) != 0) {
+      throw std::runtime_error("weights of layer '" + layer + "': padding bits above " + p.dim +
+                               "=" + std::to_string(p.bits) + " are set in " + p.unit + " " +
+                               std::to_string(first_row + r / p.runs));
     }
   }
 }
+
+/// CPUs this process may run on: its affinity mask where the OS has one.
+std::int64_t affinity_cpus() {
+#if defined(__linux__)
+  cpu_set_t set;
+  CPU_ZERO(&set);
+  if (sched_getaffinity(0, sizeof set, &set) == 0) return std::max(1, CPU_COUNT(&set));
+#endif
+  return std::max(1u, std::thread::hardware_concurrency());
+}
+
+/// One bank's streamed lowering: `rows` rows of `row_words` words at
+/// `words`, the first rows / tile * tile of them interleaved `tile` ways
+/// (tile 0: none) and the rest row-major after them.  Chunks are numbered in
+/// file order: first the tile-block chunks, read into a worker's scratch
+/// and interleaved from there, then the row-major chunks, read straight into
+/// place.  Every word of the bank is written before run() returns normally.
+class BankStream {
+ public:
+  BankStream(std::uint64_t* words, std::int64_t rows, std::int64_t row_words, std::int64_t tile,
+             const Padding& padding, const std::string& layer, const ByteSource& read)
+      : words_(words),
+        rows_(rows),
+        row_words_(row_words),
+        tile_(tile),
+        tiled_rows_(tile > 0 ? rows / tile * tile : 0),
+        chunk_blocks_(tile > 0 ? std::clamp<std::int64_t>(
+                                     kStreamChunkBytes / (tile * row_words * 8), 1,
+                                     std::max<std::int64_t>(1, rows / tile))
+                               : 0),
+        chunk_rows_(std::max<std::int64_t>(1, kStreamChunkBytes / (row_words * 8))),
+        tiled_chunks_(tile > 0 ? ceil_div(tiled_rows_ / tile, chunk_blocks_) : 0),
+        chunks_(tiled_chunks_ + ceil_div(rows - tiled_rows_, chunk_rows_)),
+        padding_(padding),
+        layer_(layer),
+        read_(read) {}
+
+  BankStream(const BankStream&) = delete;
+  BankStream& operator=(const BankStream&) = delete;
+
+  void run() BF_EXCLUDES(mu_) {
+    const std::int64_t workers =
+        std::min(rows_ * row_words_ * 8 / kStreamBytesPerWorker, chunks_);
+    const int threads = workers < 2 ? 1 : static_cast<int>(std::min(workers, affinity_cpus()));
+    // Scratch for one chunk of tile blocks per worker, allocated here
+    // rather than by each worker (a worker's first malloc costs it a heap
+    // arena of its own).
+    const std::int64_t scratch_words = tiled_chunks_ > 0 ? chunk_blocks_ * tile_ * row_words_ : 0;
+    std::vector<std::uint64_t> scratch(static_cast<std::size_t>(threads * scratch_words));
+    if (threads == 1) {
+      work(scratch.data());
+    } else {
+      runtime::ThreadPool pool(threads);
+      pool.run_on_all([&](int w) { work(scratch.data() + w * scratch_words); });
+    }
+    std::exception_ptr error;
+    {
+      core::MutexLock lock(mu_);
+      error = error_;
+    }
+    if (error) std::rethrow_exception(error);
+  }
+
+ private:
+  static std::int64_t ceil_div(std::int64_t a, std::int64_t b) { return (a + b - 1) / b; }
+
+  /// Takes chunks until none are left or one has failed: reads each under
+  /// the stream lock, then checks and places it outside the lock.
+  void work(std::uint64_t* scratch) BF_EXCLUDES(mu_) {
+    for (;;) {
+      std::int64_t chunk = 0, first = 0, end = 0;
+      std::uint64_t* dst = nullptr;
+      {
+        core::MutexLock lock(mu_);
+        if (failed_chunk_ != kNone || next_ == chunks_) return;
+        chunk = next_++;
+        if (chunk < tiled_chunks_) {
+          first = chunk * chunk_blocks_ * tile_;
+          end = std::min(tiled_rows_, first + chunk_blocks_ * tile_);
+          dst = scratch;
+        } else {
+          first = tiled_rows_ + (chunk - tiled_chunks_) * chunk_rows_;
+          end = std::min(rows_, first + chunk_rows_);
+          dst = words_ + first * row_words_;
+        }
+        try {
+          read_(dst, (end - first) * row_words_ * 8);
+        } catch (...) {
+          fail(chunk, std::current_exception());
+          return;
+        }
+      }
+      try {
+        check_padding(dst, first, end - first, padding_, layer_);
+        if (chunk < tiled_chunks_) {
+          for (std::int64_t r = first; r < end; r += tile_) {
+            bitpack::interleave_block(dst + (r - first) * row_words_, tile_, row_words_,
+                                      words_ + r * row_words_);
+          }
+        }
+      } catch (...) {
+        core::MutexLock lock(mu_);
+        fail(chunk, std::current_exception());
+        return;
+      }
+    }
+  }
+
+  /// Keeps the error of the first failing chunk in file order: chunks are
+  /// taken in order, so every chunk before it was taken and is checked.
+  void fail(std::int64_t chunk, std::exception_ptr error) BF_REQUIRES(mu_) {
+    if (chunk < failed_chunk_) {
+      failed_chunk_ = chunk;
+      error_ = std::move(error);
+    }
+  }
+
+  static constexpr std::int64_t kNone = std::numeric_limits<std::int64_t>::max();
+
+  std::uint64_t* const words_;
+  const std::int64_t rows_, row_words_, tile_, tiled_rows_;
+  const std::int64_t chunk_blocks_;  ///< tile blocks per tiled chunk (at most the bank's)
+  const std::int64_t chunk_rows_;    ///< rows per row-major chunk
+  const std::int64_t tiled_chunks_, chunks_;
+  const Padding padding_;
+  const std::string& layer_;
+  const ByteSource& read_;
+
+  /// The stream lock: a leaf, held only to take a chunk and read it (or to
+  /// record a failure).
+  core::Mutex mu_;
+  std::int64_t next_ BF_GUARDED_BY(mu_) = 0;
+  std::int64_t failed_chunk_ BF_GUARDED_BY(mu_) = kNone;
+  std::exception_ptr error_ BF_GUARDED_BY(mu_);
+};
 
 /// Streams an interleaved matrix row-major: each full tile block through one
 /// block of scratch, then the remainder rows, which are stored row-major.
@@ -68,13 +220,19 @@ WordSink copy_into(std::uint64_t* out) {
 // --- conv ------------------------------------------------------------------
 
 ConvWeights::ConvWeights(PackedFilterBank filters, std::int64_t tile)
-    : k_(filters.num_filters()),
-      kh_(filters.kernel_h()),
-      kw_(filters.kernel_w()),
-      c_(filters.channels()) {
-  using Bank = std::variant<PackedFilterBank, TiledFilterBank>;
-  bank_ = tile > 0 ? std::make_shared<const Bank>(bitpack::tile_filters(std::move(filters), tile))
-                   : std::make_shared<const Bank>(std::move(filters));
+    : ConvWeights(tile > 0 ? Bank(bitpack::tile_filters(std::move(filters), tile))
+                           : Bank(std::move(filters))) {}
+
+ConvWeights::ConvWeights(Bank bank) {
+  std::visit(
+      [this](const auto& b) {
+        k_ = b.num_filters();
+        kh_ = b.kernel_h();
+        kw_ = b.kernel_w();
+        c_ = b.channels();
+      },
+      bank);
+  bank_ = std::make_shared<const Bank>(std::move(bank));
 }
 
 std::uint64_t ConvWeights::word(std::int64_t k, std::int64_t w) const noexcept {
@@ -98,22 +256,46 @@ ConvWeights ConvWeights::in_layout(std::int64_t tile) const {
 }
 
 ConvWeights lower_conv_weights(PackedFilterBank filters, const std::string& layer) {
-  const std::int64_t taps = filters.kernel_h() * filters.kernel_w();
-  check_padding(filters.words(), filters.num_filters() * taps, filters.words_per_pixel(),
-                filters.channels(), taps, layer, "C", "filter");
+  check_padding(filters.words(), 0, filters.num_filters(),
+                Padding{filters.kernel_h() * filters.kernel_w(), filters.words_per_pixel(),
+                        filters.channels(), "C", "filter"},
+                layer);
   const std::int64_t tile = default_tile(filters.channels(), filters.num_filters());
   return ConvWeights(std::move(filters), tile);
+}
+
+ConvWeights stream_conv_weights(std::int64_t k, std::int64_t kh, std::int64_t kw,
+                                std::int64_t c, const std::string& layer,
+                                const ByteSource& read) {
+  const Padding padding{kh * kw, words_for_channels(c), c, "C", "filter"};
+  const std::int64_t tile = default_tile(c, k);
+  if (tile == 0) {
+    // K < 4 filters: too few to be worth leaving unzeroed.
+    PackedFilterBank filters(k, kh, kw, c);
+    BankStream(filters.words(), k, filters.words_per_filter(), 0, padding, layer, read).run();
+    return ConvWeights(ConvWeights::Bank(std::move(filters)));
+  }
+  const std::int64_t row_words = kh * kw * words_for_channels(c);
+  TiledBitMatrix rows(
+      AlignedBuffer::uninitialized(static_cast<std::size_t>(k * row_words) * sizeof(std::uint64_t)),
+      k, row_words, tile);
+  BankStream(rows.words(), k, row_words, tile, padding, layer, read).run();
+  return ConvWeights(ConvWeights::Bank(TiledFilterBank(std::move(rows), kh, kw, c)));
 }
 
 // --- fc --------------------------------------------------------------------
 
 FcWeights::FcWeights(PackedMatrix weights, std::int64_t tile)
     : rows_(weights.rows()), cols_(weights.cols()) {
-  using Bank = std::variant<PackedMatrix, TiledBitMatrix>;
   bank_ = tile > 0
               ? std::make_shared<const Bank>(bitpack::tile_fc_weights(std::move(weights), tile))
               : std::make_shared<const Bank>(std::move(weights));
 }
+
+FcWeights::FcWeights(Bank bank, std::int64_t cols)
+    : rows_(std::visit([](const auto& b) { return b.rows(); }, bank)),
+      cols_(cols),
+      bank_(std::make_shared<const Bank>(std::move(bank))) {}
 
 std::uint64_t FcWeights::word(std::int64_t r, std::int64_t w) const noexcept {
   if (const TiledBitMatrix* t = tiled()) return t->row_word(r, w);
@@ -136,10 +318,27 @@ FcWeights FcWeights::in_layout(std::int64_t tile) const {
 }
 
 FcWeights lower_fc_weights(PackedMatrix weights, const std::string& layer) {
-  check_padding(weights.words(), weights.rows(), weights.words_per_row(), weights.cols(), 1,
-                layer, "N", "row");
+  check_padding(weights.words(), 0, weights.rows(),
+                Padding{1, weights.words_per_row(), weights.cols(), "N", "row"}, layer);
   const std::int64_t tile = default_tile(weights.cols(), weights.rows());
   return FcWeights(std::move(weights), tile);
+}
+
+FcWeights stream_fc_weights(std::int64_t rows, std::int64_t cols, const std::string& layer,
+                            const ByteSource& read) {
+  const std::int64_t row_words = words_for_channels(cols);
+  const Padding padding{1, row_words, cols, "N", "row"};
+  const std::int64_t tile = default_tile(cols, rows);
+  if (tile == 0) {
+    PackedMatrix weights(rows, cols);
+    BankStream(weights.words(), rows, row_words, 0, padding, layer, read).run();
+    return FcWeights(FcWeights::Bank(std::move(weights)), cols);
+  }
+  TiledBitMatrix m(AlignedBuffer::uninitialized(static_cast<std::size_t>(rows * row_words) *
+                                                sizeof(std::uint64_t)),
+                   rows, row_words, tile);
+  BankStream(m.words(), rows, row_words, tile, padding, layer, read).run();
+  return FcWeights(FcWeights::Bank(std::move(m)), cols);
 }
 
 // --- binarize thresholds ------------------------------------------------------

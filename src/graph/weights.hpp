@@ -1,16 +1,31 @@
 // Binary layer weights in execution layout, lowered once per process.
 //
 // Packed weights enter the process in io::Model::load, io::Model::add_conv /
-// add_fc and BinaryNetwork::add_conv / add_fc, and each of those hands them
-// straight to lower_conv_weights() / lower_fc_weights();
+// add_fc and BinaryNetwork::add_conv / add_fc.  All of them lower each bank
+// into the layout finalize() commits under a default NetworkConfig — both
+// take it from the same default_kernel_plan (graph/scheduler.hpp): the
+// T-way register-tile interleave, or filter-major when K < 4 — and reject
+// set padding bits.  There are two routes there:
+//
+//   * in memory (lower_conv_weights / lower_fc_weights, from the add_*
+//     calls): the bank is checked, then permuted in place (bitpack::tile_*);
+//   * streamed (stream_conv_weights / stream_fc_weights, from
+//     io::Model::load): the bank is allocated without zeroing and its
+//     filter-major words are read from the model stream in chunks of about
+//     kStreamChunkBytes, whole tile blocks at a time; each chunk is checked
+//     and its blocks interleaved straight into their final place.  A bank
+//     gets one worker per kStreamBytesPerWorker bytes, up to the CPUs in the
+//     process's affinity mask.  With fewer than two it runs inline on the
+//     caller's thread; otherwise the call owns a transient runtime::ThreadPool
+//     that it joins before returning, so no load thread outlives the call
+//     and two loads may run at once.  Workers take chunks in file order
+//     under one stream lock (a leaf: nothing else is locked and no failpoint
+//     is evaluated while it is held), and check and interleave outside it.
+//
 // BinaryNetwork::add_conv_packed / add_fc_packed take weights already
-// lowered.  Lowering rejects set padding bits, then permutes the
-// bank in place (bitpack::tile_*) into the layout finalize() commits under a
-// default NetworkConfig — both take it from the same default_kernel_plan
-// (graph/scheduler.hpp): the T-way register-tile interleave, or
-// filter-major when K < 4.  The result is immutable and shared_ptr-owned,
-// so an io::Model and every network instantiated from it read the same bytes,
-// and the bank lives exactly as long as its last holder.
+// lowered.  The result is immutable and shared_ptr-owned, so an io::Model and
+// every network instantiated from it read the same bytes, and the bank lives
+// exactly as long as its last holder.
 //
 // The file also lowers a binarizing layer's float thresholds into the
 // integer popcount limits the fused binarize kernels compare against
@@ -19,8 +34,10 @@
 // finalize() adopts a bank whose layout matches its plan and re-lays a
 // private copy (in_layout()) only when the plan differs: tile_weights =
 // false, a max_isa cap, a SchedulerPolicy or an armed simd.force_fallback
-// that changes T, or an auto-tuner decision.  Lowering never evaluates a
-// failpoint, so a `once` simd.force_fallback still fires at finalize.
+// that changes T, or an auto-tuner decision.  Lowering evaluates no failpoint
+// of its own (a `once` simd.force_fallback still fires at finalize); the
+// streamed route's bank allocation passes alloc.buffer on the caller's
+// thread, and its pool's workers pass the runtime.worker points.
 #pragma once
 
 #include <cstdint>
@@ -37,6 +54,20 @@ namespace bitflow::graph {
 /// Receives a bank's words in filter-major (model file) order, one chunk at
 /// a time: `count` words starting at `words`, valid only during the call.
 using WordSink = std::function<void(const std::uint64_t* words, std::int64_t count)>;
+
+/// Reads the next `bytes` bytes of a model stream into `dst`, or throws
+/// (a short read is a truncated file).  The streamed lowering calls it from
+/// its load workers, one call at a time, under its stream lock.
+using ByteSource = std::function<void(void* dst, std::int64_t bytes)>;
+
+/// The streamed lowering's unit of work: whole tile blocks — or whole rows,
+/// where a bank is not interleaved — of about this many bytes (at least one
+/// block or row) are read, checked and placed at a time.
+inline constexpr std::int64_t kStreamChunkBytes = std::int64_t{64} << 10;
+
+/// A streamed bank gets one load worker per this many bytes, up to the CPUs
+/// the process may run on and its chunk count; below two it runs inline.
+inline constexpr std::int64_t kStreamBytesPerWorker = std::int64_t{1} << 20;
 
 /// A binary conv layer's packed filters (K x kh x kw x C bits) in execution
 /// layout.  Copies share one immutable bank; a default-constructed value is
@@ -78,11 +109,17 @@ class ConvWeights {
   [[nodiscard]] ConvWeights in_layout(std::int64_t tile) const;
 
  private:
+  using Bank = std::variant<PackedFilterBank, TiledFilterBank>;
   friend ConvWeights lower_conv_weights(PackedFilterBank filters, const std::string& layer);
+  friend ConvWeights stream_conv_weights(std::int64_t k, std::int64_t kh, std::int64_t kw,
+                                         std::int64_t c, const std::string& layer,
+                                         const ByteSource& read);
   ConvWeights(PackedFilterBank filters, std::int64_t tile);
+  /// Adopts a bank already in its layout.
+  explicit ConvWeights(Bank bank);
 
   std::int64_t k_ = 0, kh_ = 0, kw_ = 0, c_ = 0;
-  std::shared_ptr<const std::variant<PackedFilterBank, TiledFilterBank>> bank_;
+  std::shared_ptr<const Bank> bank_;
 };
 
 /// A binary fc layer's packed weights (K rows of N bits, one row per output
@@ -118,11 +155,16 @@ class FcWeights {
   [[nodiscard]] FcWeights in_layout(std::int64_t tile) const;
 
  private:
+  using Bank = std::variant<PackedMatrix, TiledBitMatrix>;
   friend FcWeights lower_fc_weights(PackedMatrix weights, const std::string& layer);
+  friend FcWeights stream_fc_weights(std::int64_t rows, std::int64_t cols,
+                                     const std::string& layer, const ByteSource& read);
   FcWeights(PackedMatrix weights, std::int64_t tile);
+  /// Adopts a bank of `cols`-bit rows already in its layout.
+  FcWeights(Bank bank, std::int64_t cols);
 
   std::int64_t rows_ = 0, cols_ = 0;
-  std::shared_ptr<const std::variant<PackedMatrix, TiledBitMatrix>> bank_;
+  std::shared_ptr<const Bank> bank_;
 };
 
 /// Lowers packed conv filters into execution layout (see the file comment).
@@ -135,6 +177,23 @@ class FcWeights {
 /// std::runtime_error naming `layer` when a bit above N is set in the last
 /// word of any row.
 [[nodiscard]] FcWeights lower_fc_weights(PackedMatrix weights, const std::string& layer);
+
+/// Reads a conv layer's K x kh x kw x C packed filters from `read` — the
+/// filter-major words of the model file, K * kh * kw * ceil(C/64) of them —
+/// straight into the layout lower_conv_weights gives the same bank, with the
+/// same padding check (see the file comment for the chunks and workers).
+/// The extents' byte count must not overflow (the loader charges it to its
+/// budget first).  Throws what `read` throws on a short read, and the
+/// padding error naming `layer` and the filter; when several chunks fail,
+/// the error of the first in file order.  The stream is left after the
+/// bank on success.
+[[nodiscard]] ConvWeights stream_conv_weights(std::int64_t k, std::int64_t kh, std::int64_t kw,
+                                              std::int64_t c, const std::string& layer,
+                                              const ByteSource& read);
+
+/// stream_conv_weights for a K x N fc matrix (`rows` x `cols` bits).
+[[nodiscard]] FcWeights stream_fc_weights(std::int64_t rows, std::int64_t cols,
+                                          const std::string& layer, const ByteSource& read);
 
 /// The popcount limit L of one binarized filter with `bits` valid bits: a
 /// popcount p in [0, bits] passes `float(bits - 2p) >= threshold` — the

@@ -17,11 +17,16 @@
 //
 // The format stores packed words in host (little-endian) order; BitFlow
 // targets x86, so no byte swapping is performed.  Words are filter-major
-// (row-major for fc) whatever layout the engine runs: load() lowers each
-// bank into engine layout once, and save() de-interleaves it back one tile
-// block at a time.  Padding bits (above C in a conv tap's last word, above
-// n in an fc row's last word) must be zero.  A corrupt or truncated stream
-// throws std::runtime_error with a description of what failed.
+// (row-major for fc) whatever layout the engine runs.  load() reads layers
+// in file order, with no seeking; a binary bank's words stream through
+// graph::stream_conv_weights / stream_fc_weights, which check and
+// interleave them into engine layout chunk by chunk as they are read — on
+// the caller's thread, or for a bank of 2 MiB and up on a transient pool of
+// load workers that the call joins.  save() de-interleaves each bank back
+// one tile block at a time.  Padding bits (above C in a conv tap's last
+// word, above n in an fc row's last word) must be zero.  A corrupt or
+// truncated stream throws std::runtime_error with a description of what
+// failed.
 #include "io/model.hpp"
 
 #include <atomic>
@@ -119,6 +124,15 @@ void write_thresholds(std::ostream& os, const std::vector<float>& th) {
     os.write(reinterpret_cast<const char*>(th.data()),
              static_cast<std::streamsize>(th.size() * sizeof(float)));
   }
+}
+
+/// The ByteSource a bank streams its words from: `is`, throwing
+/// `truncated` on a short read.
+graph::ByteSource payload_reader(std::istream& is, const char* truncated) {
+  return [&is, truncated](void* dst, std::int64_t bytes) {
+    is.read(static_cast<char*>(dst), static_cast<std::streamsize>(bytes));
+    if (!is) throw std::runtime_error(truncated);
+  };
 }
 
 std::vector<float> read_thresholds(std::istream& is, std::int64_t count) {
@@ -334,12 +348,9 @@ Model Model::load(std::istream& is) {
                       "conv weights");
         budget.charge(checked_mul(k, 4, "conv thresholds"), "conv thresholds");
         r.thresholds = read_thresholds(is, k);
-        PackedFilterBank filters(k, kh, kw, c);
         BF_FAILPOINT("io.read_weights");
-        is.read(reinterpret_cast<char*>(filters.words()),
-                static_cast<std::streamsize>(k * filters.words_per_filter() * 8));
-        if (!is) throw std::runtime_error("model load: truncated conv weights");
-        r.filters = graph::lower_conv_weights(std::move(filters), r.name);
+        r.filters = graph::stream_conv_weights(
+            k, kh, kw, c, r.name, payload_reader(is, "model load: truncated conv weights"));
         break;
       }
       case 1: {
@@ -358,12 +369,9 @@ Model Model::load(std::istream& is) {
             "fc weights");
         budget.charge(checked_mul(k, 4, "fc thresholds"), "fc thresholds");
         r.thresholds = read_thresholds(is, k);
-        PackedMatrix weights(k, n);
         BF_FAILPOINT("io.read_weights");
-        is.read(reinterpret_cast<char*>(weights.words()),
-                static_cast<std::streamsize>(weights.num_words() * 8));
-        if (!is) throw std::runtime_error("model load: truncated fc weights");
-        r.fc_weights = graph::lower_fc_weights(std::move(weights), r.name);
+        r.fc_weights = graph::stream_fc_weights(
+            k, n, r.name, payload_reader(is, "model load: truncated fc weights"));
         break;
       }
       case 3: {

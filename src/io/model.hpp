@@ -14,8 +14,14 @@
 // In memory the binary weights are already in engine layout: load() and
 // add_conv()/add_fc() lower each bank once (graph/weights.hpp), and every
 // network instantiate() builds shares those immutable banks instead of
-// copying them.  The file format does not follow the memory layout:
-// save() writes the v1 filter-major words, de-interleaving as it goes.
+// copying them.  load() streams each bank straight into that layout as it
+// reads it: a bank of 2 MiB or more is checked and interleaved by a
+// transient pool of load workers, one per MiB up to the CPUs the process may
+// run on, which graph owns and joins before the bank is returned; smaller
+// banks run inline on the caller's thread.  So no thread outlives load(),
+// two loads may run at once, and any std::istream works, seekable or not.
+// The file format does not follow the memory layout: save() writes the v1
+// filter-major words, de-interleaving as it goes.
 #pragma once
 
 #include <cstdint>

@@ -238,9 +238,4 @@ void ThreadPool::parallel_for(std::int64_t n, std::int64_t grain,
   });
 }
 
-ThreadPool& default_pool() {
-  static ThreadPool pool(static_cast<int>(std::max(1u, std::thread::hardware_concurrency())));
-  return pool;
-}
-
 }  // namespace bitflow::runtime

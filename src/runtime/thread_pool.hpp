@@ -211,9 +211,4 @@ class ThreadPool {
   int error_count_ BF_GUARDED_BY(mutex_) = 0;
 };
 
-/// Process-wide default pool, sized to the hardware concurrency; created on
-/// first use.  Engine code paths that want a specific thread count construct
-/// their own pool instead.
-ThreadPool& default_pool();
-
 }  // namespace bitflow::runtime

@@ -20,7 +20,8 @@ namespace bitflow {
 /// exactly the width of one AVX-512 register).
 inline constexpr std::size_t kBufferAlignment = 64;
 
-/// Owning, 64-byte aligned, zero-initialized byte buffer.
+/// Owning, 64-byte aligned byte buffer, zero-initialized unless made by
+/// uninitialized().
 ///
 /// Zero-initialization gives every fresh tensor defined contents (all-zero
 /// bits decode to -1), which standalone kernel callers rely on for padded
@@ -32,13 +33,20 @@ class AlignedBuffer {
  public:
   AlignedBuffer() = default;
 
-  explicit AlignedBuffer(std::size_t bytes) : size_(bytes) {
-    if (bytes > 0) {
-      BF_FAILPOINT("alloc.buffer");  // simulated bad_alloc lands here
-      data_ = static_cast<std::byte*>(
-          ::operator new[](bytes, std::align_val_t{kBufferAlignment}));
-      std::memset(data_, 0, bytes);
-    }
+  explicit AlignedBuffer(std::size_t bytes) {
+    allocate(bytes);
+    if (data_ != nullptr) std::memset(data_, 0, bytes);
+  }
+
+  /// A buffer whose bytes are left indeterminate: no memset, so each page is
+  /// first touched by whoever first writes it.  Only for a caller that
+  /// writes every byte before anything reads one — the model loader's
+  /// streamed weight banks (graph/weights.hpp), whose load workers fault
+  /// the pages in where they write them.
+  [[nodiscard]] static AlignedBuffer uninitialized(std::size_t bytes) {
+    AlignedBuffer b;
+    b.allocate(bytes);
+    return b;
   }
 
   AlignedBuffer(const AlignedBuffer& other) : AlignedBuffer(other.size_) {
@@ -82,6 +90,15 @@ class AlignedBuffer {
   }
 
  private:
+  void allocate(std::size_t bytes) {
+    if (bytes > 0) {
+      BF_FAILPOINT("alloc.buffer");  // simulated bad_alloc lands here
+      data_ = static_cast<std::byte*>(
+          ::operator new[](bytes, std::align_val_t{kBufferAlignment}));
+    }
+    size_ = bytes;
+  }
+
   std::byte* data_ = nullptr;
   std::size_t size_ = 0;
 };

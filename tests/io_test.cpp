@@ -1,12 +1,19 @@
 // Model serialization: save/load round-trips, instantiate equivalence, and
 // rejection of malformed files.
+#include <sched.h>
+#include <unistd.h>
+
 #include <algorithm>
+#include <chrono>
 #include <cstdio>
+#include <cstring>
 #include <filesystem>
+#include <fstream>
 #include <new>
 #include <optional>
 #include <random>
 #include <sstream>
+#include <streambuf>
 #include <thread>
 #include <vector>
 
@@ -21,9 +28,11 @@
 #include "io/model.hpp"
 #include "models/vgg.hpp"
 #include "serve/engine.hpp"
+#include "serve/session.hpp"
 #include "simd/cpu_features.hpp"
 #include "simd/parity.hpp"
 #include "telemetry/flight_recorder.hpp"
+#include "telemetry/metrics.hpp"
 #include "tensor/util.hpp"
 #include "train/export.hpp"
 #include "train/models.hpp"
@@ -656,6 +665,435 @@ TEST(ModelLoadBudget, BudgetIsAdjustableAndValidated) {
   // Guard restored the default: the same bytes load again.
   std::stringstream in(ss.str());
   EXPECT_EQ(Model::load(in).num_layers(), a.num_layers());
+}
+
+// --- streamed, fanned-out load -------------------------------------------------
+
+/// CPUs in this process's affinity mask: the loader's cap on load workers.
+std::int64_t affinity_cpus() {
+  cpu_set_t set;
+  CPU_ZERO(&set);
+  return sched_getaffinity(0, sizeof set, &set) == 0 ? CPU_COUNT(&set) : 1;
+}
+
+/// Tasks run by every runtime::ThreadPool in the process so far: a load
+/// that fans out runs one per load worker, an inline one none.
+std::uint64_t pool_tasks() {
+  return telemetry::registry().counter("runtime.pool.tasks").value();
+}
+
+/// Threads in this process: the entries of /proc/self/task.
+std::size_t process_threads() {
+  std::size_t n = 0;
+  for ([[maybe_unused]] const auto& task :
+       std::filesystem::directory_iterator("/proc/self/task")) {
+    ++n;
+  }
+  return n;
+}
+
+/// process_threads() once it has fallen to `expected`, or after a second:
+/// a thread's /proc entry can outlive its join by a moment, while a thread
+/// still running never leaves.
+std::size_t settled_threads(std::size_t expected) {
+  std::size_t n = process_threads();
+  for (int i = 0; i < 200 && n > expected; ++i) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(5));
+    n = process_threads();
+  }
+  return n;
+}
+
+/// Appends a binary conv layer (no thresholds) in the v1 format, straight
+/// from its filter-major words — padding bits and all.
+void put_conv(std::string& out, const std::string& name, const PackedFilterBank& f) {
+  put_pod<std::uint8_t>(out, 0);
+  put_pod<std::uint32_t>(out, static_cast<std::uint32_t>(name.size()));
+  out += name;
+  for (const std::int64_t v :
+       {f.num_filters(), f.kernel_h(), f.kernel_w(), f.channels(), std::int64_t{1},
+        std::int64_t{1}}) {  // ..., stride 1, pad 1
+    put_pod<std::int64_t>(out, v);
+  }
+  put_pod<std::uint8_t>(out, 0);
+  out.append(reinterpret_cast<const char*>(f.words()),
+             static_cast<std::size_t>(f.num_filters() * f.words_per_filter() * 8));
+}
+
+/// put_conv for a binary fc layer; returns the offset of its first word.
+std::size_t put_fc(std::string& out, const std::string& name, const PackedMatrix& m) {
+  put_pod<std::uint8_t>(out, 2);
+  put_pod<std::uint32_t>(out, static_cast<std::uint32_t>(name.size()));
+  out += name;
+  put_pod<std::int64_t>(out, m.rows());
+  put_pod<std::int64_t>(out, m.cols());
+  put_pod<std::uint8_t>(out, 0);
+  const std::size_t at = out.size();
+  out.append(reinterpret_cast<const char*>(m.words()),
+             static_cast<std::size_t>(m.num_words() * 8));
+  return at;
+}
+
+/// A model whose two big banks fan out on any host with >= 2 CPUs, over a
+/// 1x1x1000 input, every conv 3x3 with pad 1:
+///   k3    K = 3 (< 4: filter-major), C = 1000 (C mod 64 = 40);
+///   small K = 21, C = 3: tiled with 5 remainder filters, inline;
+///   wide  K = 29199 (mod 16 = 15), C = 21: 2,102,328 bytes, 2 workers;
+///   fc    K = 581 (mod 16 = 5), N = 29199 (mod 64 = 15): 2,124,136 bytes,
+///         2 workers, 16 rows per chunk at every tile width.
+struct StreamModel {
+  static constexpr std::int64_t kWideK = 29199, kFcRows = 581;
+  PackedFilterBank k3{3, 3, 3, 1000}, small{21, 3, 3, 3}, wide{kWideK, 3, 3, 21};
+  PackedMatrix fc{kFcRows, kWideK};
+
+  StreamModel() {
+    fill_random_bits(k3, 1501);
+    fill_random_bits(small, 1502);
+    fill_random_bits(wide, 1503);
+    fill_random_bits(fc, 1504);
+  }
+
+  /// The model file in the network's layer order, or with fc ahead of wide
+  /// (a file Model::load reads but instantiate() rejects); `fc_at` receives
+  /// the offset of the fc bank's first word.
+  [[nodiscard]] std::string bytes(bool fc_before_wide = false,
+                                  std::size_t* fc_at = nullptr) const {
+    std::string out = "BFLW";
+    put_pod<std::uint32_t>(out, 1);
+    for (const std::int64_t v : {1, 1, 1000}) put_pod<std::int64_t>(out, v);
+    put_pod<std::uint32_t>(out, 4);
+    put_conv(out, "k3", k3);
+    put_conv(out, "small", small);
+    std::size_t at = 0;
+    if (fc_before_wide) at = put_fc(out, "fc", fc);
+    put_conv(out, "wide", wide);
+    if (!fc_before_wide) at = put_fc(out, "fc", fc);
+    if (fc_at != nullptr) *fc_at = at;
+    return out;
+  }
+
+  /// Rows per chunk of the fc bank: whole tile blocks of ~kStreamChunkBytes.
+  [[nodiscard]] static std::int64_t fc_chunk_rows() {
+    const std::int64_t t = default_tile_for(kWideK, kFcRows);
+    const std::int64_t block = t * words_for_channels(kWideK) * 8;
+    return std::max<std::int64_t>(1, graph::kStreamChunkBytes / block) * t;
+  }
+
+  /// The network through src/baseline's engine.  Banks are expanded to
+  /// floats a block of outputs at a time, so the oracle never holds a whole
+  /// 2 MiB bank as floats.
+  [[nodiscard]] std::vector<float> baseline_scores(const Tensor& x) const {
+    std::vector<float> act(x.data(), x.data() + x.num_elements());
+    for (const PackedFilterBank* f : {&k3, &small, &wide}) {
+      act = conv_signs(*f, act);
+    }
+    return fc_dots(act);
+  }
+
+ private:
+  /// sign(conv) of a 1x1xC activation under a 3x3, pad-1 bank.
+  static std::vector<float> conv_signs(const PackedFilterBank& f, const std::vector<float>& in) {
+    runtime::ThreadPool pool(1);
+    Tensor x = Tensor::hwc(1, 1, f.channels());
+    std::copy(in.begin(), in.end(), x.data());
+    const Tensor padded = baseline::pad_float(x, 1, -1.0f);  // -1 = zero-bit padding
+    std::vector<float> out;
+    constexpr std::int64_t kBlock = 1024;
+    for (std::int64_t k0 = 0; k0 < f.num_filters(); k0 += kBlock) {
+      const std::int64_t kb = std::min(kBlock, f.num_filters() - k0);
+      PackedFilterBank part(kb, 3, 3, f.channels());
+      std::memcpy(part.words(), f.filter(k0),
+                  static_cast<std::size_t>(kb * f.words_per_filter() * 8));
+      Tensor dots = Tensor::hwc(1, 1, kb);
+      baseline::UnoptBinaryConv(bitpack::unpack_to_signs(part), kernels::ConvSpec{3, 3, 1})
+          .run(padded, pool, dots);
+      for (std::int64_t k = 0; k < kb; ++k) out.push_back(dots.data()[k] >= 0.0f ? 1.0f : -1.0f);
+    }
+    return out;
+  }
+
+  [[nodiscard]] std::vector<float> fc_dots(const std::vector<float>& in) const {
+    runtime::ThreadPool pool(1);
+    const std::int64_t n = fc.cols();
+    std::vector<float> out;
+    constexpr std::int64_t kBlock = 64;
+    for (std::int64_t r0 = 0; r0 < fc.rows(); r0 += kBlock) {
+      const std::int64_t kb = std::min(kBlock, fc.rows() - r0);
+      std::vector<float> w(static_cast<std::size_t>(n * kb));  // n x kb, row-major
+      for (std::int64_t j = 0; j < kb; ++j) {
+        for (std::int64_t i = 0; i < n; ++i) {
+          w[static_cast<std::size_t>(i * kb + j)] = fc.sign_value(r0 + j, i);
+        }
+      }
+      std::vector<float> dots(static_cast<std::size_t>(kb));
+      baseline::UnoptBinaryFc(w.data(), n, kb).run(in.data(), pool, dots.data());
+      out.insert(out.end(), dots.begin(), dots.end());
+    }
+    return out;
+  }
+};
+
+/// `loaded` holds exactly the bank lower_conv_weights makes of `f`: the same
+/// layout and raw storage, and the same words through word().
+void expect_same_bank(const graph::ConvWeights& loaded, const PackedFilterBank& f) {
+  const graph::ConvWeights lowered = graph::lower_conv_weights(PackedFilterBank(f), "copy");
+  ASSERT_EQ(loaded.tile(), lowered.tile());
+  ASSERT_EQ(loaded.num_words(), lowered.num_words());
+  const std::uint64_t* a =
+      loaded.tiled() != nullptr ? loaded.tiled()->rows().words() : loaded.filter_major()->words();
+  const std::uint64_t* b = lowered.tiled() != nullptr ? lowered.tiled()->rows().words()
+                                                      : lowered.filter_major()->words();
+  EXPECT_EQ(std::memcmp(a, b, static_cast<std::size_t>(loaded.num_words() * 8)), 0);
+  for (std::int64_t k = 0; k < f.num_filters(); ++k) {
+    for (std::int64_t w = 0; w < f.words_per_filter(); ++w) {
+      ASSERT_EQ(loaded.word(k, w), f.filter(k)[w]) << "filter " << k << " word " << w;
+    }
+  }
+}
+
+/// expect_same_bank for an fc matrix and lower_fc_weights.
+void expect_same_bank(const graph::FcWeights& loaded, const PackedMatrix& m) {
+  const graph::FcWeights lowered = graph::lower_fc_weights(PackedMatrix(m), "copy");
+  ASSERT_EQ(loaded.tile(), lowered.tile());
+  ASSERT_EQ(loaded.num_words(), lowered.num_words());
+  const std::uint64_t* a =
+      loaded.tiled() != nullptr ? loaded.tiled()->words() : loaded.filter_major()->words();
+  const std::uint64_t* b =
+      lowered.tiled() != nullptr ? lowered.tiled()->words() : lowered.filter_major()->words();
+  EXPECT_EQ(std::memcmp(a, b, static_cast<std::size_t>(loaded.num_words() * 8)), 0);
+  for (std::int64_t r = 0; r < m.rows(); ++r) {
+    for (std::int64_t w = 0; w < m.words_per_row(); ++w) {
+      ASSERT_EQ(loaded.word(r, w), m.row(r)[w]) << "row " << r << " word " << w;
+    }
+  }
+}
+
+void expect_same_banks(const Model& loaded, const StreamModel& sm) {
+  ASSERT_EQ(loaded.num_layers(), 4u);
+  expect_same_bank(loaded.layers()[0].filters, sm.k3);
+  expect_same_bank(loaded.layers()[1].filters, sm.small);
+  expect_same_bank(loaded.layers()[2].filters, sm.wide);
+  expect_same_bank(loaded.layers()[3].fc_weights, sm.fc);
+}
+
+/// A read-only streambuf that cannot seek and refills at most 4093 bytes at
+/// a time, so bank chunks straddle refills.
+class OneWayBuf : public std::streambuf {
+ public:
+  explicit OneWayBuf(std::string bytes) : bytes_(std::move(bytes)) {}
+
+ protected:
+  int_type underflow() override {
+    if (pos_ == bytes_.size()) return traits_type::eof();
+    const std::size_t n = std::min<std::size_t>(4093, bytes_.size() - pos_);
+    char* p = bytes_.data() + pos_;
+    setg(p, p, p + n);
+    pos_ += n;
+    return traits_type::to_int_type(*p);
+  }
+
+ private:
+  std::string bytes_;
+  std::size_t pos_ = 0;
+};
+
+TEST(ModelStreamLoad, StreamedBanksAreTheLoweredBanks) {
+  const StreamModel sm;
+  const std::string file = sm.bytes();
+  std::stringstream in(file + "tail");
+  // A sanitizer runtime may start a helper thread at the process's first
+  // thread creation: let it happen here, so that only load workers count.
+  std::thread([] {}).join();
+  std::this_thread::sleep_for(std::chrono::milliseconds(10));
+  const std::size_t threads = process_threads();
+  const std::uint64_t tasks = pool_tasks();
+  const Model m = Model::load(in);
+  // The two 2 MiB banks ran on two load workers each; the rest inline.
+  EXPECT_EQ(pool_tasks() - tasks, affinity_cpus() >= 2 ? 4u : 0u);
+  EXPECT_LE(settled_threads(threads), threads) << "a load worker outlived Model::load";
+  expect_same_banks(m, sm);
+  // The stream is left right after the model.
+  std::string rest;
+  in >> rest;
+  EXPECT_EQ(rest, "tail");
+  std::stringstream again;
+  m.save(again);
+  EXPECT_TRUE(again.str() == file) << "save() must reproduce the loaded bytes";
+}
+
+TEST(ModelStreamLoad, SmallBanksLoadInline) {
+  std::stringstream ss;
+  make_tail_model().save(ss);
+  const std::uint64_t tasks = pool_tasks();
+  (void)Model::load(ss);
+  EXPECT_EQ(pool_tasks(), tasks);
+}
+
+TEST(ModelStreamLoad, NonSeekableStreamLoadsIdentically) {
+  const StreamModel sm;
+  OneWayBuf buf(sm.bytes());
+  std::istream in(&buf);
+  EXPECT_EQ(in.tellg(), std::streampos(-1)) << "the test stream must not seek";
+  const Model m = Model::load(in);
+  expect_same_banks(m, sm);
+  EXPECT_EQ(in.get(), std::char_traits<char>::eof());
+}
+
+TEST(ModelStreamLoad, InstantiateMatchesTheBaseline) {
+  const StreamModel sm;
+  std::stringstream in(sm.bytes());
+  const Model m = Model::load(in);
+  for (const int threads : {1, 3}) {
+    graph::NetworkConfig cfg;
+    cfg.num_threads = threads;
+    const graph::BinaryNetwork net = m.instantiate(cfg);
+    for (const std::uint64_t seed : {31u, 32u}) {
+      Tensor x = Tensor::hwc(1, 1, 1000);
+      fill_uniform(x, seed);
+      EXPECT_EQ(scores_of(net, x, threads), sm.baseline_scores(x))
+          << threads << " threads, seed " << seed;
+    }
+  }
+}
+
+TEST(ModelStreamLoad, TwoLoadsRunAtOnce) {
+  const StreamModel sm;
+  const std::string file = sm.bytes();
+  std::optional<Model> a, b;
+  std::thread ta([&] {
+    std::stringstream in(file);
+    a.emplace(Model::load(in));
+  });
+  std::thread tb([&] {
+    std::stringstream in(file);
+    b.emplace(Model::load(in));
+  });
+  ta.join();
+  tb.join();
+  ASSERT_TRUE(a && b);
+  expect_same_banks(*a, sm);
+  expect_same_banks(*b, sm);
+}
+
+TEST(ModelStreamLoad, FirstFailingChunkInFileOrderIsReported) {
+  // fc before wide in the file: padding bits in the fc bank's 2nd, 3rd and
+  // 5th chunks (the 2nd and 3rd are checked at once by two workers), and in
+  // the later conv.  Whichever worker checks first, the error is the 2nd
+  // chunk's.
+  const StreamModel sm;
+  std::size_t fc_at = 0;
+  std::string file = sm.bytes(/*fc_before_wide=*/true, &fc_at);
+  const std::int64_t chunk = StreamModel::fc_chunk_rows();
+  const std::int64_t fc_words = words_for_channels(StreamModel::kWideK);
+  const std::int64_t bad_rows[] = {chunk + 3, 2 * chunk + 5, 4 * chunk + 7};
+  for (const std::int64_t row : bad_rows) {
+    file[fc_at + static_cast<std::size_t>((row + 1) * fc_words * 8 - 1)] |= '\x80';  // bit 63
+  }
+  // Bit 63 of filter 1000's first tap in wide (one word per tap, C = 21).
+  const std::size_t wide_at = file.size() - static_cast<std::size_t>(StreamModel::kWideK * 9 * 8);
+  file[wide_at + 1000 * 9 * 8 + 7] |= '\x80';
+  const std::string want = "weights of layer 'fc': padding bits above N=29199 are set in row " +
+                           std::to_string(bad_rows[0]);
+  for (int i = 0; i < 20; ++i) {
+    std::stringstream in(file);
+    try {
+      (void)Model::load(in);
+      FAIL() << "a set padding bit loaded";
+    } catch (const std::runtime_error& e) {
+      ASSERT_EQ(std::string(e.what()), want) << "load " << i;
+    }
+  }
+}
+
+TEST(ModelStreamLoad, TruncationInsideAFannedOutBankThrows) {
+  const StreamModel sm;
+  std::size_t fc_at = 0;
+  const std::string file = sm.bytes(false, &fc_at);
+  const std::size_t chunk_bytes = static_cast<std::size_t>(
+      StreamModel::fc_chunk_rows() * words_for_channels(StreamModel::kWideK) * 8);
+  const std::size_t fc_bytes = file.size() - fc_at;
+  for (const std::size_t cut : {fc_at + 100, fc_at + 17 * chunk_bytes + 5, file.size() - 8}) {
+    ASSERT_LT(cut, file.size());
+    std::stringstream in(file.substr(0, cut));
+    try {
+      (void)Model::load(in);
+      FAIL() << "a load cut at byte " << cut << " of " << fc_bytes << " fc bytes succeeded";
+    } catch (const std::runtime_error& e) {
+      EXPECT_EQ(std::string(e.what()), "model load: truncated fc weights");
+    }
+  }
+}
+
+// --- faults inside a fanned-out load ---------------------------------------------
+
+/// The StreamModel saved to a per-process file, and the scores a session
+/// opened on it serves without faults.
+class ModelStreamLoadFaults : public ::testing::Test {
+ protected:
+  void SetUp() override {
+    if (affinity_cpus() < 2) GTEST_SKIP() << "one CPU: the load does not fan out";
+    failpoint::disarm_all();
+    path_ = (std::filesystem::temp_directory_path() /
+             ("bitflow_stream_faults." + std::to_string(::getpid()) + ".bflow"))
+                .string();
+    {
+      std::ofstream out(path_, std::ios::binary);
+      out << StreamModel().bytes();
+    }
+    input_ = Tensor::hwc(1, 1, 1000);
+    fill_uniform(input_, 41);
+    ref_ = serve_once();
+    ASSERT_FALSE(ref_.empty());
+  }
+
+  void TearDown() override {
+    failpoint::disarm_all();
+    if (!path_.empty()) std::filesystem::remove(path_);
+  }
+
+  static serve::SessionConfig cfg() {
+    serve::SessionConfig c;
+    c.net.num_threads = 2;
+    return c;
+  }
+
+  /// Opens a session and serves input_ once (empty on any failure).
+  std::vector<float> serve_once() {
+    auto s = serve::InferenceSession::open(path_, cfg());
+    std::vector<float> out;
+    if (!s.is_ok() || !s.value().infer(input_, out).is_ok()) return {};
+    return out;
+  }
+
+  /// Arms `point` under each trigger, opens, and checks the result (`want`
+  /// kOk: the open succeeds) and that the next clean open serves ref_.
+  void expect_open(const char* point, failpoint::Action action, core::ErrorCode want) {
+    using failpoint::Trigger;
+    for (const Trigger trigger : {Trigger::kOnce, Trigger::kAlways}) {
+      SCOPED_TRACE(std::string(point) + (trigger == Trigger::kOnce ? " once" : " always"));
+      failpoint::arm(point, failpoint::Config{action, trigger, 1, 20});
+      const auto opened = serve::InferenceSession::open(path_, cfg());
+      failpoint::disarm(point);
+      EXPECT_EQ(opened.status().code(), want) << opened.status().to_string();
+      EXPECT_EQ(serve_once(), ref_);
+    }
+  }
+
+  std::string path_;
+  Tensor input_;
+  std::vector<float> ref_;
+};
+
+TEST_F(ModelStreamLoadFaults, AllocationFailureIsResourceExhausted) {
+  expect_open("alloc.buffer", failpoint::Action::kBadAlloc, core::ErrorCode::kResourceExhausted);
+}
+
+TEST_F(ModelStreamLoadFaults, LoadWorkerFaultIsWorkerFailure) {
+  expect_open("runtime.worker", failpoint::Action::kError, core::ErrorCode::kWorkerFailure);
+}
+
+TEST_F(ModelStreamLoadFaults, StalledLoadWorkerOnlySlowsTheOpen) {
+  expect_open("runtime.worker_stall", failpoint::Action::kStall, core::ErrorCode::kOk);
 }
 
 }  // namespace
