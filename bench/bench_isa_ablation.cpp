@@ -1,9 +1,9 @@
-// ISA ablation: the same PressedConv operator forced through every kernel
-// the hardware supports, plus the scheduler's two policies.  Quantifies
+// ISA ablation: the same PressedConv operator forced through the engine's
+// kernel at every ISA the hardware supports (each at its default tile
+// width), next to the ISA the paper's channel rule would pick.  Quantifies
 // each step of the paper's rule ladder (Fig. 7's per-rule gains) and what
-// the conservative channel-multiple rules leave on the table versus always
-// using the widest ISA (possible because NHWC packing makes window rows
-// contiguous across taps).
+// the conservative channel-multiple rules would leave on the table versus
+// the widest ISA, which the engine's K-vectorized kernel always takes.
 #include <cstdio>
 
 #include "common.hpp"

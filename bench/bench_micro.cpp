@@ -1,11 +1,12 @@
 // google-benchmark microbenchmarks of the gemm-level primitives: per-ISA
 // xor+popcount word runs (the Eq. 1 inner loop), the binarize+pack
-// transforms, and the register-tiled vs filter-major PressedConv kernels —
-// the raw numbers behind every figure.
+// transforms, and the PressedConv kernel at every (ISA, tile width) — the
+// raw numbers behind every figure.
 //
 // After the google-benchmark run, main() prints one machine-readable
 // `BENCH {...}` JSON line per supported ISA level for the headline tiling
-// workload (3x3, C = K = 256, 16x16 output), and one comparing the default
+// workload (3x3, C = K = 256, 16x16 output: the kernel at that ISA's
+// default T against the scalar u64 tile), and one comparing the default
 // plan with the paper-rule plan at VGG-16 conv1_2's shape; CI's perf-smoke
 // job and the committed BENCH_pressedconv.json baseline come from these
 // lines.
@@ -100,12 +101,12 @@ void BM_PackActivationsAvx2(benchmark::State& state) {
   state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) * t.num_elements());
 }
 
-// Register-tiled vs filter-major PressedConv, single image, single core:
-// range(0) is the ISA level, range(1) selects the layout (0 = filter-major,
-// 1 = interleaved).  Same bits either way — only the weight layout differs.
+// Raw-dot PressedConv, single image, single core: range(0) is the ISA
+// level, range(1) the register-tile width T.  Same bits at every pair —
+// only the tile width and the ISA of its accumulators differ.
 void BM_PressedConvDot(benchmark::State& state) {
   const auto isa = static_cast<simd::IsaLevel>(state.range(0));
-  const bool tiled = state.range(1) != 0;
+  const std::int64_t tile = state.range(1);
   if (!simd::cpu_features().supports(isa)) {
     state.SkipWithError("ISA not available");
     return;
@@ -116,25 +117,21 @@ void BM_PressedConvDot(benchmark::State& state) {
   for (std::int64_t i = 0; i < in.num_words(); ++i) in.words()[i] = rng();
   PackedFilterBank filters(kK, kKernel, kKernel, kC);
   for (std::int64_t i = 0; i < kK * filters.words_per_filter(); ++i) filters.words()[i] = rng();
-  const TiledFilterBank bank = bitpack::tile_filters(filters, kernels::weight_tile_width(isa));
+  const TiledFilterBank bank = bitpack::tile_filters(std::move(filters), tile);
   const kernels::ConvSpec spec{kKernel, kKernel, 1};
   Tensor out = Tensor::hwc(kIn - kKernel + 1, kIn - kKernel + 1, kK);
   runtime::ThreadPool pool(1);
   const PackedTensor* ins[] = {&in};
   Tensor* outs[] = {&out};
-  const auto untiled_fn = kernels::conv_dot_batch_kernel(isa);
-  const auto tiled_fn = kernels::conv_dot_tiled_batch_kernel(isa);
+  const auto fn = kernels::conv_dot_kernel(isa, simd::cpu_features().avx512vpopcntdq, tile);
   for (auto _ : state) {
-    if (tiled) {
-      tiled_fn(ins, 1, bank, spec, pool, outs);
-    } else {
-      untiled_fn(ins, 1, filters, spec, pool, outs);
-    }
+    fn(ins, 1, bank, spec, pool, outs);
     benchmark::DoNotOptimize(out.data());
+    benchmark::ClobberMemory();
   }
   const std::int64_t ops = 2 * out.height() * out.width() * kK * kKernel * kKernel * kC;
   state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) * ops);
-  state.SetLabel(std::string(simd::isa_name(isa)) + (tiled ? "/tiled" : "/filter-major"));
+  state.SetLabel(std::string(simd::isa_name(isa)) + "/t" + std::to_string(tile));
 }
 
 // Telemetry hot-path costs.  The disarmed TraceSpan row is the one CI
@@ -191,10 +188,13 @@ void IsaByLength(benchmark::internal::Benchmark* b) {
   }
 }
 
-void IsaByLayout(benchmark::internal::Benchmark* b) {
+void IsaByTile(benchmark::internal::Benchmark* b) {
   for (int isa = 0; isa < 4; ++isa) {
-    b->Args({isa, 0});
-    b->Args({isa, 1});
+    const kernels::TileWidthSet widths =
+        kernels::supported_tile_widths(static_cast<simd::IsaLevel>(isa));
+    for (std::int64_t i = 0; i < widths.count; ++i) {
+      b->Args({isa, widths.widths[static_cast<std::size_t>(i)]});
+    }
   }
 }
 
@@ -202,7 +202,7 @@ BENCHMARK(BM_XorPopcount)->Apply(IsaByLength);
 BENCHMARK(BM_OrAccumulate)->Apply(IsaByLength);
 BENCHMARK(BM_PackActivationsScalar)->Args({56, 128})->Args({14, 512});
 BENCHMARK(BM_PackActivationsAvx2)->Args({56, 128})->Args({14, 512});
-BENCHMARK(BM_PressedConvDot)->Apply(IsaByLayout);
+BENCHMARK(BM_PressedConvDot)->Apply(IsaByTile);
 BENCHMARK(BM_TraceSpanDisarmed);
 BENCHMARK(BM_TraceSpanArmed);
 BENCHMARK(BM_FlightEventDisarmed);
@@ -219,14 +219,13 @@ void emit_tiling_bench_json() {
     std::printf(
         "BENCH {\"bench\":\"pressedconv_tiled\",\"isa\":\"%s\",\"tile\":%lld,"
         "\"kh\":%lld,\"kw\":%lld,\"c\":%lld,\"k\":%lld,\"out_h\":%lld,\"out_w\":%lld,"
-        "\"untiled_ms\":%.4f,\"tiled_ms\":%.4f,\"untiled_gops\":%.2f,\"tiled_gops\":%.2f,"
-        "\"speedup\":%.3f}\n",
+        "\"ref_isa\":\"u64\",\"ref_tile\":4,\"ms\":%.4f,\"ref_ms\":%.4f,\"gops\":%.2f,"
+        "\"ref_gops\":%.2f,\"speedup\":%.3f}\n",
         std::string(simd::isa_name(isa)).c_str(), static_cast<long long>(r.tile),
         static_cast<long long>(kKernel), static_cast<long long>(kKernel),
         static_cast<long long>(kC), static_cast<long long>(kK),
         static_cast<long long>(kIn - kKernel + 1), static_cast<long long>(kIn - kKernel + 1),
-        r.untiled_seconds * 1e3, r.tiled_seconds * 1e3, r.untiled_gops(), r.tiled_gops(),
-        r.speedup());
+        r.seconds * 1e3, r.ref_seconds * 1e3, r.gops(), r.ref_gops(), r.speedup());
   }
   std::fflush(stdout);
 }
@@ -249,15 +248,13 @@ void emit_narrow_layer_bench_json() {
   PackedTensor out(kIn - kKernel + 1, kIn - kKernel + 1, kK);
   runtime::ThreadPool pool(1);
   const simd::CpuFeatures& hw = simd::cpu_features();
-  const graph::KernelPlan engine = graph::default_kernel_plan(
-      kC, kK, hw, graph::SchedulerPolicy::kPaperRules, /*tile_weights=*/true);
+  const graph::KernelPlan engine = graph::default_kernel_plan(kK, hw);
   const simd::IsaLevel paper_isa = graph::select_isa(kC, hw);
   const graph::KernelPlan paper{paper_isa, kernels::weight_tile_width(paper_isa)};
   const std::vector<std::int64_t> limits = kernels::sign_limits(filters.bits_per_filter(), kK);
   const auto seconds = [&](const graph::KernelPlan& plan) {
     const TiledFilterBank bank = bitpack::tile_filters(filters, plan.tile);
-    const auto fn =
-        kernels::conv_binarize_tiled_batch_kernel(plan.isa, hw.avx512vpopcntdq, plan.tile);
+    const auto fn = kernels::conv_binarize_kernel(plan.isa, hw.avx512vpopcntdq, plan.tile);
     const PackedTensor* ins[] = {&in};
     PackedTensor* outs[] = {&out};
     return runtime::measure_best_seconds(
@@ -491,14 +488,13 @@ void emit_vgg16_plan_matrix_json() {
       const PackedTensor* ins[] = {&in};
       PackedTensor* outs[] = {&out};
       const std::vector<std::int64_t> limits = kernels::sign_limits(filters.bits_per_filter(), k);
-      const graph::KernelPlan def = graph::default_kernel_plan(
-          c, k, features, graph::SchedulerPolicy::kPaperRules, /*tile_weights=*/true);
+      const graph::KernelPlan def = graph::default_kernel_plan(k, features);
       for (const simd::IsaVariant& v : simd::supported_isa_variants()) {
         const kernels::TileWidthSet widths = kernels::supported_tile_widths(v.isa);
         for (std::int64_t i = 0; i < widths.count; ++i) {
           const std::int64_t t = widths.widths[static_cast<std::size_t>(i)];
           const TiledFilterBank bank = bitpack::tile_filters(filters, t);
-          const auto fn = kernels::conv_binarize_tiled_batch_kernel(v.isa, v.use_vpopcntdq, t);
+          const auto fn = kernels::conv_binarize_kernel(v.isa, v.use_vpopcntdq, t);
           const double ms =
               1e3 * runtime::measure_best_seconds(
                         [&] { fn(ins, 1, bank, spec, limits.data(), pool, outs, 0); }, 3, 0.05);

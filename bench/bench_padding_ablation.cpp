@@ -8,6 +8,7 @@
 #include "common.hpp"
 #include "kernels/padding.hpp"
 #include "kernels/pressedconv.hpp"
+#include "simd/cpu_features.hpp"
 
 int main() {
   using namespace bitflow;
@@ -20,27 +21,32 @@ int main() {
   runtime::ThreadPool pool(1);
   for (const auto& spec : models::table4_benchmarks()) {
     if (spec.kind != graph::LayerKind::kConv) continue;
-    const PackedFilterBank filters = bitpack::pack_filters(
-        models::random_filters(spec.k, spec.kernel, spec.kernel, spec.c, 3));
+    // The engine's kernel at its default plan.
+    const graph::KernelPlan plan = graph::default_kernel_plan(spec.k, simd::cpu_features());
+    const TiledFilterBank filters = bitpack::tile_filters(
+        bitpack::pack_filters(models::random_filters(spec.k, spec.kernel, spec.kernel, spec.c, 3)),
+        plan.tile);
+    const auto binarize =
+        kernels::conv_binarize_kernel(plan.isa, simd::cpu_features().avx512vpopcntdq, plan.tile);
     PackedTensor in(spec.h + 2 * spec.pad, spec.w + 2 * spec.pad, spec.c);
     fill_random_bits(in, 4);
+    const PackedTensor* ins[] = {&in};
     const kernels::ConvSpec cspec{spec.kernel, spec.kernel, spec.stride};
     const std::int64_t oh = cspec.out_h(in.height());
 
     // Variant A: write straight into the interior of the next layer's
     // pre-allocated padded buffer (the engine's scheme).
     PackedTensor out_padded(oh + 2, oh + 2, spec.k);
+    PackedTensor* padded_outs[] = {&out_padded};
     const double t_margin = runtime::measure_best_seconds(
-        [&] {
-          kernels::pressed_conv_binarize(in, filters, cspec, nullptr, pool, out_padded, 1);
-        },
-        3, 0.2);
+        [&] { binarize(ins, 1, filters, cspec, nullptr, pool, padded_outs, 1); }, 3, 0.2);
 
     // Variant B: convolve into a tight buffer, then copy-pad it.
     PackedTensor out_tight(oh, oh, spec.k);
+    PackedTensor* tight_outs[] = {&out_tight};
     const double t_copy = runtime::measure_best_seconds(
         [&] {
-          kernels::pressed_conv_binarize(in, filters, cspec, nullptr, pool, out_tight, 0);
+          binarize(ins, 1, filters, cspec, nullptr, pool, tight_outs, 0);
           (void)kernels::pad_packed(out_tight, 1);
         },
         3, 0.2);

@@ -18,11 +18,19 @@ int main() {
               f.avx512f ? "native" : "-");
   std::printf("  _mm512_popcnt_epi64 / maskz_popcnt_epi64    : %s\n",
               f.avx512vpopcntdq ? "native (VPOPCNTDQ)" : "emulated via byte-LUT");
-  std::printf("\nFig. 6 mapping for the Table IV operators:\n");
+  std::printf("\nFig. 6 mapping for the Table IV operators: the paper's channel rule, which\n"
+              "governs the pools, and the engine plan the conv and fc operators run:\n");
   for (const auto& op : models::table4_benchmarks()) {
     const auto isa = graph::select_isa(op.c, f);
-    std::printf("  %-8s C=%-6lld -> %s kernel\n", op.name.c_str(),
+    std::printf("  %-8s C=%-6lld -> paper rule %-7s", op.name.c_str(),
                 static_cast<long long>(op.c), std::string(simd::isa_name(isa)).c_str());
+    if (op.kind == graph::LayerKind::kPool) {
+      std::printf("  (pool: runs the paper rule)\n");
+    } else {
+      const graph::KernelPlan plan = graph::default_kernel_plan(op.k, f);
+      std::printf("  engine plan %s, T=%lld\n", std::string(simd::isa_name(plan.isa)).c_str(),
+                  static_cast<long long>(plan.tile));
+    }
   }
   return 0;
 }

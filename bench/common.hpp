@@ -6,15 +6,16 @@
 //                ("counterpart float-value operator", the figures' 1x);
 //   * unopt    — bit-packed but image-to-column and scalar 32-bit
 //                ("unoptimized BNN implementation");
-//   * bitflow  — PressedConv / bgemm / OR-pool with the vector execution
-//                scheduler's kernel choice.
+//   * bitflow  — PressedConv / bgemm through ops::, i.e. the engine's
+//                register-tiled kernel at its default plan (widest ISA,
+//                capped at the profile's), and the OR-pool at the paper's
+//                channel rule.
 //
-// Multi-thread numbers: this container exposes a single hardware core, so
-// real std::thread timing is meaningless beyond p=1.  Where a figure needs
-// p > 1, the harness reports the deterministic scaling-simulator estimate
-// (runtime/scaling_sim.hpp): the engine's actual static partition over the
-// operator's real parallel grain, plus a fork/join overhead term.  Every
-// table that does this is labelled "(sim)".  See DESIGN.md substitutions.
+// Multi-thread numbers: where a figure needs p > 1, the harness reports the
+// deterministic scaling-simulator estimate (runtime/scaling_sim.hpp): the
+// engine's actual static partition over the operator's real parallel grain,
+// plus a fork/join overhead term.  Every table that does this is labelled
+// "(sim)".  See DESIGN.md substitutions.
 #pragma once
 
 #include <cstdint>
@@ -29,6 +30,7 @@
 #include "baseline/float_ops.hpp"
 #include "baseline/unopt_binary.hpp"
 #include "bitpack/packer.hpp"
+#include "graph/scheduler.hpp"
 #include "kernels/pressedconv.hpp"
 #include "models/vgg.hpp"
 #include "ops/operators.hpp"
@@ -51,12 +53,18 @@ inline Profile phi_profile() {
   return {"Intel Xeon Phi 7210 (profile)", simd::IsaLevel::kAvx512, {1, 4, 16, 64}};
 }
 
-/// ISA the scheduler would pick for `channels`, capped at the profile's
-/// widest (modelling the paper's per-machine kernel choice).
-inline simd::IsaLevel profile_isa(const Profile& p, std::int64_t channels) {
-  simd::IsaLevel isa = graph::select_isa(channels, simd::cpu_features());
-  if (static_cast<int>(isa) > static_cast<int>(p.max_isa)) isa = p.max_isa;
-  return isa;
+/// ISA of the engine plan for a conv or fc layer of `k` filters or outputs,
+/// capped at the profile's widest (modelling the paper's per-machine kernel
+/// choice).
+inline simd::IsaLevel profile_isa(const Profile& p, std::int64_t k) {
+  return graph::default_kernel_plan(k, simd::cpu_features(), p.max_isa).isa;
+}
+
+/// ISA the paper's channel rule picks for a pool of `channels` channels,
+/// capped at the profile's widest.
+inline simd::IsaLevel profile_pool_isa(const Profile& p, std::int64_t channels) {
+  const simd::IsaLevel isa = graph::select_isa(channels, simd::cpu_features());
+  return static_cast<int>(isa) > static_cast<int>(p.max_isa) ? p.max_isa : isa;
 }
 
 /// One Table IV operator wired up for benchmarking.
@@ -72,7 +80,7 @@ class OperatorHarness {
         const FilterBank filters =
             models::random_filters(spec.k, spec.kernel, spec.kernel, spec.c, seed + 1);
         ops::BinaryOpOptions opt;
-        opt.force_isa = profile_isa(profile, spec.c);
+        opt.force_isa = profile_isa(profile, spec.k);
         bconv_ = std::make_unique<ops::BinaryConvOp>(filters, spec.stride, spec.pad, opt);
         fconv_ = std::make_unique<ops::FloatConvOp>(filters, spec.stride, spec.pad);
         uconv_ = std::make_unique<baseline::UnoptBinaryConv>(
@@ -88,7 +96,7 @@ class OperatorHarness {
       case graph::LayerKind::kFc: {
         fc_weights_ = models::random_fc_weights(spec.c, spec.k, seed + 2);
         ops::BinaryOpOptions opt;
-        opt.force_isa = profile_isa(profile, spec.c);
+        opt.force_isa = profile_isa(profile, spec.k);
         bfc_ = std::make_unique<ops::BinaryFcOp>(fc_weights_.data(), spec.c, spec.k, opt);
         ufc_ = std::make_unique<baseline::UnoptBinaryFc>(fc_weights_.data(), spec.c, spec.k);
         // input_ is 1 x 1 x N: its elements are the fc activation vector.
@@ -99,7 +107,7 @@ class OperatorHarness {
       }
       case graph::LayerKind::kPool: {
         ops::BinaryOpOptions opt;
-        opt.force_isa = profile_isa(profile, spec.c);
+        opt.force_isa = profile_pool_isa(profile, spec.c);
         bpool_ = std::make_unique<ops::BinaryPoolOp>(
             kernels::PoolSpec{spec.kernel, spec.kernel, spec.stride}, spec.c, opt);
         const std::int64_t oh = (spec.h - spec.kernel) / spec.stride + 1;
@@ -115,6 +123,16 @@ class OperatorHarness {
   [[nodiscard]] const models::OperatorBenchmark& spec() const { return spec_; }
   /// Parallel work units of the BitFlow engine for this operator.
   [[nodiscard]] std::int64_t parallel_grain() const { return parallel_grain_; }
+
+  /// The BitFlow kernel's plan: "avx512,t16" for conv/fc, the ISA for a pool.
+  [[nodiscard]] std::string kernel_name() const {
+    switch (spec_.kind) {
+      case graph::LayerKind::kConv: return plan_name(bconv_->isa(), bconv_->tile());
+      case graph::LayerKind::kFc: return plan_name(bfc_->isa(), bfc_->tile());
+      case graph::LayerKind::kPool: break;
+    }
+    return std::string(simd::isa_name(bpool_->isa()));
+  }
 
   /// Single-thread best-of-N seconds for each engine.
   double time_float() {
@@ -162,6 +180,10 @@ class OperatorHarness {
   }
 
  private:
+  static std::string plan_name(simd::IsaLevel isa, std::int64_t tile) {
+    return std::string(simd::isa_name(isa)) + ",t" + std::to_string(tile);
+  }
+
   models::OperatorBenchmark spec_;
   runtime::ThreadPool pool_;
   Tensor input_, padded_;
@@ -190,19 +212,20 @@ inline double simulate_threads(double serial_seconds, std::int64_t grain, int p)
   return sim.predict_seconds(p);
 }
 
-/// Single-core tiled-vs-untiled PressedConv measurement (the register-tiling
-/// rows of bench_micro and bench_ait_analysis, and the source of the
-/// BENCH_pressedconv.json baseline).  Both kernels consume the same packed
-/// input and the same filter bits; only the weight layout differs.
+/// Single-core PressedConv measurement of the engine's raw-dot kernel at
+/// `isa` and its default T against the u64 kernel at T = 4 — the scalar
+/// tile — on the same packed operands (the pressedconv_tiled rows of
+/// bench_micro and bench_ait_analysis, and the source of the
+/// BENCH_pressedconv.json baseline).
 struct TiledConvResult {
   simd::IsaLevel isa = simd::IsaLevel::kU64;
   std::int64_t tile = 0;
-  double untiled_seconds = 0.0;
-  double tiled_seconds = 0.0;
-  double giga_ops = 0.0;  ///< 2*out_h*out_w*K*kh*kw*C in units of 1e9
-  [[nodiscard]] double untiled_gops() const { return giga_ops / untiled_seconds; }
-  [[nodiscard]] double tiled_gops() const { return giga_ops / tiled_seconds; }
-  [[nodiscard]] double speedup() const { return untiled_seconds / tiled_seconds; }
+  double seconds = 0.0;      ///< the kernel at (isa, tile)
+  double ref_seconds = 0.0;  ///< the u64 kernel at T = 4
+  double giga_ops = 0.0;     ///< 2*out_h*out_w*K*kh*kw*C in units of 1e9
+  [[nodiscard]] double gops() const { return giga_ops / seconds; }
+  [[nodiscard]] double ref_gops() const { return giga_ops / ref_seconds; }
+  [[nodiscard]] double speedup() const { return ref_seconds / seconds; }
 };
 
 inline TiledConvResult measure_tiled_conv(simd::IsaLevel isa, std::int64_t h, std::int64_t w,
@@ -213,7 +236,6 @@ inline TiledConvResult measure_tiled_conv(simd::IsaLevel isa, std::int64_t h, st
   for (std::int64_t i = 0; i < in.num_words(); ++i) in.words()[i] = rng();
   PackedFilterBank filters(k, kernel, kernel, c);
   for (std::int64_t i = 0; i < k * filters.words_per_filter(); ++i) filters.words()[i] = rng();
-  const TiledFilterBank tiled = bitpack::tile_filters(filters, kernels::weight_tile_width(isa));
   const kernels::ConvSpec spec{kernel, kernel, 1};
   const std::int64_t oh = h - kernel + 1;
   const std::int64_t ow = w - kernel + 1;
@@ -221,15 +243,17 @@ inline TiledConvResult measure_tiled_conv(simd::IsaLevel isa, std::int64_t h, st
   runtime::ThreadPool pool(1);
   const PackedTensor* ins[] = {&in};
   Tensor* outs[] = {&out};
-  const auto untiled_fn = kernels::conv_dot_batch_kernel(isa);
-  const auto tiled_fn = kernels::conv_dot_tiled_batch_kernel(isa);
+  const bool vpopcnt = simd::cpu_features().avx512vpopcntdq;
+  const auto seconds = [&](simd::IsaLevel at, std::int64_t tile) {
+    const TiledFilterBank bank = bitpack::tile_filters(filters, tile);
+    const auto fn = kernels::conv_dot_kernel(at, vpopcnt, tile);
+    return runtime::measure_best_seconds([&] { fn(ins, 1, bank, spec, pool, outs); }, 5, 0.2);
+  };
   TiledConvResult r;
   r.isa = isa;
-  r.tile = tiled.tile();
-  r.untiled_seconds = runtime::measure_best_seconds(
-      [&] { untiled_fn(ins, 1, filters, spec, pool, outs); }, 5, 0.2);
-  r.tiled_seconds = runtime::measure_best_seconds(
-      [&] { tiled_fn(ins, 1, tiled, spec, pool, outs); }, 5, 0.2);
+  r.tile = graph::default_kernel_plan(k, simd::cpu_features(), isa).tile;
+  r.seconds = seconds(isa, r.tile);
+  r.ref_seconds = seconds(simd::IsaLevel::kU64, 4);
   r.giga_ops = 2.0 * static_cast<double>(oh * ow * k) * static_cast<double>(kernel * kernel * c) /
                1e9;
   return r;
@@ -275,13 +299,9 @@ inline double measure_conv_decision_seconds(const tune::LayerWorkload& wl,
   runtime::ThreadPool pool(1);
   const PackedTensor* ins[] = {&in};
   Tensor* outs[] = {&out};
-  if (d.tiled) {
-    const TiledFilterBank tiled = bitpack::tile_filters(filters, d.tile);
-    const auto fn = kernels::conv_dot_tiled_batch_kernel(wl.isa, wl.vpopcnt, d.tile);
-    return runtime::measure_best_seconds([&] { fn(ins, 1, tiled, spec, pool, outs); }, 5, 0.2);
-  }
-  const auto fn = kernels::conv_dot_batch_kernel(wl.isa, wl.vpopcnt);
-  return runtime::measure_best_seconds([&] { fn(ins, 1, filters, spec, pool, outs); }, 5, 0.2);
+  const TiledFilterBank bank = bitpack::tile_filters(std::move(filters), d.tile);
+  const auto fn = kernels::conv_dot_kernel(wl.isa, wl.vpopcnt, d.tile);
+  return runtime::measure_best_seconds([&] { fn(ins, 1, bank, spec, pool, outs); }, 5, 0.2);
 }
 
 /// One row of the tuner sweep: the static heuristic's plan vs the plan the
@@ -317,11 +337,10 @@ inline TuneSweepResult measure_tuned_sweep(const TuneSweepShape& s, simd::IsaLev
   TuneSweepResult r;
   r.shape = s;
   r.isa = isa;
-  r.fixed = tune::default_decision(wl, /*tile_weights=*/true);
-  r.tuned = tune::search(wl, pool, /*tile_weights=*/true);
+  r.fixed = tune::default_decision(wl);
+  r.tuned = tune::search(wl, pool);
   r.fixed_ms = measure_conv_decision_seconds(wl, r.fixed) * 1e3;
-  const bool same_plan = r.tuned.tiled == r.fixed.tiled && r.tuned.tile == r.fixed.tile &&
-                         r.tuned.par_grain == r.fixed.par_grain;
+  const bool same_plan = r.tuned.tile == r.fixed.tile && r.tuned.par_grain == r.fixed.par_grain;
   r.tuned_ms = same_plan ? r.fixed_ms : measure_conv_decision_seconds(wl, r.tuned) * 1e3;
   return r;
 }

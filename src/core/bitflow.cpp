@@ -12,16 +12,14 @@ std::string system_report() {
   os << "BitFlow " << version() << "\n";
   os << "CPU features: " << f.to_string() << "\n";
   os << "Widest binary kernel ISA: " << simd::isa_name(f.best_isa()) << "\n";
-  os << "Operator -> kernel mapping (paper Fig. 6 rules, kernels vectorized along C):\n";
+  os << "Operator -> kernel mapping:\n";
+  os << "  conv/fc (register tiles, vectorized along K), any C:\n    "
+     << graph::explain_kernel_plan(graph::default_kernel_plan(64, f), 64) << "\n";
+  os << "  maxpool (paper Fig. 6 channel rules, vectorized along C):\n";
   for (std::int64_t c : {3, 64, 128, 256, 512, 4096, 25088}) {
-    os << "  " << graph::explain_isa_selection(c, f, graph::SchedulerPolicy::kPaperRules)
+    os << "    " << graph::explain_isa_selection(c, f, graph::SchedulerPolicy::kPaperRules)
        << "\n";
   }
-  const graph::KernelPlan tiled = graph::default_kernel_plan(
-      64, 64, f, graph::SchedulerPolicy::kPaperRules, /*tile_weights=*/true);
-  os << "Engine conv/fc layers (register tiles, vectorized along K), any C:\n  "
-     << graph::explain_kernel_plan(tiled, 64, 64, f, graph::SchedulerPolicy::kPaperRules)
-     << "\n";
   return os.str();
 }
 

@@ -47,18 +47,12 @@ struct Stage {
   simd::IsaLevel isa = simd::IsaLevel::kU64;
   bool is_last = false;  ///< last stage emits float scores, not bits
 
-  // Register-tiled layers hold interleaved weights and run the tiled
-  // kernels; filter-major layers the untiled ones.  The weights are the
-  // lowered bank itself (shared) or finalize()'s private re-laid copy.
-  bool tiled = false;
-
-  // conv
+  // conv — the weights are the lowered bank itself (shared) or finalize()'s
+  // private copy re-laid to the plan's tile width.
   kernels::ConvSpec conv_spec;
   ConvWeights filters;
-  kernels::ConvBinarizeBatchFn conv_bin = nullptr;
-  kernels::ConvDotBatchFn conv_dot = nullptr;
-  kernels::ConvBinarizeTiledBatchFn conv_bin_tiled = nullptr;
-  kernels::ConvDotTiledBatchFn conv_dot_tiled = nullptr;
+  kernels::ConvBinarizeFn conv_bin = nullptr;
+  kernels::ConvDotFn conv_dot = nullptr;
   // first-layer full-precision conv
   bool full_precision = false;
   std::vector<float> float_weights_t;  // (kh*kw*C) x K, im2col layout
@@ -68,11 +62,9 @@ struct Stage {
   kernels::PoolSpec pool_spec;
 
   // fc
-  FcWeights fc_weights;  // k x n bits (pre-transposed when packed)
-  kernels::BgemmRowsFn fc_dot = nullptr;
-  kernels::BgemmBinarizeRowsFn fc_bin = nullptr;
-  kernels::BgemmRowsTiledFn fc_dot_tiled = nullptr;
-  kernels::BgemmBinarizeRowsTiledFn fc_bin_tiled = nullptr;
+  FcWeights fc_weights;  // k x n bits (pre-transposed when packed), as for conv
+  kernels::BgemmFn fc_dot = nullptr;
+  kernels::BgemmBinarizeFn fc_bin = nullptr;
 
   // Binarizing output: a binary layer compares each filter's popcount
   // against its limit (popcount_limit, one per filter, computed here once);
@@ -389,12 +381,10 @@ void BinaryNetwork::finalize(TensorDesc input) {
     if (BF_FAILPOINT_TRIGGERED("simd.force_fallback")) return simd::IsaLevel::kU64;
     return im.cfg.max_isa;
   };
-  const auto plan_layer = [&](std::size_t i, std::int64_t channels, std::int64_t k,
-                              LayerInfo& info) {
-    plans[i] = default_kernel_plan(channels, k, hw, im.cfg.policy, im.cfg.tile_weights,
-                                   layer_cap());
+  const auto plan_layer = [&](std::size_t i, std::int64_t k, LayerInfo& info) {
+    plans[i] = default_kernel_plan(k, hw, layer_cap());
     info.isa = plans[i].isa;
-    info.isa_reason = explain_kernel_plan(plans[i], channels, k, hw, im.cfg.policy);
+    info.isa_reason = explain_kernel_plan(plans[i], k);
   };
   for (std::size_t i = 0; i < n_layers; ++i) {
     PendingLayer& l = im.pending[i];
@@ -419,7 +409,7 @@ void BinaryNetwork::finalize(TensorDesc input) {
           info.isa = simd::IsaLevel::kU64;
           info.isa_reason = "full-precision first layer (im2col + sgemm)";
         } else {
-          plan_layer(i, layer_c, layer_k, info);
+          plan_layer(i, layer_k, info);
         }
         break;
       }
@@ -438,7 +428,7 @@ void BinaryNetwork::finalize(TensorDesc input) {
         }
         seen_fc = true;
         cur = infer_fc(cur, l.fc_weights.rows());
-        plan_layer(i, fc_n, l.fc_weights.rows(), info);
+        plan_layer(i, l.fc_weights.rows(), info);
         break;
       }
     }
@@ -461,14 +451,14 @@ void BinaryNetwork::finalize(TensorDesc input) {
   // plan.acts[i] holds the packed input of stage i (for conv/pool stages);
   // contexts lay it over ping-pong arena i % 2 of each batch slot.
   //
-  // With auto-tuning on, each conv/fc layer's plan (tiled vs untiled, tile
-  // width, parallel grain) at its pass-1 ISA comes from tune::decide() — a
-  // cache hit commits the remembered plan instantly, a miss microbenchmarks
-  // the candidates on the layer's real shapes.  Off, pass 1's
+  // With auto-tuning on, each conv/fc layer's plan (tile width, parallel
+  // grain) at its pass-1 ISA comes from tune::decide() — a cache hit commits
+  // the remembered plan instantly, a miss microbenchmarks the candidates on
+  // the layer's real shapes.  Off, pass 1's
   // default_kernel_plan is committed as it is.  Either way every candidate
   // is bit-exact, so this pass picks speed, never values.  A layer whose
-  // plan matches the layout its weights were lowered to shares them as they
-  // are; any other plan gets a private re-laid copy.
+  // plan's tile width matches the one its weights were lowered to shares
+  // them as they are; any other width gets a private re-laid copy.
   tune::TuneCache tune_cache;
   std::string tune_path;
   bool tune_searched_any = false;
@@ -489,7 +479,6 @@ void BinaryNetwork::finalize(TensorDesc input) {
     s.is_last = (i + 1 == n_layers);
     // The committed plan when tuning is off: pass 1's default.
     tune::Decision dec;
-    dec.tiled = plans[i].tile > 0;
     dec.tile = plans[i].tile;
     switch (l.kind) {
       case LayerKind::kConv: {
@@ -522,26 +511,17 @@ void BinaryNetwork::finalize(TensorDesc input) {
           wl.fused_binarize = !s.is_last;
           if (im.cfg.auto_tune) {
             bool searched = false;
-            dec = tune::decide(wl, tune_cache, *tune_pool, im.cfg.tile_weights, &searched);
+            dec = tune::decide(wl, tune_cache, *tune_pool, &searched);
             tune_searched_any = tune_searched_any || searched;
           }
           if (wl.fused_binarize) {
             s.limits = popcount_limits(bank.bits_per_filter(), l.thresholds, wl.k);
           }
           s.conv_spec.par_grain = dec.par_grain;
-          s.filters = bank.in_layout(dec.tiled ? dec.tile : 0);
-          if (dec.tiled) {
-            s.tiled = true;
-            s.conv_bin_tiled =
-                kernels::conv_binarize_tiled_batch_kernel(info.isa, wl.vpopcnt, dec.tile);
-            s.conv_dot_tiled =
-                kernels::conv_dot_tiled_batch_kernel(info.isa, wl.vpopcnt, dec.tile);
-            info.layout = kernels::WeightLayout::kInterleaved;
-            info.tile = dec.tile;
-          } else {
-            s.conv_bin = kernels::conv_binarize_batch_kernel(info.isa, wl.vpopcnt);
-            s.conv_dot = kernels::conv_dot_batch_kernel(info.isa, wl.vpopcnt);
-          }
+          s.filters = bank.in_layout(dec.tile);
+          s.conv_bin = kernels::conv_binarize_kernel(info.isa, wl.vpopcnt, dec.tile);
+          s.conv_dot = kernels::conv_dot_kernel(info.isa, wl.vpopcnt, dec.tile);
+          info.tile = dec.tile;
           info.par_grain = dec.par_grain;
           info.tune_source = tune::decision_source_name(dec.source);
           // The stage holds what it runs: a lowered bank it did not adopt
@@ -567,22 +547,14 @@ void BinaryNetwork::finalize(TensorDesc input) {
         wl.fused_binarize = !s.is_last;
         if (im.cfg.auto_tune) {
           bool searched = false;
-          dec = tune::decide(wl, tune_cache, *tune_pool, im.cfg.tile_weights, &searched);
+          dec = tune::decide(wl, tune_cache, *tune_pool, &searched);
           tune_searched_any = tune_searched_any || searched;
         }
         if (wl.fused_binarize) s.limits = popcount_limits(w.cols(), l.thresholds, wl.k);
-        s.fc_weights = w.in_layout(dec.tiled ? dec.tile : 0);
-        if (dec.tiled) {
-          s.tiled = true;
-          s.fc_dot_tiled = kernels::bgemm_rows_tiled_kernel(info.isa, wl.vpopcnt, dec.tile);
-          s.fc_bin_tiled =
-              kernels::bgemm_binarize_rows_tiled_kernel(info.isa, wl.vpopcnt, dec.tile);
-          info.layout = kernels::WeightLayout::kInterleaved;
-          info.tile = dec.tile;
-        } else {
-          s.fc_dot = kernels::bgemm_rows_kernel(info.isa, wl.vpopcnt);
-          s.fc_bin = kernels::bgemm_binarize_rows_kernel(info.isa, wl.vpopcnt);
-        }
+        s.fc_weights = w.in_layout(dec.tile);
+        s.fc_dot = kernels::bgemm_kernel(info.isa, wl.vpopcnt, dec.tile);
+        s.fc_bin = kernels::bgemm_binarize_kernel(info.isa, wl.vpopcnt, dec.tile);
+        info.tile = dec.tile;
         info.tune_source = tune::decision_source_name(dec.source);
         l.fc_weights = FcWeights();  // as for conv
         break;
@@ -671,8 +643,7 @@ void BinaryNetwork::finalize(TensorDesc input) {
         if (s.full_precision) {
           kernel = "im2col_sgemm[f32]";
         } else {
-          kernel = s.tiled ? (s.is_last ? "pressedconv_dot_tiled" : "pressedconv_bin_tiled")
-                           : (s.is_last ? "pressedconv_dot" : "pressedconv_bin");
+          kernel = s.is_last ? "pressedconv_dot" : "pressedconv_bin";
           // Padded extents: that is the buffer the kernel actually reads
           // (and keeps the workload non-degenerate for same-padded layers).
           ait = core::analyze_binary_conv({info.in.h + 2 * info.pad, info.in.w + 2 * info.pad,
@@ -689,8 +660,7 @@ void BinaryNetwork::finalize(TensorDesc input) {
         const double n_in = static_cast<double>(info.in.num_elements());
         const double k_out = static_cast<double>(info.out.num_elements());
         ops = 2.0 * n_in * k_out;
-        kernel = s.tiled ? (s.is_last ? "bgemm_rows_tiled" : "bgemm_binarize_rows_tiled")
-                         : (s.is_last ? "bgemm_rows" : "bgemm_binarize_rows");
+        kernel = s.is_last ? "bgemm_rows" : "bgemm_binarize_rows";
         ait = core::analyze_binary_conv({1, 1, info.in.num_elements(),
                                          info.out.num_elements(), 1, 1})
                   .ait_direct;
@@ -701,8 +671,9 @@ void BinaryNetwork::finalize(TensorDesc input) {
       kernel += '[';
       kernel += simd::isa_name(s.isa);
       // Surface the committed plan: ",t8" = register-tile width, ",g18" =
-      // parallel grain (omitted at the pixel-level default of 1).
-      if (s.tiled) {
+      // parallel grain (omitted at the pixel-level default of 1).  Pools
+      // have no tile width.
+      if (info.tile > 0) {
         kernel += ",t";
         kernel += std::to_string(info.tile);
       }
@@ -904,13 +875,8 @@ std::span<const float> BinaryNetwork::infer_batch(std::span<const Tensor* const>
             cx.dot_ptrs[static_cast<std::size_t>(b)] =
                 &cx.last_conv_dot[static_cast<std::size_t>(b)];
           }
-          if (s.tiled) {
-            s.conv_dot_tiled(cx.in_ptrs.data(), n, *s.filters.tiled(), s.conv_spec, cx.pool,
-                             cx.dot_ptrs.data());
-          } else {
-            s.conv_dot(cx.in_ptrs.data(), n, *s.filters.filter_major(), s.conv_spec, cx.pool,
-                       cx.dot_ptrs.data());
-          }
+          s.conv_dot(cx.in_ptrs.data(), n, s.filters.bank(), s.conv_spec, cx.pool,
+                     cx.dot_ptrs.data());
           for (std::int64_t b = 0; b < n; ++b) {
             const Tensor& dots = cx.last_conv_dot[static_cast<std::size_t>(b)];
             std::copy(dots.data(), dots.data() + dots.num_elements(),
@@ -922,13 +888,8 @@ std::span<const float> BinaryNetwork::infer_batch(std::span<const Tensor* const>
           for (std::int64_t b = 0; b < n; ++b) {
             cx.out_ptrs[static_cast<std::size_t>(b)] = &out[static_cast<std::size_t>(b)];
           }
-          if (s.tiled) {
-            s.conv_bin_tiled(cx.in_ptrs.data(), n, *s.filters.tiled(), s.conv_spec, limits,
-                             cx.pool, cx.out_ptrs.data(), s.out_margin);
-          } else {
-            s.conv_bin(cx.in_ptrs.data(), n, *s.filters.filter_major(), s.conv_spec, limits,
-                       cx.pool, cx.out_ptrs.data(), s.out_margin);
-          }
+          s.conv_bin(cx.in_ptrs.data(), n, s.filters.bank(), s.conv_spec, limits, cx.pool,
+                     cx.out_ptrs.data(), s.out_margin);
         }
         break;
       }
@@ -964,16 +925,9 @@ std::span<const float> BinaryNetwork::infer_batch(std::span<const Tensor* const>
           }
         }
         if (s.is_last) {
-          if (s.tiled) {
-            s.fc_dot_tiled(in, n, *s.fc_weights.tiled(), cx.pool, cx.scores.data());
-          } else {
-            s.fc_dot(in, n, *s.fc_weights.filter_major(), cx.pool, cx.scores.data());
-          }
-        } else if (s.tiled) {
-          s.fc_bin_tiled(in, n, *s.fc_weights.tiled(), limits, cx.pool,
-                         cx.fc_bits[static_cast<std::size_t>(s.out_fc)]);
+          s.fc_dot(in, n, s.fc_weights.bank(), cx.pool, cx.scores.data());
         } else {
-          s.fc_bin(in, n, *s.fc_weights.filter_major(), limits, cx.pool,
+          s.fc_bin(in, n, s.fc_weights.bank(), limits, cx.pool,
                    cx.fc_bits[static_cast<std::size_t>(s.out_fc)]);
         }
         break;

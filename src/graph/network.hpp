@@ -10,12 +10,11 @@
 //   * shape inference over the whole chain (scheduler component 1);
 //   * kernel selection per operator from the detected hardware (components
 //     2-3): conv and fc layers run register-tiled at the widest ISA, pools
-//     and untiled layers by the channel-multiple rules of Fig. 6
-//     (graph/scheduler.hpp);
-//   * a weight layout per layer: it adopts the lowered bank when its plan
-//     matches the bank's layout and re-lays a private copy only when it
-//     differs (tiling off, an ISA cap or fallback that changes the tile
-//     width, an auto-tuner decision);
+//     by the channel-multiple rules of Fig. 6 (graph/scheduler.hpp);
+//   * a tile width per layer: it adopts the lowered bank when its plan's
+//     width matches the bank's and re-lays a private copy only when it
+//     differs (an ISA cap or fallback that changes the tile width, an
+//     auto-tuner decision);
 //   * a memory plan for the activation buffers — the static-graph memory
 //     planner.  Each buffer carries the *consumer's* padding margin, so
 //     padding is realized by writing the producer's output into the interior
@@ -89,14 +88,11 @@ struct LayerInfo {
   simd::IsaLevel isa = simd::IsaLevel::kU64;
   std::string isa_reason;
   bool full_precision = false;  ///< first-layer float conv (see add_conv_float)
-  /// Weight layout finalize() chose for this layer (conv/fc only):
-  /// kInterleaved when the register-tiled kernels run it, kFilterMajor when
-  /// it fell back (tiling disabled, K < tile width, or no weights at all).
-  kernels::WeightLayout layout = kernels::WeightLayout::kFilterMajor;
-  /// Committed register-tile width T (0 = filter-major kernels) and
-  /// parallel-axis grain of the fused spatial range — the execution plan the
-  /// stage will dispatch.  With auto-tuning off these are default_kernel_plan's
-  /// width and grain 1.
+  /// Committed register-tile width T and parallel-axis grain of the fused
+  /// spatial range — the execution plan the stage will dispatch.  T > 0 for
+  /// every binary conv/fc layer (K < T means no full tile: every filter is a
+  /// remainder filter) and 0 for pools and a full-precision first layer.
+  /// With auto-tuning off these are default_kernel_plan's width and grain 1.
   std::int64_t tile = 0;
   std::int64_t par_grain = 1;
   /// Provenance of the plan: "default" (static heuristic), "search"
@@ -110,7 +106,7 @@ struct LayerInfo {
 /// inflate it.
 struct LayerProfile {
   std::string name;    ///< layer name; row 0 is the input pack ("pack_input")
-  std::string kernel;  ///< kernel + ISA actually dispatched, e.g. "pressedconv_bin_tiled[avx2]"
+  std::string kernel;  ///< kernel + plan actually dispatched, e.g. "pressedconv_bin[avx2,t16]"
   std::uint64_t calls = 0;   ///< stage invocations recorded
   std::uint64_t images = 0;  ///< images processed across those calls
   double mean_ms = 0.0;
@@ -150,22 +146,17 @@ struct ProfileReport {
 /// Network-wide execution configuration.
 struct NetworkConfig {
   int num_threads = 1;
+  /// The pools' ISA rule (conv and fc layers follow default_kernel_plan).
   SchedulerPolicy policy = SchedulerPolicy::kPaperRules;
   bool profile = false;  ///< record per-layer wall-clock on every inference
   /// Caps the scheduler's kernel choice (e.g. kAvx2 to model an i7-7700HQ
-  /// on wider hardware), tiled layers included.  The cap must itself be
-  /// hardware-supported.
+  /// on wider hardware), conv and fc layers included.  The cap must itself
+  /// be hardware-supported.  A cap that changes a layer's tile width makes
+  /// finalize() re-lay a private copy of its bank.
   std::optional<simd::IsaLevel> max_isa;
-  /// Run conv and FC layers on the T-way interleaved weight layout and the
-  /// register-tiled kernels (bit-exact with the filter-major path; same
-  /// weight bytes) at the widest ISA.  Layers with fewer than 4 outputs keep
-  /// the filter-major layout either way.  Turning this off puts every layer
-  /// on the untiled kernels and the channel rule, and makes finalize()
-  /// re-lay a private filter-major copy of each tiled bank.
-  bool tile_weights = true;
   /// Run the finalize-time auto-tuner (tune/tuner.hpp): microbenchmark each
-  /// conv/fc layer's kernel candidates (tiled vs untiled x tile width x
-  /// parallel grain) on its real shapes and commit the fastest.  Every
+  /// conv/fc layer's kernel candidates (tile width x parallel grain) on its
+  /// real shapes and commit the fastest.  Every
   /// candidate is bit-exact, so tuning changes latency only.  Decisions are
   /// read from / written to the tuning cache (below) so warm starts skip the
   /// search.

@@ -43,23 +43,20 @@ std::string explain_isa_selection(std::int64_t channels, const simd::CpuFeatures
   return s;
 }
 
-KernelPlan default_kernel_plan(std::int64_t channels, std::int64_t k, const simd::CpuFeatures& f,
-                               SchedulerPolicy policy, bool tile_weights,
+KernelPlan default_kernel_plan(std::int64_t k, const simd::CpuFeatures& f,
                                std::optional<simd::IsaLevel> cap) {
   tune::LayerWorkload wl;
   wl.isa = clamp(f.best_isa(), cap);
   wl.k = k;
-  const tune::Decision d = tune::default_decision(wl, tile_weights);
-  if (d.tiled) return {wl.isa, d.tile};
-  return {clamp(select_isa(channels, f, policy), cap), 0};
+  return {wl.isa, tune::default_decision(wl).tile};
 }
 
-std::string explain_kernel_plan(const KernelPlan& plan, std::int64_t channels, std::int64_t k,
-                                const simd::CpuFeatures& f, SchedulerPolicy policy) {
-  if (plan.tile == 0) return explain_isa_selection(channels, f, policy);
-  return "K=" + std::to_string(k) + " -> " + std::string(isa_name(plan.isa)) +
-         " (register tiles: T=" + std::to_string(plan.tile) +
-         " filters per activation broadcast vectorize along K, so the widest ISA)";
+std::string explain_kernel_plan(const KernelPlan& plan, std::int64_t k) {
+  std::string s = "K=" + std::to_string(k) + " -> " + std::string(isa_name(plan.isa)) +
+                  " (register tiles: T=" + std::to_string(plan.tile) +
+                  " filters per activation broadcast vectorize along K, so the widest ISA";
+  if (k < plan.tile) s += "; K < T, so no full tile";
+  return s + ")";
 }
 
 }  // namespace bitflow::graph

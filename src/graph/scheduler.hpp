@@ -5,10 +5,18 @@
 // simd/cpu_features.hpp; this header is the code generator.  It has two
 // rules, one per vectorization axis.
 //
-// The paper's channel rule (select_isa, Fig. 6) governs kernels that
-// vectorize along C — PressedConv's word runs, the untiled bgemm, binary
-// max pooling, and the ops:: operators behind the Fig. 6-10 benches.  A C
-// that is not a multiple of the register width would waste lanes there:
+// The register-tile rule (default_kernel_plan) governs every binary conv and
+// fc layer — the engine's and ops::'s alike.  Their kernels vectorize along
+// K: one activation word is broadcast against T interleaved filter words,
+// so every lane holds a filter and no channel count wastes one.  A layer
+// therefore takes the widest ISA the CPU supports, with T = 16 on
+// AVX2/AVX-512 and 4 on u64/SSE (the largest supported T <= K when K is
+// smaller, and T = 4 with no full tile when K < 4).
+//
+// The paper's channel rule (select_isa, Fig. 6) governs the kernels that
+// still vectorize along C — binary max pooling — and the Fig. 6 mapping
+// report.  A C that is not a multiple of the register width would waste
+// lanes there:
 //   rule 1: C % 512 == 0 and AVX-512 available  -> 512-bit kernel
 //   rule 2: C % 256 == 0 and AVX2 available     -> 256-bit kernel
 //   rule 3: C % 128 == 0 and SSE available      -> 128-bit kernel
@@ -16,20 +24,10 @@
 //           multiple of the word size are padded with zero bits (the packers
 //           maintain zero tails, so no separate padding pass exists).
 //
-// The register-tile rule (default_kernel_plan) governs the engine's conv and
-// fc layers.  Their tiled kernels vectorize along K instead: one activation
-// word is broadcast against T interleaved filter words, so every lane holds
-// a filter and no channel count wastes one.  A tiled layer therefore takes
-// the widest ISA the CPU supports, with T = 16 on AVX2/AVX-512 and 4 on
-// u64/SSE (the largest supported T <= K when K is smaller).  Only a layer
-// the tiled kernels cannot run (K < 4, or tiling switched off) falls back to
-// the untiled kernels and the channel rule.
-//
 // kWidest is a BitFlow extension beyond the paper: because NHWC channel
 // packing makes a whole window row (kw * words_per_pixel words) contiguous,
 // a vector register may legitimately span filter taps, so the widest
-// hardware ISA is usable for any channel count.  bench_isa_ablation
-// quantifies what the paper's conservative rules leave on the table.
+// hardware ISA is usable for any channel count.
 #pragma once
 
 #include <cstdint>
@@ -61,25 +59,18 @@ enum class SchedulerPolicy {
 /// The ISA and register-tile width a conv or fc layer runs at.
 struct KernelPlan {
   simd::IsaLevel isa = simd::IsaLevel::kU64;
-  std::int64_t tile = 0;  ///< register-tile width T; 0 = untiled (filter-major)
+  std::int64_t tile = 4;  ///< register-tile width T
 };
 
-/// The default plan of a conv or fc layer with packed dimension `channels`
-/// (C, or input neurons) and `k` filters or output neurons: the one rule
-/// behind both weight lowering (graph/weights.hpp) and finalize().  When
-/// `tile_weights` allows and K >= 4, the layer is tiled at the widest ISA of
-/// `f` with T = tune::default_decision's width there; otherwise it is
-/// untiled at select_isa(channels, f, policy).  `cap` (NetworkConfig::max_isa,
-/// or kU64 under a forced fallback) clamps either ISA.
-[[nodiscard]] KernelPlan default_kernel_plan(std::int64_t channels, std::int64_t k,
-                                             const simd::CpuFeatures& f, SchedulerPolicy policy,
-                                             bool tile_weights,
+/// The default plan of a conv or fc layer with `k` filters or output
+/// neurons: the one rule behind weight lowering (graph/weights.hpp),
+/// finalize() and ops::.  The ISA is the widest `f` supports, clamped by
+/// `cap` (NetworkConfig::max_isa, ops' force_isa, or kU64 under a forced
+/// fallback); T is tune::default_decision's width there.
+[[nodiscard]] KernelPlan default_kernel_plan(std::int64_t k, const simd::CpuFeatures& f,
                                              std::optional<simd::IsaLevel> cap = std::nullopt);
 
-/// LayerInfo::isa_reason for a plan from default_kernel_plan: the register-
-/// tile rule for a tiled plan, explain_isa_selection's channel rule otherwise.
-[[nodiscard]] std::string explain_kernel_plan(const KernelPlan& plan, std::int64_t channels,
-                                              std::int64_t k, const simd::CpuFeatures& f,
-                                              SchedulerPolicy policy);
+/// LayerInfo::isa_reason for a plan from default_kernel_plan.
+[[nodiscard]] std::string explain_kernel_plan(const KernelPlan& plan, std::int64_t k);
 
 }  // namespace bitflow::graph

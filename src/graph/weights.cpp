@@ -17,7 +17,6 @@
 #include "bitpack/packer.hpp"
 #include "core/sync.hpp"
 #include "core/thread_annotations.hpp"
-#include "graph/network.hpp"
 #include "graph/scheduler.hpp"
 #include "runtime/thread_pool.hpp"
 #include "simd/cpu_features.hpp"
@@ -26,14 +25,10 @@ namespace bitflow::graph {
 
 namespace {
 
-/// The layout finalize() commits for a layer under a default NetworkConfig:
-/// the tile width of its default_kernel_plan, 0 for filter-major.  Consults
-/// no failpoint.
-std::int64_t default_tile(std::int64_t packed_dim, std::int64_t k) {
-  const NetworkConfig defaults;
-  return default_kernel_plan(packed_dim, k, simd::cpu_features(), defaults.policy,
-                             defaults.tile_weights, defaults.max_isa)
-      .tile;
+/// The tile width finalize() commits for a layer of `k` filters under a
+/// default NetworkConfig: its default_kernel_plan's.  Consults no failpoint.
+std::int64_t default_tile(std::int64_t k) {
+  return default_kernel_plan(k, simd::cpu_features()).tile;
 }
 
 /// A bank's padding rule: each row (a filter or an fc row, named `unit` in
@@ -72,8 +67,8 @@ std::int64_t affinity_cpus() {
 }
 
 /// One bank's streamed lowering: `rows` rows of `row_words` words at
-/// `words`, the first rows / tile * tile of them interleaved `tile` ways
-/// (tile 0: none) and the rest row-major after them.  Chunks are numbered in
+/// `words`, the first rows / tile * tile of them interleaved `tile` ways and
+/// the rest row-major after them (all of them when rows < tile).  Chunks are numbered in
 /// file order: first the tile-block chunks, read into a worker's scratch
 /// and interleaved from there, then the row-major chunks, read straight into
 /// place.  Every word of the bank is written before run() returns normally.
@@ -85,13 +80,11 @@ class BankStream {
         rows_(rows),
         row_words_(row_words),
         tile_(tile),
-        tiled_rows_(tile > 0 ? rows / tile * tile : 0),
-        chunk_blocks_(tile > 0 ? std::clamp<std::int64_t>(
-                                     kStreamChunkBytes / (tile * row_words * 8), 1,
-                                     std::max<std::int64_t>(1, rows / tile))
-                               : 0),
+        tiled_rows_(rows / tile * tile),
+        chunk_blocks_(std::clamp<std::int64_t>(kStreamChunkBytes / (tile * row_words * 8), 1,
+                                               std::max<std::int64_t>(1, rows / tile))),
         chunk_rows_(std::max<std::int64_t>(1, kStreamChunkBytes / (row_words * 8))),
-        tiled_chunks_(tile > 0 ? ceil_div(tiled_rows_ / tile, chunk_blocks_) : 0),
+        tiled_chunks_(ceil_div(tiled_rows_ / tile, chunk_blocks_)),
         chunks_(tiled_chunks_ + ceil_div(rows - tiled_rows_, chunk_rows_)),
         padding_(padding),
         layer_(layer),
@@ -220,32 +213,21 @@ WordSink copy_into(std::uint64_t* out) {
 // --- conv ------------------------------------------------------------------
 
 ConvWeights::ConvWeights(PackedFilterBank filters, std::int64_t tile)
-    : ConvWeights(tile > 0 ? Bank(bitpack::tile_filters(std::move(filters), tile))
-                           : Bank(std::move(filters))) {}
+    : ConvWeights(bitpack::tile_filters(std::move(filters), tile)) {}
 
-ConvWeights::ConvWeights(Bank bank) {
-  std::visit(
-      [this](const auto& b) {
-        k_ = b.num_filters();
-        kh_ = b.kernel_h();
-        kw_ = b.kernel_w();
-        c_ = b.channels();
-      },
-      bank);
-  bank_ = std::make_shared<const Bank>(std::move(bank));
-}
+ConvWeights::ConvWeights(TiledFilterBank bank)
+    : k_(bank.num_filters()),
+      kh_(bank.kernel_h()),
+      kw_(bank.kernel_w()),
+      c_(bank.channels()),
+      bank_(std::make_shared<const TiledFilterBank>(std::move(bank))) {}
 
 std::uint64_t ConvWeights::word(std::int64_t k, std::int64_t w) const noexcept {
-  if (const TiledFilterBank* t = tiled()) return t->rows().row_word(k, w);
-  return filter_major()->filter(k)[w];
+  return bank().rows().row_word(k, w);
 }
 
 void ConvWeights::for_each_filter_major(const WordSink& sink) const {
-  if (const TiledFilterBank* t = tiled()) {
-    stream_rows(t->rows(), sink);
-  } else if (num_words() > 0) {
-    sink(filter_major()->words(), num_words());
-  }
+  if (bank_) stream_rows(bank_->rows(), sink);
 }
 
 ConvWeights ConvWeights::in_layout(std::int64_t tile) const {
@@ -260,7 +242,7 @@ ConvWeights lower_conv_weights(PackedFilterBank filters, const std::string& laye
                 Padding{filters.kernel_h() * filters.kernel_w(), filters.words_per_pixel(),
                         filters.channels(), "C", "filter"},
                 layer);
-  const std::int64_t tile = default_tile(filters.channels(), filters.num_filters());
+  const std::int64_t tile = default_tile(filters.num_filters());
   return ConvWeights(std::move(filters), tile);
 }
 
@@ -268,46 +250,34 @@ ConvWeights stream_conv_weights(std::int64_t k, std::int64_t kh, std::int64_t kw
                                 std::int64_t c, const std::string& layer,
                                 const ByteSource& read) {
   const Padding padding{kh * kw, words_for_channels(c), c, "C", "filter"};
-  const std::int64_t tile = default_tile(c, k);
-  if (tile == 0) {
-    // K < 4 filters: too few to be worth leaving unzeroed.
-    PackedFilterBank filters(k, kh, kw, c);
-    BankStream(filters.words(), k, filters.words_per_filter(), 0, padding, layer, read).run();
-    return ConvWeights(ConvWeights::Bank(std::move(filters)));
-  }
+  const std::int64_t tile = default_tile(k);
   const std::int64_t row_words = kh * kw * words_for_channels(c);
   TiledBitMatrix rows(
       AlignedBuffer::uninitialized(static_cast<std::size_t>(k * row_words) * sizeof(std::uint64_t)),
       k, row_words, tile);
   BankStream(rows.words(), k, row_words, tile, padding, layer, read).run();
-  return ConvWeights(ConvWeights::Bank(TiledFilterBank(std::move(rows), kh, kw, c)));
+  return ConvWeights(TiledFilterBank(std::move(rows), kh, kw, c));
 }
 
 // --- fc --------------------------------------------------------------------
 
 FcWeights::FcWeights(PackedMatrix weights, std::int64_t tile)
-    : rows_(weights.rows()), cols_(weights.cols()) {
-  bank_ = tile > 0
-              ? std::make_shared<const Bank>(bitpack::tile_fc_weights(std::move(weights), tile))
-              : std::make_shared<const Bank>(std::move(weights));
-}
+    : rows_(weights.rows()),
+      cols_(weights.cols()),
+      bank_(std::make_shared<const TiledBitMatrix>(
+          bitpack::tile_fc_weights(std::move(weights), tile))) {}
 
-FcWeights::FcWeights(Bank bank, std::int64_t cols)
-    : rows_(std::visit([](const auto& b) { return b.rows(); }, bank)),
+FcWeights::FcWeights(TiledBitMatrix bank, std::int64_t cols)
+    : rows_(bank.rows()),
       cols_(cols),
-      bank_(std::make_shared<const Bank>(std::move(bank))) {}
+      bank_(std::make_shared<const TiledBitMatrix>(std::move(bank))) {}
 
 std::uint64_t FcWeights::word(std::int64_t r, std::int64_t w) const noexcept {
-  if (const TiledBitMatrix* t = tiled()) return t->row_word(r, w);
-  return filter_major()->row(r)[w];
+  return bank().row_word(r, w);
 }
 
 void FcWeights::for_each_filter_major(const WordSink& sink) const {
-  if (const TiledBitMatrix* t = tiled()) {
-    stream_rows(*t, sink);
-  } else if (num_words() > 0) {
-    sink(filter_major()->words(), num_words());
-  }
+  if (bank_) stream_rows(*bank_, sink);
 }
 
 FcWeights FcWeights::in_layout(std::int64_t tile) const {
@@ -320,7 +290,7 @@ FcWeights FcWeights::in_layout(std::int64_t tile) const {
 FcWeights lower_fc_weights(PackedMatrix weights, const std::string& layer) {
   check_padding(weights.words(), 0, weights.rows(),
                 Padding{1, weights.words_per_row(), weights.cols(), "N", "row"}, layer);
-  const std::int64_t tile = default_tile(weights.cols(), weights.rows());
+  const std::int64_t tile = default_tile(weights.rows());
   return FcWeights(std::move(weights), tile);
 }
 
@@ -328,17 +298,12 @@ FcWeights stream_fc_weights(std::int64_t rows, std::int64_t cols, const std::str
                             const ByteSource& read) {
   const std::int64_t row_words = words_for_channels(cols);
   const Padding padding{1, row_words, cols, "N", "row"};
-  const std::int64_t tile = default_tile(cols, rows);
-  if (tile == 0) {
-    PackedMatrix weights(rows, cols);
-    BankStream(weights.words(), rows, row_words, 0, padding, layer, read).run();
-    return FcWeights(FcWeights::Bank(std::move(weights)), cols);
-  }
+  const std::int64_t tile = default_tile(rows);
   TiledBitMatrix m(AlignedBuffer::uninitialized(static_cast<std::size_t>(rows * row_words) *
                                                 sizeof(std::uint64_t)),
                    rows, row_words, tile);
   BankStream(m.words(), rows, row_words, tile, padding, layer, read).run();
-  return FcWeights(FcWeights::Bank(std::move(m)), cols);
+  return FcWeights(std::move(m), cols);
 }
 
 // --- binarize thresholds ------------------------------------------------------

@@ -2,10 +2,11 @@
 //
 // Packed weights enter the process in io::Model::load, io::Model::add_conv /
 // add_fc and BinaryNetwork::add_conv / add_fc.  All of them lower each bank
-// into the layout finalize() commits under a default NetworkConfig — both
-// take it from the same default_kernel_plan (graph/scheduler.hpp): the
-// T-way register-tile interleave, or filter-major when K < 4 — and reject
-// set padding bits.  There are two routes there:
+// into the T-way register-tile interleave finalize() commits under a
+// default NetworkConfig — both take T from the same default_kernel_plan
+// (graph/scheduler.hpp); a bank with K < T has no full tile and stays
+// filter-major inside the tiled matrix — and reject set padding bits.  There
+// are two routes there:
 //
 //   * in memory (lower_conv_weights / lower_fc_weights, from the add_*
 //     calls): the bank is checked, then permuted in place (bitpack::tile_*);
@@ -13,7 +14,8 @@
 //     io::Model::load): the bank is allocated without zeroing and its
 //     filter-major words are read from the model stream in chunks of about
 //     kStreamChunkBytes, whole tile blocks at a time; each chunk is checked
-//     and its blocks interleaved straight into their final place.  A bank
+//     and its blocks interleaved straight into their final place; the
+//     K % T remainder rows are read straight into place.  A bank
 //     gets one worker per kStreamBytesPerWorker bytes, up to the CPUs in the
 //     process's affinity mask.  With fewer than two it runs inline on the
 //     caller's thread; otherwise the call owns a transient runtime::ThreadPool
@@ -31,22 +33,22 @@
 // integer popcount limits the fused binarize kernels compare against
 // (popcount_limit), once per layer when finalize() builds its plan.
 //
-// finalize() adopts a bank whose layout matches its plan and re-lays a
-// private copy (in_layout()) only when the plan differs: tile_weights =
-// false, a max_isa cap, a SchedulerPolicy or an armed simd.force_fallback
-// that changes T, or an auto-tuner decision.  Lowering evaluates no failpoint
-// of its own (a `once` simd.force_fallback still fires at finalize); the
-// streamed route's bank allocation passes alloc.buffer on the caller's
-// thread, and its pool's workers pass the runtime.worker points.
+// finalize() adopts a bank whose tile width matches its plan and re-lays a
+// private copy (in_layout()) only when the plan's T differs: a max_isa cap
+// or an armed simd.force_fallback that changes T, or an auto-tuner
+// decision.  Lowering evaluates no failpoint of its own (a `once`
+// simd.force_fallback still fires at finalize); the streamed route's bank
+// allocation passes alloc.buffer on the caller's thread, and its pool's
+// workers pass the runtime.worker points.
 #pragma once
 
 #include <cstdint>
 #include <functional>
 #include <memory>
 #include <string>
-#include <variant>
 #include <vector>
 
+#include "core/check.hpp"
 #include "tensor/packed_tensor.hpp"
 
 namespace bitflow::graph {
@@ -61,8 +63,8 @@ using WordSink = std::function<void(const std::uint64_t* words, std::int64_t cou
 using ByteSource = std::function<void(void* dst, std::int64_t bytes)>;
 
 /// The streamed lowering's unit of work: whole tile blocks — or whole rows,
-/// where a bank is not interleaved — of about this many bytes (at least one
-/// block or row) are read, checked and placed at a time.
+/// for the remainder rows after the tiles — of about this many bytes (at
+/// least one block or row) are read, checked and placed at a time.
 inline constexpr std::int64_t kStreamChunkBytes = std::int64_t{64} << 10;
 
 /// A streamed bank gets one load worker per this many bytes, up to the CPUs
@@ -70,8 +72,8 @@ inline constexpr std::int64_t kStreamChunkBytes = std::int64_t{64} << 10;
 inline constexpr std::int64_t kStreamBytesPerWorker = std::int64_t{1} << 20;
 
 /// A binary conv layer's packed filters (K x kh x kw x C bits) in execution
-/// layout.  Copies share one immutable bank; a default-constructed value is
-/// empty (all extents 0).
+/// layout: one TiledFilterBank.  Copies share one immutable bank; a
+/// default-constructed value is empty (all extents 0, no bank).
 class ConvWeights {
  public:
   ConvWeights() = default;
@@ -87,16 +89,12 @@ class ConvWeights {
   [[nodiscard]] std::int64_t bits_per_filter() const noexcept { return kh_ * kw_ * c_; }
   [[nodiscard]] std::int64_t num_words() const noexcept { return k_ * words_per_filter(); }
 
-  /// Register-tile width T of the interleave; 0 = filter-major.
-  [[nodiscard]] std::int64_t tile() const noexcept {
-    return tiled() != nullptr ? tiled()->tile() : 0;
-  }
-  /// The bank the kernels read: exactly one is non-null unless empty.
-  [[nodiscard]] const TiledFilterBank* tiled() const noexcept {
-    return std::get_if<TiledFilterBank>(bank_.get());
-  }
-  [[nodiscard]] const PackedFilterBank* filter_major() const noexcept {
-    return std::get_if<PackedFilterBank>(bank_.get());
+  /// Register-tile width T of the interleave; 0 when empty.
+  [[nodiscard]] std::int64_t tile() const noexcept { return bank_ ? bank_->tile() : 0; }
+  /// The bank the kernels read; the weights must not be empty.
+  [[nodiscard]] const TiledFilterBank& bank() const noexcept {
+    BF_DCHECK(bank_ != nullptr, "ConvWeights: empty");
+    return *bank_;
   }
 
   /// Word `w` of filter `k` in filter-major order, resolving the interleave.
@@ -104,26 +102,26 @@ class ConvWeights {
   /// Streams every word to `sink` in filter-major order, de-interleaving
   /// one tile block at a time (the model writer's path).
   void for_each_filter_major(const WordSink& sink) const;
-  /// This bank when it is already in layout `tile` (0 = filter-major),
-  /// shared; otherwise a private copy re-laid to it.
+  /// This bank when it is already tiled `tile` ways, shared; otherwise a
+  /// private copy re-laid to it.
   [[nodiscard]] ConvWeights in_layout(std::int64_t tile) const;
 
  private:
-  using Bank = std::variant<PackedFilterBank, TiledFilterBank>;
   friend ConvWeights lower_conv_weights(PackedFilterBank filters, const std::string& layer);
   friend ConvWeights stream_conv_weights(std::int64_t k, std::int64_t kh, std::int64_t kw,
                                          std::int64_t c, const std::string& layer,
                                          const ByteSource& read);
   ConvWeights(PackedFilterBank filters, std::int64_t tile);
   /// Adopts a bank already in its layout.
-  explicit ConvWeights(Bank bank);
+  explicit ConvWeights(TiledFilterBank bank);
 
   std::int64_t k_ = 0, kh_ = 0, kw_ = 0, c_ = 0;
-  std::shared_ptr<const Bank> bank_;
+  std::shared_ptr<const TiledFilterBank> bank_;
 };
 
 /// A binary fc layer's packed weights (K rows of N bits, one row per output
-/// neuron) in execution layout.  Same sharing contract as ConvWeights.
+/// neuron) in execution layout: one TiledBitMatrix.  Same sharing contract
+/// as ConvWeights.
 class FcWeights {
  public:
   FcWeights() = default;
@@ -135,16 +133,12 @@ class FcWeights {
   [[nodiscard]] std::int64_t words_per_row() const noexcept { return words_for_channels(cols_); }
   [[nodiscard]] std::int64_t num_words() const noexcept { return rows_ * words_per_row(); }
 
-  /// Register-tile width T of the interleave; 0 = row-major.
-  [[nodiscard]] std::int64_t tile() const noexcept {
-    return tiled() != nullptr ? tiled()->tile() : 0;
-  }
-  /// The matrix the kernels read: exactly one is non-null unless empty.
-  [[nodiscard]] const TiledBitMatrix* tiled() const noexcept {
-    return std::get_if<TiledBitMatrix>(bank_.get());
-  }
-  [[nodiscard]] const PackedMatrix* filter_major() const noexcept {
-    return std::get_if<PackedMatrix>(bank_.get());
+  /// Register-tile width T of the interleave; 0 when empty.
+  [[nodiscard]] std::int64_t tile() const noexcept { return bank_ ? bank_->tile() : 0; }
+  /// The matrix the kernels read; the weights must not be empty.
+  [[nodiscard]] const TiledBitMatrix& bank() const noexcept {
+    BF_DCHECK(bank_ != nullptr, "FcWeights: empty");
+    return *bank_;
   }
 
   /// Word `w` of row `r`, resolving the interleave.
@@ -155,16 +149,15 @@ class FcWeights {
   [[nodiscard]] FcWeights in_layout(std::int64_t tile) const;
 
  private:
-  using Bank = std::variant<PackedMatrix, TiledBitMatrix>;
   friend FcWeights lower_fc_weights(PackedMatrix weights, const std::string& layer);
   friend FcWeights stream_fc_weights(std::int64_t rows, std::int64_t cols,
                                      const std::string& layer, const ByteSource& read);
   FcWeights(PackedMatrix weights, std::int64_t tile);
   /// Adopts a bank of `cols`-bit rows already in its layout.
-  FcWeights(Bank bank, std::int64_t cols);
+  FcWeights(TiledBitMatrix bank, std::int64_t cols);
 
   std::int64_t rows_ = 0, cols_ = 0;
-  std::shared_ptr<const Bank> bank_;
+  std::shared_ptr<const TiledBitMatrix> bank_;
 };
 
 /// Lowers packed conv filters into execution layout (see the file comment).

@@ -1,14 +1,26 @@
-// Generic bgemm inner loops, templated over an ISA policy (same scheme as
-// pressedconv_impl.hpp — included only by the per-ISA kernel TUs).
+// bgemm inner loops, templated over an ISA policy and a register-tile
+// accumulator (same scheme as pressedconv_impl.hpp — included only by the
+// per-ISA kernel TUs).
 //
-// Batch-N: the row-limited `_rows` variants compute only the first `m_rows`
-// rows of A (the serving path keeps a max_batch-row activation matrix and
-// fills the first n rows per micro-batch).  The M and K dimensions are fused
-// into one m_rows*k_rows parallel_for, so a batch of N requests through a
-// small FC layer costs one fork/join instead of N — same fusion the batched
-// PressedConv applies to N*H*W.  Each output element depends only on its own
-// (m, k) pair, so results are bit-identical for any m_rows and any thread
-// count; the classic entry points are the m_rows = rows() case.
+// The weight matrix W is in the T-way register-tile layout
+// (bitpack::tile_fc_weights): for each activation word, the T = Tile::kWidth
+// matching weight words are one contiguous line, and the T neuron counters
+// stay in registers across the whole activation row; the fused binarize
+// compares them against the T popcount limits in registers.  Remainder
+// neurons (K % T, all of them when K < T) are stored row-major after the
+// tiles and take the policy's word-run xor_popcount.
+//
+// Batch-N: the kernels compute only the first `m_rows` rows of A (the
+// serving path keeps a max_batch-row activation matrix and fills the first
+// n rows per micro-batch).  The M and K dimensions are fused into one
+// parallel_for, so a batch of N requests through a small FC layer costs one
+// fork/join instead of N — the same fusion PressedConv applies to N*H*W.
+// Each output element depends only on its own (m, k) pair, so results are
+// bit-identical for any m_rows and any thread count.
+//
+// Tile is an explicit template parameter (not Ops::Tile) so each per-ISA TU
+// can stamp one entry point per supported width (the static rule's default
+// and the auto-tuner's T axis).
 #pragma once
 
 #include <algorithm>
@@ -21,110 +33,6 @@
 #include "tensor/packed_tensor.hpp"
 
 namespace bitflow::kernels::impl {
-
-template <typename Ops>
-void bgemm_rows_impl(const PackedMatrix& a, std::int64_t m_rows, const PackedMatrix& w,
-                     runtime::ThreadPool& pool, float* y) {
-  if (a.cols() != w.cols()) throw std::invalid_argument("bgemm: N mismatch");
-  if (m_rows < 0 || m_rows > a.rows()) {
-    throw std::invalid_argument("bgemm: m_rows out of range");
-  }
-  const std::int64_t k_rows = w.rows();
-  const std::int64_t n_words = a.words_per_row();
-  const std::int64_t bits = a.cols();
-  // Multi-core parallelism over the fused M*K output range (paper Sec.
-  // III-C parallelizes K; fusing M keeps small layers saturated at M > 1).
-  pool.parallel_for(m_rows * k_rows, [&](runtime::Range r, int) {
-    std::int64_t idx = r.begin;
-    while (idx < r.end) {
-      const std::int64_t m = idx / k_rows;
-      const std::int64_t k_begin = idx - m * k_rows;
-      const std::int64_t k_end = std::min(k_rows, k_begin + (r.end - idx));
-      const std::uint64_t* xa = a.row(m);
-      float* ym = y + m * k_rows;
-      std::int64_t k = k_begin;
-      // 4-way K blocking: the activation row streams from L1/L2 once per
-      // four weight rows.
-      for (; k + 4 <= k_end; k += 4) {
-        const std::uint64_t p0 = Ops::xor_popcount(xa, w.row(k + 0), n_words);
-        const std::uint64_t p1 = Ops::xor_popcount(xa, w.row(k + 1), n_words);
-        const std::uint64_t p2 = Ops::xor_popcount(xa, w.row(k + 2), n_words);
-        const std::uint64_t p3 = Ops::xor_popcount(xa, w.row(k + 3), n_words);
-        ym[k + 0] = static_cast<float>(bits - 2 * static_cast<std::int64_t>(p0));
-        ym[k + 1] = static_cast<float>(bits - 2 * static_cast<std::int64_t>(p1));
-        ym[k + 2] = static_cast<float>(bits - 2 * static_cast<std::int64_t>(p2));
-        ym[k + 3] = static_cast<float>(bits - 2 * static_cast<std::int64_t>(p3));
-      }
-      for (; k < k_end; ++k) {
-        const std::uint64_t p = Ops::xor_popcount(xa, w.row(k), n_words);
-        ym[k] = static_cast<float>(bits - 2 * static_cast<std::int64_t>(p));
-      }
-      idx += k_end - k_begin;
-    }
-  });
-}
-
-template <typename Ops>
-void bgemm_impl(const PackedMatrix& a, const PackedMatrix& w, runtime::ThreadPool& pool,
-                float* y) {
-  bgemm_rows_impl<Ops>(a, a.rows(), w, pool, y);
-}
-
-template <typename Ops>
-void bgemm_binarize_rows_impl(const PackedMatrix& a, std::int64_t m_rows, const PackedMatrix& w,
-                              const std::int64_t* limits, runtime::ThreadPool& pool,
-                              PackedMatrix& out) {
-  if (a.cols() != w.cols()) throw std::invalid_argument("bgemm_binarize: N mismatch");
-  if (out.rows() != a.rows() || out.cols() != w.rows()) {
-    throw std::invalid_argument("bgemm_binarize: output mis-shaped");
-  }
-  if (m_rows < 0 || m_rows > a.rows()) {
-    throw std::invalid_argument("bgemm_binarize: m_rows out of range");
-  }
-  const std::int64_t k_rows = w.rows();
-  const std::int64_t n_words = a.words_per_row();
-  const std::int64_t out_words = out.words_per_row();
-  std::vector<std::int64_t> sign;
-  limits = resolve_limits(limits, a.cols(), k_rows, sign);
-  // Parallelize over whole output words (fused across rows) so no two
-  // workers share a word.
-  pool.parallel_for(m_rows * out_words, [&](runtime::Range r, int) {
-    for (std::int64_t idx = r.begin; idx < r.end; ++idx) {
-      const std::int64_t m = idx / out_words;
-      const std::int64_t wi = idx - m * out_words;
-      const std::uint64_t* xa = a.row(m);
-      const std::int64_t k0 = wi * 64;
-      const std::int64_t block = std::min<std::int64_t>(64, k_rows - k0);
-      std::uint64_t packed = 0;
-      for (std::int64_t b = 0; b < block; ++b) {
-        const std::uint64_t p = Ops::xor_popcount(xa, w.row(k0 + b), n_words);
-        packed |= limit_bit(p, limits[k0 + b]) << b;
-      }
-      out.row(m)[wi] = packed;
-    }
-  });
-}
-
-template <typename Ops>
-void bgemm_binarize_impl(const PackedMatrix& a, const PackedMatrix& w,
-                         const std::int64_t* limits, runtime::ThreadPool& pool,
-                         PackedMatrix& out) {
-  bgemm_binarize_rows_impl<Ops>(a, a.rows(), w, limits, pool, out);
-}
-
-// --- register-tiled variants over the interleaved weight layout --------------
-//
-// The untiled kernels' 4-way K blocking reads four strided weight rows per
-// activation word; after the finalize-time interleave (bitpack::
-// tile_fc_weights) the T = Tile::kWidth matching weight words are one
-// contiguous line, and the T neuron counters stay in registers across the
-// whole activation row; the fused binarize compares them against the T
-// popcount limits in registers.  Remainder neurons (K % T) stayed row-major
-// in the tiled matrix and take the word-run path.
-//
-// Tile is an explicit template parameter (not Ops::Tile) so each per-ISA TU
-// can stamp one entry point per supported width (the static rule's default
-// and the auto-tuner's T axis).
 
 template <typename Ops, typename Tile>
 void bgemm_rows_tiled_impl(const PackedMatrix& a, std::int64_t m_rows, const TiledBitMatrix& w,
@@ -143,7 +51,7 @@ void bgemm_rows_tiled_impl(const PackedMatrix& a, std::int64_t m_rows, const Til
   const std::int64_t full_tiles = w.full_tiles();
   const std::int64_t tiled_rows = w.tiled_rows();
   // One grain per (row of A, filter tile or remainder neuron) — the fused
-  // range keeps small layers saturated at M > 1, like the untiled kernel.
+  // range keeps small layers saturated at M > 1.
   const std::int64_t groups = full_tiles + w.remainder_rows();
   pool.parallel_for(m_rows * groups, [&](runtime::Range r, int) {
     for (std::int64_t idx = r.begin; idx < r.end; ++idx) {
@@ -226,30 +134,6 @@ void bgemm_binarize_rows_tiled_impl(const PackedMatrix& a, std::int64_t m_rows,
 }
 
 }  // namespace bitflow::kernels::impl
-
-/// Stamps out the bgemm entry points (full and row-limited) for one ISA
-/// policy.
-#define BITFLOW_INSTANTIATE_BGEMM(SUFFIX, OPS)                                                  \
-  namespace bitflow::kernels::detail {                                                          \
-  void bgemm_##SUFFIX(const PackedMatrix& a, const PackedMatrix& w, runtime::ThreadPool& pool,  \
-                      float* y) {                                                               \
-    impl::bgemm_impl<OPS>(a, w, pool, y);                                                       \
-  }                                                                                             \
-  void bgemm_binarize_##SUFFIX(const PackedMatrix& a, const PackedMatrix& w,                    \
-                               const std::int64_t* limits, runtime::ThreadPool& pool,           \
-                               PackedMatrix& out) {                                             \
-    impl::bgemm_binarize_impl<OPS>(a, w, limits, pool, out);                                    \
-  }                                                                                             \
-  void bgemm_rows_##SUFFIX(const PackedMatrix& a, std::int64_t m_rows, const PackedMatrix& w,   \
-                           runtime::ThreadPool& pool, float* y) {                               \
-    impl::bgemm_rows_impl<OPS>(a, m_rows, w, pool, y);                                          \
-  }                                                                                             \
-  void bgemm_binarize_rows_##SUFFIX(const PackedMatrix& a, std::int64_t m_rows,                 \
-                                    const PackedMatrix& w, const std::int64_t* limits,          \
-                                    runtime::ThreadPool& pool, PackedMatrix& out) {             \
-    impl::bgemm_binarize_rows_impl<OPS>(a, m_rows, w, limits, pool, out);                       \
-  }                                                                                             \
-  }  // namespace bitflow::kernels::detail
 
 /// Stamps out the register-tiled bgemm entry points for one (ISA policy,
 /// tile accumulator) pair — one invocation per supported tile width.

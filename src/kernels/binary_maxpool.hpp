@@ -34,7 +34,7 @@ struct PoolSpec {
 };
 
 /// OR-pools `in` into the interior of `out` at offset `margin` per side
-/// (same zero-cost padding contract as pressed_conv_binarize).  `out`
+/// (same zero-cost padding contract as the fused binarize PressedConv).  `out`
 /// extents must be (out_h + 2*margin, out_w + 2*margin, C).  The SIMD level
 /// of the vertical OR pass is `isa`.
 void binary_maxpool(const PackedTensor& in, const PoolSpec& spec, simd::IsaLevel isa,

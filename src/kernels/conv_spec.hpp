@@ -17,25 +17,6 @@
 
 namespace bitflow::kernels {
 
-/// How a layer's weight words are laid out in memory after finalize().
-enum class WeightLayout : std::uint8_t {
-  /// One filter's (or FC row's) words are contiguous: [K][fh*fw*PC].
-  kFilterMajor = 0,
-  /// T-way register-tile interleave: full tiles [K/T][fh*fw*PC][T] followed
-  /// by the K%T remainder rows in filter-major order (TiledBitMatrix).
-  kInterleaved = 1,
-};
-
-[[nodiscard]] constexpr const char* weight_layout_name(WeightLayout layout) noexcept {
-  switch (layout) {
-    case WeightLayout::kFilterMajor:
-      return "filter_major";
-    case WeightLayout::kInterleaved:
-      return "interleaved";
-  }
-  return "unknown";
-}
-
 /// Register-tile width T for the interleaved layout on a given ISA: how many
 /// filters one TileAcc tracks at once.  4 on scalar/SSE (four independent
 /// 64-bit popcnt chains), 16 on AVX2/AVX-512 (qword lanes of four 256-bit or
@@ -43,8 +24,9 @@ enum class WeightLayout : std::uint8_t {
 /// straddle a 64-bit output word in the fused-binarize kernels.
 ///
 /// This is the *default* width — what finalize() commits when auto-tuning is
-/// off and K covers it (tune::default_decision takes the largest supported
-/// width <= K otherwise).  The tuner searches over supported_tile_widths().
+/// off and K covers it (graph::default_kernel_plan takes the largest
+/// supported width <= K otherwise, and 4 when K < 4).  The tuner searches
+/// over supported_tile_widths().
 [[nodiscard]] constexpr std::int64_t weight_tile_width(simd::IsaLevel isa) noexcept {
   return isa >= simd::IsaLevel::kAvx2 ? 16 : 4;
 }

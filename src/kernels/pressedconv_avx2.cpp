@@ -1,5 +1,4 @@
-// PressedConv, AVX2 kernel (scheduler rule 2: channel dimension a multiple
-// of 256 — e.g. VGG conv4.1 with C = 256).
+// PressedConv and bgemm, AVX2 TU: 256-bit tile accumulators.
 #include "kernels/bgemm_impl.hpp"
 #include "kernels/pressedconv_impl.hpp"
 #include "simd/bitops_inline.hpp"
@@ -14,10 +13,7 @@ struct OpsAvx2 {
 };
 }  // namespace
 
-BITFLOW_INSTANTIATE_PRESSEDCONV(avx2, OpsAvx2)
-BITFLOW_INSTANTIATE_BGEMM(avx2, OpsAvx2)
-
-// Auto-tuner tile-width candidates: scalar 4-chain, vector 8 and 16.
+// Tile widths: scalar 4-chain, vector 8 and 16 (the default).
 BITFLOW_INSTANTIATE_PRESSEDCONV_TILED(avx2_t4, OpsAvx2, bitflow::simd::inl::TileAcc4Scalar)
 BITFLOW_INSTANTIATE_PRESSEDCONV_TILED(avx2_t8, OpsAvx2, bitflow::simd::inl::TileAcc8Avx2)
 BITFLOW_INSTANTIATE_PRESSEDCONV_TILED(avx2_t16, OpsAvx2, bitflow::simd::inl::TileAcc16Avx2)

@@ -1,5 +1,5 @@
-// PressedConv, AVX-512 kernel without VPOPCNTDQ (byte-LUT popcount): the
-// portable AVX-512 path for CPUs like Skylake-SP.
+// PressedConv and bgemm, AVX-512 TU without VPOPCNTDQ (byte-LUT popcount):
+// the portable AVX-512 path for CPUs like Skylake-SP.
 #include "kernels/bgemm_impl.hpp"
 #include "kernels/pressedconv_impl.hpp"
 #include "simd/bitops_inline.hpp"
@@ -14,11 +14,8 @@ struct OpsAvx512Lut {
 };
 }  // namespace
 
-BITFLOW_INSTANTIATE_PRESSEDCONV(avx512, OpsAvx512Lut)
-BITFLOW_INSTANTIATE_BGEMM(avx512, OpsAvx512Lut)
-
-// Auto-tuner tile-width candidates: scalar 4-chain, one or two 512-bit
-// accumulators (popcount lowers to the byte-LUT in this TU's -m flags).
+// Tile widths: scalar 4-chain, one or two 512-bit accumulators (T = 16,
+// the default; popcount lowers to the byte-LUT in this TU's -m flags).
 BITFLOW_INSTANTIATE_PRESSEDCONV_TILED(avx512_t4, OpsAvx512Lut,
                                       bitflow::simd::inl::TileAcc4Scalar)
 BITFLOW_INSTANTIATE_PRESSEDCONV_TILED(avx512_t8, OpsAvx512Lut,

@@ -1,6 +1,5 @@
-// PressedConv, AVX-512 kernel with native VPOPCNTDQ (Table I
+// PressedConv and bgemm, AVX-512 TU with native VPOPCNTDQ (Table I
 // _mm512_popcnt_epi64 / maskz forms) — the paper's Xeon Phi path.
-// Scheduler rule 1: channel dimension a multiple of 512 (VGG conv5.1).
 #include "kernels/bgemm_impl.hpp"
 #include "kernels/pressedconv_impl.hpp"
 #include "simd/bitops_inline.hpp"
@@ -15,10 +14,7 @@ struct OpsAvx512Vp {
 };
 }  // namespace
 
-BITFLOW_INSTANTIATE_PRESSEDCONV(avx512vp, OpsAvx512Vp)
-BITFLOW_INSTANTIATE_BGEMM(avx512vp, OpsAvx512Vp)
-
-// Auto-tuner tile-width candidates; the TileAcc*Avx512 popcount_epi64_512
+// The same tile widths as the LUT TU; the TileAcc*Avx512 popcount_epi64_512
 // lowers to native VPOPCNTDQ in this TU's -m flags — same structs as the
 // LUT TU, different instruction selection.
 BITFLOW_INSTANTIATE_PRESSEDCONV_TILED(avx512vp_t4, OpsAvx512Vp,

@@ -1,5 +1,5 @@
-// PressedConv, SSE kernel (scheduler rule 3: channel dimension a multiple of
-// 128 — e.g. VGG conv3.1 with C = 128).
+// PressedConv and bgemm, SSE TU: the remainder filters' word runs use
+// 128-bit XOR with scalar popcnt.
 #include "kernels/bgemm_impl.hpp"
 #include "kernels/pressedconv_impl.hpp"
 #include "simd/bitops_inline.hpp"
@@ -14,11 +14,8 @@ struct OpsSse {
 };
 }  // namespace
 
-BITFLOW_INSTANTIATE_PRESSEDCONV(sse, OpsSse)
-BITFLOW_INSTANTIATE_BGEMM(sse, OpsSse)
-
-// 128-bit SSE has no profitable qword popcount fan-out, so both tile-width
-// candidates use scalar hardware-popcnt chains (4 or 8 of them).
+// 128-bit SSE has no profitable qword popcount fan-out, so both tile widths
+// use scalar hardware-popcnt chains (4 or 8 of them).
 BITFLOW_INSTANTIATE_PRESSEDCONV_TILED(sse_t4, OpsSse, bitflow::simd::inl::TileAcc4Scalar)
 BITFLOW_INSTANTIATE_PRESSEDCONV_TILED(sse_t8, OpsSse, bitflow::simd::inl::TileAcc8Scalar)
 BITFLOW_INSTANTIATE_BGEMM_TILED(sse_t4, OpsSse, bitflow::simd::inl::TileAcc4Scalar)

@@ -1,5 +1,5 @@
-// PressedConv, scalar 64-bit kernel (scheduler rule 4: channel dimension a
-// multiple of 32/64 only — e.g. VGG conv2.1 with C = 64).
+// PressedConv and bgemm, scalar 64-bit TU: hardware popcnt chains, the
+// kernels every x86-64 host can run (and the simd.force_fallback target).
 #include "kernels/bgemm_impl.hpp"
 #include "kernels/pressedconv_impl.hpp"
 #include "simd/bitops_inline.hpp"
@@ -14,10 +14,7 @@ struct OpsU64 {
 };
 }  // namespace
 
-BITFLOW_INSTANTIATE_PRESSEDCONV(u64, OpsU64)
-BITFLOW_INSTANTIATE_BGEMM(u64, OpsU64)
-
-// Auto-tuner tile-width candidates: 4 and 8 independent popcnt chains.
+// Tile widths 4 (the default) and 8: independent popcnt chains.
 BITFLOW_INSTANTIATE_PRESSEDCONV_TILED(u64_t4, OpsU64, bitflow::simd::inl::TileAcc4Scalar)
 BITFLOW_INSTANTIATE_PRESSEDCONV_TILED(u64_t8, OpsU64, bitflow::simd::inl::TileAcc8Scalar)
 BITFLOW_INSTANTIATE_BGEMM_TILED(u64_t4, OpsU64, bitflow::simd::inl::TileAcc4Scalar)

@@ -74,11 +74,14 @@ MultiBaseConvOp::MultiBaseConvOp(const FilterBank& weights, int num_bases, std::
     : spec_{weights.kernel_h(), weights.kernel_w(), stride},
       pad_(pad),
       mb_(approximate_filters(weights, num_bases)),
-      isa_(options.force_isa.has_value()
-               ? *options.force_isa
-               : graph::select_isa(weights.channels(), simd::cpu_features(), options.policy)),
-      dot_fn_(kernels::conv_dot_kernel(isa_)) {
+      plan_(graph::default_kernel_plan(weights.num_filters(), simd::cpu_features(),
+                                       options.force_isa)),
+      dot_fn_(kernels::conv_dot_kernel(plan_.isa, simd::cpu_features().avx512vpopcntdq,
+                                       plan_.tile)) {
   if (pad < 0) throw std::invalid_argument("MultiBaseConvOp: negative pad");
+  for (const PackedFilterBank& base : mb_.bases) {
+    tiled_.push_back(bitpack::tile_filters(base, plan_.tile));  // a copy: mb_ keeps its bases
+  }
 }
 
 void MultiBaseConvOp::run(const Tensor& in, runtime::ThreadPool& pool, Tensor& out) {
@@ -91,6 +94,8 @@ void MultiBaseConvOp::run(const Tensor& in, runtime::ThreadPool& pool, Tensor& o
     in_buf_ = PackedTensor(ph, pw, in.channels());
   }
   bitpack::pack_activations_into_interior(in, in_buf_, pad_);
+  const PackedTensor* ins[] = {&in_buf_};
+  kernels::check_conv_args(ins, 1, tiled_.front(), spec_);
 
   const std::int64_t oh = spec_.out_h(ph), ow = spec_.out_w(pw);
   const std::int64_t k = mb_.bases.front().num_filters();
@@ -101,8 +106,9 @@ void MultiBaseConvOp::run(const Tensor& in, runtime::ThreadPool& pool, Tensor& o
     base_out_ = Tensor::hwc(oh, ow, k);
   }
   out.zero();
+  Tensor* base_outs[] = {&base_out_};
   for (int m = 0; m < num_bases(); ++m) {
-    dot_fn_(in_buf_, mb_.bases[static_cast<std::size_t>(m)], spec_, pool, base_out_);
+    dot_fn_(ins, 1, tiled_[static_cast<std::size_t>(m)], spec_, pool, base_outs);
     const std::vector<float>& alpha = mb_.alphas[static_cast<std::size_t>(m)];
     float* dst = out.data();
     const float* src = base_out_.data();

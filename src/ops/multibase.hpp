@@ -11,7 +11,8 @@
 // scale alpha_m[k] = mean |R_m[k]| (the optimum for fixed B), with
 // R_{m+1} = R_m - alpha_m ⊙ B_m.  Inference is then M PressedConv passes
 // whose integer dots are combined with the alphas — every pass rides the
-// same XOR+popcount kernels, so M binary convolutions still cost a small
+// engine's register-tiled kernel at its default plan (each base is tiled
+// once, at construction), so M binary convolutions still cost a small
 // fraction of one float convolution while recovering most of the accuracy
 // a single sign() throws away.  bench_multibase quantifies both sides.
 #pragma once
@@ -56,7 +57,7 @@ class MultiBaseConvOp {
   void run(const Tensor& in, runtime::ThreadPool& pool, Tensor& out);
 
   [[nodiscard]] int num_bases() const noexcept { return mb_.num_bases(); }
-  [[nodiscard]] simd::IsaLevel isa() const noexcept { return isa_; }
+  [[nodiscard]] simd::IsaLevel isa() const noexcept { return plan_.isa; }
   [[nodiscard]] const MultiBaseFilters& filters() const noexcept { return mb_; }
   [[nodiscard]] const kernels::ConvSpec& spec() const noexcept { return spec_; }
 
@@ -64,7 +65,8 @@ class MultiBaseConvOp {
   kernels::ConvSpec spec_;
   std::int64_t pad_;
   MultiBaseFilters mb_;
-  simd::IsaLevel isa_;
+  graph::KernelPlan plan_;
+  std::vector<TiledFilterBank> tiled_;  ///< mb_.bases in the plan's tile layout
   kernels::ConvDotFn dot_fn_;
   PackedTensor in_buf_;
   Tensor base_out_;

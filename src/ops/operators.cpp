@@ -14,6 +14,11 @@ simd::IsaLevel pick_isa(std::int64_t packed_dim, const BinaryOpOptions& options)
   return graph::select_isa(packed_dim, simd::cpu_features(), options.policy);
 }
 
+/// The engine's plan for a layer of `k` filters or output neurons.
+graph::KernelPlan plan_for(std::int64_t k, const BinaryOpOptions& options) {
+  return graph::default_kernel_plan(k, simd::cpu_features(), options.force_isa);
+}
+
 }  // namespace
 
 // --- BinaryConvOp -----------------------------------------------------------
@@ -22,9 +27,10 @@ BinaryConvOp::BinaryConvOp(FilterBank weights, std::int64_t stride, std::int64_t
                            BinaryOpOptions options)
     : spec_{weights.kernel_h(), weights.kernel_w(), stride},
       pad_(pad),
-      filters_(bitpack::pack_filters(weights)),
-      isa_(pick_isa(weights.channels(), options)),
-      dot_fn_(kernels::conv_dot_kernel(isa_)) {
+      plan_(plan_for(weights.num_filters(), options)),
+      filters_(bitpack::tile_filters(bitpack::pack_filters(weights), plan_.tile)),
+      dot_fn_(kernels::conv_dot_kernel(plan_.isa, simd::cpu_features().avx512vpopcntdq,
+                                       plan_.tile)) {
   if (pad < 0) throw std::invalid_argument("BinaryConvOp: negative pad");
 }
 
@@ -38,27 +44,30 @@ void BinaryConvOp::run(const Tensor& in, runtime::ThreadPool& pool, Tensor& out)
     in_buf_ = PackedTensor(ph, pw, in.channels());
   }
   bitpack::pack_activations_into_interior(in, in_buf_, pad_);
+  const PackedTensor* ins[] = {&in_buf_};
+  kernels::check_conv_args(ins, 1, filters_, spec_);
   const std::int64_t oh = spec_.out_h(ph), ow = spec_.out_w(pw);
-  if (out.height() != oh || out.width() != ow || out.channels() != filters_.num_filters()) {
+  if (out.height() != oh || out.width() != ow || out.channels() != filters_.num_filters() ||
+      out.layout() != Layout::kHWC) {
     throw std::invalid_argument("BinaryConvOp: output mis-shaped");
   }
-  dot_fn_(in_buf_, filters_, spec_, pool, out);
+  Tensor* outs[] = {&out};
+  dot_fn_(ins, 1, filters_, spec_, pool, outs);
 }
 
 // --- BinaryFcOp --------------------------------------------------------------
 
 BinaryFcOp::BinaryFcOp(const float* w, std::int64_t n, std::int64_t k, BinaryOpOptions options)
     : n_(n),
-      weights_(bitpack::pack_transpose_fc_weights(w, n, k)),
-      isa_(pick_isa(n, options)),
-      dot_fn_(kernels::bgemm_kernel(isa_)),
+      plan_(plan_for(k, options)),
+      weights_(bitpack::tile_fc_weights(bitpack::pack_transpose_fc_weights(w, n, k), plan_.tile)),
+      dot_fn_(kernels::bgemm_kernel(plan_.isa, simd::cpu_features().avx512vpopcntdq, plan_.tile)),
       x_buf_(1, n) {}
 
 void BinaryFcOp::run(const float* x, runtime::ThreadPool& pool, float* y) {
-  // Fused binarize+pack of the activation row (bit64_u path).
-  PackedMatrix packed = bitpack::pack_rows(x, 1, n_);
-  x_buf_ = std::move(packed);
-  dot_fn_(x_buf_, weights_, pool, y);
+  // Fused binarize+pack of the activation row (bit64_u path), in place.
+  bitpack::pack_row_into(x, n_, x_buf_, 0);
+  dot_fn_(x_buf_, 1, weights_, pool, y);
 }
 
 // --- BinaryPoolOp -------------------------------------------------------------

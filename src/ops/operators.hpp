@@ -1,13 +1,16 @@
 // Stand-alone operator-level API (paper's "operator level").
 //
 // Each class is one benchmarkable operator with its one-time setup (weight
-// binarize+pack, kernel selection) done at construction and its per-inference
-// work — input packing included, exactly the work PressedConv's Algorithm 1
-// counts — done in run().  The graph engine (graph/network.hpp) fuses
-// packing into the producing layer instead; these wrappers exist for users
-// running single operators and for the per-operator figures (7-10), where
-// the float/binary engines must all start from the same float activation
-// tensor.
+// binarize+pack, kernel selection and, for conv/fc, the register-tile
+// interleave) done at construction and its per-inference work — input
+// packing included, exactly the work PressedConv's Algorithm 1 counts — done
+// in run(), which allocates nothing once the buffers are sized.  The binary
+// conv and fc operators are thin wrappers over the graph engine's kernels
+// and plan (graph::default_kernel_plan), run at n = 1; the engine
+// (graph/network.hpp) fuses packing into the producing layer instead.  These
+// wrappers exist for users running single operators and for the
+// per-operator figures (7-10), where the float/binary engines must all start
+// from the same float activation tensor.
 #pragma once
 
 #include <cstdint>
@@ -27,13 +30,16 @@ namespace bitflow::ops {
 
 /// Shared options for binary operators.
 struct BinaryOpOptions {
+  /// The pool's ISA rule (conv and fc follow graph::default_kernel_plan).
   graph::SchedulerPolicy policy = graph::SchedulerPolicy::kPaperRules;
-  /// Overrides the scheduler's choice (ISA ablation).  The caller must
-  /// ensure hardware support.
+  /// Overrides the scheduler's ISA (ISA ablation): conv and fc run the
+  /// engine plan capped at it, pools run it as is.  The caller must ensure
+  /// hardware support.
   std::optional<simd::IsaLevel> force_isa;
 };
 
-/// BitFlow-optimized binary convolution (PressedConv).
+/// BitFlow-optimized binary convolution (PressedConv): the engine's kernel at
+/// default_kernel_plan(K, cpu_features(), force_isa).
 class BinaryConvOp {
  public:
   BinaryConvOp(FilterBank weights, std::int64_t stride, std::int64_t pad,
@@ -44,7 +50,9 @@ class BinaryConvOp {
   /// receives Eq. 1 dot products (extents out_h x out_w x K).
   void run(const Tensor& in, runtime::ThreadPool& pool, Tensor& out);
 
-  [[nodiscard]] simd::IsaLevel isa() const noexcept { return isa_; }
+  [[nodiscard]] simd::IsaLevel isa() const noexcept { return plan_.isa; }
+  /// Register-tile width T of the plan.
+  [[nodiscard]] std::int64_t tile() const noexcept { return plan_.tile; }
   [[nodiscard]] const kernels::ConvSpec& spec() const noexcept { return spec_; }
   [[nodiscard]] std::int64_t pad() const noexcept { return pad_; }
   [[nodiscard]] std::int64_t num_filters() const noexcept { return filters_.num_filters(); }
@@ -52,13 +60,14 @@ class BinaryConvOp {
  private:
   kernels::ConvSpec spec_;
   std::int64_t pad_;
-  PackedFilterBank filters_;
-  simd::IsaLevel isa_;
+  graph::KernelPlan plan_;
+  TiledFilterBank filters_;
   kernels::ConvDotFn dot_fn_;
   PackedTensor in_buf_;  // padded packed input, allocated on first run()
 };
 
-/// BitFlow-optimized binary fully connected operator.
+/// BitFlow-optimized binary fully connected operator: the engine's bgemm at
+/// default_kernel_plan(k, cpu_features(), force_isa).
 class BinaryFcOp {
  public:
   /// `w` is the row-major n x k float weight matrix; packed transposed once
@@ -68,19 +77,22 @@ class BinaryFcOp {
   /// Packs the n input floats and computes the k Eq. 1 dots.
   void run(const float* x, runtime::ThreadPool& pool, float* y);
 
-  [[nodiscard]] simd::IsaLevel isa() const noexcept { return isa_; }
+  [[nodiscard]] simd::IsaLevel isa() const noexcept { return plan_.isa; }
+  /// Register-tile width T of the plan.
+  [[nodiscard]] std::int64_t tile() const noexcept { return plan_.tile; }
   [[nodiscard]] std::int64_t inputs() const noexcept { return n_; }
   [[nodiscard]] std::int64_t outputs() const noexcept { return weights_.rows(); }
 
  private:
   std::int64_t n_;
-  PackedMatrix weights_;
-  simd::IsaLevel isa_;
+  graph::KernelPlan plan_;
+  TiledBitMatrix weights_;
   kernels::BgemmFn dot_fn_;
-  PackedMatrix x_buf_;
+  PackedMatrix x_buf_;  // the packed activation row, packed in place
 };
 
-/// BitFlow-optimized binary max pooling.
+/// BitFlow-optimized binary max pooling, at the paper's channel rule
+/// (select_isa) unless force_isa is set.
 class BinaryPoolOp {
  public:
   BinaryPoolOp(kernels::PoolSpec spec, std::int64_t channels, BinaryOpOptions options = {});

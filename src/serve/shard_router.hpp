@@ -154,7 +154,7 @@ class ShardRouter {
 /// One "/varz" line per weight layer of the served generation, exposing the
 /// committed execution plan:
 ///   layer.<name>.plan isa=<isa> tile=<T> grain=<G> source=<provenance>
-/// tile 0 means the filter-major kernels; source is "default" (static
+/// tile is the register-tile width T; source is "default" (static
 /// heuristic), "search" (tuned at finalize) or "cache" (tuning cache hit).
 /// Lives here, not in net/, so the wire front-end reads the plan through the
 /// router instead of reaching into graph.

@@ -118,11 +118,7 @@ bool entry_ok(const Entry& e) {
   }
   if (k.stride < 1 || k.stride > kMaxExtent) return false;
   const Decision& d = e.decision;
-  if (d.tiled) {
-    if (d.tile != 4 && d.tile != 8 && d.tile != 16) return false;
-  } else if (d.tile != 0) {
-    return false;
-  }
+  if (d.tile != 4 && d.tile != 8 && d.tile != 16) return false;
   if (d.par_grain < 1 || d.par_grain > kMaxExtent) return false;
   if (d.source != DecisionSource::kSearch && d.source != DecisionSource::kCache) return false;
   if (d.candidates < 0 || d.candidates > (1 << 20)) return false;
@@ -171,7 +167,7 @@ std::string TuneCache::serialize() const {
     put_i64(out, e.key.kh);
     put_i64(out, e.key.kw);
     put_i64(out, e.key.stride);
-    put_u8(out, e.decision.tiled ? 1 : 0);
+    put_u8(out, 0);  // reserved (schema 1's tiled flag)
     put_u8(out, static_cast<std::uint8_t>(e.decision.source));
     put_u8(out, 0);  // reserved
     put_u8(out, 0);  // reserved
@@ -201,17 +197,16 @@ void TuneCache::deserialize(const char* data, std::size_t size) {
   entries_.reserve(count);
   for (std::uint32_t i = 0; i < count; ++i) {
     Entry e;
-    std::uint8_t reserved = 0, tiled = 0, source = 0, res2 = 0, res3 = 0;
+    std::uint8_t reserved = 0, res1 = 0, source = 0, res2 = 0, res3 = 0;
     const bool ok = r.u8(e.key.kind) && r.u8(e.key.isa) && r.u8(e.key.vpopcnt) &&
                     r.u8(reserved) && r.i32(e.key.threads) && r.i64(e.key.in_h) &&
                     r.i64(e.key.in_w) && r.i64(e.key.c) && r.i64(e.key.k) && r.i64(e.key.kh) &&
-                    r.i64(e.key.kw) && r.i64(e.key.stride) && r.u8(tiled) && r.u8(source) &&
+                    r.i64(e.key.kw) && r.i64(e.key.stride) && r.u8(res1) && r.u8(source) &&
                     r.u8(res2) && r.u8(res3) && r.i32(e.decision.candidates) &&
                     r.i64(e.decision.tile) && r.i64(e.decision.par_grain) &&
                     r.f64(e.decision.best_ms);
     if (!ok) return;  // truncated mid-entry: keep the validated prefix
-    if (tiled > 1 || source > 2) return;
-    e.decision.tiled = tiled == 1;
+    if (source > 2) return;
     e.decision.source = static_cast<DecisionSource>(source);
     if (!entry_ok(e)) return;  // implausible fields: stop at the anomaly
     put(e.key, e.decision);    // put() dedups colliding keys in the file

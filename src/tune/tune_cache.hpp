@@ -3,7 +3,7 @@
 //
 // A cache entry maps one layer workload key — kind, ISA variant, thread
 // count and full shape — to the execution-plan decision the search committed
-// (kernel variant, register-tile width, parallel grain).  Warm starts look
+// (register-tile width, parallel grain).  Warm starts look
 // decisions up instead of re-measuring, so a server restart skips the
 // microbenchmark pass entirely.
 //
@@ -33,8 +33,9 @@ namespace bitflow::tune {
 
 /// Bump whenever the candidate space, measurement method or Decision
 /// semantics change: entries written under any other schema are ignored
-/// wholesale (silent re-search, never a stale plan).
-inline constexpr std::uint32_t kCacheSchemaVersion = 1;
+/// wholesale (silent re-search, never a stale plan).  Schema 2: every
+/// decision is a tile width, T = 4 for K < 4.
+inline constexpr std::uint32_t kCacheSchemaVersion = 2;
 
 /// Hard ceiling on a cache file's size; anything larger is treated as
 /// corrupt.  At 96 bytes per entry this bounds the cache to ~10k layers,
@@ -62,8 +63,7 @@ enum class DecisionSource : std::uint8_t {
 
 /// One committed execution-plan choice for a layer.
 struct Decision {
-  bool tiled = false;          ///< register-tiled kernel vs filter-major
-  std::int64_t tile = 0;       ///< tile width T when tiled, 0 otherwise
+  std::int64_t tile = 4;       ///< register-tile width T
   std::int64_t par_grain = 1;  ///< ConvSpec::par_grain (conv only; 1 = pixel split)
   DecisionSource source = DecisionSource::kDefault;
   double best_ms = 0.0;        ///< winning candidate's measured time (search/cache)

@@ -1,5 +1,6 @@
 #include "tune/tuner.hpp"
 
+#include <algorithm>
 #include <random>
 #include <vector>
 
@@ -47,14 +48,17 @@ Counters& counters() {
 
 /// One point of the search space.  par_grain only varies for conv layers.
 struct Candidate {
-  bool tiled = false;
-  std::int64_t tile = 0;
+  std::int64_t tile = 4;
   std::int64_t par_grain = 1;
 };
 
 bool same_plan(const Decision& a, const Candidate& b) {
-  return a.tiled == b.tiled && a.tile == b.tile && a.par_grain == b.par_grain;
+  return a.tile == b.tile && a.par_grain == b.par_grain;
 }
+
+/// True when a bank of `k` rows can run at tile width `t`: it covers a full
+/// tile, or `t` is the narrowest width and K < 4 (no full tile at all).
+bool tile_fits(std::int64_t t, std::int64_t k) { return t <= std::max<std::int64_t>(k, 4); }
 
 void fill_random(std::uint64_t* words, std::int64_t n, std::mt19937_64& rng) {
   for (std::int64_t i = 0; i < n; ++i) words[i] = rng();
@@ -88,22 +92,22 @@ std::vector<Candidate> enumerate(const LayerWorkload& wl, bool shallow) {
     if (out_w > 1) grains.push_back(out_w);
   }
   std::vector<Candidate> out;
-  for (const std::int64_t g : grains) out.push_back({false, 0, g});
   const kernels::TileWidthSet widths = kernels::supported_tile_widths(wl.isa);
   for (std::int64_t i = 0; i < widths.count; ++i) {
     const std::int64_t t = widths.widths[static_cast<std::size_t>(i)];
-    if (wl.k < t) continue;  // tiling needs at least one full tile
-    for (const std::int64_t g : grains) out.push_back({true, t, g});
+    if (!tile_fits(t, wl.k)) continue;
+    for (const std::int64_t g : grains) out.push_back({t, g});
   }
   return out;
 }
 
 /// Measures one conv candidate on synthetic operands of the layer's exact
 /// padded shapes, running the variant (dot vs fused binarize) the network
-/// will actually dispatch.  Returns best-of-N seconds.
+/// will actually dispatch.  `bank` is tiled at cand.tile.  Returns best-of-N
+/// seconds.
 double measure_conv(const LayerWorkload& wl, const Candidate& cand, const PackedTensor& in,
-                    const PackedFilterBank& bank, const TiledFilterBank* tiled_bank,
-                    runtime::ThreadPool& pool, int min_iters, double min_total) {
+                    const TiledFilterBank& bank, runtime::ThreadPool& pool, int min_iters,
+                    double min_total) {
   kernels::ConvSpec spec{wl.kh, wl.kw, wl.stride};
   spec.par_grain = cand.par_grain;
   const std::int64_t out_h = spec.out_h(wl.in_h);
@@ -114,52 +118,31 @@ double measure_conv(const LayerWorkload& wl, const Candidate& cand, const Packed
     PackedTensor* out_ptrs[1] = {&out};
     // Real limits, as the network passes them (null would allocate per call).
     const std::vector<std::int64_t> limits = kernels::sign_limits(bank.bits_per_filter(), wl.k);
-    if (cand.tiled) {
-      const auto fn =
-          kernels::conv_binarize_tiled_batch_kernel(wl.isa, wl.vpopcnt, cand.tile);
-      return runtime::measure_best_seconds(
-          [&] { fn(in_ptrs, 1, *tiled_bank, spec, limits.data(), pool, out_ptrs, 0); },
-          min_iters, min_total);
-    }
-    const auto fn = kernels::conv_binarize_batch_kernel(wl.isa, wl.vpopcnt);
+    const auto fn = kernels::conv_binarize_kernel(wl.isa, wl.vpopcnt, cand.tile);
     return runtime::measure_best_seconds(
         [&] { fn(in_ptrs, 1, bank, spec, limits.data(), pool, out_ptrs, 0); }, min_iters,
         min_total);
   }
   Tensor out = Tensor::hwc(out_h, out_w, wl.k);
   Tensor* out_ptrs[1] = {&out};
-  if (cand.tiled) {
-    const auto fn = kernels::conv_dot_tiled_batch_kernel(wl.isa, wl.vpopcnt, cand.tile);
-    return runtime::measure_best_seconds(
-        [&] { fn(in_ptrs, 1, *tiled_bank, spec, pool, out_ptrs); }, min_iters, min_total);
-  }
-  const auto fn = kernels::conv_dot_batch_kernel(wl.isa, wl.vpopcnt);
+  const auto fn = kernels::conv_dot_kernel(wl.isa, wl.vpopcnt, cand.tile);
   return runtime::measure_best_seconds([&] { fn(in_ptrs, 1, bank, spec, pool, out_ptrs); },
                                        min_iters, min_total);
 }
 
+/// measure_conv for an fc layer; `w` is tiled at cand.tile.
 double measure_fc(const LayerWorkload& wl, const Candidate& cand, const PackedMatrix& a,
-                  const PackedMatrix& w, const TiledBitMatrix* tiled_w,
-                  runtime::ThreadPool& pool, int min_iters, double min_total) {
+                  const TiledBitMatrix& w, runtime::ThreadPool& pool, int min_iters,
+                  double min_total) {
   if (wl.fused_binarize) {
     PackedMatrix out(1, wl.k);
     const std::vector<std::int64_t> limits = kernels::sign_limits(wl.c, wl.k);
-    if (cand.tiled) {
-      const auto fn = kernels::bgemm_binarize_rows_tiled_kernel(wl.isa, wl.vpopcnt, cand.tile);
-      return runtime::measure_best_seconds(
-          [&] { fn(a, 1, *tiled_w, limits.data(), pool, out); }, min_iters, min_total);
-    }
-    const auto fn = kernels::bgemm_binarize_rows_kernel(wl.isa, wl.vpopcnt);
+    const auto fn = kernels::bgemm_binarize_kernel(wl.isa, wl.vpopcnt, cand.tile);
     return runtime::measure_best_seconds([&] { fn(a, 1, w, limits.data(), pool, out); },
                                          min_iters, min_total);
   }
   std::vector<float> y(static_cast<std::size_t>(wl.k));
-  if (cand.tiled) {
-    const auto fn = kernels::bgemm_rows_tiled_kernel(wl.isa, wl.vpopcnt, cand.tile);
-    return runtime::measure_best_seconds([&] { fn(a, 1, *tiled_w, pool, y.data()); }, min_iters,
-                                         min_total);
-  }
-  const auto fn = kernels::bgemm_rows_kernel(wl.isa, wl.vpopcnt);
+  const auto fn = kernels::bgemm_kernel(wl.isa, wl.vpopcnt, cand.tile);
   return runtime::measure_best_seconds([&] { fn(a, 1, w, pool, y.data()); }, min_iters,
                                        min_total);
 }
@@ -182,16 +165,15 @@ Key key_for(const LayerWorkload& wl) {
   return key;
 }
 
-Decision default_decision(const LayerWorkload& wl, bool tile_weights) {
+Decision default_decision(const LayerWorkload& wl) {
+  // The ISA's default width, or the largest supported width K still fills;
+  // 4 when K is below every width.
   Decision d;
-  if (!tile_weights) return d;
-  // The ISA's default width, or the largest supported width K still fills.
   const kernels::TileWidthSet widths = kernels::supported_tile_widths(wl.isa);
   const std::int64_t preferred = kernels::weight_tile_width(wl.isa);
   for (std::int64_t i = widths.count - 1; i >= 0; --i) {
     const std::int64_t t = widths.widths[static_cast<std::size_t>(i)];
     if (t <= preferred && t <= wl.k) {
-      d.tiled = true;
       d.tile = t;
       break;
     }
@@ -200,12 +182,11 @@ Decision default_decision(const LayerWorkload& wl, bool tile_weights) {
 }
 
 bool decision_valid(const Decision& d, const LayerWorkload& wl) {
-  if (d.par_grain < 1) return false;
-  if (!d.tiled) return d.tile == 0;
-  return kernels::supported_tile_widths(wl.isa).contains(d.tile) && wl.k >= d.tile;
+  return d.par_grain >= 1 && kernels::supported_tile_widths(wl.isa).contains(d.tile) &&
+         tile_fits(d.tile, wl.k);
 }
 
-Decision search(const LayerWorkload& wl, runtime::ThreadPool& pool, bool tile_weights) {
+Decision search(const LayerWorkload& wl, runtime::ThreadPool& pool) {
   Counters& c = counters();
   c.searches.add();
   try {
@@ -221,7 +202,6 @@ Decision search(const LayerWorkload& wl, runtime::ThreadPool& pool, bool tile_we
     best.candidates = static_cast<std::int32_t>(cands.size());
     if (cands.size() == 1) {
       // One executable plan (e.g. K < every tile width): nothing to measure.
-      best.tiled = cands[0].tiled;
       best.tile = cands[0].tile;
       best.par_grain = cands[0].par_grain;
       return best;
@@ -230,7 +210,7 @@ Decision search(const LayerWorkload& wl, runtime::ThreadPool& pool, bool tile_we
     // Synthetic operands at the layer's exact shapes, deterministic so two
     // finalizes of the same network search identical data.
     std::mt19937_64 rng(0x42u);
-    const Decision def = default_decision(wl, tile_weights);
+    const Decision def = default_decision(wl);
     double best_s = -1.0, def_s = -1.0;
     Candidate best_cand;
     if (wl.kind == 0) {
@@ -243,13 +223,13 @@ Decision search(const LayerWorkload& wl, runtime::ThreadPool& pool, bool tile_we
       std::int64_t tiled_width = 0;  // the interleave is rebuilt per tile width
       TiledFilterBank tiled_bank;
       const auto measure_cand = [&](const Candidate& cand, int iters, double total) {
-        if (cand.tiled && cand.tile != tiled_width) {
-          // The tiler consumes its argument; the untiled candidates and the
-          // other widths still need `bank`, so tile a copy.
+        if (cand.tile != tiled_width) {
+          // The tiler consumes its argument; the other widths still need
+          // `bank`, so tile a copy.
           tiled_bank = bitpack::tile_filters(PackedFilterBank(bank), cand.tile);
           tiled_width = cand.tile;
         }
-        return measure_conv(wl, cand, in, bank, &tiled_bank, pool, iters, total);
+        return measure_conv(wl, cand, in, tiled_bank, pool, iters, total);
       };
       for (const Candidate& cand : cands) {
         BF_FAILPOINT("tune.search");
@@ -264,7 +244,7 @@ Decision search(const LayerWorkload& wl, runtime::ThreadPool& pool, bool tile_we
       // over it on a 3x repetition budget, beyond the noise margin.  A
       // phantom quick-pass win must not flip the plan (and persist the flip).
       if (def_s >= 0.0 && !same_plan(def, best_cand)) {
-        const Candidate def_cand{def.tiled, def.tile, def.par_grain};
+        const Candidate def_cand{def.tile, def.par_grain};
         const double cb = measure_cand(best_cand, 2 * min_iters, 3.0 * min_total);
         const double cd = measure_cand(def_cand, 2 * min_iters, 3.0 * min_total);
         if (cb > cd * (1.0 - kSwitchMargin)) {
@@ -284,11 +264,11 @@ Decision search(const LayerWorkload& wl, runtime::ThreadPool& pool, bool tile_we
       std::int64_t tiled_width = 0;
       TiledBitMatrix tiled_w;
       const auto measure_cand = [&](const Candidate& cand, int iters, double total) {
-        if (cand.tiled && cand.tile != tiled_width) {
+        if (cand.tile != tiled_width) {
           tiled_w = bitpack::tile_fc_weights(PackedMatrix(w), cand.tile);  // copy, as above
           tiled_width = cand.tile;
         }
-        return measure_fc(wl, cand, a, w, &tiled_w, pool, iters, total);
+        return measure_fc(wl, cand, a, tiled_w, pool, iters, total);
       };
       for (const Candidate& cand : cands) {
         BF_FAILPOINT("tune.search");
@@ -301,7 +281,7 @@ Decision search(const LayerWorkload& wl, runtime::ThreadPool& pool, bool tile_we
       }
       // Same confirmation-pass hysteresis as the conv branch above.
       if (def_s >= 0.0 && !same_plan(def, best_cand)) {
-        const Candidate def_cand{def.tiled, def.tile, def.par_grain};
+        const Candidate def_cand{def.tile, def.par_grain};
         const double cb = measure_cand(best_cand, 2 * min_iters, 3.0 * min_total);
         const double cd = measure_cand(def_cand, 2 * min_iters, 3.0 * min_total);
         if (cb > cd * (1.0 - kSwitchMargin)) {
@@ -312,7 +292,6 @@ Decision search(const LayerWorkload& wl, runtime::ThreadPool& pool, bool tile_we
         }
       }
     }
-    best.tiled = best_cand.tiled;
     best.tile = best_cand.tile;
     best.par_grain = best_cand.par_grain;
     best.best_ms = best_s * 1e3;
@@ -322,12 +301,12 @@ Decision search(const LayerWorkload& wl, runtime::ThreadPool& pool, bool tile_we
     // A fault mid-search (injected or real) must leave the layer on a valid
     // plan: the static default, exactly what an untuned finalize commits.
     c.fallback.add();
-    return default_decision(wl, tile_weights);
+    return default_decision(wl);
   }
 }
 
 Decision decide(const LayerWorkload& wl, TuneCache& cache, runtime::ThreadPool& pool,
-                bool tile_weights, bool* searched) {
+                bool* searched) {
   Counters& c = counters();
   if (searched != nullptr) *searched = false;
   const Key key = key_for(wl);
@@ -341,7 +320,7 @@ Decision decide(const LayerWorkload& wl, TuneCache& cache, runtime::ThreadPool& 
   }
   c.miss.add();
   if (searched != nullptr) *searched = true;
-  Decision d = search(wl, pool, tile_weights);
+  Decision d = search(wl, pool);
   // Fallback decisions are not persisted: the next finalize should re-try
   // the search rather than inherit a fault's shadow.
   if (d.source == DecisionSource::kSearch) cache.put(key, d);

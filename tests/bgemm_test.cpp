@@ -4,6 +4,7 @@
 
 #include <gtest/gtest.h>
 
+#include "bitpack/packer.hpp"
 #include "graph/weights.hpp"
 #include "kernels/bgemm.hpp"
 #include "simd/cpu_features.hpp"
@@ -26,7 +27,7 @@ TEST_P(BgemmParam, MatchesDecodedReference) {
   fill_random_bits(w, static_cast<std::uint64_t>(k * 13));
   runtime::ThreadPool pool(2);
   std::vector<float> y(static_cast<std::size_t>(k));
-  bgemm_kernel(isa)(a, w, pool, y.data());
+  testing::EngineLayer(k, isa).bgemm(a, w, pool, y.data());
   for (std::int64_t j = 0; j < k; ++j) {
     const std::int64_t ref = testing::reference_binary_dot(a, 0, w, j);
     ASSERT_EQ(static_cast<std::int64_t>(y[static_cast<std::size_t>(j)]), ref)
@@ -53,7 +54,7 @@ TEST(Bgemm, BatchedRows) {
   fill_random_bits(w, 22);
   runtime::ThreadPool pool(2);
   std::vector<float> y(static_cast<std::size_t>(m * k));
-  bgemm(a, w, pool, y.data());
+  testing::EngineLayer(k).bgemm(a, w, pool, y.data());
   for (std::int64_t r = 0; r < m; ++r) {
     for (std::int64_t j = 0; j < k; ++j) {
       ASSERT_EQ(static_cast<std::int64_t>(y[static_cast<std::size_t>(r * k + j)]),
@@ -68,20 +69,21 @@ TEST(Bgemm, BinarizeMatchesDotPlusThreshold) {
   fill_random_bits(a, 31);
   fill_random_bits(w, 32);
   runtime::ThreadPool pool(3);
+  const testing::EngineLayer layer(k);
   std::vector<float> y(static_cast<std::size_t>(k));
-  bgemm(a, w, pool, y.data());
+  layer.bgemm(a, w, pool, y.data());
   std::vector<float> th(static_cast<std::size_t>(k));
   for (std::int64_t j = 0; j < k; ++j) th[static_cast<std::size_t>(j)] = static_cast<float>(j % 5) - 2.0f;
   // The kernels take each threshold as the popcount limit it lowers to.
   const std::vector<std::int64_t> limits = graph::popcount_limits(n, th, k);
   PackedMatrix out(1, k);
-  bgemm_binarize(a, w, limits.data(), pool, out);
+  layer.bgemm_binarize(a, w, limits.data(), pool, out);
   for (std::int64_t j = 0; j < k; ++j) {
     ASSERT_EQ(out.get_bit(0, j), y[static_cast<std::size_t>(j)] >= th[static_cast<std::size_t>(j)]);
   }
   // Null thresholds = sign at zero.
   PackedMatrix out0(1, k);
-  bgemm_binarize(a, w, nullptr, pool, out0);
+  layer.bgemm_binarize(a, w, nullptr, pool, out0);
   for (std::int64_t j = 0; j < k; ++j) {
     ASSERT_EQ(out0.get_bit(0, j), y[static_cast<std::size_t>(j)] >= 0.0f);
   }
@@ -96,8 +98,9 @@ TEST(Bgemm, ThreadCountInvariance) {
   fill_random_bits(w, 42);
   runtime::ThreadPool p1(1), p5(5);
   std::vector<float> y1(static_cast<std::size_t>(k)), y5(static_cast<std::size_t>(k));
-  bgemm(a, w, p1, y1.data());
-  bgemm(a, w, p5, y5.data());
+  const testing::EngineLayer layer(k);
+  layer.bgemm(a, w, p1, y1.data());
+  layer.bgemm(a, w, p5, y5.data());
   EXPECT_EQ(y1, y5);
 }
 
@@ -105,9 +108,18 @@ TEST(Bgemm, RejectsMismatchedDims) {
   PackedMatrix a(1, 64), w(4, 128);
   runtime::ThreadPool pool(1);
   std::vector<float> y(4);
-  EXPECT_THROW(bgemm(a, w, pool, y.data()), std::invalid_argument);
+  const testing::EngineLayer layer(4);
+  EXPECT_THROW(layer.bgemm(a, w, pool, y.data()), std::invalid_argument);
   PackedMatrix w_ok(4, 64), out_bad(1, 5);
-  EXPECT_THROW(bgemm_binarize(a, w_ok, nullptr, pool, out_bad), std::invalid_argument);
+  EXPECT_THROW(layer.bgemm_binarize(a, w_ok, nullptr, pool, out_bad), std::invalid_argument);
+  // m_rows past A, and a bank tiled at another width than the kernel's.
+  const TiledBitMatrix bank = bitpack::tile_fc_weights(w_ok, layer.plan().tile);
+  const auto fn = bgemm_kernel(layer.plan().isa, simd::cpu_features().avx512vpopcntdq,
+                               layer.plan().tile);
+  EXPECT_THROW(fn(a, 2, bank, pool, y.data()), std::invalid_argument);
+  const TiledBitMatrix other =
+      bitpack::tile_fc_weights(w_ok, layer.plan().tile == 4 ? 8 : 4);
+  EXPECT_THROW(fn(a, 1, other, pool, y.data()), std::invalid_argument);
 }
 
 TEST(Bgemm, AllIsaVariantsAgree) {
@@ -117,11 +129,11 @@ TEST(Bgemm, AllIsaVariantsAgree) {
   fill_random_bits(w, 52);
   runtime::ThreadPool pool(1);
   std::vector<float> base(static_cast<std::size_t>(k));
-  bgemm_kernel(IsaLevel::kU64)(a, w, pool, base.data());
+  testing::EngineLayer(k, IsaLevel::kU64).bgemm(a, w, pool, base.data());
   for (IsaLevel isa : {IsaLevel::kSse, IsaLevel::kAvx2, IsaLevel::kAvx512}) {
     if (!simd::cpu_features().supports(isa)) continue;
     std::vector<float> y(static_cast<std::size_t>(k));
-    bgemm_kernel(isa)(a, w, pool, y.data());
+    testing::EngineLayer(k, isa).bgemm(a, w, pool, y.data());
     EXPECT_EQ(y, base) << simd::isa_name(isa);
   }
 }

@@ -54,9 +54,8 @@ Key fc_key(std::int64_t c, std::int64_t k) {
   return key;
 }
 
-Decision tiled_decision(std::int64_t tile, std::int64_t grain, double ms) {
+Decision make_decision(std::int64_t tile, std::int64_t grain, double ms) {
   Decision d;
-  d.tiled = tile != 0;
   d.tile = tile;
   d.par_grain = grain;
   d.source = DecisionSource::kSearch;
@@ -66,13 +65,13 @@ Decision tiled_decision(std::int64_t tile, std::int64_t grain, double ms) {
 }
 
 /// A cache image with enough variety to make most byte positions
-/// load-bearing: conv + fc keys, tiled + untiled decisions, a grain > 1.
+/// load-bearing: conv + fc keys, every tile width, a grain > 1.
 TuneCache populated_cache() {
   TuneCache cache;
-  cache.put(conv_key(20, 20, 256, 256), tiled_decision(8, 1, 0.125));
-  cache.put(conv_key(34, 34, 64, 6), tiled_decision(0, 18, 0.5));
-  cache.put(conv_key(10, 10, 128, 512), tiled_decision(16, 1, 0.0625));
-  cache.put(fc_key(4096, 1024), tiled_decision(4, 1, 0.25));
+  cache.put(conv_key(20, 20, 256, 256), make_decision(8, 1, 0.125));
+  cache.put(conv_key(34, 34, 64, 6), make_decision(4, 18, 0.5));
+  cache.put(conv_key(10, 10, 128, 512), make_decision(16, 1, 0.0625));
+  cache.put(fc_key(4096, 1024), make_decision(4, 1, 0.25));
   return cache;
 }
 
@@ -89,8 +88,7 @@ bool well_formed(const Entry& e) {
     if (extent < 1 || extent > (std::int64_t{1} << 24)) return false;
   }
   const Decision& d = e.decision;
-  if (d.tiled != (d.tile != 0)) return false;
-  if (d.tile != 0 && d.tile != 4 && d.tile != 8 && d.tile != 16) return false;
+  if (d.tile != 4 && d.tile != 8 && d.tile != 16) return false;
   if (d.par_grain < 1) return false;
   if (d.source != DecisionSource::kSearch && d.source != DecisionSource::kCache)
     return false;
@@ -103,7 +101,7 @@ bool well_formed(const Entry& e) {
 TuneCache absorb(const std::string& bytes) {
   TuneCache cache;
   // Pre-populate so we also verify deserialize() always clears stale state.
-  cache.put(fc_key(8, 8), tiled_decision(0, 1, 1.0));
+  cache.put(fc_key(8, 8), make_decision(4, 1, 1.0));
   EXPECT_NO_THROW(cache.deserialize(bytes.data(), bytes.size()));
   return cache;
 }
@@ -117,7 +115,6 @@ TEST(TuneCacheFuzz, RoundTripPreservesEveryEntry) {
   for (const Entry& e : original.entries()) {
     const Decision* d = loaded.lookup(e.key);
     ASSERT_NE(d, nullptr);
-    EXPECT_EQ(d->tiled, e.decision.tiled);
     EXPECT_EQ(d->tile, e.decision.tile);
     EXPECT_EQ(d->par_grain, e.decision.par_grain);
     EXPECT_EQ(d->best_ms, e.decision.best_ms);
@@ -252,7 +249,7 @@ TEST(TuneCacheFuzz, OversizedImageIsRejectedBeforeParsing) {
 
 TEST(TuneCacheFuzz, LoadOfMissingFileYieldsEmptyCacheWithoutError) {
   TuneCache cache;
-  cache.put(fc_key(8, 8), tiled_decision(0, 1, 1.0));
+  cache.put(fc_key(8, 8), make_decision(4, 1, 1.0));
   cache.load("/nonexistent/dir/bitflow_tune_fuzz.bftc");
   EXPECT_EQ(cache.size(), 0u);
 }

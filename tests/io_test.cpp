@@ -303,6 +303,15 @@ TEST(ModelPadding, ConvTapTailBitIsRejected) {
   PackedFilterBank bad(5, 3, 3, 70);
   bad.tap(4, 2, 1)[1] |= std::uint64_t{1} << 40;
   EXPECT_THROW(m.add_conv("tail_conv_2", std::move(bad), 1, 1), std::runtime_error);
+  // K = 3 has no full tile: every filter streams row-major, same check.
+  Model tiny(graph::TensorDesc{4, 4, 70});
+  PackedFilterBank f3(3, 3, 3, 70);
+  fill_random_bits(f3, 9);
+  tiny.add_conv("tiny_conv", std::move(f3), 1, 1);
+  const std::int64_t words3 = 3 * 3 * 3 * 2;
+  expect_rejected_naming(saved_with_weight_bit(tiny, words3, words3 - 1, 6), "tiny_conv");
+  std::stringstream tiny_ok(saved_with_weight_bit(tiny, words3, words3 - 1, 5));
+  EXPECT_NO_THROW((void)Model::load(tiny_ok));
 }
 
 TEST(ModelPadding, FcRowTailBitIsRejected) {
@@ -389,13 +398,10 @@ struct SharedChain {
   }
 };
 
-/// The register-tile width of a C-channel, K-filter conv's plan under
-/// `cap` (none: the default plan lowering and finalize() both commit).
-std::int64_t default_tile_for(std::int64_t c, std::int64_t k,
-                              std::optional<simd::IsaLevel> cap = std::nullopt) {
-  return graph::default_kernel_plan(c, k, simd::cpu_features(),
-                                    graph::SchedulerPolicy::kPaperRules, true, cap)
-      .tile;
+/// The register-tile width of a K-filter layer's plan under `cap` (none:
+/// the default plan lowering and finalize() both commit).
+std::int64_t default_tile_for(std::int64_t k, std::optional<simd::IsaLevel> cap = std::nullopt) {
+  return graph::default_kernel_plan(k, simd::cpu_features(), cap).tile;
 }
 
 /// One chain per C in {96 (channel tail), 256} and K in {T-1, T, 2T+3} at
@@ -404,7 +410,7 @@ std::int64_t default_tile_for(std::int64_t c, std::int64_t k,
 std::vector<SharedChain> shared_chains() {
   std::vector<SharedChain> chains;
   for (const std::int64_t c : {96, 256}) {
-    const std::int64_t t = default_tile_for(c, 64);
+    const std::int64_t t = default_tile_for(64);
     for (const std::int64_t k : {t - 1, t, 2 * t + 3}) chains.emplace_back(c, k);
   }
   for (const std::int64_t c : {3, 64}) {
@@ -444,18 +450,20 @@ TEST(ModelSharing, InstantiateAllocatesNoWeightStorage) {
       const AllocationsFail no_alloc;
       a.emplace(model.instantiate(graph::NetworkConfig{}));
       b.emplace(model.instantiate(graph::NetworkConfig{}));
-      // A plan with another layout needs a private copy: the allocation
-      // that fails here is that copy.
-      graph::NetworkConfig untiled;
-      untiled.tile_weights = false;
-      EXPECT_THROW((void)model.instantiate(untiled), std::bad_alloc);
-      // So does an ISA cap that changes the conv's tile width (T 16 or 8
-      // -> 4 on AVX2 and AVX-512 hosts).
-      if (default_tile_for(chain.c, chain.k, simd::IsaLevel::kSse) !=
-          default_tile_for(chain.c, chain.k)) {
+      // An ISA cap that keeps every layer's tile width (AVX2 on an AVX-512
+      // host) still shares the banks.  One that changes a width (T 16 or 8
+      // -> 4 at u64/SSE on AVX2 and AVX-512 hosts) needs a private copy: the
+      // allocation that fails here is that copy.
+      for (const simd::IsaLevel isa : simd::supported_isa_levels()) {
         graph::NetworkConfig capped;
-        capped.max_isa = simd::IsaLevel::kSse;
-        EXPECT_THROW((void)model.instantiate(capped), std::bad_alloc);
+        capped.max_isa = isa;
+        const bool same_tiles = default_tile_for(chain.k, isa) == default_tile_for(chain.k) &&
+                                default_tile_for(10, isa) == default_tile_for(10);
+        if (same_tiles) {
+          EXPECT_NO_THROW((void)model.instantiate(capped)) << simd::isa_name(isa);
+        } else {
+          EXPECT_THROW((void)model.instantiate(capped), std::bad_alloc) << simd::isa_name(isa);
+        }
       }
     }
     for (const std::uint64_t seed : {5u, 6u}) {
@@ -468,8 +476,7 @@ TEST(ModelSharing, InstantiateAllocatesNoWeightStorage) {
 }
 
 TEST(ModelSharing, EveryPlanIsBitExactAgainstTheBaseline) {
-  std::vector<graph::NetworkConfig> plans(2);
-  plans[1].tile_weights = false;
+  std::vector<graph::NetworkConfig> plans(1);
   for (const simd::IsaLevel isa : simd::supported_isa_levels()) {
     plans.emplace_back().max_isa = isa;
   }
@@ -485,7 +492,7 @@ TEST(ModelSharing, EveryPlanIsBitExactAgainstTheBaseline) {
 }
 
 TEST(ModelSharing, NetworksOutliveTheModelAndRunConcurrently) {
-  const SharedChain chain(96, 2 * default_tile_for(96, 64) + 3);
+  const SharedChain chain(96, 2 * default_tile_for(64) + 3);
   std::optional<graph::BinaryNetwork> one_thread, three_threads;
   {
     const Model model = chain.loaded_model();
@@ -736,7 +743,7 @@ std::size_t put_fc(std::string& out, const std::string& name, const PackedMatrix
 
 /// A model whose two big banks fan out on any host with >= 2 CPUs, over a
 /// 1x1x1000 input, every conv 3x3 with pad 1:
-///   k3    K = 3 (< 4: filter-major), C = 1000 (C mod 64 = 40);
+///   k3    K = 3 (< 4: no full tile), C = 1000 (C mod 64 = 40);
 ///   small K = 21, C = 3: tiled with 5 remainder filters, inline;
 ///   wide  K = 29199 (mod 16 = 15), C = 21: 2,102,328 bytes, 2 workers;
 ///   fc    K = 581 (mod 16 = 5), N = 29199 (mod 64 = 15): 2,124,136 bytes,
@@ -774,7 +781,7 @@ struct StreamModel {
 
   /// Rows per chunk of the fc bank: whole tile blocks of ~kStreamChunkBytes.
   [[nodiscard]] static std::int64_t fc_chunk_rows() {
-    const std::int64_t t = default_tile_for(kWideK, kFcRows);
+    const std::int64_t t = default_tile_for(kFcRows);
     const std::int64_t block = t * words_for_channels(kWideK) * 8;
     return std::max<std::int64_t>(1, graph::kStreamChunkBytes / block) * t;
   }
@@ -839,11 +846,9 @@ void expect_same_bank(const graph::ConvWeights& loaded, const PackedFilterBank& 
   const graph::ConvWeights lowered = graph::lower_conv_weights(PackedFilterBank(f), "copy");
   ASSERT_EQ(loaded.tile(), lowered.tile());
   ASSERT_EQ(loaded.num_words(), lowered.num_words());
-  const std::uint64_t* a =
-      loaded.tiled() != nullptr ? loaded.tiled()->rows().words() : loaded.filter_major()->words();
-  const std::uint64_t* b = lowered.tiled() != nullptr ? lowered.tiled()->rows().words()
-                                                      : lowered.filter_major()->words();
-  EXPECT_EQ(std::memcmp(a, b, static_cast<std::size_t>(loaded.num_words() * 8)), 0);
+  EXPECT_EQ(std::memcmp(loaded.bank().rows().words(), lowered.bank().rows().words(),
+                        static_cast<std::size_t>(loaded.num_words() * 8)),
+            0);
   for (std::int64_t k = 0; k < f.num_filters(); ++k) {
     for (std::int64_t w = 0; w < f.words_per_filter(); ++w) {
       ASSERT_EQ(loaded.word(k, w), f.filter(k)[w]) << "filter " << k << " word " << w;
@@ -856,11 +861,9 @@ void expect_same_bank(const graph::FcWeights& loaded, const PackedMatrix& m) {
   const graph::FcWeights lowered = graph::lower_fc_weights(PackedMatrix(m), "copy");
   ASSERT_EQ(loaded.tile(), lowered.tile());
   ASSERT_EQ(loaded.num_words(), lowered.num_words());
-  const std::uint64_t* a =
-      loaded.tiled() != nullptr ? loaded.tiled()->words() : loaded.filter_major()->words();
-  const std::uint64_t* b =
-      lowered.tiled() != nullptr ? lowered.tiled()->words() : lowered.filter_major()->words();
-  EXPECT_EQ(std::memcmp(a, b, static_cast<std::size_t>(loaded.num_words() * 8)), 0);
+  EXPECT_EQ(std::memcmp(loaded.bank().words(), lowered.bank().words(),
+                        static_cast<std::size_t>(loaded.num_words() * 8)),
+            0);
   for (std::int64_t r = 0; r < m.rows(); ++r) {
     for (std::int64_t w = 0; w < m.words_per_row(); ++w) {
       ASSERT_EQ(loaded.word(r, w), m.row(r)[w]) << "row " << r << " word " << w;

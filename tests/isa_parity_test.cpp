@@ -1,13 +1,17 @@
-// ISA-parity harness (ROADMAP "analysis" item): every kernel family —
-// xor/popcount + or_accumulate primitives, PressedConv, bgemm, binary max
-// pool — must be bit-exact across every ISA variant the executing CPU
-// supports, including both AVX-512 popcount lowerings where available.
+// ISA-parity harness: every kernel — xor/popcount + or_accumulate
+// primitives, PressedConv, bgemm, binary max pool — must be bit-exact across
+// every ISA variant the executing CPU supports, including both AVX-512
+// popcount lowerings where available.  PressedConv and bgemm are checked at
+// every (ISA variant, tile width) pair: the raw dots against src/baseline's
+// decoded reference, the fused binarize against the float compare over
+// those dots.
 //
-// The scalar u64 path is the reference; shapes are randomized (seeded) and
-// deliberately adversarial: odd channel counts that leave ragged tail bits,
-// stride/margin combinations, tiny spatial extents, and one large-H*W case.
-// Failures name the kernel, the variant, and the full shape so a divergence
-// on exotic hardware is reproducible from the log alone.
+// Shapes are randomized (seeded) and deliberately adversarial: odd channel
+// counts that leave ragged tail bits, K below every tile width (no full
+// tile: every filter a remainder filter), stride/margin combinations, tiny
+// spatial extents, and one large-H*W case.  Failures name the kernel, the
+// variant, the tile width and the full shape so a divergence on exotic
+// hardware is reproducible from the log alone.
 #include <cmath>
 #include <cstdint>
 #include <limits>
@@ -130,9 +134,38 @@ PackedMatrix float_oracle(const PackedMatrix& a, std::int64_t m_rows, const Pack
   return out;
 }
 
+/// One (ISA variant, tile width) pair the host can run, named for failure
+/// messages ("avx512vp,t16").
+struct Plan {
+  IsaVariant v;
+  std::int64_t tile;
+  [[nodiscard]] std::string name() const {
+    return std::string(v.name) + ",t" + std::to_string(tile);
+  }
+};
+
+std::vector<Plan> all_plans() {
+  std::vector<Plan> plans;
+  for (const IsaVariant& v : simd::supported_isa_variants()) {
+    const kernels::TileWidthSet widths = kernels::supported_tile_widths(v.isa);
+    for (std::int64_t i = 0; i < widths.count; ++i) {
+      plans.push_back({v, widths.widths[static_cast<std::size_t>(i)]});
+    }
+  }
+  return plans;
+}
+
+kernels::ConvDotFn dot_fn(const Plan& p) {
+  return kernels::conv_dot_kernel(p.v.isa, p.v.use_vpopcntdq, p.tile);
+}
+kernels::ConvBinarizeFn binarize_fn(const Plan& p) {
+  return kernels::conv_binarize_kernel(p.v.isa, p.v.use_vpopcntdq, p.tile);
+}
+
 // Fixed adversarial shapes plus seeded random draws.  Channels are chosen to
 // hit every tail class (sub-word, word-exact, each vector width, ragged just
-// past each width); spatial extents span tiny (1x1 output) to a large H*W.
+// past each width); K from 1 (below every tile width) past 2 * 16; spatial
+// extents span tiny (1x1 output) to a large H*W.
 std::vector<ConvShape> conv_shapes() {
   std::vector<ConvShape> shapes = {
       {3, 3, 7, 3, 3, 1, 0},       // sub-word channels, smallest output
@@ -143,6 +176,9 @@ std::vector<ConvShape> conv_shapes() {
       {8, 8, 513, 3, 3, 2, 1},     // one bit past AVX-512 width
       {4, 9, 96, 7, 1, 1, 0},      // 1x1 kernel (pure channel reduction)
       {40, 40, 63, 4, 3, 1, 0},    // large H*W, ragged tail
+      {7, 8, 70, 1, 3, 2, 1},      // K = 1: a single remainder filter
+      {6, 5, 130, 2, 1, 1, 2},     // K = 2, 1x1, fat margin
+      {9, 9, 64, 37, 3, 1, 1},     // two full T = 16 tiles + 5 remainder filters
   };
   std::mt19937_64 rng(20260805);
   std::uniform_int_distribution<std::int64_t> dim(5, 14);
@@ -165,33 +201,46 @@ std::vector<ConvShape> conv_shapes() {
   return shapes;
 }
 
+/// Per-filter thresholds near zero, so both binarization outcomes occur.
+std::vector<float> near_zero_thresholds(std::int64_t k, std::uint64_t seed, float range) {
+  std::vector<float> thresholds(static_cast<std::size_t>(k));
+  std::mt19937_64 trng(seed);
+  std::uniform_real_distribution<float> tdist(-range, range);
+  for (auto& t : thresholds) t = tdist(trng);
+  return thresholds;
+}
+
+/// `n` seeded random H x W x C images and the pointer array the kernels take.
+struct Images {
+  std::vector<PackedTensor> in;
+  std::vector<const PackedTensor*> ptrs;
+  Images(const ConvShape& s, std::int64_t n, std::uint64_t& seed) {
+    for (std::int64_t b = 0; b < n; ++b) {
+      in.emplace_back(s.h, s.w, s.c);
+      fill_random_bits(in.back(), seed++);
+    }
+    for (const PackedTensor& t : in) ptrs.push_back(&t);
+  }
+};
+
 // --- PressedConv -----------------------------------------------------------
 
 TEST(IsaParity, PressedConvDotAllVariants) {
   runtime::ThreadPool pool(3);
-  const auto variants = simd::supported_isa_variants();
   std::uint64_t seed = 1000;
   for (const ConvShape& s : conv_shapes()) {
-    PackedTensor in(s.h, s.w, s.c);
+    const Images img(s, 1, seed);
     PackedFilterBank filters(s.k, s.kernel, s.kernel, s.c);
-    fill_random_bits(in, seed++);
     fill_random_bits(filters, seed++);
     const ConvSpec spec{s.kernel, s.kernel, s.stride};
-    const std::int64_t oh = spec.out_h(s.h), ow = spec.out_w(s.w);
-
-    Tensor ref = Tensor::hwc(oh, ow, s.k);
-    kernels::conv_dot_kernel(IsaLevel::kU64, false)(in, filters, spec, pool, ref);
-    // The scalar kernel itself is pinned against the decoded naive conv once
-    // per shape, so variant agreement is agreement with ground truth.
-    const Tensor naive = testing::reference_binary_conv(in, filters, spec);
-    ASSERT_EQ(max_abs_diff(ref, naive), 0.0f)
-        << "kernel conv_dot[u64] vs naive reference, shape " << describe(s);
-
-    for (const IsaVariant& v : variants) {
-      Tensor out = Tensor::hwc(oh, ow, s.k);
-      kernels::conv_dot_kernel(v.isa, v.use_vpopcntdq)(in, filters, spec, pool, out);
-      ASSERT_EQ(max_abs_diff(out, ref), 0.0f)
-          << "kernel conv_dot[" << v.name << "] diverges from u64 reference, shape "
+    const Tensor want = testing::reference_binary_conv(img.in[0], filters, spec);
+    for (const Plan& p : all_plans()) {
+      const TiledFilterBank bank = bitpack::tile_filters(filters, p.tile);
+      Tensor out = Tensor::hwc(want.height(), want.width(), s.k);
+      Tensor* outs[] = {&out};
+      dot_fn(p)(img.ptrs.data(), 1, bank, spec, pool, outs);
+      ASSERT_EQ(max_abs_diff(out, want), 0.0f)
+          << "kernel conv_dot[" << p.name() << "] vs src/baseline's reference, shape "
           << describe(s);
     }
   }
@@ -199,44 +248,113 @@ TEST(IsaParity, PressedConvDotAllVariants) {
 
 TEST(IsaParity, PressedConvBinarizeAllVariants) {
   runtime::ThreadPool pool(3);
-  const auto variants = simd::supported_isa_variants();
   std::uint64_t seed = 2000;
   for (const ConvShape& s : conv_shapes()) {
-    PackedTensor in(s.h, s.w, s.c);
+    const Images img(s, 1, seed);
     PackedFilterBank filters(s.k, s.kernel, s.kernel, s.c);
-    fill_random_bits(in, seed++);
     fill_random_bits(filters, seed++);
     const ConvSpec spec{s.kernel, s.kernel, s.stride};
-    const std::int64_t oh = spec.out_h(s.h), ow = spec.out_w(s.w);
-
-    // Per-filter thresholds near zero so both binarization outcomes occur.
-    std::vector<float> thresholds(static_cast<std::size_t>(s.k));
-    std::mt19937_64 trng(seed);
-    std::uniform_real_distribution<float> tdist(-3.0f, 3.0f);
-    for (auto& t : thresholds) t = tdist(trng);
+    const std::vector<float> thresholds = near_zero_thresholds(s.k, seed++, 3.0f);
     const std::vector<std::int64_t> limits =
         graph::popcount_limits(filters.bits_per_filter(), thresholds, s.k);
-
-    PackedTensor ref(oh + 2 * s.margin, ow + 2 * s.margin, s.k);
-    kernels::conv_binarize_kernel(IsaLevel::kU64, false)(in, filters, spec, limits.data(), pool,
-                                                         ref, s.margin);
-    // The scalar kernel is pinned to the float compare over the baseline's
-    // dot products, so variant agreement is agreement with the oracle.
-    expect_words_eq(ref, float_oracle(in, filters, spec, thresholds, s.margin),
-                    "conv_binarize[u64] vs float oracle, shape " + describe(s));
-    for (const IsaVariant& v : variants) {
-      PackedTensor out(oh + 2 * s.margin, ow + 2 * s.margin, s.k);
-      kernels::conv_binarize_kernel(v.isa, v.use_vpopcntdq)(in, filters, spec, limits.data(),
-                                                            pool, out, s.margin);
+    const PackedTensor want = float_oracle(img.in[0], filters, spec, thresholds, s.margin);
+    for (const Plan& p : all_plans()) {
+      const TiledFilterBank bank = bitpack::tile_filters(filters, p.tile);
+      PackedTensor out(want.height(), want.width(), s.k);
+      PackedTensor* outs[] = {&out};
+      binarize_fn(p)(img.ptrs.data(), 1, bank, spec, limits.data(), pool, outs, s.margin);
       // Whole-buffer word compare: covers payload bits, tail-zero invariant,
       // and the untouched zero margin in one pass.
-      for (std::int64_t i = 0; i < ref.num_words(); ++i) {
-        ASSERT_EQ(out.words()[i], ref.words()[i])
-            << "kernel conv_binarize[" << v.name << "] diverges from u64 at word " << i
-            << ", shape " << describe(s);
+      expect_words_eq(out, want,
+                      "kernel conv_binarize[" + p.name() + "] vs float oracle, shape " +
+                          describe(s));
+    }
+  }
+}
+
+// --- batch-N PressedConv ---------------------------------------------------
+
+TEST(IsaParity, PressedConvDotBatchMatchesSingleImageAllVariants) {
+  runtime::ThreadPool pool(3);
+  std::uint64_t seed = 6000;
+  for (const ConvShape& s : conv_shapes()) {
+    const ConvSpec spec{s.kernel, s.kernel, s.stride};
+    const std::int64_t oh = spec.out_h(s.h), ow = spec.out_w(s.w);
+    PackedFilterBank filters(s.k, s.kernel, s.kernel, s.c);
+    fill_random_bits(filters, seed++);
+    const std::int64_t n = 3;
+    const Images img(s, n, seed);
+    for (const Plan& p : all_plans()) {
+      const TiledFilterBank bank = bitpack::tile_filters(filters, p.tile);
+      std::vector<Tensor> out;
+      std::vector<Tensor*> out_ptrs;
+      for (std::int64_t b = 0; b < n; ++b) out.push_back(Tensor::hwc(oh, ow, s.k));
+      for (Tensor& t : out) out_ptrs.push_back(&t);
+      dot_fn(p)(img.ptrs.data(), n, bank, spec, pool, out_ptrs.data());
+      // Reference: n independent single-image runs of the same kernel.
+      for (std::int64_t b = 0; b < n; ++b) {
+        Tensor ref = Tensor::hwc(oh, ow, s.k);
+        Tensor* refs[] = {&ref};
+        dot_fn(p)(&img.ptrs[static_cast<std::size_t>(b)], 1, bank, spec, pool, refs);
+        ASSERT_EQ(max_abs_diff(out[static_cast<std::size_t>(b)], ref), 0.0f)
+            << "kernel conv_dot[" << p.name() << "] image " << b << "/" << n
+            << " diverges from its single-image run, shape " << describe(s);
       }
     }
   }
+}
+
+TEST(IsaParity, PressedConvBinarizeBatchMatchesSingleImageAllVariants) {
+  runtime::ThreadPool pool(3);
+  std::uint64_t seed = 7000;
+  for (const ConvShape& s : conv_shapes()) {
+    const ConvSpec spec{s.kernel, s.kernel, s.stride};
+    const std::int64_t oh = spec.out_h(s.h) + 2 * s.margin, ow = spec.out_w(s.w) + 2 * s.margin;
+    PackedFilterBank filters(s.k, s.kernel, s.kernel, s.c);
+    fill_random_bits(filters, seed++);
+    const std::vector<float> thresholds = near_zero_thresholds(s.k, seed++, 3.0f);
+    const std::vector<std::int64_t> limits =
+        graph::popcount_limits(filters.bits_per_filter(), thresholds, s.k);
+    const std::int64_t n = 3;
+    const Images img(s, n, seed);
+    for (const Plan& p : all_plans()) {
+      const TiledFilterBank bank = bitpack::tile_filters(filters, p.tile);
+      std::vector<PackedTensor> out;
+      std::vector<PackedTensor*> out_ptrs;
+      for (std::int64_t b = 0; b < n; ++b) out.emplace_back(oh, ow, s.k);
+      for (PackedTensor& t : out) out_ptrs.push_back(&t);
+      binarize_fn(p)(img.ptrs.data(), n, bank, spec, limits.data(), pool, out_ptrs.data(),
+                     s.margin);
+      for (std::int64_t b = 0; b < n; ++b) {
+        PackedTensor ref(oh, ow, s.k);
+        PackedTensor* refs[] = {&ref};
+        binarize_fn(p)(&img.ptrs[static_cast<std::size_t>(b)], 1, bank, spec, limits.data(),
+                       pool, refs, s.margin);
+        expect_words_eq(out[static_cast<std::size_t>(b)], ref,
+                        "kernel conv_binarize[" + p.name() + "] image " + std::to_string(b) +
+                            " vs its single-image run, shape " + describe(s));
+      }
+    }
+  }
+}
+
+TEST(IsaParity, ConvBatchArgChecks) {
+  PackedTensor a(4, 4, 8), b(4, 4, 8), wrong(5, 4, 8), wide(4, 4, 9);
+  const TiledFilterBank filters = bitpack::tile_filters(PackedFilterBank(2, 3, 3, 8), 4);
+  const ConvSpec spec{3, 3, 1};
+  const PackedTensor* ok[] = {&a, &b};
+  EXPECT_NO_THROW(kernels::check_conv_args(ok, 2, filters, spec));
+  EXPECT_THROW(kernels::check_conv_args(ok, 0, filters, spec), std::invalid_argument);
+  const PackedTensor* mixed[] = {&a, &wrong};
+  EXPECT_THROW(kernels::check_conv_args(mixed, 2, filters, spec), std::invalid_argument);
+  const PackedTensor* channels[] = {&wide};
+  EXPECT_THROW(kernels::check_conv_args(channels, 1, filters, spec), std::invalid_argument);
+  EXPECT_THROW(kernels::check_conv_args(ok, 2, filters, ConvSpec{1, 1, 1}),
+               std::invalid_argument);  // spec/filter extent mismatch
+  PackedTensor tiny(2, 2, 8);
+  const PackedTensor* small[] = {&tiny};
+  EXPECT_THROW(kernels::check_conv_args(small, 1, filters, spec),
+               std::invalid_argument);  // the window does not fit
 }
 
 // --- bgemm -----------------------------------------------------------------
@@ -254,10 +372,12 @@ std::vector<GemmShape> gemm_shapes() {
   std::vector<GemmShape> shapes = {
       {1, 1, 1},       // degenerate single bit
       {1, 63, 10},     // sub-word tail
-      {1, 512, 128},   // AVX-512 exact, register-blocked K
+      {1, 512, 128},   // AVX-512 exact, whole tiles
       {2, 513, 33},    // ragged everything
       {3, 1000, 17},   // several vector widths + tail
       {1, 4096, 101},  // large-N fully connected layer shape
+      {2, 70, 2},      // K = 2: remainder rows only
+      {3, 130, 3},     // K = 3
   };
   std::mt19937_64 rng(20260806);
   std::uniform_int_distribution<std::int64_t> m(1, 4);
@@ -267,33 +387,35 @@ std::vector<GemmShape> gemm_shapes() {
   return shapes;
 }
 
+kernels::BgemmFn bgemm_fn(const Plan& p) {
+  return kernels::bgemm_kernel(p.v.isa, p.v.use_vpopcntdq, p.tile);
+}
+kernels::BgemmBinarizeFn bgemm_binarize_fn(const Plan& p) {
+  return kernels::bgemm_binarize_kernel(p.v.isa, p.v.use_vpopcntdq, p.tile);
+}
+
 TEST(IsaParity, BgemmDotAllVariants) {
   runtime::ThreadPool pool(3);
-  const auto variants = simd::supported_isa_variants();
   std::uint64_t seed = 3000;
   for (const GemmShape& s : gemm_shapes()) {
-    PackedMatrix a(s.m, s.n_bits), w(s.k, s.n_bits);
+    // A carries two rows past m_rows — the serving path's "fill n of
+    // max_batch rows" usage.
+    PackedMatrix a(s.m + 2, s.n_bits), w(s.k, s.n_bits);
     fill_random_bits(a, seed++);
     fill_random_bits(w, seed++);
-
-    std::vector<float> ref(static_cast<std::size_t>(s.m * s.k));
-    kernels::bgemm_kernel(IsaLevel::kU64, false)(a, w, pool, ref.data());
-    // Pin the scalar kernel to the decoded naive dot for a few entries.
-    for (std::int64_t e = 0; e < std::min<std::int64_t>(s.m * s.k, 8); ++e) {
-      const std::int64_t rm = e % s.m, rk = e % s.k;
-      ASSERT_EQ(ref[static_cast<std::size_t>(rm * s.k + rk)],
-                static_cast<float>(testing::reference_binary_dot(a, rm, w, rk)))
-          << "kernel bgemm[u64] vs naive dot at (" << rm << "," << rk << "), shape "
-          << describe(s);
+    std::vector<float> want(static_cast<std::size_t>(s.m * s.k));
+    for (std::int64_t i = 0; i < s.m * s.k; ++i) {
+      want[static_cast<std::size_t>(i)] =
+          static_cast<float>(testing::reference_binary_dot(a, i / s.k, w, i % s.k));
     }
-
-    for (const IsaVariant& v : variants) {
+    for (const Plan& p : all_plans()) {
+      const TiledBitMatrix bank = bitpack::tile_fc_weights(w, p.tile);
       std::vector<float> y(static_cast<std::size_t>(s.m * s.k), -12345.0f);
-      kernels::bgemm_kernel(v.isa, v.use_vpopcntdq)(a, w, pool, y.data());
+      bgemm_fn(p)(a, s.m, bank, pool, y.data());
       for (std::int64_t i = 0; i < s.m * s.k; ++i) {
-        ASSERT_EQ(y[static_cast<std::size_t>(i)], ref[static_cast<std::size_t>(i)])
-            << "kernel bgemm[" << v.name << "] diverges from u64 at element (" << i / s.k
-            << "," << i % s.k << "), shape " << describe(s);
+        ASSERT_EQ(y[static_cast<std::size_t>(i)], want[static_cast<std::size_t>(i)])
+            << "kernel bgemm[" << p.name() << "] vs src/baseline's reference dot at element ("
+            << i / s.k << "," << i % s.k << "), shape " << describe(s);
       }
     }
   }
@@ -301,161 +423,47 @@ TEST(IsaParity, BgemmDotAllVariants) {
 
 TEST(IsaParity, BgemmBinarizeAllVariants) {
   runtime::ThreadPool pool(3);
-  const auto variants = simd::supported_isa_variants();
   std::uint64_t seed = 4000;
   for (const GemmShape& s : gemm_shapes()) {
     PackedMatrix a(s.m, s.n_bits), w(s.k, s.n_bits);
     fill_random_bits(a, seed++);
     fill_random_bits(w, seed++);
-    std::vector<float> thresholds(static_cast<std::size_t>(s.k));
-    std::mt19937_64 trng(seed);
-    std::uniform_real_distribution<float> tdist(-5.0f, 5.0f);
-    for (auto& t : thresholds) t = tdist(trng);
+    const std::vector<float> thresholds = near_zero_thresholds(s.k, seed, 5.0f);
     const std::vector<std::int64_t> limits = graph::popcount_limits(s.n_bits, thresholds, s.k);
-
-    PackedMatrix ref(s.m, s.k);
-    kernels::bgemm_binarize_kernel(IsaLevel::kU64, false)(a, w, limits.data(), pool, ref);
-    expect_words_eq(ref, float_oracle(a, s.m, w, thresholds),
-                    "bgemm_binarize[u64] vs float oracle, shape " + describe(s));
-    for (const IsaVariant& v : variants) {
+    const PackedMatrix want = float_oracle(a, s.m, w, thresholds);
+    for (const Plan& p : all_plans()) {
+      const TiledBitMatrix bank = bitpack::tile_fc_weights(w, p.tile);
       PackedMatrix out(s.m, s.k);
-      kernels::bgemm_binarize_kernel(v.isa, v.use_vpopcntdq)(a, w, limits.data(), pool, out);
-      for (std::int64_t i = 0; i < ref.num_words(); ++i) {
-        ASSERT_EQ(out.words()[i], ref.words()[i])
-            << "kernel bgemm_binarize[" << v.name << "] diverges from u64 at word " << i
-            << ", shape " << describe(s);
-      }
+      bgemm_binarize_fn(p)(a, s.m, bank, limits.data(), pool, out);
+      expect_words_eq(out, want,
+                      "kernel bgemm_binarize[" + p.name() + "] vs float oracle, shape " +
+                          describe(s));
     }
   }
-}
-
-// --- batch-N PressedConv ---------------------------------------------------
-
-TEST(IsaParity, PressedConvDotBatchMatchesSingleImageAllVariants) {
-  runtime::ThreadPool pool(3);
-  const auto variants = simd::supported_isa_variants();
-  std::uint64_t seed = 6000;
-  for (const ConvShape& s : conv_shapes()) {
-    const ConvSpec spec{s.kernel, s.kernel, s.stride};
-    const std::int64_t oh = spec.out_h(s.h), ow = spec.out_w(s.w);
-    PackedFilterBank filters(s.k, s.kernel, s.kernel, s.c);
-    fill_random_bits(filters, seed++);
-
-    for (std::int64_t n : {1, 4}) {
-      std::vector<PackedTensor> in;
-      std::vector<const PackedTensor*> in_ptrs;
-      for (std::int64_t b = 0; b < n; ++b) {
-        in.emplace_back(s.h, s.w, s.c);
-        fill_random_bits(in.back(), seed++);
-      }
-      for (const PackedTensor& t : in) in_ptrs.push_back(&t);
-
-      for (const IsaVariant& v : variants) {
-        std::vector<Tensor> out;
-        std::vector<Tensor*> out_ptrs;
-        for (std::int64_t b = 0; b < n; ++b) out.push_back(Tensor::hwc(oh, ow, s.k));
-        for (Tensor& t : out) out_ptrs.push_back(&t);
-        kernels::conv_dot_batch_kernel(v.isa, v.use_vpopcntdq)(in_ptrs.data(), n, filters,
-                                                               spec, pool, out_ptrs.data());
-        // Reference: n independent single-image runs of the same variant.
-        for (std::int64_t b = 0; b < n; ++b) {
-          Tensor ref = Tensor::hwc(oh, ow, s.k);
-          kernels::conv_dot_kernel(v.isa, v.use_vpopcntdq)(in[static_cast<std::size_t>(b)],
-                                                           filters, spec, pool, ref);
-          ASSERT_EQ(max_abs_diff(out[static_cast<std::size_t>(b)], ref), 0.0f)
-              << "kernel conv_dot_batch[" << v.name << "] image " << b << "/" << n
-              << " diverges from its single-image run, shape " << describe(s);
-        }
-      }
-    }
-  }
-}
-
-TEST(IsaParity, PressedConvBinarizeBatchMatchesSingleImageAllVariants) {
-  runtime::ThreadPool pool(3);
-  const auto variants = simd::supported_isa_variants();
-  std::uint64_t seed = 7000;
-  for (const ConvShape& s : conv_shapes()) {
-    const ConvSpec spec{s.kernel, s.kernel, s.stride};
-    const std::int64_t oh = spec.out_h(s.h), ow = spec.out_w(s.w);
-    PackedFilterBank filters(s.k, s.kernel, s.kernel, s.c);
-    fill_random_bits(filters, seed++);
-    std::vector<float> thresholds(static_cast<std::size_t>(s.k));
-    std::mt19937_64 trng(seed++);
-    std::uniform_real_distribution<float> tdist(-3.0f, 3.0f);
-    for (auto& t : thresholds) t = tdist(trng);
-    const std::vector<std::int64_t> limits =
-        graph::popcount_limits(filters.bits_per_filter(), thresholds, s.k);
-
-    const std::int64_t n = 3;
-    std::vector<PackedTensor> in;
-    std::vector<const PackedTensor*> in_ptrs;
-    for (std::int64_t b = 0; b < n; ++b) {
-      in.emplace_back(s.h, s.w, s.c);
-      fill_random_bits(in.back(), seed++);
-    }
-    for (const PackedTensor& t : in) in_ptrs.push_back(&t);
-
-    for (const IsaVariant& v : variants) {
-      std::vector<PackedTensor> out;
-      std::vector<PackedTensor*> out_ptrs;
-      for (std::int64_t b = 0; b < n; ++b) {
-        out.emplace_back(oh + 2 * s.margin, ow + 2 * s.margin, s.k);
-      }
-      for (PackedTensor& t : out) out_ptrs.push_back(&t);
-      kernels::conv_binarize_batch_kernel(v.isa, v.use_vpopcntdq)(
-          in_ptrs.data(), n, filters, spec, limits.data(), pool, out_ptrs.data(), s.margin);
-      for (std::int64_t b = 0; b < n; ++b) {
-        PackedTensor ref(oh + 2 * s.margin, ow + 2 * s.margin, s.k);
-        kernels::conv_binarize_kernel(v.isa, v.use_vpopcntdq)(
-            in[static_cast<std::size_t>(b)], filters, spec, limits.data(), pool, ref, s.margin);
-        for (std::int64_t i = 0; i < ref.num_words(); ++i) {
-          ASSERT_EQ(out[static_cast<std::size_t>(b)].words()[i], ref.words()[i])
-              << "kernel conv_binarize_batch[" << v.name << "] image " << b
-              << " diverges from its single-image run at word " << i << ", shape "
-              << describe(s);
-        }
-      }
-    }
-  }
-}
-
-TEST(IsaParity, ConvBatchArgChecks) {
-  PackedTensor a(4, 4, 8), b(4, 4, 8), wrong(5, 4, 8);
-  PackedFilterBank filters(2, 3, 3, 8);
-  const ConvSpec spec{3, 3, 1};
-  const PackedTensor* ok[] = {&a, &b};
-  EXPECT_NO_THROW(kernels::check_conv_batch_args(ok, 2, filters, spec));
-  EXPECT_THROW(kernels::check_conv_batch_args(ok, 0, filters, spec), std::invalid_argument);
-  const PackedTensor* mixed[] = {&a, &wrong};
-  EXPECT_THROW(kernels::check_conv_batch_args(mixed, 2, filters, spec),
-               std::invalid_argument);
 }
 
 // --- row-limited bgemm -----------------------------------------------------
 
 TEST(IsaParity, BgemmRowsMatchesFullAllVariants) {
   runtime::ThreadPool pool(3);
-  const auto variants = simd::supported_isa_variants();
   std::uint64_t seed = 8000;
   for (const GemmShape& s : gemm_shapes()) {
-    // A carries max_batch rows; only the first m_rows are computed — the
-    // serving path's "fill n of max_batch rows" usage.
+    // A carries max_batch rows; only the first m_rows are computed, and they
+    // must equal the same rows of a run over all of A.
     const std::int64_t rows = s.m + 3;
     PackedMatrix a(rows, s.n_bits), w(s.k, s.n_bits);
     fill_random_bits(a, seed++);
     fill_random_bits(w, seed++);
-
-    std::vector<float> full(static_cast<std::size_t>(rows * s.k));
-    kernels::bgemm_kernel(IsaLevel::kU64, false)(a, w, pool, full.data());
-
-    for (const IsaVariant& v : variants) {
+    for (const Plan& p : all_plans()) {
+      const TiledBitMatrix bank = bitpack::tile_fc_weights(w, p.tile);
+      std::vector<float> full(static_cast<std::size_t>(rows * s.k));
+      bgemm_fn(p)(a, rows, bank, pool, full.data());
       std::vector<float> y(static_cast<std::size_t>(s.m * s.k), -777.0f);
-      kernels::bgemm_rows_kernel(v.isa, v.use_vpopcntdq)(a, s.m, w, pool, y.data());
+      bgemm_fn(p)(a, s.m, bank, pool, y.data());
       for (std::int64_t i = 0; i < s.m * s.k; ++i) {
         ASSERT_EQ(y[static_cast<std::size_t>(i)], full[static_cast<std::size_t>(i)])
-            << "kernel bgemm_rows[" << v.name << "] diverges from full bgemm at element "
-            << i << ", shape " << describe(s) << " m_rows=" << s.m;
+            << "kernel bgemm[" << p.name() << "] m_rows=" << s.m
+            << " diverges from the full run at element " << i << ", shape " << describe(s);
       }
     }
   }
@@ -463,36 +471,30 @@ TEST(IsaParity, BgemmRowsMatchesFullAllVariants) {
 
 TEST(IsaParity, BgemmBinarizeRowsMatchesFullAndLeavesTailUntouched) {
   runtime::ThreadPool pool(3);
-  const auto variants = simd::supported_isa_variants();
   std::uint64_t seed = 9000;
   for (const GemmShape& s : gemm_shapes()) {
     const std::int64_t rows = s.m + 2;
     PackedMatrix a(rows, s.n_bits), w(s.k, s.n_bits);
     fill_random_bits(a, seed++);
     fill_random_bits(w, seed++);
-    std::vector<float> thresholds(static_cast<std::size_t>(s.k));
-    std::mt19937_64 trng(seed++);
-    std::uniform_real_distribution<float> tdist(-5.0f, 5.0f);
-    for (auto& t : thresholds) t = tdist(trng);
+    const std::vector<float> thresholds = near_zero_thresholds(s.k, seed++, 5.0f);
     const std::vector<std::int64_t> limits = graph::popcount_limits(s.n_bits, thresholds, s.k);
-
-    PackedMatrix full(rows, s.k);
-    kernels::bgemm_binarize_kernel(IsaLevel::kU64, false)(a, w, limits.data(), pool, full);
-
-    for (const IsaVariant& v : variants) {
+    for (const Plan& p : all_plans()) {
+      const TiledBitMatrix bank = bitpack::tile_fc_weights(w, p.tile);
+      PackedMatrix full(rows, s.k);
+      bgemm_binarize_fn(p)(a, rows, bank, limits.data(), pool, full);
       PackedMatrix out(rows, s.k);
-      fill_random_bits(out, seed);  // same fill per variant: sentinel for rows >= m_rows
+      fill_random_bits(out, seed);  // same fill per plan: sentinel for rows >= m_rows
       PackedMatrix sentinel(rows, s.k);
       fill_random_bits(sentinel, seed);
-      kernels::bgemm_binarize_rows_kernel(v.isa, v.use_vpopcntdq)(a, s.m, w, limits.data(),
-                                                                  pool, out);
-      const std::int64_t words_per_row = out.num_words() / rows;
+      bgemm_binarize_fn(p)(a, s.m, bank, limits.data(), pool, out);
+      const std::int64_t words_per_row = out.words_per_row();
       for (std::int64_t m = 0; m < rows; ++m) {
         const PackedMatrix& want = m < s.m ? full : sentinel;
         for (std::int64_t i = m * words_per_row; i < (m + 1) * words_per_row; ++i) {
           ASSERT_EQ(out.words()[i], want.words()[i])
-              << "kernel bgemm_binarize_rows[" << v.name << "] row " << m
-              << (m < s.m ? " diverges from full bgemm_binarize" : " was not left untouched")
+              << "kernel bgemm_binarize[" << p.name() << "] row " << m
+              << (m < s.m ? " diverges from the full run" : " was not left untouched")
               << " at word " << i << ", shape " << describe(s) << " m_rows=" << s.m;
         }
       }
@@ -501,11 +503,11 @@ TEST(IsaParity, BgemmBinarizeRowsMatchesFullAndLeavesTailUntouched) {
   }
 }
 
-// --- register-tiled PressedConv / bgemm (interleaved weight layout) --------
+// --- the interleaved weight layout -------------------------------------------
 //
-// The conv_shapes() K values (3..40) and gemm_shapes() k values straddle the
+// The conv_shapes() K values (1..40) and gemm_shapes() k values straddle the
 // tile widths (4, 8 and 16), so K < T, K = T exactly, and K % T != 0
-// remainder paths are all exercised on every variant.
+// remainder paths are all exercised at every plan above.
 
 TEST(IsaParity, TileFiltersIsAPermutation) {
   std::uint64_t seed = 11000;
@@ -575,56 +577,9 @@ TEST(IsaParity, InPlaceTilingMatchesReferencePermutation) {
   }
 }
 
-TEST(IsaParity, PressedConvTiledDotMatchesUntiledAllVariants) {
-  runtime::ThreadPool pool(3);
-  const auto variants = simd::supported_isa_variants();
-  std::uint64_t seed = 12000;
-  for (const ConvShape& s : conv_shapes()) {
-    const ConvSpec spec{s.kernel, s.kernel, s.stride};
-    const std::int64_t oh = spec.out_h(s.h), ow = spec.out_w(s.w);
-    PackedFilterBank filters(s.k, s.kernel, s.kernel, s.c);
-    fill_random_bits(filters, seed++);
-
-    for (std::int64_t n : {1, 3}) {
-      std::vector<PackedTensor> in;
-      std::vector<const PackedTensor*> in_ptrs;
-      for (std::int64_t b = 0; b < n; ++b) {
-        in.emplace_back(s.h, s.w, s.c);
-        fill_random_bits(in.back(), seed++);
-      }
-      for (const PackedTensor& t : in) in_ptrs.push_back(&t);
-
-      for (const IsaVariant& v : variants) {
-        const TiledFilterBank tiled =
-            bitpack::tile_filters(filters, kernels::weight_tile_width(v.isa));
-        std::vector<Tensor> out, ref;
-        std::vector<Tensor*> out_ptrs, ref_ptrs;
-        for (std::int64_t b = 0; b < n; ++b) {
-          out.push_back(Tensor::hwc(oh, ow, s.k));
-          ref.push_back(Tensor::hwc(oh, ow, s.k));
-        }
-        for (Tensor& t : out) out_ptrs.push_back(&t);
-        for (Tensor& t : ref) ref_ptrs.push_back(&t);
-        kernels::conv_dot_batch_kernel(v.isa, v.use_vpopcntdq)(in_ptrs.data(), n, filters,
-                                                               spec, pool, ref_ptrs.data());
-        kernels::conv_dot_tiled_batch_kernel(v.isa, v.use_vpopcntdq)(
-            in_ptrs.data(), n, tiled, spec, pool, out_ptrs.data());
-        for (std::int64_t b = 0; b < n; ++b) {
-          ASSERT_EQ(max_abs_diff(out[static_cast<std::size_t>(b)],
-                                 ref[static_cast<std::size_t>(b)]),
-                    0.0f)
-              << "kernel conv_dot_tiled_batch[" << v.name << "] image " << b << "/" << n
-              << " diverges from the filter-major kernel, shape " << describe(s);
-        }
-      }
-    }
-  }
-}
-
-// The fused binarize at every (ISA variant, tile width) pair, tiled and
-// untiled, against the float oracle.  Tiled and untiled kernels share the
-// popcount-limit epilogue, so they are checked against the float compare
-// they replace, not against each other.  Thresholds hit every edge of the
+// The fused binarize at every (ISA variant, tile width) pair against the
+// float oracle: the kernels' popcount-limit epilogue is checked against the
+// float compare it replaces.  Thresholds hit every edge of the
 // limit: NaN, infinities, signed zeros, integers exactly on a dot product
 // the fan-in's parity can reach (dot == threshold passes) and one off it,
 // and their float neighbours.
@@ -702,21 +657,11 @@ TEST(IsaParity, PressedConvBinarizeMatchesFloatOracleAtEveryTileWidth) {
                           kernel + " image " + std::to_string(b) + ", " + shape);
         }
       };
-      for (const IsaVariant& v : simd::supported_isa_variants()) {
-        check("conv_binarize_batch[" + std::string(v.name) + "]", [&](PackedTensor* const* out) {
-          kernels::conv_binarize_batch_kernel(v.isa, v.use_vpopcntdq)(
-              in_ptrs.data(), n, filters, spec, limits.data(), pool, out, margin);
+      for (const Plan& p : all_plans()) {
+        const TiledFilterBank tiled = bitpack::tile_filters(filters, p.tile);
+        check("conv_binarize[" + p.name() + "]", [&](PackedTensor* const* out) {
+          binarize_fn(p)(in_ptrs.data(), n, tiled, spec, limits.data(), pool, out, margin);
         });
-        const kernels::TileWidthSet widths = kernels::supported_tile_widths(v.isa);
-        for (std::int64_t i = 0; i < widths.count; ++i) {
-          const std::int64_t t = widths.widths[static_cast<std::size_t>(i)];
-          const TiledFilterBank tiled = bitpack::tile_filters(filters, t);
-          check("conv_binarize_tiled_batch[" + std::string(v.name) + ",t" + std::to_string(t) + "]",
-                [&](PackedTensor* const* out) {
-                  kernels::conv_binarize_tiled_batch_kernel(v.isa, v.use_vpopcntdq, t)(
-                      in_ptrs.data(), n, tiled, spec, limits.data(), pool, out, margin);
-                });
-        }
       }
     }
   }
@@ -734,37 +679,14 @@ TEST(IsaParity, TiledKernelRejectsMismatchedTileWidth) {
     const std::int64_t right = kernels::weight_tile_width(v.isa);
     const std::int64_t wrong = right == 4 ? 8 : 4;
     const TiledFilterBank bad = bitpack::tile_filters(filters, wrong);
-    EXPECT_THROW(kernels::conv_dot_tiled_batch_kernel(v.isa, v.use_vpopcntdq)(
-                     &in_ptr, 1, bad, spec, pool, &out_ptr),
+    EXPECT_THROW(kernels::conv_dot_kernel(v.isa, v.use_vpopcntdq, right)(&in_ptr, 1, bad, spec,
+                                                                        pool, &out_ptr),
                  std::invalid_argument)
         << "variant " << v.name;
   }
-}
-
-TEST(IsaParity, BgemmTiledRowsMatchesUntiledAllVariants) {
-  runtime::ThreadPool pool(3);
-  const auto variants = simd::supported_isa_variants();
-  std::uint64_t seed = 14000;
-  for (const GemmShape& s : gemm_shapes()) {
-    const std::int64_t rows = s.m + 2;
-    PackedMatrix a(rows, s.n_bits), w(s.k, s.n_bits);
-    fill_random_bits(a, seed++);
-    fill_random_bits(w, seed++);
-
-    std::vector<float> ref(static_cast<std::size_t>(s.m * s.k));
-    kernels::bgemm_rows_kernel(IsaLevel::kU64, false)(a, s.m, w, pool, ref.data());
-
-    for (const IsaVariant& v : variants) {
-      const TiledBitMatrix tiled = bitpack::tile_fc_weights(w, kernels::weight_tile_width(v.isa));
-      std::vector<float> y(static_cast<std::size_t>(s.m * s.k), -777.0f);
-      kernels::bgemm_rows_tiled_kernel(v.isa, v.use_vpopcntdq)(a, s.m, tiled, pool, y.data());
-      for (std::int64_t i = 0; i < s.m * s.k; ++i) {
-        ASSERT_EQ(y[static_cast<std::size_t>(i)], ref[static_cast<std::size_t>(i)])
-            << "kernel bgemm_rows_tiled[" << v.name << "] diverges at element " << i
-            << ", shape " << describe(s) << " m_rows=" << s.m;
-      }
-    }
-  }
+  // An (ISA, tile) pair with no instantiation is rejected by the getters.
+  EXPECT_THROW((void)kernels::conv_dot_kernel(IsaLevel::kU64, false, 16), std::invalid_argument);
+  EXPECT_THROW((void)kernels::bgemm_kernel(IsaLevel::kSse, false, 2), std::invalid_argument);
 }
 
 TEST(IsaParity, BgemmBinarizeRowsMatchesFloatOracleAtEveryTileWidth) {
@@ -780,22 +702,11 @@ TEST(IsaParity, BgemmBinarizeRowsMatchesFloatOracleAtEveryTileWidth) {
       const std::vector<std::int64_t> limits = graph::popcount_limits(n_bits, thresholds, k);
       const PackedMatrix want = float_oracle(a, m_rows, w, thresholds);
       const std::string shape = "N=" + std::to_string(n_bits) + " K=" + std::to_string(k);
-      for (const IsaVariant& v : simd::supported_isa_variants()) {
+      for (const Plan& p : all_plans()) {
+        const TiledBitMatrix tiled = bitpack::tile_fc_weights(w, p.tile);
         PackedMatrix out(rows, k);
-        kernels::bgemm_binarize_rows_kernel(v.isa, v.use_vpopcntdq)(a, m_rows, w, limits.data(),
-                                                                    pool, out);
-        expect_words_eq(out, want, "bgemm_binarize_rows[" + std::string(v.name) + "], " + shape);
-        const kernels::TileWidthSet widths = kernels::supported_tile_widths(v.isa);
-        for (std::int64_t i = 0; i < widths.count; ++i) {
-          const std::int64_t t = widths.widths[static_cast<std::size_t>(i)];
-          const TiledBitMatrix tiled = bitpack::tile_fc_weights(w, t);
-          PackedMatrix tiled_out(rows, k);
-          kernels::bgemm_binarize_rows_tiled_kernel(v.isa, v.use_vpopcntdq, t)(
-              a, m_rows, tiled, limits.data(), pool, tiled_out);
-          const std::string kernel =
-              "bgemm_binarize_rows_tiled[" + std::string(v.name) + ",t" + std::to_string(t) + "]";
-          expect_words_eq(tiled_out, want, kernel + ", " + shape);
-        }
+        bgemm_binarize_fn(p)(a, m_rows, tiled, limits.data(), pool, out);
+        expect_words_eq(out, want, "bgemm_binarize[" + p.name() + "], " + shape);
       }
     }
   }

@@ -8,6 +8,7 @@
 #include <gtest/gtest.h>
 
 #include "baseline/float_ops.hpp"
+#include "core/failpoint.hpp"
 #include "ops/multibase.hpp"
 #include "ops/operators.hpp"
 #include "tensor/util.hpp"
@@ -141,6 +142,21 @@ TEST(MultiBase, ConvergesTowardFloatConvOnSignInputs) {
     prev_err = err;
   }
   EXPECT_LT(prev_err, 6.0) << "4 bases should track the float conv closely";
+}
+
+TEST(MultiBase, SteadyStateRunAllocatesNothing) {
+  const FilterBank w = random_filters(6, 40, 9);
+  MultiBaseConvOp op(w, 3, 1, 1);
+  Tensor in = Tensor::hwc(5, 5, 40);
+  fill_uniform(in, 10);
+  runtime::ThreadPool pool(2);
+  Tensor first = Tensor::hwc(5, 5, 6), again = Tensor::hwc(5, 5, 6);
+  op.run(in, pool, first);  // sizes the padded input and the per-base dots
+  failpoint::arm("alloc.buffer",
+                 failpoint::Config{failpoint::Action::kBadAlloc, failpoint::Trigger::kAlways});
+  EXPECT_NO_THROW(op.run(in, pool, again));
+  failpoint::disarm("alloc.buffer");
+  EXPECT_EQ(max_abs_diff(first, again), 0.0f);
 }
 
 TEST(MultiBase, ArgumentValidation) {

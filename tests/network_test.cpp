@@ -1,6 +1,7 @@
 // BinaryNetwork: shape inference, memory planning (zero-cost padding),
 // kernel selection, and end-to-end equivalence against manual layer-by-layer
-// composition of the standalone kernels.
+// composition of the engine's kernels and against src/baseline's
+// unoptimized engine.
 #include <algorithm>
 #include <cmath>
 #include <cstdint>
@@ -22,6 +23,7 @@
 #include "simd/parity.hpp"
 #include "telemetry/profiler.hpp"
 #include "tensor/util.hpp"
+#include "test_util.hpp"
 
 namespace bitflow::graph {
 namespace {
@@ -149,7 +151,8 @@ TEST(BinaryNetwork, InferMatchesManualComposition) {
   const auto scores = net.infer(input);
   ASSERT_EQ(scores.size(), 10u);
 
-  // Manual composition with the standalone kernels, same weights (seeds).
+  // Manual composition with the engine's kernels at their default plans,
+  // same weights (seeds).
   runtime::ThreadPool pool(1);
   const FilterBank f1 = random_filters(64, 16, 1);
   const FilterBank f2 = random_filters(32, 64, 2);
@@ -160,20 +163,22 @@ TEST(BinaryNetwork, InferMatchesManualComposition) {
   bitpack::pack_activations_into_interior(input, in0, 1);
   const auto pf1 = bitpack::pack_filters(f1);
   PackedTensor a1(16, 16, 64);
-  kernels::pressed_conv_binarize(in0, pf1, kernels::ConvSpec{3, 3, 1}, nullptr, pool, a1, 0);
+  testing::EngineLayer(64).conv_binarize(in0, pf1, kernels::ConvSpec{3, 3, 1}, nullptr, pool,
+                                         a1, 0);
   PackedTensor a2(10, 10, 64);  // pool output with margin 1 for the next conv
   kernels::binary_maxpool(a1, kernels::PoolSpec{2, 2, 2}, pool, a2, 1);
   const auto pf2 = bitpack::pack_filters(f2);
   PackedTensor a3(8, 8, 32);
-  kernels::pressed_conv_binarize(a2, pf2, kernels::ConvSpec{3, 3, 1}, nullptr, pool, a3, 0);
+  testing::EngineLayer(32).conv_binarize(a2, pf2, kernels::ConvSpec{3, 3, 1}, nullptr, pool,
+                                         a3, 0);
   PackedMatrix flat(1, 8 * 8 * 32);
   bitpack::flatten_packed(a3, flat);
   const auto pw1 = bitpack::pack_transpose_fc_weights(w1.data(), 8 * 8 * 32, 40);
   PackedMatrix h1(1, 40);
-  kernels::bgemm_binarize(flat, pw1, nullptr, pool, h1);
+  testing::EngineLayer(40).bgemm_binarize(flat, pw1, nullptr, pool, h1);
   const auto pw2 = bitpack::pack_transpose_fc_weights(w2.data(), 40, 10);
   std::vector<float> manual(10);
-  kernels::bgemm(h1, pw2, pool, manual.data());
+  testing::EngineLayer(10).bgemm(h1, pw2, pool, manual.data());
 
   for (int i = 0; i < 10; ++i) {
     ASSERT_EQ(scores[static_cast<std::size_t>(i)], manual[static_cast<std::size_t>(i)]) << i;
@@ -249,17 +254,17 @@ TEST(BinaryNetwork, FcOnlyNetwork) {
   fill_uniform(input, 3);
   const auto s = net.infer(input);
   EXPECT_EQ(s.size(), 8u);
-  // Cross-check the first fc against standalone kernels.
+  // Cross-check against the engine's kernels composed by hand.
   runtime::ThreadPool pool(1);
   const auto w1 = models::random_fc_weights(64, 32, 1);
   const auto w2 = models::random_fc_weights(32, 8, 2);
   const auto x = bitpack::pack_rows(input.data(), 1, 64);
   const auto pw1 = bitpack::pack_transpose_fc_weights(w1.data(), 64, 32);
   PackedMatrix h(1, 32);
-  kernels::bgemm_binarize(x, pw1, nullptr, pool, h);
+  testing::EngineLayer(32).bgemm_binarize(x, pw1, nullptr, pool, h);
   const auto pw2 = bitpack::pack_transpose_fc_weights(w2.data(), 32, 8);
   std::vector<float> manual(8);
-  kernels::bgemm(h, pw2, pool, manual.data());
+  testing::EngineLayer(8).bgemm(h, pw2, pool, manual.data());
   for (int i = 0; i < 8; ++i) ASSERT_EQ(s[static_cast<std::size_t>(i)], manual[static_cast<std::size_t>(i)]);
 }
 
@@ -507,105 +512,95 @@ TEST(BinaryNetwork, BatchInferenceConvEndingNetworkEmitsDots) {
 
 // --- finalize-time weight tiling -------------------------------------------
 
-TEST(BinaryNetwork, TiledAndUntiledNetworksBitExact) {
-  // Same weights (seeds), same inputs: the interleaved-layout network must be
-  // bit-identical to the filter-major one for every batch size.
-  NetworkConfig tiled_cfg, plain_cfg;
-  tiled_cfg.num_threads = 3;
-  plain_cfg.num_threads = 3;
-  tiled_cfg.tile_weights = true;
-  plain_cfg.tile_weights = false;
-  BinaryNetwork tiled = make_small_net(tiled_cfg);
-  BinaryNetwork plain = make_small_net(plain_cfg);
-  InferenceContext tiled_ctx = tiled.make_context(7);
-  InferenceContext plain_ctx = plain.make_context(7);
-  // The re-layout is a permutation: identical weight footprint.
-  EXPECT_EQ(tiled.packed_weight_bytes(), plain.packed_weight_bytes());
-
-  for (std::int64_t n : {1, 2, 7}) {
-    std::vector<Tensor> inputs;
-    std::vector<const Tensor*> ptrs;
-    for (std::int64_t b = 0; b < n; ++b) {
-      Tensor t = Tensor::hwc(16, 16, 16);
-      fill_uniform(t, 7100 + static_cast<std::uint64_t>(n * 13 + b));
-      inputs.push_back(std::move(t));
-    }
-    for (const Tensor& t : inputs) ptrs.push_back(&t);
-    const auto st = tiled.infer_batch(ptrs, tiled_ctx);
-    const std::vector<float> tiled_scores(st.begin(), st.end());
-    const auto sp = plain.infer_batch(ptrs, plain_ctx);
-    ASSERT_EQ(tiled_scores.size(), sp.size());
-    for (std::size_t i = 0; i < sp.size(); ++i) {
-      ASSERT_EQ(tiled_scores[i], sp[i])
-          << "tiled network diverges from filter-major at score " << i << " (n=" << n << ")";
-    }
+/// sign(dot - th) of a 3x3, stride-1 conv with padding `pad` through
+/// src/baseline's unoptimized engine (im2col + scalar words); empty `th` is
+/// sign at zero.  Padding enters as -1, the engine's zero bits.
+Tensor baseline_conv_signs(const Tensor& x, const FilterBank& f, std::int64_t pad,
+                           const std::vector<float>& th = {}) {
+  runtime::ThreadPool pool(1);
+  const Tensor padded = pad > 0 ? baseline::pad_float(x, pad, -1.0f) : x;
+  Tensor out = Tensor::hwc(padded.height() - 2, padded.width() - 2, f.num_filters());
+  baseline::UnoptBinaryConv(f, kernels::ConvSpec{3, 3, 1}).run(padded, pool, out);
+  for (std::int64_t i = 0; i < out.num_elements(); ++i) {
+    const float t = th.empty() ? 0.0f : th[static_cast<std::size_t>(i % f.num_filters())];
+    out.data()[i] = out.data()[i] >= t ? 1.0f : -1.0f;
   }
+  return out;
+}
+
+/// The n x k fc `w` over `x` through src/baseline's engine: raw dots, or
+/// their signs at zero when `binarize`.
+std::vector<float> baseline_fc(const std::vector<float>& w, std::int64_t n, std::int64_t k,
+                               const float* x, bool binarize) {
+  runtime::ThreadPool pool(1);
+  std::vector<float> y(static_cast<std::size_t>(k));
+  baseline::UnoptBinaryFc(w.data(), n, k).run(x, pool, y.data());
+  if (binarize) {
+    for (float& v : y) v = v >= 0.0f ? 1.0f : -1.0f;
+  }
+  return y;
 }
 
 TEST(BinaryNetwork, LayerInfoReportsWeightLayout) {
-  NetworkConfig on, off;
-  on.tile_weights = true;
-  off.tile_weights = false;
-  BinaryNetwork tiled = make_small_net(on);
-  BinaryNetwork plain = make_small_net(off);
-  // Every conv/fc of the small net has K >= 8 >= any tile width, so all get
-  // the interleaved layout; the pool has no weights and stays filter-major.
-  for (const LayerInfo& l : tiled.layers()) {
-    const bool has_weights = l.kind != LayerKind::kPool;
-    EXPECT_EQ(l.layout == kernels::WeightLayout::kInterleaved, has_weights) << l.name;
+  // Every conv/fc reports the register-tile width its bank is interleaved
+  // at: the default plan's, or the capped ISA's under max_isa.  The pool has
+  // no weights and no tile width.
+  NetworkConfig capped;
+  capped.max_isa = simd::IsaLevel::kU64;
+  for (const NetworkConfig& cfg : {NetworkConfig{}, capped}) {
+    BinaryNetwork net = make_small_net(cfg);
+    for (const LayerInfo& l : net.layers()) {
+      if (l.kind == LayerKind::kPool) {
+        EXPECT_EQ(l.tile, 0) << l.name;
+        continue;
+      }
+      // out.c is K for a conv and for an fc ({1, 1, K}).
+      const KernelPlan plan = default_kernel_plan(l.out.c, simd::cpu_features(), cfg.max_isa);
+      EXPECT_EQ(l.tile, plan.tile) << l.name;
+      EXPECT_EQ(l.isa, plan.isa) << l.name;
+    }
   }
-  for (const LayerInfo& l : plain.layers()) {
-    EXPECT_EQ(l.layout, kernels::WeightLayout::kFilterMajor) << l.name;
-  }
-  EXPECT_STREQ(kernels::weight_layout_name(kernels::WeightLayout::kInterleaved), "interleaved");
 }
 
 TEST(BinaryNetwork, TinyLayerFallsBackToFilterMajor) {
-  // K = 3 is below every tile width (4 and 8): finalize must keep the
-  // filter-major kernels even with tiling enabled, and still be bit-exact
-  // against an explicitly untiled build.
-  auto build = [](bool tile) {
-    NetworkConfig cfg;
-    cfg.tile_weights = tile;
-    BinaryNetwork net(cfg);
-    net.add_conv("c", random_filters(3, 16, 41), 1, 0);
-    net.add_fc("f", models::random_fc_weights(6 * 6 * 3, 3, 42), 6 * 6 * 3, 3);
-    net.finalize(TensorDesc{8, 8, 16});
-    return net;
-  };
-  BinaryNetwork tiled = build(true);
-  BinaryNetwork plain = build(false);
-  for (const LayerInfo& l : tiled.layers()) {
-    EXPECT_EQ(l.layout, kernels::WeightLayout::kFilterMajor) << l.name;
+  // K = 3 is below every tile width: the layer runs at T = 4 with no full
+  // tile, so its bank is byte for byte the filter-major bank and every
+  // filter takes the kernel's remainder path.  It must match the baseline.
+  const FilterBank f = random_filters(3, 16, 41);
+  const std::vector<float> w = models::random_fc_weights(6 * 6 * 3, 3, 42);
+  BinaryNetwork net{NetworkConfig{}};
+  net.add_conv("c", f, 1, 0);
+  net.add_fc("f", w, 6 * 6 * 3, 3);
+  net.finalize(TensorDesc{8, 8, 16});
+  for (const LayerInfo& l : net.layers()) {
+    EXPECT_EQ(l.tile, 4) << l.name;
+    EXPECT_NE(l.isa_reason.find("no full tile"), std::string::npos) << l.isa_reason;
   }
   Tensor input = Tensor::hwc(8, 8, 16);
   fill_uniform(input, 43);
-  const auto st = tiled.infer(input);
-  const std::vector<float> ts(st.begin(), st.end());
-  const auto sp = plain.infer(input);
-  ASSERT_EQ(ts.size(), sp.size());
-  for (std::size_t i = 0; i < sp.size(); ++i) ASSERT_EQ(ts[i], sp[i]) << i;
+  const auto got = net.infer(input);
+  const Tensor a = baseline_conv_signs(input, f, 0);
+  const std::vector<float> want = baseline_fc(w, 6 * 6 * 3, 3, a.data(), false);
+  ASSERT_EQ(got.size(), want.size());
+  for (std::size_t i = 0; i < want.size(); ++i) ASSERT_EQ(got[i], want[i]) << i;
 }
 
 TEST(BinaryNetwork, TiledRemainderLayerBitExact) {
-  // K = 13 and fc outputs 11/5: K % T != 0 for both tile widths, so the
+  // K = 13 and fc outputs 11/5: K % T != 0 at every tile width, so the
   // remainder (filter-major) rows of the interleaved banks are exercised
-  // end-to-end through infer_batch.
-  auto build = [](bool tile) {
-    NetworkConfig cfg;
-    cfg.num_threads = 2;
-    cfg.tile_weights = tile;
-    BinaryNetwork net(cfg);
-    net.add_conv("c1", random_filters(13, 16, 51), 1, 1);
-    net.add_fc("f1", models::random_fc_weights(8 * 8 * 13, 11, 52), 8 * 8 * 13, 11);
-    net.add_fc("f2", models::random_fc_weights(11, 5, 53), 11, 5);
-    net.finalize(TensorDesc{8, 8, 16});
-    return net;
-  };
-  BinaryNetwork tiled = build(true);
-  BinaryNetwork plain = build(false);
-  InferenceContext tiled_ctx = tiled.make_context(7);
-  InferenceContext plain_ctx = plain.make_context(7);
+  // end-to-end through infer_batch, against src/baseline, at every batch
+  // size.
+  const FilterBank f = random_filters(13, 16, 51);
+  const std::vector<float> w1 = models::random_fc_weights(8 * 8 * 13, 11, 52);
+  const std::vector<float> w2 = models::random_fc_weights(11, 5, 53);
+  NetworkConfig cfg;
+  cfg.num_threads = 2;
+  BinaryNetwork net(cfg);
+  net.add_conv("c1", f, 1, 1);
+  net.add_fc("f1", w1, 8 * 8 * 13, 11);
+  net.add_fc("f2", w2, 11, 5);
+  net.finalize(TensorDesc{8, 8, 16});
+  InferenceContext ctx = net.make_context(7);
   for (std::int64_t n : {1, 2, 7}) {
     std::vector<Tensor> inputs;
     std::vector<const Tensor*> ptrs;
@@ -615,13 +610,17 @@ TEST(BinaryNetwork, TiledRemainderLayerBitExact) {
       inputs.push_back(std::move(t));
     }
     for (const Tensor& t : inputs) ptrs.push_back(&t);
-    const auto st = tiled.infer_batch(ptrs, tiled_ctx);
-    const std::vector<float> ts(st.begin(), st.end());
-    const auto sp = plain.infer_batch(ptrs, plain_ctx);
-    ASSERT_EQ(ts.size(), sp.size());
-    for (std::size_t i = 0; i < sp.size(); ++i) {
-      ASSERT_EQ(ts[i], sp[i]) << "remainder-path divergence at score " << i << " (n=" << n
-                              << ")";
+    const auto got = net.infer_batch(ptrs, ctx);
+    ASSERT_EQ(got.size(), static_cast<std::size_t>(n * 5));
+    for (std::int64_t b = 0; b < n; ++b) {
+      const Tensor a = baseline_conv_signs(inputs[static_cast<std::size_t>(b)], f, 1);
+      const std::vector<float> h = baseline_fc(w1, 8 * 8 * 13, 11, a.data(), true);
+      const std::vector<float> want = baseline_fc(w2, 11, 5, h.data(), false);
+      for (std::size_t i = 0; i < want.size(); ++i) {
+        ASSERT_EQ(got[static_cast<std::size_t>(b * 5) + i], want[i])
+            << "remainder-path divergence at score " << i << " of image " << b << " (n=" << n
+            << ")";
+      }
     }
   }
 }

@@ -5,6 +5,8 @@
 
 #include "baseline/float_ops.hpp"
 #include "bitpack/packer.hpp"
+#include "core/failpoint.hpp"
+#include "graph/scheduler.hpp"
 #include "ops/operators.hpp"
 #include "simd/cpu_features.hpp"
 #include "tensor/util.hpp"
@@ -20,6 +22,18 @@ FilterBank random_filters(std::int64_t k, std::int64_t c, std::uint64_t seed) {
   for (float& v : f.elements()) v = dist(rng);
   return f;
 }
+
+/// Every AlignedBuffer allocation throws std::bad_alloc while in scope.
+class AllocationsFail {
+ public:
+  AllocationsFail() {
+    failpoint::arm("alloc.buffer", failpoint::Config{failpoint::Action::kBadAlloc,
+                                                     failpoint::Trigger::kAlways});
+  }
+  ~AllocationsFail() { failpoint::disarm("alloc.buffer"); }
+  AllocationsFail(const AllocationsFail&) = delete;
+  AllocationsFail& operator=(const AllocationsFail&) = delete;
+};
 
 TEST(BinaryConvOp, MatchesSignDomainFloatConv) {
   // BinaryConvOp on float input x == float direct conv on sign(x) with
@@ -74,12 +88,62 @@ TEST(BinaryConvOp, ForcedIsaVariantsAgree) {
   }
 }
 
-TEST(BinaryConvOp, SchedulerPicksPaperRuleIsa) {
-  if (simd::cpu_features().best_isa() != simd::IsaLevel::kAvx512) GTEST_SKIP();
-  EXPECT_EQ(BinaryConvOp(random_filters(2, 64, 1), 1, 1).isa(), simd::IsaLevel::kU64);
-  EXPECT_EQ(BinaryConvOp(random_filters(2, 128, 1), 1, 1).isa(), simd::IsaLevel::kSse);
-  EXPECT_EQ(BinaryConvOp(random_filters(2, 256, 1), 1, 1).isa(), simd::IsaLevel::kAvx2);
-  EXPECT_EQ(BinaryConvOp(random_filters(2, 512, 1), 1, 1).isa(), simd::IsaLevel::kAvx512);
+TEST(BinaryConvOp, RunsTheEnginePlan) {
+  // Whatever C, conv and fc run the engine's default plan: the widest ISA,
+  // T from K (T = 4 with no full tile for K < 4); force_isa caps the ISA.
+  const simd::IsaLevel widest = simd::cpu_features().best_isa();
+  for (const std::int64_t c : {64, 128, 256, 512}) {
+    for (const std::int64_t k : {2, 8, 64}) {
+      const BinaryConvOp op(random_filters(k, c, 1), 1, 1);
+      EXPECT_EQ(op.isa(), widest) << "C=" << c << " K=" << k;
+      EXPECT_EQ(op.tile(), graph::default_kernel_plan(k, simd::cpu_features()).tile)
+          << "C=" << c << " K=" << k;
+    }
+  }
+  EXPECT_EQ(BinaryConvOp(random_filters(2, 64, 1), 1, 1).tile(), 4);
+  BinaryOpOptions u64;
+  u64.force_isa = simd::IsaLevel::kU64;
+  const BinaryConvOp capped(random_filters(64, 64, 1), 1, 1, u64);
+  EXPECT_EQ(capped.isa(), simd::IsaLevel::kU64);
+  EXPECT_EQ(capped.tile(), 4);
+  const std::vector<float> w(static_cast<std::size_t>(64 * 3), 1.0f);
+  const BinaryFcOp fc(w.data(), 64, 3);
+  EXPECT_EQ(fc.isa(), widest);
+  EXPECT_EQ(fc.tile(), 4);
+}
+
+TEST(BinaryConvOp, SteadyStateRunAllocatesNothing) {
+  const FilterBank filters = random_filters(24, 70, 21);
+  BinaryConvOp op(filters, 1, 1);
+  Tensor in = Tensor::hwc(6, 6, 70);
+  fill_uniform(in, 22);
+  runtime::ThreadPool pool(2);
+  Tensor first = Tensor::hwc(6, 6, 24), again = Tensor::hwc(6, 6, 24);
+  op.run(in, pool, first);  // sizes the padded input buffer
+  {
+    const AllocationsFail no_alloc;
+    EXPECT_NO_THROW(op.run(in, pool, again));
+  }
+  EXPECT_EQ(max_abs_diff(first, again), 0.0f);
+}
+
+TEST(BinaryFcOp, SteadyStateRunAllocatesNothing) {
+  const std::int64_t n = 300, k = 20;
+  std::vector<float> w(static_cast<std::size_t>(n * k));
+  std::vector<float> x(static_cast<std::size_t>(n));
+  std::mt19937_64 rng(23);
+  std::uniform_real_distribution<float> dist(-1.0f, 1.0f);
+  for (float& v : w) v = dist(rng);
+  for (float& v : x) v = dist(rng);
+  BinaryFcOp op(w.data(), n, k);
+  runtime::ThreadPool pool(1);
+  std::vector<float> first(static_cast<std::size_t>(k)), again(static_cast<std::size_t>(k));
+  op.run(x.data(), pool, first.data());
+  {
+    const AllocationsFail no_alloc;
+    EXPECT_NO_THROW(op.run(x.data(), pool, again.data()));
+  }
+  EXPECT_EQ(first, again);
 }
 
 TEST(BinaryFcOp, MatchesReferenceDots) {
@@ -155,6 +219,11 @@ TEST(Ops, ArgumentValidation) {
   Tensor wrong_c = Tensor::hwc(6, 6, 16);
   Tensor out = Tensor::hwc(4, 4, 2);
   EXPECT_THROW(op.run(wrong_c, pool, out), std::invalid_argument);
+  Tensor in = Tensor::hwc(6, 6, 8);
+  Tensor mis_shaped = Tensor::hwc(3, 3, 2);
+  EXPECT_THROW(op.run(in, pool, mis_shaped), std::invalid_argument);
+  Tensor too_small = Tensor::hwc(2, 2, 8);  // the 3x3 window does not fit
+  EXPECT_THROW(op.run(too_small, pool, out), std::invalid_argument);
 }
 
 }  // namespace

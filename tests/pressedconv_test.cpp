@@ -1,11 +1,13 @@
-// PressedConv correctness: every ISA variant against the naive +-1
-// reference, across shapes, strides, channel tails, and both output forms.
+// PressedConv correctness: the engine's kernel at the default plan of every
+// ISA level against the naive +-1 reference, across shapes, strides, channel
+// tails, and both output forms.
 #include <cstdint>
 #include <tuple>
 #include <vector>
 
 #include <gtest/gtest.h>
 
+#include "bitpack/packer.hpp"
 #include "graph/weights.hpp"
 #include "kernels/padding.hpp"
 #include "kernels/pressedconv.hpp"
@@ -35,7 +37,7 @@ TEST_P(PressedConvParam, DotMatchesReference) {
   const ConvSpec spec{cs.kernel, cs.kernel, cs.stride};
   runtime::ThreadPool pool(2);
   Tensor out = Tensor::hwc(spec.out_h(cs.h), spec.out_w(cs.w), cs.k);
-  conv_dot_kernel(isa)(in, filters, spec, pool, out);
+  testing::EngineLayer(cs.k, isa).conv_dot(in, filters, spec, pool, out);
   const Tensor ref = testing::reference_binary_conv(in, filters, spec);
   EXPECT_EQ(max_abs_diff(out, ref), 0.0f)
       << "isa=" << simd::isa_name(isa) << " h=" << cs.h << " c=" << cs.c;
@@ -51,10 +53,11 @@ TEST_P(PressedConvParam, BinarizeMatchesDotAcrossIsa) {
   const ConvSpec spec{cs.kernel, cs.kernel, cs.stride};
   runtime::ThreadPool pool(2);
   const std::int64_t oh = spec.out_h(cs.h), ow = spec.out_w(cs.w);
+  const testing::EngineLayer layer(cs.k, isa);
   Tensor dots = Tensor::hwc(oh, ow, cs.k);
-  conv_dot_kernel(isa)(in, filters, spec, pool, dots);
+  layer.conv_dot(in, filters, spec, pool, dots);
   PackedTensor out(oh, ow, cs.k);
-  conv_binarize_kernel(isa)(in, filters, spec, nullptr, pool, out, 0);
+  layer.conv_binarize(in, filters, spec, nullptr, pool, out, 0);
   for (std::int64_t y = 0; y < oh; ++y) {
     for (std::int64_t x = 0; x < ow; ++x) {
       for (std::int64_t k = 0; k < cs.k; ++k) {
@@ -100,11 +103,11 @@ TEST(PressedConv, AllIsaVariantsAgree) {
   const ConvSpec spec{3, 3, 1};
   runtime::ThreadPool pool(1);
   Tensor base = Tensor::hwc(6, 6, 16);
-  conv_dot_kernel(simd::IsaLevel::kU64)(in, filters, spec, pool, base);
+  testing::EngineLayer(16, IsaLevel::kU64).conv_dot(in, filters, spec, pool, base);
   for (IsaLevel isa : {IsaLevel::kSse, IsaLevel::kAvx2, IsaLevel::kAvx512}) {
     if (!simd::cpu_features().supports(isa)) continue;
     Tensor out = Tensor::hwc(6, 6, 16);
-    conv_dot_kernel(isa)(in, filters, spec, pool, out);
+    testing::EngineLayer(16, isa).conv_dot(in, filters, spec, pool, out);
     EXPECT_EQ(max_abs_diff(base, out), 0.0f) << simd::isa_name(isa);
   }
 }
@@ -117,9 +120,10 @@ TEST(PressedConv, ThreadCountInvariance) {
   const ConvSpec spec{3, 3, 1};
   runtime::ThreadPool p1(1), p4(4), p7(7);
   Tensor o1 = Tensor::hwc(10, 10, 8), o4 = Tensor::hwc(10, 10, 8), o7 = Tensor::hwc(10, 10, 8);
-  pressed_conv_dot(in, filters, spec, p1, o1);
-  pressed_conv_dot(in, filters, spec, p4, o4);
-  pressed_conv_dot(in, filters, spec, p7, o7);
+  const testing::EngineLayer layer(8);
+  layer.conv_dot(in, filters, spec, p1, o1);
+  layer.conv_dot(in, filters, spec, p4, o4);
+  layer.conv_dot(in, filters, spec, p7, o7);
   EXPECT_EQ(max_abs_diff(o1, o4), 0.0f);
   EXPECT_EQ(max_abs_diff(o1, o7), 0.0f);
 }
@@ -131,15 +135,16 @@ TEST(PressedConv, BinarizeMatchesDotPlusSign) {
   fill_random_bits(filters, 9);
   const ConvSpec spec{3, 3, 1};
   runtime::ThreadPool pool(3);
+  const testing::EngineLayer layer(70);
   Tensor dots = Tensor::hwc(5, 5, 70);
-  pressed_conv_dot(in, filters, spec, pool, dots);
+  layer.conv_dot(in, filters, spec, pool, dots);
   std::vector<float> thresholds(70);
   for (int k = 0; k < 70; ++k) thresholds[static_cast<std::size_t>(k)] = static_cast<float>(k % 7) - 3.0f;
   // The kernels take each threshold as the popcount limit it lowers to.
   const std::vector<std::int64_t> limits =
       graph::popcount_limits(filters.bits_per_filter(), thresholds, 70);
   PackedTensor out(5, 5, 70);
-  pressed_conv_binarize(in, filters, spec, limits.data(), pool, out, 0);
+  layer.conv_binarize(in, filters, spec, limits.data(), pool, out, 0);
   for (std::int64_t y = 0; y < 5; ++y) {
     for (std::int64_t x = 0; x < 5; ++x) {
       for (std::int64_t k = 0; k < 70; ++k) {
@@ -157,10 +162,11 @@ TEST(PressedConv, BinarizeNullThresholdIsSignAtZero) {
   fill_random_bits(filters, 19);
   const ConvSpec spec{3, 3, 1};
   runtime::ThreadPool pool(1);
+  const testing::EngineLayer layer(10);
   Tensor dots = Tensor::hwc(3, 3, 10);
-  pressed_conv_dot(in, filters, spec, pool, dots);
+  layer.conv_dot(in, filters, spec, pool, dots);
   PackedTensor out(3, 3, 10);
-  pressed_conv_binarize(in, filters, spec, nullptr, pool, out, 0);
+  layer.conv_binarize(in, filters, spec, nullptr, pool, out, 0);
   for (std::int64_t y = 0; y < 3; ++y) {
     for (std::int64_t x = 0; x < 3; ++x) {
       for (std::int64_t k = 0; k < 10; ++k) {
@@ -177,8 +183,9 @@ TEST(PressedConv, BinarizeWithMarginLeavesBorderZero) {
   fill_random_bits(filters, 13);
   const ConvSpec spec{3, 3, 1};
   runtime::ThreadPool pool(2);
+  const testing::EngineLayer layer(64);
   PackedTensor out(6, 6, 64);  // 4x4 logical output + margin 1
-  pressed_conv_binarize(in, filters, spec, nullptr, pool, out, 1);
+  layer.conv_binarize(in, filters, spec, nullptr, pool, out, 1);
   for (std::int64_t h = 0; h < 6; ++h) {
     for (std::int64_t w = 0; w < 6; ++w) {
       if (h == 0 || h == 5 || w == 0 || w == 5) {
@@ -188,7 +195,7 @@ TEST(PressedConv, BinarizeWithMarginLeavesBorderZero) {
   }
   // Interior must match the margin-0 run.
   PackedTensor flat(4, 4, 64);
-  pressed_conv_binarize(in, filters, spec, nullptr, pool, flat, 0);
+  layer.conv_binarize(in, filters, spec, nullptr, pool, flat, 0);
   for (std::int64_t h = 0; h < 4; ++h) {
     for (std::int64_t w = 0; w < 4; ++w) {
       EXPECT_EQ(out.pixel(h + 1, w + 1)[0], flat.pixel(h, w)[0]);
@@ -208,7 +215,7 @@ TEST(PressedConv, ZeroCostPaddingEqualsExplicitPad) {
   const ConvSpec spec{3, 3, 1};
   runtime::ThreadPool pool(1);
   Tensor out = Tensor::hwc(5, 5, 8);
-  pressed_conv_dot(padded, filters, spec, pool, out);
+  testing::EngineLayer(8).conv_dot(padded, filters, spec, pool, out);
   const Tensor ref = testing::reference_binary_conv(padded, filters, spec);
   EXPECT_EQ(max_abs_diff(out, ref), 0.0f);
 }
@@ -222,7 +229,7 @@ TEST(PressedConv, DotValuesHaveCorrectParityAndRange) {
   const ConvSpec spec{3, 3, 1};
   runtime::ThreadPool pool(1);
   Tensor out = Tensor::hwc(2, 2, 6);
-  pressed_conv_dot(in, filters, spec, pool, out);
+  testing::EngineLayer(6).conv_dot(in, filters, spec, pool, out);
   const std::int64_t n = filters.bits_per_filter();
   for (float v : out.elements()) {
     const auto d = static_cast<std::int64_t>(v);
@@ -232,21 +239,20 @@ TEST(PressedConv, DotValuesHaveCorrectParityAndRange) {
 }
 
 TEST(PressedConv, ArgumentValidation) {
+  // check_conv_args is what ops:: runs before every dispatch (the output
+  // extents are the operator's to check, see ops_test).
   PackedTensor in(4, 4, 64);
-  PackedFilterBank filters(2, 3, 3, 128);
-  runtime::ThreadPool pool(1);
-  Tensor out = Tensor::hwc(2, 2, 2);
-  EXPECT_THROW(pressed_conv_dot(in, filters, ConvSpec{3, 3, 1}, pool, out),
+  const PackedTensor* ins[] = {&in};
+  const TiledFilterBank wide = bitpack::tile_filters(PackedFilterBank(2, 3, 3, 128), 4);
+  EXPECT_THROW(check_conv_args(ins, 1, wide, ConvSpec{3, 3, 1}),
                std::invalid_argument);  // channel mismatch
-  PackedFilterBank ok(2, 3, 3, 64);
-  EXPECT_THROW(pressed_conv_dot(in, ok, ConvSpec{5, 5, 1}, pool, out),
+  const TiledFilterBank ok = bitpack::tile_filters(PackedFilterBank(2, 3, 3, 64), 4);
+  EXPECT_NO_THROW(check_conv_args(ins, 1, ok, ConvSpec{3, 3, 1}));
+  EXPECT_THROW(check_conv_args(ins, 1, ok, ConvSpec{5, 5, 1}),
                std::invalid_argument);  // spec/filter mismatch
-  Tensor bad = Tensor::hwc(3, 3, 2);
-  EXPECT_THROW(pressed_conv_dot(in, ok, ConvSpec{3, 3, 1}, pool, bad),
-               std::invalid_argument);  // mis-shaped output
-  PackedTensor out_bad(3, 3, 2);
-  EXPECT_THROW(pressed_conv_binarize(in, ok, ConvSpec{3, 3, 1}, nullptr, pool, out_bad, 1),
-               std::invalid_argument);  // margin mismatch
+  const TiledFilterBank big = bitpack::tile_filters(PackedFilterBank(2, 5, 5, 64), 4);
+  EXPECT_THROW(check_conv_args(ins, 1, big, ConvSpec{5, 5, 1}),
+               std::invalid_argument);  // window larger than the input
 }
 
 TEST(Padding, PadPackedAndCopyInterior) {

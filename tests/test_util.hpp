@@ -1,14 +1,19 @@
 // Shared helpers for the BitFlow test suite: reference (naive) binary
 // operators computed on decoded +-1 floats, against which every optimized
-// kernel is checked.
+// kernel is checked, and the engine's kernels at the default plan for
+// composing layers by hand.
 #pragma once
 
 #include <cstdint>
+#include <optional>
 #include <vector>
 
 #include "baseline/float_ops.hpp"
 #include "bitpack/packer.hpp"
+#include "graph/scheduler.hpp"
+#include "kernels/bgemm.hpp"
 #include "kernels/conv_spec.hpp"
+#include "kernels/pressedconv.hpp"
 #include "tensor/filter_bank.hpp"
 #include "tensor/packed_tensor.hpp"
 #include "tensor/tensor.hpp"
@@ -47,5 +52,59 @@ inline Tensor reference_binary_maxpool(const PackedTensor& in, const kernels::Po
   baseline::float_maxpool(signs, spec, pool, out);
   return out;
 }
+
+/// One layer on the engine's kernel at its default plan: the bank is tiled
+/// at graph::default_kernel_plan(K, cpu_features(), cap) — `cap` pins the
+/// ISA the way NetworkConfig::max_isa does — and run on one image (n = 1),
+/// or on every row of A.  The way tests compose layers by hand.
+class EngineLayer {
+ public:
+  explicit EngineLayer(std::int64_t k, std::optional<simd::IsaLevel> cap = std::nullopt)
+      : plan_(graph::default_kernel_plan(k, simd::cpu_features(), cap)) {}
+
+  [[nodiscard]] const graph::KernelPlan& plan() const noexcept { return plan_; }
+
+  /// Raw-dot PressedConv of `in` into the pre-shaped `out`.
+  void conv_dot(const PackedTensor& in, const PackedFilterBank& filters,
+                const kernels::ConvSpec& spec, runtime::ThreadPool& pool, Tensor& out) const {
+    const TiledFilterBank bank = bitpack::tile_filters(filters, plan_.tile);
+    const PackedTensor* ins[] = {&in};
+    kernels::check_conv_args(ins, 1, bank, spec);
+    Tensor* outs[] = {&out};
+    kernels::conv_dot_kernel(plan_.isa, vpopcnt(), plan_.tile)(ins, 1, bank, spec, pool, outs);
+  }
+
+  /// Fused PressedConv + binarize of `in` into the interior of `out`.
+  void conv_binarize(const PackedTensor& in, const PackedFilterBank& filters,
+                     const kernels::ConvSpec& spec, const std::int64_t* limits,
+                     runtime::ThreadPool& pool, PackedTensor& out, std::int64_t margin) const {
+    const TiledFilterBank bank = bitpack::tile_filters(filters, plan_.tile);
+    const PackedTensor* ins[] = {&in};
+    kernels::check_conv_args(ins, 1, bank, spec);
+    PackedTensor* outs[] = {&out};
+    kernels::conv_binarize_kernel(plan_.isa, vpopcnt(), plan_.tile)(ins, 1, bank, spec, limits,
+                                                                    pool, outs, margin);
+  }
+
+  /// Raw-dot bgemm of every row of `a` against the K x N rows of `w`.
+  void bgemm(const PackedMatrix& a, const PackedMatrix& w, runtime::ThreadPool& pool,
+             float* y) const {
+    const TiledBitMatrix bank = bitpack::tile_fc_weights(w, plan_.tile);
+    kernels::bgemm_kernel(plan_.isa, vpopcnt(), plan_.tile)(a, a.rows(), bank, pool, y);
+  }
+
+  /// Fused bgemm + binarize of every row of `a` into `out`.
+  void bgemm_binarize(const PackedMatrix& a, const PackedMatrix& w, const std::int64_t* limits,
+                      runtime::ThreadPool& pool, PackedMatrix& out) const {
+    const TiledBitMatrix bank = bitpack::tile_fc_weights(w, plan_.tile);
+    kernels::bgemm_binarize_kernel(plan_.isa, vpopcnt(), plan_.tile)(a, a.rows(), bank, limits,
+                                                                     pool, out);
+  }
+
+ private:
+  static bool vpopcnt() { return simd::cpu_features().avx512vpopcntdq; }
+
+  graph::KernelPlan plan_;
+};
 
 }  // namespace bitflow::testing

@@ -128,8 +128,7 @@ TEST(TunerUnit, KeyForCapturesFullWorkloadIdentity) {
 TEST(TunerUnit, DefaultDecisionMirrorsStaticHeuristic) {
   for (const simd::IsaLevel isa : simd::supported_isa_levels()) {
     const std::int64_t t = kernels::weight_tile_width(isa);
-    const Decision wide = default_decision(conv_workload(isa, /*k=*/64), true);
-    EXPECT_TRUE(wide.tiled) << simd::isa_name(isa);
+    const Decision wide = default_decision(conv_workload(isa, /*k=*/64));
     EXPECT_EQ(wide.tile, t) << simd::isa_name(isa);
     EXPECT_EQ(wide.par_grain, 1);
     EXPECT_EQ(wide.source, DecisionSource::kDefault);
@@ -142,33 +141,30 @@ TEST(TunerUnit, DefaultDecisionMirrorsStaticHeuristic) {
         const std::int64_t w = widths.widths[static_cast<std::size_t>(i)];
         if (w <= k) largest = std::max(largest, w);
       }
-      const Decision mid = default_decision(conv_workload(isa, k), true);
-      EXPECT_TRUE(mid.tiled) << simd::isa_name(isa) << " K=" << k;
+      const Decision mid = default_decision(conv_workload(isa, k));
       EXPECT_EQ(mid.tile, largest) << simd::isa_name(isa) << " K=" << k;
     }
-    // K < 4 (below every width), or tiling disabled: filter-major.
+    // K < 4 (below every width): T = 4 with no full tile.
     for (std::int64_t k = 1; k < 4; ++k) {
-      const Decision narrow = default_decision(conv_workload(isa, k), true);
-      EXPECT_FALSE(narrow.tiled) << simd::isa_name(isa) << " K=" << k;
-      EXPECT_EQ(narrow.tile, 0);
+      const Decision narrow = default_decision(conv_workload(isa, k));
+      EXPECT_EQ(narrow.tile, 4) << simd::isa_name(isa) << " K=" << k;
     }
-    const Decision off = default_decision(conv_workload(isa, 64), false);
-    EXPECT_FALSE(off.tiled) << simd::isa_name(isa);
   }
 }
 
 TEST(TunerUnit, DecisionValidRejectsPlansTheLayerCannotRun) {
   const LayerWorkload wl = conv_workload(simd::IsaLevel::kU64, /*k=*/64);
   Decision d;
-  d.tiled = true;
   d.tile = 16;  // no u64 T=16 kernel exists
   EXPECT_FALSE(decision_valid(d, wl));
   d.tile = 8;
   EXPECT_TRUE(decision_valid(d, wl));
   d.tile = 8;  // K = 6 cannot fill a tile of 8
   EXPECT_FALSE(decision_valid(d, conv_workload(simd::IsaLevel::kU64, 6)));
-  d.tiled = false;
-  d.tile = 0;
+  d.tile = 0;  // no width 0 (schema 1's filter-major plan)
+  EXPECT_FALSE(decision_valid(d, wl));
+  d.tile = 4;  // K = 3 runs at T = 4 with no full tile
+  EXPECT_TRUE(decision_valid(d, conv_workload(simd::IsaLevel::kU64, 3)));
   d.par_grain = 0;  // grains start at 1
   EXPECT_FALSE(decision_valid(d, wl));
   d.par_grain = 4;
@@ -273,7 +269,6 @@ TEST(TunerCache, StaleEntryIsReSearchedNeverCommitted) {
   LayerWorkload wl = conv_workload(simd::IsaLevel::kU64, /*k=*/64);
   wl.c = 16;
   Decision bogus;
-  bogus.tiled = true;
   bogus.tile = 16;
   bogus.par_grain = 1;
   bogus.source = DecisionSource::kSearch;
@@ -289,7 +284,7 @@ TEST(TunerCache, StaleEntryIsReSearchedNeverCommitted) {
   const BinaryNetwork net = make_net(cfg);
   const auto& c1 = net.layers()[0];
   EXPECT_EQ(c1.tune_source, "search");                  // not "cache"
-  EXPECT_TRUE(c1.tile == 0 || c1.tile == 4 || c1.tile == 8) << c1.tile;
+  EXPECT_TRUE(c1.tile == 4 || c1.tile == 8) << c1.tile;
 }
 
 TEST(TunerCache, EnvVarPathIsUsedWhenConfigLeavesItEmpty) {
@@ -330,14 +325,10 @@ TEST(TunerIntrospection, LayerInfoAndProfileReportCarryTheCommittedPlan) {
   for (const auto& l : net.layers()) {
     if (l.kind != graph::LayerKind::kConv && l.kind != graph::LayerKind::kFc) continue;
     EXPECT_TRUE(l.tune_source == "search" || l.tune_source == "cache") << l.name;
-    if (l.tile > 0) {
-      // Tiled winner: the committed width is visible in the kernel string.
-      EXPECT_NE(report.find(",t" + std::to_string(l.tile)), std::string::npos)
-          << l.name << " tile " << l.tile << " missing from:\n" << report;
-      EXPECT_EQ(l.layout, kernels::WeightLayout::kInterleaved) << l.name;
-    } else {
-      EXPECT_EQ(l.layout, kernels::WeightLayout::kFilterMajor) << l.name;
-    }
+    // The committed width is visible in the kernel string.
+    EXPECT_GT(l.tile, 0) << l.name;
+    EXPECT_NE(report.find(",t" + std::to_string(l.tile)), std::string::npos)
+        << l.name << " tile " << l.tile << " missing from:\n" << report;
     EXPECT_GE(l.par_grain, 1) << l.name;
   }
 }

@@ -33,7 +33,7 @@ int main(int argc, char** argv) {
   std::printf("%-12s %-10s %-26s %-6s %-8s\n", "name", "kind", "geometry", "thresh", "kernel");
   for (const auto& l : model.layers()) {
     char geom[64] = "";
-    std::int64_t packed_dim = 0, outputs = 0;
+    std::int64_t outputs = 0;
     const char* kind = "?";
     switch (l.kind) {
       case graph::LayerKind::kConv:
@@ -52,7 +52,6 @@ int main(int argc, char** argv) {
                         static_cast<long long>(l.filters.channels()),
                         static_cast<long long>(l.filters.num_filters()),
                         static_cast<long long>(l.stride), static_cast<long long>(l.pad));
-          packed_dim = l.filters.channels();
           outputs = l.filters.num_filters();
         }
         break;
@@ -67,19 +66,15 @@ int main(int argc, char** argv) {
         std::snprintf(geom, sizeof geom, "%lld -> %lld",
                       static_cast<long long>(l.fc_weights.cols()),
                       static_cast<long long>(l.fc_weights.rows()));
-        packed_dim = l.fc_weights.cols();
         outputs = l.fc_weights.rows();
         break;
     }
-    // The plan a default NetworkConfig commits on this CPU: ISA, and the
-    // register-tile width when the layer is tiled.
+    // The plan a default NetworkConfig commits on this CPU: ISA and
+    // register-tile width.
     std::string kernel = "-";
-    if (packed_dim > 0) {
-      const graph::KernelPlan plan =
-          graph::default_kernel_plan(packed_dim, outputs, simd::cpu_features(),
-                                     graph::SchedulerPolicy::kPaperRules, true);
-      kernel = simd::isa_name(plan.isa);
-      if (plan.tile > 0) kernel += " t" + std::to_string(plan.tile);
+    if (outputs > 0) {
+      const graph::KernelPlan plan = graph::default_kernel_plan(outputs, simd::cpu_features());
+      kernel = std::string(simd::isa_name(plan.isa)) + " t" + std::to_string(plan.tile);
     }
     std::printf("%-12s %-10s %-26s %-6s %-8s\n", l.name.c_str(), kind, geom,
                 l.thresholds.empty() ? "no" : "yes", kernel.c_str());
