@@ -23,7 +23,7 @@
 #include "common.hpp"
 #include "bitpack/packer.hpp"
 #include "core/cancel.hpp"
-#include "graph/network.hpp"
+#include "graph/scheduler.hpp"
 #include "simd/bitops.hpp"
 #include "simd/cpu_features.hpp"
 #include "simd/parity.hpp"
@@ -31,7 +31,6 @@
 #include "telemetry/metrics.hpp"
 #include "telemetry/trace.hpp"
 #include "tensor/util.hpp"
-#include "tune/tuner.hpp"
 
 namespace {
 
@@ -391,78 +390,6 @@ void emit_cancel_bench_json() {
   std::fflush(stdout);
 }
 
-// --tune mode, part 1: the auto-tuner shape sweep on the widest host ISA
-// variant.  One `BENCH {"bench":"tune_sweep",...}` line per shape comparing
-// the static heuristic's plan against the plan the finalize-time search
-// commits, both re-measured with the bench-grade budget.  CI's perf-smoke
-// --tune step asserts tuned never loses; the committed
-// BENCH_pressedconv.json sweep section records the real margins.
-void emit_tune_sweep_json() {
-  const auto variants = simd::supported_isa_variants();
-  const simd::IsaVariant widest = variants.back();
-  for (const bench::TuneSweepShape& s : bench::tune_sweep_shapes()) {
-    const bench::TuneSweepResult r = bench::measure_tuned_sweep(s, widest.isa,
-                                                                widest.use_vpopcntdq);
-    std::printf(
-        "BENCH {\"bench\":\"tune_sweep\",\"shape\":\"%s\",\"isa\":\"%s\","
-        "\"c\":%lld,\"k\":%lld,\"kernel\":%lld,"
-        "\"fixed_tile\":%lld,\"tuned_tile\":%lld,\"tuned_grain\":%lld,"
-        "\"candidates\":%d,\"fixed_ms\":%.4f,\"tuned_ms\":%.4f,\"speedup\":%.3f}\n",
-        s.label.c_str(), std::string(widest.name).c_str(), static_cast<long long>(s.c),
-        static_cast<long long>(s.k), static_cast<long long>(s.kernel),
-        static_cast<long long>(r.fixed.tile), static_cast<long long>(r.tuned.tile),
-        static_cast<long long>(r.tuned.par_grain), r.tuned.candidates, r.fixed_ms, r.tuned_ms,
-        r.speedup());
-  }
-  std::fflush(stdout);
-}
-
-// --tune mode, part 2: cold-vs-warm finalize timing through the persistent
-// tuning cache.  One `BENCH {"bench":"tune_finalize",...}` line: the cold
-// finalize searches every tunable layer and writes the cache, the warm one
-// takes every decision from disk.  CI gates warm >= 10x faster than cold
-// and cache_hits > 0 — the "warm starts skip search" contract as a number.
-void emit_tune_finalize_json() {
-  const std::string path = "bitflow_bench_tune_cache.bftc";
-  std::remove(path.c_str());
-  graph::NetworkConfig cfg;
-  cfg.auto_tune = true;
-  cfg.tune_cache_path = path;
-  // Weight generation and add-time packing stay OUTSIDE the timed section:
-  // the contract under test is finalize (plan search vs cache), not rng.
-  // Pools keep the flatten small so weight re-tiling (identical cold and
-  // warm) does not dilute the search-vs-lookup ratio being measured.
-  const auto finalize_seconds = [&cfg] {
-    graph::BinaryNetwork net(cfg);
-    net.add_conv("c1", models::random_filters(64, 3, 3, 16, 1), 1, 1);
-    net.add_maxpool("p1", kernels::PoolSpec{2, 2, 2});
-    net.add_conv("c2", models::random_filters(128, 3, 3, 64, 2), 1, 1);
-    net.add_maxpool("p2", kernels::PoolSpec{2, 2, 2});
-    net.add_conv("c3", models::random_filters(256, 3, 3, 128, 3), 1, 1);
-    net.add_maxpool("p3", kernels::PoolSpec{2, 2, 2});
-    net.add_fc("f1", models::random_fc_weights(2 * 2 * 256, 10, 4), 2 * 2 * 256, 10);
-    const auto t0 = std::chrono::steady_clock::now();
-    net.finalize(graph::TensorDesc{16, 16, 16});
-    return std::chrono::duration<double>(std::chrono::steady_clock::now() - t0).count();
-  };
-  auto& hits = telemetry::registry().counter("tune.cache_hit");
-  auto& searches = telemetry::registry().counter("tune.searches");
-  const std::uint64_t hits0 = hits.value();
-  const double cold_s = finalize_seconds();
-  const std::uint64_t cold_searches = searches.value();
-  const double warm_s = finalize_seconds();
-  const std::uint64_t cache_hits = hits.value() - hits0;
-  const std::uint64_t warm_searches = searches.value() - cold_searches;
-  std::remove(path.c_str());
-  std::printf(
-      "BENCH {\"bench\":\"tune_finalize\",\"cold_ms\":%.2f,\"warm_ms\":%.2f,"
-      "\"speedup\":%.1f,\"cache_hits\":%llu,\"warm_searches\":%llu}\n",
-      cold_s * 1e3, warm_s * 1e3, cold_s / warm_s,
-      static_cast<unsigned long long>(cache_hits),
-      static_cast<unsigned long long>(warm_searches));
-  std::fflush(stdout);
-}
-
 // --plans mode: the single-thread matrix of the fused-binarize tiled conv
 // over VGG-16's 13 conv shapes (224x224 input, 3x3, pad 1), at every (ISA
 // variant, tile width) the host runs — both AVX-512 popcount lowerings
@@ -518,14 +445,9 @@ void emit_vgg16_plan_matrix_json() {
 }  // namespace
 
 int main(int argc, char** argv) {
-  // --tune runs the auto-tuner sweep + finalize timing, and --plans the
-  // VGG-16 plan matrix, instead of the google-benchmark suite.
+  // --plans runs the VGG-16 plan matrix instead of the google-benchmark
+  // suite.
   for (int i = 1; i < argc; ++i) {
-    if (std::string_view(argv[i]) == "--tune") {
-      emit_tune_sweep_json();
-      emit_tune_finalize_json();
-      return 0;
-    }
     if (std::string_view(argv[i]) == "--plans") {
       emit_vgg16_plan_matrix_json();
       return 0;

@@ -37,7 +37,6 @@
 #include "runtime/scaling_sim.hpp"
 #include "runtime/timer.hpp"
 #include "tensor/util.hpp"
-#include "tune/tuner.hpp"
 
 namespace bitflow::bench {
 
@@ -256,92 +255,6 @@ inline TiledConvResult measure_tiled_conv(simd::IsaLevel isa, std::int64_t h, st
   r.ref_seconds = seconds(simd::IsaLevel::kU64, 4);
   r.giga_ops = 2.0 * static_cast<double>(oh * ow * k) * static_cast<double>(kernel * kernel * c) /
                1e9;
-  return r;
-}
-
-/// One conv shape of the auto-tuner sweep (bench_micro --tune): chosen to
-/// exercise the tuner off the headline sweet spot — 1x1 and 5x5 kernels,
-/// K below the static heuristic's tile width, and large-HW memory-bound
-/// layers where the fixed-T choice has no reason to be right.
-struct TuneSweepShape {
-  std::string label;
-  std::int64_t in = 0;  ///< padded square input extent the kernel reads
-  std::int64_t c = 0, k = 0, kernel = 0;
-};
-
-inline std::vector<TuneSweepShape> tune_sweep_shapes() {
-  return {
-      {"3x3_c256_k256_hw16", 18, 256, 256, 3},  // headline sweet spot
-      {"1x1_c512_k512_hw14", 14, 512, 512, 1},
-      {"5x5_c64_k64_hw16", 20, 64, 64, 5},
-      {"3x3_c64_k128_hw32", 34, 64, 128, 3},
-      {"3x3_c512_k6_hw16", 18, 512, 6, 3},  // K below every default tile width
-      {"3x3_c128_k4_hw16", 18, 128, 4, 3},
-      {"3x3_c64_k32_hw64", 66, 64, 32, 3},  // large-HW, memory-bound
-  };
-}
-
-/// Precisely re-measures one committed plan (the tuner's quick search picks
-/// a winner; this times it with the bench-grade repetition budget).  Raw-dot
-/// variant, single image, single core — same convention as
-/// measure_tiled_conv so the numbers are comparable across benches.
-inline double measure_conv_decision_seconds(const tune::LayerWorkload& wl,
-                                            const tune::Decision& d,
-                                            std::uint64_t seed = 71) {
-  std::mt19937_64 rng(seed);
-  PackedTensor in(wl.in_h, wl.in_w, wl.c);
-  for (std::int64_t i = 0; i < in.num_words(); ++i) in.words()[i] = rng();
-  PackedFilterBank filters(wl.k, wl.kh, wl.kw, wl.c);
-  for (std::int64_t i = 0; i < wl.k * filters.words_per_filter(); ++i) filters.words()[i] = rng();
-  kernels::ConvSpec spec{wl.kh, wl.kw, wl.stride};
-  spec.par_grain = d.par_grain;
-  Tensor out = Tensor::hwc(spec.out_h(wl.in_h), spec.out_w(wl.in_w), wl.k);
-  runtime::ThreadPool pool(1);
-  const PackedTensor* ins[] = {&in};
-  Tensor* outs[] = {&out};
-  const TiledFilterBank bank = bitpack::tile_filters(std::move(filters), d.tile);
-  const auto fn = kernels::conv_dot_kernel(wl.isa, wl.vpopcnt, d.tile);
-  return runtime::measure_best_seconds([&] { fn(ins, 1, bank, spec, pool, outs); }, 5, 0.2);
-}
-
-/// One row of the tuner sweep: the static heuristic's plan vs the plan the
-/// finalize-time search commits, both re-measured precisely.  When the
-/// search picks the heuristic plan the same measurement is reported for
-/// both sides (speedup exactly 1.0 — "tuned matches fixed-T" by
-/// construction, not by timing luck).
-struct TuneSweepResult {
-  TuneSweepShape shape;
-  simd::IsaLevel isa = simd::IsaLevel::kU64;
-  tune::Decision fixed, tuned;
-  double fixed_ms = 0.0, tuned_ms = 0.0;
-  [[nodiscard]] double speedup() const { return fixed_ms / tuned_ms; }
-};
-
-inline TuneSweepResult measure_tuned_sweep(const TuneSweepShape& s, simd::IsaLevel isa,
-                                           bool vpopcnt) {
-  tune::LayerWorkload wl;
-  wl.kind = 0;
-  wl.isa = isa;
-  wl.vpopcnt = vpopcnt;
-  wl.threads = 1;
-  wl.in_h = s.in;
-  wl.in_w = s.in;
-  wl.c = s.c;
-  wl.k = s.k;
-  wl.kh = s.kernel;
-  wl.kw = s.kernel;
-  wl.stride = 1;
-  wl.fused_binarize = false;  // raw-dot rows, same as measure_tiled_conv
-
-  runtime::ThreadPool pool(1);
-  TuneSweepResult r;
-  r.shape = s;
-  r.isa = isa;
-  r.fixed = tune::default_decision(wl);
-  r.tuned = tune::search(wl, pool);
-  r.fixed_ms = measure_conv_decision_seconds(wl, r.fixed) * 1e3;
-  const bool same_plan = r.tuned.tile == r.fixed.tile && r.tuned.par_grain == r.fixed.par_grain;
-  r.tuned_ms = same_plan ? r.fixed_ms : measure_conv_decision_seconds(wl, r.tuned) * 1e3;
   return r;
 }
 

@@ -17,7 +17,7 @@ namespace {
 // Fixed catalog of every injection site compiled into the library.  Names
 // are namespaced by subsystem; the serving boundary maps a FaultInjected
 // back to a Status code by this prefix (serve/session.cpp).
-constexpr std::array<PointInfo, 17> kCatalog{{
+constexpr std::array<PointInfo, 15> kCatalog{{
     {"io.open", "Model::load(path) after the file was opened"},
     {"io.read_header", "Model::load(istream) after magic/version were read"},
     {"io.read_weights", "Model::load(istream) before each layer weight payload"},
@@ -35,8 +35,6 @@ constexpr std::array<PointInfo, 17> kCatalog{{
     {"simd.force_fallback", "finalize() ISA clamp: site-fault lowers every layer to u64"},
     {"net.accept", "Server poll loop, accepting a new connection"},
     {"net.frame_decode", "Server binary input path, before buffered frames are decoded"},
-    {"tune.cache_io", "TuneCache load/save file I/O, after open and before each read/write"},
-    {"tune.search", "auto-tuner candidate search, before each candidate measurement"},
 }};
 
 struct PointState {

@@ -15,7 +15,6 @@
 #include "telemetry/perf_counters.hpp"
 #include "telemetry/profiler.hpp"
 #include "telemetry/trace.hpp"
-#include "tune/tuner.hpp"
 
 namespace bitflow::graph {
 
@@ -451,24 +450,10 @@ void BinaryNetwork::finalize(TensorDesc input) {
   // plan.acts[i] holds the packed input of stage i (for conv/pool stages);
   // contexts lay it over ping-pong arena i % 2 of each batch slot.
   //
-  // With auto-tuning on, each conv/fc layer's plan (tile width, parallel
-  // grain) at its pass-1 ISA comes from tune::decide() — a cache hit commits
-  // the remembered plan instantly, a miss microbenchmarks the candidates on
-  // the layer's real shapes.  Off, pass 1's
-  // default_kernel_plan is committed as it is.  Either way every candidate
-  // is bit-exact, so this pass picks speed, never values.  A layer whose
-  // plan's tile width matches the one its weights were lowered to shares
-  // them as they are; any other width gets a private re-laid copy.
-  tune::TuneCache tune_cache;
-  std::string tune_path;
-  bool tune_searched_any = false;
-  std::unique_ptr<runtime::ThreadPool> tune_pool;
-  if (im.cfg.auto_tune) {
-    tune_path = im.cfg.tune_cache_path.empty() ? tune::default_cache_path()
-                                               : im.cfg.tune_cache_path;
-    if (!tune_path.empty()) tune_cache.load(tune_path);
-    tune_pool = std::make_unique<runtime::ThreadPool>(im.cfg.num_threads);
-  }
+  // Each conv/fc layer commits pass 1's plan as it is.  A layer whose plan's
+  // tile width matches the one its weights were lowered to shares them as
+  // they are; any other width (an ISA cap or a forced fallback) gets a
+  // private re-laid copy.
   TensorDesc flow = input;
   for (std::size_t i = 0; i < n_layers; ++i) {
     PendingLayer& l = im.pending[i];
@@ -477,9 +462,8 @@ void BinaryNetwork::finalize(TensorDesc input) {
     s.kind = l.kind;
     s.isa = info.isa;
     s.is_last = (i + 1 == n_layers);
-    // The committed plan when tuning is off: pass 1's default.
-    tune::Decision dec;
-    dec.tile = plans[i].tile;
+    const std::int64_t tile = plans[i].tile;
+    const bool vpopcnt = info.isa == simd::IsaLevel::kAvx512 && hw.avx512vpopcntdq;
     switch (l.kind) {
       case LayerKind::kConv: {
         s.conv_spec = l.conv_spec;
@@ -496,34 +480,13 @@ void BinaryNetwork::finalize(TensorDesc input) {
         } else {
           const ConvWeights& bank = l.conv_weights;
           im.weight_bytes += bank.num_words() * 8;
-          tune::LayerWorkload wl;
-          wl.kind = 0;
-          wl.isa = info.isa;
-          wl.vpopcnt = info.isa == simd::IsaLevel::kAvx512 && hw.avx512vpopcntdq;
-          wl.threads = im.cfg.num_threads;
-          wl.in_h = info.in.h + 2 * l.pad;  // the padded buffer the kernel reads
-          wl.in_w = info.in.w + 2 * l.pad;
-          wl.c = info.in.c;
-          wl.k = bank.num_filters();
-          wl.kh = l.conv_spec.kernel_h;
-          wl.kw = l.conv_spec.kernel_w;
-          wl.stride = l.conv_spec.stride;
-          wl.fused_binarize = !s.is_last;
-          if (im.cfg.auto_tune) {
-            bool searched = false;
-            dec = tune::decide(wl, tune_cache, *tune_pool, &searched);
-            tune_searched_any = tune_searched_any || searched;
+          if (!s.is_last) {
+            s.limits = popcount_limits(bank.bits_per_filter(), l.thresholds, bank.num_filters());
           }
-          if (wl.fused_binarize) {
-            s.limits = popcount_limits(bank.bits_per_filter(), l.thresholds, wl.k);
-          }
-          s.conv_spec.par_grain = dec.par_grain;
-          s.filters = bank.in_layout(dec.tile);
-          s.conv_bin = kernels::conv_binarize_kernel(info.isa, wl.vpopcnt, dec.tile);
-          s.conv_dot = kernels::conv_dot_kernel(info.isa, wl.vpopcnt, dec.tile);
-          info.tile = dec.tile;
-          info.par_grain = dec.par_grain;
-          info.tune_source = tune::decision_source_name(dec.source);
+          s.filters = bank.in_layout(tile);
+          s.conv_bin = kernels::conv_binarize_kernel(info.isa, vpopcnt, tile);
+          s.conv_dot = kernels::conv_dot_kernel(info.isa, vpopcnt, tile);
+          info.tile = tile;
           // The stage holds what it runs: a lowered bank it did not adopt
           // and nothing else shares is freed here, not at the end.
           l.conv_weights = ConvWeights();
@@ -537,25 +500,11 @@ void BinaryNetwork::finalize(TensorDesc input) {
       case LayerKind::kFc: {
         const FcWeights& w = l.fc_weights;
         im.weight_bytes += w.num_words() * 8;
-        tune::LayerWorkload wl;
-        wl.kind = 1;
-        wl.isa = info.isa;
-        wl.vpopcnt = info.isa == simd::IsaLevel::kAvx512 && hw.avx512vpopcntdq;
-        wl.threads = im.cfg.num_threads;
-        wl.c = w.cols();  // input neurons
-        wl.k = w.rows();  // output neurons
-        wl.fused_binarize = !s.is_last;
-        if (im.cfg.auto_tune) {
-          bool searched = false;
-          dec = tune::decide(wl, tune_cache, *tune_pool, &searched);
-          tune_searched_any = tune_searched_any || searched;
-        }
-        if (wl.fused_binarize) s.limits = popcount_limits(w.cols(), l.thresholds, wl.k);
-        s.fc_weights = w.in_layout(dec.tile);
-        s.fc_dot = kernels::bgemm_kernel(info.isa, wl.vpopcnt, dec.tile);
-        s.fc_bin = kernels::bgemm_binarize_kernel(info.isa, wl.vpopcnt, dec.tile);
-        info.tile = dec.tile;
-        info.tune_source = tune::decision_source_name(dec.source);
+        if (!s.is_last) s.limits = popcount_limits(w.cols(), l.thresholds, w.rows());
+        s.fc_weights = w.in_layout(tile);
+        s.fc_dot = kernels::bgemm_kernel(info.isa, vpopcnt, tile);
+        s.fc_bin = kernels::bgemm_binarize_kernel(info.isa, vpopcnt, tile);
+        info.tile = tile;
         l.fc_weights = FcWeights();  // as for conv
         break;
       }
@@ -614,12 +563,6 @@ void BinaryNetwork::finalize(TensorDesc input) {
   }
   im.pending.clear();
   im.pending.shrink_to_fit();
-  if (im.cfg.auto_tune && tune_searched_any && !tune_path.empty()) {
-    // Persist merged decisions so the next finalize is a pure cache walk.
-    // A failed save is only a lost warm start (already counted by
-    // tune.cache_io_error) — never a reason to fail finalize.
-    (void)tune_cache.save(tune_path);
-  }
 
   // Profiler metadata: interned span names, the kernel each stage will
   // actually dispatch, and the static per-image cost model each profiled
@@ -670,16 +613,11 @@ void BinaryNetwork::finalize(TensorDesc input) {
     if (!s.full_precision) {
       kernel += '[';
       kernel += simd::isa_name(s.isa);
-      // Surface the committed plan: ",t8" = register-tile width, ",g18" =
-      // parallel grain (omitted at the pixel-level default of 1).  Pools
+      // Surface the committed plan: ",t16" = register-tile width.  Pools
       // have no tile width.
       if (info.tile > 0) {
         kernel += ",t";
         kernel += std::to_string(info.tile);
-      }
-      if (s.kind == LayerKind::kConv && s.conv_spec.par_grain > 1) {
-        kernel += ",g";
-        kernel += std::to_string(s.conv_spec.par_grain);
       }
       kernel += ']';
     }

@@ -13,8 +13,7 @@
 //     by the channel-multiple rules of Fig. 6 (graph/scheduler.hpp);
 //   * a tile width per layer: it adopts the lowered bank when its plan's
 //     width matches the bank's and re-lays a private copy only when it
-//     differs (an ISA cap or fallback that changes the tile width, an
-//     auto-tuner decision);
+//     differs (an ISA cap or fallback that changes the tile width);
 //   * a memory plan for the activation buffers — the static-graph memory
 //     planner.  Each buffer carries the *consumer's* padding margin, so
 //     padding is realized by writing the producer's output into the interior
@@ -88,16 +87,11 @@ struct LayerInfo {
   simd::IsaLevel isa = simd::IsaLevel::kU64;
   std::string isa_reason;
   bool full_precision = false;  ///< first-layer float conv (see add_conv_float)
-  /// Committed register-tile width T and parallel-axis grain of the fused
-  /// spatial range — the execution plan the stage will dispatch.  T > 0 for
-  /// every binary conv/fc layer (K < T means no full tile: every filter is a
-  /// remainder filter) and 0 for pools and a full-precision first layer.
-  /// With auto-tuning off these are default_kernel_plan's width and grain 1.
+  /// Committed register-tile width T — default_kernel_plan's width, the
+  /// plan the stage will dispatch.  T > 0 for every binary conv/fc layer
+  /// (K < T means no full tile: every filter is a remainder filter) and 0
+  /// for pools and a full-precision first layer.
   std::int64_t tile = 0;
-  std::int64_t par_grain = 1;
-  /// Provenance of the plan: "default" (static heuristic), "search"
-  /// (measured at this finalize) or "cache" (loaded from the tuning cache).
-  std::string tune_source = "default";
 };
 
 /// One row of a per-layer profile (see BinaryNetwork::profile_report()).
@@ -154,18 +148,6 @@ struct NetworkConfig {
   /// be hardware-supported.  A cap that changes a layer's tile width makes
   /// finalize() re-lay a private copy of its bank.
   std::optional<simd::IsaLevel> max_isa;
-  /// Run the finalize-time auto-tuner (tune/tuner.hpp): microbenchmark each
-  /// conv/fc layer's kernel candidates (tile width x parallel grain) on its
-  /// real shapes and commit the fastest.  Every
-  /// candidate is bit-exact, so tuning changes latency only.  Decisions are
-  /// read from / written to the tuning cache (below) so warm starts skip the
-  /// search.
-  bool auto_tune = false;
-  /// Path of the persistent tuning cache.  Empty (the default) falls back to
-  /// $BITFLOW_TUNE_CACHE; if that is unset too, decisions are not persisted.
-  /// A missing, corrupt or stale cache silently re-searches — it can never
-  /// produce a wrong plan.
-  std::string tune_cache_path;
 };
 
 class BinaryNetwork;

@@ -1,6 +1,6 @@
 #include "graph/scheduler.hpp"
 
-#include "tune/tuner.hpp"
+#include "kernels/conv_spec.hpp"
 
 namespace bitflow::graph {
 
@@ -45,10 +45,20 @@ std::string explain_isa_selection(std::int64_t channels, const simd::CpuFeatures
 
 KernelPlan default_kernel_plan(std::int64_t k, const simd::CpuFeatures& f,
                                std::optional<simd::IsaLevel> cap) {
-  tune::LayerWorkload wl;
-  wl.isa = clamp(f.best_isa(), cap);
-  wl.k = k;
-  return {wl.isa, tune::default_decision(wl).tile};
+  // The ISA's default width, or the largest supported width K still fills;
+  // 4 when K is below every width.
+  KernelPlan plan;
+  plan.isa = clamp(f.best_isa(), cap);
+  const kernels::TileWidthSet widths = kernels::supported_tile_widths(plan.isa);
+  const std::int64_t preferred = kernels::weight_tile_width(plan.isa);
+  for (std::int64_t i = widths.count - 1; i >= 0; --i) {
+    const std::int64_t t = widths.widths[static_cast<std::size_t>(i)];
+    if (t <= preferred && t <= k) {
+      plan.tile = t;
+      break;
+    }
+  }
+  return plan;
 }
 
 std::string explain_kernel_plan(const KernelPlan& plan, std::int64_t k) {

@@ -62,11 +62,13 @@ struct KernelPlan {
   std::int64_t tile = 4;  ///< register-tile width T
 };
 
-/// The default plan of a conv or fc layer with `k` filters or output
-/// neurons: the one rule behind weight lowering (graph/weights.hpp),
-/// finalize() and ops::.  The ISA is the widest `f` supports, clamped by
-/// `cap` (NetworkConfig::max_isa, ops' force_isa, or kU64 under a forced
-/// fallback); T is tune::default_decision's width there.
+/// The plan of a conv or fc layer with `k` filters or output neurons: the
+/// one rule behind weight lowering (graph/weights.hpp), finalize() and
+/// ops::.  The ISA is the widest `f` supports, clamped by `cap`
+/// (NetworkConfig::max_isa, ops' force_isa, or kU64 under a forced
+/// fallback).  T is the largest of supported_tile_widths(isa) that is at
+/// most min(K, weight_tile_width(isa)), and 4 when K < 4.  Nothing is
+/// measured at run time; DESIGN.md ("No auto-tuner") records why.
 [[nodiscard]] KernelPlan default_kernel_plan(std::int64_t k, const simd::CpuFeatures& f,
                                              std::optional<simd::IsaLevel> cap = std::nullopt);
 

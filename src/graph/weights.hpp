@@ -35,8 +35,8 @@
 //
 // finalize() adopts a bank whose tile width matches its plan and re-lays a
 // private copy (in_layout()) only when the plan's T differs: a max_isa cap
-// or an armed simd.force_fallback that changes T, or an auto-tuner
-// decision.  Lowering evaluates no failpoint of its own (a `once`
+// or an armed simd.force_fallback that changes T.  Lowering evaluates no
+// failpoint of its own (a `once`
 // simd.force_fallback still fires at finalize); the streamed route's bank
 // allocation passes alloc.buffer on the caller's thread, and its pool's
 // workers pass the runtime.worker points.

@@ -16,9 +16,7 @@ namespace detail {
                                           const TiledBitMatrix&, const std::int64_t*,          \
                                           runtime::ThreadPool&, PackedMatrix&);
 BITFLOW_DECLARE_BGEMM_TILED(u64_t4)
-BITFLOW_DECLARE_BGEMM_TILED(u64_t8)
 BITFLOW_DECLARE_BGEMM_TILED(sse_t4)
-BITFLOW_DECLARE_BGEMM_TILED(sse_t8)
 BITFLOW_DECLARE_BGEMM_TILED(avx2_t4)
 BITFLOW_DECLARE_BGEMM_TILED(avx2_t8)
 BITFLOW_DECLARE_BGEMM_TILED(avx2_t16)
@@ -37,11 +35,9 @@ BITFLOW_DECLARE_BGEMM_TILED(avx512vp_t16)
   switch (isa) {                                                                              \
     case simd::IsaLevel::kU64:                                                                \
       if (tile == 4) return &detail::NAME##_u64_t4;                                           \
-      if (tile == 8) return &detail::NAME##_u64_t8;                                           \
       break;                                                                                  \
     case simd::IsaLevel::kSse:                                                                \
       if (tile == 4) return &detail::NAME##_sse_t4;                                           \
-      if (tile == 8) return &detail::NAME##_sse_t8;                                           \
       break;                                                                                  \
     case simd::IsaLevel::kAvx2:                                                               \
       if (tile == 4) return &detail::NAME##_avx2_t4;                                          \

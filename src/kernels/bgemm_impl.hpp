@@ -19,8 +19,7 @@
 // bit-identical for any m_rows and any thread count.
 //
 // Tile is an explicit template parameter (not Ops::Tile) so each per-ISA TU
-// can stamp one entry point per supported width (the static rule's default
-// and the auto-tuner's T axis).
+// can stamp one entry point per supported width.
 #pragma once
 
 #include <algorithm>
@@ -41,6 +40,9 @@ void bgemm_rows_tiled_impl(const PackedMatrix& a, std::int64_t m_rows, const Til
   if (w.tile() != kT) {
     throw std::invalid_argument("bgemm tiled: matrix tile width does not match kernel");
   }
+  if (w.row_words() >= kMaxDotRowWords) {
+    throw std::invalid_argument("bgemm tiled: a weight row spans 2^24 words or more");
+  }
   if (w.row_words() != a.words_per_row()) throw std::invalid_argument("bgemm tiled: N mismatch");
   if (m_rows < 0 || m_rows > a.rows()) {
     throw std::invalid_argument("bgemm tiled: m_rows out of range");
@@ -48,6 +50,7 @@ void bgemm_rows_tiled_impl(const PackedMatrix& a, std::int64_t m_rows, const Til
   const std::int64_t k_rows = w.rows();
   const std::int64_t n_words = a.words_per_row();
   const std::int64_t bits = a.cols();
+  const auto bits32 = static_cast<std::int32_t>(bits);
   const std::int64_t full_tiles = w.full_tiles();
   const std::int64_t tiled_rows = w.tiled_rows();
   // One grain per (row of A, filter tile or remainder neuron) — the fused
@@ -69,7 +72,7 @@ void bgemm_rows_tiled_impl(const PackedMatrix& a, std::int64_t m_rows, const Til
         acc.reduce(pops);
         float* yk = ym + g * kT;
         for (std::int64_t l = 0; l < kT; ++l) {
-          yk[l] = static_cast<float>(bits - 2 * static_cast<std::int64_t>(pops[l]));
+          yk[l] = static_cast<float>(bits32 - 2 * static_cast<std::int32_t>(pops[l]));
         }
       } else {
         const std::int64_t rr = g - full_tiles;

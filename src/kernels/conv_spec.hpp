@@ -23,10 +23,8 @@ namespace bitflow::kernels {
 /// two 512-bit accumulators).  T always divides 64, so filter tiles never
 /// straddle a 64-bit output word in the fused-binarize kernels.
 ///
-/// This is the *default* width — what finalize() commits when auto-tuning is
-/// off and K covers it (graph::default_kernel_plan takes the largest
-/// supported width <= K otherwise, and 4 when K < 4).  The tuner searches
-/// over supported_tile_widths().
+/// This is the width graph::default_kernel_plan commits when K covers it;
+/// otherwise it takes the largest supported width <= K, and 4 when K < 4.
 [[nodiscard]] constexpr std::int64_t weight_tile_width(simd::IsaLevel isa) noexcept {
   return isa >= simd::IsaLevel::kAvx2 ? 16 : 4;
 }
@@ -37,6 +35,12 @@ namespace bitflow::kernels {
 [[nodiscard]] inline std::uint64_t limit_bit(std::uint64_t pops, std::int64_t limit) noexcept {
   return static_cast<std::uint64_t>(static_cast<std::int64_t>(pops) <= limit);
 }
+
+/// The raw-dot kernels reject a filter or weight row of this many words or
+/// more.  Their tile epilogue computes the dot bits - 2p in int32, so it
+/// vectorizes to one narrowing and one int-to-float conversion; that is
+/// exact while bits < 2^30 (p <= bits under the zero-tail invariant).
+inline constexpr std::int64_t kMaxDotRowWords = std::int64_t{1} << 24;
 
 /// The popcount limits of sign(dot) for `k` filters of `bits` bits:
 /// bits - 2p >= 0, i.e. p <= bits / 2.
@@ -54,24 +58,19 @@ namespace bitflow::kernels {
   return storage.data();
 }
 
-/// The register-tile widths an ISA has kernel instantiations for — the
-/// auto-tuner's candidate set.  Scalar/SSE stamp T in {4, 8} (independent
-/// popcnt chains); AVX2/AVX-512 add T = 16 (two/four vector accumulators).
-/// Every width divides 64 (tiles never straddle an output word).
+/// The register-tile widths an ISA has kernel instantiations for.
+/// Scalar/SSE stamp T = 4 (four independent popcnt chains); AVX2/AVX-512
+/// stamp T in {4, 8, 16}, so a layer with 4 <= K < 16 still fills a tile
+/// (graph::default_kernel_plan).  Every width divides 64 (tiles never
+/// straddle an output word).
 struct TileWidthSet {
   std::array<std::int64_t, 3> widths{};
   std::int64_t count = 0;
-  [[nodiscard]] bool contains(std::int64_t t) const noexcept {
-    for (std::int64_t i = 0; i < count; ++i) {
-      if (widths[static_cast<std::size_t>(i)] == t) return true;
-    }
-    return false;
-  }
 };
 
 [[nodiscard]] constexpr TileWidthSet supported_tile_widths(simd::IsaLevel isa) noexcept {
   if (isa >= simd::IsaLevel::kAvx2) return TileWidthSet{{4, 8, 16}, 3};
-  return TileWidthSet{{4, 8, 0}, 2};
+  return TileWidthSet{{4, 0, 0}, 1};
 }
 
 /// Geometry of one convolution: filter extents and stride.  Output extents
@@ -80,13 +79,6 @@ struct ConvSpec {
   std::int64_t kernel_h = 3;
   std::int64_t kernel_w = 3;
   std::int64_t stride = 1;
-  /// Parallel-axis granularity for the fused n*out_h*out_w parallel_for
-  /// range: static block boundaries are rounded to multiples of this, so
-  /// e.g. par_grain = out_w splits work by whole output rows instead of by
-  /// pixels.  1 (the default) reproduces the pixel-level split exactly.  A
-  /// tuner knob only — the partition never changes any output bit, just
-  /// which worker computes which pixel.
-  std::int64_t par_grain = 1;
 
   /// Contract check on the geometry itself (independent of any input):
   /// positive filter extents and stride.
@@ -94,7 +86,6 @@ struct ConvSpec {
     BF_CHECK(kernel_h >= 1 && kernel_w >= 1, "ConvSpec: filter extents ", kernel_h, "x",
              kernel_w);
     BF_CHECK(stride >= 1, "ConvSpec: stride ", stride);
-    BF_CHECK(par_grain >= 1, "ConvSpec: par_grain ", par_grain);
   }
 
   [[nodiscard]] std::int64_t out_h(std::int64_t in_h) const {

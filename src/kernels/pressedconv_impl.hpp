@@ -30,8 +30,7 @@
 // batch-1 run of image b — a single image is the n = 1 case.
 //
 // Tile is an explicit template parameter (not Ops::Tile) so each per-ISA TU
-// can stamp one entry point per supported width (the static rule's default
-// and the auto-tuner's T axis).
+// can stamp one entry point per supported width.
 #pragma once
 
 #include <algorithm>
@@ -54,6 +53,9 @@ void conv_dot_tiled_batch_impl(const PackedTensor* const* in, std::int64_t n,
   if (filters.tile() != kT) {
     throw std::invalid_argument("PressedConv tiled: bank tile width does not match kernel");
   }
+  if (filters.words_per_filter() >= kMaxDotRowWords) {
+    throw std::invalid_argument("PressedConv tiled: a filter spans 2^24 words or more");
+  }
   const std::int64_t out_h = spec.out_h(in[0]->height());
   const std::int64_t out_w = spec.out_w(in[0]->width());
   const std::int64_t pixels = out_h * out_w;
@@ -61,13 +63,14 @@ void conv_dot_tiled_batch_impl(const PackedTensor* const* in, std::int64_t n,
   const std::int64_t pc = in[0]->words_per_pixel();
   const std::int64_t row_words = filters.kernel_w() * pc;
   const std::int64_t bits = filters.bits_per_filter();
+  const auto bits32 = static_cast<std::int32_t>(bits);
   const std::int64_t num_k = filters.num_filters();
   const std::int64_t in_w = in[0]->width();
   const std::int64_t stride = spec.stride;
   const TiledBitMatrix& bank = filters.rows();
   const std::int64_t full_tiles = bank.full_tiles();
 
-  pool.parallel_for(n * pixels, spec.par_grain, [&](runtime::Range r, int) {
+  pool.parallel_for(n * pixels, [&](runtime::Range r, int) {
     for (std::int64_t idx = r.begin; idx < r.end; ++idx) {
       const std::int64_t img = idx / pixels;
       const std::int64_t pix = idx - img * pixels;
@@ -91,7 +94,7 @@ void conv_dot_tiled_batch_impl(const PackedTensor* const* in, std::int64_t n,
         acc.reduce(pops);
         float* out_t = out_px + t * kT;
         for (std::int64_t l = 0; l < kT; ++l) {
-          out_t[l] = static_cast<float>(bits - 2 * static_cast<std::int64_t>(pops[l]));
+          out_t[l] = static_cast<float>(bits32 - 2 * static_cast<std::int32_t>(pops[l]));
         }
       }
       for (std::int64_t k = full_tiles * kT; k < num_k; ++k) {
@@ -130,7 +133,7 @@ void conv_binarize_tiled_batch_impl(const PackedTensor* const* in, std::int64_t 
   const TiledBitMatrix& bank = filters.rows();
   const std::int64_t full_tiles = bank.full_tiles();
 
-  pool.parallel_for(n * pixels, spec.par_grain, [&](runtime::Range r, int) {
+  pool.parallel_for(n * pixels, [&](runtime::Range r, int) {
     for (std::int64_t idx = r.begin; idx < r.end; ++idx) {
       const std::int64_t img = idx / pixels;
       const std::int64_t pix = idx - img * pixels;

@@ -14,9 +14,7 @@ struct OpsSse {
 };
 }  // namespace
 
-// 128-bit SSE has no profitable qword popcount fan-out, so both tile widths
-// use scalar hardware-popcnt chains (4 or 8 of them).
+// 128-bit SSE has no profitable qword popcount fan-out, so the tile uses
+// four scalar hardware-popcnt chains.
 BITFLOW_INSTANTIATE_PRESSEDCONV_TILED(sse_t4, OpsSse, bitflow::simd::inl::TileAcc4Scalar)
-BITFLOW_INSTANTIATE_PRESSEDCONV_TILED(sse_t8, OpsSse, bitflow::simd::inl::TileAcc8Scalar)
 BITFLOW_INSTANTIATE_BGEMM_TILED(sse_t4, OpsSse, bitflow::simd::inl::TileAcc4Scalar)
-BITFLOW_INSTANTIATE_BGEMM_TILED(sse_t8, OpsSse, bitflow::simd::inl::TileAcc8Scalar)

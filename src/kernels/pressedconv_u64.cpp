@@ -14,8 +14,6 @@ struct OpsU64 {
 };
 }  // namespace
 
-// Tile widths 4 (the default) and 8: independent popcnt chains.
+// Tile width 4: four independent popcnt chains.
 BITFLOW_INSTANTIATE_PRESSEDCONV_TILED(u64_t4, OpsU64, bitflow::simd::inl::TileAcc4Scalar)
-BITFLOW_INSTANTIATE_PRESSEDCONV_TILED(u64_t8, OpsU64, bitflow::simd::inl::TileAcc8Scalar)
 BITFLOW_INSTANTIATE_BGEMM_TILED(u64_t4, OpsU64, bitflow::simd::inl::TileAcc4Scalar)
-BITFLOW_INSTANTIATE_BGEMM_TILED(u64_t8, OpsU64, bitflow::simd::inl::TileAcc8Scalar)

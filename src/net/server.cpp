@@ -69,8 +69,8 @@ std::string varz_body(const serve::ShardRouter& router) {
     out += p + "queue_depth " + std::to_string(rs.shards[i].queue_depth) + "\n";
     out += p + "outstanding " + std::to_string(rs.shards[i].outstanding) + "\n";
   }
-  // The served generation's committed per-layer execution plan (kernel
-  // family, tile, grain, tuning provenance) — rendered by the serve layer so
+  // The served generation's committed per-layer execution plan (ISA and
+  // tile width) — rendered by the serve layer so
   // the wire front-end never reaches around the router into graph.
   out += serve::plan_varz_text(router);
   // Roofline attribution per layer (measured IPC / LLC miss rate when

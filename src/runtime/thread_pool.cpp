@@ -212,30 +212,4 @@ void ThreadPool::parallel_for(std::int64_t n, const std::function<void(Range, in
   });
 }
 
-void ThreadPool::parallel_for(std::int64_t n, std::int64_t grain,
-                              const std::function<void(Range, int)>& fn) {
-  if (grain <= 1) {
-    parallel_for(n, fn);
-    return;
-  }
-  if (n <= 0) return;
-  core::CancelToken cancel;
-  {
-    core::MutexLock lock(mutex_);
-    cancel = cancel_;
-  }
-  if (num_threads_ == 1) {
-    if (cancel.stop_requested()) return;  // chunk-level cooperative skip
-    run_job([&fn, n](int worker) { fn(Range{0, n}, worker); }, 0);
-    return;
-  }
-  const int p = static_cast<int>(std::min<std::int64_t>(num_threads_, n));
-  run_on_all([&](int worker) {
-    if (worker >= p) return;
-    if (cancel.stop_requested()) return;  // chunk-level cooperative skip
-    const Range r = static_block_grain(n, grain, p, worker);
-    if (r.size() > 0) fn(r, worker);
-  });
-}
-
 }  // namespace bitflow::runtime

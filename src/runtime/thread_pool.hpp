@@ -87,21 +87,6 @@ struct Range {
   return {lo, hi};
 }
 
-/// static_block with boundaries rounded up to multiples of `grain` (the last
-/// block is capped at n): the kernel auto-tuner's parallel-axis split knob —
-/// grain = out_w hands out whole output rows, grain = 1 degenerates to
-/// static_block exactly.  Blocks still tile [0, n) contiguously; some may be
-/// empty when p * grain > n.
-[[nodiscard]] inline Range static_block_grain(std::int64_t n, std::int64_t grain, int p,
-                                              int b) noexcept {
-  BF_DCHECK(grain >= 1, "static_block_grain: grain ", grain);
-  if (grain <= 1) return static_block(n, p, b);
-  const Range r = static_block(n, p, b);
-  const std::int64_t lo = std::min(n, (r.begin + grain - 1) / grain * grain);
-  const std::int64_t hi = std::min(n, (r.end + grain - 1) / grain * grain);
-  return {lo, hi};
-}
-
 /// Fixed-size pool of worker threads executing fork/join parallel loops.
 ///
 /// The pool is created once (typically at engine initialization) and reused
@@ -140,13 +125,6 @@ class ThreadPool {
   /// garbage by then but provably never read.
   void parallel_for(std::int64_t n, const std::function<void(Range, int)>& fn)
       BF_EXCLUDES(mutex_);
-
-  /// parallel_for with block boundaries rounded to multiples of `grain`
-  /// (static_block_grain) — the tuner's parallel-axis split.  grain <= 1 is
-  /// exactly the plain overload; the partition never changes what is
-  /// computed, only which worker computes it.
-  void parallel_for(std::int64_t n, std::int64_t grain,
-                    const std::function<void(Range, int)>& fn) BF_EXCLUDES(mutex_);
 
   /// Installs the token every subsequent parallel_for chunk polls (an inert
   /// default token disables the checks beyond one null-pointer test).  Must

@@ -383,8 +383,7 @@ std::string plan_varz_text(const ShardRouter& router) {
   for (const auto& l : net->layers()) {
     if (l.kind != graph::LayerKind::kConv && l.kind != graph::LayerKind::kFc) continue;
     out += "layer." + l.name + ".plan isa=" + std::string(simd::isa_name(l.isa)) +
-           " tile=" + std::to_string(l.tile) + " grain=" + std::to_string(l.par_grain) +
-           " source=" + l.tune_source + "\n";
+           " tile=" + std::to_string(l.tile) + "\n";
   }
   return out;
 }

@@ -153,9 +153,8 @@ class ShardRouter {
 
 /// One "/varz" line per weight layer of the served generation, exposing the
 /// committed execution plan:
-///   layer.<name>.plan isa=<isa> tile=<T> grain=<G> source=<provenance>
-/// tile is the register-tile width T; source is "default" (static
-/// heuristic), "search" (tuned at finalize) or "cache" (tuning cache hit).
+///   layer.<name>.plan isa=<isa> tile=<T>
+/// tile is the register-tile width T (graph::default_kernel_plan).
 /// Lives here, not in net/, so the wire front-end reads the plan through the
 /// router instead of reaching into graph.
 [[nodiscard]] std::string plan_varz_text(const ShardRouter& router);

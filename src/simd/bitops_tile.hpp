@@ -62,45 +62,6 @@ struct TileAcc4Scalar {
   }
 };
 
-/// 8-filter tile in eight scalar popcnt chains.  Wider than the port count
-/// of any x86 core, so whether it beats TileAcc4Scalar depends on how much
-/// the loop bottlenecks on the activation reload instead — exactly the kind
-/// of question the finalize-time auto-tuner answers by measuring, which is
-/// why both widths are candidates on the scalar/SSE paths (T = 4 is the
-/// static default there).
-struct TileAcc8Scalar {
-  static constexpr std::int64_t kWidth = 8;
-  std::uint64_t c0 = 0, c1 = 0, c2 = 0, c3 = 0, c4 = 0, c5 = 0, c6 = 0, c7 = 0;
-
-  inline void accumulate(std::uint64_t a, const std::uint64_t* f) noexcept {
-    c0 += static_cast<std::uint64_t>(__builtin_popcountll(a ^ f[0]));
-    c1 += static_cast<std::uint64_t>(__builtin_popcountll(a ^ f[1]));
-    c2 += static_cast<std::uint64_t>(__builtin_popcountll(a ^ f[2]));
-    c3 += static_cast<std::uint64_t>(__builtin_popcountll(a ^ f[3]));
-    c4 += static_cast<std::uint64_t>(__builtin_popcountll(a ^ f[4]));
-    c5 += static_cast<std::uint64_t>(__builtin_popcountll(a ^ f[5]));
-    c6 += static_cast<std::uint64_t>(__builtin_popcountll(a ^ f[6]));
-    c7 += static_cast<std::uint64_t>(__builtin_popcountll(a ^ f[7]));
-  }
-
-  inline void reduce(std::uint64_t* out) const noexcept {
-    out[0] = c0;
-    out[1] = c1;
-    out[2] = c2;
-    out[3] = c3;
-    out[4] = c4;
-    out[5] = c5;
-    out[6] = c6;
-    out[7] = c7;
-  }
-
-  inline std::uint64_t le_mask(const std::int64_t* limits) const noexcept {
-    return le_bit(c0, limits[0]) | le_bit(c1, limits[1]) << 1 | le_bit(c2, limits[2]) << 2 |
-           le_bit(c3, limits[3]) << 3 | le_bit(c4, limits[4]) << 4 | le_bit(c5, limits[5]) << 5 |
-           le_bit(c6, limits[6]) << 6 | le_bit(c7, limits[7]) << 7;
-  }
-};
-
 #ifdef __AVX2__
 
 /// 4-bit mask of the qword lanes of `counts` that are <= their limit.  AVX2

@@ -18,7 +18,7 @@
 //     metrics.prom    Prometheus exposition snapshot
 //     events.log      the recent-events ring, oldest first
 //     <section>.txt   one file per registered context provider (varz,
-//                     profile report, tune plans, lifecycle state, ...)
+//                     profile report, layer plans, lifecycle state, ...)
 //
 // Bundles are written to a temp directory and atomically renamed into
 // place, rate-limited (min interval between bundles + max bundle count per
@@ -34,7 +34,7 @@
 // tracing) at static init with default thresholds — no code changes needed.
 //
 // Layering: telemetry depends only on core/simd, so serving-layer state
-// (lifecycle, /varz, profile report, tune plans) enters bundles through
+// (lifecycle, /varz, profile report, layer plans) enters bundles through
 // context providers registered by the owning layer (`flight_add_context`).
 //
 // This header also hosts the bundle *loader/validator* used by
@@ -146,7 +146,7 @@ void flight_observe_outcome(bool ok, bool deadline_breach) noexcept;
 bool flight_trigger(FlightTrigger trigger, const char* reason) noexcept;
 
 /// Registers a named bundle section rendered at snapshot time (e.g. the
-/// server's /varz text, profile_report() tables, tune plans).  `owner` keys
+/// server's /varz text, profile_report() tables, layer plans).  `owner` keys
 /// removal: call flight_remove_contexts(owner) before any state the
 /// callback captures is destroyed.  Section names become `<section>.txt`
 /// in the bundle.  Callbacks run on the triggering thread and must not

@@ -255,52 +255,6 @@ TEST_F(FaultMatrixTest, MalformedFilesSurfaceAsInvalidModel) {
             ErrorCode::kInvalidModel);
 }
 
-/// tune.* faults are graceful degradation, not errors: a fault during the
-/// auto-tuner's cache I/O or candidate search leaves every layer on a valid
-/// (fallback) plan, finalize succeeds, and the outputs stay bit-exact with
-/// the untuned reference — tuning can cost time, never correctness.  Runs
-/// under ASan in CI, so a mid-search fault leaking candidate buffers fails.
-TEST_F(FaultMatrixTest, TuneFaultsFallBackToValidPlanAndStayBitExact) {
-  const std::string cache =
-      (std::filesystem::temp_directory_path() /
-       ("bitflow_fault_tune." + std::to_string(::getpid()) + ".bftc"))
-          .string();
-  struct Entry {
-    const char* point;
-    Action action;
-  };
-  const Entry entries[] = {
-      {"tune.cache_io", Action::kError},
-      {"tune.cache_io", Action::kBadAlloc},
-      {"tune.search", Action::kError},
-      {"tune.search", Action::kBadAlloc},
-  };
-  SessionConfig cfg = session_cfg();
-  cfg.net.auto_tune = true;
-  cfg.net.tune_cache_path = cache;
-  for (const Entry& e : entries) {
-    for (const Mode& m : kModes) {
-      SCOPED_TRACE(std::string(e.point) + " x " + m.label);
-      std::filesystem::remove(cache);  // cold start: every round re-searches
-      failpoint::arm(e.point, Config{e.action, m.trigger, m.n});
-      auto r = InferenceSession::open(path_, cfg);
-      ASSERT_TRUE(r.is_ok()) << r.status().to_string();
-      EXPECT_GT(failpoint::hit_count(e.point), 0u) << "failpoint never reached";
-      if (std::string(e.point) == "tune.search" && m.trigger == Trigger::kAlways) {
-        // Every search faulted: each tunable layer must sit on the static
-        // fallback plan, not on a half-measured one.
-        for (const graph::LayerInfo& info : r.value().layers()) {
-          EXPECT_EQ(info.tune_source, "default") << info.name;
-        }
-      }
-      failpoint::disarm_all();
-      expect_bit_exact_recovery(r.value());
-    }
-  }
-  std::filesystem::remove(cache);
-  std::filesystem::remove(cache + ".tmp");
-}
-
 /// An ISA cap the hardware cannot execute is reported, not crashed on.
 TEST_F(FaultMatrixTest, UnsupportedIsaCapIsReported) {
   const simd::CpuFeatures& hw = simd::cpu_features();
@@ -350,8 +304,6 @@ TEST_F(FailpointFrameworkTest, CatalogIsExhaustivelyCovered) {
       "simd.force_fallback",      // ForcedIsaFallbackKeepsResultsBitExact
       "net.accept",               // server_test accept fault matrix
       "net.frame_decode",         // server_test decode fault matrix; net_codec_test
-      "tune.cache_io",            // TuneFaultsFallBackToValidPlanAndStayBitExact
-      "tune.search",              // TuneFaultsFallBackToValidPlanAndStayBitExact
   };
   std::set<std::string> catalog_names;
   for (const failpoint::PointInfo& p : failpoint::catalog()) {

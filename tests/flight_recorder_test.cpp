@@ -2,7 +2,7 @@
 // serving tier drains/reloads under a chaos failpoint schedule, trigger
 // rate-limiting (exactly-one-bundle), the SLO-breach and error-rate
 // detectors, and byte-level corruption fuzzing of the bundle loader with the
-// same discipline as fuzz_tune_cache_test — truncate at every offset, flip a
+// same discipline as fuzz_model_io_test — truncate at every offset, flip a
 // deterministic bit in every byte, never crash, always fail closed.
 //
 // All multi-threaded sections are written to run clean under TSan: the event
@@ -419,8 +419,7 @@ TEST(FlightChaos, EventLoggingSurvivesDrainReloadAndFailpoints) {
 }
 
 // ---------------------------------------------------------------------------
-// Loader fuzzing: fuzz_tune_cache_test discipline — deterministic, every
-// offset, fail closed, never crash.
+// Loader fuzzing: deterministic, every offset, fail closed, never crash.
 
 class BundleFuzz : public ::testing::Test {
  protected:
@@ -475,8 +474,8 @@ TEST_F(BundleFuzz, ManifestBitFlipsNeverCrashAndNeverForgeChecksums) {
   const fs::path manifest_path = bundle_dir_ / "MANIFEST.json";
   for (std::size_t pos = 0; pos < manifest_.size(); ++pos) {
     std::string mutated = manifest_;
-    // Deterministic bit: position-dependent, same discipline as
-    // fuzz_tune_cache_test — a failure reproduces from the offset alone.
+    // Deterministic bit: position-dependent, so a failure reproduces from
+    // the offset alone.
     mutated[pos] = static_cast<char>(mutated[pos] ^ (1 << (pos % 8)));
     spit(manifest_path, mutated);
     const auto got = load_bundle(bundle_dir_.string());

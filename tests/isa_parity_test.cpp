@@ -684,9 +684,58 @@ TEST(IsaParity, TiledKernelRejectsMismatchedTileWidth) {
                  std::invalid_argument)
         << "variant " << v.name;
   }
-  // An (ISA, tile) pair with no instantiation is rejected by the getters.
+  // An (ISA, tile) pair with no instantiation is rejected by the getters;
+  // u64 and SSE stamp T = 4 only.
   EXPECT_THROW((void)kernels::conv_dot_kernel(IsaLevel::kU64, false, 16), std::invalid_argument);
   EXPECT_THROW((void)kernels::bgemm_kernel(IsaLevel::kSse, false, 2), std::invalid_argument);
+  for (const IsaLevel isa : {IsaLevel::kU64, IsaLevel::kSse}) {
+    EXPECT_THROW((void)kernels::conv_binarize_kernel(isa, false, 8), std::invalid_argument);
+    EXPECT_THROW((void)kernels::bgemm_binarize_kernel(isa, false, 8), std::invalid_argument);
+  }
+}
+
+/// The message of the std::invalid_argument `fn` throws, or "" if none.
+template <typename Fn>
+std::string invalid_argument_message(Fn&& fn) {
+  try {
+    fn();
+  } catch (const std::invalid_argument& e) {
+    return e.what();
+  }
+  return "";
+}
+
+TEST(IsaParity, RawDotKernelsRejectRowsOf2To24Words) {
+  // The raw-dot tile epilogue computes bits - 2p in int32, exact while
+  // bits < 2^30, so a filter or weight row of 2^24 words or more is
+  // rejected at entry.  A 3x3 filter at C = 2^27 (9 * 2^21 words) is one a
+  // model file can hold.  K = 0 banks and empty inputs allocate nothing.
+  constexpr std::int64_t kBound = std::int64_t{1} << 24;
+  runtime::ThreadPool pool(1);
+  Tensor* out_ptr = nullptr;
+  const auto conv_message = [&](const Plan& p, std::int64_t kh, std::int64_t c) {
+    const PackedTensor in(0, 0, c);
+    const PackedTensor* in_ptr = &in;
+    const TiledFilterBank bank(TiledBitMatrix(0, kh * kh * words_for_channels(c), p.tile), kh,
+                               kh, c);
+    return invalid_argument_message(
+        [&] { dot_fn(p)(&in_ptr, 1, bank, ConvSpec{kh, kh, 1}, pool, &out_ptr); });
+  };
+  const auto fc_message = [&](const Plan& p, std::int64_t words) {
+    const PackedMatrix a(0, words * 64);
+    const TiledBitMatrix w(0, words, p.tile);
+    return invalid_argument_message([&] { bgemm_fn(p)(a, 0, w, pool, nullptr); });
+  };
+  for (const Plan& p : all_plans()) {
+    SCOPED_TRACE(p.name());
+    EXPECT_NE(conv_message(p, 3, std::int64_t{1} << 27).find("2^24"), std::string::npos);
+    EXPECT_NE(conv_message(p, 1, kBound * 64).find("2^24"), std::string::npos);
+    // One word under the bound passes the check (and then fails on the
+    // empty input, which the window does not fit).
+    EXPECT_EQ(conv_message(p, 1, (kBound - 1) * 64).find("2^24"), std::string::npos);
+    EXPECT_NE(fc_message(p, kBound).find("2^24"), std::string::npos);
+    EXPECT_EQ(fc_message(p, kBound - 1), "");  // m_rows = 0: nothing to compute
+  }
 }
 
 TEST(IsaParity, BgemmBinarizeRowsMatchesFloatOracleAtEveryTileWidth) {

@@ -543,21 +543,31 @@ std::vector<float> baseline_fc(const std::vector<float>& w, std::int64_t n, std:
 
 TEST(BinaryNetwork, LayerInfoReportsWeightLayout) {
   // Every conv/fc reports the register-tile width its bank is interleaved
-  // at: the default plan's, or the capped ISA's under max_isa.  The pool has
-  // no weights and no tile width.
+  // at: the default plan's, or the capped ISA's under max_isa.  The profile's
+  // kernel name carries the same plan, "[isa,tT]".  The pool has no weights
+  // and no tile width.
   NetworkConfig capped;
   capped.max_isa = simd::IsaLevel::kU64;
   for (const NetworkConfig& cfg : {NetworkConfig{}, capped}) {
     BinaryNetwork net = make_small_net(cfg);
-    for (const LayerInfo& l : net.layers()) {
+    const ProfileReport report = net.profile_report();
+    ASSERT_EQ(report.rows.size(), net.layers().size() + 1);  // row 0 = pack_input
+    for (std::size_t i = 0; i < net.layers().size(); ++i) {
+      const LayerInfo& l = net.layers()[i];
+      const std::string& kernel = report.rows[i + 1].kernel;
       if (l.kind == LayerKind::kPool) {
         EXPECT_EQ(l.tile, 0) << l.name;
+        EXPECT_EQ(kernel.find(",t"), std::string::npos) << kernel;
         continue;
       }
       // out.c is K for a conv and for an fc ({1, 1, K}).
       const KernelPlan plan = default_kernel_plan(l.out.c, simd::cpu_features(), cfg.max_isa);
       EXPECT_EQ(l.tile, plan.tile) << l.name;
       EXPECT_EQ(l.isa, plan.isa) << l.name;
+      const std::string suffix = "[" + std::string(simd::isa_name(plan.isa)) + ",t" +
+                                 std::to_string(plan.tile) + "]";
+      ASSERT_GE(kernel.size(), suffix.size()) << kernel;
+      EXPECT_EQ(kernel.substr(kernel.size() - suffix.size()), suffix) << l.name;
     }
   }
 }

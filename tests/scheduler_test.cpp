@@ -1,5 +1,7 @@
 #include <cstdint>
 #include <iterator>
+#include <optional>
+#include <string>
 
 #include <gtest/gtest.h>
 
@@ -105,6 +107,49 @@ TEST(Scheduler, WidestPolicyIsAtLeastAsWideAsPaperRules) {
               static_cast<int>(select_isa(c, f, SchedulerPolicy::kPaperRules)))
         << "C=" << c;
   }
+}
+
+TEST(Scheduler, DefaultKernelPlanRule) {
+  // The conv/fc plan: the widest ISA the CPU supports, clamped by the cap,
+  // and T = the largest supported width <= min(K, weight_tile_width(isa)),
+  // or 4 with no full tile when K < 4.  It depends on K, the CPU and the cap
+  // only; nothing is measured.
+  struct Case {
+    std::int64_t k;
+    std::optional<IsaLevel> cap;
+    IsaLevel isa;
+    std::int64_t tile;
+  };
+  const Case cases[] = {
+      {4096, std::nullopt, IsaLevel::kAvx512, 16},
+      {16, std::nullopt, IsaLevel::kAvx512, 16},
+      {15, std::nullopt, IsaLevel::kAvx512, 8},
+      {10, std::nullopt, IsaLevel::kAvx512, 8},
+      {7, std::nullopt, IsaLevel::kAvx512, 4},
+      {4, std::nullopt, IsaLevel::kAvx512, 4},
+      {3, std::nullopt, IsaLevel::kAvx512, 4},
+      {1, std::nullopt, IsaLevel::kAvx512, 4},
+      {64, IsaLevel::kAvx2, IsaLevel::kAvx2, 16},
+      {10, IsaLevel::kAvx2, IsaLevel::kAvx2, 8},
+      {2, IsaLevel::kAvx2, IsaLevel::kAvx2, 4},
+      {64, IsaLevel::kSse, IsaLevel::kSse, 4},
+      {10, IsaLevel::kSse, IsaLevel::kSse, 4},
+      {64, IsaLevel::kU64, IsaLevel::kU64, 4},
+      {8, IsaLevel::kU64, IsaLevel::kU64, 4},
+      {3, IsaLevel::kU64, IsaLevel::kU64, 4},
+  };
+  const CpuFeatures f = all_features();
+  for (const Case& c : cases) {
+    const KernelPlan plan = default_kernel_plan(c.k, f, c.cap);
+    const std::string cap = c.cap ? std::string(simd::isa_name(*c.cap)) : "none";
+    EXPECT_EQ(plan.isa, c.isa) << "K=" << c.k << " cap=" << cap;
+    EXPECT_EQ(plan.tile, c.tile) << "K=" << c.k << " cap=" << cap;
+  }
+  // Without a cap the hardware bounds the ISA.
+  CpuFeatures avx2 = all_features();
+  avx2.avx512f = avx2.avx512bw = false;
+  EXPECT_EQ(default_kernel_plan(64, avx2).isa, IsaLevel::kAvx2);
+  EXPECT_EQ(default_kernel_plan(64, avx2).tile, 16);
 }
 
 TEST(SystemReport, MentionsVersionAndMapping) {

@@ -28,6 +28,7 @@
 #include <filesystem>
 #include <string>
 #include <thread>
+#include <utility>
 #include <variant>
 #include <vector>
 
@@ -237,11 +238,15 @@ TEST_F(ServerTest, HttpEndpointsServeHealthVarzAndMetrics) {
   EXPECT_NE(varz.value().find("router.state serving"), std::string::npos) << varz.value();
   EXPECT_NE(varz.value().find("router.shards 2"), std::string::npos);
   EXPECT_NE(varz.value().find("shard.1.queue_depth"), std::string::npos);
-  // Per-layer execution plan of the served generation (tuning provenance
-  // included; this server runs untuned, so the source is the heuristic).
-  EXPECT_NE(varz.value().find("layer.c1.plan isa="), std::string::npos) << varz.value();
-  EXPECT_NE(varz.value().find("layer.f1.plan isa="), std::string::npos);
-  EXPECT_NE(varz.value().find("source=default"), std::string::npos);
+  // Per-layer execution plan of the served generation: the default plan of
+  // c1 (K = 16) and f1 (K = 10), one line each.
+  for (const auto& [name, k] : {std::pair{"c1", 16}, std::pair{"f1", 10}}) {
+    const graph::KernelPlan plan = graph::default_kernel_plan(k, simd::cpu_features());
+    const std::string line = std::string("layer.") + name + ".plan isa=" +
+                             std::string(simd::isa_name(plan.isa)) +
+                             " tile=" + std::to_string(plan.tile) + "\n";
+    EXPECT_NE(varz.value().find(line), std::string::npos) << line << varz.value();
+  }
 
   // One request over the wire so the counters are visibly nonzero.
   {

@@ -54,10 +54,8 @@ DIRECT_DEPS: dict[str, set[str]] = {
     "bitpack": {"core", "runtime", "simd", "tensor"},
     "kernels": {"core", "runtime", "simd", "tensor"},
     "baseline": {"kernels", "runtime", "simd", "tensor"},
-    "tune": {"bitpack", "core", "kernels", "runtime", "simd", "telemetry",
-             "tensor"},
     "graph": {"baseline", "bitpack", "core", "kernels", "runtime", "simd",
-              "telemetry", "tensor", "tune"},
+              "telemetry", "tensor"},
     "models": {"graph", "tensor"},
     "ops": {"baseline", "bitpack", "graph", "kernels", "runtime", "tensor"},
     "io": {"core", "graph", "kernels", "tensor"},
