@@ -27,7 +27,6 @@
 #include "simd/bitops.hpp"
 #include "simd/cpu_features.hpp"
 #include "simd/parity.hpp"
-#include "telemetry/flight_recorder.hpp"
 #include "telemetry/metrics.hpp"
 #include "telemetry/trace.hpp"
 #include "tensor/util.hpp"
@@ -143,7 +142,7 @@ void BM_TraceSpanDisarmed(benchmark::State& state) {
 }
 
 void BM_TraceSpanArmed(benchmark::State& state) {
-  telemetry::trace_start("/tmp/bitflow_bench_micro_trace.json", 1 << 16);
+  telemetry::trace_start("/tmp/bitflow_bench_micro_trace.json");
   for (auto _ : state) {
     telemetry::TraceSpan span("bench.span", "bench");
     benchmark::DoNotOptimize(&span);
@@ -152,12 +151,11 @@ void BM_TraceSpanArmed(benchmark::State& state) {
   std::remove("/tmp/bitflow_bench_micro_trace.json");
 }
 
-// Same discipline for the flight recorder's event log: disarmed must be one
-// relaxed atomic load (CI gates <= 5 ns), armed is a lock-free seqlock slot
-// claim.
-void BM_FlightEventDisarmed(benchmark::State& state) {
+// Same discipline for trace instants, the flight recorder's discrete
+// facts: disarmed must be one relaxed atomic load (CI gates <= 5 ns).
+void BM_TraceInstantDisarmed(benchmark::State& state) {
   for (auto _ : state) {
-    telemetry::flight_event("bench", "disarmed overhead probe");
+    telemetry::trace_instant("disarmed overhead probe", "bench");
   }
 }
 
@@ -204,7 +202,7 @@ BENCHMARK(BM_PackActivationsAvx2)->Args({56, 128})->Args({14, 512});
 BENCHMARK(BM_PressedConvDot)->Apply(IsaByTile);
 BENCHMARK(BM_TraceSpanDisarmed);
 BENCHMARK(BM_TraceSpanArmed);
-BENCHMARK(BM_FlightEventDisarmed);
+BENCHMARK(BM_TraceInstantDisarmed);
 BENCHMARK(BM_CounterAdd);
 BENCHMARK(BM_HistogramRecord);
 
@@ -307,34 +305,30 @@ void emit_telemetry_bench_json() {
   });
   const double disarmed_ns = std::max(0.0, disarmed_raw - baseline);
 
-  telemetry::trace_start("/tmp/bitflow_bench_micro_trace.json", 1 << 16);
+  // Trace instants, the flight recorder's discrete facts: disarmed must
+  // stay within the 5 ns budget CI gates (one relaxed load + predicted
+  // branch).  Both armed rows are reported for context: each is one slot
+  // write into a ring that keeps the newest events.
+  const double instant_disarmed_ns =
+      std::max(0.0, median_ns_per_iter([] {
+                 telemetry::trace_instant("overhead probe", "bench");
+               }) - baseline);
+
+  telemetry::trace_start("/tmp/bitflow_bench_micro_trace.json");
   const double armed_raw = median_ns_per_iter(
       [] {
         telemetry::TraceSpan span("bench.overhead", "bench");
         benchmark::DoNotOptimize(&span);
       },
       9, 200'000);
+  const double instant_armed_ns =
+      std::max(0.0, median_ns_per_iter(
+                        [] { telemetry::trace_instant("overhead probe", "bench"); },
+                        9, 200'000) -
+                        baseline);
   telemetry::trace_stop();
   std::remove("/tmp/bitflow_bench_micro_trace.json");
   const double armed_ns = std::max(0.0, armed_raw - baseline);
-
-  // Flight-recorder event log, the always-on black box: disarmed must stay
-  // within the 5 ns budget CI gates (one relaxed load + predicted branch);
-  // armed is reported for context (lock-free seqlock slot claim).
-  const double flight_disarmed_ns =
-      std::max(0.0, median_ns_per_iter([] {
-                 telemetry::flight_event("bench", "overhead probe");
-               }) - baseline);
-  telemetry::FlightRecorderConfig fcfg;
-  fcfg.dir = "/tmp/bitflow_bench_micro_flight";
-  fcfg.max_bundles = 0;  // measure logging, never write a bundle
-  telemetry::flight_start(fcfg);
-  const double flight_armed_ns =
-      std::max(0.0, median_ns_per_iter(
-                        [] { telemetry::flight_event("bench", "overhead probe"); },
-                        9, 200'000) -
-                        baseline);
-  telemetry::flight_stop();
 
   static telemetry::Counter counter;
   const double counter_ns =
@@ -350,9 +344,9 @@ void emit_telemetry_bench_json() {
 
   std::printf(
       "BENCH {\"bench\":\"telemetry_span\",\"disarmed_ns\":%.3f,\"armed_ns\":%.3f,"
-      "\"flight_disarmed_ns\":%.3f,\"flight_armed_ns\":%.3f,"
+      "\"instant_disarmed_ns\":%.3f,\"instant_armed_ns\":%.3f,"
       "\"counter_add_ns\":%.3f,\"hist_record_ns\":%.3f,\"baseline_ns\":%.3f}\n",
-      disarmed_ns, armed_ns, flight_disarmed_ns, flight_armed_ns, counter_ns, hist_ns,
+      disarmed_ns, armed_ns, instant_disarmed_ns, instant_armed_ns, counter_ns, hist_ns,
       baseline);
   std::fflush(stdout);
 }

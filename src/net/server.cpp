@@ -220,7 +220,7 @@ struct Server::Impl {
   /// Protocol violation: one Error frame, then fail closed.
   void fail_closed(Conn& conn, const Status& st) {
     decode_errors.add();
-    telemetry::flight_event("decode_error", st.message().c_str());
+    telemetry::trace_instant(st.message().c_str(), "decode_error");
     queue_error_frame(conn, 0, st.code(), st.message());
     conn.read_closed = true;
     conn.close_after_flush = true;
@@ -281,8 +281,8 @@ struct Server::Impl {
       if (conn.outbox->inflight >= cfg.max_inflight_per_conn) {
         // Wire-level backpressure, in front of the router's own admission
         // control: answered inline, the router never sees the request.
-        telemetry::flight_event("shed", "wire backpressure: per-connection "
-                                        "in-flight limit reached", req.id);
+        telemetry::trace_instant("wire backpressure: per-connection in-flight cap",
+                                 "shed", req.id);
         queue_error_frame(conn, req.id, ErrorCode::kResourceExhausted,
                           "connection has " + std::to_string(conn.outbox->inflight) +
                               " requests in flight (limit " +

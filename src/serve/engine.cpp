@@ -68,14 +68,13 @@ std::string next_engine_label() {
 
 constexpr auto kNoDeadline = std::chrono::steady_clock::time_point::max();
 
-/// Lifecycle transition breadcrumb: one trace instant + one flight event.
-/// Both sinks copy the name, and both are lock-free, so this is safe from
-/// any engine path (including under mu_).
+/// Lifecycle transition breadcrumb: one trace instant.  The sink copies the
+/// name and is lock-free, so this is safe from any engine path (including
+/// under mu_).
 void note_state(const char* state_name) {
   char buf[48];
   std::snprintf(buf, sizeof buf, "lifecycle:%s", state_name);
   telemetry::trace_instant(buf, "lifecycle");
-  telemetry::flight_event("lifecycle", state_name);
 }
 
 }  // namespace
@@ -282,9 +281,9 @@ struct Engine::Impl {
     }
     if (result.is_ok()) {
       reloads.add();
-      telemetry::flight_event("reload", "network generation swapped");
+      telemetry::trace_instant("network generation swapped", "reload");
     } else {
-      telemetry::flight_event("reload", result.message().c_str());
+      telemetry::trace_instant(result.message().c_str(), "reload");
     }
     {
       core::MutexLock lock(mu_);
@@ -305,8 +304,8 @@ struct Engine::Impl {
     if (now > r.deadline) {
       expired.add();
       trace_request(r);
-      telemetry::flight_event("deadline", "request completed past its deadline",
-                              r.meta.rid);
+      telemetry::trace_instant("request completed past its deadline", "deadline",
+                               r.meta.rid);
       telemetry::flight_observe_outcome(/*ok=*/false, /*deadline_breach=*/true);
       deliver(r, Status{ErrorCode::kDeadlineExceeded,
                         "request completed past its deadline"});
@@ -328,7 +327,7 @@ struct Engine::Impl {
   void resolve_error(Request& r, Status st) {
     failed.add();
     trace_request(r);
-    telemetry::flight_event("error", st.message().c_str(), r.meta.rid);
+    telemetry::trace_instant(st.message().c_str(), "error", r.meta.rid);
     telemetry::flight_observe_outcome(/*ok=*/false, /*deadline_breach=*/false);
     deliver(r, std::move(st));
     finish_one();
@@ -337,7 +336,7 @@ struct Engine::Impl {
   void resolve_expired(Request& r) {
     expired.add();
     trace_request(r);
-    telemetry::flight_event("deadline", "request expired waiting in queue", r.meta.rid);
+    telemetry::trace_instant("request expired waiting in queue", "deadline", r.meta.rid);
     telemetry::flight_observe_outcome(/*ok=*/false, /*deadline_breach=*/true);
     deliver(r, Status{ErrorCode::kDeadlineExceeded,
                       "request expired after waiting in queue beyond its deadline"});
@@ -347,7 +346,7 @@ struct Engine::Impl {
   void resolve_cancelled(Request& r, const char* why) {
     cancelled.add();
     trace_request(r);
-    telemetry::flight_event("cancel", why, r.meta.rid);
+    telemetry::trace_instant(why, "cancel", r.meta.rid);
     telemetry::flight_observe_outcome(/*ok=*/false, /*deadline_breach=*/false);
     deliver(r, Status{ErrorCode::kCancelled, why});
     finish_one();
@@ -360,8 +359,8 @@ struct Engine::Impl {
     if (r.deadline <= std::chrono::steady_clock::now()) {
       expired.add();
       trace_request(r);
-      telemetry::flight_event("deadline", "expired at a mid-inference checkpoint",
-                              r.meta.rid);
+      telemetry::trace_instant("expired at a mid-inference checkpoint", "deadline",
+                               r.meta.rid);
       telemetry::flight_observe_outcome(/*ok=*/false, /*deadline_breach=*/true);
       deliver(r, Status{ErrorCode::kDeadlineExceeded,
                         "deadline expired at a mid-inference cancellation checkpoint"});
@@ -377,7 +376,6 @@ struct Engine::Impl {
   void quarantine() BF_EXCLUDES(mu_) {
     quarantines.add();
     telemetry::trace_instant("quarantine", "lifecycle");
-    telemetry::flight_event("quarantine", "worker circuit breaker tripped");
     // Trigger BEFORE taking mu_: bundle context providers may re-enter the
     // engine (stats() under a /varz section takes mu_).
     telemetry::flight_trigger(telemetry::FlightTrigger::kQuarantine,
@@ -740,8 +738,8 @@ void Engine::Impl::do_submit(Request r, std::chrono::milliseconds deadline) {
     BF_FAILPOINT("serve.queue_admit");
   } catch (...) {
     im.rejected.add();
-    telemetry::flight_event("failpoint", "serve.queue_admit rejected admission",
-                            r.meta.rid);
+    telemetry::trace_instant("serve.queue_admit rejected admission", "failpoint",
+                             r.meta.rid);
     deliver(r, map_infer_error());
     return;
   }
@@ -755,7 +753,7 @@ void Engine::Impl::do_submit(Request r, std::chrono::milliseconds deadline) {
   } catch (...) {
     im.shed.add();
     im.rejected.add();
-    telemetry::flight_event("failpoint", "serve.shed forced a rejection", r.meta.rid);
+    telemetry::trace_instant("serve.shed forced a rejection", "failpoint", r.meta.rid);
     deliver(r, map_infer_error());
     return;
   }
@@ -802,8 +800,6 @@ void Engine::Impl::do_submit(Request r, std::chrono::milliseconds deadline) {
       im.shed.add();
       im.rejected.add();
       telemetry::trace_instant("shed", "lifecycle", r.meta.rid);
-      telemetry::flight_event("shed", "overload control rejected a request",
-                              r.meta.rid);
       deliver(r, Status{
           ErrorCode::kResourceExhausted,
           "submit: shed by overload control (estimated queue delay " +
@@ -848,7 +844,7 @@ core::Status Engine::drain(std::chrono::milliseconds timeout) {
   try {
     BF_FAILPOINT("serve.drain");
   } catch (...) {
-    telemetry::flight_event("failpoint", "serve.drain refused");
+    telemetry::trace_instant("serve.drain refused", "failpoint");
     return map_infer_error();
   }
   {
@@ -906,7 +902,7 @@ core::Status Engine::drain(std::chrono::milliseconds timeout) {
   }
   note_state("drained");
   if (escalated) {
-    telemetry::flight_event("drain", "drain escalated: in-flight batches cancelled");
+    telemetry::trace_instant("drain escalated: in-flight batches cancelled", "drain");
   }
   return Status::ok();
 }

@@ -11,7 +11,6 @@
 #include "core/sync.hpp"
 #include "core/thread_annotations.hpp"
 #include "serve/error_map.hpp"
-#include "telemetry/flight_recorder.hpp"
 #include "telemetry/metrics.hpp"
 #include "telemetry/trace.hpp"
 
@@ -44,13 +43,12 @@ std::uint64_t next_rand() {
   return state;
 }
 
-/// Router lifecycle breadcrumb: one trace instant + one flight event (both
-/// sinks copy the name; both are lock-free, safe under mu_).
+/// Router lifecycle breadcrumb: one trace instant (the sink copies the name
+/// and is lock-free, safe under mu_).
 void note_router_state(const char* state_name) {
   char buf[48];
   std::snprintf(buf, sizeof buf, "lifecycle:router-%s", state_name);
   telemetry::trace_instant(buf, "lifecycle");
-  telemetry::flight_event("lifecycle", buf + sizeof("lifecycle:") - 1);
 }
 
 }  // namespace
@@ -138,8 +136,8 @@ struct ShardRouter::Impl {
       core::MutexLock lock(mu_);
       if (state_ == EngineState::kDraining || state_ == EngineState::kDrained) {
         rejected.add();
-        telemetry::flight_event("shed", "router lifecycle gate rejected a request",
-                                meta.rid);
+        telemetry::trace_instant("router lifecycle gate rejected a request", "shed",
+                                 meta.rid);
         done(Status{ErrorCode::kUnavailable,
                     "submit: router is " + std::string(engine_state_name(state_)) +
                         " and not accepting new requests"});

@@ -2,12 +2,11 @@
 
 #include <algorithm>
 #include <atomic>
+#include <cctype>
 #include <cerrno>
 #include <chrono>
-#include <csignal>
 #include <cstdio>
 #include <cstdlib>
-#include <cstring>
 #include <filesystem>
 #include <fstream>
 #include <stdexcept>
@@ -27,52 +26,13 @@ namespace {
 
 namespace fs = std::filesystem;
 
-constexpr std::size_t kKindCap = 16;
-constexpr std::size_t kDetailCap = 96;
 constexpr std::size_t kMaxSectionBytes = 64u << 20;  // loader sanity cap
 
-// ---------------------------------------------------------------------------
-// Recent-events ring: fixed slots, global ticket, per-slot seqlock.
-
-struct EventSlot {
-  // Ordering contract: per-slot seqlock.  The writer owning ticket t CASes
-  // seq from 2*round to 2*round+1 (acq_rel; failure means a lapped or slow
-  // competitor owns the slot — the event is dropped, never blocked on),
-  // stores the payload fields relaxed (every field is atomic, so the race
-  // with a concurrent snapshot stays defined), then publishes with a
-  // release store of 2*round+2.  The snapshot acquire-loads seq, copies the
-  // fields relaxed, fences acquire, and re-reads seq: any overlap with a
-  // writer changes seq and the slot is skipped.  ticket doubles as a
-  // round-consistency check on the reader side.
-  std::atomic<std::uint64_t> seq{0};
-  std::atomic<std::uint64_t> ticket{0};
-  std::atomic<std::uint64_t> ts_ns{0};
-  std::atomic<std::uint64_t> rid{0};
-  // Ordering contract: payload bytes, relaxed stores/loads under the seq
-  // protocol above (atomic chars keep torn-read behavior defined for TSan).
-  std::atomic<char> kind_buf[kKindCap];
-  std::atomic<char> detail_buf[kDetailCap];
-};
-
-struct EventRing {
-  explicit EventRing(std::size_t capacity) : slots(capacity), mask(capacity - 1) {}
-  std::vector<EventSlot> slots;
-  std::size_t mask;
-  // Ordering contract: next_ticket is claimed with relaxed fetch_add
-  // (uniqueness only); the snapshot acquire-loads it merely as a scan
-  // bound — slot contents order through each slot's seqlock.  dropped is a
-  // relaxed tally.
-  std::atomic<std::uint64_t> next_ticket{0};
-  std::atomic<std::uint64_t> dropped{0};
-};
-
 /// Everything the lock-free hot paths need, published as one immutable
-/// object so arming cannot tear (config snapshot + ring + detector state).
+/// object so arming cannot tear (config snapshot + detector state).
 struct Active {
-  explicit Active(FlightRecorderConfig c, std::size_t ring_capacity)
-      : cfg(std::move(c)), ring(ring_capacity) {}
+  explicit Active(FlightRecorderConfig c) : cfg(std::move(c)) {}
   const FlightRecorderConfig cfg;  // immutable after publication
-  EventRing ring;
   // Ordering contract: detector tallies are relaxed monotonic counters —
   // a trip needs only an approximate window, and the trigger path
   // re-serializes under the flight mutex.
@@ -81,22 +41,25 @@ struct Active {
   std::atomic<std::uint64_t> window_errors{0};
 };
 
+// Ordering contract: relaxed — the fast disarmed gate; armed-path state is
+// published through g_active's release/acquire pair, not this flag.
+std::atomic<bool> g_flight_armed{false};
+
 // Ordering contract: release store when flight_start publishes a fully
-// constructed Active; acquire loads on every armed path (event append,
-// detectors, trigger).  A replaced Active is leaked deliberately: a
-// straggler that loaded the old pointer may still append to its ring, and
-// arming is a rare, human-scale operation.
+// constructed Active; acquire loads on every armed path (detectors,
+// trigger, status).  A replaced Active is leaked deliberately: a straggler
+// that loaded the old pointer may still feed its detectors, and arming is a
+// rare, human-scale operation.
 std::atomic<Active*> g_active{nullptr};
 
 struct FlightState {
   // mu guards arming, bundle accounting and the context providers; the
-  // event hot path never touches this struct.  Lock order: flight mu may
+  // detector hot path never touches this struct.  Lock order: flight mu may
   // take the registry mutex (counter lookup, prometheus snapshot) and the
   // trace mutex (arm/snapshot); neither ever takes flight mu.
   core::Mutex mu;
   bool armed BF_GUARDED_BY(mu) = false;
   bool owns_trace BF_GUARDED_BY(mu) = false;
-  bool signals_installed BF_GUARDED_BY(mu) = false;
   bool have_attempt BF_GUARDED_BY(mu) = false;
   std::chrono::steady_clock::time_point last_attempt BF_GUARDED_BY(mu){};
   std::uint64_t bundle_seq BF_GUARDED_BY(mu) = 0;  // never reset: unique names
@@ -105,95 +68,14 @@ struct FlightState {
   std::vector<std::tuple<const void*, std::string, std::function<std::string()>>>
       contexts BF_GUARDED_BY(mu);
   // Replaced Actives parked here forever: stragglers that loaded the old
-  // pointer may still append to its ring, so it can never be freed — but
-  // keeping it reachable makes the deliberate leak invisible to LeakSanitizer.
+  // pointer may still use it, so it can never be freed — but keeping it
+  // reachable makes the deliberate leak invisible to LeakSanitizer.
   std::vector<Active*> retired BF_GUARDED_BY(mu);
 };
 
 FlightState& fstate() {
-  static FlightState* s = [] {
-    auto* st = new FlightState();  // leaked: usable from atexit/signal paths
-    // Ring-overflow visibility: reads only the published Active's relaxed
-    // drop tally — no flight mutex, so it cannot invert the
-    // flight-mu -> registry-mu lock order the bundle writer establishes.
-    registry().add_callback_gauge(st, "flight.events.dropped", "", [] {
-      Active* a = g_active.load(std::memory_order_acquire);
-      return a == nullptr
-                 ? 0.0
-                 : static_cast<double>(a->ring.dropped.load(std::memory_order_relaxed));
-    });
-    return st;
-  }();
+  static auto* s = new FlightState();  // leaked: usable from atexit paths
   return *s;
-}
-
-void copy_atomic_str(std::atomic<char>* dst, std::size_t cap, const char* src) noexcept {
-  std::size_t i = 0;
-  if (src != nullptr) {
-    for (; i + 1 < cap && src[i] != '\0'; ++i) {
-      dst[i].store(src[i], std::memory_order_relaxed);
-    }
-  }
-  dst[i].store('\0', std::memory_order_relaxed);
-}
-
-std::vector<FlightEvent> snapshot_ring(const EventRing& ring) {
-  std::vector<FlightEvent> out;
-  const std::uint64_t cap = ring.slots.size();
-  const std::uint64_t hi = ring.next_ticket.load(std::memory_order_acquire);
-  const std::uint64_t lo = hi > cap ? hi - cap : 0;
-  out.reserve(static_cast<std::size_t>(hi - lo));
-  char kbuf[kKindCap];
-  char dbuf[kDetailCap];
-  for (std::uint64_t t = lo; t < hi; ++t) {
-    const EventSlot& slot = ring.slots[t & ring.mask];
-    const std::uint64_t s1 = slot.seq.load(std::memory_order_acquire);
-    if (s1 == 0 || (s1 & 1) != 0) continue;  // never written / mid-write
-    FlightEvent ev;
-    ev.ticket = slot.ticket.load(std::memory_order_relaxed);
-    ev.ts_ns = slot.ts_ns.load(std::memory_order_relaxed);
-    ev.rid = slot.rid.load(std::memory_order_relaxed);
-    for (std::size_t i = 0; i < kKindCap; ++i) {
-      kbuf[i] = slot.kind_buf[i].load(std::memory_order_relaxed);
-    }
-    for (std::size_t i = 0; i < kDetailCap; ++i) {
-      dbuf[i] = slot.detail_buf[i].load(std::memory_order_relaxed);
-    }
-    kbuf[kKindCap - 1] = '\0';
-    dbuf[kDetailCap - 1] = '\0';
-    std::atomic_thread_fence(std::memory_order_acquire);
-    if (slot.seq.load(std::memory_order_relaxed) != s1) continue;  // overlapped
-    // Round check: the copied ticket must be the one s1 published.
-    if ((ev.ticket / cap) * 2 + 2 != s1) continue;
-    ev.kind = kbuf;
-    ev.detail = dbuf;
-    out.push_back(std::move(ev));
-  }
-  std::sort(out.begin(), out.end(),
-            [](const FlightEvent& a, const FlightEvent& b) { return a.ticket < b.ticket; });
-  return out;
-}
-
-std::string render_events_log(const std::vector<FlightEvent>& events,
-                              std::uint64_t dropped_total) {
-  std::string out;
-  char line[kKindCap + kDetailCap + 96];
-  for (const FlightEvent& ev : events) {
-    std::snprintf(line, sizeof line, "#%llu ts_ns=%llu rid=%llu kind=%s %s\n",
-                  static_cast<unsigned long long>(ev.ticket),
-                  static_cast<unsigned long long>(ev.ts_ns),
-                  static_cast<unsigned long long>(ev.rid), ev.kind.c_str(),
-                  ev.detail.c_str());
-    out += line;
-  }
-  out += "# dropped=" + std::to_string(dropped_total) + "\n";
-  return out;
-}
-
-std::size_t round_up_pow2(std::size_t v) {
-  std::size_t p = 16;
-  while (p < v && p < (std::size_t{1} << 30)) p <<= 1;
-  return p;
 }
 
 bool write_whole_file(const fs::path& path, const std::string& data) {
@@ -220,7 +102,7 @@ void append_json_string(std::string& out, const std::string& s) {
 /// Writes one bundle directory (tmp + atomic rename).  Caller holds the
 /// flight mutex — serializing bundle writes is the point: they are rare,
 /// rate-limited, and must see a stable context-provider list.
-bool write_bundle_locked(FlightState& st, Active& active, std::uint64_t seq_no,
+bool write_bundle_locked(FlightState& st, const Active& active, std::uint64_t seq_no,
                          FlightTrigger trigger, const char* reason)
     BF_REQUIRES(st.mu) {
   std::error_code ec;
@@ -245,9 +127,6 @@ bool write_bundle_locked(FlightState& st, Active& active, std::uint64_t seq_no,
   sections.emplace_back("trace.json", trace_snapshot_json());
   if (sections.back().second.empty()) sections.back().second = "{\"traceEvents\":[]}\n";
   sections.emplace_back("metrics.prom", registry().prometheus_text());
-  const std::uint64_t drop_total = active.ring.dropped.load(std::memory_order_relaxed);
-  sections.emplace_back("events.log",
-                        render_events_log(snapshot_ring(active.ring), drop_total));
   for (const auto& [owner, section, fn] : st.contexts) {
     (void)owner;
     std::string body;
@@ -296,16 +175,6 @@ bool write_bundle_locked(FlightState& st, Active& active, std::uint64_t seq_no,
   return true;
 }
 
-extern "C" void bitflow_fatal_signal_handler(int sig) {
-  // Best-effort by design (documented in FlightRecorderConfig): bundle
-  // writing is not async-signal-safe, but on a fatal signal the process is
-  // lost either way and the bundle is the only evidence that survives.
-  const char* which = sig == SIGSEGV ? "SIGSEGV" : sig == SIGBUS ? "SIGBUS" : "SIGABRT";
-  flight_trigger(FlightTrigger::kFatalSignal, which);
-  std::signal(sig, SIG_DFL);
-  std::raise(sig);
-}
-
 /// BITFLOW_FLIGHT_DIR=<dir>: arm the recorder (default thresholds) before
 /// main(), mirroring BITFLOW_TRACE.
 const bool g_flight_env_applied = [] {
@@ -324,58 +193,16 @@ const bool g_flight_env_applied = [] {
 
 }  // namespace
 
-namespace detail {
-
-// Ordering contract: relaxed — the fast disarmed gate; armed-path state is
-// published through g_active's release/acquire pair, not this flag.
-std::atomic<bool> g_flight_armed{false};
-
-void flight_event_armed(const char* kind, const char* detail_str,
-                        std::uint64_t req_id) noexcept {
-  Active* a = g_active.load(std::memory_order_acquire);
-  if (a == nullptr) return;
-  EventRing& ring = a->ring;
-  const std::uint64_t t = ring.next_ticket.fetch_add(1, std::memory_order_relaxed);
-  EventSlot& slot = ring.slots[t & ring.mask];
-  const std::uint64_t round = t / ring.slots.size();
-  std::uint64_t expected = round * 2;
-  if (!slot.seq.compare_exchange_strong(expected, round * 2 + 1,
-                                        std::memory_order_acq_rel,
-                                        std::memory_order_relaxed)) {
-    ring.dropped.fetch_add(1, std::memory_order_relaxed);
-    return;
-  }
-  slot.ticket.store(t, std::memory_order_relaxed);
-  slot.ts_ns.store(trace_now_ns(), std::memory_order_relaxed);
-  slot.rid.store(req_id, std::memory_order_relaxed);
-  copy_atomic_str(slot.kind_buf, kKindCap, kind);
-  copy_atomic_str(slot.detail_buf, kDetailCap, detail_str);
-  slot.seq.store(round * 2 + 2, std::memory_order_release);
-}
-
-}  // namespace detail
-
 void flight_start(FlightRecorderConfig cfg) {
   if (cfg.dir.empty()) throw std::invalid_argument("flight_start: empty dir");
   if (cfg.rate_window == 0) throw std::invalid_argument("flight_start: rate_window == 0");
-  const std::size_t ring_capacity = round_up_pow2(cfg.event_capacity);
   FlightState& st = fstate();
   core::MutexLock lock(st.mu);
   if (st.armed) throw std::logic_error("flight_start: already armed");
   const bool trace_was_on = trace_enabled();
-  trace_arm_passive(cfg.trace_ring_capacity);
+  trace_arm_passive();
   st.owns_trace = !trace_was_on;
-  if (cfg.install_signal_handler && !st.signals_installed) {
-    for (int sig : {SIGSEGV, SIGBUS, SIGABRT}) {
-      struct sigaction sa = {};
-      sa.sa_handler = &bitflow_fatal_signal_handler;
-      sigemptyset(&sa.sa_mask);
-      sa.sa_flags = SA_RESETHAND;
-      ::sigaction(sig, &sa, nullptr);
-    }
-    st.signals_installed = true;
-  }
-  auto* fresh = new Active(std::move(cfg), ring_capacity);
+  auto* fresh = new Active(std::move(cfg));
   if (Active* old = g_active.load(std::memory_order_relaxed)) {
     st.retired.push_back(old);  // never freed — see decl and retired's comment
   }
@@ -384,14 +211,14 @@ void flight_start(FlightRecorderConfig cfg) {
   st.suppressed = 0;
   st.have_attempt = false;
   st.armed = true;
-  detail::g_flight_armed.store(true, std::memory_order_relaxed);
+  g_flight_armed.store(true, std::memory_order_relaxed);
 }
 
 void flight_stop() {
   FlightState& st = fstate();
   core::MutexLock lock(st.mu);
   if (!st.armed) return;
-  detail::g_flight_armed.store(false, std::memory_order_relaxed);
+  g_flight_armed.store(false, std::memory_order_relaxed);
   st.armed = false;
   if (st.owns_trace) {
     (void)trace_stop();  // passive session: disarms without writing a file
@@ -400,11 +227,11 @@ void flight_stop() {
 }
 
 bool flight_armed() noexcept {
-  return detail::g_flight_armed.load(std::memory_order_relaxed);
+  return g_flight_armed.load(std::memory_order_relaxed);
 }
 
 void flight_observe_outcome(bool ok, bool deadline_breach) noexcept {
-  if (!detail::g_flight_armed.load(std::memory_order_relaxed)) [[likely]] return;
+  if (!g_flight_armed.load(std::memory_order_relaxed)) [[likely]] return;
   Active* a = g_active.load(std::memory_order_acquire);
   if (a == nullptr) return;
   if (deadline_breach) {
@@ -437,8 +264,7 @@ void flight_observe_outcome(bool ok, bool deadline_breach) noexcept {
 }
 
 bool flight_trigger(FlightTrigger trigger, const char* reason) noexcept {
-  if (!detail::g_flight_armed.load(std::memory_order_relaxed)) return false;
-  flight_event("trigger", reason != nullptr ? reason : flight_trigger_name(trigger), 0);
+  if (!g_flight_armed.load(std::memory_order_relaxed)) return false;
   trace_instant(flight_trigger_name(trigger), "flight");
   try {
     FlightState& st = fstate();
@@ -481,17 +307,6 @@ void flight_remove_contexts(const void* owner) {
                 [owner](const auto& t) { return std::get<0>(t) == owner; });
 }
 
-std::vector<FlightEvent> flight_events_snapshot() {
-  Active* a = g_active.load(std::memory_order_acquire);
-  if (a == nullptr) return {};
-  return snapshot_ring(a->ring);
-}
-
-std::uint64_t flight_events_dropped() {
-  Active* a = g_active.load(std::memory_order_acquire);
-  return a == nullptr ? 0 : a->ring.dropped.load(std::memory_order_relaxed);
-}
-
 std::uint64_t flight_bundles_written() {
   FlightState& st = fstate();
   core::MutexLock lock(st.mu);
@@ -513,16 +328,6 @@ std::string flight_status_text() {
   out += "flight.dir " + (a != nullptr ? a->cfg.dir : std::string("-")) + "\n";
   out += "flight.bundles.written " + std::to_string(st.written) + "\n";
   out += "flight.bundles.suppressed " + std::to_string(st.suppressed) + "\n";
-  out += "flight.events.dropped " +
-         std::to_string(a != nullptr
-                            ? a->ring.dropped.load(std::memory_order_relaxed)
-                            : 0) +
-         "\n";
-  out += "flight.events.logged " +
-         std::to_string(a != nullptr
-                            ? a->ring.next_ticket.load(std::memory_order_relaxed)
-                            : 0) +
-         "\n";
   return out;
 }
 
@@ -1065,7 +870,7 @@ core::Status validate_bundle(const Bundle& bundle) {
                std::to_string(bundle.manifest.version));
   }
   if (bundle.manifest.trigger.empty()) return bad("manifest: empty trigger");
-  for (const char* required : {"trace.json", "metrics.prom", "events.log"}) {
+  for (const char* required : {"trace.json", "metrics.prom"}) {
     if (bundle.sections.count(required) == 0) {
       return bad(std::string("missing required section ") + required);
     }
@@ -1127,11 +932,15 @@ std::string bundle_summary(const Bundle& bundle) {
     std::size_t n_complete = 0;
     std::size_t n_async = 0;
     std::size_t n_instant = 0;
+    std::map<std::string, std::size_t> instants_by_cat;
     std::vector<std::uint64_t> rids;
     for (const ParsedTraceEvent& ev : events.value()) {
       if (ev.ph == 'X') ++n_complete;
       if (ev.ph == 'b' || ev.ph == 'e') ++n_async;
-      if (ev.ph == 'i') ++n_instant;
+      if (ev.ph == 'i') {
+        ++n_instant;
+        ++instants_by_cat[ev.cat];
+      }
       if (ev.rid != 0) rids.push_back(ev.rid);
     }
     std::sort(rids.begin(), rids.end());
@@ -1140,12 +949,13 @@ std::string bundle_summary(const Bundle& bundle) {
            std::to_string(n_complete) + " spans, " + std::to_string(n_async / 2) +
            " async pairs, " + std::to_string(n_instant) + " instants), " +
            std::to_string(rids.size()) + " distinct request ids\n";
-  }
-  const auto ev_log = bundle.sections.find("events.log");
-  if (ev_log != bundle.sections.end()) {
-    out += "events.log: " +
-           std::to_string(std::count(ev_log->second.begin(), ev_log->second.end(), '\n')) +
-           " lines\n";
+    if (!instants_by_cat.empty()) {
+      out += "instants:";
+      for (const auto& [cat, n] : instants_by_cat) {
+        out += " " + cat + "=" + std::to_string(n);
+      }
+      out += "\n";
+    }
   }
   return out;
 }

@@ -4,31 +4,24 @@
 // The serving tier's failure evidence is perishable — by the time a human
 // looks at a shed storm or a p99 blowout, the trace that would explain it is
 // gone.  The flight recorder keeps the trace sink armed permanently in
-// passive mode (per-thread drop-newest rings, see trace.hpp) and adds a
-// lock-free recent-events log for discrete facts that deserve to survive a
-// ring wrap: sheds, quarantines, reloads, deadline breaches, failpoint hits,
-// lifecycle transitions.  When a trigger fires — the SLO-breach detector
-// over observed outcomes, a worker quarantine, the serve error-rate
-// detector, a fatal signal (opt-in), or a manual request — it snapshots a
-// **diagnostic bundle** to disk:
+// passive mode (per-thread rings that keep each thread's newest events, see
+// trace.hpp).  Discrete facts — sheds, quarantines, reloads, deadline
+// breaches, failpoint hits, lifecycle transitions — are trace instants in
+// the same rings, categorized and joined to their wire request id.  When a
+// trigger fires — the SLO-breach detector over observed outcomes, a worker
+// quarantine, the serve error-rate detector, or a manual request — it
+// snapshots a **diagnostic bundle** to disk:
 //
 //   <dir>/bundle-000001/
 //     MANIFEST.json   version, trigger, reason, per-section size + FNV-1a
 //     trace.json      non-destructive trace snapshot (request-id joinable)
 //     metrics.prom    Prometheus exposition snapshot
-//     events.log      the recent-events ring, oldest first
 //     <section>.txt   one file per registered context provider (varz,
 //                     profile report, layer plans, lifecycle state, ...)
 //
 // Bundles are written to a temp directory and atomically renamed into
 // place, rate-limited (min interval between bundles + max bundle count per
 // process) so a flapping trigger cannot fill the disk.
-//
-// Event-log hot path: `flight_event()` is ONE relaxed atomic load when the
-// recorder is disarmed (CI-gated at <= 5 ns, BENCH_telemetry.json).  Armed,
-// it claims a slot by ticket and publishes through a per-slot seqlock —
-// no mutex, so it is safe from any thread including (best-effort) a fatal
-// signal handler.
 //
 // Environment: BITFLOW_FLIGHT_DIR=<dir> arms the recorder (and passive
 // tracing) at static init with default thresholds — no code changes needed.
@@ -44,7 +37,6 @@
 // flight_recorder_test).
 #pragma once
 
-#include <atomic>
 #include <chrono>
 #include <cstdint>
 #include <functional>
@@ -63,7 +55,6 @@ enum class FlightTrigger : std::uint8_t {
   kSloBreach,    ///< deadline-breach detector tripped (flight_observe_outcome)
   kErrorRate,    ///< windowed error-rate detector tripped
   kQuarantine,   ///< a worker circuit breaker quarantined
-  kFatalSignal,  ///< SIGSEGV/SIGABRT/SIGBUS (only if installed; best-effort)
   kManual,       ///< explicit flight_trigger() call (tools, tests)
 };
 
@@ -72,7 +63,6 @@ enum class FlightTrigger : std::uint8_t {
     case FlightTrigger::kSloBreach: return "slo_breach";
     case FlightTrigger::kErrorRate: return "error_rate";
     case FlightTrigger::kQuarantine: return "quarantine";
-    case FlightTrigger::kFatalSignal: return "fatal_signal";
     case FlightTrigger::kManual: return "manual";
   }
   return "?";
@@ -81,10 +71,6 @@ enum class FlightTrigger : std::uint8_t {
 struct FlightRecorderConfig {
   /// Directory bundles are written into (created if missing).  Required.
   std::string dir;
-  /// Per-thread trace ring capacity handed to trace_arm_passive().
-  std::size_t trace_ring_capacity = 1 << 14;
-  /// Recent-events ring capacity (power of two enforced by rounding up).
-  std::size_t event_capacity = 1024;
   /// Rate limit: minimum wall time between two bundles.
   std::chrono::milliseconds min_bundle_interval{30'000};
   /// Rate limit: hard cap on bundles per armed session.
@@ -96,16 +82,11 @@ struct FlightRecorderConfig {
   /// outcomes, an error fraction >= `error_rate_threshold` triggers.
   std::size_t rate_window = 64;
   double error_rate_threshold = 0.5;
-  /// Install SIGSEGV/SIGABRT/SIGBUS handlers that attempt a bundle before
-  /// re-raising.  Best-effort (bundle writing is not async-signal-safe);
-  /// default off — opt in for long-lived servers where a crash bundle is
-  /// worth more than handler purity.
-  bool install_signal_handler = false;
 };
 
-/// Arms the recorder: arms passive tracing, resets the event ring and
-/// detectors, registers flight.* metrics.  Throws std::invalid_argument on
-/// an empty dir, std::logic_error if already armed.
+/// Arms the recorder: arms passive tracing and resets the detectors.
+/// Throws std::invalid_argument on an empty dir or a zero rate_window,
+/// std::logic_error if already armed.
 void flight_start(FlightRecorderConfig cfg);
 
 /// Disarms the recorder (stops passive tracing only if the recorder armed
@@ -115,34 +96,14 @@ void flight_stop();
 /// One relaxed load: is the recorder armed?
 [[nodiscard]] bool flight_armed() noexcept;
 
-namespace detail {
-// Ordering contract: relaxed — arming publishes its state through the
-// flight mutex / the event ring's own protocol, never through this flag.
-extern std::atomic<bool> g_flight_armed;
-void flight_event_armed(const char* kind, const char* detail_str,
-                        std::uint64_t rid) noexcept;
-}  // namespace detail
-
-/// Appends an event to the recent-events ring.  `kind` is a short stable
-/// tag ("shed", "quarantine", "reload", "deadline", "failpoint",
-/// "lifecycle", ...), `detail_str` one line of context; both are copied
-/// (truncated).  `rid` (0 = none) joins the event to a wire request.
-/// Disarmed cost: one relaxed atomic load.  Never throws, never blocks.
-inline void flight_event(const char* kind, const char* detail_str,
-                         std::uint64_t rid = 0) noexcept {
-  if (detail::g_flight_armed.load(std::memory_order_relaxed)) [[unlikely]] {
-    detail::flight_event_armed(kind, detail_str, rid);
-  }
-}
-
 /// Feeds the SLO-breach / error-rate detectors with one request outcome.
 /// Call from the serving layer's resolution paths.  May trigger a bundle
 /// (rate-limited) on the calling thread.  Disarmed cost: one relaxed load.
 void flight_observe_outcome(bool ok, bool deadline_breach) noexcept;
 
-/// Fires a trigger: logs it as an event and, unless rate-limited, writes a
-/// bundle.  Returns true when a bundle was written.  No-op (false) when
-/// disarmed.
+/// Fires a trigger: records it as a "flight" trace instant and, unless
+/// rate-limited, writes a bundle.  Returns true when a bundle was written.
+/// No-op (false) when disarmed.
 bool flight_trigger(FlightTrigger trigger, const char* reason) noexcept;
 
 /// Registers a named bundle section rendered at snapshot time (e.g. the
@@ -155,26 +116,11 @@ void flight_add_context(const void* owner, std::string section,
                         std::function<std::string()> fn);
 void flight_remove_contexts(const void* owner);
 
-/// One decoded recent-event (snapshot order: oldest first).
-struct FlightEvent {
-  std::uint64_t ticket = 0;  ///< global sequence number (monotonic)
-  std::uint64_t ts_ns = 0;   ///< steady_clock, same base as trace events
-  std::uint64_t rid = 0;
-  std::string kind;
-  std::string detail;
-};
-
-/// Consistent snapshot of the recent-events ring (skips slots mid-write).
-[[nodiscard]] std::vector<FlightEvent> flight_events_snapshot();
-
-/// Events lost to ring-slot contention since flight_start().
-[[nodiscard]] std::uint64_t flight_events_dropped();
-
 /// Bundles written / suppressed by rate limiting since flight_start().
 [[nodiscard]] std::uint64_t flight_bundles_written();
 [[nodiscard]] std::uint64_t flight_bundles_suppressed();
 
-/// One /varz-style block: armed state, dir, bundle + event counters.
+/// One /varz-style block: armed state, dir, bundle counters.
 [[nodiscard]] std::string flight_status_text();
 
 // ---------------------------------------------------------------------------

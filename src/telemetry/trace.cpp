@@ -7,6 +7,7 @@
 #include <cstring>
 #include <memory>
 #include <stdexcept>
+#include <utility>
 #include <vector>
 
 #include "core/sync.hpp"
@@ -17,12 +18,14 @@ namespace bitflow::telemetry {
 
 namespace {
 
+constexpr std::size_t kNameCap = 48;  // 47 chars + NUL
+constexpr std::size_t kNameWords = kNameCap / sizeof(std::uint64_t);
+constexpr std::uint64_t kSlotMask = kTraceRingEvents - 1;
+constexpr std::uint64_t kIdNone = UINT64_MAX;  // synchronous event
+static_assert((kTraceRingEvents & kSlotMask) == 0, "ring depth must be a power of two");
+
+/// One event as the renderer reads it back out of a slot.
 struct TraceEvent {
-  /// Span names are COPIED into the slot (truncated to kNameCap-1 chars):
-  /// layer/kernel names point into network internals that may be destroyed
-  /// before the atexit flush of a BITFLOW_TRACE session.  Categories are
-  /// required to be string literals (see trace.hpp), so the pointer is kept.
-  static constexpr std::size_t kNameCap = 48;
   char name[kNameCap];
   const char* cat;
   std::uint64_t start_ns;
@@ -31,45 +34,99 @@ struct TraceEvent {
   std::uint64_t rid;  // != 0: recorded as args.rid (wire request id)
   std::uint64_t id;   // async pair id; kIdNone = synchronous
   char ph;            // 'X' complete span, 'a' async pair, 'i' instant
-  static constexpr std::uint64_t kIdNone = UINT64_MAX;
 };
 
-/// One thread's event ring.  Single writer (the owning thread); the flusher
-/// reads slots below the acquired size, which the writer published with a
-/// release store after filling the slot — so every read slot is immutable.
-struct ThreadRing {
-  explicit ThreadRing(std::size_t capacity, std::uint32_t tid)
-      : slots(capacity), tid(tid) {}
-  std::vector<TraceEvent> slots;
-  // Ordering contract: the writer fills slots[n] then publishes with a
-  // release store of size; the flusher's acquire load of size makes every
-  // published slot visible (resets and the overflow check are relaxed —
-  // they synchronize through the trace mutex or order nothing).  dropped is
-  // a relaxed tally.
-  std::atomic<std::uint32_t> size{0};
-  std::atomic<std::uint64_t> dropped{0};
-  std::uint32_t tid;
+/// One ring slot.  Span names are COPIED in (truncated to 47 chars): layer
+/// and kernel names point into network internals that may be destroyed
+/// before the atexit flush of a BITFLOW_TRACE session.  Categories must be
+/// string literals (see trace.hpp), so the pointer is kept.
+struct Slot {
+  // Ordering contract: single-writer seqlock.  seq holds 1 + the index of
+  // the event the slot publishes (0 = being written or never written).  The
+  // writer stores seq = 0 relaxed, fences release, stores the payload
+  // relaxed, then release-stores index + 1.  A reader acquire-loads seq,
+  // copies the payload relaxed, fences acquire and re-reads seq: a slot
+  // whose seq moved, or does not hold the index the reader wants, is
+  // skipped.  Every payload field is a relaxed atomic, so the read that
+  // races an overwrite is defined (and TSan-clean) and then discarded.
+  std::atomic<std::uint64_t> seq{0};
+  std::atomic<std::uint64_t> name[kNameWords] = {};
+  std::atomic<const char*> cat{nullptr};
+  std::atomic<std::uint64_t> start_ns{0};
+  std::atomic<std::uint64_t> end_ns{0};
+  std::atomic<std::int64_t> arg{0};
+  std::atomic<std::uint64_t> rid{0};
+  // Ordering contract: relaxed payload, published by seq (see above).
+  std::atomic<std::uint64_t> pair_id{0};
+  std::atomic<char> ph{0};
 
-  void push(const char* name, const char* cat, std::uint64_t start_ns,
-            std::uint64_t end_ns, std::int64_t arg, std::uint64_t rid,
-            std::uint64_t id, char ph) noexcept {
-    const std::uint32_t n = size.load(std::memory_order_relaxed);
-    if (n >= slots.size()) {
-      dropped.fetch_add(1, std::memory_order_relaxed);
-      return;
+  /// Copies the payload of event `index` into `ev`; false when the slot no
+  /// longer (or not yet) holds that event, or was overwritten mid-copy.
+  bool read(std::uint64_t index, TraceEvent& ev) const noexcept {
+    const std::uint64_t s1 = seq.load(std::memory_order_acquire);
+    if (s1 != index + 1) return false;
+    for (std::size_t w = 0; w < kNameWords; ++w) {
+      const std::uint64_t word = name[w].load(std::memory_order_relaxed);
+      std::memcpy(ev.name + w * sizeof word, &word, sizeof word);
     }
-    TraceEvent& ev = slots[n];
-    std::strncpy(ev.name, name, TraceEvent::kNameCap - 1);
-    ev.name[TraceEvent::kNameCap - 1] = '\0';
-    ev.cat = cat;
-    ev.start_ns = start_ns;
-    ev.end_ns = end_ns;
-    ev.arg = arg;
-    ev.rid = rid;
-    ev.id = id;
-    ev.ph = ph;
-    size.store(n + 1, std::memory_order_release);
+    ev.name[kNameCap - 1] = '\0';
+    ev.cat = cat.load(std::memory_order_relaxed);
+    ev.start_ns = start_ns.load(std::memory_order_relaxed);
+    ev.end_ns = end_ns.load(std::memory_order_relaxed);
+    ev.arg = arg.load(std::memory_order_relaxed);
+    ev.rid = rid.load(std::memory_order_relaxed);
+    ev.id = pair_id.load(std::memory_order_relaxed);
+    ev.ph = ph.load(std::memory_order_relaxed);
+    std::atomic_thread_fence(std::memory_order_acquire);
+    return seq.load(std::memory_order_relaxed) == s1;
   }
+};
+
+/// One thread's event ring: kTraceRingEvents slots that keep the newest
+/// events, overwriting the oldest.  Single writer (the owning thread);
+/// readers run concurrently through the per-slot seqlock.  Never reset or
+/// resized, so a span that straddles a re-arm writes into the same memory.
+struct ThreadRing {
+  explicit ThreadRing(std::uint32_t thread_id) : slots(kTraceRingEvents), tid(thread_id) {}
+  std::vector<Slot> slots;
+  // Ordering contract: head counts the events ever pushed.  Only the owner
+  // writes it, release-storing index + 1 after publishing the slot; a
+  // reader's acquire load bounds the scan (each slot's seq still decides).
+  std::atomic<std::uint64_t> head{0};
+  const std::uint32_t tid;
+
+  void push(const char* name_in, const char* cat_in, std::uint64_t start,
+            std::uint64_t end, std::int64_t arg_in, std::uint64_t rid_in,
+            std::uint64_t id_in, char ph_in) noexcept {
+    const std::uint64_t n = head.load(std::memory_order_relaxed);
+    Slot& s = slots[n & kSlotMask];
+    s.seq.store(0, std::memory_order_relaxed);
+    std::atomic_thread_fence(std::memory_order_release);
+    char buf[kNameCap] = {};
+    std::strncpy(buf, name_in, kNameCap - 1);
+    for (std::size_t w = 0; w < kNameWords; ++w) {
+      std::uint64_t word = 0;
+      std::memcpy(&word, buf + w * sizeof word, sizeof word);
+      s.name[w].store(word, std::memory_order_relaxed);
+    }
+    s.cat.store(cat_in, std::memory_order_relaxed);
+    s.start_ns.store(start, std::memory_order_relaxed);
+    s.end_ns.store(end, std::memory_order_relaxed);
+    s.arg.store(arg_in, std::memory_order_relaxed);
+    s.rid.store(rid_in, std::memory_order_relaxed);
+    s.pair_id.store(id_in, std::memory_order_relaxed);
+    s.ph.store(ph_in, std::memory_order_relaxed);
+    s.seq.store(n + 1, std::memory_order_release);
+    head.store(n + 1, std::memory_order_release);
+  }
+};
+
+/// A registered ring plus its head when the current session armed: the
+/// render skips events below `base`, and everything above it that the ring
+/// no longer holds was overwritten during this session.
+struct RingEntry {
+  std::unique_ptr<ThreadRing> ring;
+  std::uint64_t base = 0;
 };
 
 struct TraceState {
@@ -78,34 +135,38 @@ struct TraceState {
   // thread_local pointer, never this struct.
   core::Mutex mu;
   bool armed BF_GUARDED_BY(mu) = false;
-  bool passive BF_GUARDED_BY(mu) = false;  // armed with no output path
-  std::string path BF_GUARDED_BY(mu);
-  std::size_t ring_capacity BF_GUARDED_BY(mu) = 1 << 16;
+  std::string path BF_GUARDED_BY(mu);  // empty: a passive session
   std::uint64_t t0_ns BF_GUARDED_BY(mu) = 0;
   std::uint32_t next_tid BF_GUARDED_BY(mu) = 1;
   // Ordering contract: relaxed fetch_add — ids only need uniqueness.
   std::atomic<std::uint64_t> next_async_id{1};
   // Rings live for the whole process: a thread that exits keeps its events.
   // The vector is guarded; the pointed-to rings are lock-free (see above).
-  std::vector<std::shared_ptr<ThreadRing>> rings BF_GUARDED_BY(mu);
+  std::vector<RingEntry> rings BF_GUARDED_BY(mu);
 };
+
+/// Events overwritten since the session armed, summed over every ring.
+std::uint64_t overwritten_locked(TraceState& st) BF_REQUIRES(st.mu) {
+  std::uint64_t total = 0;
+  for (const RingEntry& e : st.rings) {
+    const std::uint64_t n = e.ring->head.load(std::memory_order_relaxed) - e.base;
+    if (n > kTraceRingEvents) total += n - kTraceRingEvents;
+  }
+  return total;
+}
 
 TraceState& state() {
   static TraceState* s = [] {
     auto* st = new TraceState();  // leaked: threads record at exit
-    // Ring overflow is otherwise silent: surface the cumulative drop count
-    // through the registry so dashboards see burst loss.  The registry and
-    // this state are both process-lifetime leaks, so the callback never
-    // dangles; it takes the trace mutex under the registry mutex (Registry
-    // mu -> trace mu, one-way — nothing holding the trace mutex calls the
-    // registry's locked API).
+    // Ring wraps are otherwise silent: surface the session's overwritten
+    // count through the registry so dashboards see burst loss.  The
+    // registry and this state are both process-lifetime leaks, so the
+    // callback never dangles; it takes the trace mutex under the registry
+    // mutex (Registry mu -> trace mu, one-way — nothing holding the trace
+    // mutex calls the registry's locked API).
     registry().add_callback_gauge(st, "telemetry.trace.dropped", "", [st] {
       core::MutexLock lock(st->mu);
-      std::uint64_t total = 0;
-      for (const auto& r : st->rings) {
-        total += r->dropped.load(std::memory_order_relaxed);
-      }
-      return static_cast<double>(total);
+      return st->armed ? static_cast<double>(overwritten_locked(*st)) : 0.0;
     });
     return st;
   }();
@@ -113,17 +174,26 @@ TraceState& state() {
 }
 
 ThreadRing* this_thread_ring() {
-  // One registration per (thread, process): the shared_ptr in the global
-  // list keeps the ring alive past thread exit, so the flusher never reads
-  // freed memory.
+  // One registration per (thread, process): the global list owns the ring
+  // past thread exit, so the renderer never reads freed memory.  A ring born
+  // mid-session starts at base 0.
   thread_local ThreadRing* ring = [] {
     TraceState& st = state();
     core::MutexLock lock(st.mu);
-    auto r = std::make_shared<ThreadRing>(st.ring_capacity, st.next_tid++);
-    st.rings.push_back(r);
-    return r.get();
+    st.rings.push_back({std::make_unique<ThreadRing>(st.next_tid++), 0});
+    return st.rings.back().ring.get();
   }();
   return ring;
+}
+
+/// Opens a session: every ring's current head becomes its base, so the
+/// render starts at the first event recorded from here on.
+void arm_locked(TraceState& st, std::string path) BF_REQUIRES(st.mu) {
+  st.path = std::move(path);
+  st.t0_ns = detail::now_ns();
+  for (RingEntry& e : st.rings) e.base = e.ring->head.load(std::memory_order_relaxed);
+  st.armed = true;
+  detail::g_trace_enabled.store(true, std::memory_order_relaxed);
 }
 
 void json_escape_into(std::string& out, const char* s) {
@@ -138,15 +208,15 @@ void json_escape_into(std::string& out, const char* s) {
   }
 }
 
-/// Serializes every published ring prefix into Chrome's JSON array format.
-/// Caller holds the trace mutex.  Reads are non-destructive: published
-/// slots are immutable and the acquire load of each ring's size bounds the
-/// scan, so this is safe against concurrent writers.
-std::string render_json_locked(TraceState& st, std::size_t* events_out) {
+/// Serializes every event each ring still holds from the current session
+/// into Chrome's JSON array format.  Caller holds the trace mutex.  Reads
+/// are non-destructive and safe against concurrent writers: each slot is
+/// read through its seqlock, and one overwritten mid-read is skipped.
+std::string render_json_locked(TraceState& st, std::size_t* events_out)
+    BF_REQUIRES(st.mu) {
   std::string out;
   out += "{\"displayTimeUnit\":\"ms\",\"traceEvents\":[\n";
   std::size_t written = 0;
-  std::uint64_t dropped_total = 0;
   auto emit = [&](const TraceEvent& ev, std::uint32_t tid, double ts_us, double dur_us,
                   const char* ph, std::uint64_t id) {
     if (written != 0) out += ",\n";
@@ -166,7 +236,7 @@ std::string render_json_locked(TraceState& st, std::size_t* events_out) {
       out += buf;
     }
     if (ph[0] == 'i') out += ",\"s\":\"t\"";
-    if (id != TraceEvent::kIdNone) {
+    if (id != kIdNone) {
       out += ",\"id\":\"";
       out += std::to_string(id);
       out += '"';
@@ -190,39 +260,38 @@ std::string render_json_locked(TraceState& st, std::size_t* events_out) {
     ++written;
   };
 
-  for (const auto& r : st.rings) {
-    const std::uint32_t n = r->size.load(std::memory_order_acquire);
-    dropped_total += r->dropped.load(std::memory_order_relaxed);
-    for (std::uint32_t i = 0; i < n; ++i) {
-      const TraceEvent& ev = r->slots[i];
-      // Clamp events that straddled trace_start (a span constructed before
-      // arming records nothing, but an armed span can begin before t0 if
-      // arming raced its constructor — harmless, clamp to 0).
-      const double ts_us =
-          ev.start_ns >= st.t0_ns
-              ? static_cast<double>(ev.start_ns - st.t0_ns) / 1000.0
-              : 0.0;
-      const double dur_us = ev.end_ns >= ev.start_ns
-                                ? static_cast<double>(ev.end_ns - ev.start_ns) / 1000.0
-                                : 0.0;
+  TraceEvent ev;
+  for (const RingEntry& e : st.rings) {
+    const std::uint64_t head = e.ring->head.load(std::memory_order_acquire);
+    const std::uint64_t lo =
+        std::max(e.base, head > kTraceRingEvents ? head - kTraceRingEvents : 0);
+    for (std::uint64_t i = lo; i < head; ++i) {
+      if (!e.ring->slots[i & kSlotMask].read(i, ev)) continue;
+      // Clamp an event that straddled arming (a span constructed before
+      // arming records nothing, but one constructed in an earlier session
+      // can close in this one) to start at t0.
+      const std::uint64_t start = std::max(ev.start_ns, st.t0_ns);
+      const double ts_us = static_cast<double>(start - st.t0_ns) / 1000.0;
+      const double dur_us =
+          static_cast<double>(std::max(ev.end_ns, start) - start) / 1000.0;
+      const std::uint32_t tid = e.ring->tid;
       if (ev.ph == 'i') {
-        emit(ev, r->tid, ts_us, 0.0, "i", TraceEvent::kIdNone);
-      } else if (ev.id == TraceEvent::kIdNone) {
-        emit(ev, r->tid, ts_us, dur_us, "X", TraceEvent::kIdNone);
+        emit(ev, tid, ts_us, 0.0, "i", kIdNone);
+      } else if (ev.id == kIdNone) {
+        emit(ev, tid, ts_us, dur_us, "X", kIdNone);
       } else {
-        const double end_us = ts_us + dur_us;
-        emit(ev, r->tid, ts_us, 0.0, "b", ev.id);
-        emit(ev, r->tid, end_us, 0.0, "e", ev.id);
+        emit(ev, tid, ts_us, 0.0, "b", ev.id);
+        emit(ev, tid, ts_us + dur_us, 0.0, "e", ev.id);
       }
     }
   }
-  // Footer: stamp the cumulative ring-overflow drop count into the trace so
-  // a consumer knows how complete the timeline is (also exported live as
+  // Footer: stamp the session's overwritten count into the trace so a
+  // consumer knows how far back the timeline reaches (also exported live as
   // the telemetry.trace.dropped registry gauge).
   if (written != 0) out += ",\n";
   out += "{\"name\":\"trace_dropped_events\",\"cat\":\"meta\",\"ph\":\"C\",\"pid\":1,"
          "\"tid\":0,\"ts\":0,\"args\":{\"dropped\":";
-  out += std::to_string(dropped_total);
+  out += std::to_string(overwritten_locked(st));
   out += "}}";
   ++written;
   out += "\n]}\n";
@@ -265,72 +334,41 @@ std::uint64_t now_ns() noexcept {
 
 void trace_record(const char* name, const char* cat, std::uint64_t start_ns,
                   std::uint64_t end_ns, std::int64_t arg, std::uint64_t rid) {
-  this_thread_ring()->push(name, cat, start_ns, end_ns, arg, rid,
-                           TraceEvent::kIdNone, 'X');
+  this_thread_ring()->push(name, cat, start_ns, end_ns, arg, rid, kIdNone, 'X');
 }
 
 void trace_record_async(const char* name, const char* cat, std::uint64_t start_ns,
                         std::uint64_t end_ns, std::uint64_t id, std::uint64_t rid) {
-  if (id == TraceEvent::kIdNone) id -= 1;
+  if (id == kIdNone) id -= 1;
   this_thread_ring()->push(name, cat, start_ns, end_ns, -1, rid, id, 'a');
 }
 
 void trace_record_instant(const char* name, const char* cat, std::uint64_t ts_ns,
                           std::uint64_t rid) {
-  this_thread_ring()->push(name, cat, ts_ns, ts_ns, -1, rid, TraceEvent::kIdNone,
-                           'i');
+  this_thread_ring()->push(name, cat, ts_ns, ts_ns, -1, rid, kIdNone, 'i');
 }
 
 }  // namespace detail
 
-void trace_start(const std::string& path, std::size_t ring_capacity) {
+void trace_start(const std::string& path) {
   if (path.empty()) throw std::invalid_argument("trace_start: empty path");
-  if (ring_capacity < 16) throw std::invalid_argument("trace_start: ring too small");
   TraceState& st = state();
   core::MutexLock lock(st.mu);
   if (st.armed) throw std::logic_error("trace_start: trace already armed");
-  st.path = path;
-  st.passive = false;
-  st.ring_capacity = ring_capacity;
-  st.t0_ns = detail::now_ns();
-  // Reset rings registered by a previous session; new threads get the new
-  // capacity.  Existing threads keep their (already sized) rings — events
-  // from before this session are discarded by the size reset.
-  for (auto& r : st.rings) {
-    r->size.store(0, std::memory_order_relaxed);
-    r->dropped.store(0, std::memory_order_relaxed);
-    if (r->slots.size() != ring_capacity) r->slots.resize(ring_capacity);
-  }
-  st.armed = true;
-  detail::g_trace_enabled.store(true, std::memory_order_relaxed);
+  arm_locked(st, path);
 }
 
-void trace_arm_passive(std::size_t ring_capacity) {
-  if (ring_capacity < 16) {
-    throw std::invalid_argument("trace_arm_passive: ring too small");
-  }
+void trace_arm_passive() {
   TraceState& st = state();
   core::MutexLock lock(st.mu);
   if (st.armed) return;  // existing session (either kind) serves snapshots
-  st.path.clear();
-  st.passive = true;
-  st.ring_capacity = ring_capacity;
-  st.t0_ns = detail::now_ns();
-  for (auto& r : st.rings) {
-    r->size.store(0, std::memory_order_relaxed);
-    r->dropped.store(0, std::memory_order_relaxed);
-    if (r->slots.size() != ring_capacity) r->slots.resize(ring_capacity);
-  }
-  st.armed = true;
-  detail::g_trace_enabled.store(true, std::memory_order_relaxed);
+  arm_locked(st, {});
 }
 
 std::uint64_t trace_dropped_events() {
   TraceState& st = state();
   core::MutexLock lock(st.mu);
-  std::uint64_t total = 0;
-  for (const auto& r : st.rings) total += r->dropped.load(std::memory_order_relaxed);
-  return total;
+  return st.armed ? overwritten_locked(st) : 0;
 }
 
 std::string trace_snapshot_json() {
@@ -349,9 +387,7 @@ std::size_t trace_stop() {
   st.armed = false;
 
   std::size_t written = 0;
-  const bool passive = st.passive;
-  st.passive = false;
-  if (!passive) {
+  if (!st.path.empty()) {
     const std::string json = render_json_locked(st, &written);
     std::FILE* f = std::fopen(st.path.c_str(), "w");
     if (f == nullptr) {
@@ -361,10 +397,6 @@ std::size_t trace_stop() {
       std::fputs(json.c_str(), f);
       std::fclose(f);
     }
-  }
-  for (const auto& r : st.rings) {
-    r->size.store(0, std::memory_order_relaxed);
-    r->dropped.store(0, std::memory_order_relaxed);
   }
   return written;
 }

@@ -6,25 +6,33 @@
 // rows and CI's telemetry job.  When enabled (programmatically via
 // trace_start(), passively via trace_arm_passive() — the flight recorder's
 // always-on mode — or for a whole process via BITFLOW_TRACE=<path>), each
-// span records a complete event into a fixed-capacity thread-local ring
-// buffer: no locks, no allocation on the hot path after the first event of a
-// thread.  trace_stop() (or process exit under BITFLOW_TRACE) merges every
-// thread's ring and writes Chrome's JSON array format, loadable in
-// chrome://tracing and Perfetto:
+// span records a complete event into its thread's ring: no locks, no
+// allocation on the hot path after the first event of a thread.
+// trace_stop() (or process exit under BITFLOW_TRACE) merges every thread's
+// ring and writes Chrome's JSON array format, loadable in chrome://tracing
+// and Perfetto:
 //
 //   BITFLOW_TRACE=trace.json ./examples/serving_engine
 //
 // Span vocabulary (cat / name):
 //   net     : "net.request" — wire frame receipt on the poll thread
 //   serve   : "serve.batch" — one micro-batch through a worker;
-//             "serve.batch.member" — instant, one request joining a batch
+//             "serve.batch.member" — instant, one request joining a batch;
+//             "serve.reload", "serve.drain"
 //   graph   : "graph.infer_batch", "pack_input" — one pass through the chain
 //   layer   : "layer:<name>" — one network stage
-//   kernel  : "<kernel>[<isa>,tN,gN]" — the kernel dispatch inside a stage
+//   kernel  : "<kernel>[<isa>,tN]" — the kernel dispatch inside a stage
 //   request : async "serve.request" pairs (enqueue -> resolution); async
 //             because a request's lifetime spans threads and overlaps
 //             batches, so it must not claim a slot in the nesting stack.
-//   lifecycle: instant events for state transitions, sheds, breaker trips.
+// Instant vocabulary (cat: name is one line of detail, 47 chars at most):
+//   lifecycle : "lifecycle:<state>", "lifecycle:router-<state>", "shed",
+//               "quarantine" — state transitions, sheds, breaker trips
+//   deadline, error, cancel : one request's failed resolution (rid-tagged)
+//   shed    : a rejection by the router's lifecycle gate or the wire's
+//             per-connection in-flight cap
+//   reload, drain, failpoint, decode_error : serving-tier facts
+//   flight  : "<trigger>" — a flight-recorder trigger fired
 //
 // Request-scoped joining: events carry an optional request id (`rid`,
 // emitted as args.rid; for the async request pair it is also the event id),
@@ -33,24 +41,28 @@
 // the worker that ran it, and the layer/kernel spans nested in that
 // worker's serve.batch window — reconstructs from a single trace.
 //
-// Ring-buffer overflow drops the *newest* events (never overwrites): a slot,
-// once published, is immutable, which is what makes the lock-free flush
-// race-free (slot write happens-before the release store of the size the
-// flusher acquires).  Dropped counts are reported in the trace metadata and
+// Each thread's ring holds its newest kTraceRingEvents events and
+// overwrites the oldest.  Rings are never reset or resized: arming records
+// each ring's head, a trace shows only what was recorded since, and the
+// events a session lost to wrapping are reported in the trace metadata and
 // surfaced as the `telemetry.trace.dropped` registry gauge.
 #pragma once
 
 #include <atomic>
+#include <cstddef>
 #include <cstdint>
 #include <string>
 
 namespace bitflow::telemetry {
 
+/// Per-thread ring depth: the newest this-many events of each thread survive.
+inline constexpr std::size_t kTraceRingEvents = std::size_t{1} << 14;
+
 namespace detail {
 // Ordering contract: relaxed loads/stores only.  Arming publishes no data
 // through this flag — a span that observes the old value merely skips (or
-// clamps into) the session; slot publication orders via the ring's
-// release/acquire size protocol instead.
+// clamps into) the session; slot publication orders via each slot's
+// release/acquire sequence number instead.
 extern std::atomic<bool> g_trace_enabled;
 /// Appends a complete event to the calling thread's ring.  `start_ns`/`end_ns`
 /// are steady_clock readings.  `name` is copied into the ring slot (truncated
@@ -75,29 +87,29 @@ void trace_record_instant(const char* name, const char* cat, std::uint64_t ts_ns
 }
 
 /// Arms the sink; events recorded from now on are written to `path` by
-/// trace_stop().  `ring_capacity` bounds the per-thread event count
-/// (overflow drops newest).  Throws std::logic_error if already armed.
-void trace_start(const std::string& path, std::size_t ring_capacity = 1 << 16);
+/// trace_stop() — each thread's newest kTraceRingEvents of them.  Throws
+/// std::invalid_argument on an empty path, std::logic_error if already armed.
+void trace_start(const std::string& path);
 
 /// Arms the sink with NO output path: events accumulate in the rings and are
 /// read non-destructively by trace_snapshot_json() — the flight recorder's
-/// always-on mode.  trace_stop() on a passive session disarms and resets
-/// without writing a file.  No-op when a session (either kind) is already
-/// armed — the existing session's rings serve the snapshots.
-void trace_arm_passive(std::size_t ring_capacity = 1 << 14);
+/// always-on mode.  trace_stop() on a passive session disarms without
+/// writing a file.  No-op when a session (either kind) is already armed —
+/// the existing session's rings serve the snapshots.
+void trace_arm_passive();
 
 /// Disarms the sink, merges every thread's ring and writes the JSON file
 /// (unless the session was passive).  Returns the number of events written.
 /// No-op returning 0 when not armed.
 std::size_t trace_stop();
 
-/// Non-destructive snapshot: merges every thread's published ring prefix
-/// into a Chrome-trace JSON string WITHOUT disarming or resetting — safe to
-/// call while writers keep recording (published slots are immutable).
-/// Returns an empty string when not armed.
+/// Non-destructive snapshot: merges the events every thread's ring holds
+/// from this session into a Chrome-trace JSON string WITHOUT disarming —
+/// safe to call while writers keep recording (a slot overwritten mid-read
+/// is skipped).  Returns an empty string when not armed.
 [[nodiscard]] std::string trace_snapshot_json();
 
-/// Total events dropped to ring overflow since trace_start().
+/// Events the rings overwrote since the session armed (0 when disarmed).
 [[nodiscard]] std::uint64_t trace_dropped_events();
 
 /// RAII scoped span.  Disarmed cost: one relaxed atomic load (constructor)
@@ -137,7 +149,9 @@ inline void trace_async(const char* name, const char* cat, std::uint64_t start_n
 
 /// Thread-scoped instant event (Chrome ph "i"): a point in time interleaved
 /// with the surrounding spans — lifecycle transitions, shed decisions,
-/// batch membership.  One relaxed load when disarmed.
+/// batch membership, failed resolutions.  `name` is copied (47 chars at
+/// most); `cat` must be a string literal.  One relaxed load when disarmed
+/// (CI-gated at <= 5 ns, BENCH_telemetry.json).
 inline void trace_instant(const char* name, const char* cat = "lifecycle",
                           std::uint64_t rid = 0) noexcept {
   if (trace_enabled()) [[unlikely]] {

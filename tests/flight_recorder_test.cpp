@@ -1,12 +1,14 @@
-// telemetry/flight_recorder under stress: concurrent event logging while the
+// telemetry/flight_recorder under stress: passive trace snapshots while the
 // serving tier drains/reloads under a chaos failpoint schedule, trigger
 // rate-limiting (exactly-one-bundle), the SLO-breach and error-rate
-// detectors, and byte-level corruption fuzzing of the bundle loader with the
+// detectors, bundles that keep a thread's newest events after its ring
+// wrapped, and byte-level corruption fuzzing of the bundle loader with the
 // same discipline as fuzz_model_io_test — truncate at every offset, flip a
 // deterministic bit in every byte, never crash, always fail closed.
 //
-// All multi-threaded sections are written to run clean under TSan: the event
-// ring is lock-free by design and this test is its data-race gate.
+// All multi-threaded sections are written to run clean under TSan: the
+// trace rings are lock-free by design and this test is a data-race gate for
+// them under real serving traffic.
 #include <atomic>
 #include <chrono>
 #include <cstdint>
@@ -66,7 +68,6 @@ class ArmedRecorder {
 FlightRecorderConfig base_cfg(const TempDir& dir) {
   FlightRecorderConfig cfg;
   cfg.dir = dir.path().string();
-  cfg.event_capacity = 256;
   cfg.min_bundle_interval = 0ms;
   cfg.max_bundles = 64;
   // Detectors off by default; individual tests lower these.
@@ -104,94 +105,11 @@ Tensor make_input(std::uint64_t seed) {
 }
 
 // ---------------------------------------------------------------------------
-// Event ring.
-
-TEST(FlightEvents, DisarmedIsANoOpAndSnapshotIsEmpty) {
-  ASSERT_FALSE(flight_armed());
-  flight_event("shed", "nobody listening", 42);  // must not crash
-  EXPECT_FALSE(flight_trigger(FlightTrigger::kManual, "disarmed"));
-  EXPECT_TRUE(flight_events_snapshot().empty());
-}
-
-TEST(FlightEvents, OrderedSnapshotWithTicketsAndRids) {
-  TempDir dir("ordered");
-  ArmedRecorder armed(base_cfg(dir));
-  flight_event("shed", "first", 1);
-  flight_event("deadline", "second", 2);
-  flight_event("reload", "third");
-  const std::vector<FlightEvent> got = flight_events_snapshot();
-  ASSERT_EQ(got.size(), 3u);
-  EXPECT_EQ(got[0].kind, "shed");
-  EXPECT_EQ(got[0].detail, "first");
-  EXPECT_EQ(got[0].rid, 1u);
-  EXPECT_EQ(got[2].kind, "reload");
-  EXPECT_EQ(got[2].rid, 0u);
-  EXPECT_LT(got[0].ticket, got[1].ticket);
-  EXPECT_LT(got[1].ticket, got[2].ticket);
-  EXPECT_LE(got[0].ts_ns, got[2].ts_ns);
-}
-
-TEST(FlightEvents, RingWrapKeepsNewestAndCountsNothingDroppedWhenUncontended) {
-  TempDir dir("wrap");
-  FlightRecorderConfig cfg = base_cfg(dir);
-  cfg.event_capacity = 16;
-  ArmedRecorder armed(cfg);
-  for (int i = 0; i < 100; ++i) flight_event("lifecycle", "tick", static_cast<std::uint64_t>(i));
-  const std::vector<FlightEvent> got = flight_events_snapshot();
-  ASSERT_EQ(got.size(), 16u);
-  // Newest 16 survive, oldest first.
-  EXPECT_EQ(got.front().rid, 84u);
-  EXPECT_EQ(got.back().rid, 99u);
-  EXPECT_EQ(flight_events_dropped(), 0u);
-}
-
-TEST(FlightEvents, ConcurrentWritersAndSnapshottersAreRaceFree) {
-  TempDir dir("concurrent");
-  FlightRecorderConfig cfg = base_cfg(dir);
-  cfg.event_capacity = 128;
-  ArmedRecorder armed(cfg);
-
-  std::atomic<bool> stop{false};
-  // Ordering contract: relaxed — independent progress counters; the joins
-  // below are the synchronization points.
-  std::atomic<std::uint64_t> logged{0};
-  std::vector<std::thread> writers;
-  writers.reserve(4);
-  for (int w = 0; w < 4; ++w) {
-    writers.emplace_back([&stop, &logged, w] {
-      std::uint64_t n = 0;
-      while (!stop.load(std::memory_order_relaxed)) {
-        flight_event("shed", "writer pressure", static_cast<std::uint64_t>(w) * 1'000'000 + n);
-        ++n;
-      }
-      logged.fetch_add(n, std::memory_order_relaxed);
-    });
-  }
-  std::thread reader([&stop] {
-    while (!stop.load(std::memory_order_relaxed)) {
-      const std::vector<FlightEvent> snap = flight_events_snapshot();
-      // Snapshot invariant: tickets strictly increase — a torn slot would
-      // show duplicated or reordered tickets.
-      for (std::size_t i = 1; i < snap.size(); ++i) {
-        ASSERT_LT(snap[i - 1].ticket, snap[i].ticket);
-      }
-    }
-  });
-  std::this_thread::sleep_for(200ms);
-  stop.store(true, std::memory_order_relaxed);
-  for (auto& t : writers) t.join();
-  reader.join();
-  EXPECT_GT(logged.load(std::memory_order_relaxed), 0u);
-  // Contention may drop events (drop-newest by seqlock CAS failure), but the
-  // ring plus drop counter must account for a sane world: snapshot is
-  // well-formed and bounded by capacity.
-  EXPECT_LE(flight_events_snapshot().size(), 128u);
-}
-
-// ---------------------------------------------------------------------------
 // Triggers, rate limiting, detectors.
 
 TEST(FlightTriggers, RateLimitYieldsExactlyOneBundle) {
+  ASSERT_FALSE(flight_armed());
+  EXPECT_FALSE(flight_trigger(FlightTrigger::kManual, "disarmed"));  // no-op
   TempDir dir("ratelimit");
   FlightRecorderConfig cfg = base_cfg(dir);
   cfg.min_bundle_interval = std::chrono::milliseconds(3'600'000);  // 1h: once
@@ -280,7 +198,7 @@ TEST(FlightBundles, ContainTraceEventsAndContextSections) {
     std::this_thread::sleep_for(1ms);
   }
   trace_instant("flight.test.mark", "lifecycle", 99);
-  flight_event("deadline", "synthetic breach", 99);
+  trace_instant("synthetic breach", "deadline", 99);
   ASSERT_TRUE(flight_trigger(FlightTrigger::kManual, "contents check"));
   flight_remove_contexts(&cfg);
 
@@ -294,22 +212,62 @@ TEST(FlightBundles, ContainTraceEventsAndContextSections) {
   EXPECT_EQ(b.manifest.reason, "contents check");
   ASSERT_EQ(b.sections.count("lifecycle.txt"), 1u);
   EXPECT_EQ(b.sections.at("lifecycle.txt"), "state: serving\n");
-  EXPECT_NE(b.sections.at("events.log").find("synthetic breach"), std::string::npos);
 
   auto events = parse_bundle_trace(b);
   ASSERT_TRUE(events.is_ok());
   bool saw_span = false;
   bool saw_instant = false;
+  bool saw_breach = false;
+  bool saw_trigger = false;
   for (const ParsedTraceEvent& e : events.value()) {
     if (e.name == "flight.test.work" && e.ph == 'X' && e.rid == 99) saw_span = true;
     if (e.name == "flight.test.mark" && e.ph == 'i' && e.rid == 99) saw_instant = true;
+    if (e.name == "synthetic breach" && e.cat == "deadline" && e.rid == 99) {
+      saw_breach = true;
+    }
+    if (e.name == "manual" && e.cat == "flight" && e.ph == 'i') saw_trigger = true;
   }
   EXPECT_TRUE(saw_span);
   EXPECT_TRUE(saw_instant);
+  EXPECT_TRUE(saw_breach);
+  EXPECT_TRUE(saw_trigger);
+}
+
+TEST(FlightBundles, KeepTheNewestEventsAfterTheRingWraps) {
+  // A thread that has recorded more than one ring's worth of events (an
+  // always-on recorder reaches this within seconds of serving) must still
+  // put what it recorded just before the trigger into the bundle.
+  TempDir dir("wrapped");
+  ArmedRecorder armed(base_cfg(dir));
+  for (std::size_t i = 0; i < kTraceRingEvents + 3617; ++i) {
+    trace_instant("flight.test.filler", "test");
+  }
+  {
+    TraceSpan span("flight.test.last_span", "span", -1, 0x77);
+  }
+  trace_instant("flight.test.last_mark", "deadline", 0x77);
+  ASSERT_TRUE(flight_trigger(FlightTrigger::kManual, "after a ring wrap"));
+
+  const std::vector<fs::path> dirs = bundle_dirs(dir);
+  ASSERT_EQ(dirs.size(), 1u);
+  auto loaded = load_bundle(dirs[0].string());
+  ASSERT_TRUE(loaded.is_ok()) << loaded.status().to_string();
+  ASSERT_TRUE(validate_bundle(loaded.value()).ok());
+  auto events = parse_bundle_trace(loaded.value());
+  ASSERT_TRUE(events.is_ok());
+  bool saw_span = false;
+  bool saw_mark = false;
+  for (const ParsedTraceEvent& e : events.value()) {
+    if (e.name == "flight.test.last_span" && e.ph == 'X' && e.rid == 0x77) saw_span = true;
+    if (e.name == "flight.test.last_mark" && e.ph == 'i' && e.rid == 0x77) saw_mark = true;
+  }
+  EXPECT_TRUE(saw_span);
+  EXPECT_TRUE(saw_mark);
+  EXPECT_GT(trace_dropped_events(), 0u);
 }
 
 // ---------------------------------------------------------------------------
-// Chaos: concurrent event logging while a real engine drains and reloads
+// Chaos: concurrent trace snapshots while a real engine drains and reloads
 // under the chaos failpoint schedule.  TSan gate for every lock-free path
 // the serving layer exercises in production.
 
@@ -317,7 +275,6 @@ TEST(FlightChaos, EventLoggingSurvivesDrainReloadAndFailpoints) {
   failpoint::disarm_all();
   TempDir dir("chaos");
   FlightRecorderConfig cfg = base_cfg(dir);
-  cfg.event_capacity = 512;
   cfg.breach_threshold = 32;  // let real breaches trigger too
   cfg.rate_window = 64;
   cfg.min_bundle_interval = std::chrono::milliseconds(3'600'000);
@@ -336,7 +293,7 @@ TEST(FlightChaos, EventLoggingSurvivesDrainReloadAndFailpoints) {
   // Ordering contract: relaxed — progress tallies; joins synchronize.
   std::atomic<std::uint64_t> submitted{0};
 
-  // Traffic threads: real submits whose resolution paths emit flight events
+  // Traffic threads: real submits whose resolution paths emit trace instants
   // (sheds, deadline breaches, errors) from engine worker threads.
   std::vector<std::thread> traffic;
   traffic.reserve(2);
@@ -390,13 +347,11 @@ TEST(FlightChaos, EventLoggingSurvivesDrainReloadAndFailpoints) {
     failpoint::disarm_all();
   });
 
-  // Snapshot thread: continuous consistent reads while everything churns.
+  // Snapshot thread: continuous reads of the passive trace while
+  // everything churns.
   std::thread reader([&stop] {
     while (!stop.load(std::memory_order_relaxed)) {
-      const std::vector<FlightEvent> snap = flight_events_snapshot();
-      for (std::size_t i = 1; i < snap.size(); ++i) {
-        ASSERT_LT(snap[i - 1].ticket, snap[i].ticket);
-      }
+      ASSERT_FALSE(trace_snapshot_json().empty());
       (void)flight_status_text();
       std::this_thread::sleep_for(5ms);
     }
@@ -411,8 +366,11 @@ TEST(FlightChaos, EventLoggingSurvivesDrainReloadAndFailpoints) {
   engine.shutdown();
 
   EXPECT_GT(submitted.load(std::memory_order_relaxed), 0u);
-  // The chaos produced flight events (sheds / errors / reloads / breaches).
-  EXPECT_FALSE(flight_events_snapshot().empty());
+  // The chaos left its facts in the passive trace: every reload records a
+  // "reload" instant, and the lifecycle transitions around it.
+  const std::string snap = trace_snapshot_json();
+  EXPECT_NE(snap.find("\"cat\":\"reload\""), std::string::npos);
+  EXPECT_NE(snap.find("\"cat\":\"lifecycle\""), std::string::npos);
   // At most one bundle despite sustained trigger pressure: the 1h interval
   // rate limit held under full concurrency.
   EXPECT_LE(bundle_dirs(dir).size(), 1u);
@@ -427,7 +385,6 @@ class BundleFuzz : public ::testing::Test {
     dir_ = std::make_unique<TempDir>("fuzz");
     FlightRecorderConfig cfg = base_cfg(*dir_);
     flight_start(cfg);
-    flight_event("shed", "fuzz seed event", 3);
     trace_instant("fuzz.mark", "lifecycle", 3);
     ASSERT_TRUE(flight_trigger(FlightTrigger::kManual, "fuzz fixture"));
     flight_stop();

@@ -572,8 +572,18 @@ TEST_F(ServerTest, InducedSloBreachWritesOneBundleWithRequestChain) {
   // The server registered /varz and profile-report context sections.
   EXPECT_EQ(bundle.sections.count("varz.txt"), 1u);
   EXPECT_EQ(bundle.sections.count("profile.txt"), 1u);
-  // The breach events are in the recent-events log, rid-joined.
-  EXPECT_NE(bundle.sections.at("events.log").find("deadline"), std::string::npos);
+  // The breaches are rid-joined "deadline" instants in the same trace, and
+  // every one of them belongs to a breaching request.
+  auto events = telemetry::parse_bundle_trace(bundle);
+  ASSERT_TRUE(events.is_ok());
+  std::size_t deadline_instants = 0;
+  for (const telemetry::ParsedTraceEvent& ev : events.value()) {
+    if (ev.ph != 'i' || ev.cat != "deadline") continue;
+    ++deadline_instants;
+    EXPECT_GE(ev.rid, 0x100u) << ev.name;
+    EXPECT_LT(ev.rid, 0x100u + kBreachers) << ev.name;
+  }
+  EXPECT_GE(deadline_instants, 1u) << telemetry::bundle_summary(bundle);
 }
 
 /// /varz carries the flight recorder's status block and the trace drop

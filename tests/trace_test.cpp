@@ -1,13 +1,17 @@
 // Trace-event sink: disabled-by-default contract, span recording through
 // real inference (batch-1 and batched, engine and network level), JSON
 // validity of the emitted file, well-nesting of the synchronous spans per
-// thread, matched async begin/end pairs, and drop-newest overflow.
+// thread, matched async begin/end pairs, keep-newest ring overwrite,
+// snapshots racing writers, and re-arming while spans record (the
+// concurrent cases are TSan gates: CI's telemetry job runs Trace.* there).
 //
 // The JSON checks use a purpose-built miniature parser (the trace writer
 // emits one event object per line), not a JSON library — the point is to
 // assert the exact shape chrome://tracing consumes.
 #include <gtest/gtest.h>
 
+#include <atomic>
+#include <chrono>
 #include <cstdio>
 #include <fstream>
 #include <map>
@@ -31,6 +35,7 @@ struct ParsedEvent {
   std::string name, cat, ph, id;
   long tid = -1;
   double ts = -1.0, dur = 0.0;
+  std::uint64_t rid = 0;
 };
 
 std::string extract_string(const std::string& line, const std::string& key) {
@@ -49,12 +54,10 @@ double extract_number(const std::string& line, const std::string& key, double fa
   return std::stod(line.substr(at + pat.size()));
 }
 
-/// Parses the trace file written by trace_stop().  Fails the test on any
-/// structural violation (bad header, missing required field).
-std::vector<ParsedEvent> parse_trace(const std::string& path) {
-  std::ifstream in(path);
-  EXPECT_TRUE(in.is_open()) << path;
-  std::string all((std::istreambuf_iterator<char>(in)), std::istreambuf_iterator<char>());
+/// Parses one rendered trace (trace_stop()'s file or trace_snapshot_json()).
+/// Fails the test on any structural violation (bad header, missing
+/// required field).
+std::vector<ParsedEvent> parse_trace_text(const std::string& all) {
   EXPECT_EQ(all.rfind("{\"displayTimeUnit\":\"ms\",\"traceEvents\":[", 0), 0u);
   EXPECT_NE(all.find("\n]}"), std::string::npos);
 
@@ -76,12 +79,21 @@ std::vector<ParsedEvent> parse_trace(const std::string& path) {
     ev.tid = static_cast<long>(extract_number(line, "tid", -1.0));
     ev.ts = extract_number(line, "ts", -1.0);
     ev.dur = extract_number(line, "dur", 0.0);
+    ev.rid = static_cast<std::uint64_t>(extract_number(line, "rid", 0.0));
     EXPECT_FALSE(ev.ph.empty()) << line;
     EXPECT_GE(ev.tid, 0) << line;
     EXPECT_GE(ev.ts, 0.0) << line;
     events.push_back(std::move(ev));
   }
   return events;
+}
+
+/// Parses the trace file written by trace_stop().
+std::vector<ParsedEvent> parse_trace(const std::string& path) {
+  std::ifstream in(path);
+  EXPECT_TRUE(in.is_open()) << path;
+  return parse_trace_text(
+      std::string((std::istreambuf_iterator<char>(in)), std::istreambuf_iterator<char>()));
 }
 
 /// Asserts the "X" (complete) events of every thread nest like a call stack:
@@ -140,12 +152,13 @@ std::string tmp_path(const char* name) {
 TEST(Trace, DisabledByDefaultAndZeroStopIsNoop) {
   ASSERT_FALSE(trace_enabled());
   { TraceSpan span("should.not.record", "test"); }
+  trace_instant("should.not.record", "test", 42);
+  EXPECT_TRUE(trace_snapshot_json().empty());
   EXPECT_EQ(trace_stop(), 0u);  // not armed: no file, no events
 }
 
 TEST(Trace, StartRejectsBadArgumentsAndDoubleArm) {
   EXPECT_THROW(trace_start(""), std::invalid_argument);
-  EXPECT_THROW(trace_start("x.json", 4), std::invalid_argument);
   const std::string path = tmp_path("bitflow_trace_doublearm.json");
   trace_start(path);
   EXPECT_THROW(trace_start(path), std::logic_error);
@@ -245,28 +258,99 @@ TEST(Trace, BatchOneNetworkTraceNestsLayersInsideInfer) {
   expect_well_nested(events);
 }
 
-TEST(Trace, OverflowDropsNewestAndReportsCount) {
+TEST(Trace, OverflowKeepsNewestAndReportsCount) {
   const std::string path = tmp_path("bitflow_trace_overflow.json");
-  // A fresh thread gets a ring of exactly this capacity; it emits far more
-  // spans than fit, so the tail must drop (never overwrite).
-  trace_start(path, 16);
+  // A fresh thread records three rings' worth of spans, each tagged with its
+  // sequence number: the newest kTraceRingEvents must survive in order, and
+  // the two rings' worth before them count as overwritten.
+  constexpr std::uint64_t kN = kTraceRingEvents;
+  trace_start(path);
   std::thread t([] {
-    for (int i = 0; i < 100; ++i) {
-      TraceSpan span("overflow.span", "test");
+    for (std::uint64_t i = 0; i < 3 * kN; ++i) {
+      TraceSpan span("overflow.span", "test", -1, i + 1);
     }
   });
   t.join();
-  EXPECT_EQ(trace_dropped_events(), 84u);
+  EXPECT_EQ(trace_dropped_events(), 2 * kN);
   const std::size_t written = trace_stop();
   const std::vector<ParsedEvent> events = parse_trace(path);
   EXPECT_EQ(events.size(), written);
-  std::size_t spans = 0, meta = 0;
+  std::vector<std::uint64_t> rids;
+  std::size_t meta = 0;
   for (const ParsedEvent& e : events) {
-    if (e.name == "overflow.span") ++spans;
+    if (e.name == "overflow.span") rids.push_back(e.rid);
     if (e.name == "trace_dropped_events" && e.ph == "C") ++meta;
   }
-  EXPECT_EQ(spans, 16u);
+  ASSERT_EQ(rids.size(), kN);
+  for (std::uint64_t i = 0; i < kN; ++i) ASSERT_EQ(rids[i], 2 * kN + i + 1) << i;
   EXPECT_EQ(meta, 1u);
+  EXPECT_EQ(trace_dropped_events(), 0u);  // disarmed: no session to count
+}
+
+TEST(Trace, ConcurrentWritersAndSnapshottersNeverTear) {
+  trace_arm_passive();
+  std::atomic<bool> stop{false};
+  std::vector<std::thread> writers;
+  writers.reserve(3);
+  for (int w = 0; w < 3; ++w) {
+    writers.emplace_back([&stop] {
+      // Every name spans all six name words and repeats its sequence number
+      // twice, so a slot read torn across two events cannot parse back.
+      char name[48];
+      for (std::uint64_t n = 1; !stop.load(std::memory_order_relaxed); ++n) {
+        std::snprintf(name, sizeof name, "%020llu/%020llu",
+                      static_cast<unsigned long long>(n), static_cast<unsigned long long>(n));
+        trace_instant(name, "test", n);
+      }
+    });
+  }
+  std::size_t checked = 0;
+  const auto until = std::chrono::steady_clock::now() + std::chrono::milliseconds(300);
+  while (std::chrono::steady_clock::now() < until) {
+    std::map<long, std::pair<double, std::uint64_t>> last;  // tid -> (ts, rid)
+    for (const ParsedEvent& e : parse_trace_text(trace_snapshot_json())) {
+      if (e.cat != "test") continue;
+      ASSERT_EQ(e.name.size(), 41u) << e.name;
+      ASSERT_EQ(e.name.substr(0, 20), e.name.substr(21)) << e.name;
+      ASSERT_EQ(std::stoull(e.name.substr(0, 20)), e.rid) << e.name;
+      const auto it = last.find(e.tid);
+      if (it != last.end()) {
+        ASSERT_LE(it->second.first, e.ts) << "tid " << e.tid << " went back in time";
+        ASSERT_LT(it->second.second, e.rid) << "tid " << e.tid << " reordered";
+      }
+      last[e.tid] = {e.ts, e.rid};
+      ++checked;
+    }
+  }
+  stop.store(true, std::memory_order_relaxed);
+  for (auto& t : writers) t.join();
+  trace_stop();
+  EXPECT_GT(checked, 0u);
+}
+
+TEST(Trace, RearmWhileSpansRecordIsRaceFree) {
+  // One thread keeps opening spans while this one flips between file and
+  // passive sessions: a span opened in one session closes in the next, so
+  // its write must land in a ring that arming never reallocates.
+  const std::string path = tmp_path("bitflow_trace_rearm.json");
+  std::atomic<bool> stop{false};
+  std::thread spinner([&stop] {
+    while (!stop.load(std::memory_order_relaxed)) {
+      TraceSpan span("rearm.span", "test");
+      trace_instant("rearm.mark", "test");
+    }
+  });
+  for (int round = 0; round < 50; ++round) {
+    trace_start(path);
+    std::this_thread::sleep_for(std::chrono::microseconds(200));
+    (void)trace_stop();
+    trace_arm_passive();
+    EXPECT_FALSE(trace_snapshot_json().empty());
+    (void)trace_stop();
+  }
+  stop.store(true, std::memory_order_relaxed);
+  spinner.join();
+  std::remove(path.c_str());
 }
 
 }  // namespace

@@ -11,10 +11,11 @@
 // bundle acceptance gate in tests and CI.
 //
 // --self-test needs no pre-built fixture: it arms the recorder into a temp
-// directory, logs events, fires a manual trigger, and validates the bundle
-// it just wrote — then corrupts the bundle on disk (section bit flip,
-// manifest truncation, section removal) and asserts the loader fails closed
-// on each, mirroring the fuzz discipline of flight_recorder_test.
+// directory, records trace instants, fires a manual trigger, and validates
+// the bundle it just wrote — then corrupts the bundle on disk (section bit
+// flip, section truncation, section removal, manifest truncation) and
+// asserts the loader fails closed on each, mirroring the fuzz discipline of
+// flight_recorder_test.
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
@@ -23,6 +24,7 @@
 #include <string>
 
 #include "telemetry/flight_recorder.hpp"
+#include "telemetry/trace.hpp"
 
 namespace {
 
@@ -87,14 +89,13 @@ int self_test() {
   // Produce a real bundle the way the serving tier would.
   telemetry::FlightRecorderConfig cfg;
   cfg.dir = root.string();
-  cfg.event_capacity = 64;
   cfg.min_bundle_interval = std::chrono::milliseconds(0);
   cfg.max_bundles = 4;
   telemetry::flight_start(cfg);
   telemetry::flight_add_context(&cfg, "selftest",
                                 [] { return std::string("fixture section\n"); });
-  telemetry::flight_event("shed", "self-test shed", 7);
-  telemetry::flight_event("reload", "self-test reload");
+  telemetry::trace_instant("self-test shed", "shed", 7);
+  telemetry::trace_instant("self-test reload", "reload");
   CHECK(telemetry::flight_trigger(telemetry::FlightTrigger::kManual,
                                   "bundle_dump self-test"));
   telemetry::flight_remove_contexts(&cfg);
@@ -112,14 +113,23 @@ int self_test() {
   CHECK(bundle.manifest.trigger == "manual");
   CHECK(bundle.sections.count("selftest.txt") == 1);
   CHECK(bundle.sections.at("selftest.txt") == "fixture section\n");
-  CHECK(bundle.sections.at("events.log").find("self-test shed") != std::string::npos);
-  CHECK(!telemetry::bundle_summary(bundle).empty());
+  auto events = telemetry::parse_bundle_trace(bundle);
+  CHECK(events.is_ok());
+  int seeded = 0;
+  for (const telemetry::ParsedTraceEvent& ev : events.value()) {
+    if (ev.ph != 'i') continue;
+    if (ev.name == "self-test shed" && ev.cat == "shed" && ev.rid == 7) ++seeded;
+    if (ev.name == "self-test reload" && ev.cat == "reload" && ev.rid == 0) ++seeded;
+  }
+  CHECK(seeded == 2);
+  // The summary counts instants per category (the trigger adds "flight").
+  CHECK(telemetry::bundle_summary(bundle).find(" reload=1 shed=1") != std::string::npos);
   // No traffic ran, so no request chain may be claimed.
   CHECK(!telemetry::bundle_has_request_chain(bundle, 7));
 
   // Corruption 1: flip one byte inside a checksummed section.
   {
-    const fs::path victim = bundle_dir / "events.log";
+    const fs::path victim = bundle_dir / "metrics.prom";
     std::string body = read_file(victim);
     CHECK(!body.empty());
     body[body.size() / 2] ^= 0x20;
