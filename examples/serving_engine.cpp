@@ -2,12 +2,12 @@
 //
 //   $ ./examples/serving_engine
 //
-// Where robust_serving.cpp serves one request at a time through an
-// InferenceSession, an Engine serves many callers at once:
+// Where robust_serving.cpp serves one request at a time through a
+// one-worker engine, this engine serves many callers at once:
 //   1. build a model and start an engine — 2 workers, micro-batches of up
 //      to 8 requests, a bounded admission queue;
 //   2. submit a burst of requests from several caller threads and collect
-//      the futures — the batcher coalesces whatever is queued together so
+//      the futures — each worker coalesces whatever is queued together so
 //      N requests cost one fork/join per layer instead of N;
 //   3. demonstrate admission control: a tiny queue rejects overflow with
 //      kResourceExhausted instead of blocking the caller, and a request

@@ -11,7 +11,7 @@
 // Layer cake (see DESIGN.md):
 //   core   : this facade, AIT model, version/system report, Status/failpoints
 //   telemetry: metrics registry, per-layer profiler, trace-event sink
-//   serve  : recoverable serving boundary (InferenceSession, see serve/session.hpp)
+//   serve  : the serving front door and Status boundary (see serve/engine.hpp)
 //   graph  : static network, memory planner, vector execution scheduler
 //   ops    : standalone operator-level API
 //   kernels: PressedConv / bgemm / OR-pool per-ISA kernels
@@ -37,7 +37,6 @@
 #include "runtime/thread_pool.hpp"
 #include "runtime/timer.hpp"
 #include "serve/engine.hpp"
-#include "serve/session.hpp"
 #include "simd/cpu_features.hpp"
 #include "telemetry/metrics.hpp"
 #include "telemetry/profiler.hpp"

@@ -16,7 +16,7 @@ namespace {
 
 // Fixed catalog of every injection site compiled into the library.  Names
 // are namespaced by subsystem; the serving boundary maps a FaultInjected
-// back to a Status code by this prefix (serve/session.cpp).
+// back to a Status code by this prefix (serve/error_map.cpp).
 constexpr std::array<PointInfo, 15> kCatalog{{
     {"io.open", "Model::load(path) after the file was opened"},
     {"io.read_header", "Model::load(istream) after magic/version were read"},
@@ -24,7 +24,7 @@ constexpr std::array<PointInfo, 15> kCatalog{{
     {"alloc.buffer", "AlignedBuffer allocation (every tensor/weight buffer)"},
     {"runtime.worker", "ThreadPool job execution, every worker incl. the caller"},
     {"runtime.worker_stall", "ThreadPool job execution (stall flavour, same site)"},
-    {"serve.infer", "InferenceSession/Engine inference entry, inside the error boundary"},
+    {"serve.infer", "Engine batch and per-member rerun entry, inside the error boundary"},
     {"serve.queue_admit", "Engine::submit admission path, before the request is enqueued"},
     {"serve.shed", "Engine::submit load-shedding decision: site-fault forces a shed"},
     {"serve.cancel_checkpoint",

@@ -8,9 +8,9 @@
 //     (malformed model bytes, bad_alloc, worker exceptions).  These may
 //     cross *internal* layers as exceptions but must never escape the
 //     serving API;
-//   * recoverable conditions — what a caller of serve::InferenceSession
-//     sees: a Status with a machine-readable code plus a human-readable
-//     message, or a Result<T> carrying either a value or such a Status.
+//   * recoverable conditions — what a caller of serve::Engine sees: a
+//     Status with a machine-readable code plus a human-readable message, or
+//     a Result<T> carrying either a value or such a Status.
 //
 // Status is cheap to pass by value (code + message string) and never
 // throws; Result<T> is a thin value-or-status sum type.
@@ -89,7 +89,7 @@ class Status {
 };
 
 /// Value-or-Status sum type returned by fallible constructors of the
-/// serving boundary (e.g. InferenceSession::open).  Accessing value() on an
+/// serving boundary (e.g. Engine::open).  Accessing value() on an
 /// error Result is a contract violation (BF_CHECK).
 template <typename T>
 class Result {

@@ -415,9 +415,8 @@ void BinaryNetwork::finalize(TensorDesc input) {
       case LayerKind::kPool: {
         if (seen_fc) throw std::invalid_argument("BinaryNetwork: pool after fc unsupported");
         cur = infer_pool(cur, l.pool_spec);
-        info.isa = std::min(select_isa(cur.c, hw, im.cfg.policy),
-                            layer_cap().value_or(simd::IsaLevel::kAvx512));
-        info.isa_reason = explain_isa_selection(cur.c, hw, im.cfg.policy);
+        info.isa = std::min(select_isa(cur.c, hw), layer_cap().value_or(simd::IsaLevel::kAvx512));
+        info.isa_reason = explain_isa_selection(cur.c, hw);
         break;
       }
       case LayerKind::kFc: {

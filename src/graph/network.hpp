@@ -140,8 +140,6 @@ struct ProfileReport {
 /// Network-wide execution configuration.
 struct NetworkConfig {
   int num_threads = 1;
-  /// The pools' ISA rule (conv and fc layers follow default_kernel_plan).
-  SchedulerPolicy policy = SchedulerPolicy::kPaperRules;
   bool profile = false;  ///< record per-layer wall-clock on every inference
   /// Caps the scheduler's kernel choice (e.g. kAvx2 to model an i7-7700HQ
   /// on wider hardware), conv and fc layers included.  The cap must itself

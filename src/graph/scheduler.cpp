@@ -12,23 +12,16 @@ simd::IsaLevel clamp(simd::IsaLevel isa, std::optional<simd::IsaLevel> cap) {
 
 }  // namespace
 
-simd::IsaLevel select_isa(std::int64_t channels, const simd::CpuFeatures& f,
-                          SchedulerPolicy policy) {
-  if (policy == SchedulerPolicy::kWidest) return f.best_isa();
+simd::IsaLevel select_isa(std::int64_t channels, const simd::CpuFeatures& f) {
   if (channels % 512 == 0 && f.supports(simd::IsaLevel::kAvx512)) return simd::IsaLevel::kAvx512;
   if (channels % 256 == 0 && f.supports(simd::IsaLevel::kAvx2)) return simd::IsaLevel::kAvx2;
   if (channels % 128 == 0 && f.supports(simd::IsaLevel::kSse)) return simd::IsaLevel::kSse;
   return simd::IsaLevel::kU64;
 }
 
-std::string explain_isa_selection(std::int64_t channels, const simd::CpuFeatures& f,
-                                  SchedulerPolicy policy) {
-  const simd::IsaLevel isa = select_isa(channels, f, policy);
+std::string explain_isa_selection(std::int64_t channels, const simd::CpuFeatures& f) {
+  const simd::IsaLevel isa = select_isa(channels, f);
   std::string s = "C=" + std::to_string(channels) + " -> " + std::string(isa_name(isa));
-  if (policy == SchedulerPolicy::kWidest) {
-    s += " (widest hardware ISA)";
-    return s;
-  }
   if (channels % 512 == 0 && f.supports(simd::IsaLevel::kAvx512)) {
     s += " (rule 1: multiple of 512, AVX-512 available)";
   } else if (channels % 256 == 0 && f.supports(simd::IsaLevel::kAvx2)) {

@@ -23,11 +23,6 @@
 //   rule 4: otherwise -> scalar word kernel; channel counts that are not a
 //           multiple of the word size are padded with zero bits (the packers
 //           maintain zero tails, so no separate padding pass exists).
-//
-// kWidest is a BitFlow extension beyond the paper: because NHWC channel
-// packing makes a whole window row (kw * words_per_pixel words) contiguous,
-// a vector register may legitimately span filter taps, so the widest
-// hardware ISA is usable for any channel count.
 #pragma once
 
 #include <cstdint>
@@ -39,22 +34,15 @@
 
 namespace bitflow::graph {
 
-/// Kernel selection policy.
-enum class SchedulerPolicy {
-  kPaperRules,  ///< the channel-multiple rules of Sec. III-B (default)
-  kWidest,      ///< always the widest ISA the hardware supports
-};
-
-/// Selects the ISA level for an operator whose packed dimension (channels
-/// for conv/pool, input neurons for FC) is `channels`, on hardware `f`.
-[[nodiscard]] simd::IsaLevel select_isa(std::int64_t channels, const simd::CpuFeatures& f,
-                                        SchedulerPolicy policy = SchedulerPolicy::kPaperRules);
+/// The paper's channel rule: the ISA level for an operator whose packed
+/// dimension (channels for conv/pool, input neurons for FC) is `channels`,
+/// on hardware `f`.
+[[nodiscard]] simd::IsaLevel select_isa(std::int64_t channels, const simd::CpuFeatures& f);
 
 /// Human-readable justification of a selection ("C=256 is a multiple of 256
 /// -> avx2 (rule 2)"), used by the Fig. 6 mapping report.
 [[nodiscard]] std::string explain_isa_selection(std::int64_t channels,
-                                                const simd::CpuFeatures& f,
-                                                SchedulerPolicy policy);
+                                                const simd::CpuFeatures& f);
 
 /// The ISA and register-tile width a conv or fc layer runs at.
 struct KernelPlan {

@@ -11,7 +11,7 @@ namespace {
 
 simd::IsaLevel pick_isa(std::int64_t packed_dim, const BinaryOpOptions& options) {
   if (options.force_isa.has_value()) return *options.force_isa;
-  return graph::select_isa(packed_dim, simd::cpu_features(), options.policy);
+  return graph::select_isa(packed_dim, simd::cpu_features());
 }
 
 /// The engine's plan for a layer of `k` filters or output neurons.

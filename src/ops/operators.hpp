@@ -30,8 +30,6 @@ namespace bitflow::ops {
 
 /// Shared options for binary operators.
 struct BinaryOpOptions {
-  /// The pool's ISA rule (conv and fc follow graph::default_kernel_plan).
-  graph::SchedulerPolicy policy = graph::SchedulerPolicy::kPaperRules;
   /// Overrides the scheduler's ISA (ISA ablation): conv and fc run the
   /// engine plan capped at it, pools run it as is.  The caller must ensure
   /// hardware support.

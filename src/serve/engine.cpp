@@ -15,7 +15,6 @@
 #include "core/failpoint.hpp"
 #include "core/sync.hpp"
 #include "core/thread_annotations.hpp"
-#include "serve/batcher.hpp"
 #include "serve/error_map.hpp"
 #include "serve/request_queue.hpp"
 #include "simd/cpu_features.hpp"
@@ -370,8 +369,43 @@ struct Engine::Impl {
     }
   }
 
+  /// Micro-batching: blocks for the first request (no busy-wait when idle),
+  /// then keeps coalescing until max_batch live requests are in hand or
+  /// batch_timeout has elapsed since the first pop.  The window trades a
+  /// little latency at low load for the per-layer fork/join amortization a
+  /// batch buys at high load; under saturation it never expires because the
+  /// queue always has a next request ready.  A request whose deadline lapsed
+  /// in queue goes to `expired` instead of taking a batch slot.  Both
+  /// vectors are cleared first; false means the queue is closed and drained
+  /// (the worker's signal to exit), and a true return with an empty `batch`
+  /// is possible when every popped request had expired.
+  bool next_batch(std::vector<Request>& batch, std::vector<Request>& expired) {
+    batch.clear();
+    expired.clear();
+    auto classify = [&](Request&& r) {
+      if (r.deadline <= std::chrono::steady_clock::now()) {
+        expired.push_back(std::move(r));
+      } else {
+        batch.push_back(std::move(r));
+      }
+    };
+    std::optional<Request> first = queue.pop();
+    if (!first.has_value()) return false;
+    const auto window_end = std::chrono::steady_clock::now() + cfg.batch_timeout;
+    classify(*std::move(first));
+    // Expired requests take no slot: keep pulling until max_batch live ones
+    // or the window closes (pop_until also returns at once on a closed,
+    // empty queue).
+    while (static_cast<std::int64_t>(batch.size()) < cfg.max_batch) {
+      std::optional<Request> r = queue.pop_until(window_end);
+      if (!r.has_value()) break;
+      classify(*std::move(r));
+    }
+    return true;
+  }
+
   /// Circuit breaker: this worker sits out for breaker_backoff (or until
-  /// shutdown/drain escalation), then returns to the batcher loop to
+  /// shutdown/drain escalation), then returns to the batching loop to
   /// re-probe with real traffic.
   void quarantine() BF_EXCLUDES(mu_) {
     quarantines.add();
@@ -389,7 +423,7 @@ struct Engine::Impl {
     --quarantined_;
   }
 
-  /// Worker thread body: replicated per-generation context + batcher loop.
+  /// Worker thread body: replicated per-generation context + batching loop.
   /// Exits when the queue is closed and drained; every popped request's
   /// promise resolves.
   void worker_main(int widx) {
@@ -432,13 +466,12 @@ struct Engine::Impl {
         std::this_thread::sleep_for(std::chrono::milliseconds(1));
       }
     }
-    Batcher batcher(queue, BatcherConfig{cfg.max_batch, cfg.batch_timeout});
     std::vector<Request> batch, lapsed;
     std::vector<const Tensor*> inputs;
     inputs.reserve(static_cast<std::size_t>(cfg.max_batch));
     int consecutive_failures = 0;
 
-    while (batcher.next_batch(batch, lapsed)) {
+    while (next_batch(batch, lapsed)) {
       for (Request& r : lapsed) resolve_expired(r);
 
       // Generation + drain checks at the batch boundary: one short lock.
@@ -612,6 +645,9 @@ Status validate_engine_config(const EngineConfig& cfg, bool check_isa) {
   }
   if (cfg.max_batch < 1) {
     return Status{ErrorCode::kBadInput, "EngineConfig: max_batch must be >= 1"};
+  }
+  if (cfg.batch_timeout.count() < 0) {
+    return Status{ErrorCode::kBadInput, "EngineConfig: batch_timeout must be >= 0"};
   }
   if (cfg.queue_capacity < 1) {
     return Status{ErrorCode::kBadInput, "EngineConfig: queue_capacity must be >= 1"};
@@ -880,13 +916,13 @@ core::Status Engine::drain(std::chrono::milliseconds timeout) {
   }
   if (escalated) {
     // Fast-fail queued requests from THIS thread instead of waiting for a
-    // worker to pop them: a worker can be wedged outside the batcher loop
+    // worker to pop them: a worker can be wedged outside its batching loop
     // (e.g. retrying a persistently failing context build), so the wait
     // below must be bounded by one layer of inference per running batch,
-    // never by worker recovery.  Races with concurrent batcher pops are
+    // never by worker recovery.  Races with concurrent next_batch() pops are
     // benign — whoever pops a request under drain_hard_ cancels it.  A
     // member whose own deadline already lapsed keeps the deadline
-    // vocabulary, exactly as the batcher's lapsed-request path would.
+    // vocabulary, exactly as next_batch()'s lapsed-request path would.
     while (std::optional<Request> r = im.queue.try_pop()) {
       if (r->deadline <= std::chrono::steady_clock::now()) {
         im.resolve_expired(*r);

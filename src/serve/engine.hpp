@@ -1,10 +1,17 @@
-// serve::Engine — the concurrent serving layer: bounded admission queue,
-// micro-batching scheduler, and a pool of worker threads each owning a
-// replicated inference context.
+// serve::Engine — BitFlow's serving front door and its one Status
+// boundary: bounded admission queue, micro-batching, and a pool of worker
+// threads each owning a replicated inference context.
 //
-//   callers ── submit() ──► RequestQueue ──► Batcher ──► worker 0 (ctx 0)
-//                 (two-lane, admission      (coalesce ≤ ├─► worker 1 (ctx 1)
-//                  control, shedding)        max_batch)  └─► ...
+//   callers ── submit() ──► RequestQueue ──► next_batch() ─► worker 0 (ctx 0)
+//                 (two-lane, admission      (coalesce ≤     ├─► worker 1 (ctx 1)
+//                  control, shedding)        max_batch)      └─► ...
+//
+// Everything below this API reports failure by exception (and contract
+// violations abort via BF_CHECK); everything above it sees a core::Status,
+// mapped by serve/error_map.hpp.  open()/create() never throw for malformed
+// files, overlong payloads, allocation failure or an unsupported ISA cap;
+// they return a Result carrying the mapped code.  A one-worker engine with
+// infer() is the plain blocking form: one request in, scores or a Status out.
 //
 // Concurrency model: the network is finalized once and immutable; each
 // worker owns a private graph::InferenceContext (buffers + thread pool), so
@@ -23,7 +30,9 @@
 //                  ▼
 //               Draining ──► Drained ──(shutdown)──► joined
 //
-// Error contract (the exception firewall of serve/session.hpp, extended):
+// Error contract:
+//   * bad input: a request whose shape does not match the network fails
+//     with kBadInput before admission and consumes no queue capacity;
 //   * admission: a full lane (or armed serve.queue_admit failpoint) fails
 //     the request with kResourceExhausted — callers never block or throw;
 //     adaptive load shedding additionally rejects (kResourceExhausted) a
@@ -33,10 +42,15 @@
 //     deadline lapses in queue fails with kDeadlineExceeded before wasting
 //     a batch slot; a batch whose every member has lapsed aborts at the
 //     network's next layer-boundary cancellation checkpoint and each member
-//     fails with kDeadlineExceeded (core/cancel.hpp);
+//     fails with kDeadlineExceeded (core/cancel.hpp).  The bound is
+//     cooperative: a worker wedged inside one kernel chunk delays the abort
+//     until that chunk returns;
 //   * poisoned batch: if a batch throws, the worker reruns each member
-//     individually so only the faulty request fails; the worker and engine
-//     keep serving.  A worker whose batches keep failing with
+//     individually — a batch of one included — so only the faulty request
+//     fails, with the mapped Status of its rerun, and a fault that does not
+//     recur is absorbed.  The worker and engine keep serving: buffers are
+//     written before they are read, so an abandoned request cannot poison
+//     its successor.  A worker whose batches keep failing with
 //     kWorkerFailure trips a circuit breaker and self-quarantines for a
 //     backoff before re-probing (stats().degraded reports quorum loss);
 //   * drain: stops admission (kUnavailable) and waits for in-flight work;
@@ -70,7 +84,8 @@ struct EngineConfig {
   int workers = 1;
   /// Largest micro-batch a worker runs in one fused pass.
   std::int64_t max_batch = 8;
-  /// How long a worker waits for a batch to fill after its first request.
+  /// How long a worker waits for a batch to fill after its first request
+  /// (>= 0; zero runs whatever is queued at once).
   std::chrono::microseconds batch_timeout{2000};
   /// Admission capacity *per priority lane*; submissions beyond it are
   /// rejected (the hard backpressure bound behind adaptive shedding).

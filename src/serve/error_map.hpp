@@ -1,11 +1,12 @@
-// Shared exception -> core::Status mapping for the serving boundary.
+// Exception -> core::Status mapping for the serving boundary.
 //
-// Both error boundaries (serve::InferenceSession and serve::Engine) translate
-// the exceptions thrown below them — loader failures, allocation exhaustion,
-// worker-pool aggregates, injected faults — into the same machine-readable
-// Status vocabulary, so callers see one contract regardless of which front
-// door they used.  Each function must be called from inside a catch block
-// (they rethrow the in-flight exception to classify it).
+// serve::Engine, and the ShardRouter that builds engines, translate the
+// exceptions thrown below them — loader failures, allocation exhaustion,
+// worker-pool aggregates, injected faults — into one machine-readable Status
+// vocabulary; the wire server classifies its own injected faults the same
+// way and forwards every code in its error frames.  The map_* functions
+// must be called from inside a catch block (they rethrow the in-flight
+// exception to classify it).
 #pragma once
 
 #include <string_view>

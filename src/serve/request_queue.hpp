@@ -2,7 +2,7 @@
 // serve::Engine.
 //
 // Producers are caller threads in Engine::submit(); consumers are the
-// engine's worker threads (through serve::Batcher).  The queue enforces
+// engine's worker threads (through Engine's next_batch).  The queue enforces
 // backpressure by capacity — try_push() refuses instead of blocking, so an
 // overloaded engine rejects with kResourceExhausted rather than building an
 // unbounded latency backlog.  Two lanes implement the engine's overload
@@ -63,7 +63,7 @@ struct Request {
   ResponseCallback done;  ///< when set, `promise` is never touched
   std::chrono::steady_clock::time_point enqueue_time{};
   /// Absolute end-to-end deadline; time_point::max() = no deadline.  Covers
-  /// the whole request: queue wait (the batcher fails lapsed requests with
+  /// the whole request: queue wait (the worker fails lapsed requests with
   /// kDeadlineExceeded before they consume a batch slot) *and* execution
   /// (the batch runs under a CancelToken armed with the batch's latest
   /// member deadline; the network aborts at its next layer-boundary

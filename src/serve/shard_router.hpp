@@ -6,8 +6,8 @@
 //                                                          ──► ...
 //
 // Why shards instead of one big engine: each Engine serializes admission
-// through one queue and one lifecycle mutex, and its workers share one
-// batcher.  Sharding multiplies those serialization points and — with
+// through one queue and one lifecycle mutex, from which its workers pop
+// their batches.  Sharding multiplies those serialization points and — with
 // micro-batching — lets one shard's batch_timeout fill-wait overlap another
 // shard's compute, so the tier's sustained QPS scales past a single queue's
 // even on few cores.

@@ -83,9 +83,10 @@ struct Slot {
 };
 
 /// One thread's event ring: kTraceRingEvents slots that keep the newest
-/// events, overwriting the oldest.  Single writer (the owning thread);
-/// readers run concurrently through the per-slot seqlock.  Never reset or
-/// resized, so a span that straddles a re-arm writes into the same memory.
+/// events, overwriting the oldest.  Single writer (the thread holding it;
+/// it changes hands only at thread exit, under TraceState::mu); readers run
+/// concurrently through the per-slot seqlock.  Never reset or resized, so a
+/// span that straddles a re-arm writes into the same memory.
 struct ThreadRing {
   explicit ThreadRing(std::uint32_t thread_id) : slots(kTraceRingEvents), tid(thread_id) {}
   std::vector<Slot> slots;
@@ -140,9 +141,14 @@ struct TraceState {
   std::uint32_t next_tid BF_GUARDED_BY(mu) = 1;
   // Ordering contract: relaxed fetch_add — ids only need uniqueness.
   std::atomic<std::uint64_t> next_async_id{1};
-  // Rings live for the whole process: a thread that exits keeps its events.
-  // The vector is guarded; the pointed-to rings are lock-free (see above).
+  // Rings live for the whole process and keep their events after their
+  // thread exits.  The vector is guarded; the pointed-to rings are
+  // lock-free (see above).
   std::vector<RingEntry> rings BF_GUARDED_BY(mu);
+  // Rings whose threads exited, the most recently freed last; the next
+  // thread to record takes the back one.  The mutex hands a ring from its
+  // old writer to its new one.
+  std::vector<ThreadRing*> free_rings BF_GUARDED_BY(mu);
 };
 
 /// Events overwritten since the session armed, summed over every ring.
@@ -173,18 +179,48 @@ TraceState& state() {
   return *s;
 }
 
-ThreadRing* this_thread_ring() {
-  // One registration per (thread, process): the global list owns the ring
-  // past thread exit, so the renderer never reads freed memory.  A ring born
-  // mid-session starts at base 0.
-  thread_local ThreadRing* ring = [] {
+// The calling thread's ring: null before its first record and after its
+// exit returned the ring.  Both are trivially destructible, so a record made
+// from any thread_local destructor still reads them.
+thread_local ThreadRing* t_ring = nullptr;
+thread_local bool t_ring_returned = false;
+
+/// Returns the thread's ring to the free list when the thread exits.
+struct RingReturn {
+  RingReturn() = default;
+  RingReturn(const RingReturn&) = delete;
+  RingReturn& operator=(const RingReturn&) = delete;
+  ~RingReturn() {
     TraceState& st = state();
     core::MutexLock lock(st.mu);
-    st.rings.push_back({std::make_unique<ThreadRing>(st.next_tid++), 0});
-    return st.rings.back().ring.get();
-  }();
-  return ring;
+    st.free_rings.push_back(t_ring);
+    t_ring = nullptr;
+    t_ring_returned = true;
+  }
+};
+
+/// Slow path of this_thread_ring(): the most recently freed ring, or a new
+/// one registered for the life of the process (the renderer never reads
+/// freed memory).  A ring born mid-session starts at base 0.
+ThreadRing* acquire_ring() {
+  // The ring this thread returned may belong to another thread by now.
+  if (t_ring_returned) return nullptr;
+  TraceState& st = state();
+  {
+    core::MutexLock lock(st.mu);
+    if (st.free_rings.empty()) {
+      st.rings.push_back({std::make_unique<ThreadRing>(st.next_tid++), 0});
+      t_ring = st.rings.back().ring.get();
+    } else {
+      t_ring = st.free_rings.back();
+      st.free_rings.pop_back();
+    }
+  }
+  thread_local RingReturn on_exit;
+  return t_ring;
 }
+
+ThreadRing* this_thread_ring() { return t_ring != nullptr ? t_ring : acquire_ring(); }
 
 /// Opens a session: every ring's current head becomes its base, so the
 /// render starts at the first event recorded from here on.
@@ -334,18 +370,20 @@ std::uint64_t now_ns() noexcept {
 
 void trace_record(const char* name, const char* cat, std::uint64_t start_ns,
                   std::uint64_t end_ns, std::int64_t arg, std::uint64_t rid) {
-  this_thread_ring()->push(name, cat, start_ns, end_ns, arg, rid, kIdNone, 'X');
+  if (ThreadRing* r = this_thread_ring()) {
+    r->push(name, cat, start_ns, end_ns, arg, rid, kIdNone, 'X');
+  }
 }
 
 void trace_record_async(const char* name, const char* cat, std::uint64_t start_ns,
                         std::uint64_t end_ns, std::uint64_t id, std::uint64_t rid) {
   if (id == kIdNone) id -= 1;
-  this_thread_ring()->push(name, cat, start_ns, end_ns, -1, rid, id, 'a');
+  if (ThreadRing* r = this_thread_ring()) r->push(name, cat, start_ns, end_ns, -1, rid, id, 'a');
 }
 
 void trace_record_instant(const char* name, const char* cat, std::uint64_t ts_ns,
                           std::uint64_t rid) {
-  this_thread_ring()->push(name, cat, ts_ns, ts_ns, -1, rid, kIdNone, 'i');
+  if (ThreadRing* r = this_thread_ring()) r->push(name, cat, ts_ns, ts_ns, -1, rid, kIdNone, 'i');
 }
 
 }  // namespace detail

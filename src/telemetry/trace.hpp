@@ -45,7 +45,12 @@
 // overwrites the oldest.  Rings are never reset or resized: arming records
 // each ring's head, a trace shows only what was recorded since, and the
 // events a session lost to wrapping are reported in the trace metadata and
-// surfaced as the `telemetry.trace.dropped` registry gauge.
+// surfaced as the `telemetry.trace.dropped` registry gauge.  A thread that
+// exits hands its ring, events and tid included, to the next thread that
+// records, so the rings number the most threads ever recording at once and
+// a tid is a ring's track: short-lived threads run one after another share
+// one.  A record made after its thread's ring went back (from a later
+// thread_local destructor) is dropped.
 #pragma once
 
 #include <atomic>

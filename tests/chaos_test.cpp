@@ -24,6 +24,7 @@
 #include <cstdlib>
 #include <future>
 #include <random>
+#include <span>
 #include <thread>
 #include <vector>
 
@@ -35,7 +36,6 @@
 #include "io/model.hpp"
 #include "models/vgg.hpp"
 #include "serve/engine.hpp"
-#include "serve/session.hpp"
 #include "tensor/util.hpp"
 
 namespace bitflow::serve {
@@ -102,16 +102,17 @@ TEST(ChaosSoak, LifecycleInvariantsHoldUnderRandomizedFaultsAndReloads) {
   failpoint::disarm_all();
   const io::Model model = make_model();
 
-  // Single-stream reference: every successful answer must equal this.
+  // Single-stream reference straight from the network: every successful
+  // answer must equal this.
   Tensor input = Tensor::hwc(8, 8, 8);
   fill_uniform(input, 5);
   std::vector<float> ref;
   {
-    SessionConfig sc;
-    sc.net.num_threads = 2;
-    auto r = InferenceSession::from_model(model, sc);
-    ASSERT_TRUE(r.is_ok()) << r.status().to_string();
-    ASSERT_TRUE(r.value().infer(input, ref).is_ok());
+    graph::NetworkConfig nc;
+    nc.num_threads = 2;
+    graph::BinaryNetwork net = model.instantiate(nc);
+    const std::span<const float> s = net.infer(input);
+    ref.assign(s.begin(), s.end());
   }
 
   EngineConfig cfg;

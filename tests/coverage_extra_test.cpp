@@ -78,8 +78,9 @@ TEST(TrainExtra, BinaryFcLatentClipping) {
 }
 
 TEST(SchedulerExtra, WidestPolicyRespectsMaxIsaCap) {
+  // Conv and fc layers take the widest ISA the CPU has (default_kernel_plan);
+  // the cap still binds every layer.
   graph::NetworkConfig cfg;
-  cfg.policy = graph::SchedulerPolicy::kWidest;
   cfg.max_isa = simd::IsaLevel::kU64;
   graph::BinaryNetwork net(cfg);
   net.add_conv("c", models::random_filters(8, 3, 3, 512, 1), 1, 1);

@@ -1,9 +1,9 @@
 // serve::Engine: the concurrent serving subsystem.
 //
 // Covers the acceptance criteria of the serving-engine tentpole:
-//   * bit-exactness: every batched result equals the single-stream
-//     InferenceSession answer for the same input, whatever micro-batch the
-//     scheduler happened to form;
+//   * bit-exactness: every batched result equals the network's own batch-1
+//     answer for the same input, whatever micro-batch the scheduler
+//     happened to form;
 //   * concurrency: many caller threads submitting against a multi-worker
 //     engine (this binary runs under TSan in CI);
 //   * backpressure: a full admission queue rejects with kResourceExhausted
@@ -13,6 +13,8 @@
 //   * fault injection: serve.queue_admit and serve.infer faults map to the
 //     documented Status codes, poison only the targeted request, and leave
 //     the engine servable;
+//   * config validation: a bad EngineConfig is kBadInput from create(),
+//     never a throw on a worker thread;
 //   * shutdown: every admitted future resolves (no broken_promise), and
 //     post-shutdown submits are rejected.
 //
@@ -22,6 +24,7 @@
 #include <chrono>
 #include <cstdint>
 #include <future>
+#include <span>
 #include <thread>
 #include <vector>
 
@@ -33,7 +36,6 @@
 #include "io/model.hpp"
 #include "models/vgg.hpp"
 #include "serve/engine.hpp"
-#include "serve/session.hpp"
 #include "tensor/util.hpp"
 
 namespace bitflow::serve {
@@ -69,22 +71,18 @@ class EngineTest : public ::testing::Test {
   void SetUp() override {
     failpoint::disarm_all();
     model_ = make_model();
-    // Single-stream reference answers via the session layer (independent of
-    // the engine's batching path).
-    SessionConfig sc;
-    sc.net.num_threads = 2;
-    auto ref = InferenceSession::from_model(model_, sc);
-    ASSERT_TRUE(ref.is_ok()) << ref.status().to_string();
-    session_ = std::make_unique<InferenceSession>(std::move(ref.value()));
+    // Single-stream reference answers straight from the network
+    // (independent of serve and of the engine's batching path).
+    graph::NetworkConfig nc;
+    nc.num_threads = 2;
+    ref_net_ = model_.instantiate(nc);
   }
 
   void TearDown() override { failpoint::disarm_all(); }
 
   std::vector<float> reference_scores(const Tensor& input) {
-    std::vector<float> out;
-    const core::Status st = session_->infer(input, out);
-    EXPECT_TRUE(st.is_ok()) << st.to_string();
-    return out;
+    const std::span<const float> s = ref_net_.infer(input);
+    return {s.begin(), s.end()};
   }
 
   Engine make_engine(EngineConfig cfg) {
@@ -94,7 +92,7 @@ class EngineTest : public ::testing::Test {
   }
 
   io::Model model_{graph::TensorDesc{8, 8, 8}};
-  std::unique_ptr<InferenceSession> session_;
+  graph::BinaryNetwork ref_net_;
 };
 
 // --- construction -----------------------------------------------------------
@@ -112,6 +110,20 @@ TEST_F(EngineTest, CreateValidatesConfig) {
   cfg = {};
   cfg.net.num_threads = 0;
   EXPECT_EQ(Engine::create(model_, cfg).status().code(), ErrorCode::kBadInput);
+}
+
+TEST_F(EngineTest, CreateRejectsNegativeBatchTimeout) {
+  // A negative coalescing window is a config error: create() reports it
+  // instead of starting workers that cannot batch.
+  EngineConfig cfg;
+  cfg.batch_timeout = -1us;
+  EXPECT_EQ(Engine::create(model_, cfg).status().code(), ErrorCode::kBadInput);
+  cfg.batch_timeout = 0us;
+  Engine engine = make_engine(cfg);
+  const Tensor input = make_input(3);
+  auto r = engine.infer(input);
+  ASSERT_TRUE(r.is_ok()) << r.status().to_string();
+  EXPECT_EQ(r.value(), reference_scores(input));
 }
 
 TEST_F(EngineTest, OpenRejectsMissingFile) {

@@ -1,12 +1,15 @@
-// Fault-injection matrix for the serving boundary.
+// Fault-injection matrix for the serving boundary, serve::Engine.
 //
 // Iterates every registered failpoint across every trigger mode and
-// asserts the three guarantees of ISSUE 2's acceptance criteria:
-//   1. InferenceSession surfaces the injected fault as the mapped non-OK
-//      Status — never an abort, never an exception across the API;
+// asserts the boundary's guarantees:
+//   1. an injected fault surfaces as its mapped non-OK Status — never an
+//      abort, never an exception across the API — unless the engine's
+//      per-member rerun absorbs it, in which case the request succeeds
+//      bit-exactly (a failed batch, even a batch of one, is rerun once per
+//      member);
 //   2. nothing leaks (the suite runs under ASan in CI with
 //      detect_leaks=1);
-//   3. the session/file remains usable afterwards: an immediately
+//   3. the engine and the file remain usable afterwards: an immediately
 //      following un-faulted request succeeds bit-exactly.
 // Also unit-tests the failpoint framework itself (triggers, spec parsing,
 // env activation) and the end-to-end deadline (cooperative cancellation).
@@ -19,8 +22,11 @@
 
 #include <cstdlib>
 #include <filesystem>
+#include <fstream>
 #include <set>
+#include <span>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -30,7 +36,7 @@
 #include "core/status.hpp"
 #include "io/model.hpp"
 #include "models/vgg.hpp"
-#include "serve/session.hpp"
+#include "serve/engine.hpp"
 #include "tensor/util.hpp"
 
 namespace bitflow::serve {
@@ -53,9 +59,11 @@ io::Model make_model() {
   return m;
 }
 
-SessionConfig session_cfg() {
-  SessionConfig c;
+/// One worker that runs each request as it arrives: the blocking front door.
+EngineConfig engine_cfg() {
+  EngineConfig c;
   c.net.num_threads = 4;
+  c.batch_timeout = std::chrono::microseconds(0);
   return c;
 }
 
@@ -85,15 +93,24 @@ class FaultMatrixTest : public ::testing::Test {
     make_model().save(path_);
     input_ = Tensor::hwc(8, 8, 8);
     fill_uniform(input_, 5);
-    auto ref = InferenceSession::open(path_, session_cfg());
-    ASSERT_TRUE(ref.is_ok()) << ref.status().to_string();
-    ASSERT_TRUE(ref.value().infer(input_, ref_scores_).is_ok());
+    // Reference scores from the saved file's network, independent of serve.
+    graph::NetworkConfig nc;
+    nc.num_threads = 4;
+    graph::BinaryNetwork net = io::Model::load(path_).instantiate(nc);
+    const std::span<const float> s = net.infer(input_);
+    ref_scores_.assign(s.begin(), s.end());
     ASSERT_FALSE(ref_scores_.empty());
   }
 
   void TearDown() override {
     failpoint::disarm_all();
     std::filesystem::remove(path_);
+  }
+
+  Engine open_engine(const EngineConfig& cfg = engine_cfg()) {
+    auto r = Engine::open(path_, cfg);
+    EXPECT_TRUE(r.is_ok()) << r.status().to_string();
+    return std::move(r).value();
   }
 
   /// Runs `op` until it reports a failure (a trigger like every(2) may need
@@ -107,11 +124,10 @@ class FaultMatrixTest : public ::testing::Test {
     return core::Status::ok();
   }
 
-  void expect_bit_exact_recovery(InferenceSession& session) {
-    std::vector<float> out;
-    const core::Status st = session.infer(input_, out);
-    ASSERT_TRUE(st.is_ok()) << st.to_string();
-    EXPECT_EQ(out, ref_scores_);
+  void expect_bit_exact_recovery(Engine& engine) {
+    const auto r = engine.infer(input_);
+    ASSERT_TRUE(r.is_ok()) << r.status().to_string();
+    EXPECT_EQ(r.value(), ref_scores_);
   }
 
   std::string path_;
@@ -121,7 +137,7 @@ class FaultMatrixTest : public ::testing::Test {
 
 // --- the matrix -------------------------------------------------------------
 
-/// Failpoints whose faults land while opening a session (model load/build).
+/// Failpoints whose faults land while opening an engine (model load/build).
 TEST_F(FaultMatrixTest, OpenPhaseFailpointsMapToStatusAndRecover) {
   struct Entry {
     const char* point;
@@ -138,24 +154,24 @@ TEST_F(FaultMatrixTest, OpenPhaseFailpointsMapToStatusAndRecover) {
     for (const Mode& m : kModes) {
       SCOPED_TRACE(std::string(e.point) + " x " + m.label);
       failpoint::arm(e.point, Config{e.action, m.trigger, m.n});
-      const core::Status st = run_until_failure([&] {
-        auto r = InferenceSession::open(path_, session_cfg());
-        return r.status();
-      });
+      const core::Status st =
+          run_until_failure([&] { return Engine::open(path_, engine_cfg()).status(); });
       EXPECT_FALSE(st.is_ok()) << "failpoint never fired";
       EXPECT_EQ(st.code(), e.expect) << st.to_string();
       failpoint::disarm_all();
       // The file itself is untouched: the next open + infer must succeed
       // bit-exactly.
-      auto r = InferenceSession::open(path_, session_cfg());
-      ASSERT_TRUE(r.is_ok()) << r.status().to_string();
-      expect_bit_exact_recovery(r.value());
+      Engine engine = open_engine();
+      expect_bit_exact_recovery(engine);
     }
   }
 }
 
-/// Failpoints whose faults land inside infer(); the SAME session must keep
-/// serving good requests after each injected fault.
+/// Failpoints whose faults land inside inference.  Each attempt must be
+/// either a bit-exact success (the per-member rerun absorbed the fault) or
+/// exactly the mapped code; `always` must surface the code, the rerun must
+/// absorb a one-off serve.infer fault, and the SAME engine must serve the
+/// next clean request bit-exactly.
 TEST_F(FaultMatrixTest, InferPhaseFailpointsMapToStatusAndSessionSurvives) {
   struct Entry {
     const char* point;
@@ -170,50 +186,61 @@ TEST_F(FaultMatrixTest, InferPhaseFailpointsMapToStatusAndSessionSurvives) {
       // the run as if the request had been cancelled mid-inference.
       {"serve.cancel_checkpoint", Action::kSite, ErrorCode::kCancelled},
   };
-  auto r = InferenceSession::open(path_, session_cfg());
-  ASSERT_TRUE(r.is_ok());
-  InferenceSession session = std::move(r).value();
+  constexpr int kAttempts = 3;
+  Engine engine = open_engine();
+  expect_bit_exact_recovery(engine);
   for (const Entry& e : entries) {
     for (const Mode& m : kModes) {
       SCOPED_TRACE(std::string(e.point) + " x " + m.label);
       failpoint::arm(e.point, Config{e.action, m.trigger, m.n});
-      std::vector<float> out;
-      const core::Status st =
-          run_until_failure([&] { return session.infer(input_, out); });
-      EXPECT_FALSE(st.is_ok()) << "failpoint never fired";
-      EXPECT_EQ(st.code(), e.expect) << st.to_string();
+      int failures = 0;
+      for (int attempt = 0; attempt < kAttempts; ++attempt) {
+        const auto r = engine.infer(input_);
+        if (r.is_ok()) {
+          EXPECT_EQ(r.value(), ref_scores_) << "attempt " << attempt;
+        } else {
+          EXPECT_EQ(r.status().code(), e.expect) << r.status().to_string();
+          ++failures;
+        }
+      }
+      if (m.trigger == Trigger::kAlways) {
+        EXPECT_EQ(failures, kAttempts) << "always must surface the mapped code";
+      }
+      if (std::string_view(e.point) == "serve.infer" && m.trigger == Trigger::kOnce) {
+        EXPECT_EQ(failures, 0) << "the per-member rerun must absorb a one-off fault";
+      }
       failpoint::disarm_all();
-      expect_bit_exact_recovery(session);
+      expect_bit_exact_recovery(engine);
     }
   }
-  EXPECT_GT(session.ok_count(), 0u);
-  EXPECT_GT(session.error_count(), 0u);
+  const EngineStats s = engine.stats();
+  EXPECT_GT(s.completed, 0u);
+  EXPECT_GT(s.failed, 0u);
+  EXPECT_GT(s.cancelled, 0u);
+  EXPECT_EQ(s.accepted, s.completed + s.failed + s.expired + s.cancelled);
 }
 
 /// An injected stall degrades to kDeadlineExceeded instead of hanging, and
-/// the straggling request is drained before the next one starts.
+/// the engine serves the next request once the stalled batch is abandoned.
 TEST_F(FaultMatrixTest, InjectedStallDegradesToDeadlineExceeded) {
-  SessionConfig cfg = session_cfg();
-  cfg.deadline = std::chrono::milliseconds(50);
-  auto r = InferenceSession::open(path_, cfg);
-  ASSERT_TRUE(r.is_ok());
-  InferenceSession session = std::move(r).value();
+  EngineConfig cfg = engine_cfg();
+  cfg.default_deadline = std::chrono::milliseconds(50);
+  Engine engine = open_engine(cfg);
 
-  // Un-faulted requests take the watchdog path and stay bit-exact.
-  expect_bit_exact_recovery(session);
+  // Un-faulted requests finish inside the deadline and stay bit-exact.
+  expect_bit_exact_recovery(engine);
 
   Config stall;
   stall.action = Action::kStall;
   stall.trigger = Trigger::kOnce;
   stall.stall_ms = 400;  // x8 the deadline: robust under sanitizer slowdown
   failpoint::arm("runtime.worker_stall", stall);
-  std::vector<float> out;
-  const core::Status st = session.infer(input_, out);
-  EXPECT_EQ(st.code(), ErrorCode::kDeadlineExceeded) << st.to_string();
+  const auto r = engine.infer(input_);
+  EXPECT_EQ(r.status().code(), ErrorCode::kDeadlineExceeded) << r.status().to_string();
   failpoint::disarm_all();
 
-  // The next request transparently awaits the straggler, then succeeds.
-  expect_bit_exact_recovery(session);
+  expect_bit_exact_recovery(engine);
+  EXPECT_EQ(engine.stats().expired, 1u);
 }
 
 /// Forced ISA fallback is graceful degradation, not an error: every layer
@@ -221,38 +248,34 @@ TEST_F(FaultMatrixTest, InjectedStallDegradesToDeadlineExceeded) {
 TEST_F(FaultMatrixTest, ForcedIsaFallbackKeepsResultsBitExact) {
   failpoint::arm("simd.force_fallback",
                  Config{Action::kSite, Trigger::kAlways, 1});
-  auto r = InferenceSession::open(path_, session_cfg());
-  ASSERT_TRUE(r.is_ok()) << r.status().to_string();
-  for (const graph::LayerInfo& info : r.value().layers()) {
+  Engine engine = open_engine();
+  for (const graph::LayerInfo& info : engine.layers()) {
     if (!info.full_precision) {
       EXPECT_EQ(info.isa, simd::IsaLevel::kU64) << info.name;
     }
   }
-  expect_bit_exact_recovery(r.value());
+  expect_bit_exact_recovery(engine);
 }
 
-/// A shape-mismatched request is kBadInput and must not poison the session.
+/// A shape-mismatched request is kBadInput and must not poison the engine.
 TEST_F(FaultMatrixTest, BadInputIsRejectedWithoutPoisoningTheSession) {
-  auto r = InferenceSession::open(path_, session_cfg());
-  ASSERT_TRUE(r.is_ok());
-  Tensor wrong = Tensor::hwc(9, 8, 8);
-  std::vector<float> out;
-  const core::Status st = r.value().infer(wrong, out);
-  EXPECT_EQ(st.code(), ErrorCode::kBadInput);
-  EXPECT_TRUE(out.empty());  // untouched on failure
-  expect_bit_exact_recovery(r.value());
+  Engine engine = open_engine();
+  const auto r = engine.infer(Tensor::hwc(9, 8, 8));
+  EXPECT_EQ(r.status().code(), ErrorCode::kBadInput);
+  EXPECT_EQ(engine.stats().rejected, 1u);
+  expect_bit_exact_recovery(engine);
 }
 
 /// Opening garbage (or a missing file) is kInvalidModel, not a throw.
 TEST_F(FaultMatrixTest, MalformedFilesSurfaceAsInvalidModel) {
   const std::string missing =
       (std::filesystem::temp_directory_path() / "bitflow_no_such.bflow").string();
-  EXPECT_EQ(InferenceSession::open(missing, session_cfg()).status().code(),
-            ErrorCode::kInvalidModel);
+  EXPECT_EQ(Engine::open(missing, engine_cfg()).status().code(), ErrorCode::kInvalidModel);
 
-  std::stringstream garbage("definitely not a model");
-  EXPECT_EQ(InferenceSession::open(garbage, session_cfg()).status().code(),
-            ErrorCode::kInvalidModel);
+  const std::string garbage = path_ + ".garbage";
+  std::ofstream(garbage) << "definitely not a model";
+  EXPECT_EQ(Engine::open(garbage, engine_cfg()).status().code(), ErrorCode::kInvalidModel);
+  std::filesystem::remove(garbage);
 }
 
 /// An ISA cap the hardware cannot execute is reported, not crashed on.
@@ -261,10 +284,9 @@ TEST_F(FaultMatrixTest, UnsupportedIsaCapIsReported) {
   if (hw.supports(simd::IsaLevel::kAvx512)) {
     GTEST_SKIP() << "host supports every ISA level; nothing to reject";
   }
-  SessionConfig cfg = session_cfg();
+  EngineConfig cfg = engine_cfg();
   cfg.net.max_isa = simd::IsaLevel::kAvx512;
-  EXPECT_EQ(InferenceSession::open(path_, cfg).status().code(),
-            ErrorCode::kUnsupportedIsa);
+  EXPECT_EQ(Engine::open(path_, cfg).status().code(), ErrorCode::kUnsupportedIsa);
 }
 
 // --- failpoint framework unit tests ----------------------------------------
@@ -288,14 +310,15 @@ TEST_F(FailpointFrameworkTest, CatalogIsFixedAndUnknownNamesAreRejected) {
 /// wiring it into a matrix (and listing it here with where it is covered)
 /// fails this test instead of leaving a silent coverage hole.
 TEST_F(FailpointFrameworkTest, CatalogIsExhaustivelyCovered) {
+  // Both matrices above run through serve::Engine::open and infer.
   const std::set<std::string> covered = {
       "io.open",                  // open-phase matrix above
       "io.read_header",           // open-phase matrix above
       "io.read_weights",          // open-phase matrix above
-      "alloc.buffer",             // open-phase matrix above; chaos_test; io_test ModelSharing
-      "runtime.worker",           // infer-phase matrix above; lifecycle_test breaker
-      "runtime.worker_stall",     // InjectedStallDegradesToDeadlineExceeded
-      "serve.infer",              // infer-phase matrix above; engine_test
+      "alloc.buffer",             // open-phase matrix; chaos_test; io_test ModelSharing
+      "runtime.worker",           // infer-phase matrix; lifecycle_test breaker; io_test
+      "runtime.worker_stall",     // InjectedStallDegradesToDeadlineExceeded; io_test
+      "serve.infer",              // infer-phase matrix (batch and rerun sites); engine_test
       "serve.queue_admit",        // engine_test admission fault; chaos_test
       "serve.shed",               // lifecycle_test forced shed; chaos_test
       "serve.cancel_checkpoint",  // infer-phase matrix above; lifecycle_test

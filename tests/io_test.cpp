@@ -28,7 +28,6 @@
 #include "io/model.hpp"
 #include "models/vgg.hpp"
 #include "serve/engine.hpp"
-#include "serve/session.hpp"
 #include "simd/cpu_features.hpp"
 #include "simd/parity.hpp"
 #include "telemetry/flight_recorder.hpp"
@@ -1029,7 +1028,7 @@ TEST(ModelStreamLoad, TruncationInsideAFannedOutBankThrows) {
 
 // --- faults inside a fanned-out load ---------------------------------------------
 
-/// The StreamModel saved to a per-process file, and the scores a session
+/// The StreamModel saved to a per-process file, and the scores an engine
 /// opened on it serves without faults.
 class ModelStreamLoadFaults : public ::testing::Test {
  protected:
@@ -1054,18 +1053,18 @@ class ModelStreamLoadFaults : public ::testing::Test {
     if (!path_.empty()) std::filesystem::remove(path_);
   }
 
-  static serve::SessionConfig cfg() {
-    serve::SessionConfig c;
+  static serve::EngineConfig cfg() {
+    serve::EngineConfig c;
     c.net.num_threads = 2;
     return c;
   }
 
-  /// Opens a session and serves input_ once (empty on any failure).
+  /// Opens an engine and serves input_ once (empty on any failure).
   std::vector<float> serve_once() {
-    auto s = serve::InferenceSession::open(path_, cfg());
-    std::vector<float> out;
-    if (!s.is_ok() || !s.value().infer(input_, out).is_ok()) return {};
-    return out;
+    auto opened = serve::Engine::open(path_, cfg());
+    if (!opened.is_ok()) return {};
+    auto scores = opened.value().infer(input_);
+    return scores.is_ok() ? std::move(scores).value() : std::vector<float>{};
   }
 
   /// Arms `point` under each trigger, opens, and checks the result (`want`
@@ -1075,7 +1074,7 @@ class ModelStreamLoadFaults : public ::testing::Test {
     for (const Trigger trigger : {Trigger::kOnce, Trigger::kAlways}) {
       SCOPED_TRACE(std::string(point) + (trigger == Trigger::kOnce ? " once" : " always"));
       failpoint::arm(point, failpoint::Config{action, trigger, 1, 20});
-      const auto opened = serve::InferenceSession::open(path_, cfg());
+      const auto opened = serve::Engine::open(path_, cfg());
       failpoint::disarm(point);
       EXPECT_EQ(opened.status().code(), want) << opened.status().to_string();
       EXPECT_EQ(serve_once(), ref_);

@@ -22,6 +22,7 @@
 #include <chrono>
 #include <cstdint>
 #include <future>
+#include <span>
 #include <thread>
 #include <vector>
 
@@ -36,7 +37,6 @@
 #include "models/vgg.hpp"
 #include "serve/engine.hpp"
 #include "serve/request_queue.hpp"
-#include "serve/session.hpp"
 #include "tensor/util.hpp"
 
 namespace bitflow::serve {
@@ -68,15 +68,14 @@ Tensor make_input(std::uint64_t seed) {
   return t;
 }
 
-/// Single-stream reference scores for `input` under `model`.
+/// Single-stream reference scores for `input` under `model`, straight from
+/// the network (independent of serve).
 std::vector<float> reference_scores(const io::Model& model, const Tensor& input) {
-  SessionConfig sc;
-  sc.net.num_threads = 2;
-  auto r = InferenceSession::from_model(model, sc);
-  EXPECT_TRUE(r.is_ok()) << r.status().to_string();
-  std::vector<float> out;
-  EXPECT_TRUE(r.value().infer(input, out).is_ok());
-  return out;
+  graph::NetworkConfig nc;
+  nc.num_threads = 2;
+  graph::BinaryNetwork net = model.instantiate(nc);
+  const std::span<const float> s = net.infer(input);
+  return {s.begin(), s.end()};
 }
 
 class LifecycleTest : public ::testing::Test {

@@ -198,18 +198,6 @@ TEST(BinaryNetwork, ThreadCountInvariance) {
   for (std::size_t i = 0; i < s1.size(); ++i) ASSERT_EQ(s1[i], s4[i]);
 }
 
-TEST(BinaryNetwork, SchedulerPolicyDoesNotChangeResults) {
-  Tensor input = Tensor::hwc(16, 16, 16);
-  fill_uniform(input, 8);
-  NetworkConfig paper, widest;
-  widest.policy = SchedulerPolicy::kWidest;
-  BinaryNetwork a = make_small_net(paper);
-  BinaryNetwork b = make_small_net(widest);
-  const auto sa = a.infer(input);
-  const auto sb = b.infer(input);
-  for (std::size_t i = 0; i < sa.size(); ++i) ASSERT_EQ(sa[i], sb[i]);
-}
-
 TEST(BinaryNetwork, RepeatedInferenceIsDeterministicAndPaddingStaysArmed) {
   // Every run must see all-zero margins although the arenas under the padded
   // buffers are reused by other layers, or the second inference would differ.

@@ -45,34 +45,20 @@ TEST(Scheduler, RulesDegradeWithHardware) {
   EXPECT_EQ(select_isa(512, f), IsaLevel::kU64);
 }
 
-TEST(Scheduler, WidestPolicyIgnoresChannelMultiples) {
-  const CpuFeatures f = all_features();
-  EXPECT_EQ(select_isa(64, f, SchedulerPolicy::kWidest), IsaLevel::kAvx512);
-  EXPECT_EQ(select_isa(3, f, SchedulerPolicy::kWidest), IsaLevel::kAvx512);
-}
-
 TEST(Scheduler, ExplainStringsNameTheRule) {
   const CpuFeatures f = all_features();
-  EXPECT_NE(explain_isa_selection(512, f, SchedulerPolicy::kPaperRules).find("rule 1"),
-            std::string::npos);
-  EXPECT_NE(explain_isa_selection(256, f, SchedulerPolicy::kPaperRules).find("rule 2"),
-            std::string::npos);
-  EXPECT_NE(explain_isa_selection(128, f, SchedulerPolicy::kPaperRules).find("rule 3"),
-            std::string::npos);
-  EXPECT_NE(explain_isa_selection(64, f, SchedulerPolicy::kPaperRules).find("rule 4"),
-            std::string::npos);
-  EXPECT_NE(explain_isa_selection(3, f, SchedulerPolicy::kPaperRules).find("zero-padded"),
-            std::string::npos);
-  EXPECT_NE(explain_isa_selection(64, f, SchedulerPolicy::kWidest).find("widest"),
-            std::string::npos);
+  EXPECT_NE(explain_isa_selection(512, f).find("rule 1"), std::string::npos);
+  EXPECT_NE(explain_isa_selection(256, f).find("rule 2"), std::string::npos);
+  EXPECT_NE(explain_isa_selection(128, f).find("rule 3"), std::string::npos);
+  EXPECT_NE(explain_isa_selection(64, f).find("rule 4"), std::string::npos);
+  EXPECT_NE(explain_isa_selection(3, f).find("zero-padded"), std::string::npos);
 }
 
 TEST(Scheduler, SelectedIsaIsAlwaysSupported) {
   // Whatever the hardware, the selection must be executable.
   const CpuFeatures& real = simd::cpu_features();
   for (std::int64_t c : {1, 3, 32, 64, 128, 192, 256, 512, 4096, 25088}) {
-    EXPECT_TRUE(real.supports(select_isa(c, real, SchedulerPolicy::kPaperRules))) << c;
-    EXPECT_TRUE(real.supports(select_isa(c, real, SchedulerPolicy::kWidest))) << c;
+    EXPECT_TRUE(real.supports(select_isa(c, real))) << c;
   }
 }
 
@@ -87,25 +73,14 @@ TEST(Scheduler, SelectionNeverWidensAsHardwareNarrows) {
       CpuFeatures{},  // nothing: scalar only
   };
   for (std::int64_t c : {1, 3, 63, 64, 65, 128, 192, 256, 300, 512, 1024, 25088}) {
-    for (auto policy : {SchedulerPolicy::kPaperRules, SchedulerPolicy::kWidest}) {
-      IsaLevel prev = select_isa(c, tiers[0], policy);
-      for (std::size_t t = 1; t < std::size(tiers); ++t) {
-        const IsaLevel cur = select_isa(c, tiers[t], policy);
-        EXPECT_LE(static_cast<int>(cur), static_cast<int>(prev))
-            << "C=" << c << " widened from tier " << t - 1 << " to " << t;
-        EXPECT_TRUE(tiers[t].supports(cur)) << "C=" << c << " tier " << t;
-        prev = cur;
-      }
+    IsaLevel prev = select_isa(c, tiers[0]);
+    for (std::size_t t = 1; t < std::size(tiers); ++t) {
+      const IsaLevel cur = select_isa(c, tiers[t]);
+      EXPECT_LE(static_cast<int>(cur), static_cast<int>(prev))
+          << "C=" << c << " widened from tier " << t - 1 << " to " << t;
+      EXPECT_TRUE(tiers[t].supports(cur)) << "C=" << c << " tier " << t;
+      prev = cur;
     }
-  }
-}
-
-TEST(Scheduler, WidestPolicyIsAtLeastAsWideAsPaperRules) {
-  const CpuFeatures f = all_features();
-  for (std::int64_t c : {1, 7, 64, 100, 128, 256, 511, 512, 4096}) {
-    EXPECT_GE(static_cast<int>(select_isa(c, f, SchedulerPolicy::kWidest)),
-              static_cast<int>(select_isa(c, f, SchedulerPolicy::kPaperRules)))
-        << "C=" << c;
   }
 }
 

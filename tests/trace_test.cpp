@@ -2,8 +2,9 @@
 // real inference (batch-1 and batched, engine and network level), JSON
 // validity of the emitted file, well-nesting of the synchronous spans per
 // thread, matched async begin/end pairs, keep-newest ring overwrite,
-// snapshots racing writers, and re-arming while spans record (the
-// concurrent cases are TSan gates: CI's telemetry job runs Trace.* there).
+// snapshots racing writers, re-arming while spans record, and an exited
+// thread's ring passing to the next thread (the concurrent cases are TSan
+// gates: CI's telemetry job runs Trace.* there).
 //
 // The JSON checks use a purpose-built miniature parser (the trace writer
 // emits one event object per line), not a JSON library — the point is to
@@ -15,6 +16,7 @@
 #include <cstdio>
 #include <fstream>
 #include <map>
+#include <set>
 #include <sstream>
 #include <string>
 #include <thread>
@@ -351,6 +353,56 @@ TEST(Trace, RearmWhileSpansRecordIsRaceFree) {
   stop.store(true, std::memory_order_relaxed);
   spinner.join();
   std::remove(path.c_str());
+}
+
+TEST(Trace, ExitedThreadsHandTheirRingToTheNextThread) {
+  // Short-lived threads that record one after another reuse one ring: the
+  // snapshot holds every thread's instant on one tid, instead of one ring
+  // (about 1.8 MB each) per thread ever started.
+  constexpr int kThreads = 64;
+  trace_arm_passive();
+  for (int i = 0; i < kThreads; ++i) {
+    std::thread([i] {
+      char name[32];
+      std::snprintf(name, sizeof name, "ring.reuse.%d", i);
+      trace_instant(name, "test");
+    }).join();
+  }
+  std::set<std::string> names;
+  std::set<long> tids;
+  for (const ParsedEvent& e : parse_trace_text(trace_snapshot_json())) {
+    if (e.cat != "test") continue;
+    names.insert(e.name);
+    tids.insert(e.tid);
+  }
+  trace_stop();
+  EXPECT_EQ(names.size(), static_cast<std::size_t>(kThreads));
+  EXPECT_EQ(tids.size(), 1u);
+}
+
+TEST(Trace, RecordDuringThreadExitIsDropped) {
+  // A thread_local constructed before the thread's first record is
+  // destroyed after its ring went back to the free list: what it records
+  // must not land in the ring the next thread takes.
+  struct LateRecorder {
+    ~LateRecorder() { trace_instant("exit.late", "test"); }
+  };
+  trace_arm_passive();
+  std::thread([] {
+    thread_local LateRecorder late;
+    (void)&late;
+    trace_instant("exit.early", "test");
+  }).join();
+  std::thread([] { trace_instant("exit.next", "test"); }).join();
+  std::map<std::string, long> tid_of;
+  for (const ParsedEvent& e : parse_trace_text(trace_snapshot_json())) {
+    if (e.cat == "test") tid_of[e.name] = e.tid;
+  }
+  trace_stop();
+  EXPECT_EQ(tid_of.count("exit.late"), 0u);
+  ASSERT_EQ(tid_of.count("exit.early"), 1u);
+  ASSERT_EQ(tid_of.count("exit.next"), 1u);
+  EXPECT_EQ(tid_of["exit.early"], tid_of["exit.next"]);
 }
 
 }  // namespace
