@@ -1,17 +1,14 @@
 #include "telemetry/flight_recorder.hpp"
 
-#include <algorithm>
 #include <atomic>
-#include <cctype>
-#include <cerrno>
 #include <chrono>
 #include <cstdio>
 #include <cstdlib>
 #include <filesystem>
-#include <fstream>
 #include <stdexcept>
 #include <tuple>
 #include <utility>
+#include <vector>
 
 #include <unistd.h>
 
@@ -25,8 +22,6 @@ namespace bitflow::telemetry {
 namespace {
 
 namespace fs = std::filesystem;
-
-constexpr std::size_t kMaxSectionBytes = 64u << 20;  // loader sanity cap
 
 /// Everything the lock-free hot paths need, published as one immutable
 /// object so arming cannot tear (config snapshot + detector state).
@@ -86,19 +81,6 @@ bool write_whole_file(const fs::path& path, const std::string& data) {
   return (std::fclose(f) == 0) && ok;
 }
 
-void append_json_string(std::string& out, const std::string& s) {
-  out.push_back('"');
-  for (char c : s) {
-    if (c == '"' || c == '\\') {
-      out.push_back('\\');
-      out.push_back(c);
-    } else if (static_cast<unsigned char>(c) >= 0x20) {
-      out.push_back(c);
-    }
-  }
-  out.push_back('"');
-}
-
 /// Writes one bundle directory (tmp + atomic rename).  Caller holds the
 /// flight mutex — serializing bundle writes is the point: they are rare,
 /// rate-limited, and must see a stable context-provider list.
@@ -144,9 +126,9 @@ bool write_bundle_locked(FlightState& st, const Active& active, std::uint64_t se
   manifest += "{\n  \"version\": " + std::to_string(kBundleManifestVersion) + ",\n";
   manifest += "  \"seq\": " + std::to_string(seq_no) + ",\n";
   manifest += "  \"trigger\": ";
-  append_json_string(manifest, flight_trigger_name(trigger));
+  detail::append_json_string(manifest, flight_trigger_name(trigger));
   manifest += ",\n  \"reason\": ";
-  append_json_string(manifest, reason != nullptr ? reason : "");
+  detail::append_json_string(manifest, reason != nullptr ? reason : "");
   manifest += ",\n  \"sections\": [\n";
   bool wrote_all = true;
   for (std::size_t i = 0; i < sections.size(); ++i) {
@@ -156,7 +138,7 @@ bool write_bundle_locked(FlightState& st, const Active& active, std::uint64_t se
     std::snprintf(sum, sizeof sum, "%016llx",
                   static_cast<unsigned long long>(fnv1a64(body.data(), body.size())));
     manifest += "    {\"name\": ";
-    append_json_string(manifest, sec_name);
+    detail::append_json_string(manifest, sec_name);
     manifest += ", \"size\": " + std::to_string(body.size());
     manifest += ", \"fnv1a\": \"" + std::string(sum) + "\"}";
     manifest += i + 1 < sections.size() ? ",\n" : "\n";
@@ -331,9 +313,6 @@ std::string flight_status_text() {
   return out;
 }
 
-// ---------------------------------------------------------------------------
-// Bundle loader / validator.
-
 std::uint64_t fnv1a64(const void* data, std::size_t n) noexcept {
   const auto* p = static_cast<const unsigned char*>(data);
   std::uint64_t h = 1469598103934665603ULL;
@@ -342,622 +321,6 @@ std::uint64_t fnv1a64(const void* data, std::size_t n) noexcept {
     h *= 1099511628211ULL;
   }
   return h;
-}
-
-namespace {
-
-// Minimal defensive JSON scanner for the two formats we emit ourselves
-// (MANIFEST.json, trace.json).  Bounded, non-throwing, rejects instead of
-// guessing — the fuzz tests feed it truncations and bit flips.
-struct Cursor {
-  const char* p;
-  const char* end;
-};
-
-void skip_ws(Cursor& c) {
-  while (c.p < c.end &&
-         (*c.p == ' ' || *c.p == '\t' || *c.p == '\n' || *c.p == '\r')) {
-    ++c.p;
-  }
-}
-
-bool parse_json_string(Cursor& c, std::string* out) {
-  skip_ws(c);
-  if (c.p >= c.end || *c.p != '"') return false;
-  ++c.p;
-  while (c.p < c.end) {
-    const char ch = *c.p++;
-    if (ch == '"') return true;
-    if (ch == '\\') {
-      if (c.p >= c.end) return false;
-      const char esc = *c.p++;
-      if (out != nullptr) {
-        switch (esc) {
-          case 'n': out->push_back('\n'); break;
-          case 't': out->push_back('\t'); break;
-          case 'u':
-            if (c.end - c.p < 4) return false;
-            c.p += 4;
-            out->push_back('?');
-            break;
-          default: out->push_back(esc); break;
-        }
-      } else if (esc == 'u') {
-        if (c.end - c.p < 4) return false;
-        c.p += 4;
-      }
-    } else if (out != nullptr) {
-      out->push_back(ch);
-    }
-    if (out != nullptr && out->size() > kMaxSectionBytes) return false;
-  }
-  return false;  // unterminated
-}
-
-/// Parses a JSON number token.  Integers that fit u64 are reported exactly
-/// (`*u64_out`, is_u64=true) so request ids survive above 2^53.
-bool parse_json_number(Cursor& c, double* dbl_out, std::uint64_t* u64_out,
-                       bool* is_u64) {
-  skip_ws(c);
-  const char* start = c.p;
-  if (c.p < c.end && (*c.p == '-' || *c.p == '+')) ++c.p;
-  bool integral = true;
-  while (c.p < c.end &&
-         (std::isdigit(static_cast<unsigned char>(*c.p)) != 0 || *c.p == '.' ||
-          *c.p == 'e' || *c.p == 'E' || *c.p == '-' || *c.p == '+')) {
-    if (*c.p == '.' || *c.p == 'e' || *c.p == 'E') integral = false;
-    ++c.p;
-  }
-  if (c.p == start) return false;
-  const std::string tok(start, c.p);
-  errno = 0;
-  char* parse_end = nullptr;
-  if (integral && tok[0] != '-' && tok.size() <= 20) {
-    const unsigned long long v = std::strtoull(tok.c_str(), &parse_end, 10);
-    if (errno == 0 && parse_end != nullptr && *parse_end == '\0') {
-      if (u64_out != nullptr) *u64_out = v;
-      if (is_u64 != nullptr) *is_u64 = true;
-      if (dbl_out != nullptr) *dbl_out = static_cast<double>(v);
-      return true;
-    }
-  }
-  errno = 0;
-  const double d = std::strtod(tok.c_str(), &parse_end);
-  if (parse_end == nullptr || *parse_end != '\0') return false;
-  if (is_u64 != nullptr) *is_u64 = false;
-  if (dbl_out != nullptr) *dbl_out = d;
-  return true;
-}
-
-bool skip_json_value(Cursor& c, int depth);  // forward
-
-bool skip_json_object(Cursor& c, int depth) {
-  ++c.p;  // '{'
-  skip_ws(c);
-  if (c.p < c.end && *c.p == '}') {
-    ++c.p;
-    return true;
-  }
-  while (c.p < c.end) {
-    if (!parse_json_string(c, nullptr)) return false;
-    skip_ws(c);
-    if (c.p >= c.end || *c.p != ':') return false;
-    ++c.p;
-    if (!skip_json_value(c, depth)) return false;
-    skip_ws(c);
-    if (c.p < c.end && *c.p == ',') {
-      ++c.p;
-      skip_ws(c);
-      continue;
-    }
-    if (c.p < c.end && *c.p == '}') {
-      ++c.p;
-      return true;
-    }
-    return false;
-  }
-  return false;
-}
-
-bool skip_json_array(Cursor& c, int depth) {
-  ++c.p;  // '['
-  skip_ws(c);
-  if (c.p < c.end && *c.p == ']') {
-    ++c.p;
-    return true;
-  }
-  while (c.p < c.end) {
-    if (!skip_json_value(c, depth)) return false;
-    skip_ws(c);
-    if (c.p < c.end && *c.p == ',') {
-      ++c.p;
-      continue;
-    }
-    if (c.p < c.end && *c.p == ']') {
-      ++c.p;
-      return true;
-    }
-    return false;
-  }
-  return false;
-}
-
-bool skip_json_value(Cursor& c, int depth) {
-  if (depth > 48) return false;
-  skip_ws(c);
-  if (c.p >= c.end) return false;
-  const char ch = *c.p;
-  if (ch == '"') return parse_json_string(c, nullptr);
-  if (ch == '{') return skip_json_object(c, depth + 1);
-  if (ch == '[') return skip_json_array(c, depth + 1);
-  if (ch == 't' || ch == 'f' || ch == 'n') {
-    while (c.p < c.end && std::isalpha(static_cast<unsigned char>(*c.p)) != 0) ++c.p;
-    return true;
-  }
-  return parse_json_number(c, nullptr, nullptr, nullptr);
-}
-
-bool parse_hex_u64(const std::string& s, std::uint64_t* out) {
-  if (s.empty() || s.size() > 16) return false;
-  std::uint64_t v = 0;
-  for (char ch : s) {
-    v <<= 4;
-    if (ch >= '0' && ch <= '9') {
-      v |= static_cast<std::uint64_t>(ch - '0');
-    } else if (ch >= 'a' && ch <= 'f') {
-      v |= static_cast<std::uint64_t>(ch - 'a' + 10);
-    } else if (ch >= 'A' && ch <= 'F') {
-      v |= static_cast<std::uint64_t>(ch - 'A' + 10);
-    } else {
-      return false;
-    }
-  }
-  *out = v;
-  return true;
-}
-
-core::Status bad(const std::string& what) {
-  return {core::ErrorCode::kBadInput, "bundle: " + what};
-}
-
-core::Result<BundleManifest> parse_manifest(const std::string& text) {
-  BundleManifest m;
-  Cursor c{text.data(), text.data() + text.size()};
-  skip_ws(c);
-  if (c.p >= c.end || *c.p != '{') return bad("manifest: not a JSON object");
-  ++c.p;
-  skip_ws(c);
-  if (c.p < c.end && *c.p == '}') return m;  // empty object: caller validates
-  while (c.p < c.end) {
-    std::string key;
-    if (!parse_json_string(c, &key)) return bad("manifest: bad key");
-    skip_ws(c);
-    if (c.p >= c.end || *c.p != ':') return bad("manifest: missing ':'");
-    ++c.p;
-    if (key == "version" || key == "seq") {
-      std::uint64_t v = 0;
-      bool is_int = false;
-      if (!parse_json_number(c, nullptr, &v, &is_int) || !is_int) {
-        return bad("manifest: non-integer " + key);
-      }
-      if (key == "version") {
-        m.version = static_cast<int>(v);
-      } else {
-        m.seq = v;
-      }
-    } else if (key == "trigger" || key == "reason") {
-      std::string v;
-      if (!parse_json_string(c, &v)) return bad("manifest: bad " + key);
-      (key == "trigger" ? m.trigger : m.reason) = std::move(v);
-    } else if (key == "sections") {
-      skip_ws(c);
-      if (c.p >= c.end || *c.p != '[') return bad("manifest: sections not an array");
-      ++c.p;
-      skip_ws(c);
-      while (c.p < c.end && *c.p != ']') {
-        skip_ws(c);
-        if (c.p >= c.end || *c.p != '{') return bad("manifest: section not an object");
-        ++c.p;
-        BundleSectionInfo info;
-        skip_ws(c);
-        while (c.p < c.end && *c.p != '}') {
-          std::string sk;
-          if (!parse_json_string(c, &sk)) return bad("manifest: bad section key");
-          skip_ws(c);
-          if (c.p >= c.end || *c.p != ':') return bad("manifest: missing ':'");
-          ++c.p;
-          if (sk == "name") {
-            if (!parse_json_string(c, &info.name)) return bad("manifest: bad name");
-          } else if (sk == "size") {
-            bool is_int = false;
-            if (!parse_json_number(c, nullptr, &info.size, &is_int) || !is_int) {
-              return bad("manifest: bad size");
-            }
-          } else if (sk == "fnv1a") {
-            std::string hex;
-            if (!parse_json_string(c, &hex) || !parse_hex_u64(hex, &info.fnv1a)) {
-              return bad("manifest: bad fnv1a");
-            }
-          } else if (!skip_json_value(c, 0)) {
-            return bad("manifest: bad section value");
-          }
-          skip_ws(c);
-          if (c.p < c.end && *c.p == ',') {
-            ++c.p;
-            skip_ws(c);
-          }
-        }
-        if (c.p >= c.end) return bad("manifest: truncated section");
-        ++c.p;  // '}'
-        m.sections.push_back(std::move(info));
-        skip_ws(c);
-        if (c.p < c.end && *c.p == ',') {
-          ++c.p;
-          skip_ws(c);
-        }
-      }
-      if (c.p >= c.end) return bad("manifest: truncated sections");
-      ++c.p;  // ']'
-    } else if (!skip_json_value(c, 0)) {
-      return bad("manifest: bad value for " + key);
-    }
-    skip_ws(c);
-    if (c.p < c.end && *c.p == ',') {
-      ++c.p;
-      continue;
-    }
-    if (c.p < c.end && *c.p == '}') return m;
-    return bad("manifest: trailing garbage");
-  }
-  return bad("manifest: truncated");
-}
-
-core::Result<std::string> read_file_capped(const fs::path& path) {
-  std::ifstream in(path, std::ios::binary);
-  if (!in) return bad("cannot open " + path.string());
-  std::string data;
-  char buf[1 << 16];
-  while (in.read(buf, sizeof buf) || in.gcount() > 0) {
-    data.append(buf, static_cast<std::size_t>(in.gcount()));
-    if (data.size() > kMaxSectionBytes) return bad("file too large: " + path.string());
-    if (in.eof()) break;
-  }
-  return data;
-}
-
-bool parse_trace_event(Cursor& c, ParsedTraceEvent* out) {
-  skip_ws(c);
-  if (c.p >= c.end || *c.p != '{') return false;
-  ++c.p;
-  skip_ws(c);
-  if (c.p < c.end && *c.p == '}') {
-    ++c.p;
-    return true;
-  }
-  while (c.p < c.end) {
-    std::string key;
-    if (!parse_json_string(c, &key)) return false;
-    skip_ws(c);
-    if (c.p >= c.end || *c.p != ':') return false;
-    ++c.p;
-    if (key == "name") {
-      if (!parse_json_string(c, &out->name)) return false;
-    } else if (key == "cat") {
-      if (!parse_json_string(c, &out->cat)) return false;
-    } else if (key == "ph") {
-      std::string v;
-      if (!parse_json_string(c, &v) || v.empty()) return false;
-      out->ph = v[0];
-    } else if (key == "tid") {
-      double v = 0;
-      if (!parse_json_number(c, &v, nullptr, nullptr)) return false;
-      out->tid = static_cast<std::uint32_t>(v);
-    } else if (key == "ts") {
-      if (!parse_json_number(c, &out->ts_us, nullptr, nullptr)) return false;
-    } else if (key == "dur") {
-      if (!parse_json_number(c, &out->dur_us, nullptr, nullptr)) return false;
-    } else if (key == "id") {
-      // Emitted as a decimal string; tolerate a bare number too.
-      skip_ws(c);
-      if (c.p < c.end && *c.p == '"') {
-        std::string v;
-        if (!parse_json_string(c, &v)) return false;
-        char* parse_end = nullptr;
-        errno = 0;
-        out->id = std::strtoull(v.c_str(), &parse_end, 10);
-        if (errno != 0 || parse_end == nullptr || *parse_end != '\0') return false;
-      } else {
-        if (!parse_json_number(c, nullptr, &out->id, nullptr)) return false;
-      }
-    } else if (key == "args") {
-      skip_ws(c);
-      if (c.p >= c.end || *c.p != '{') return false;
-      ++c.p;
-      skip_ws(c);
-      while (c.p < c.end && *c.p != '}') {
-        std::string ak;
-        if (!parse_json_string(c, &ak)) return false;
-        skip_ws(c);
-        if (c.p >= c.end || *c.p != ':') return false;
-        ++c.p;
-        if (ak == "rid") {
-          if (!parse_json_number(c, nullptr, &out->rid, nullptr)) return false;
-        } else if (!skip_json_value(c, 0)) {
-          return false;
-        }
-        skip_ws(c);
-        if (c.p < c.end && *c.p == ',') {
-          ++c.p;
-          skip_ws(c);
-        }
-      }
-      if (c.p >= c.end) return false;
-      ++c.p;
-    } else if (!skip_json_value(c, 0)) {
-      return false;
-    }
-    skip_ws(c);
-    if (c.p < c.end && *c.p == ',') {
-      ++c.p;
-      skip_ws(c);
-      continue;
-    }
-    if (c.p < c.end && *c.p == '}') {
-      ++c.p;
-      return true;
-    }
-    return false;
-  }
-  return false;
-}
-
-}  // namespace
-
-core::Result<Bundle> load_bundle(const std::string& dir) {
-  const fs::path root(dir);
-  auto manifest_text = read_file_capped(root / "MANIFEST.json");
-  if (!manifest_text.is_ok()) return manifest_text.status();
-  auto manifest = parse_manifest(manifest_text.value());
-  if (!manifest.is_ok()) return manifest.status();
-
-  Bundle bundle;
-  bundle.manifest = std::move(manifest).value();
-  for (const BundleSectionInfo& info : bundle.manifest.sections) {
-    if (info.name.empty() || info.name.find('/') != std::string::npos ||
-        info.name.find("..") != std::string::npos) {
-      return bad("unsafe section name: '" + info.name + "'");
-    }
-    if (bundle.sections.count(info.name) != 0) {
-      return bad("duplicate section: " + info.name);
-    }
-    auto body = read_file_capped(root / info.name);
-    if (!body.is_ok()) return body.status();
-    if (body.value().size() != info.size) {
-      return bad("section " + info.name + ": size mismatch (manifest " +
-                 std::to_string(info.size) + ", file " +
-                 std::to_string(body.value().size()) + ")");
-    }
-    const std::uint64_t sum = fnv1a64(body.value().data(), body.value().size());
-    if (sum != info.fnv1a) return bad("section " + info.name + ": checksum mismatch");
-    bundle.sections.emplace(info.name, std::move(body).value());
-  }
-  return bundle;
-}
-
-core::Result<std::vector<ParsedTraceEvent>> parse_bundle_trace(const Bundle& bundle) {
-  const auto it = bundle.sections.find("trace.json");
-  if (it == bundle.sections.end()) return bad("missing trace.json");
-  const std::string& text = it->second;
-  Cursor c{text.data(), text.data() + text.size()};
-  skip_ws(c);
-  if (c.p >= c.end || *c.p != '{') return bad("trace.json: not a JSON object");
-  ++c.p;
-  std::vector<ParsedTraceEvent> events;
-  skip_ws(c);
-  if (c.p < c.end && *c.p == '}') return events;
-  while (c.p < c.end) {
-    std::string key;
-    if (!parse_json_string(c, &key)) return bad("trace.json: bad key");
-    skip_ws(c);
-    if (c.p >= c.end || *c.p != ':') return bad("trace.json: missing ':'");
-    ++c.p;
-    if (key == "traceEvents") {
-      skip_ws(c);
-      if (c.p >= c.end || *c.p != '[') return bad("trace.json: events not an array");
-      ++c.p;
-      skip_ws(c);
-      while (c.p < c.end && *c.p != ']') {
-        ParsedTraceEvent ev;
-        if (!parse_trace_event(c, &ev)) return bad("trace.json: bad event");
-        events.push_back(std::move(ev));
-        if (events.size() > (kMaxSectionBytes >> 6)) {
-          return bad("trace.json: too many events");
-        }
-        skip_ws(c);
-        if (c.p < c.end && *c.p == ',') {
-          ++c.p;
-          skip_ws(c);
-        }
-      }
-      if (c.p >= c.end) return bad("trace.json: truncated events");
-      ++c.p;
-    } else if (!skip_json_value(c, 0)) {
-      return bad("trace.json: bad value for " + key);
-    }
-    skip_ws(c);
-    if (c.p < c.end && *c.p == ',') {
-      ++c.p;
-      continue;
-    }
-    if (c.p < c.end && *c.p == '}') return events;
-    return bad("trace.json: trailing garbage");
-  }
-  return bad("trace.json: truncated");
-}
-
-namespace {
-
-core::Status check_trace_nesting(const std::vector<ParsedTraceEvent>& events) {
-  // Complete ('X') spans on one thread must nest like a call stack: the
-  // trace sink records a span at destructor time, so an inner RAII span
-  // always closes before — and inside — its enclosing one.
-  constexpr double kEps = 1e-3;  // µs; events print with ns resolution
-  struct Ref {
-    double ts;
-    double end;
-    std::uint32_t tid;
-    const std::string* name;
-  };
-  std::vector<Ref> spans;
-  for (const ParsedTraceEvent& ev : events) {
-    if (ev.ph == 'X') spans.push_back({ev.ts_us, ev.ts_us + ev.dur_us, ev.tid, &ev.name});
-  }
-  std::sort(spans.begin(), spans.end(), [](const Ref& a, const Ref& b) {
-    if (a.tid != b.tid) return a.tid < b.tid;
-    if (a.ts != b.ts) return a.ts < b.ts;
-    return a.end > b.end;  // open the enclosing span first on ties
-  });
-  std::vector<Ref> stack;
-  std::uint32_t cur_tid = 0;
-  bool have_tid = false;
-  for (const Ref& r : spans) {
-    if (!have_tid || r.tid != cur_tid) {
-      stack.clear();
-      cur_tid = r.tid;
-      have_tid = true;
-    }
-    while (!stack.empty() && r.ts >= stack.back().end - kEps) stack.pop_back();
-    if (!stack.empty() && r.end > stack.back().end + kEps) {
-      return bad("trace: span '" + *r.name + "' (tid " + std::to_string(r.tid) +
-                 ") crosses the boundary of '" + *stack.back().name + "'");
-    }
-    stack.push_back(r);
-  }
-  return core::Status::ok();
-}
-
-core::Status check_metrics_text(const std::string& text) {
-  std::size_t line_no = 0;
-  std::size_t pos = 0;
-  while (pos <= text.size()) {
-    const std::size_t eol = text.find('\n', pos);
-    const std::string line =
-        text.substr(pos, eol == std::string::npos ? std::string::npos : eol - pos);
-    pos = eol == std::string::npos ? text.size() + 1 : eol + 1;
-    ++line_no;
-    if (line.empty() || line[0] == '#') continue;
-    const std::size_t sp = line.find_last_of(" \t");
-    if (sp == std::string::npos || sp == 0) {
-      return bad("metrics.prom:" + std::to_string(line_no) + ": no value field");
-    }
-    const std::string value = line.substr(sp + 1);
-    char* parse_end = nullptr;
-    errno = 0;
-    (void)std::strtod(value.c_str(), &parse_end);
-    if (value.empty() || parse_end == nullptr || *parse_end != '\0') {
-      return bad("metrics.prom:" + std::to_string(line_no) + ": bad value '" +
-                 value + "'");
-    }
-  }
-  return core::Status::ok();
-}
-
-}  // namespace
-
-core::Status validate_bundle(const Bundle& bundle) {
-  if (bundle.manifest.version != kBundleManifestVersion) {
-    return bad("unsupported manifest version " +
-               std::to_string(bundle.manifest.version));
-  }
-  if (bundle.manifest.trigger.empty()) return bad("manifest: empty trigger");
-  for (const char* required : {"trace.json", "metrics.prom"}) {
-    if (bundle.sections.count(required) == 0) {
-      return bad(std::string("missing required section ") + required);
-    }
-  }
-  auto events = parse_bundle_trace(bundle);
-  if (!events.is_ok()) return events.status();
-  if (auto nest = check_trace_nesting(events.value()); !nest.is_ok()) return nest;
-  return check_metrics_text(bundle.sections.at("metrics.prom"));
-}
-
-bool bundle_has_request_chain(const Bundle& bundle, std::uint64_t rid) {
-  if (rid == 0) return false;
-  auto parsed = parse_bundle_trace(bundle);
-  if (!parsed.is_ok()) return false;
-  const std::vector<ParsedTraceEvent>& events = parsed.value();
-  bool wire = false;
-  bool lifetime = false;
-  std::vector<const ParsedTraceEvent*> members;
-  for (const ParsedTraceEvent& ev : events) {
-    if (ev.rid != rid) continue;
-    if (ev.ph == 'X' && ev.name == "net.request") wire = true;
-    if ((ev.ph == 'b' || ev.ph == 'e') && ev.name == "serve.request") lifetime = true;
-    if (ev.ph == 'i' && ev.name == "serve.batch.member") members.push_back(&ev);
-  }
-  if (!wire || !lifetime || members.empty()) return false;
-  // Kernel attribution: a kernel-category span on the member's worker
-  // thread that ends at or after the member instant (the batch that ran
-  // this request).  Bound the forward window to keep an unrelated later
-  // batch from vouching for a dropped one.
-  constexpr double kWindowUs = 60e6;
-  for (const ParsedTraceEvent* member : members) {
-    for (const ParsedTraceEvent& ev : events) {
-      if (ev.ph != 'X' || ev.cat != "kernel" || ev.tid != member->tid) continue;
-      if (ev.ts_us + ev.dur_us + 1e-3 >= member->ts_us &&
-          ev.ts_us <= member->ts_us + kWindowUs) {
-        return true;
-      }
-    }
-  }
-  return false;
-}
-
-std::string bundle_summary(const Bundle& bundle) {
-  std::string out;
-  out += "bundle seq=" + std::to_string(bundle.manifest.seq) +
-         " version=" + std::to_string(bundle.manifest.version) + "\n";
-  out += "trigger: " + bundle.manifest.trigger + "\n";
-  out += "reason:  " + bundle.manifest.reason + "\n";
-  out += "sections:\n";
-  for (const BundleSectionInfo& info : bundle.manifest.sections) {
-    char line[160];
-    std::snprintf(line, sizeof line, "  %-24s %10llu bytes  fnv1a=%016llx\n",
-                  info.name.c_str(), static_cast<unsigned long long>(info.size),
-                  static_cast<unsigned long long>(info.fnv1a));
-    out += line;
-  }
-  auto events = parse_bundle_trace(bundle);
-  if (events.is_ok()) {
-    std::size_t n_complete = 0;
-    std::size_t n_async = 0;
-    std::size_t n_instant = 0;
-    std::map<std::string, std::size_t> instants_by_cat;
-    std::vector<std::uint64_t> rids;
-    for (const ParsedTraceEvent& ev : events.value()) {
-      if (ev.ph == 'X') ++n_complete;
-      if (ev.ph == 'b' || ev.ph == 'e') ++n_async;
-      if (ev.ph == 'i') {
-        ++n_instant;
-        ++instants_by_cat[ev.cat];
-      }
-      if (ev.rid != 0) rids.push_back(ev.rid);
-    }
-    std::sort(rids.begin(), rids.end());
-    rids.erase(std::unique(rids.begin(), rids.end()), rids.end());
-    out += "trace: " + std::to_string(events.value().size()) + " events (" +
-           std::to_string(n_complete) + " spans, " + std::to_string(n_async / 2) +
-           " async pairs, " + std::to_string(n_instant) + " instants), " +
-           std::to_string(rids.size()) + " distinct request ids\n";
-    if (!instants_by_cat.empty()) {
-      out += "instants:";
-      for (const auto& [cat, n] : instants_by_cat) {
-        out += " " + cat + "=" + std::to_string(n);
-      }
-      out += "\n";
-    }
-  }
-  return out;
 }
 
 }  // namespace bitflow::telemetry

@@ -30,21 +30,16 @@
 // (lifecycle, /varz, profile report, layer plans) enters bundles through
 // context providers registered by the owning layer (`flight_add_context`).
 //
-// This header also hosts the bundle *loader/validator* used by
-// `tools/bitflow_bundle_dump` and the tests: manifest + checksum
-// verification, trace well-nesting, metrics parse, and the request-id
-// span-chain query — defensive against truncated/corrupted input (fuzzed in
-// flight_recorder_test).
+// Only the writer lives here.  Bundles are read back by the line reader in
+// tools/trace_reader.hpp (manifest + checksum verification, trace
+// well-nesting, metrics parse, the request-id span-chain query), linked by
+// `tools/bitflow_bundle_dump` and the tests, never by the run-time library.
 #pragma once
 
 #include <chrono>
 #include <cstdint>
 #include <functional>
-#include <map>
 #include <string>
-#include <vector>
-
-#include "core/status.hpp"
 
 namespace bitflow::telemetry {
 
@@ -124,66 +119,11 @@ void flight_remove_contexts(const void* owner);
 [[nodiscard]] std::string flight_status_text();
 
 // ---------------------------------------------------------------------------
-// Bundle loader / validator (bitflow_bundle_dump, tests).
+// Bundle format, shared with the reader.
 
 inline constexpr int kBundleManifestVersion = 1;
 
 /// FNV-1a 64-bit over `data` — the bundle section checksum.
 [[nodiscard]] std::uint64_t fnv1a64(const void* data, std::size_t n) noexcept;
-
-struct BundleSectionInfo {
-  std::string name;       ///< file name within the bundle directory
-  std::uint64_t size = 0;
-  std::uint64_t fnv1a = 0;
-};
-
-struct BundleManifest {
-  int version = 0;
-  std::uint64_t seq = 0;
-  std::string trigger;
-  std::string reason;
-  std::vector<BundleSectionInfo> sections;
-};
-
-struct Bundle {
-  BundleManifest manifest;
-  std::map<std::string, std::string> sections;  ///< name -> raw contents
-};
-
-/// Minimal view of one trace event re-parsed from a bundle's trace.json.
-struct ParsedTraceEvent {
-  std::string name;
-  std::string cat;
-  char ph = '?';
-  std::uint32_t tid = 0;
-  double ts_us = 0.0;
-  double dur_us = 0.0;
-  std::uint64_t id = 0;   ///< async pair id (0 = none)
-  std::uint64_t rid = 0;  ///< args.rid (0 = none)
-};
-
-/// Reads `<dir>/MANIFEST.json` plus every listed section, verifying sizes
-/// and FNV-1a checksums.  Fail-closed: any missing/truncated/corrupt piece
-/// is kInvalidModel-style kBadInput, never a crash (fuzzed).
-[[nodiscard]] core::Result<Bundle> load_bundle(const std::string& dir);
-
-/// Structural validation of a loaded bundle: manifest version, required
-/// sections present, trace.json parses with well-nested 'X' spans per
-/// thread, metrics.prom parses as Prometheus text.
-[[nodiscard]] core::Status validate_bundle(const Bundle& bundle);
-
-/// Parses the bundle's trace.json into events (empty + error status on
-/// malformed input).
-[[nodiscard]] core::Result<std::vector<ParsedTraceEvent>> parse_bundle_trace(
-    const Bundle& bundle);
-
-/// True when the trace holds request `rid`'s wire-to-kernel chain: a
-/// "net.request" span, the async "serve.request" pair, a
-/// "serve.batch.member" instant, and a kernel-category span on the member's
-/// thread overlapping its timestamp.
-[[nodiscard]] bool bundle_has_request_chain(const Bundle& bundle, std::uint64_t rid);
-
-/// Human-readable multi-line description (bitflow_bundle_dump output).
-[[nodiscard]] std::string bundle_summary(const Bundle& bundle);
 
 }  // namespace bitflow::telemetry

@@ -232,18 +232,6 @@ void arm_locked(TraceState& st, std::string path) BF_REQUIRES(st.mu) {
   detail::g_trace_enabled.store(true, std::memory_order_relaxed);
 }
 
-void json_escape_into(std::string& out, const char* s) {
-  for (; *s != '\0'; ++s) {
-    const char c = *s;
-    if (c == '"' || c == '\\') {
-      out.push_back('\\');
-      out.push_back(c);
-    } else if (static_cast<unsigned char>(c) >= 0x20) {
-      out.push_back(c);
-    }
-  }
-}
-
 /// Serializes every event each ring still holds from the current session
 /// into Chrome's JSON array format.  Caller holds the trace mutex.  Reads
 /// are non-destructive and safe against concurrent writers: each slot is
@@ -256,11 +244,11 @@ std::string render_json_locked(TraceState& st, std::size_t* events_out)
   auto emit = [&](const TraceEvent& ev, std::uint32_t tid, double ts_us, double dur_us,
                   const char* ph, std::uint64_t id) {
     if (written != 0) out += ",\n";
-    out += "{\"name\":\"";
-    json_escape_into(out, ev.name);
-    out += "\",\"cat\":\"";
-    json_escape_into(out, ev.cat);
-    out += "\",\"ph\":\"";
+    out += "{\"name\":";
+    detail::append_json_string(out, ev.name);
+    out += ",\"cat\":";
+    detail::append_json_string(out, ev.cat);
+    out += ",\"ph\":\"";
     out += ph;
     out += "\",\"pid\":1,\"tid\":";
     out += std::to_string(tid);
@@ -361,6 +349,19 @@ namespace detail {
 // Ordering contract: relaxed (see trace.hpp — the flag publishes nothing).
 std::atomic<bool> g_trace_enabled{false};
 
+void append_json_string(std::string& out, std::string_view s) {
+  out.push_back('"');
+  for (const char c : s) {
+    if (c == '"' || c == '\\') {
+      out.push_back('\\');
+      out.push_back(c);
+    } else if (static_cast<unsigned char>(c) >= 0x20) {
+      out.push_back(c);
+    }
+  }
+  out.push_back('"');
+}
+
 std::uint64_t now_ns() noexcept {
   return static_cast<std::uint64_t>(
       std::chrono::duration_cast<std::chrono::nanoseconds>(
@@ -428,12 +429,11 @@ std::size_t trace_stop() {
   if (!st.path.empty()) {
     const std::string json = render_json_locked(st, &written);
     std::FILE* f = std::fopen(st.path.c_str(), "w");
-    if (f == nullptr) {
-      std::fprintf(stderr, "[bitflow] trace: cannot open '%s'\n", st.path.c_str());
+    bool ok = f != nullptr && std::fputs(json.c_str(), f) != EOF;
+    if (f != nullptr) ok = std::fclose(f) == 0 && ok;
+    if (!ok) {
+      std::fprintf(stderr, "[bitflow] trace: cannot write '%s'\n", st.path.c_str());
       written = 0;
-    } else {
-      std::fputs(json.c_str(), f);
-      std::fclose(f);
     }
   }
   return written;

@@ -57,6 +57,7 @@
 #include <cstddef>
 #include <cstdint>
 #include <string>
+#include <string_view>
 
 namespace bitflow::telemetry {
 
@@ -84,6 +85,11 @@ void trace_record_async(const char* name, const char* cat, std::uint64_t start_n
 void trace_record_instant(const char* name, const char* cat, std::uint64_t ts_ns,
                           std::uint64_t rid);
 [[nodiscard]] std::uint64_t now_ns() noexcept;
+/// Appends `s` as a JSON string: quoted, with '"' and '\\' escaped by a
+/// backslash and bytes below 0x20 dropped.  The trace and the bundle
+/// manifest are both written through it; tools/trace_reader.cpp decodes
+/// exactly these two escapes.
+void append_json_string(std::string& out, std::string_view s);
 }  // namespace detail
 
 /// One relaxed load: is the trace sink armed?

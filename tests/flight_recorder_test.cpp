@@ -31,6 +31,7 @@
 #include "telemetry/flight_recorder.hpp"
 #include "telemetry/trace.hpp"
 #include "tensor/util.hpp"
+#include "trace_reader.hpp"
 
 namespace bitflow::telemetry {
 namespace {
@@ -207,7 +208,7 @@ TEST(FlightBundles, ContainTraceEventsAndContextSections) {
   auto loaded = load_bundle(dirs[0].string());
   ASSERT_TRUE(loaded.is_ok()) << loaded.status().to_string();
   const Bundle b = std::move(loaded).value();
-  ASSERT_TRUE(validate_bundle(b).ok());
+  ASSERT_EQ(validate_bundle(b).to_string(), "kOk");
   EXPECT_EQ(b.manifest.trigger, "manual");
   EXPECT_EQ(b.manifest.reason, "contents check");
   ASSERT_EQ(b.sections.count("lifecycle.txt"), 1u);
@@ -252,7 +253,7 @@ TEST(FlightBundles, KeepTheNewestEventsAfterTheRingWraps) {
   ASSERT_EQ(dirs.size(), 1u);
   auto loaded = load_bundle(dirs[0].string());
   ASSERT_TRUE(loaded.is_ok()) << loaded.status().to_string();
-  ASSERT_TRUE(validate_bundle(loaded.value()).ok());
+  ASSERT_EQ(validate_bundle(loaded.value()).to_string(), "kOk");
   auto events = parse_bundle_trace(loaded.value());
   ASSERT_TRUE(events.is_ok());
   bool saw_span = false;
@@ -264,6 +265,26 @@ TEST(FlightBundles, KeepTheNewestEventsAfterTheRingWraps) {
   EXPECT_TRUE(saw_span);
   EXPECT_TRUE(saw_mark);
   EXPECT_GT(trace_dropped_events(), 0u);
+}
+
+TEST(FlightBundles, LoadWithNoEventsAfterTheTraceStopped) {
+  // trace_stop() while the recorder is armed leaves no session to snapshot:
+  // the bundle's trace.json is the recorder's {"traceEvents":[]} fallback,
+  // and the reader keeps accepting it.
+  TempDir dir("notrace");
+  ArmedRecorder armed(base_cfg(dir));
+  (void)trace_stop();
+  ASSERT_TRUE(flight_trigger(FlightTrigger::kManual, "trace stopped"));
+
+  const std::vector<fs::path> dirs = bundle_dirs(dir);
+  ASSERT_EQ(dirs.size(), 1u);
+  auto loaded = load_bundle(dirs[0].string());
+  ASSERT_TRUE(loaded.is_ok()) << loaded.status().to_string();
+  EXPECT_EQ(loaded.value().sections.at("trace.json"), "{\"traceEvents\":[]}\n");
+  EXPECT_EQ(validate_bundle(loaded.value()).to_string(), "kOk");
+  auto events = parse_bundle_trace(loaded.value());
+  ASSERT_TRUE(events.is_ok());
+  EXPECT_TRUE(events.value().empty());
 }
 
 // ---------------------------------------------------------------------------
@@ -469,6 +490,26 @@ TEST_F(BundleFuzz, SectionBitFlipsAreAlwaysDetected) {
   }
   spit(victim, original);
   ASSERT_TRUE(load_bundle(bundle_dir_.string()).is_ok());
+}
+
+TEST_F(BundleFuzz, MissingOrShortSectionsAndNonBundlesFailClosed) {
+  // A section cut short: its size no longer matches the manifest.
+  const fs::path victim = bundle_dir_ / "metrics.prom";
+  const std::string body = slurp(victim);
+  ASSERT_FALSE(body.empty());
+  spit(victim, body.substr(0, body.size() / 2));
+  EXPECT_FALSE(load_bundle(bundle_dir_.string()).is_ok());
+  spit(victim, body);
+  // A required section the manifest lists is gone.
+  const fs::path trace = bundle_dir_ / "trace.json";
+  const std::string trace_body = slurp(trace);
+  fs::remove(trace);
+  EXPECT_FALSE(load_bundle(bundle_dir_.string()).is_ok());
+  spit(trace, trace_body);
+  ASSERT_TRUE(load_bundle(bundle_dir_.string()).is_ok());
+  // A directory that is not a bundle, and one that does not exist.
+  EXPECT_FALSE(load_bundle(dir_->path().string()).is_ok());
+  EXPECT_FALSE(load_bundle((dir_->path() / "nope").string()).is_ok());
 }
 
 }  // namespace

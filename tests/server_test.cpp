@@ -46,6 +46,7 @@
 #include "serve/shard_router.hpp"
 #include "telemetry/flight_recorder.hpp"
 #include "tensor/util.hpp"
+#include "trace_reader.hpp"
 
 namespace bitflow::net {
 namespace {
@@ -565,7 +566,7 @@ TEST_F(ServerTest, InducedSloBreachWritesOneBundleWithRequestChain) {
   auto loaded = telemetry::load_bundle(bundles[0].string());
   ASSERT_TRUE(loaded.is_ok()) << loaded.status().to_string();
   const telemetry::Bundle bundle = std::move(loaded).value();
-  ASSERT_TRUE(telemetry::validate_bundle(bundle).ok());
+  ASSERT_EQ(telemetry::validate_bundle(bundle).to_string(), "kOk");
   EXPECT_EQ(bundle.manifest.trigger, "slo_breach");
   EXPECT_TRUE(telemetry::bundle_has_request_chain(bundle, kChainRid))
       << telemetry::bundle_summary(bundle);

@@ -1,23 +1,23 @@
 // Trace-event sink: disabled-by-default contract, span recording through
-// real inference (batch-1 and batched, engine and network level), JSON
-// validity of the emitted file, well-nesting of the synchronous spans per
-// thread, matched async begin/end pairs, keep-newest ring overwrite,
+// real inference (batch-1 and batched, engine and network level), the
+// emitted file read back line by line, well-nesting of the synchronous spans
+// per thread, matched async begin/end pairs, names and request ids that
+// round-trip byte-exact, keep-newest ring overwrite, a failed write,
 // snapshots racing writers, re-arming while spans record, and an exited
 // thread's ring passing to the next thread (the concurrent cases are TSan
 // gates: CI's telemetry job runs Trace.* there).
 //
-// The JSON checks use a purpose-built miniature parser (the trace writer
-// emits one event object per line), not a JSON library — the point is to
-// assert the exact shape chrome://tracing consumes.
+// Every trace is read through tools/trace_reader, the bundle tool's reader,
+// which rejects any line the writer would not have produced.
 #include <gtest/gtest.h>
 
 #include <atomic>
 #include <chrono>
 #include <cstdio>
+#include <filesystem>
 #include <fstream>
 #include <map>
 #include <set>
-#include <sstream>
 #include <string>
 #include <thread>
 #include <vector>
@@ -28,105 +28,25 @@
 #include "serve/engine.hpp"
 #include "telemetry/trace.hpp"
 #include "tensor/util.hpp"
+#include "trace_reader.hpp"
 
 namespace bitflow::telemetry {
 namespace {
 
-/// One parsed trace event (only the fields the assertions need).
-struct ParsedEvent {
-  std::string name, cat, ph, id;
-  long tid = -1;
-  double ts = -1.0, dur = 0.0;
-  std::uint64_t rid = 0;
-};
-
-std::string extract_string(const std::string& line, const std::string& key) {
-  const std::string pat = "\"" + key + "\":\"";
-  const std::size_t at = line.find(pat);
-  if (at == std::string::npos) return {};
-  const std::size_t start = at + pat.size();
-  const std::size_t end = line.find('"', start);
-  return line.substr(start, end - start);
+/// Reads one rendered trace (trace_stop()'s file or trace_snapshot_json());
+/// fails the test on any line the writer would not have produced.
+std::vector<ParsedTraceEvent> read_trace(const std::string& text) {
+  auto events = parse_trace(text);
+  EXPECT_TRUE(events.is_ok()) << events.status().to_string();
+  return events.is_ok() ? std::move(events).value() : std::vector<ParsedTraceEvent>{};
 }
 
-double extract_number(const std::string& line, const std::string& key, double fallback) {
-  const std::string pat = "\"" + key + "\":";
-  const std::size_t at = line.find(pat);
-  if (at == std::string::npos) return fallback;
-  return std::stod(line.substr(at + pat.size()));
-}
-
-/// Parses one rendered trace (trace_stop()'s file or trace_snapshot_json()).
-/// Fails the test on any structural violation (bad header, missing
-/// required field).
-std::vector<ParsedEvent> parse_trace_text(const std::string& all) {
-  EXPECT_EQ(all.rfind("{\"displayTimeUnit\":\"ms\",\"traceEvents\":[", 0), 0u);
-  EXPECT_NE(all.find("\n]}"), std::string::npos);
-
-  std::vector<ParsedEvent> events;
-  std::istringstream lines(all);
-  std::string line;
-  while (std::getline(lines, line)) {
-    const std::size_t start = line.find('{');
-    if (start == std::string::npos || line.find("\"traceEvents\"") != std::string::npos) {
-      continue;
-    }
-    if (line[start] != '{') continue;
-    ParsedEvent ev;
-    ev.name = extract_string(line, "name");
-    if (ev.name.empty()) continue;  // closing bracket line
-    ev.cat = extract_string(line, "cat");
-    ev.ph = extract_string(line, "ph");
-    ev.id = extract_string(line, "id");
-    ev.tid = static_cast<long>(extract_number(line, "tid", -1.0));
-    ev.ts = extract_number(line, "ts", -1.0);
-    ev.dur = extract_number(line, "dur", 0.0);
-    ev.rid = static_cast<std::uint64_t>(extract_number(line, "rid", 0.0));
-    EXPECT_FALSE(ev.ph.empty()) << line;
-    EXPECT_GE(ev.tid, 0) << line;
-    EXPECT_GE(ev.ts, 0.0) << line;
-    events.push_back(std::move(ev));
-  }
-  return events;
-}
-
-/// Parses the trace file written by trace_stop().
-std::vector<ParsedEvent> parse_trace(const std::string& path) {
-  std::ifstream in(path);
+/// Reads the trace file written by trace_stop().
+std::vector<ParsedTraceEvent> read_trace_file(const std::string& path) {
+  std::ifstream in(path, std::ios::binary);
   EXPECT_TRUE(in.is_open()) << path;
-  return parse_trace_text(
+  return read_trace(
       std::string((std::istreambuf_iterator<char>(in)), std::istreambuf_iterator<char>()));
-}
-
-/// Asserts the "X" (complete) events of every thread nest like a call stack:
-/// sorted by start time, each next span either starts after the previous
-/// ends or lies entirely within it.
-void expect_well_nested(const std::vector<ParsedEvent>& events) {
-  std::map<long, std::vector<const ParsedEvent*>> by_tid;
-  for (const ParsedEvent& e : events) {
-    if (e.ph == "X") by_tid[e.tid].push_back(&e);
-  }
-  EXPECT_FALSE(by_tid.empty());
-  for (auto& [tid, evs] : by_tid) {
-    std::stable_sort(evs.begin(), evs.end(), [](const ParsedEvent* a, const ParsedEvent* b) {
-      if (a->ts != b->ts) return a->ts < b->ts;
-      return a->dur > b->dur;  // enclosing span first at equal start
-    });
-    // Tolerance: timestamps are rounded to 0.001 us in the writer.
-    constexpr double kEps = 0.0015;
-    std::vector<const ParsedEvent*> stack;
-    for (const ParsedEvent* e : evs) {
-      while (!stack.empty() && e->ts >= stack.back()->ts + stack.back()->dur - kEps) {
-        stack.pop_back();
-      }
-      if (!stack.empty()) {
-        EXPECT_LE(e->ts + e->dur, stack.back()->ts + stack.back()->dur + kEps)
-            << "span '" << e->name << "' (tid " << tid << ") straddles '"
-            << stack.back()->name << "'";
-      }
-      stack.push_back(e);
-    }
-  }
 }
 
 io::Model make_model() {
@@ -188,26 +108,26 @@ TEST(Trace, InferenceEmitsWellNestedSpansAndMatchedAsyncPairs) {
   const std::size_t written = trace_stop();
   EXPECT_GT(written, 0u);
 
-  const std::vector<ParsedEvent> events = parse_trace(path);
+  const std::vector<ParsedTraceEvent> events = read_trace_file(path);
   EXPECT_EQ(events.size(), written);
 
   // The span vocabulary is present at every level.
-  auto count_name = [&events](const std::string& name, const std::string& ph) {
+  auto count_name = [&events](const std::string& name, char ph) {
     std::size_t n = 0;
-    for (const ParsedEvent& e : events) {
+    for (const ParsedTraceEvent& e : events) {
       if (e.ph == ph && e.name == name) ++n;
     }
     return n;
   };
-  EXPECT_GE(count_name("serve.batch", "X"), 1u);
-  EXPECT_GE(count_name("graph.infer_batch", "X"), 3u);  // 1 infer + >= 2 batches
-  EXPECT_GE(count_name("pack_input", "X"), 1u);
-  EXPECT_GE(count_name("layer:c1", "X"), 1u);
-  EXPECT_GE(count_name("layer:p1", "X"), 1u);
-  EXPECT_GE(count_name("layer:f1", "X"), 1u);
+  EXPECT_GE(count_name("serve.batch", 'X'), 1u);
+  EXPECT_GE(count_name("graph.infer_batch", 'X'), 3u);  // 1 infer + >= 2 batches
+  EXPECT_GE(count_name("pack_input", 'X'), 1u);
+  EXPECT_GE(count_name("layer:c1", 'X'), 1u);
+  EXPECT_GE(count_name("layer:p1", 'X'), 1u);
+  EXPECT_GE(count_name("layer:f1", 'X'), 1u);
   std::size_t kernel_events = 0;
-  for (const ParsedEvent& e : events) {
-    if (e.ph == "X" && e.cat == "kernel") {
+  for (const ParsedTraceEvent& e : events) {
+    if (e.ph == 'X' && e.cat == "kernel") {
       ++kernel_events;
       EXPECT_NE(e.name.find('['), std::string::npos) << e.name;  // "<kernel>[<isa>]"
     }
@@ -216,14 +136,14 @@ TEST(Trace, InferenceEmitsWellNestedSpansAndMatchedAsyncPairs) {
 
   // Synchronous spans nest per thread; request lifetimes are async pairs
   // with matching begin/end ids (9 requests: 1 infer + 8 submits).
-  expect_well_nested(events);
-  std::map<std::string, int> begins, ends;
-  for (const ParsedEvent& e : events) {
-    if (e.ph == "b") {
+  EXPECT_EQ(check_trace_nesting(events).to_string(), "kOk");
+  std::map<std::uint64_t, int> begins, ends;
+  for (const ParsedTraceEvent& e : events) {
+    if (e.ph == 'b') {
       EXPECT_EQ(e.name, "serve.request");
-      EXPECT_FALSE(e.id.empty());
+      EXPECT_NE(e.id, 0u);
       begins[e.id] += 1;
-    } else if (e.ph == "e") {
+    } else if (e.ph == 'e') {
       ends[e.id] += 1;
     }
   }
@@ -238,26 +158,26 @@ TEST(Trace, BatchOneNetworkTraceNestsLayersInsideInfer) {
   trace_start(path);
   (void)net.infer(make_input(5));
   trace_stop();
-  const std::vector<ParsedEvent> events = parse_trace(path);
+  const std::vector<ParsedTraceEvent> events = read_trace_file(path);
   // One thread, one inference: infer_batch encloses pack + 3 layers.
   double infer_ts = -1.0, infer_end = -1.0;
-  for (const ParsedEvent& e : events) {
+  for (const ParsedTraceEvent& e : events) {
     if (e.name == "graph.infer_batch") {
-      infer_ts = e.ts;
-      infer_end = e.ts + e.dur;
+      infer_ts = e.ts_us;
+      infer_end = e.ts_us + e.dur_us;
     }
   }
   ASSERT_GE(infer_ts, 0.0);
   std::size_t enclosed = 0;
-  for (const ParsedEvent& e : events) {
+  for (const ParsedTraceEvent& e : events) {
     if (e.cat == "layer" || e.name == "pack_input") {
-      EXPECT_GE(e.ts, infer_ts - 0.0015);
-      EXPECT_LE(e.ts + e.dur, infer_end + 0.0015);
+      EXPECT_GE(e.ts_us, infer_ts - 0.0015);
+      EXPECT_LE(e.ts_us + e.dur_us, infer_end + 0.0015);
       ++enclosed;
     }
   }
   EXPECT_EQ(enclosed, 4u);
-  expect_well_nested(events);
+  EXPECT_EQ(check_trace_nesting(events).to_string(), "kOk");
 }
 
 TEST(Trace, OverflowKeepsNewestAndReportsCount) {
@@ -275,18 +195,45 @@ TEST(Trace, OverflowKeepsNewestAndReportsCount) {
   t.join();
   EXPECT_EQ(trace_dropped_events(), 2 * kN);
   const std::size_t written = trace_stop();
-  const std::vector<ParsedEvent> events = parse_trace(path);
+  const std::vector<ParsedTraceEvent> events = read_trace_file(path);
   EXPECT_EQ(events.size(), written);
   std::vector<std::uint64_t> rids;
   std::size_t meta = 0;
-  for (const ParsedEvent& e : events) {
+  for (const ParsedTraceEvent& e : events) {
     if (e.name == "overflow.span") rids.push_back(e.rid);
-    if (e.name == "trace_dropped_events" && e.ph == "C") ++meta;
+    if (e.name == "trace_dropped_events" && e.ph == 'C') ++meta;
   }
   ASSERT_EQ(rids.size(), kN);
   for (std::uint64_t i = 0; i < kN; ++i) ASSERT_EQ(rids[i], 2 * kN + i + 1) << i;
   EXPECT_EQ(meta, 1u);
   EXPECT_EQ(trace_dropped_events(), 0u);  // disarmed: no session to count
+}
+
+TEST(Trace, NamesAndRequestIdsReadBackExactly) {
+  // Quotes and backslashes in a name are escaped, not taken for its end; a
+  // request id above 2^53 is not rounded; a control byte is dropped.
+  const std::string tricky = "q\"b\\s\",\"cat\":\"kernel";
+  constexpr std::uint64_t kBigRid = (std::uint64_t{1} << 63) + 1;
+  trace_arm_passive();
+  { TraceSpan span(tricky.c_str(), "test"); }
+  trace_instant("big.rid", "test", kBigRid);
+  trace_instant("ctl\x01\tname", "test");
+  std::map<std::string, ParsedTraceEvent> by_name;
+  for (const ParsedTraceEvent& e : read_trace(trace_snapshot_json())) {
+    if (e.cat == "test") by_name[e.name] = e;
+  }
+  trace_stop();
+  ASSERT_EQ(by_name.size(), 3u);
+  EXPECT_EQ(by_name[tricky].ph, 'X');
+  EXPECT_EQ(by_name["big.rid"].rid, kBigRid);
+  EXPECT_EQ(by_name.count("ctlname"), 1u);
+}
+
+TEST(Trace, StopReportsZeroWhenTheWriteFails) {
+  if (!std::filesystem::exists("/dev/full")) GTEST_SKIP() << "no /dev/full";
+  trace_start("/dev/full");
+  for (int i = 0; i < 3; ++i) trace_instant("full.mark", "test");
+  EXPECT_EQ(trace_stop(), 0u);
 }
 
 TEST(Trace, ConcurrentWritersAndSnapshottersNeverTear) {
@@ -309,18 +256,18 @@ TEST(Trace, ConcurrentWritersAndSnapshottersNeverTear) {
   std::size_t checked = 0;
   const auto until = std::chrono::steady_clock::now() + std::chrono::milliseconds(300);
   while (std::chrono::steady_clock::now() < until) {
-    std::map<long, std::pair<double, std::uint64_t>> last;  // tid -> (ts, rid)
-    for (const ParsedEvent& e : parse_trace_text(trace_snapshot_json())) {
+    std::map<std::uint32_t, std::pair<double, std::uint64_t>> last;  // tid -> (ts, rid)
+    for (const ParsedTraceEvent& e : read_trace(trace_snapshot_json())) {
       if (e.cat != "test") continue;
       ASSERT_EQ(e.name.size(), 41u) << e.name;
       ASSERT_EQ(e.name.substr(0, 20), e.name.substr(21)) << e.name;
       ASSERT_EQ(std::stoull(e.name.substr(0, 20)), e.rid) << e.name;
       const auto it = last.find(e.tid);
       if (it != last.end()) {
-        ASSERT_LE(it->second.first, e.ts) << "tid " << e.tid << " went back in time";
+        ASSERT_LE(it->second.first, e.ts_us) << "tid " << e.tid << " went back in time";
         ASSERT_LT(it->second.second, e.rid) << "tid " << e.tid << " reordered";
       }
-      last[e.tid] = {e.ts, e.rid};
+      last[e.tid] = {e.ts_us, e.rid};
       ++checked;
     }
   }
@@ -369,8 +316,8 @@ TEST(Trace, ExitedThreadsHandTheirRingToTheNextThread) {
     }).join();
   }
   std::set<std::string> names;
-  std::set<long> tids;
-  for (const ParsedEvent& e : parse_trace_text(trace_snapshot_json())) {
+  std::set<std::uint32_t> tids;
+  for (const ParsedTraceEvent& e : read_trace(trace_snapshot_json())) {
     if (e.cat != "test") continue;
     names.insert(e.name);
     tids.insert(e.tid);
@@ -394,8 +341,8 @@ TEST(Trace, RecordDuringThreadExitIsDropped) {
     trace_instant("exit.early", "test");
   }).join();
   std::thread([] { trace_instant("exit.next", "test"); }).join();
-  std::map<std::string, long> tid_of;
-  for (const ParsedEvent& e : parse_trace_text(trace_snapshot_json())) {
+  std::map<std::string, std::uint32_t> tid_of;
+  for (const ParsedTraceEvent& e : read_trace(trace_snapshot_json())) {
     if (e.cat == "test") tid_of[e.name] = e.tid;
   }
   trace_stop();
