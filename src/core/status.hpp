@@ -65,8 +65,6 @@ class Status {
     BF_CHECK(code != ErrorCode::kOk, "non-default Status must carry an error code");
   }
 
-  [[nodiscard]] static Status ok() { return {}; }
-
   [[nodiscard]] bool is_ok() const noexcept { return code_ == ErrorCode::kOk; }
   explicit operator bool() const noexcept { return is_ok(); }
 
@@ -108,7 +106,7 @@ class Result {
 
   /// OK status when holding a value, the error otherwise.
   [[nodiscard]] Status status() const {
-    return is_ok() ? Status::ok() : std::get<1>(v_);
+    return is_ok() ? Status{} : std::get<1>(v_);
   }
 
   [[nodiscard]] T& value() & {

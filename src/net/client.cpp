@@ -58,7 +58,7 @@ Status send_all(int fd, const std::uint8_t* data, std::size_t n) {
     }
     off += static_cast<std::size_t>(rc);
   }
-  return Status::ok();
+  return {};
 }
 
 }  // namespace

@@ -102,7 +102,7 @@ Status validate_header(const std::uint8_t* h) {
                   "frame: payload length " + std::to_string(length) +
                       " exceeds the " + std::to_string(kMaxPayload) + "-byte bound"};
   }
-  return Status::ok();
+  return {};
 }
 
 /// Payload decode for a header-validated frame; `p` has exactly `length`
@@ -258,7 +258,7 @@ core::Status FrameReader::feed(const std::uint8_t* data, std::size_t n) {
     buf_.erase(buf_.begin(), buf_.begin() + static_cast<std::ptrdiff_t>(consumed_));
     consumed_ = 0;
   }
-  return Status::ok();
+  return {};
 }
 
 std::optional<DecodedFrame> FrameReader::next() {

@@ -136,7 +136,7 @@ class FrameReader {
   std::vector<std::uint8_t> buf_;
   std::size_t consumed_ = 0;  ///< decoded prefix of buf_ (compacted lazily)
   std::deque<DecodedFrame> ready_;
-  core::Status error_ = core::Status::ok();
+  core::Status error_;
 };
 
 }  // namespace bitflow::net

@@ -49,7 +49,7 @@ Status set_nonblocking(int fd) {
     return Status{ErrorCode::kInternal,
                   std::string("fcntl(O_NONBLOCK): ") + std::strerror(errno)};
   }
-  return Status::ok();
+  return {};
 }
 
 /// Router/plan/roofline stats WITHOUT the flight-recorder status block —

@@ -85,8 +85,9 @@ struct EngineConfig {
   /// Largest micro-batch a worker runs in one fused pass.
   std::int64_t max_batch = 8;
   /// How long a worker waits for a batch to fill after its first request
-  /// (>= 0; zero runs whatever is queued at once).
-  std::chrono::microseconds batch_timeout{2000};
+  /// (>= 0).  The default, zero, runs whatever is queued at once, so a lone
+  /// request never waits for company.
+  std::chrono::microseconds batch_timeout{0};
   /// Admission capacity *per priority lane*; submissions beyond it are
   /// rejected (the hard backpressure bound behind adaptive shedding).
   std::size_t queue_capacity = 64;
@@ -202,14 +203,15 @@ class Engine {
       Tensor input, std::chrono::milliseconds deadline,
       Priority priority = Priority::kNormal);
 
-  /// Callback-completion submit: `done` is invoked exactly once with the
-  /// outcome, on whichever thread resolves the request — an engine worker
-  /// for served requests, the CALLING thread (inline, before this returns)
-  /// for admission rejections.  The callback must not throw and must not
-  /// re-enter this engine (submit/drain/reload from inside it deadlocks by
-  /// design, like re-entering the registry from a callback gauge).  This is
-  /// the wire front-end's path: the poll loop hands the socket response
-  /// directly to the worker that produced the scores, with no future churn.
+  /// Callback-completion submit: `done` must be non-empty (BF_CHECK) and is
+  /// invoked exactly once with the outcome, on whichever thread resolves
+  /// the request — an engine worker for served requests, the CALLING thread
+  /// (inline, before this returns) for admission rejections.  The callback
+  /// must not throw and must not re-enter this engine (submit/drain/reload
+  /// from inside it deadlocks by design, like re-entering the registry from
+  /// a callback gauge).  This is the wire front-end's path: the poll loop
+  /// hands the socket response directly to the worker that produced the
+  /// scores, with no future churn.
   void submit(Tensor input, std::chrono::milliseconds deadline, Priority priority,
               ResponseCallback done);
 
@@ -232,7 +234,8 @@ class Engine {
   /// every future has still resolved.  Terminal: a drained engine only
   /// accepts shutdown().  Returns kUnavailable when the engine is not in a
   /// drainable state (already draining elsewhere, reloading, or shut
-  /// down); ok() once drained (idempotent on an already-drained engine).
+  /// down); an OK Status once drained (idempotent on an already-drained
+  /// engine).
   [[nodiscard]] core::Status drain(std::chrono::milliseconds timeout);
 
   /// Hot-swaps the served network to `model` without dropping admitted

@@ -68,9 +68,4 @@ std::size_t RequestQueue::size() const {
   return hq_.size() + q_.size();
 }
 
-std::size_t RequestQueue::normal_size() const {
-  core::MutexLock lock(mu_);
-  return q_.size();
-}
-
 }  // namespace bitflow::serve

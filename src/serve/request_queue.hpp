@@ -11,8 +11,8 @@
 // when the normal lane is saturated.  Each lane is bounded by the same
 // capacity independently — a flood of either class cannot starve admission
 // of the other.  close() starts shutdown: no new requests are admitted, but
-// pops keep draining whatever is queued so every accepted request's promise
-// resolves before the workers exit.
+// pops keep draining whatever is queued so every accepted request resolves
+// before the workers exit.
 #pragma once
 
 #include <chrono>
@@ -20,7 +20,6 @@
 #include <cstdint>
 #include <deque>
 #include <functional>
-#include <future>
 #include <optional>
 #include <vector>
 
@@ -36,10 +35,10 @@ namespace bitflow::serve {
 /// to the hard per-lane capacity bound — nothing is unbounded).
 enum class Priority : std::uint8_t { kNormal = 0, kHigh = 1 };
 
-/// Completion callback alternative to the future channel: invoked exactly
-/// once with the request's outcome, on whichever thread resolves it (an
-/// engine worker, or the submitter itself for admission rejections).  Must
-/// not throw and must not re-enter the engine that invoked it.
+/// A request's one completion channel: invoked exactly once with the
+/// request's outcome, on whichever thread resolves it (an engine worker, or
+/// the submitter itself for admission rejections).  Must not throw and must
+/// not re-enter the engine that invoked it.
 using ResponseCallback = std::function<void(core::Result<std::vector<float>>&&)>;
 
 /// Observability identity of a request, threaded from the wire frame down
@@ -52,15 +51,12 @@ struct RequestMeta {
   std::uint64_t trace_id = 0;
 };
 
-/// One queued inference request.  Resolution happens exactly once, by
-/// whichever stage finishes the request (admission rejection, in-queue
-/// expiry, a worker, or drain-timeout cancellation): through `done` when
-/// set (the wire front-end's completion path — no future churn on the
-/// poll loop), through `promise` otherwise.
+/// One queued inference request.  Resolution happens exactly once, through
+/// `done`, by whichever stage finishes the request (admission rejection,
+/// in-queue expiry, a worker, or drain-timeout cancellation).
 struct Request {
   Tensor input;
-  std::promise<core::Result<std::vector<float>>> promise;
-  ResponseCallback done;  ///< when set, `promise` is never touched
+  ResponseCallback done;
   std::chrono::steady_clock::time_point enqueue_time{};
   /// Absolute end-to-end deadline; time_point::max() = no deadline.  Covers
   /// the whole request: queue wait (the worker fails lapsed requests with
@@ -102,10 +98,6 @@ class RequestQueue {
   [[nodiscard]] bool closed() const;
   /// Total queued requests across both lanes.
   [[nodiscard]] std::size_t size() const;
-  /// Queued requests in the normal lane only (the lane adaptive shedding
-  /// reasons about: high-lane traffic is drained first, so it does not add
-  /// to a normal request's expected wait the way lane-mates do).
-  [[nodiscard]] std::size_t normal_size() const;
   [[nodiscard]] std::size_t capacity() const noexcept { return capacity_; }
 
  private:

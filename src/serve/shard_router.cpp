@@ -7,6 +7,7 @@
 #include <thread>
 #include <utility>
 
+#include "core/check.hpp"
 #include "core/status.hpp"
 #include "core/sync.hpp"
 #include "core/thread_annotations.hpp"
@@ -132,6 +133,7 @@ struct ShardRouter::Impl {
   /// it inline before returning.
   void route(Tensor input, std::chrono::milliseconds deadline, Priority priority,
              RequestMeta meta, ResponseCallback done) BF_EXCLUDES(mu_) {
+    BF_CHECK(done, "submit: the completion callback is empty");
     {
       core::MutexLock lock(mu_);
       if (state_ == EngineState::kDraining || state_ == EngineState::kDrained) {
@@ -211,9 +213,8 @@ core::Result<ShardRouter> ShardRouter::create(const io::Model& model, RouterConf
 std::future<core::Result<std::vector<float>>> ShardRouter::submit(
     Tensor input, std::chrono::milliseconds deadline, Priority priority) {
   // std::function requires copyable callables, so the promise rides in a
-  // shared_ptr.  (Engine's own future form keeps the promise inside the
-  // Request and pays no extra allocation; the router always completes
-  // through a callback because of the outstanding_ bookkeeping.)
+  // shared_ptr.  The router cannot reuse Engine's future form: it completes
+  // through its own callback for the outstanding_ bookkeeping.
   auto p = std::make_shared<std::promise<core::Result<std::vector<float>>>>();
   std::future<core::Result<std::vector<float>>> fut = p->get_future();
   impl_->route(std::move(input), deadline, priority, RequestMeta{},
@@ -241,7 +242,7 @@ core::Status ShardRouter::drain(std::chrono::milliseconds timeout) {
   Impl& im = *impl_;
   {
     core::MutexLock lock(im.mu_);
-    if (im.state_ == EngineState::kDrained) return Status::ok();  // idempotent
+    if (im.state_ == EngineState::kDrained) return {};  // idempotent
     if (im.state_ != EngineState::kServing) {
       return Status{ErrorCode::kUnavailable,
                     "drain: router is " + std::string(engine_state_name(im.state_)) +
@@ -254,7 +255,7 @@ core::Status ShardRouter::drain(std::chrono::milliseconds timeout) {
   // escalating, so sequential drains would stack timeouts (N x timeout
   // worst case) — concurrent ones bound tier drain by the slowest shard.
   const std::size_t n = im.engines_.size();
-  std::vector<Status> shard_status(n, Status::ok());
+  std::vector<Status> shard_status(n);
   std::vector<std::thread> waiters;
   waiters.reserve(n);
   for (std::size_t s = 0; s < n; ++s) {
@@ -274,7 +275,7 @@ core::Status ShardRouter::drain(std::chrono::milliseconds timeout) {
                     "shard " + std::to_string(s) + ": " + shard_status[s].message()};
     }
   }
-  return Status::ok();
+  return {};
 }
 
 core::Status ShardRouter::reload(std::shared_ptr<const graph::BinaryNetwork> net) {
@@ -294,7 +295,7 @@ core::Status ShardRouter::reload(std::shared_ptr<const graph::BinaryNetwork> net
   note_router_state("reloading");
   // Fail the whole swap up front on a shape mismatch instead of relying on
   // every shard rejecting it individually (they would — identically).
-  Status result = Status::ok();
+  Status result;
   if (net->input_desc() != im.engines_.front().input_desc() ||
       net->output_size() != im.engines_.front().output_size()) {
     result = Status{ErrorCode::kInvalidModel,

@@ -7,10 +7,10 @@
 //
 // Why shards instead of one big engine: each Engine serializes admission
 // through one queue and one lifecycle mutex, from which its workers pop
-// their batches.  Sharding multiplies those serialization points and — with
-// micro-batching — lets one shard's batch_timeout fill-wait overlap another
-// shard's compute, so the tier's sustained QPS scales past a single queue's
-// even on few cores.
+// their batches.  Sharding multiplies those serialization points and — when
+// the engines run a batching window (EngineConfig::batch_timeout, zero by
+// default) — lets one shard's fill-wait overlap another shard's compute, so
+// the tier's sustained QPS scales past a single queue's even on few cores.
 //
 // Zero-copy weight sharing: every shard serves the SAME immutable finalized
 // graph::BinaryNetwork through a shared_ptr — N shards cost N inference
@@ -102,7 +102,8 @@ class ShardRouter {
   /// Callback-form submit (the wire front-end's path): `done` is invoked
   /// exactly once, on whichever thread resolves the request — inline on the
   /// calling thread for routing/admission rejections.  Same contract as
-  /// Engine's callback submit: must not throw, must not re-enter the tier.
+  /// Engine's callback submit: non-empty, must not throw, must not re-enter
+  /// the tier.
   void submit(Tensor input, std::chrono::milliseconds deadline, Priority priority,
               ResponseCallback done);
 

@@ -98,7 +98,7 @@ core::Status PerfSampler::open(const std::vector<int>& tids) {
   if (leaders_.empty()) {
     return {core::ErrorCode::kUnavailable, "perf: no counter group could be opened"};
   }
-  return core::Status::ok();
+  return {};
 }
 
 PerfCounts PerfSampler::read() const noexcept {

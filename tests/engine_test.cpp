@@ -6,6 +6,8 @@
 //     happened to form;
 //   * concurrency: many caller threads submitting against a multi-worker
 //     engine (this binary runs under TSan in CI);
+//   * batching: a lone request runs at once instead of waiting for company,
+//     and a burst queued behind a busy worker runs as one full batch;
 //   * backpressure: a full admission queue rejects with kResourceExhausted
 //     while admitted requests still complete;
 //   * deadlines: a request expiring while queued fails with
@@ -20,7 +22,11 @@
 //
 // Determinism notes: tests that need a wedged worker use the kStall
 // failpoint action rather than sleeps in test code, and assertions are on
-// ordering guarantees (FIFO queue, max_batch=1) rather than timing.
+// ordering guarantees (FIFO queue, max_batch=1) rather than timing.  The
+// one timing bound, LoneInferDoesNotWaitForCompany's, is on a median and
+// sits far from both sides: a hand-off costs tens of microseconds, and a
+// batching window would add its whole length to every lone request.
+#include <algorithm>
 #include <chrono>
 #include <cstdint>
 #include <future>
@@ -31,6 +37,7 @@
 #include <gtest/gtest.h>
 
 #include "bitpack/packer.hpp"
+#include "core/check.hpp"
 #include "core/failpoint.hpp"
 #include "core/status.hpp"
 #include "io/model.hpp"
@@ -224,7 +231,73 @@ TEST_F(EngineTest, EngineIsMovable) {
   EXPECT_EQ(r.value(), want);
 }
 
+// --- batching ---------------------------------------------------------------
+
+TEST_F(EngineTest, LoneInferDoesNotWaitForCompany) {
+  // The default batching window is zero: a worker runs what is queued and
+  // never holds a lone request back in the hope of a batch, so a blocking
+  // infer costs its service time plus a thread hand-off.
+  Engine engine = make_engine({});
+  const Tensor input = make_input(4);
+  const std::vector<float> want = reference_scores(input);
+  ASSERT_TRUE(engine.infer(input).is_ok());  // warm-up: context build, first touch
+  std::vector<double> wait_ms;
+  for (int i = 0; i < 21; ++i) {
+    const auto t0 = std::chrono::steady_clock::now();
+    const auto r = engine.infer(input);
+    const double wall_ms =
+        std::chrono::duration<double, std::milli>(std::chrono::steady_clock::now() - t0)
+            .count();
+    ASSERT_TRUE(r.is_ok()) << r.status().to_string();
+    EXPECT_EQ(r.value(), want);
+    wait_ms.push_back(wall_ms - engine.stats().ewma_service_ms);
+  }
+  const auto median = wait_ms.begin() + static_cast<std::ptrdiff_t>(wait_ms.size() / 2);
+  std::nth_element(wait_ms.begin(), median, wait_ms.end());
+  EXPECT_LT(*median, 1.0) << "median ms of wall latency beyond service time";
+}
+
+TEST_F(EngineTest, BurstQueuedBehindABusyWorkerRunsAsOneBatch) {
+  // Requests that arrive while the only worker is busy are all queued when
+  // it comes back, so they run as one fused batch with no timer.
+  failpoint::arm("serve.infer", Config{Action::kStall, Trigger::kOnce, 1, /*stall_ms=*/200});
+  EngineConfig cfg;
+  cfg.workers = 1;
+  cfg.max_batch = 4;
+  Engine engine = make_engine(cfg);
+
+  std::vector<Tensor> inputs;
+  for (int i = 0; i < 5; ++i) inputs.push_back(make_input(20 + static_cast<std::uint64_t>(i)));
+  std::vector<std::future<core::Result<std::vector<float>>>> futures;
+  futures.push_back(engine.submit(inputs[0]));
+  // The hit is counted before the stall sleeps: the worker now holds a
+  // batch of one and stays busy for the stall.
+  while (failpoint::hit_count("serve.infer") == 0) std::this_thread::sleep_for(1ms);
+  for (std::size_t i = 1; i < inputs.size(); ++i) futures.push_back(engine.submit(inputs[i]));
+
+  for (std::size_t i = 0; i < futures.size(); ++i) {
+    auto r = futures[i].get();
+    ASSERT_TRUE(r.is_ok()) << "request " << i << ": " << r.status().to_string();
+    EXPECT_EQ(r.value(), reference_scores(inputs[i])) << "request " << i;
+  }
+  const EngineStats s = engine.stats();
+  ASSERT_EQ(s.batch_size_hist.size(), 5u);
+  EXPECT_EQ(s.batch_size_hist[1], 1u);
+  EXPECT_EQ(s.batch_size_hist[4], 1u);
+  EXPECT_EQ(s.batches, 2u);
+}
+
 // --- admission control ------------------------------------------------------
+
+#if BITFLOW_CHECKS_ENABLED
+TEST_F(EngineTest, EmptyCompletionCallbackIsAContractViolation) {
+  // Re-exec rather than fork: the fixture and the engine already run threads.
+  ::testing::GTEST_FLAG(death_test_style) = "threadsafe";
+  Engine engine = make_engine({});
+  EXPECT_DEATH(engine.submit(make_input(1), 0ms, Priority::kNormal, ResponseCallback{}),
+               "completion callback is empty");
+}
+#endif
 
 TEST_F(EngineTest, ShapeMismatchIsRejectedWithoutConsumingQueueCapacity) {
   Engine engine = make_engine({});
@@ -334,22 +407,29 @@ TEST_F(EngineTest, QueueAdmitFaultRejectsWithResourceExhaustedAndEngineRecovers)
 }
 
 TEST_F(EngineTest, WorkerFaultPoisonsExactlyOneRequestAndEngineSurvives) {
-  // count(2): hit 1 fails the fused batch attempt, hit 2 fails the firewall's
-  // first single-request rerun.  Exactly one request fails with the mapped
-  // Status no matter how the scheduler grouped the batch; everyone else gets
-  // scores.
+  // Three requests queue behind the only worker while it stalls on a first
+  // one, so they run as one fused batch of three.  count(2) is armed before
+  // the stall ends: hit 1 fails the fused batch attempt, hit 2 fails the
+  // firewall's first single-request rerun.  Exactly one request fails with
+  // the mapped Status; everyone else gets scores.
+  failpoint::arm("serve.infer", Config{Action::kStall, Trigger::kOnce, 1, /*stall_ms=*/200});
   EngineConfig cfg;
   cfg.workers = 1;
   cfg.max_batch = 4;
-  cfg.batch_timeout = 50ms;  // wide window so rapid submits can coalesce
   Engine engine = make_engine(cfg);
-  failpoint::arm("serve.infer", Config{Action::kError, Trigger::kCounted, 2});
 
+  const Tensor first = make_input(9);
+  auto wedged = engine.submit(first);
+  while (failpoint::hit_count("serve.infer") == 0) std::this_thread::sleep_for(1ms);
   std::vector<Tensor> inputs;
   for (int i = 0; i < 3; ++i) inputs.push_back(make_input(10 + i));
   std::vector<std::future<core::Result<std::vector<float>>>> futures;
   for (const Tensor& t : inputs) futures.push_back(engine.submit(t));
+  failpoint::arm("serve.infer", Config{Action::kError, Trigger::kCounted, 2});
 
+  auto w = wedged.get();
+  ASSERT_TRUE(w.is_ok()) << w.status().to_string();
+  EXPECT_EQ(w.value(), reference_scores(first));
   int failed = 0;
   for (std::size_t i = 0; i < futures.size(); ++i) {
     auto r = futures[i].get();
@@ -363,7 +443,10 @@ TEST_F(EngineTest, WorkerFaultPoisonsExactlyOneRequestAndEngineSurvives) {
   EXPECT_EQ(failed, 1);
   const EngineStats s = engine.stats();
   EXPECT_EQ(s.failed, 1u);
-  EXPECT_EQ(s.completed, 2u);
+  EXPECT_EQ(s.completed, 3u);
+  ASSERT_EQ(s.batch_size_hist.size(), 5u);
+  EXPECT_EQ(s.batch_size_hist[1], 1u);
+  EXPECT_EQ(s.batch_size_hist[3], 1u);
 
   // The worker survived its exception firewall and keeps serving.
   const Tensor input = make_input(99);

@@ -121,7 +121,7 @@ class FaultMatrixTest : public ::testing::Test {
       const core::Status st = op();
       if (!st.is_ok()) return st;
     }
-    return core::Status::ok();
+    return {};
   }
 
   void expect_bit_exact_recovery(Engine& engine) {

@@ -202,7 +202,7 @@ TEST(NetCodec, ReaderDecodesTraceIdFrames) {
   req.trace_id = 0xDEADBEEFull;
   const std::vector<std::uint8_t> bytes = encode(req);
   FrameReader reader;
-  for (std::uint8_t b : bytes) ASSERT_TRUE(reader.feed(&b, 1).ok());
+  for (std::uint8_t b : bytes) ASSERT_TRUE(reader.feed(&b, 1).is_ok());
   auto frame = reader.next();
   ASSERT_TRUE(frame.has_value());
   EXPECT_EQ(std::get<RequestFrame>(*frame).trace_id, 0xDEADBEEFull);

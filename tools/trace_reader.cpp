@@ -214,7 +214,7 @@ core::Status check_metrics_text(const std::string& text) {
                  value + "'");
     }
   }
-  return core::Status::ok();
+  return {};
 }
 
 }  // namespace
@@ -276,7 +276,7 @@ core::Status check_trace_nesting(const std::vector<ParsedTraceEvent>& events) {
     }
     stack.push_back(r);
   }
-  return core::Status::ok();
+  return {};
 }
 
 core::Result<Bundle> load_bundle(const std::string& dir) {
