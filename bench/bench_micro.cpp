@@ -14,6 +14,7 @@
 #include <chrono>
 #include <cstdint>
 #include <cstdio>
+#include <cstdlib>
 #include <random>
 #include <string_view>
 #include <vector>
@@ -214,15 +215,16 @@ void emit_tiling_bench_json() {
   for (simd::IsaLevel isa : simd::supported_isa_levels()) {
     const bench::TiledConvResult r = bench::measure_tiled_conv(isa, kIn, kIn, kC, kK, kKernel);
     std::printf(
-        "BENCH {\"bench\":\"pressedconv_tiled\",\"isa\":\"%s\",\"tile\":%lld,"
+        "BENCH {\"bench\":\"pressedconv_tiled\",\"isa\":\"%s\",\"tile\":%lld,\"p\":%lld,"
         "\"kh\":%lld,\"kw\":%lld,\"c\":%lld,\"k\":%lld,\"out_h\":%lld,\"out_w\":%lld,"
-        "\"ref_isa\":\"u64\",\"ref_tile\":4,\"ms\":%.4f,\"ref_ms\":%.4f,\"gops\":%.2f,"
-        "\"ref_gops\":%.2f,\"speedup\":%.3f}\n",
+        "\"ref_isa\":\"u64\",\"ref_tile\":4,\"ref_p\":%lld,\"ms\":%.4f,\"ref_ms\":%.4f,"
+        "\"gops\":%.2f,\"ref_gops\":%.2f,\"speedup\":%.3f}\n",
         std::string(simd::isa_name(isa)).c_str(), static_cast<long long>(r.tile),
+        static_cast<long long>(kernels::pixel_block(isa, r.tile)),
         static_cast<long long>(kKernel), static_cast<long long>(kKernel),
         static_cast<long long>(kC), static_cast<long long>(kK),
         static_cast<long long>(kIn - kKernel + 1), static_cast<long long>(kIn - kKernel + 1),
-        r.seconds * 1e3, r.ref_seconds * 1e3, r.gops(), r.ref_gops(), r.speedup());
+        static_cast<long long>(kernels::pixel_block(simd::IsaLevel::kU64, 4)), r.seconds * 1e3, r.ref_seconds * 1e3, r.gops(), r.ref_gops(), r.speedup());
   }
   std::fflush(stdout);
 }
@@ -261,12 +263,15 @@ void emit_narrow_layer_bench_json() {
   const double paper_s = seconds(paper);
   std::printf(
       "BENCH {\"bench\":\"narrow_layer_plan\",\"layer\":\"conv1_2\",\"in\":%lld,\"c\":%lld,"
-      "\"k\":%lld,\"engine_isa\":\"%s\",\"engine_tile\":%lld,\"paper_isa\":\"%s\","
-      "\"paper_tile\":%lld,\"engine_ms\":%.3f,\"paper_ms\":%.3f,\"speedup\":%.3f}\n",
+      "\"k\":%lld,\"engine_isa\":\"%s\",\"engine_tile\":%lld,\"engine_p\":%lld,"
+      "\"paper_isa\":\"%s\",\"paper_tile\":%lld,\"paper_p\":%lld,\"engine_ms\":%.3f,"
+      "\"paper_ms\":%.3f,\"speedup\":%.3f}\n",
       static_cast<long long>(kIn), static_cast<long long>(kC), static_cast<long long>(kK),
       std::string(simd::isa_name(engine.isa)).c_str(), static_cast<long long>(engine.tile),
+      static_cast<long long>(kernels::pixel_block(engine.isa, engine.tile)),
       std::string(simd::isa_name(paper.isa)).c_str(), static_cast<long long>(paper.tile),
-      engine_s * 1e3, paper_s * 1e3, paper_s / engine_s);
+      static_cast<long long>(kernels::pixel_block(paper.isa, paper.tile)), engine_s * 1e3,
+      paper_s * 1e3, paper_s / engine_s);
   std::fflush(stdout);
 }
 
@@ -384,16 +389,20 @@ void emit_cancel_bench_json() {
   std::fflush(stdout);
 }
 
-// --plans mode: the single-thread matrix of the fused-binarize tiled conv
-// over VGG-16's 13 conv shapes (224x224 input, 3x3, pad 1), at every (ISA
-// variant, tile width) the host runs — both AVX-512 popcount lowerings
-// included.  One `BENCH {"bench":"vgg16_conv_plan",...}` line per (layer,
-// variant, T); "default" marks the plan the engine commits.  The source of
-// EXPERIMENTS.md's "Full-width tiles" matrix.
-void emit_vgg16_plan_matrix_json() {
+// --plans mode: the matrix of the fused-binarize tiled conv over VGG-16's
+// 13 conv shapes (224x224 input, 3x3, pad 1), at every (ISA variant, tile
+// width) the host runs — both AVX-512 popcount lowerings included — on
+// `threads` threads (one unless --threads N follows).  One `BENCH
+// {"bench":"vgg16_conv_plan",...}` line per (layer, variant, T) with the
+// register-block height P that (ISA, T) compiles in; "default" marks the
+// plan the engine commits.  A last `vgg16_conv_plan_sum` line adds up the
+// 13 default rows.  The source of EXPERIMENTS.md's "Full-width tiles" and
+// "2-D register tiles" matrices.
+void emit_vgg16_plan_matrix_json(int threads) {
   const models::VggConfig vgg = models::vgg16();
   const simd::CpuFeatures& features = simd::cpu_features();
-  runtime::ThreadPool pool(1);
+  runtime::ThreadPool pool(threads);
+  double default_ms = 0.0;
   std::uint64_t seed = 73;
   std::int64_t c = vgg.input_channels, hw = vgg.input_size;
   for (std::size_t b = 0; b < vgg.conv_blocks.size(); ++b, hw /= 2) {
@@ -422,11 +431,14 @@ void emit_vgg16_plan_matrix_json() {
           const bool is_default =
               v.isa == def.isa && t == def.tile &&
               v.use_vpopcntdq == (def.isa == simd::IsaLevel::kAvx512 && features.avx512vpopcntdq);
+          if (is_default) default_ms += ms;
           std::printf(
               "BENCH {\"bench\":\"vgg16_conv_plan\",\"layer\":\"%s\",\"hw\":%lld,\"c\":%lld,"
-              "\"k\":%lld,\"isa\":\"%s\",\"tile\":%lld,\"default\":%s,\"ms\":%.3f}\n",
+              "\"k\":%lld,\"isa\":\"%s\",\"tile\":%lld,\"p\":%lld,\"threads\":%d,"
+              "\"default\":%s,\"ms\":%.3f}\n",
               layer.c_str(), static_cast<long long>(hw), static_cast<long long>(c),
               static_cast<long long>(k), std::string(v.name).c_str(), static_cast<long long>(t),
+              static_cast<long long>(kernels::pixel_block(v.isa, t)), threads,
               is_default ? "true" : "false", ms);
         }
         std::fflush(stdout);
@@ -434,16 +446,27 @@ void emit_vgg16_plan_matrix_json() {
       c = k;
     }
   }
+  std::printf("BENCH {\"bench\":\"vgg16_conv_plan_sum\",\"threads\":%d,\"default_ms\":%.3f}\n",
+              threads, default_ms);
+  std::fflush(stdout);
 }
 
 }  // namespace
 
 int main(int argc, char** argv) {
-  // --plans runs the VGG-16 plan matrix instead of the google-benchmark
-  // suite.
+  // --plans [--threads N] runs the VGG-16 plan matrix instead of the
+  // google-benchmark suite.
   for (int i = 1; i < argc; ++i) {
     if (std::string_view(argv[i]) == "--plans") {
-      emit_vgg16_plan_matrix_json();
+      int threads = 1;
+      if (i + 1 < argc && std::string_view(argv[i + 1]) == "--threads") {
+        threads = i + 2 < argc ? std::atoi(argv[i + 2]) : 0;
+      }
+      if (threads < 1 || threads > 64) {
+        std::fprintf(stderr, "bench_micro: --plans [--threads N] takes 1 <= N <= 64\n");
+        return 2;
+      }
+      emit_vgg16_plan_matrix_json(threads);
       return 0;
     }
   }

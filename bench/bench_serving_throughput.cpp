@@ -34,6 +34,10 @@
 #include <thread>
 #include <vector>
 
+#ifdef __GLIBC__
+#include <malloc.h>
+#endif
+
 #include "bitpack/packer.hpp"
 #include "io/model.hpp"
 #include "models/vgg.hpp"
@@ -352,6 +356,17 @@ int run_overload(const io::Model& model, double seconds) {
 }  // namespace
 
 int main(int argc, char** argv) {
+#ifdef __GLIBC__
+  // Pin this load generator's heap before any thread starts.  The storm's
+  // fresh submitter thread copies a 64 KiB input per submit and engine
+  // workers free the copies; with glibc's defaults that thread's arena heap
+  // is trimmed as the frees empty its top and regrown on the next submits.
+  // The first two submits then stalled for 33-58 ms and 139-372 ms, and a
+  // run could complete only 5 requests in its first 0.25 s, so goodput
+  // measured the allocator as much as the engine.
+  mallopt(M_TRIM_THRESHOLD, 256 << 20);
+  mallopt(M_TOP_PAD, 64 << 20);
+#endif
   double seconds = 2.0;
   bool smoke = false;
   bool overload = false;

@@ -612,11 +612,13 @@ void BinaryNetwork::finalize(TensorDesc input) {
     if (!s.full_precision) {
       kernel += '[';
       kernel += simd::isa_name(s.isa);
-      // Surface the committed plan: ",t16" = register-tile width.  Pools
-      // have no tile width.
+      // Surface the committed plan: ",t16,p4" = register-tile width T and
+      // the P outputs that share each tile row load.  Pools have neither.
       if (info.tile > 0) {
         kernel += ",t";
         kernel += std::to_string(info.tile);
+        kernel += ",p";
+        kernel += std::to_string(kernels::pixel_block(s.isa, info.tile));
       }
       kernel += ']';
     }

@@ -100,7 +100,7 @@ struct LayerInfo {
 /// inflate it.
 struct LayerProfile {
   std::string name;    ///< layer name; row 0 is the input pack ("pack_input")
-  std::string kernel;  ///< kernel + plan actually dispatched, e.g. "pressedconv_bin[avx2,t16]"
+  std::string kernel;  ///< kernel + plan actually dispatched, e.g. "pressedconv_bin[avx2,t16,p4]"
   std::uint64_t calls = 0;   ///< stage invocations recorded
   std::uint64_t images = 0;  ///< images processed across those calls
   double mean_ms = 0.0;

@@ -57,7 +57,9 @@ KernelPlan default_kernel_plan(std::int64_t k, const simd::CpuFeatures& f,
 std::string explain_kernel_plan(const KernelPlan& plan, std::int64_t k) {
   std::string s = "K=" + std::to_string(k) + " -> " + std::string(isa_name(plan.isa)) +
                   " (register tiles: T=" + std::to_string(plan.tile) +
-                  " filters per activation broadcast vectorize along K, so the widest ISA";
+                  " filters per activation broadcast vectorize along K, so the widest ISA; P=" +
+                  std::to_string(kernels::pixel_block(plan.isa, plan.tile)) +
+                  " outputs share each tile row load";
   if (k < plan.tile) s += "; K < T, so no full tile";
   return s + ")";
 }

@@ -44,7 +44,9 @@ namespace bitflow::graph {
 [[nodiscard]] std::string explain_isa_selection(std::int64_t channels,
                                                 const simd::CpuFeatures& f);
 
-/// The ISA and register-tile width a conv or fc layer runs at.
+/// The ISA and register-tile width a conv or fc layer runs at.  The
+/// register-block height P follows from the pair at compile time
+/// (kernels::pixel_block), so it is not a field.
 struct KernelPlan {
   simd::IsaLevel isa = simd::IsaLevel::kU64;
   std::int64_t tile = 4;  ///< register-tile width T

@@ -12,11 +12,17 @@
 //
 // Batch-N: the kernels compute only the first `m_rows` rows of A (the
 // serving path keeps a max_batch-row activation matrix and fills the first
-// n rows per micro-batch).  The M and K dimensions are fused into one
-// parallel_for, so a batch of N requests through a small FC layer costs one
-// fork/join instead of N — the same fusion PressedConv applies to N*H*W.
-// Each output element depends only on its own (m, k) pair, so results are
-// bit-identical for any m_rows and any thread count.
+// n rows per micro-batch).  The K and M dimensions are fused into one
+// group-major parallel_for — a neuron tile (raw dot) or a 64-neuron output
+// word (binarize) times the m_rows rows — so a batch of N requests through
+// a small FC layer costs one fork/join instead of N, the same fusion
+// PressedConv applies to N*H*W.  Each thread walks its block with
+// tile_walk.hpp: the rows of one group run in blocks of P = pixel_block(ISA,
+// T) with P x T counters, so each tile row of W is loaded once per P rows
+// and a thread streams its share of W once per block of P rows; the rows
+// left over run the same template at P = 1.  Each output element depends
+// only on its own (m, k) pair, so results are bit-identical for any m_rows
+// and any thread count.
 //
 // Tile is an explicit template parameter (not Ops::Tile) so each per-ISA TU
 // can stamp one entry point per supported width.
@@ -28,6 +34,7 @@
 #include <vector>
 
 #include "kernels/conv_spec.hpp"
+#include "kernels/tile_walk.hpp"
 #include "runtime/thread_pool.hpp"
 #include "tensor/packed_tensor.hpp"
 
@@ -37,6 +44,7 @@ template <typename Ops, typename Tile>
 void bgemm_rows_tiled_impl(const PackedMatrix& a, std::int64_t m_rows, const TiledBitMatrix& w,
                            runtime::ThreadPool& pool, float* y) {
   constexpr std::int64_t kT = Tile::kWidth;
+  constexpr std::int64_t kP = pixel_block(Ops::kIsa, kT);
   if (w.tile() != kT) {
     throw std::invalid_argument("bgemm tiled: matrix tile width does not match kernel");
   }
@@ -53,33 +61,35 @@ void bgemm_rows_tiled_impl(const PackedMatrix& a, std::int64_t m_rows, const Til
   const auto bits32 = static_cast<std::int32_t>(bits);
   const std::int64_t full_tiles = w.full_tiles();
   const std::int64_t tiled_rows = w.tiled_rows();
-  // One grain per (row of A, filter tile or remainder neuron) — the fused
-  // range keeps small layers saturated at M > 1.
+  // One grain per (neuron tile or remainder neuron, row of A), group-major:
+  // a thread streams its share of W once per block of kP rows.
   const std::int64_t groups = full_tiles + w.remainder_rows();
-  pool.parallel_for(m_rows * groups, [&](runtime::Range r, int) {
-    for (std::int64_t idx = r.begin; idx < r.end; ++idx) {
-      const std::int64_t m = idx / groups;
-      const std::int64_t g = idx - m * groups;
-      const std::uint64_t* xa = a.row(m);
-      float* ym = y + m * k_rows;
-      if (g < full_tiles) {
-        Tile acc{};
-        const std::uint64_t* f = w.tile_block(g);
-        for (std::int64_t wi = 0; wi < n_words; ++wi, f += kT) {
-          acc.accumulate(xa[wi], f);
-        }
-        std::uint64_t pops[kT];
-        acc.reduce(pops);
-        float* yk = ym + g * kT;
-        for (std::int64_t l = 0; l < kT; ++l) {
-          yk[l] = static_cast<float>(bits32 - 2 * static_cast<std::int32_t>(pops[l]));
-        }
-      } else {
+  pool.parallel_for(groups * m_rows, [&](runtime::Range r, int) {
+    for_each_row_segment(r, groups, m_rows, [&](std::int64_t, std::int64_t g, std::int64_t m0,
+                                                std::int64_t m1) {
+      if (g >= full_tiles) {
         const std::int64_t rr = g - full_tiles;
-        const std::uint64_t p = Ops::xor_popcount(xa, w.remainder_row(rr), n_words);
-        ym[tiled_rows + rr] = static_cast<float>(bits - 2 * static_cast<std::int64_t>(p));
+        for (std::int64_t m = m0; m < m1; ++m) {
+          const std::uint64_t p = Ops::xor_popcount(a.row(m), w.remainder_row(rr), n_words);
+          y[m * k_rows + tiled_rows + rr] =
+              static_cast<float>(bits - 2 * static_cast<std::int64_t>(p));
+        }
+        return;
       }
-    }
+      for_each_block<kP>(m0, m1, [&](auto q, std::int64_t m) {
+        constexpr std::int64_t kQ = decltype(q)::value;
+        Tile acc[kQ] = {};
+        accumulate_runs<kQ>(acc, a.row(m), n_words, n_words, w.tile_block(g));
+        for (std::int64_t j = 0; j < kQ; ++j) {
+          std::uint64_t pops[kT];
+          acc[j].reduce(pops);
+          float* yk = y + (m + j) * k_rows + g * kT;
+          for (std::int64_t l = 0; l < kT; ++l) {
+            yk[l] = static_cast<float>(bits32 - 2 * static_cast<std::int32_t>(pops[l]));
+          }
+        }
+      });
+    });
   });
 }
 
@@ -88,6 +98,7 @@ void bgemm_binarize_rows_tiled_impl(const PackedMatrix& a, std::int64_t m_rows,
                                     const TiledBitMatrix& w, const std::int64_t* limits,
                                     runtime::ThreadPool& pool, PackedMatrix& out) {
   constexpr std::int64_t kT = Tile::kWidth;
+  constexpr std::int64_t kP = pixel_block(Ops::kIsa, kT);
   static_assert(64 % Tile::kWidth == 0, "neuron tiles must not straddle output words");
   if (w.tile() != kT) {
     throw std::invalid_argument("bgemm_binarize tiled: matrix tile width does not match kernel");
@@ -107,32 +118,36 @@ void bgemm_binarize_rows_tiled_impl(const PackedMatrix& a, std::int64_t m_rows,
   const std::int64_t out_words = out.words_per_row();
   std::vector<std::int64_t> sign;
   limits = resolve_limits(limits, a.cols(), k_rows, sign);
-  pool.parallel_for(m_rows * out_words, [&](runtime::Range r, int) {
-    for (std::int64_t idx = r.begin; idx < r.end; ++idx) {
-      const std::int64_t m = idx / out_words;
-      const std::int64_t wi = idx - m * out_words;
-      const std::uint64_t* xa = a.row(m);
+  // One grain per (output word, row of A), word-major, as in the raw dot.
+  pool.parallel_for(out_words * m_rows, [&](runtime::Range r, int) {
+    for_each_row_segment(r, out_words, m_rows, [&](std::int64_t, std::int64_t wi,
+                                                   std::int64_t m0, std::int64_t m1) {
       const std::int64_t k0 = wi * 64;
       const std::int64_t block = std::min<std::int64_t>(64, k_rows - k0);
-      std::uint64_t packed = 0;
-      std::int64_t b = 0;
-      // k0 is a multiple of 64, hence of kT, so tiles align to this word's
-      // bit positions; kT divides 64, so no tile straddles the word.
-      for (; b < block && k0 + b < tiled_rows; b += kT) {
-        Tile acc{};
-        const std::uint64_t* f = w.tile_block((k0 + b) / kT);
-        for (std::int64_t nw = 0; nw < n_words; ++nw, f += kT) {
-          acc.accumulate(xa[nw], f);
+      for_each_block<kP>(m0, m1, [&](auto q, std::int64_t m) {
+        constexpr std::int64_t kQ = decltype(q)::value;
+        std::uint64_t packed[kQ] = {};
+        std::int64_t b = 0;
+        // k0 is a multiple of 64, hence of kT, so tiles align to this word's
+        // bit positions; kT divides 64, so no tile straddles the word.
+        for (; b < block && k0 + b < tiled_rows; b += kT) {
+          Tile acc[kQ] = {};
+          accumulate_runs<kQ>(acc, a.row(m), n_words, n_words, w.tile_block((k0 + b) / kT));
+          for (std::int64_t j = 0; j < kQ; ++j) packed[j] |= acc[j].le_mask(limits + k0 + b) << b;
         }
-        packed |= acc.le_mask(limits + k0 + b) << b;
-      }
-      for (; b < block; ++b) {
-        const std::uint64_t p =
-            Ops::xor_popcount(xa, w.remainder_row(k0 + b - tiled_rows), n_words);
-        packed |= limit_bit(p, limits[k0 + b]) << b;
-      }
-      out.row(m)[wi] = packed;
-    }
+        // The remainder neurons take the word-run path, row by row.
+        for (std::int64_t j = 0; j < kQ; ++j) {
+          const std::uint64_t* xa = a.row(m + j);
+          std::uint64_t word = packed[j];
+          for (std::int64_t bb = b; bb < block; ++bb) {
+            const std::uint64_t p =
+                Ops::xor_popcount(xa, w.remainder_row(k0 + bb - tiled_rows), n_words);
+            word |= limit_bit(p, limits[k0 + bb]) << bb;
+          }
+          out.row(m + j)[wi] = word;
+        }
+      });
+    });
   });
 }
 

@@ -73,6 +73,21 @@ struct TileWidthSet {
   return TileWidthSet{{4, 0, 0}, 1};
 }
 
+/// Register-block height P of the (`isa`, `tile`) kernels: how many output
+/// pixels of one row (conv) or batch rows (bgemm) share each T-word filter
+/// tile row load, with P x T counters in registers.  A compile-time constant
+/// of each instantiation, chosen by measurement (EXPERIMENTS.md, "2-D
+/// register tiles"): the P x T counters fill eight registers of the tile's
+/// accumulator type — 64-bit GPRs for the T = 4 scalar chains (P = 2),
+/// ymm on AVX2 (P = 2 at T = 16, 4 at T = 8), zmm on AVX-512 (P = 4 at
+/// T = 16, 8 at T = 8).  Outputs left at the end of a row or of a thread's
+/// block run the same kernel at P = 1.
+[[nodiscard]] constexpr std::int64_t pixel_block(simd::IsaLevel isa, std::int64_t tile) noexcept {
+  const std::int64_t counters_per_register =
+      tile == 4 ? 1 : (isa == simd::IsaLevel::kAvx512 ? 8 : 4);
+  return 8 * counters_per_register / tile;
+}
+
 /// Geometry of one convolution: filter extents and stride.  Output extents
 /// follow from the (already padded) input extents.
 struct ConvSpec {

@@ -6,6 +6,7 @@
 
 namespace {
 struct OpsAvx2 {
+  static constexpr bitflow::simd::IsaLevel kIsa = bitflow::simd::IsaLevel::kAvx2;
   static std::uint64_t xor_popcount(const std::uint64_t* a, const std::uint64_t* b,
                                     std::int64_t n) {
     return bitflow::simd::inl::xor_popcount_avx2(a, b, n);

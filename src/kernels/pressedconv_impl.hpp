@@ -9,28 +9,36 @@
 //
 // Loop structure (paper Alg. 1, activation-stationary dataflow — YFlows):
 //   multi-core  : fused b*y*x output range, static blocks     (parallel_for)
-//   per pixel   : filter tiles of T = Tile::kWidth filters
-//   per tile    : the kh * kw * words_per_pixel window words — each packed
-//                 activation word is loaded once, broadcast, and
-//                 XOR+popcounted against the T matching filter words, which
-//                 the interleave (bitpack::tile_filters) made contiguous
+//   per thread  : its block row by row (tile_walk.hpp): one division at the
+//                 block start, then x, y and image increments
+//   per row     : blocks of P = pixel_block(ISA, T) adjacent output pixels;
+//                 the pixels left at the end of the row or of the block run
+//                 the same template at P = 1
+//   per block   : filter tiles of T = Tile::kWidth filters
+//   per tile    : the kh * kw * words_per_pixel window words — each T-word
+//                 interleaved filter tile row (bitpack::tile_filters) is
+//                 loaded once and XOR+popcounted against the P pixels'
+//                 broadcast activation words, into P x T counters
 //   vector      : across the T filters, the Tile's ISA
-// T per-filter counters live in registers across the whole word walk; the
+// The P x T counters live in registers across the whole word walk; the
 // raw-dot kernel spills them once per tile, the fused binarize compares them
-// in registers against the tile's T popcount limits and ORs the T result
-// bits straight into the output word.  The K % T remainder filters are
-// stored filter-major after the tiles and take the policy's word-run
-// xor_popcount; a bank with K < T has no full tile, so every filter takes it.
+// in registers against the tile's T popcount limits and ORs each pixel's T
+// result bits straight into its output word.  The K % T remainder filters
+// are stored filter-major after the tiles and take the policy's word-run
+// xor_popcount, pixel by pixel; a bank with K < T has no full tile, so every
+// filter takes it.
 //
 // Batch-N: the batch axis is fused with the spatial output range into one
 // n*out_h*out_w parallel_for, so deep layers with small H*W still expose
 // enough grains to fill the pool, and N requests cost one fork/join instead
 // of N.  Each image has its own input/output tensor; a pixel's value depends
 // only on its own image's words, so batch-N output b is bit-identical to a
-// batch-1 run of image b — a single image is the n = 1 case.
+// batch-1 run of image b — a single image is the n = 1 case.  A block of P
+// pixels never spans two rows, so it never spans two images either.
 //
 // Tile is an explicit template parameter (not Ops::Tile) so each per-ISA TU
-// can stamp one entry point per supported width.
+// can stamp one entry point per supported width; P follows from Ops::kIsa
+// and the width.
 #pragma once
 
 #include <algorithm>
@@ -39,6 +47,7 @@
 #include <vector>
 
 #include "kernels/conv_spec.hpp"
+#include "kernels/tile_walk.hpp"
 #include "runtime/thread_pool.hpp"
 #include "tensor/packed_tensor.hpp"
 #include "tensor/tensor.hpp"
@@ -50,6 +59,7 @@ void conv_dot_tiled_batch_impl(const PackedTensor* const* in, std::int64_t n,
                                const TiledFilterBank& filters, const ConvSpec& spec,
                                runtime::ThreadPool& pool, Tensor* const* out) {
   constexpr std::int64_t kT = Tile::kWidth;
+  constexpr std::int64_t kP = pixel_block(Ops::kIsa, kT);
   if (filters.tile() != kT) {
     throw std::invalid_argument("PressedConv tiled: bank tile width does not match kernel");
   }
@@ -58,54 +68,56 @@ void conv_dot_tiled_batch_impl(const PackedTensor* const* in, std::int64_t n,
   }
   const std::int64_t out_h = spec.out_h(in[0]->height());
   const std::int64_t out_w = spec.out_w(in[0]->width());
-  const std::int64_t pixels = out_h * out_w;
   const std::int64_t kh = filters.kernel_h();
   const std::int64_t pc = in[0]->words_per_pixel();
   const std::int64_t row_words = filters.kernel_w() * pc;
   const std::int64_t bits = filters.bits_per_filter();
   const auto bits32 = static_cast<std::int32_t>(bits);
   const std::int64_t num_k = filters.num_filters();
-  const std::int64_t in_w = in[0]->width();
-  const std::int64_t stride = spec.stride;
+  const std::int64_t in_row = in[0]->width() * pc;  // words from one kernel row to the next
+  const std::int64_t step = spec.stride * pc;       // words from one window to the next
   const TiledBitMatrix& bank = filters.rows();
   const std::int64_t full_tiles = bank.full_tiles();
 
-  pool.parallel_for(n * pixels, [&](runtime::Range r, int) {
-    for (std::int64_t idx = r.begin; idx < r.end; ++idx) {
-      const std::int64_t img = idx / pixels;
-      const std::int64_t pix = idx - img * pixels;
-      const std::int64_t y = pix / out_w;
-      const std::int64_t x = pix % out_w;
-      const std::uint64_t* window =
-          in[img]->words() + ((y * stride) * in_w + (x * stride)) * pc;
-      float* out_px = out[img]->data() + pix * num_k;
-      for (std::int64_t t = 0; t < full_tiles; ++t) {
-        Tile acc{};
-        // The interleaved block walks word-major over the whole filter, so
-        // `f` just advances by kT per activation word across kernel rows.
-        const std::uint64_t* f = bank.tile_block(t);
-        for (std::int64_t i = 0; i < kh; ++i) {
-          const std::uint64_t* row = window + i * in_w * pc;
-          for (std::int64_t w = 0; w < row_words; ++w, f += kT) {
-            acc.accumulate(row[w], f);
+  pool.parallel_for(n * out_h * out_w, [&](runtime::Range r, int) {
+    for_each_row_segment(r, out_h, out_w, [&](std::int64_t img, std::int64_t y, std::int64_t x0,
+                                              std::int64_t x1) {
+      const std::uint64_t* in_y = in[img]->words() + y * spec.stride * in_row;
+      float* out_y = out[img]->data() + y * out_w * num_k;
+      for_each_block<kP>(x0, x1, [&](auto q, std::int64_t x) {
+        constexpr std::int64_t kQ = decltype(q)::value;
+        const std::uint64_t* window = in_y + x * step;
+        float* out_px = out_y + x * num_k;
+        for (std::int64_t t = 0; t < full_tiles; ++t) {
+          Tile acc[kQ] = {};
+          // The interleaved block walks word-major over the whole filter, so
+          // `f` just advances by kT per activation word across kernel rows.
+          const std::uint64_t* f = bank.tile_block(t);
+          for (std::int64_t i = 0; i < kh; ++i) {
+            f = accumulate_runs<kQ>(acc, window + i * in_row, step, row_words, f);
+          }
+          for (std::int64_t j = 0; j < kQ; ++j) {
+            std::uint64_t pops[kT];
+            acc[j].reduce(pops);
+            float* out_t = out_px + j * num_k + t * kT;
+            for (std::int64_t l = 0; l < kT; ++l) {
+              out_t[l] = static_cast<float>(bits32 - 2 * static_cast<std::int32_t>(pops[l]));
+            }
           }
         }
-        std::uint64_t pops[kT];
-        acc.reduce(pops);
-        float* out_t = out_px + t * kT;
-        for (std::int64_t l = 0; l < kT; ++l) {
-          out_t[l] = static_cast<float>(bits32 - 2 * static_cast<std::int32_t>(pops[l]));
+        for (std::int64_t j = 0; j < kQ; ++j) {
+          const std::uint64_t* win = window + j * step;
+          for (std::int64_t k = full_tiles * kT; k < num_k; ++k) {
+            const std::uint64_t* f0 = bank.remainder_row(k - full_tiles * kT);
+            std::uint64_t pops = 0;
+            for (std::int64_t i = 0; i < kh; ++i) {
+              pops += Ops::xor_popcount(win + i * in_row, f0 + i * row_words, row_words);
+            }
+            out_px[j * num_k + k] = static_cast<float>(bits - 2 * static_cast<std::int64_t>(pops));
+          }
         }
-      }
-      for (std::int64_t k = full_tiles * kT; k < num_k; ++k) {
-        const std::uint64_t* f0 = bank.remainder_row(k - full_tiles * kT);
-        std::uint64_t pops = 0;
-        for (std::int64_t i = 0; i < kh; ++i) {
-          pops += Ops::xor_popcount(window + i * in_w * pc, f0 + i * row_words, row_words);
-        }
-        out_px[k] = static_cast<float>(bits - 2 * static_cast<std::int64_t>(pops));
-      }
-    }
+      });
+    });
   });
 }
 
@@ -115,6 +127,7 @@ void conv_binarize_tiled_batch_impl(const PackedTensor* const* in, std::int64_t 
                                     const std::int64_t* limits, runtime::ThreadPool& pool,
                                     PackedTensor* const* out, std::int64_t margin) {
   constexpr std::int64_t kT = Tile::kWidth;
+  constexpr std::int64_t kP = pixel_block(Ops::kIsa, kT);
   static_assert(64 % Tile::kWidth == 0, "filter tiles must not straddle output words");
   if (filters.tile() != kT) {
     throw std::invalid_argument("PressedConv tiled: bank tile width does not match kernel");
@@ -123,61 +136,69 @@ void conv_binarize_tiled_batch_impl(const PackedTensor* const* in, std::int64_t 
   limits = resolve_limits(limits, filters.bits_per_filter(), filters.num_filters(), sign);
   const std::int64_t out_h = spec.out_h(in[0]->height());
   const std::int64_t out_w = spec.out_w(in[0]->width());
-  const std::int64_t pixels = out_h * out_w;
   const std::int64_t kh = filters.kernel_h();
   const std::int64_t pc = in[0]->words_per_pixel();
   const std::int64_t row_words = filters.kernel_w() * pc;
   const std::int64_t num_k = filters.num_filters();
-  const std::int64_t in_w = in[0]->width();
-  const std::int64_t stride = spec.stride;
+  const std::int64_t in_row = in[0]->width() * pc;  // words from one kernel row to the next
+  const std::int64_t step = spec.stride * pc;       // words from one window to the next
   const TiledBitMatrix& bank = filters.rows();
   const std::int64_t full_tiles = bank.full_tiles();
 
-  pool.parallel_for(n * pixels, [&](runtime::Range r, int) {
-    for (std::int64_t idx = r.begin; idx < r.end; ++idx) {
-      const std::int64_t img = idx / pixels;
-      const std::int64_t pix = idx - img * pixels;
-      const std::int64_t y = pix / out_w;
-      const std::int64_t x = pix % out_w;
-      const std::uint64_t* window =
-          in[img]->words() + ((y * stride) * in_w + (x * stride)) * pc;
-      std::uint64_t* out_px = out[img]->pixel(y + margin, x + margin);
-      std::uint64_t packed = 0;
-      std::int64_t bit = 0, word_idx = 0, k = 0;
-      for (std::int64_t t = 0; t < full_tiles; ++t, k += kT) {
-        Tile acc{};
-        const std::uint64_t* f = bank.tile_block(t);
-        for (std::int64_t i = 0; i < kh; ++i) {
-          const std::uint64_t* row = window + i * in_w * pc;
-          for (std::int64_t w = 0; w < row_words; ++w, f += kT) {
-            acc.accumulate(row[w], f);
+  pool.parallel_for(n * out_h * out_w, [&](runtime::Range r, int) {
+    for_each_row_segment(r, out_h, out_w, [&](std::int64_t img, std::int64_t y, std::int64_t x0,
+                                              std::int64_t x1) {
+      const std::uint64_t* in_y = in[img]->words() + y * spec.stride * in_row;
+      const std::int64_t out_pc = out[img]->words_per_pixel();
+      std::uint64_t* out_y = out[img]->pixel(y + margin, margin);
+      for_each_block<kP>(x0, x1, [&](auto q, std::int64_t x) {
+        constexpr std::int64_t kQ = decltype(q)::value;
+        const std::uint64_t* window = in_y + x * step;
+        std::uint64_t* out_px = out_y + x * out_pc;
+        std::uint64_t packed[kQ] = {};
+        std::int64_t bit = 0, word_idx = 0, k = 0;
+        for (std::int64_t t = 0; t < full_tiles; ++t, k += kT) {
+          Tile acc[kQ] = {};
+          const std::uint64_t* f = bank.tile_block(t);
+          for (std::int64_t i = 0; i < kh; ++i) {
+            f = accumulate_runs<kQ>(acc, window + i * in_row, step, row_words, f);
+          }
+          // kT divides 64, so a tile's bits never split across output words
+          // and `bit` can only hit 64 between tiles.
+          for (std::int64_t j = 0; j < kQ; ++j) packed[j] |= acc[j].le_mask(limits + k) << bit;
+          bit += kT;
+          if (bit == 64) {
+            for (std::int64_t j = 0; j < kQ; ++j) {
+              out_px[j * out_pc + word_idx] = packed[j];
+              packed[j] = 0;
+            }
+            ++word_idx;
+            bit = 0;
           }
         }
-        // kT divides 64, so a tile's bits never split across output words
-        // and `bit` can only hit 64 between tiles.
-        packed |= acc.le_mask(limits + k) << bit;
-        bit += kT;
-        if (bit == 64) {
-          out_px[word_idx++] = packed;
-          packed = 0;
-          bit = 0;
+        // The remainder filters take the word-run path, pixel by pixel.
+        for (std::int64_t j = 0; j < kQ; ++j) {
+          const std::uint64_t* win = window + j * step;
+          std::uint64_t* px = out_px + j * out_pc;
+          std::uint64_t word = packed[j];
+          std::int64_t b = bit, wi = word_idx;
+          for (std::int64_t kr = k; kr < num_k; ++kr) {
+            const std::uint64_t* f0 = bank.remainder_row(kr - full_tiles * kT);
+            std::uint64_t pops = 0;
+            for (std::int64_t i = 0; i < kh; ++i) {
+              pops += Ops::xor_popcount(win + i * in_row, f0 + i * row_words, row_words);
+            }
+            word |= limit_bit(pops, limits[kr]) << b;
+            if (++b == 64) {
+              px[wi++] = word;
+              word = 0;
+              b = 0;
+            }
+          }
+          if (b > 0) px[wi] = word;
         }
-      }
-      for (; k < num_k; ++k) {
-        const std::uint64_t* f0 = bank.remainder_row(k - full_tiles * kT);
-        std::uint64_t pops = 0;
-        for (std::int64_t i = 0; i < kh; ++i) {
-          pops += Ops::xor_popcount(window + i * in_w * pc, f0 + i * row_words, row_words);
-        }
-        packed |= limit_bit(pops, limits[k]) << bit;
-        if (++bit == 64) {
-          out_px[word_idx++] = packed;
-          packed = 0;
-          bit = 0;
-        }
-      }
-      if (bit > 0) out_px[word_idx] = packed;
-    }
+      });
+    });
   });
 }
 

@@ -7,6 +7,7 @@
 
 namespace {
 struct OpsSse {
+  static constexpr bitflow::simd::IsaLevel kIsa = bitflow::simd::IsaLevel::kSse;
   static std::uint64_t xor_popcount(const std::uint64_t* a, const std::uint64_t* b,
                                     std::int64_t n) {
     return bitflow::simd::inl::xor_popcount_sse(a, b, n);

@@ -7,6 +7,7 @@
 
 namespace {
 struct OpsU64 {
+  static constexpr bitflow::simd::IsaLevel kIsa = bitflow::simd::IsaLevel::kU64;
   static std::uint64_t xor_popcount(const std::uint64_t* a, const std::uint64_t* b,
                                     std::int64_t n) {
     return bitflow::simd::inl::xor_popcount_u64(a, b, n);

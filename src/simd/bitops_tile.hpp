@@ -5,10 +5,14 @@
 // A TileAcc holds kWidth per-filter popcount counters that live in registers
 // for the whole filter-block word loop: accumulate(a, f) broadcasts one
 // activation word against kWidth *contiguous* filter words (one interleaved
-// tile row, at most one cache line) and adds the kWidth xor+popcounts into
+// tile row, at most two cache lines) and adds the kWidth xor+popcounts into
 // the counters; at the end of the filter block reduce() spills them once (raw
 // dot products), or le_mask() compares them in registers against the fused
 // binarize's per-filter popcount limits and returns the kWidth output bits.
+// The kernels keep P of them side by side, one per output pixel (conv) or
+// batch row (bgemm), and hand each tile row to all P in turn
+// (kernels/tile_walk.hpp): the loads of `f` are the same address, so the
+// compiler loads the tile row once per P accumulates.
 // This is the dual of bitops_inline.hpp's word-run primitives: there the
 // activation run streams against one filter, here one activation word fans
 // out across a tile of filters.

@@ -2,9 +2,9 @@
 // primitives, PressedConv, bgemm, binary max pool — must be bit-exact across
 // every ISA variant the executing CPU supports, including both AVX-512
 // popcount lowerings where available.  PressedConv and bgemm are checked at
-// every (ISA variant, tile width) pair: the raw dots against src/baseline's
-// decoded reference, the fused binarize against the float compare over
-// those dots.
+// every (ISA variant, tile width) pair, each with the register-block height
+// P it compiles in: the raw dots against src/baseline's decoded reference,
+// the fused binarize against the float compare over those dots.
 //
 // Shapes are randomized (seeded) and deliberately adversarial: odd channel
 // counts that leave ragged tail bits, K below every tile width (no full
@@ -15,6 +15,7 @@
 #include <cmath>
 #include <cstdint>
 #include <limits>
+#include <memory>
 #include <random>
 #include <set>
 #include <stdexcept>
@@ -135,12 +136,13 @@ PackedMatrix float_oracle(const PackedMatrix& a, std::int64_t m_rows, const Pack
 }
 
 /// One (ISA variant, tile width) pair the host can run, named for failure
-/// messages ("avx512vp,t16").
+/// messages with the register-block height it compiles in ("avx512vp,t16,p4").
 struct Plan {
   IsaVariant v;
   std::int64_t tile;
   [[nodiscard]] std::string name() const {
-    return std::string(v.name) + ",t" + std::to_string(tile);
+    return std::string(v.name) + ",t" + std::to_string(tile) + ",p" +
+           std::to_string(kernels::pixel_block(v.isa, tile));
   }
 };
 
@@ -338,6 +340,103 @@ TEST(IsaParity, PressedConvBinarizeBatchMatchesSingleImageAllVariants) {
   }
 }
 
+// --- the row walk and its register blocks ---------------------------------
+//
+// Each thread walks its static block row by row and runs blocks of P
+// adjacent output pixels, then the pixels left at the end of a row or of
+// the block at P = 1.  Output widths in every class mod P (and below P),
+// n = 3 images and pools of 1, 2, 3 and 5 threads make blocks end mid-row
+// and mid-block; every output is checked against src/baseline.
+
+/// Output widths 1..11: every residue mod 2 and mod 4, widths below P, and
+/// whole blocks.
+constexpr std::int64_t kWalkWidths[] = {1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11};
+constexpr int kWalkThreads[] = {1, 2, 3, 5};
+
+struct WalkShape {
+  ConvShape s;
+  std::int64_t out_h, out_w;
+};
+
+/// 1x1, 3x3 and 5x5 windows at stride 1 and 2; a stride-2 input carries one
+/// column and row no window reaches.  K = 37 (full tiles plus remainder
+/// filters at every T) alternates with K = 70 (a second output word), C = 70
+/// (two words per pixel) with C = 3 (sub-word).
+std::vector<WalkShape> walk_shapes() {
+  std::vector<WalkShape> shapes;
+  std::int64_t i = 0;
+  for (const std::int64_t out_w : kWalkWidths) {
+    for (const std::int64_t kernel : {1, 3, 5}) {
+      for (const std::int64_t stride : {1, 2}) {
+        const std::int64_t out_h = 2 + i % 2;
+        ConvShape s{};
+        s.kernel = kernel;
+        s.stride = stride;
+        s.h = (out_h - 1) * stride + kernel + (stride - 1);
+        s.w = (out_w - 1) * stride + kernel + (stride - 1);
+        s.c = i % 2 == 0 ? 70 : 3;
+        s.k = i % 3 == 0 ? 70 : 37;
+        s.margin = i % 3;
+        shapes.push_back({s, out_h, out_w});
+        ++i;
+      }
+    }
+  }
+  return shapes;
+}
+
+TEST(IsaParity, PressedConvRowWalkMatchesBaselineAtEveryPoolSize) {
+  std::vector<std::unique_ptr<runtime::ThreadPool>> pools;
+  for (const int t : kWalkThreads) pools.push_back(std::make_unique<runtime::ThreadPool>(t));
+  std::uint64_t seed = 17000;
+  const std::int64_t n = 3;
+  for (const WalkShape& ws : walk_shapes()) {
+    const ConvShape& s = ws.s;
+    const ConvSpec spec{s.kernel, s.kernel, s.stride};
+    ASSERT_EQ(spec.out_w(s.w), ws.out_w) << describe(s);
+    PackedFilterBank filters(s.k, s.kernel, s.kernel, s.c);
+    fill_random_bits(filters, seed++);
+    const std::vector<float> thresholds = near_zero_thresholds(s.k, seed++, 3.0f);
+    const std::vector<std::int64_t> limits =
+        graph::popcount_limits(filters.bits_per_filter(), thresholds, s.k);
+    const Images img(s, n, seed);
+    std::vector<Tensor> want_dot;
+    std::vector<PackedTensor> want_bin;
+    for (std::int64_t b = 0; b < n; ++b) {
+      const PackedTensor& in = img.in[static_cast<std::size_t>(b)];
+      want_dot.push_back(testing::reference_binary_conv(in, filters, spec));
+      want_bin.push_back(float_oracle(in, filters, spec, thresholds, s.margin));
+    }
+    for (const Plan& p : all_plans()) {
+      const TiledFilterBank bank = bitpack::tile_filters(filters, p.tile);
+      for (std::size_t pi = 0; pi < pools.size(); ++pi) {
+        const std::string where = p.name() + "] on " + std::to_string(kWalkThreads[pi]) +
+                                  " threads, n=3, shape " + describe(s);
+        std::vector<Tensor> dot;
+        std::vector<Tensor*> dot_ptrs;
+        std::vector<PackedTensor> bin;
+        std::vector<PackedTensor*> bin_ptrs;
+        for (std::int64_t b = 0; b < n; ++b) {
+          dot.push_back(Tensor::hwc(ws.out_h, ws.out_w, s.k));
+          bin.emplace_back(ws.out_h + 2 * s.margin, ws.out_w + 2 * s.margin, s.k);
+        }
+        for (Tensor& t : dot) dot_ptrs.push_back(&t);
+        for (PackedTensor& t : bin) bin_ptrs.push_back(&t);
+        dot_fn(p)(img.ptrs.data(), n, bank, spec, *pools[pi], dot_ptrs.data());
+        binarize_fn(p)(img.ptrs.data(), n, bank, spec, limits.data(), *pools[pi],
+                       bin_ptrs.data(), s.margin);
+        for (std::int64_t b = 0; b < n; ++b) {
+          const auto bi = static_cast<std::size_t>(b);
+          ASSERT_EQ(max_abs_diff(dot[bi], want_dot[bi]), 0.0f)
+              << "kernel conv_dot[" << where << ", image " << b;
+          expect_words_eq(bin[bi], want_bin[bi],
+                          "kernel conv_binarize[" + where + ", image " + std::to_string(b));
+        }
+      }
+    }
+  }
+}
+
 TEST(IsaParity, ConvBatchArgChecks) {
   PackedTensor a(4, 4, 8), b(4, 4, 8), wrong(5, 4, 8), wide(4, 4, 9);
   const TiledFilterBank filters = bitpack::tile_filters(PackedFilterBank(2, 3, 3, 8), 4);
@@ -500,6 +599,45 @@ TEST(IsaParity, BgemmBinarizeRowsMatchesFullAndLeavesTailUntouched) {
       }
     }
     ++seed;
+  }
+}
+
+// Row blocks of bgemm: m_rows 1..9 covers every residue mod P, rows below
+// P and several blocks, on pools that split the group-major range mid-group
+// and mid-block.
+TEST(IsaParity, BgemmRowBlocksMatchBaselineAtEveryPoolSize) {
+  std::vector<std::unique_ptr<runtime::ThreadPool>> pools;
+  for (const int t : kWalkThreads) pools.push_back(std::make_unique<runtime::ThreadPool>(t));
+  std::uint64_t seed = 18000;
+  for (std::int64_t m_rows = 1; m_rows <= 9; ++m_rows) {
+    for (const GemmShape& shape : {GemmShape{0, 200, 37}, GemmShape{0, 65, 70}}) {
+      const GemmShape s{m_rows, shape.n_bits, shape.k};
+      // Two rows past m_rows: the serving path's "fill n of max_batch rows".
+      PackedMatrix a(m_rows + 2, s.n_bits), w(s.k, s.n_bits);
+      fill_random_bits(a, seed++);
+      fill_random_bits(w, seed++);
+      const std::vector<float> thresholds = near_zero_thresholds(s.k, seed++, 5.0f);
+      const std::vector<std::int64_t> limits = graph::popcount_limits(s.n_bits, thresholds, s.k);
+      const PackedMatrix want_bin = float_oracle(a, m_rows, w, thresholds);
+      for (const Plan& p : all_plans()) {
+        const TiledBitMatrix bank = bitpack::tile_fc_weights(w, p.tile);
+        for (std::size_t pi = 0; pi < pools.size(); ++pi) {
+          const std::string where = p.name() + "] on " + std::to_string(kWalkThreads[pi]) +
+                                    " threads, m_rows=" + std::to_string(m_rows) + ", " +
+                                    describe(s);
+          std::vector<float> y(static_cast<std::size_t>(m_rows * s.k), -12345.0f);
+          bgemm_fn(p)(a, m_rows, bank, *pools[pi], y.data());
+          for (std::int64_t i = 0; i < m_rows * s.k; ++i) {
+            ASSERT_EQ(y[static_cast<std::size_t>(i)],
+                      static_cast<float>(testing::reference_binary_dot(a, i / s.k, w, i % s.k)))
+                << "kernel bgemm[" << where << " at element " << i;
+          }
+          PackedMatrix out(a.rows(), s.k);
+          bgemm_binarize_fn(p)(a, m_rows, bank, limits.data(), *pools[pi], out);
+          expect_words_eq(out, want_bin, "kernel bgemm_binarize[" + where);
+        }
+      }
+    }
   }
 }
 

@@ -532,8 +532,9 @@ std::vector<float> baseline_fc(const std::vector<float>& w, std::int64_t n, std:
 TEST(BinaryNetwork, LayerInfoReportsWeightLayout) {
   // Every conv/fc reports the register-tile width its bank is interleaved
   // at: the default plan's, or the capped ISA's under max_isa.  The profile's
-  // kernel name carries the same plan, "[isa,tT]".  The pool has no weights
-  // and no tile width.
+  // kernel name carries the same plan and the register-block height P that
+  // (isa, T) compiles in, "[isa,tT,pP]".  The pool has no weights, no tile
+  // width and no P.
   NetworkConfig capped;
   capped.max_isa = simd::IsaLevel::kU64;
   for (const NetworkConfig& cfg : {NetworkConfig{}, capped}) {
@@ -546,6 +547,7 @@ TEST(BinaryNetwork, LayerInfoReportsWeightLayout) {
       if (l.kind == LayerKind::kPool) {
         EXPECT_EQ(l.tile, 0) << l.name;
         EXPECT_EQ(kernel.find(",t"), std::string::npos) << kernel;
+        EXPECT_EQ(kernel.find(",p"), std::string::npos) << kernel;
         continue;
       }
       // out.c is K for a conv and for an fc ({1, 1, K}).
@@ -553,7 +555,8 @@ TEST(BinaryNetwork, LayerInfoReportsWeightLayout) {
       EXPECT_EQ(l.tile, plan.tile) << l.name;
       EXPECT_EQ(l.isa, plan.isa) << l.name;
       const std::string suffix = "[" + std::string(simd::isa_name(plan.isa)) + ",t" +
-                                 std::to_string(plan.tile) + "]";
+                                 std::to_string(plan.tile) + ",p" +
+                                 std::to_string(kernels::pixel_block(plan.isa, plan.tile)) + "]";
       ASSERT_GE(kernel.size(), suffix.size()) << kernel;
       EXPECT_EQ(kernel.substr(kernel.size() - suffix.size()), suffix) << l.name;
     }
