@@ -101,7 +101,7 @@ void BM_PackActivationsAvx2(benchmark::State& state) {
 }
 
 // Raw-dot PressedConv, single image, single core: range(0) is the ISA
-// level, range(1) the register-tile width T.  Same bits at every pair —
+// level, range(1) its register-tile width T.  Same bits at every level —
 // only the tile width and the ISA of its accumulators differ.
 void BM_PressedConvDot(benchmark::State& state) {
   const auto isa = static_cast<simd::IsaLevel>(state.range(0));
@@ -122,7 +122,7 @@ void BM_PressedConvDot(benchmark::State& state) {
   runtime::ThreadPool pool(1);
   const PackedTensor* ins[] = {&in};
   Tensor* outs[] = {&out};
-  const auto fn = kernels::conv_dot_kernel(isa, simd::cpu_features().avx512vpopcntdq, tile);
+  const auto fn = kernels::conv_dot_kernel(isa, simd::cpu_features().avx512vpopcntdq);
   for (auto _ : state) {
     fn(ins, 1, bank, spec, pool, outs);
     benchmark::DoNotOptimize(out.data());
@@ -188,11 +188,7 @@ void IsaByLength(benchmark::internal::Benchmark* b) {
 
 void IsaByTile(benchmark::internal::Benchmark* b) {
   for (int isa = 0; isa < 4; ++isa) {
-    const kernels::TileWidthSet widths =
-        kernels::supported_tile_widths(static_cast<simd::IsaLevel>(isa));
-    for (std::int64_t i = 0; i < widths.count; ++i) {
-      b->Args({isa, widths.widths[static_cast<std::size_t>(i)]});
-    }
+    b->Args({isa, kernels::weight_tile_width(static_cast<simd::IsaLevel>(isa))});
   }
 }
 
@@ -220,11 +216,12 @@ void emit_tiling_bench_json() {
         "\"ref_isa\":\"u64\",\"ref_tile\":4,\"ref_p\":%lld,\"ms\":%.4f,\"ref_ms\":%.4f,"
         "\"gops\":%.2f,\"ref_gops\":%.2f,\"speedup\":%.3f}\n",
         std::string(simd::isa_name(isa)).c_str(), static_cast<long long>(r.tile),
-        static_cast<long long>(kernels::pixel_block(isa, r.tile)),
+        static_cast<long long>(kernels::pixel_block(isa)),
         static_cast<long long>(kKernel), static_cast<long long>(kKernel),
         static_cast<long long>(kC), static_cast<long long>(kK),
         static_cast<long long>(kIn - kKernel + 1), static_cast<long long>(kIn - kKernel + 1),
-        static_cast<long long>(kernels::pixel_block(simd::IsaLevel::kU64, 4)), r.seconds * 1e3, r.ref_seconds * 1e3, r.gops(), r.ref_gops(), r.speedup());
+        static_cast<long long>(kernels::pixel_block(simd::IsaLevel::kU64)), r.seconds * 1e3,
+        r.ref_seconds * 1e3, r.gops(), r.ref_gops(), r.speedup());
   }
   std::fflush(stdout);
 }
@@ -232,7 +229,7 @@ void emit_tiling_bench_json() {
 // One `BENCH {"bench":"narrow_layer_plan",...}` line: the fused-binarize
 // tiled conv at VGG-16 conv1_2's shape (226x226x64 padded input, K = 64),
 // single core, under the engine's default plan (graph::default_kernel_plan:
-// the widest ISA, T = 16 on AVX2/AVX-512) against the paper-rule plan
+// the widest ISA, so T = 16 on AVX2/AVX-512) against the paper-rule plan
 // (select_isa: C = 64 -> u64, T = 4).  CI's perf-smoke job gates the
 // default plan at >= 1.0x: a slowdown here stays bit-exact, so no unit test
 // would catch it.
@@ -247,17 +244,16 @@ void emit_narrow_layer_bench_json() {
   PackedTensor out(kIn - kKernel + 1, kIn - kKernel + 1, kK);
   runtime::ThreadPool pool(1);
   const simd::CpuFeatures& hw = simd::cpu_features();
-  const graph::KernelPlan engine = graph::default_kernel_plan(kK, hw);
-  const simd::IsaLevel paper_isa = graph::select_isa(kC, hw);
-  const graph::KernelPlan paper{paper_isa, kernels::weight_tile_width(paper_isa)};
-  const std::vector<std::int64_t> limits = kernels::sign_limits(filters.bits_per_filter(), kK);
-  const auto seconds = [&](const graph::KernelPlan& plan) {
-    const TiledFilterBank bank = bitpack::tile_filters(filters, plan.tile);
-    const auto fn = kernels::conv_binarize_kernel(plan.isa, hw.avx512vpopcntdq, plan.tile);
+  const simd::IsaLevel engine = graph::default_kernel_plan(hw).isa;
+  const simd::IsaLevel paper = graph::select_isa(kC, hw);
+  const auto seconds = [&](simd::IsaLevel isa) {
+    const TiledFilterBank bank = bitpack::tile_filters(filters, kernels::weight_tile_width(isa));
+    const auto fn = kernels::conv_binarize_kernel(isa, hw.avx512vpopcntdq);
     const PackedTensor* ins[] = {&in};
     PackedTensor* outs[] = {&out};
+    // Null limits: sign(dot).
     return runtime::measure_best_seconds(
-        [&] { fn(ins, 1, bank, spec, limits.data(), pool, outs, 0); }, 5, 0.2);
+        [&] { fn(ins, 1, bank, spec, nullptr, pool, outs, 0); }, 5, 0.2);
   };
   const double engine_s = seconds(engine);
   const double paper_s = seconds(paper);
@@ -267,10 +263,12 @@ void emit_narrow_layer_bench_json() {
       "\"paper_isa\":\"%s\",\"paper_tile\":%lld,\"paper_p\":%lld,\"engine_ms\":%.3f,"
       "\"paper_ms\":%.3f,\"speedup\":%.3f}\n",
       static_cast<long long>(kIn), static_cast<long long>(kC), static_cast<long long>(kK),
-      std::string(simd::isa_name(engine.isa)).c_str(), static_cast<long long>(engine.tile),
-      static_cast<long long>(kernels::pixel_block(engine.isa, engine.tile)),
-      std::string(simd::isa_name(paper.isa)).c_str(), static_cast<long long>(paper.tile),
-      static_cast<long long>(kernels::pixel_block(paper.isa, paper.tile)), engine_s * 1e3,
+      std::string(simd::isa_name(engine)).c_str(),
+      static_cast<long long>(kernels::weight_tile_width(engine)),
+      static_cast<long long>(kernels::pixel_block(engine)),
+      std::string(simd::isa_name(paper)).c_str(),
+      static_cast<long long>(kernels::weight_tile_width(paper)),
+      static_cast<long long>(kernels::pixel_block(paper)), engine_s * 1e3,
       paper_s * 1e3, paper_s / engine_s);
   std::fflush(stdout);
 }
@@ -390,12 +388,12 @@ void emit_cancel_bench_json() {
 }
 
 // --plans mode: the matrix of the fused-binarize tiled conv over VGG-16's
-// 13 conv shapes (224x224 input, 3x3, pad 1), at every (ISA variant, tile
-// width) the host runs — both AVX-512 popcount lowerings included — on
-// `threads` threads (one unless --threads N follows).  One `BENCH
-// {"bench":"vgg16_conv_plan",...}` line per (layer, variant, T) with the
-// register-block height P that (ISA, T) compiles in; "default" marks the
-// plan the engine commits.  A last `vgg16_conv_plan_sum` line adds up the
+// 13 conv shapes (224x224 input, 3x3, pad 1), at every ISA variant the host
+// runs — both AVX-512 popcount lowerings included — on `threads` threads
+// (one unless --threads N follows).  One `BENCH {"bench":"vgg16_conv_plan",
+// ...}` line per (layer, variant) with the variant's one tile width T and
+// the register-block height P it compiles in; "default" marks the plan the
+// engine commits.  A last `vgg16_conv_plan_sum` line adds up the
 // 13 default rows.  The source of EXPERIMENTS.md's "Full-width tiles" and
 // "2-D register tiles" matrices.
 void emit_vgg16_plan_matrix_json(int threads) {
@@ -417,30 +415,27 @@ void emit_vgg16_plan_matrix_json(int threads) {
       PackedTensor out(hw, hw, k);
       const PackedTensor* ins[] = {&in};
       PackedTensor* outs[] = {&out};
-      const std::vector<std::int64_t> limits = kernels::sign_limits(filters.bits_per_filter(), k);
-      const graph::KernelPlan def = graph::default_kernel_plan(k, features);
+      const simd::IsaLevel def = graph::default_kernel_plan(features).isa;
       for (const simd::IsaVariant& v : simd::supported_isa_variants()) {
-        const kernels::TileWidthSet widths = kernels::supported_tile_widths(v.isa);
-        for (std::int64_t i = 0; i < widths.count; ++i) {
-          const std::int64_t t = widths.widths[static_cast<std::size_t>(i)];
-          const TiledFilterBank bank = bitpack::tile_filters(filters, t);
-          const auto fn = kernels::conv_binarize_kernel(v.isa, v.use_vpopcntdq, t);
-          const double ms =
-              1e3 * runtime::measure_best_seconds(
-                        [&] { fn(ins, 1, bank, spec, limits.data(), pool, outs, 0); }, 3, 0.05);
-          const bool is_default =
-              v.isa == def.isa && t == def.tile &&
-              v.use_vpopcntdq == (def.isa == simd::IsaLevel::kAvx512 && features.avx512vpopcntdq);
-          if (is_default) default_ms += ms;
-          std::printf(
-              "BENCH {\"bench\":\"vgg16_conv_plan\",\"layer\":\"%s\",\"hw\":%lld,\"c\":%lld,"
-              "\"k\":%lld,\"isa\":\"%s\",\"tile\":%lld,\"p\":%lld,\"threads\":%d,"
-              "\"default\":%s,\"ms\":%.3f}\n",
-              layer.c_str(), static_cast<long long>(hw), static_cast<long long>(c),
-              static_cast<long long>(k), std::string(v.name).c_str(), static_cast<long long>(t),
-              static_cast<long long>(kernels::pixel_block(v.isa, t)), threads,
-              is_default ? "true" : "false", ms);
-        }
+        const std::int64_t t = kernels::weight_tile_width(v.isa);
+        const TiledFilterBank bank = bitpack::tile_filters(filters, t);
+        const auto fn = kernels::conv_binarize_kernel(v.isa, v.use_vpopcntdq);
+        // Null limits: sign(dot).
+        const double ms = 1e3 * runtime::measure_best_seconds(
+                                    [&] { fn(ins, 1, bank, spec, nullptr, pool, outs, 0); }, 3,
+                                    0.05);
+        const bool is_default =
+            v.isa == def &&
+            v.use_vpopcntdq == (def == simd::IsaLevel::kAvx512 && features.avx512vpopcntdq);
+        if (is_default) default_ms += ms;
+        std::printf(
+            "BENCH {\"bench\":\"vgg16_conv_plan\",\"layer\":\"%s\",\"hw\":%lld,\"c\":%lld,"
+            "\"k\":%lld,\"isa\":\"%s\",\"tile\":%lld,\"p\":%lld,\"threads\":%d,"
+            "\"default\":%s,\"ms\":%.3f}\n",
+            layer.c_str(), static_cast<long long>(hw), static_cast<long long>(c),
+            static_cast<long long>(k), std::string(v.name).c_str(), static_cast<long long>(t),
+            static_cast<long long>(kernels::pixel_block(v.isa)), threads,
+            is_default ? "true" : "false", ms);
         std::fflush(stdout);
       }
       c = k;

@@ -22,12 +22,12 @@ int main() {
   for (const auto& spec : models::table4_benchmarks()) {
     if (spec.kind != graph::LayerKind::kConv) continue;
     // The engine's kernel at its default plan.
-    const graph::KernelPlan plan = graph::default_kernel_plan(spec.k, simd::cpu_features());
+    const graph::KernelPlan plan = graph::default_kernel_plan(simd::cpu_features());
     const TiledFilterBank filters = bitpack::tile_filters(
         bitpack::pack_filters(models::random_filters(spec.k, spec.kernel, spec.kernel, spec.c, 3)),
-        plan.tile);
+        kernels::weight_tile_width(plan.isa));
     const auto binarize =
-        kernels::conv_binarize_kernel(plan.isa, simd::cpu_features().avx512vpopcntdq, plan.tile);
+        kernels::conv_binarize_kernel(plan.isa, simd::cpu_features().avx512vpopcntdq);
     PackedTensor in(spec.h + 2 * spec.pad, spec.w + 2 * spec.pad, spec.c);
     fill_random_bits(in, 4);
     const PackedTensor* ins[] = {&in};

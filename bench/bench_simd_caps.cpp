@@ -27,9 +27,9 @@ int main() {
     if (op.kind == graph::LayerKind::kPool) {
       std::printf("  (pool: runs the paper rule)\n");
     } else {
-      const graph::KernelPlan plan = graph::default_kernel_plan(op.k, f);
+      const graph::KernelPlan plan = graph::default_kernel_plan(f);
       std::printf("  engine plan %s, T=%lld\n", std::string(simd::isa_name(plan.isa)).c_str(),
-                  static_cast<long long>(plan.tile));
+                  static_cast<long long>(kernels::weight_tile_width(plan.isa)));
     }
   }
   return 0;

@@ -52,11 +52,10 @@ inline Profile phi_profile() {
   return {"Intel Xeon Phi 7210 (profile)", simd::IsaLevel::kAvx512, {1, 4, 16, 64}};
 }
 
-/// ISA of the engine plan for a conv or fc layer of `k` filters or outputs,
-/// capped at the profile's widest (modelling the paper's per-machine kernel
-/// choice).
-inline simd::IsaLevel profile_isa(const Profile& p, std::int64_t k) {
-  return graph::default_kernel_plan(k, simd::cpu_features(), p.max_isa).isa;
+/// ISA of the engine plan for a conv or fc layer, capped at the profile's
+/// widest (modelling the paper's per-machine kernel choice).
+inline simd::IsaLevel profile_isa(const Profile& p) {
+  return graph::default_kernel_plan(simd::cpu_features(), p.max_isa).isa;
 }
 
 /// ISA the paper's channel rule picks for a pool of `channels` channels,
@@ -79,7 +78,7 @@ class OperatorHarness {
         const FilterBank filters =
             models::random_filters(spec.k, spec.kernel, spec.kernel, spec.c, seed + 1);
         ops::BinaryOpOptions opt;
-        opt.force_isa = profile_isa(profile, spec.k);
+        opt.force_isa = profile_isa(profile);
         bconv_ = std::make_unique<ops::BinaryConvOp>(filters, spec.stride, spec.pad, opt);
         fconv_ = std::make_unique<ops::FloatConvOp>(filters, spec.stride, spec.pad);
         uconv_ = std::make_unique<baseline::UnoptBinaryConv>(
@@ -95,7 +94,7 @@ class OperatorHarness {
       case graph::LayerKind::kFc: {
         fc_weights_ = models::random_fc_weights(spec.c, spec.k, seed + 2);
         ops::BinaryOpOptions opt;
-        opt.force_isa = profile_isa(profile, spec.k);
+        opt.force_isa = profile_isa(profile);
         bfc_ = std::make_unique<ops::BinaryFcOp>(fc_weights_.data(), spec.c, spec.k, opt);
         ufc_ = std::make_unique<baseline::UnoptBinaryFc>(fc_weights_.data(), spec.c, spec.k);
         // input_ is 1 x 1 x N: its elements are the fc activation vector.
@@ -212,7 +211,7 @@ inline double simulate_threads(double serial_seconds, std::int64_t grain, int p)
 }
 
 /// Single-core PressedConv measurement of the engine's raw-dot kernel at
-/// `isa` and its default T against the u64 kernel at T = 4 — the scalar
+/// `isa` and its one T against the u64 kernel at T = 4 — the scalar
 /// tile — on the same packed operands (the pressedconv_tiled rows of
 /// bench_micro and bench_ait_analysis, and the source of the
 /// BENCH_pressedconv.json baseline).
@@ -243,16 +242,16 @@ inline TiledConvResult measure_tiled_conv(simd::IsaLevel isa, std::int64_t h, st
   const PackedTensor* ins[] = {&in};
   Tensor* outs[] = {&out};
   const bool vpopcnt = simd::cpu_features().avx512vpopcntdq;
-  const auto seconds = [&](simd::IsaLevel at, std::int64_t tile) {
-    const TiledFilterBank bank = bitpack::tile_filters(filters, tile);
-    const auto fn = kernels::conv_dot_kernel(at, vpopcnt, tile);
+  const auto seconds = [&](simd::IsaLevel at) {
+    const TiledFilterBank bank = bitpack::tile_filters(filters, kernels::weight_tile_width(at));
+    const auto fn = kernels::conv_dot_kernel(at, vpopcnt);
     return runtime::measure_best_seconds([&] { fn(ins, 1, bank, spec, pool, outs); }, 5, 0.2);
   };
   TiledConvResult r;
   r.isa = isa;
-  r.tile = graph::default_kernel_plan(k, simd::cpu_features(), isa).tile;
-  r.seconds = seconds(isa, r.tile);
-  r.ref_seconds = seconds(simd::IsaLevel::kU64, 4);
+  r.tile = kernels::weight_tile_width(isa);
+  r.seconds = seconds(isa);
+  r.ref_seconds = seconds(simd::IsaLevel::kU64);
   r.giga_ops = 2.0 * static_cast<double>(oh * ow * k) * static_cast<double>(kernel * kernel * c) /
                1e9;
   return r;

@@ -282,15 +282,22 @@ void interleave_block(const std::uint64_t* rows, std::int64_t tile, std::int64_t
 
 namespace {
 
-/// Core T-way interleave shared by filters and FC weights.  `m` adopted its
-/// rows row-major; each full tile block is a [T][row_words] matrix in place,
-/// copied to one block of scratch and interleaved back.  The remainder rows
-/// already sit at their tiled offsets and do not move.
-TiledBitMatrix interleave_in_place(TiledBitMatrix m) {
-  const std::int64_t tile = m.tile();
-  const std::int64_t row_words = m.row_words();
+/// Core T-way interleave shared by filters and FC weights: `storage` holds
+/// `rows` rows row-major.  When T does not divide K it first grows to whole
+/// tiles, the pad rows zero; then each tile block, a [T][row_words] matrix
+/// in place, is copied to one block of scratch and interleaved back.
+TiledBitMatrix interleave_in_place(AlignedBuffer storage, std::int64_t rows,
+                                   std::int64_t row_words, std::int64_t tile) {
+  const auto bytes =
+      static_cast<std::size_t>(TiledBitMatrix::padded_rows(rows, tile) * row_words) * 8;
+  if (storage.size_bytes() != bytes) {
+    AlignedBuffer padded(bytes);
+    std::memcpy(padded.data(), storage.data(), storage.size_bytes());
+    storage = std::move(padded);
+  }
+  TiledBitMatrix m(std::move(storage), rows, row_words, tile);
   std::vector<std::uint64_t> scratch(static_cast<std::size_t>(tile * row_words));
-  for (std::int64_t t = 0; t < m.full_tiles(); ++t) {
+  for (std::int64_t t = 0; t < m.tiles(); ++t) {
     std::uint64_t* block = m.tile_block(t);
     std::memcpy(scratch.data(), block, scratch.size() * 8);
     interleave_block(scratch.data(), tile, row_words, block);
@@ -303,14 +310,13 @@ TiledBitMatrix interleave_in_place(TiledBitMatrix m) {
 TiledFilterBank tile_filters(PackedFilterBank filters, std::int64_t tile) {
   const std::int64_t k = filters.num_filters(), row_words = filters.words_per_filter();
   const std::int64_t kh = filters.kernel_h(), kw = filters.kernel_w(), c = filters.channels();
-  TiledBitMatrix rows(std::move(filters).release_storage(), k, row_words, tile);
-  return TiledFilterBank(interleave_in_place(std::move(rows)), kh, kw, c);
+  return TiledFilterBank(
+      interleave_in_place(std::move(filters).release_storage(), k, row_words, tile), kh, kw, c);
 }
 
 TiledBitMatrix tile_fc_weights(PackedMatrix w, std::int64_t tile) {
   const std::int64_t rows = w.rows(), row_words = w.words_per_row();
-  TiledBitMatrix tiled(std::move(w).release_storage(), rows, row_words, tile);
-  return interleave_in_place(std::move(tiled));
+  return interleave_in_place(std::move(w).release_storage(), rows, row_words, tile);
 }
 
 PackedMatrix pack_transpose_fc_weights(const float* b, std::int64_t n, std::int64_t k) {

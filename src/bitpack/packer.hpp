@@ -81,16 +81,18 @@ void pack_row_into(const float* x, std::int64_t count, PackedMatrix& out, std::i
 PackedFilterBank pack_filters(const FilterBank& filters);
 
 /// Re-lays a packed filter bank into the T-way interleaved register-tile
-/// layout (daBNN-style; once per process, see graph/weights.hpp): full
-/// tiles [K/T][fh*fw*PC][T], then the K%T remainder filters filter-major.
-/// A pure permutation of the bank's words, done in place: the bank is taken
-/// by value and its storage becomes the tiled bank's, so the weights are
-/// never held twice (move the bank in; pass a copy to keep the original).
+/// layout (daBNN-style; once per process, see graph/weights.hpp): whole
+/// tiles [ceil(K/T)][fh*fw*PC][T], the last one padded with zero filters.
+/// Done in place: the bank is taken by value and its storage becomes the
+/// tiled bank's, so the weights are never held twice (move the bank in;
+/// pass a copy to keep the original).  Only when T does not divide K is the
+/// storage first grown by the T - K % T zero pad filters.
 TiledFilterBank tile_filters(PackedFilterBank filters, std::int64_t tile);
 
 /// Same interleave for an FC weight matrix (rows = output neurons): the
 /// tiled bgemm reads one contiguous line of T neuron words per activation
-/// word instead of T strided rows.  Also in place, on the matrix's storage.
+/// word instead of T strided rows.  Also in place on the matrix's storage,
+/// grown only when T does not divide the row count.
 TiledBitMatrix tile_fc_weights(PackedMatrix w, std::int64_t tile);
 
 /// Writes one T-way tile block: `rows` holds `tile` rows of `row_words`

@@ -14,7 +14,7 @@ std::string system_report() {
   os << "Widest binary kernel ISA: " << simd::isa_name(f.best_isa()) << "\n";
   os << "Operator -> kernel mapping:\n";
   os << "  conv/fc (register tiles, vectorized along K), any C:\n    "
-     << graph::explain_kernel_plan(graph::default_kernel_plan(64, f), 64) << "\n";
+     << graph::explain_kernel_plan(graph::default_kernel_plan(f), 64) << "\n";
   os << "  maxpool (paper Fig. 6 channel rules, vectorized along C):\n";
   for (std::int64_t c : {3, 64, 128, 256, 512, 4096, 25088}) {
     os << "    " << graph::explain_isa_selection(c, f) << "\n";

@@ -367,12 +367,11 @@ void BinaryNetwork::finalize(TensorDesc input) {
         " is not executable on this CPU");
   }
 
-  // Pass 1: shape inference + validation + kernel plan (ISA and, for conv
-  // and fc, the register-tile width default_kernel_plan gives).
+  // Pass 1: shape inference + validation + kernel plan (the ISA; for conv
+  // and fc that of default_kernel_plan, which fixes the tile width).
   im.input = input;
   TensorDesc cur = input;
   bool seen_fc = false;
-  std::vector<KernelPlan> plans(n_layers);
   const auto layer_cap = [&]() -> std::optional<simd::IsaLevel> {
     // Armed simd.force_fallback degrades every layer to the scalar u64
     // kernels — the ISA-parity harness guarantees this changes nothing but
@@ -380,10 +379,11 @@ void BinaryNetwork::finalize(TensorDesc input) {
     if (BF_FAILPOINT_TRIGGERED("simd.force_fallback")) return simd::IsaLevel::kU64;
     return im.cfg.max_isa;
   };
-  const auto plan_layer = [&](std::size_t i, std::int64_t k, LayerInfo& info) {
-    plans[i] = default_kernel_plan(k, hw, layer_cap());
-    info.isa = plans[i].isa;
-    info.isa_reason = explain_kernel_plan(plans[i], k);
+  const auto plan_layer = [&](std::int64_t k, LayerInfo& info) {
+    const KernelPlan plan = default_kernel_plan(hw, layer_cap());
+    info.isa = plan.isa;
+    info.tile = kernels::weight_tile_width(plan.isa);
+    info.isa_reason = explain_kernel_plan(plan, k);
   };
   for (std::size_t i = 0; i < n_layers; ++i) {
     PendingLayer& l = im.pending[i];
@@ -408,7 +408,7 @@ void BinaryNetwork::finalize(TensorDesc input) {
           info.isa = simd::IsaLevel::kU64;
           info.isa_reason = "full-precision first layer (im2col + sgemm)";
         } else {
-          plan_layer(i, layer_k, info);
+          plan_layer(layer_k, info);
         }
         break;
       }
@@ -426,7 +426,7 @@ void BinaryNetwork::finalize(TensorDesc input) {
         }
         seen_fc = true;
         cur = infer_fc(cur, l.fc_weights.rows());
-        plan_layer(i, l.fc_weights.rows(), info);
+        plan_layer(l.fc_weights.rows(), info);
         break;
       }
     }
@@ -449,10 +449,10 @@ void BinaryNetwork::finalize(TensorDesc input) {
   // plan.acts[i] holds the packed input of stage i (for conv/pool stages);
   // contexts lay it over ping-pong arena i % 2 of each batch slot.
   //
-  // Each conv/fc layer commits pass 1's plan as it is.  A layer whose plan's
+  // Each conv/fc layer commits pass 1's plan as it is.  A layer whose ISA's
   // tile width matches the one its weights were lowered to shares them as
-  // they are; any other width (an ISA cap or a forced fallback) gets a
-  // private re-laid copy.
+  // they are; any other width (an ISA cap or a forced fallback that changes
+  // T) gets a private re-laid copy.
   TensorDesc flow = input;
   for (std::size_t i = 0; i < n_layers; ++i) {
     PendingLayer& l = im.pending[i];
@@ -461,7 +461,6 @@ void BinaryNetwork::finalize(TensorDesc input) {
     s.kind = l.kind;
     s.isa = info.isa;
     s.is_last = (i + 1 == n_layers);
-    const std::int64_t tile = plans[i].tile;
     const bool vpopcnt = info.isa == simd::IsaLevel::kAvx512 && hw.avx512vpopcntdq;
     switch (l.kind) {
       case LayerKind::kConv: {
@@ -482,10 +481,9 @@ void BinaryNetwork::finalize(TensorDesc input) {
           if (!s.is_last) {
             s.limits = popcount_limits(bank.bits_per_filter(), l.thresholds, bank.num_filters());
           }
-          s.filters = bank.in_layout(tile);
-          s.conv_bin = kernels::conv_binarize_kernel(info.isa, vpopcnt, tile);
-          s.conv_dot = kernels::conv_dot_kernel(info.isa, vpopcnt, tile);
-          info.tile = tile;
+          s.filters = bank.in_layout(info.tile);
+          s.conv_bin = kernels::conv_binarize_kernel(info.isa, vpopcnt);
+          s.conv_dot = kernels::conv_dot_kernel(info.isa, vpopcnt);
           // The stage holds what it runs: a lowered bank it did not adopt
           // and nothing else shares is freed here, not at the end.
           l.conv_weights = ConvWeights();
@@ -500,10 +498,9 @@ void BinaryNetwork::finalize(TensorDesc input) {
         const FcWeights& w = l.fc_weights;
         im.weight_bytes += w.num_words() * 8;
         if (!s.is_last) s.limits = popcount_limits(w.cols(), l.thresholds, w.rows());
-        s.fc_weights = w.in_layout(tile);
-        s.fc_dot = kernels::bgemm_kernel(info.isa, vpopcnt, tile);
-        s.fc_bin = kernels::bgemm_binarize_kernel(info.isa, vpopcnt, tile);
-        info.tile = tile;
+        s.fc_weights = w.in_layout(info.tile);
+        s.fc_dot = kernels::bgemm_kernel(info.isa, vpopcnt);
+        s.fc_bin = kernels::bgemm_binarize_kernel(info.isa, vpopcnt);
         l.fc_weights = FcWeights();  // as for conv
         break;
       }
@@ -618,7 +615,7 @@ void BinaryNetwork::finalize(TensorDesc input) {
         kernel += ",t";
         kernel += std::to_string(info.tile);
         kernel += ",p";
-        kernel += std::to_string(kernels::pixel_block(s.isa, info.tile));
+        kernel += std::to_string(kernels::pixel_block(s.isa));
       }
       kernel += ']';
     }

@@ -87,10 +87,10 @@ struct LayerInfo {
   simd::IsaLevel isa = simd::IsaLevel::kU64;
   std::string isa_reason;
   bool full_precision = false;  ///< first-layer float conv (see add_conv_float)
-  /// Committed register-tile width T — default_kernel_plan's width, the
-  /// plan the stage will dispatch.  T > 0 for every binary conv/fc layer
-  /// (K < T means no full tile: every filter is a remainder filter) and 0
-  /// for pools and a full-precision first layer.
+  /// Committed register-tile width T — that of default_kernel_plan's ISA,
+  /// the plan the stage will dispatch.  T > 0 for every binary conv/fc layer
+  /// (its bank holds ceil(K / T) whole tiles) and 0 for pools and a
+  /// full-precision first layer.
   std::int64_t tile = 0;
 };
 

@@ -36,32 +36,19 @@ std::string explain_isa_selection(std::int64_t channels, const simd::CpuFeatures
   return s;
 }
 
-KernelPlan default_kernel_plan(std::int64_t k, const simd::CpuFeatures& f,
-                               std::optional<simd::IsaLevel> cap) {
-  // The ISA's default width, or the largest supported width K still fills;
-  // 4 when K is below every width.
-  KernelPlan plan;
-  plan.isa = clamp(f.best_isa(), cap);
-  const kernels::TileWidthSet widths = kernels::supported_tile_widths(plan.isa);
-  const std::int64_t preferred = kernels::weight_tile_width(plan.isa);
-  for (std::int64_t i = widths.count - 1; i >= 0; --i) {
-    const std::int64_t t = widths.widths[static_cast<std::size_t>(i)];
-    if (t <= preferred && t <= k) {
-      plan.tile = t;
-      break;
-    }
-  }
-  return plan;
+KernelPlan default_kernel_plan(const simd::CpuFeatures& f, std::optional<simd::IsaLevel> cap) {
+  return KernelPlan{clamp(f.best_isa(), cap)};
 }
 
 std::string explain_kernel_plan(const KernelPlan& plan, std::int64_t k) {
-  std::string s = "K=" + std::to_string(k) + " -> " + std::string(isa_name(plan.isa)) +
-                  " (register tiles: T=" + std::to_string(plan.tile) +
-                  " filters per activation broadcast vectorize along K, so the widest ISA; P=" +
-                  std::to_string(kernels::pixel_block(plan.isa, plan.tile)) +
-                  " outputs share each tile row load";
-  if (k < plan.tile) s += "; K < T, so no full tile";
-  return s + ")";
+  const std::int64_t t = kernels::weight_tile_width(plan.isa);
+  const std::int64_t tiles = (k + t - 1) / t;
+  return "K=" + std::to_string(k) + " -> " + std::string(isa_name(plan.isa)) +
+         " (register tiles: T=" + std::to_string(t) +
+         " filters per activation broadcast vectorize along K, so the widest ISA; " +
+         std::to_string(tiles) + (tiles == 1 ? " tile" : " tiles") + " of T=" +
+         std::to_string(t) + ", " + std::to_string(tiles * t - k) + " idle lanes; P=" +
+         std::to_string(kernels::pixel_block(plan.isa)) + " outputs share each tile row load)";
 }
 
 }  // namespace bitflow::graph

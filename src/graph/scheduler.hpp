@@ -9,9 +9,9 @@
 // fc layer — the engine's and ops::'s alike.  Their kernels vectorize along
 // K: one activation word is broadcast against T interleaved filter words,
 // so every lane holds a filter and no channel count wastes one.  A layer
-// therefore takes the widest ISA the CPU supports, with T = 16 on
-// AVX2/AVX-512 and 4 on u64/SSE (the largest supported T <= K when K is
-// smaller, and T = 4 with no full tile when K < 4).
+// therefore takes the widest ISA the CPU supports, and T follows from the
+// ISA: 16 on AVX2/AVX-512, 4 on u64/SSE.  A K that fills no whole number of
+// tiles is padded with zero filters, as rule 4 below pads C.
 //
 // The paper's channel rule (select_isa, Fig. 6) governs the kernels that
 // still vectorize along C — binary max pooling — and the Fig. 6 mapping
@@ -44,25 +44,24 @@ namespace bitflow::graph {
 [[nodiscard]] std::string explain_isa_selection(std::int64_t channels,
                                                 const simd::CpuFeatures& f);
 
-/// The ISA and register-tile width a conv or fc layer runs at.  The
-/// register-block height P follows from the pair at compile time
-/// (kernels::pixel_block), so it is not a field.
+/// The ISA a conv or fc layer runs at.  The register-tile width T and the
+/// register-block height P follow from it at compile time
+/// (kernels::weight_tile_width, kernels::pixel_block), so they are not
+/// fields.
 struct KernelPlan {
   simd::IsaLevel isa = simd::IsaLevel::kU64;
-  std::int64_t tile = 4;  ///< register-tile width T
 };
 
-/// The plan of a conv or fc layer with `k` filters or output neurons: the
-/// one rule behind weight lowering (graph/weights.hpp), finalize() and
-/// ops::.  The ISA is the widest `f` supports, clamped by `cap`
-/// (NetworkConfig::max_isa, ops' force_isa, or kU64 under a forced
-/// fallback).  T is the largest of supported_tile_widths(isa) that is at
-/// most min(K, weight_tile_width(isa)), and 4 when K < 4.  Nothing is
-/// measured at run time; DESIGN.md ("No auto-tuner") records why.
-[[nodiscard]] KernelPlan default_kernel_plan(std::int64_t k, const simd::CpuFeatures& f,
+/// The plan of every conv and fc layer: the one rule behind weight lowering
+/// (graph/weights.hpp), finalize() and ops::.  The ISA is the widest `f`
+/// supports, clamped by `cap` (NetworkConfig::max_isa, ops' force_isa, or
+/// kU64 under a forced fallback).  Nothing is measured at run time;
+/// DESIGN.md ("No auto-tuner") records why.
+[[nodiscard]] KernelPlan default_kernel_plan(const simd::CpuFeatures& f,
                                              std::optional<simd::IsaLevel> cap = std::nullopt);
 
-/// LayerInfo::isa_reason for a plan from default_kernel_plan.
+/// LayerInfo::isa_reason for a plan from default_kernel_plan, for a layer of
+/// `k` filters or output neurons: its ISA, T, P, and how K fills the tiles.
 [[nodiscard]] std::string explain_kernel_plan(const KernelPlan& plan, std::int64_t k);
 
 }  // namespace bitflow::graph

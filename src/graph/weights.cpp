@@ -18,6 +18,7 @@
 #include "core/sync.hpp"
 #include "core/thread_annotations.hpp"
 #include "graph/scheduler.hpp"
+#include "kernels/conv_spec.hpp"
 #include "runtime/thread_pool.hpp"
 #include "simd/cpu_features.hpp"
 
@@ -25,10 +26,10 @@ namespace bitflow::graph {
 
 namespace {
 
-/// The tile width finalize() commits for a layer of `k` filters under a
-/// default NetworkConfig: its default_kernel_plan's.  Consults no failpoint.
-std::int64_t default_tile(std::int64_t k) {
-  return default_kernel_plan(k, simd::cpu_features()).tile;
+/// The tile width finalize() commits under a default NetworkConfig: that of
+/// its default_kernel_plan's ISA.  Consults no failpoint.
+std::int64_t default_tile() {
+  return kernels::weight_tile_width(default_kernel_plan(simd::cpu_features()).isa);
 }
 
 /// A bank's padding rule: each row (a filter or an fc row, named `unit` in
@@ -66,12 +67,12 @@ std::int64_t affinity_cpus() {
   return std::max(1u, std::thread::hardware_concurrency());
 }
 
-/// One bank's streamed lowering: `rows` rows of `row_words` words at
-/// `words`, the first rows / tile * tile of them interleaved `tile` ways and
-/// the rest row-major after them (all of them when rows < tile).  Chunks are numbered in
-/// file order: first the tile-block chunks, read into a worker's scratch
-/// and interleaved from there, then the row-major chunks, read straight into
-/// place.  Every word of the bank is written before run() returns normally.
+/// One bank's streamed lowering: `rows` rows of `row_words` words into the
+/// ceil(rows / tile) tile blocks at `words`.  Chunks are runs of whole tile
+/// blocks, numbered in file order; each is read into a worker's scratch and
+/// interleaved from there.  The last block is read short — the file holds
+/// only its real rows — and its pad rows are zero-filled in the scratch, so
+/// every word of the bank is written before run() returns normally.
 class BankStream {
  public:
   BankStream(std::uint64_t* words, std::int64_t rows, std::int64_t row_words, std::int64_t tile,
@@ -80,12 +81,10 @@ class BankStream {
         rows_(rows),
         row_words_(row_words),
         tile_(tile),
-        tiled_rows_(rows / tile * tile),
-        chunk_blocks_(std::clamp<std::int64_t>(kStreamChunkBytes / (tile * row_words * 8), 1,
-                                               std::max<std::int64_t>(1, rows / tile))),
-        chunk_rows_(std::max<std::int64_t>(1, kStreamChunkBytes / (row_words * 8))),
-        tiled_chunks_(ceil_div(tiled_rows_ / tile, chunk_blocks_)),
-        chunks_(tiled_chunks_ + ceil_div(rows - tiled_rows_, chunk_rows_)),
+        chunk_rows_(tile * std::clamp<std::int64_t>(
+                               kStreamChunkBytes / (tile * row_words * 8), 1,
+                               std::max<std::int64_t>(1, ceil_div(rows, tile)))),
+        chunks_(ceil_div(rows, chunk_rows_)),
         padding_(padding),
         layer_(layer),
         read_(read) {}
@@ -97,10 +96,9 @@ class BankStream {
     const std::int64_t workers =
         std::min(rows_ * row_words_ * 8 / kStreamBytesPerWorker, chunks_);
     const int threads = workers < 2 ? 1 : static_cast<int>(std::min(workers, affinity_cpus()));
-    // Scratch for one chunk of tile blocks per worker, allocated here
-    // rather than by each worker (a worker's first malloc costs it a heap
-    // arena of its own).
-    const std::int64_t scratch_words = tiled_chunks_ > 0 ? chunk_blocks_ * tile_ * row_words_ : 0;
+    // Scratch for one chunk per worker, allocated here rather than by each
+    // worker (a worker's first malloc costs it a heap arena of its own).
+    const std::int64_t scratch_words = chunk_rows_ * row_words_;
     std::vector<std::uint64_t> scratch(static_cast<std::size_t>(threads * scratch_words));
     if (threads == 1) {
       work(scratch.data());
@@ -124,34 +122,28 @@ class BankStream {
   void work(std::uint64_t* scratch) BF_EXCLUDES(mu_) {
     for (;;) {
       std::int64_t chunk = 0, first = 0, end = 0;
-      std::uint64_t* dst = nullptr;
       {
         core::MutexLock lock(mu_);
         if (failed_chunk_ != kNone || next_ == chunks_) return;
         chunk = next_++;
-        if (chunk < tiled_chunks_) {
-          first = chunk * chunk_blocks_ * tile_;
-          end = std::min(tiled_rows_, first + chunk_blocks_ * tile_);
-          dst = scratch;
-        } else {
-          first = tiled_rows_ + (chunk - tiled_chunks_) * chunk_rows_;
-          end = std::min(rows_, first + chunk_rows_);
-          dst = words_ + first * row_words_;
-        }
+        first = chunk * chunk_rows_;
+        end = std::min(rows_, first + chunk_rows_);
         try {
-          read_(dst, (end - first) * row_words_ * 8);
+          read_(scratch, (end - first) * row_words_ * 8);
         } catch (...) {
           fail(chunk, std::current_exception());
           return;
         }
       }
       try {
-        check_padding(dst, first, end - first, padding_, layer_);
-        if (chunk < tiled_chunks_) {
-          for (std::int64_t r = first; r < end; r += tile_) {
-            bitpack::interleave_block(dst + (r - first) * row_words_, tile_, row_words_,
-                                      words_ + r * row_words_);
-          }
+        check_padding(scratch, first, end - first, padding_, layer_);
+        // The bank's short last block: zero pad rows up to a whole tile.
+        const std::int64_t padded_end = ceil_div(end, tile_) * tile_;
+        std::fill(scratch + (end - first) * row_words_, scratch + (padded_end - first) * row_words_,
+                  std::uint64_t{0});
+        for (std::int64_t r = first; r < padded_end; r += tile_) {
+          bitpack::interleave_block(scratch + (r - first) * row_words_, tile_, row_words_,
+                                    words_ + r * row_words_);
         }
       } catch (...) {
         core::MutexLock lock(mu_);
@@ -173,10 +165,9 @@ class BankStream {
   static constexpr std::int64_t kNone = std::numeric_limits<std::int64_t>::max();
 
   std::uint64_t* const words_;
-  const std::int64_t rows_, row_words_, tile_, tiled_rows_;
-  const std::int64_t chunk_blocks_;  ///< tile blocks per tiled chunk (at most the bank's)
-  const std::int64_t chunk_rows_;    ///< rows per row-major chunk
-  const std::int64_t tiled_chunks_, chunks_;
+  const std::int64_t rows_, row_words_, tile_;
+  const std::int64_t chunk_rows_;  ///< rows per chunk: whole tile blocks, at most the bank's
+  const std::int64_t chunks_;
   const Padding padding_;
   const std::string& layer_;
   const ByteSource& read_;
@@ -189,15 +180,14 @@ class BankStream {
   std::exception_ptr error_ BF_GUARDED_BY(mu_);
 };
 
-/// Streams an interleaved matrix row-major: each full tile block through one
-/// block of scratch, then the remainder rows, which are stored row-major.
+/// Streams an interleaved matrix row-major, one tile block at a time through
+/// scratch; the last block's pad rows are not written.
 void stream_rows(const TiledBitMatrix& m, const WordSink& sink) {
   std::vector<std::uint64_t> block(static_cast<std::size_t>(m.tile() * m.row_words()));
-  for (std::int64_t t = 0; t < m.full_tiles(); ++t) {
+  for (std::int64_t t = 0; t < m.tiles(); ++t) {
     m.untile_block(t, block.data());
-    sink(block.data(), static_cast<std::int64_t>(block.size()));
+    sink(block.data(), std::min(m.tile(), m.rows() - t * m.tile()) * m.row_words());
   }
-  if (m.remainder_rows() > 0) sink(m.remainder_row(0), m.remainder_rows() * m.row_words());
 }
 
 /// A WordSink that appends to `out`.
@@ -242,7 +232,7 @@ ConvWeights lower_conv_weights(PackedFilterBank filters, const std::string& laye
                 Padding{filters.kernel_h() * filters.kernel_w(), filters.words_per_pixel(),
                         filters.channels(), "C", "filter"},
                 layer);
-  const std::int64_t tile = default_tile(filters.num_filters());
+  const std::int64_t tile = default_tile();
   return ConvWeights(std::move(filters), tile);
 }
 
@@ -250,11 +240,13 @@ ConvWeights stream_conv_weights(std::int64_t k, std::int64_t kh, std::int64_t kw
                                 std::int64_t c, const std::string& layer,
                                 const ByteSource& read) {
   const Padding padding{kh * kw, words_for_channels(c), c, "C", "filter"};
-  const std::int64_t tile = default_tile(k);
+  const std::int64_t tile = default_tile();
   const std::int64_t row_words = kh * kw * words_for_channels(c);
-  TiledBitMatrix rows(
-      AlignedBuffer::uninitialized(static_cast<std::size_t>(k * row_words) * sizeof(std::uint64_t)),
-      k, row_words, tile);
+  TiledBitMatrix rows(AlignedBuffer::uninitialized(
+                          static_cast<std::size_t>(TiledBitMatrix::padded_rows(k, tile) *
+                                                   row_words) *
+                          sizeof(std::uint64_t)),
+                      k, row_words, tile);
   BankStream(rows.words(), k, row_words, tile, padding, layer, read).run();
   return ConvWeights(TiledFilterBank(std::move(rows), kh, kw, c));
 }
@@ -290,7 +282,7 @@ FcWeights FcWeights::in_layout(std::int64_t tile) const {
 FcWeights lower_fc_weights(PackedMatrix weights, const std::string& layer) {
   check_padding(weights.words(), 0, weights.rows(),
                 Padding{1, weights.words_per_row(), weights.cols(), "N", "row"}, layer);
-  const std::int64_t tile = default_tile(weights.rows());
+  const std::int64_t tile = default_tile();
   return FcWeights(std::move(weights), tile);
 }
 
@@ -298,12 +290,18 @@ FcWeights stream_fc_weights(std::int64_t rows, std::int64_t cols, const std::str
                             const ByteSource& read) {
   const std::int64_t row_words = words_for_channels(cols);
   const Padding padding{1, row_words, cols, "N", "row"};
-  const std::int64_t tile = default_tile(rows);
-  TiledBitMatrix m(AlignedBuffer::uninitialized(static_cast<std::size_t>(rows * row_words) *
-                                                sizeof(std::uint64_t)),
+  const std::int64_t tile = default_tile();
+  TiledBitMatrix m(AlignedBuffer::uninitialized(
+                       static_cast<std::size_t>(TiledBitMatrix::padded_rows(rows, tile) *
+                                                row_words) *
+                       sizeof(std::uint64_t)),
                    rows, row_words, tile);
   BankStream(m.words(), rows, row_words, tile, padding, layer, read).run();
   return FcWeights(std::move(m), cols);
+}
+
+std::int64_t lowered_rows(std::int64_t rows) {
+  return TiledBitMatrix::padded_rows(rows, default_tile());
 }
 
 // --- binarize thresholds ------------------------------------------------------

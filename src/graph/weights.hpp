@@ -3,19 +3,23 @@
 // Packed weights enter the process in io::Model::load, io::Model::add_conv /
 // add_fc and BinaryNetwork::add_conv / add_fc.  All of them lower each bank
 // into the T-way register-tile interleave finalize() commits under a
-// default NetworkConfig — both take T from the same default_kernel_plan
-// (graph/scheduler.hpp); a bank with K < T has no full tile and stays
-// filter-major inside the tiled matrix — and reject set padding bits.  There
+// default NetworkConfig — both take T from the ISA of the same
+// default_kernel_plan (graph/scheduler.hpp) — and reject set padding bits.
+// A lowered bank holds ceil(K / T) whole tiles: when T does not divide K,
+// its last tile ends in T - K % T zero pad rows, which exist only in memory
+// (the model file and packed_weight_bytes() count the K real rows).  There
 // are two routes there:
 //
 //   * in memory (lower_conv_weights / lower_fc_weights, from the add_*
-//     calls): the bank is checked, then permuted in place (bitpack::tile_*);
+//     calls): the bank is checked, then interleaved in place
+//     (bitpack::tile_*), its storage grown by the pad rows first only when
+//     T does not divide K;
 //   * streamed (stream_conv_weights / stream_fc_weights, from
 //     io::Model::load): the bank is allocated without zeroing and its
 //     filter-major words are read from the model stream in chunks of about
 //     kStreamChunkBytes, whole tile blocks at a time; each chunk is checked
-//     and its blocks interleaved straight into their final place; the
-//     K % T remainder rows are read straight into place.  A bank
+//     and its blocks interleaved straight into their final place.  The last
+//     block is read short and its pad rows zero-filled.  A bank
 //     gets one worker per kStreamBytesPerWorker bytes, up to the CPUs in the
 //     process's affinity mask.  With fewer than two it runs inline on the
 //     caller's thread; otherwise the call owns a transient runtime::ThreadPool
@@ -62,9 +66,8 @@ using WordSink = std::function<void(const std::uint64_t* words, std::int64_t cou
 /// its load workers, one call at a time, under its stream lock.
 using ByteSource = std::function<void(void* dst, std::int64_t bytes)>;
 
-/// The streamed lowering's unit of work: whole tile blocks — or whole rows,
-/// for the remainder rows after the tiles — of about this many bytes (at
-/// least one block or row) are read, checked and placed at a time.
+/// The streamed lowering's unit of work: whole tile blocks of about this
+/// many bytes (at least one block) are read, checked and placed at a time.
 inline constexpr std::int64_t kStreamChunkBytes = std::int64_t{64} << 10;
 
 /// A streamed bank gets one load worker per this many bytes, up to the CPUs
@@ -187,6 +190,12 @@ class FcWeights {
 /// stream_conv_weights for a K x N fc matrix (`rows` x `cols` bits).
 [[nodiscard]] FcWeights stream_fc_weights(std::int64_t rows, std::int64_t cols,
                                           const std::string& layer, const ByteSource& read);
+
+/// The rows of the bank the lowering makes of a layer's `rows` filters or
+/// output neurons: whole tiles of the default plan's width T, so up to
+/// T - 1 zero pad rows more than the model file holds.  io::Model::load
+/// charges them to its load budget before the bank is allocated.
+[[nodiscard]] std::int64_t lowered_rows(std::int64_t rows);
 
 /// The popcount limit L of one binarized filter with `bits` valid bits: a
 /// popcount p in [0, bits] passes `float(bits - 2p) >= threshold` — the

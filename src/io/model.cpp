@@ -22,8 +22,10 @@
 // graph::stream_conv_weights / stream_fc_weights, which check and
 // interleave them into engine layout chunk by chunk as they are read — on
 // the caller's thread, or for a bank of 2 MiB and up on a transient pool of
-// load workers that the call joins.  save() de-interleaves each bank back
-// one tile block at a time.  Padding bits (above C in a conv tap's last
+// load workers that the call joins.  A bank in memory holds whole register
+// tiles, so up to T - 1 zero pad rows past k, which the load budget is
+// charged for and no file ever holds.  save() de-interleaves each bank back
+// one tile block at a time and writes its k real rows.  Padding bits (above C in a conv tap's last
 // word, above n in an fc row's last word) must be zero.  A corrupt or
 // truncated stream throws std::runtime_error with a description of what
 // failed.
@@ -344,8 +346,11 @@ Model Model::load(std::istream& is) {
         const std::int64_t wpf =
             checked_mul(checked_mul(kh, kw, "conv filter words"), (c + 63) / 64,
                         "conv filter words");
-        budget.charge(checked_mul(checked_mul(k, wpf, "conv weights"), 8, "conv weights"),
-                      "conv weights");
+        // The bank in memory: whole tiles, up to T - 1 pad filters past k.
+        budget.charge(
+            checked_mul(checked_mul(graph::lowered_rows(k), wpf, "conv weights"), 8,
+                        "conv weights"),
+            "conv weights");
         budget.charge(checked_mul(k, 4, "conv thresholds"), "conv thresholds");
         r.thresholds = read_thresholds(is, k);
         BF_FAILPOINT("io.read_weights");
@@ -364,9 +369,9 @@ Model Model::load(std::istream& is) {
         r.kind = graph::LayerKind::kFc;
         const std::int64_t k = read_extent(is, "fc k");
         const std::int64_t n = read_extent(is, "fc n", 1 << 28);
-        budget.charge(
-            checked_mul(checked_mul(k, (n + 63) / 64, "fc weights"), 8, "fc weights"),
-            "fc weights");
+        budget.charge(checked_mul(checked_mul(graph::lowered_rows(k), (n + 63) / 64, "fc weights"),
+                                  8, "fc weights"),
+                      "fc weights");
         budget.charge(checked_mul(k, 4, "fc thresholds"), "fc thresholds");
         r.thresholds = read_thresholds(is, k);
         BF_FAILPOINT("io.read_weights");

@@ -12,8 +12,9 @@
 // fused with M.  There is one kernel family: W is re-laid once into the
 // T-way register-tile layout (bitpack::tile_fc_weights), so each loaded
 // activation word feeds T contiguous neuron words — the "tiling and loop
-// unrolling" borrowed from sgemm.  The K % T remainder neurons (all of them
-// when K < T) are stored row-major after the tiles and run as word runs.
+// unrolling" borrowed from sgemm.  W holds ceil(K / T) whole tiles, the last
+// padded with zero rows when T does not divide K, so every neuron takes the
+// one tiled path.
 #pragma once
 
 #include <cstdint>
@@ -37,20 +38,20 @@ using BgemmFn = void (*)(const PackedMatrix& a, std::int64_t m_rows, const Tiled
 /// Fused bgemm + binarize over rows [0, m_rows) of A: bit k of output row m
 /// is set iff the xor-popcount of A row m against W row k is <= limits[k],
 /// the popcount limit of `dot(m,k) >= threshold[k]` (graph::popcount_limit;
-/// null limits = sign, popcount <= N / 2).  `out` must be A.rows() x K bits;
-/// its rows [m_rows, out.rows()) are left untouched.
+/// null limits = sign, popcount <= N / 2; K entries, and nothing is
+/// allocated for either).  `out` must be A.rows() x K bits; its rows
+/// [m_rows, out.rows()) are left untouched.
 using BgemmBinarizeFn = void (*)(const PackedMatrix& a, std::int64_t m_rows,
                                  const TiledBitMatrix& w, const std::int64_t* limits,
                                  runtime::ThreadPool& pool, PackedMatrix& out);
 
-/// Returns the raw-dot bgemm compiled for (`isa`, `tile`); same contract as
-/// conv_dot_kernel: `use_vpopcntdq` picks the AVX-512 popcount TU, `tile`
-/// must be one of supported_tile_widths(isa) (std::invalid_argument
-/// otherwise), and hardware support is the caller's responsibility.
-[[nodiscard]] BgemmFn bgemm_kernel(simd::IsaLevel isa, bool use_vpopcntdq, std::int64_t tile);
+/// Returns the raw-dot bgemm compiled for `isa`; same contract as
+/// conv_dot_kernel: W must be tiled at weight_tile_width(isa),
+/// `use_vpopcntdq` picks the AVX-512 popcount TU, and hardware support is
+/// the caller's responsibility.
+[[nodiscard]] BgemmFn bgemm_kernel(simd::IsaLevel isa, bool use_vpopcntdq);
 
-/// Returns the fused binarize bgemm compiled for (`isa`, `tile`).
-[[nodiscard]] BgemmBinarizeFn bgemm_binarize_kernel(simd::IsaLevel isa, bool use_vpopcntdq,
-                                                    std::int64_t tile);
+/// Returns the fused binarize bgemm compiled for `isa`.
+[[nodiscard]] BgemmBinarizeFn bgemm_binarize_kernel(simd::IsaLevel isa, bool use_vpopcntdq);
 
 }  // namespace bitflow::kernels

@@ -1,14 +1,16 @@
-// bgemm inner loops, templated over an ISA policy and a register-tile
-// accumulator (same scheme as pressedconv_impl.hpp — included only by the
+// bgemm inner loops, templated over an ISA policy and its register-tile
+// accumulator (same scheme as pressedconv_impl.hpp, whose header says why
+// the policy lives in each TU's anonymous namespace — included only by the
 // per-ISA kernel TUs).
 //
 // The weight matrix W is in the T-way register-tile layout
 // (bitpack::tile_fc_weights): for each activation word, the T = Tile::kWidth
 // matching weight words are one contiguous line, and the T neuron counters
 // stay in registers across the whole activation row; the fused binarize
-// compares them against the T popcount limits in registers.  Remainder
-// neurons (K % T, all of them when K < T) are stored row-major after the
-// tiles and take the policy's word-run xor_popcount.
+// compares them against the T popcount limits in registers.  Every neuron
+// takes this one path: when T does not divide K, W's last tile ends in zero
+// pad rows, whose dots the raw dot does not store and whose bits the
+// binarize clears (a limit of -1, TileLimits).
 //
 // Batch-N: the kernels compute only the first `m_rows` rows of A (the
 // serving path keeps a max_batch-row activation matrix and fills the first
@@ -17,21 +19,17 @@
 // word (binarize) times the m_rows rows — so a batch of N requests through
 // a small FC layer costs one fork/join instead of N, the same fusion
 // PressedConv applies to N*H*W.  Each thread walks its block with
-// tile_walk.hpp: the rows of one group run in blocks of P = pixel_block(ISA,
-// T) with P x T counters, so each tile row of W is loaded once per P rows
-// and a thread streams its share of W once per block of P rows; the rows
-// left over run the same template at P = 1.  Each output element depends
-// only on its own (m, k) pair, so results are bit-identical for any m_rows
-// and any thread count.
-//
-// Tile is an explicit template parameter (not Ops::Tile) so each per-ISA TU
-// can stamp one entry point per supported width.
+// tile_walk.hpp: the rows of one group run in blocks of P = pixel_block(ISA)
+// with P x T counters, so each tile row of W is loaded once per P rows and
+// a thread streams its share of W once per block of P rows; the rows left
+// over run the same template at P = 1.  Each output element depends only on
+// its own (m, k) pair, so results are bit-identical for any m_rows and any
+// thread count.
 #pragma once
 
 #include <algorithm>
 #include <cstdint>
 #include <stdexcept>
-#include <vector>
 
 #include "kernels/conv_spec.hpp"
 #include "kernels/tile_walk.hpp"
@@ -44,7 +42,7 @@ template <typename Ops, typename Tile>
 void bgemm_rows_tiled_impl(const PackedMatrix& a, std::int64_t m_rows, const TiledBitMatrix& w,
                            runtime::ThreadPool& pool, float* y) {
   constexpr std::int64_t kT = Tile::kWidth;
-  constexpr std::int64_t kP = pixel_block(Ops::kIsa, kT);
+  constexpr std::int64_t kP = pixel_block(Ops::kIsa);
   if (w.tile() != kT) {
     throw std::invalid_argument("bgemm tiled: matrix tile width does not match kernel");
   }
@@ -57,25 +55,14 @@ void bgemm_rows_tiled_impl(const PackedMatrix& a, std::int64_t m_rows, const Til
   }
   const std::int64_t k_rows = w.rows();
   const std::int64_t n_words = a.words_per_row();
-  const std::int64_t bits = a.cols();
-  const auto bits32 = static_cast<std::int32_t>(bits);
-  const std::int64_t full_tiles = w.full_tiles();
-  const std::int64_t tiled_rows = w.tiled_rows();
-  // One grain per (neuron tile or remainder neuron, row of A), group-major:
-  // a thread streams its share of W once per block of kP rows.
-  const std::int64_t groups = full_tiles + w.remainder_rows();
-  pool.parallel_for(groups * m_rows, [&](runtime::Range r, int) {
-    for_each_row_segment(r, groups, m_rows, [&](std::int64_t, std::int64_t g, std::int64_t m0,
-                                                std::int64_t m1) {
-      if (g >= full_tiles) {
-        const std::int64_t rr = g - full_tiles;
-        for (std::int64_t m = m0; m < m1; ++m) {
-          const std::uint64_t p = Ops::xor_popcount(a.row(m), w.remainder_row(rr), n_words);
-          y[m * k_rows + tiled_rows + rr] =
-              static_cast<float>(bits - 2 * static_cast<std::int64_t>(p));
-        }
-        return;
-      }
+  const auto bits32 = static_cast<std::int32_t>(a.cols());
+  // One grain per (neuron tile, row of A), tile-major: a thread streams its
+  // share of W once per block of kP rows.
+  pool.parallel_for(w.tiles() * m_rows, [&](runtime::Range r, int) {
+    for_each_row_segment(r, w.tiles(), m_rows, [&](std::int64_t, std::int64_t g, std::int64_t m0,
+                                                   std::int64_t m1) {
+      // Only the last tile has pad lanes, and they are not stored.
+      const std::int64_t lanes = std::min(kT, k_rows - g * kT);
       for_each_block<kP>(m0, m1, [&](auto q, std::int64_t m) {
         constexpr std::int64_t kQ = decltype(q)::value;
         Tile acc[kQ] = {};
@@ -84,7 +71,7 @@ void bgemm_rows_tiled_impl(const PackedMatrix& a, std::int64_t m_rows, const Til
           std::uint64_t pops[kT];
           acc[j].reduce(pops);
           float* yk = y + (m + j) * k_rows + g * kT;
-          for (std::int64_t l = 0; l < kT; ++l) {
+          for (std::int64_t l = 0; l < lanes; ++l) {
             yk[l] = static_cast<float>(bits32 - 2 * static_cast<std::int32_t>(pops[l]));
           }
         }
@@ -98,7 +85,7 @@ void bgemm_binarize_rows_tiled_impl(const PackedMatrix& a, std::int64_t m_rows,
                                     const TiledBitMatrix& w, const std::int64_t* limits,
                                     runtime::ThreadPool& pool, PackedMatrix& out) {
   constexpr std::int64_t kT = Tile::kWidth;
-  constexpr std::int64_t kP = pixel_block(Ops::kIsa, kT);
+  constexpr std::int64_t kP = pixel_block(Ops::kIsa);
   static_assert(64 % Tile::kWidth == 0, "neuron tiles must not straddle output words");
   if (w.tile() != kT) {
     throw std::invalid_argument("bgemm_binarize tiled: matrix tile width does not match kernel");
@@ -114,10 +101,9 @@ void bgemm_binarize_rows_tiled_impl(const PackedMatrix& a, std::int64_t m_rows,
   }
   const std::int64_t k_rows = w.rows();
   const std::int64_t n_words = a.words_per_row();
-  const std::int64_t tiled_rows = w.tiled_rows();
   const std::int64_t out_words = out.words_per_row();
-  std::vector<std::int64_t> sign;
-  limits = resolve_limits(limits, a.cols(), k_rows, sign);
+  const std::int64_t tiles = w.tiles();
+  const TileLimits<kT> tile_limits(limits, a.cols(), k_rows);
   // One grain per (output word, row of A), word-major, as in the raw dot.
   pool.parallel_for(out_words * m_rows, [&](runtime::Range r, int) {
     for_each_row_segment(r, out_words, m_rows, [&](std::int64_t, std::int64_t wi,
@@ -127,25 +113,18 @@ void bgemm_binarize_rows_tiled_impl(const PackedMatrix& a, std::int64_t m_rows,
       for_each_block<kP>(m0, m1, [&](auto q, std::int64_t m) {
         constexpr std::int64_t kQ = decltype(q)::value;
         std::uint64_t packed[kQ] = {};
-        std::int64_t b = 0;
         // k0 is a multiple of 64, hence of kT, so tiles align to this word's
-        // bit positions; kT divides 64, so no tile straddles the word.
-        for (; b < block && k0 + b < tiled_rows; b += kT) {
+        // bit positions; kT divides 64, so no tile straddles the word, and
+        // the last tile's pad lanes still fall inside it.
+        for (std::int64_t b = 0; b < block; b += kT) {
+          const std::int64_t t = (k0 + b) / kT;
           Tile acc[kQ] = {};
-          accumulate_runs<kQ>(acc, a.row(m), n_words, n_words, w.tile_block((k0 + b) / kT));
-          for (std::int64_t j = 0; j < kQ; ++j) packed[j] |= acc[j].le_mask(limits + k0 + b) << b;
+          accumulate_runs<kQ>(acc, a.row(m), n_words, n_words, w.tile_block(t));
+          const std::int64_t* lim =
+              t < tiles - 1 ? tile_limits.first() + t * tile_limits.step() : tile_limits.last();
+          for (std::int64_t j = 0; j < kQ; ++j) packed[j] |= acc[j].le_mask(lim) << b;
         }
-        // The remainder neurons take the word-run path, row by row.
-        for (std::int64_t j = 0; j < kQ; ++j) {
-          const std::uint64_t* xa = a.row(m + j);
-          std::uint64_t word = packed[j];
-          for (std::int64_t bb = b; bb < block; ++bb) {
-            const std::uint64_t p =
-                Ops::xor_popcount(xa, w.remainder_row(k0 + bb - tiled_rows), n_words);
-            word |= limit_bit(p, limits[k0 + bb]) << bb;
-          }
-          out.row(m + j)[wi] = word;
-        }
+        for (std::int64_t j = 0; j < kQ; ++j) out.row(m + j)[wi] = packed[j];
       });
     });
   });
@@ -153,8 +132,8 @@ void bgemm_binarize_rows_tiled_impl(const PackedMatrix& a, std::int64_t m_rows,
 
 }  // namespace bitflow::kernels::impl
 
-/// Stamps out the register-tiled bgemm entry points for one (ISA policy,
-/// tile accumulator) pair — one invocation per supported tile width.
+/// Stamps out the register-tiled bgemm entry points of one per-ISA TU (see
+/// BITFLOW_INSTANTIATE_PRESSEDCONV_TILED).
 #define BITFLOW_INSTANTIATE_BGEMM_TILED(SUFFIX, OPS, TILE)                                      \
   namespace bitflow::kernels::detail {                                                          \
   void bgemm_rows_tiled_##SUFFIX(const PackedMatrix& a, std::int64_t m_rows,                    \

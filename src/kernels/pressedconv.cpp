@@ -10,7 +10,7 @@ namespace bitflow::kernels {
 
 namespace detail {
 // Defined by BITFLOW_INSTANTIATE_PRESSEDCONV_TILED in the per-ISA TUs, one
-// suffix per (ISA, tile width) pair the TU stamps.
+// suffix per TU.
 #define BITFLOW_DECLARE_PRESSEDCONV_TILED(SUFFIX)                                                \
   void conv_dot_tiled_batch_##SUFFIX(const PackedTensor* const*, std::int64_t,                   \
                                      const TiledFilterBank&, const ConvSpec&,                    \
@@ -19,54 +19,34 @@ namespace detail {
                                           const TiledFilterBank&, const ConvSpec&,               \
                                           const std::int64_t*, runtime::ThreadPool&,             \
                                           PackedTensor* const*, std::int64_t);
-BITFLOW_DECLARE_PRESSEDCONV_TILED(u64_t4)
-BITFLOW_DECLARE_PRESSEDCONV_TILED(sse_t4)
-BITFLOW_DECLARE_PRESSEDCONV_TILED(avx2_t4)
-BITFLOW_DECLARE_PRESSEDCONV_TILED(avx2_t8)
-BITFLOW_DECLARE_PRESSEDCONV_TILED(avx2_t16)
-BITFLOW_DECLARE_PRESSEDCONV_TILED(avx512_t4)
-BITFLOW_DECLARE_PRESSEDCONV_TILED(avx512_t8)
-BITFLOW_DECLARE_PRESSEDCONV_TILED(avx512_t16)
-BITFLOW_DECLARE_PRESSEDCONV_TILED(avx512vp_t4)
-BITFLOW_DECLARE_PRESSEDCONV_TILED(avx512vp_t8)
-BITFLOW_DECLARE_PRESSEDCONV_TILED(avx512vp_t16)
+BITFLOW_DECLARE_PRESSEDCONV_TILED(u64)
+BITFLOW_DECLARE_PRESSEDCONV_TILED(sse)
+BITFLOW_DECLARE_PRESSEDCONV_TILED(avx2)
+BITFLOW_DECLARE_PRESSEDCONV_TILED(avx512)
+BITFLOW_DECLARE_PRESSEDCONV_TILED(avx512vp)
 #undef BITFLOW_DECLARE_PRESSEDCONV_TILED
 }  // namespace detail
 
-// Nested (ISA, tile width) dispatch shared by the two getters: every
-// stamped suffix appears exactly once; an (isa, tile) pair with no
-// instantiation throws rather than silently falling back, so no plan the
-// kernel layer cannot execute is ever committed.
-#define BITFLOW_TILED_DISPATCH(NAME, GETTER)                                                    \
-  switch (isa) {                                                                                \
-    case simd::IsaLevel::kU64:                                                                  \
-      if (tile == 4) return &detail::NAME##_u64_t4;                                             \
-      break;                                                                                    \
-    case simd::IsaLevel::kSse:                                                                  \
-      if (tile == 4) return &detail::NAME##_sse_t4;                                             \
-      break;                                                                                    \
-    case simd::IsaLevel::kAvx2:                                                                 \
-      if (tile == 4) return &detail::NAME##_avx2_t4;                                            \
-      if (tile == 8) return &detail::NAME##_avx2_t8;                                            \
-      if (tile == 16) return &detail::NAME##_avx2_t16;                                          \
-      break;                                                                                    \
-    case simd::IsaLevel::kAvx512:                                                               \
-      if (tile == 4) return use_vpopcntdq ? &detail::NAME##_avx512vp_t4                         \
-                                          : &detail::NAME##_avx512_t4;                          \
-      if (tile == 8) return use_vpopcntdq ? &detail::NAME##_avx512vp_t8                         \
-                                          : &detail::NAME##_avx512_t8;                          \
-      if (tile == 16) return use_vpopcntdq ? &detail::NAME##_avx512vp_t16                       \
-                                           : &detail::NAME##_avx512_t16;                        \
-      break;                                                                                    \
-  }                                                                                             \
-  throw std::invalid_argument(GETTER ": no instantiation for (isa, tile " +                     \
-                              std::to_string(tile) + ")")
+// The ISA dispatch shared by the two getters: one TU per ISA level, two at
+// AVX-512 (the popcount lowering).
+#define BITFLOW_TILED_DISPATCH(NAME, GETTER)                                                     \
+  switch (isa) {                                                                                 \
+    case simd::IsaLevel::kU64:                                                                   \
+      return &detail::NAME##_u64;                                                                \
+    case simd::IsaLevel::kSse:                                                                   \
+      return &detail::NAME##_sse;                                                                \
+    case simd::IsaLevel::kAvx2:                                                                  \
+      return &detail::NAME##_avx2;                                                               \
+    case simd::IsaLevel::kAvx512:                                                                \
+      return use_vpopcntdq ? &detail::NAME##_avx512vp : &detail::NAME##_avx512;                  \
+  }                                                                                              \
+  throw std::invalid_argument(GETTER ": unknown ISA level")
 
-ConvDotFn conv_dot_kernel(simd::IsaLevel isa, bool use_vpopcntdq, std::int64_t tile) {
+ConvDotFn conv_dot_kernel(simd::IsaLevel isa, bool use_vpopcntdq) {
   BITFLOW_TILED_DISPATCH(conv_dot_tiled_batch, "conv_dot_kernel");
 }
 
-ConvBinarizeFn conv_binarize_kernel(simd::IsaLevel isa, bool use_vpopcntdq, std::int64_t tile) {
+ConvBinarizeFn conv_binarize_kernel(simd::IsaLevel isa, bool use_vpopcntdq) {
   BITFLOW_TILED_DISPATCH(conv_binarize_tiled_batch, "conv_binarize_kernel");
 }
 

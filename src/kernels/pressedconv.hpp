@@ -10,9 +10,9 @@
 // tile layout (TiledFilterBank, produced by bitpack::tile_filters) and
 // vectorizes along K: one activation word is broadcast against the T
 // interleaved words of a filter tile, so every lane holds a filter and no
-// channel count wastes one.  The K % T remainder filters are stored
-// filter-major after the tiles and run as word runs; a bank with K < T —
-// every layer with K < 4 — has no full tile, and all its filters do.
+// channel count wastes one.  A bank holds ceil(K / T) whole tiles; when T
+// does not divide K the last one ends in zero pad filters, whose lanes the
+// kernels neither store nor set, so every filter takes the one tiled path.
 //
 // Two output forms are provided:
 //  * raw dot  — Eq. 1 inner products as floats (last layer of a network, or
@@ -25,9 +25,10 @@
 //               (graph::popcount_limit), so the epilogue is one integer
 //               compare per filter, vectorized across a register tile.
 //
-// Each (ISA variant, tile width) pair is compiled in its own TU with exactly
-// that ISA enabled; conv_dot_kernel / conv_binarize_kernel return it, and
-// graph::default_kernel_plan chooses the pair.
+// Each ISA variant is compiled in its own TU with exactly that ISA enabled,
+// at its one tile width T = weight_tile_width(isa); conv_dot_kernel /
+// conv_binarize_kernel return it, and graph::default_kernel_plan chooses the
+// ISA.
 #pragma once
 
 #include <cstdint>
@@ -57,7 +58,8 @@ using ConvDotFn = void (*)(const PackedTensor* const* in, std::int64_t n,
 /// pixel (y, x) is set iff the xor-popcount p of that window against filter
 /// k is <= limits[k] — `dot(y,x,k) >= threshold[k]` with the threshold
 /// lowered to a popcount limit once per layer (graph::popcount_limit).
-/// `limits` holds K entries, or is null for sign(dot) (p <= bits / 2).  Each
+/// `limits` holds K entries, or is null for sign(dot) (p <= bits / 2); the
+/// kernel allocates nothing for either.  Each
 /// result is written into the interior of out[b] at offset `margin` on each
 /// side; every out[b] has extents (out_h + 2*margin, out_w + 2*margin, K) and
 /// its margin region is left untouched (zero bits = -1), realizing the next
@@ -67,19 +69,16 @@ using ConvBinarizeFn = void (*)(const PackedTensor* const* in, std::int64_t n,
                                 const std::int64_t* limits, runtime::ThreadPool& pool,
                                 PackedTensor* const* out, std::int64_t margin);
 
-/// Returns the raw-dot kernel compiled for (`isa`, `tile`).  At kAvx512,
-/// `use_vpopcntdq` selects the native-VPOPCNTDQ TU over the byte-LUT one
-/// (the flag is ignored at narrower levels).  `tile` must be one of
-/// supported_tile_widths(isa); any other pair throws std::invalid_argument.
-/// The caller must have verified hardware support
+/// Returns the raw-dot kernel compiled for `isa`; it takes banks tiled at
+/// weight_tile_width(isa).  At kAvx512, `use_vpopcntdq` selects the
+/// native-VPOPCNTDQ TU over the byte-LUT one (the flag is ignored at
+/// narrower levels).  The caller must have verified hardware support
 /// (simd::cpu_features().supports(isa)).
-[[nodiscard]] ConvDotFn conv_dot_kernel(simd::IsaLevel isa, bool use_vpopcntdq,
-                                        std::int64_t tile);
+[[nodiscard]] ConvDotFn conv_dot_kernel(simd::IsaLevel isa, bool use_vpopcntdq);
 
-/// Returns the fused binarize kernel compiled for (`isa`, `tile`); see
+/// Returns the fused binarize kernel compiled for `isa`; see
 /// conv_dot_kernel.
-[[nodiscard]] ConvBinarizeFn conv_binarize_kernel(simd::IsaLevel isa, bool use_vpopcntdq,
-                                                  std::int64_t tile);
+[[nodiscard]] ConvBinarizeFn conv_binarize_kernel(simd::IsaLevel isa, bool use_vpopcntdq);
 
 /// Validates what the kernels assume of their operands and throws
 /// std::invalid_argument on a mismatch: a well-formed spec, a non-empty

@@ -2,19 +2,14 @@
 // kernels every x86-64 host can run (and the simd.force_fallback target).
 #include "kernels/bgemm_impl.hpp"
 #include "kernels/pressedconv_impl.hpp"
-#include "simd/bitops_inline.hpp"
 #include "simd/bitops_tile.hpp"
 
 namespace {
 struct OpsU64 {
   static constexpr bitflow::simd::IsaLevel kIsa = bitflow::simd::IsaLevel::kU64;
-  static std::uint64_t xor_popcount(const std::uint64_t* a, const std::uint64_t* b,
-                                    std::int64_t n) {
-    return bitflow::simd::inl::xor_popcount_u64(a, b, n);
-  }
 };
 }  // namespace
 
 // Tile width 4: four independent popcnt chains.
-BITFLOW_INSTANTIATE_PRESSEDCONV_TILED(u64_t4, OpsU64, bitflow::simd::inl::TileAcc4Scalar)
-BITFLOW_INSTANTIATE_BGEMM_TILED(u64_t4, OpsU64, bitflow::simd::inl::TileAcc4Scalar)
+BITFLOW_INSTANTIATE_PRESSEDCONV_TILED(u64, OpsU64, bitflow::simd::inl::TileAcc4Scalar)
+BITFLOW_INSTANTIATE_BGEMM_TILED(u64, OpsU64, bitflow::simd::inl::TileAcc4Scalar)

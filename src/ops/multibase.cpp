@@ -74,13 +74,12 @@ MultiBaseConvOp::MultiBaseConvOp(const FilterBank& weights, int num_bases, std::
     : spec_{weights.kernel_h(), weights.kernel_w(), stride},
       pad_(pad),
       mb_(approximate_filters(weights, num_bases)),
-      plan_(graph::default_kernel_plan(weights.num_filters(), simd::cpu_features(),
-                                       options.force_isa)),
-      dot_fn_(kernels::conv_dot_kernel(plan_.isa, simd::cpu_features().avx512vpopcntdq,
-                                       plan_.tile)) {
+      plan_(graph::default_kernel_plan(simd::cpu_features(), options.force_isa)),
+      dot_fn_(kernels::conv_dot_kernel(plan_.isa, simd::cpu_features().avx512vpopcntdq)) {
   if (pad < 0) throw std::invalid_argument("MultiBaseConvOp: negative pad");
   for (const PackedFilterBank& base : mb_.bases) {
-    tiled_.push_back(bitpack::tile_filters(base, plan_.tile));  // a copy: mb_ keeps its bases
+    // A copy: mb_ keeps its bases.
+    tiled_.push_back(bitpack::tile_filters(base, kernels::weight_tile_width(plan_.isa)));
   }
 }
 

@@ -14,9 +14,9 @@ simd::IsaLevel pick_isa(std::int64_t packed_dim, const BinaryOpOptions& options)
   return graph::select_isa(packed_dim, simd::cpu_features());
 }
 
-/// The engine's plan for a layer of `k` filters or output neurons.
-graph::KernelPlan plan_for(std::int64_t k, const BinaryOpOptions& options) {
-  return graph::default_kernel_plan(k, simd::cpu_features(), options.force_isa);
+/// The engine's plan for a conv or fc layer.
+graph::KernelPlan plan_for(const BinaryOpOptions& options) {
+  return graph::default_kernel_plan(simd::cpu_features(), options.force_isa);
 }
 
 }  // namespace
@@ -27,10 +27,10 @@ BinaryConvOp::BinaryConvOp(FilterBank weights, std::int64_t stride, std::int64_t
                            BinaryOpOptions options)
     : spec_{weights.kernel_h(), weights.kernel_w(), stride},
       pad_(pad),
-      plan_(plan_for(weights.num_filters(), options)),
-      filters_(bitpack::tile_filters(bitpack::pack_filters(weights), plan_.tile)),
-      dot_fn_(kernels::conv_dot_kernel(plan_.isa, simd::cpu_features().avx512vpopcntdq,
-                                       plan_.tile)) {
+      plan_(plan_for(options)),
+      filters_(bitpack::tile_filters(bitpack::pack_filters(weights),
+                                     kernels::weight_tile_width(plan_.isa))),
+      dot_fn_(kernels::conv_dot_kernel(plan_.isa, simd::cpu_features().avx512vpopcntdq)) {
   if (pad < 0) throw std::invalid_argument("BinaryConvOp: negative pad");
 }
 
@@ -59,9 +59,10 @@ void BinaryConvOp::run(const Tensor& in, runtime::ThreadPool& pool, Tensor& out)
 
 BinaryFcOp::BinaryFcOp(const float* w, std::int64_t n, std::int64_t k, BinaryOpOptions options)
     : n_(n),
-      plan_(plan_for(k, options)),
-      weights_(bitpack::tile_fc_weights(bitpack::pack_transpose_fc_weights(w, n, k), plan_.tile)),
-      dot_fn_(kernels::bgemm_kernel(plan_.isa, simd::cpu_features().avx512vpopcntdq, plan_.tile)),
+      plan_(plan_for(options)),
+      weights_(bitpack::tile_fc_weights(bitpack::pack_transpose_fc_weights(w, n, k),
+                                        kernels::weight_tile_width(plan_.isa))),
+      dot_fn_(kernels::bgemm_kernel(plan_.isa, simd::cpu_features().avx512vpopcntdq)),
       x_buf_(1, n) {}
 
 void BinaryFcOp::run(const float* x, runtime::ThreadPool& pool, float* y) {

@@ -37,7 +37,7 @@ struct BinaryOpOptions {
 };
 
 /// BitFlow-optimized binary convolution (PressedConv): the engine's kernel at
-/// default_kernel_plan(K, cpu_features(), force_isa).
+/// default_kernel_plan(cpu_features(), force_isa).
 class BinaryConvOp {
  public:
   BinaryConvOp(FilterBank weights, std::int64_t stride, std::int64_t pad,
@@ -49,8 +49,8 @@ class BinaryConvOp {
   void run(const Tensor& in, runtime::ThreadPool& pool, Tensor& out);
 
   [[nodiscard]] simd::IsaLevel isa() const noexcept { return plan_.isa; }
-  /// Register-tile width T of the plan.
-  [[nodiscard]] std::int64_t tile() const noexcept { return plan_.tile; }
+  /// Register-tile width T of the plan's ISA.
+  [[nodiscard]] std::int64_t tile() const noexcept { return filters_.tile(); }
   [[nodiscard]] const kernels::ConvSpec& spec() const noexcept { return spec_; }
   [[nodiscard]] std::int64_t pad() const noexcept { return pad_; }
   [[nodiscard]] std::int64_t num_filters() const noexcept { return filters_.num_filters(); }
@@ -65,7 +65,7 @@ class BinaryConvOp {
 };
 
 /// BitFlow-optimized binary fully connected operator: the engine's bgemm at
-/// default_kernel_plan(k, cpu_features(), force_isa).
+/// default_kernel_plan(cpu_features(), force_isa).
 class BinaryFcOp {
  public:
   /// `w` is the row-major n x k float weight matrix; packed transposed once
@@ -76,8 +76,8 @@ class BinaryFcOp {
   void run(const float* x, runtime::ThreadPool& pool, float* y);
 
   [[nodiscard]] simd::IsaLevel isa() const noexcept { return plan_.isa; }
-  /// Register-tile width T of the plan.
-  [[nodiscard]] std::int64_t tile() const noexcept { return plan_.tile; }
+  /// Register-tile width T of the plan's ISA.
+  [[nodiscard]] std::int64_t tile() const noexcept { return weights_.tile(); }
   [[nodiscard]] std::int64_t inputs() const noexcept { return n_; }
   [[nodiscard]] std::int64_t outputs() const noexcept { return weights_.rows(); }
 

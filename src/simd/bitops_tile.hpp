@@ -9,6 +9,10 @@
 // the counters; at the end of the filter block reduce() spills them once (raw
 // dot products), or le_mask() compares them in registers against the fused
 // binarize's per-filter popcount limits and returns the kWidth output bits.
+// Each ISA has one accumulator, so one tile width: TileAcc4Scalar on u64 and
+// SSE, TileAcc16Avx2, and TileAcc16Avx512 for both AVX-512 popcount
+// lowerings.  A bank whose K is not a multiple of kWidth ends in a tile
+// padded with zero rows, whose counters the kernels never store or set.
 // The kernels keep P of them side by side, one per output pixel (conv) or
 // batch row (bgemm), and hand each tile row to all P in turn
 // (kernels/tile_walk.hpp): the loads of `f` are the same address, so the
@@ -77,43 +81,12 @@ inline std::uint64_t le_mask_256(__m256i counts, const std::int64_t* limits) noe
   return static_cast<std::uint64_t>(~gt & 0xF);
 }
 
-/// 8-filter tile in two 256-bit qword accumulators: one broadcast activation
-/// word is XORed against 8 contiguous filter words, per-byte LUT popcounts
-/// fold to qwords via vpsadbw, and the adds stay vertical — no horizontal
-/// reduction until the filter block ends.
-struct TileAcc8Avx2 {
-  static constexpr std::int64_t kWidth = 8;
-  __m256i lo = _mm256_setzero_si256();
-  __m256i hi = _mm256_setzero_si256();
-
-  inline void accumulate(std::uint64_t a, const std::uint64_t* f) noexcept {
-    const __m256i va = _mm256_set1_epi64x(static_cast<long long>(a));
-    const __m256i f0 = _mm256_loadu_si256(reinterpret_cast<const __m256i*>(f));
-    const __m256i f1 = _mm256_loadu_si256(reinterpret_cast<const __m256i*>(f + 4));
-    lo = _mm256_add_epi64(
-        lo, _mm256_sad_epu8(popcount_bytes_256(_mm256_xor_si256(va, f0)),
-                            _mm256_setzero_si256()));
-    hi = _mm256_add_epi64(
-        hi, _mm256_sad_epu8(popcount_bytes_256(_mm256_xor_si256(va, f1)),
-                            _mm256_setzero_si256()));
-  }
-
-  inline void reduce(std::uint64_t* out) const noexcept {
-    _mm256_storeu_si256(reinterpret_cast<__m256i*>(out), lo);
-    _mm256_storeu_si256(reinterpret_cast<__m256i*>(out + 4), hi);
-  }
-
-  inline std::uint64_t le_mask(const std::int64_t* limits) const noexcept {
-    return le_mask_256(lo, limits) | le_mask_256(hi, limits + 4) << 4;
-  }
-};
-
-/// 16-filter tile in four 256-bit qword accumulators: same vertical
-/// popcount-and-add scheme as TileAcc8Avx2 over twice the filter fan-out.
-/// Doubles the activation-word reuse at the cost of four live accumulator
-/// registers; with the compare epilogue it beats T = 8 over VGG-16's conv
-/// shapes, so it is AVX2's default width (EXPERIMENTS.md, "Full-width
-/// tiles").
+/// 16-filter tile in four 256-bit qword accumulators: one broadcast
+/// activation word is XORed against 16 contiguous filter words, per-byte LUT
+/// popcounts fold to qwords via vpsadbw, and the adds stay vertical — no
+/// horizontal reduction until the filter block ends.  With the compare
+/// epilogue it beat T = 8 over VGG-16's conv shapes, so it is AVX2's one
+/// width (EXPERIMENTS.md, "Full-width tiles").
 struct TileAcc16Avx2 {
   static constexpr std::int64_t kWidth = 16;
   __m256i c0 = _mm256_setzero_si256();
@@ -155,32 +128,11 @@ struct TileAcc16Avx2 {
 
 #ifdef __AVX512BW__
 
-/// 8-filter tile in one 512-bit qword accumulator: the 8 interleaved filter
-/// words of a tile row are exactly one aligned cache line, so accumulate()
-/// is broadcast + load + xor + popcount_epi64 + add — popcount_epi64_512
-/// picks native VPOPCNTDQ or the byte-LUT lowering by the TU's -m flags.
-struct TileAcc8Avx512 {
-  static constexpr std::int64_t kWidth = 8;
-  __m512i acc = _mm512_setzero_si512();
-
-  inline void accumulate(std::uint64_t a, const std::uint64_t* f) noexcept {
-    const __m512i va = _mm512_set1_epi64(static_cast<long long>(a));
-    const __m512i vf = _mm512_loadu_si512(f);
-    acc = _mm512_add_epi64(acc, popcount_epi64_512(_mm512_xor_si512(va, vf)));
-  }
-
-  inline void reduce(std::uint64_t* out) const noexcept {
-    _mm512_storeu_si512(out, acc);
-  }
-
-  inline std::uint64_t le_mask(const std::int64_t* limits) const noexcept {
-    return _mm512_cmple_epi64_mask(acc, _mm512_loadu_si512(limits));
-  }
-};
-
 /// 16-filter tile in two 512-bit qword accumulators: one broadcast against
-/// two cache lines of interleaved filter words.  Twice the activation reuse
-/// of TileAcc8Avx512 per broadcast; AVX-512's default width.
+/// two cache lines of interleaved filter words, so accumulate() is
+/// broadcast + 2 x (load + xor + popcount_epi64 + add) — popcount_epi64_512
+/// picks native VPOPCNTDQ or the byte-LUT lowering by the TU's -m flags.
+/// AVX-512's one width.
 struct TileAcc16Avx512 {
   static constexpr std::int64_t kWidth = 16;
   __m512i lo = _mm512_setzero_si512();

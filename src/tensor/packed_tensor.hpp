@@ -208,52 +208,58 @@ class PackedFilterBank {
 /// layout behind the register-tiled kernels (daBNN-style), produced once
 /// when the weights enter the process (graph/weights.hpp).
 ///
-/// The first `rows / tile` rows are grouped into tiles of `tile` rows each;
-/// inside a tile the words are interleaved word-major:
+/// The rows are grouped into ceil(rows / tile) whole tiles of `tile` rows
+/// each; inside a tile the words are interleaved word-major:
 ///   tile t, word position w, lane l  ->  words()[ (t*row_words + w)*tile + l ]
 /// so the kernel loads one activation word and finds the matching word of
-/// all `tile` rows in `tile` *contiguous* words (exactly one cache line at
-/// tile = 8).  The trailing `rows % tile` rows do not fill a tile and stay
-/// row-major after the tiled region (the K-remainder fallback path):
-///   remainder row r, word w  ->  words()[ full_tiles*row_words*tile + r*row_words + w ]
-/// Total storage is exactly rows * row_words words — a permutation of the
-/// source layout, never a copy plus padding.
+/// all `tile` rows in `tile` *contiguous* words (two cache lines at
+/// tile = 16).  When `tile` does not divide `rows`, the last tile ends in
+/// tile - rows % tile pad rows, which are all zero: the kernels run every
+/// tile the same way and never store or set a pad lane's result.  Storage
+/// is exactly tiles() * tile * row_words words.
 class TiledBitMatrix {
  public:
   TiledBitMatrix() = default;
 
+  /// A zeroed bank.
   TiledBitMatrix(std::int64_t rows, std::int64_t row_words, std::int64_t tile)
-      : rows_(rows),
-        row_words_(row_words),
-        tile_(tile),
-        buffer_(static_cast<std::size_t>(rows * row_words) * sizeof(std::uint64_t)) {
-    BF_CHECK(rows >= 0 && row_words >= 0 && tile >= 1, "TiledBitMatrix extents ", rows, "x",
-             row_words, " tile ", tile);
-  }
+      : TiledBitMatrix(AlignedBuffer(static_cast<std::size_t>(padded_rows(rows, tile) *
+                                                              row_words) *
+                                     sizeof(std::uint64_t)),
+                       rows, row_words, tile) {}
 
-  /// Adopts `storage` (exactly rows * row_words words) as-is; its contents
-  /// are only in the tiled order once the caller has permuted them
-  /// (bitpack's in-place tiling).
+  /// Adopts `storage` (exactly padded_rows(rows, tile) * row_words words)
+  /// as-is; its contents are only in the tiled order, with zero pad rows,
+  /// once the caller has put them there (bitpack's tiling, the model
+  /// loader's streamed lowering).
   TiledBitMatrix(AlignedBuffer storage, std::int64_t rows, std::int64_t row_words,
                  std::int64_t tile)
       : rows_(rows), row_words_(row_words), tile_(tile), buffer_(std::move(storage)) {
     BF_CHECK(rows >= 0 && row_words >= 0 && tile >= 1, "TiledBitMatrix extents ", rows, "x",
              row_words, " tile ", tile);
-    BF_CHECK(buffer_.size_bytes() ==
-                 static_cast<std::size_t>(rows * row_words) * sizeof(std::uint64_t),
+    BF_CHECK(buffer_.size_bytes() == static_cast<std::size_t>(num_words()) * sizeof(std::uint64_t),
              "TiledBitMatrix: adopted ", buffer_.size_bytes(), " bytes for ", rows, "x",
-             row_words, " words");
+             row_words, " words in tiles of ", tile);
   }
 
+  /// `rows` rounded up to whole tiles of `tile` rows: the rows a bank stores.
+  [[nodiscard]] static constexpr std::int64_t padded_rows(std::int64_t rows,
+                                                          std::int64_t tile) noexcept {
+    return (rows + tile - 1) / tile * tile;
+  }
+
+  /// Logical rows K (pad rows excluded).
   [[nodiscard]] std::int64_t rows() const noexcept { return rows_; }
   [[nodiscard]] std::int64_t row_words() const noexcept { return row_words_; }
   /// Rows interleaved per tile (the register-tile width T of the kernels).
   [[nodiscard]] std::int64_t tile() const noexcept { return tile_; }
-  [[nodiscard]] std::int64_t full_tiles() const noexcept { return rows_ / tile_; }
-  [[nodiscard]] std::int64_t remainder_rows() const noexcept { return rows_ % tile_; }
-  /// First row index held row-major instead of interleaved.
-  [[nodiscard]] std::int64_t tiled_rows() const noexcept { return full_tiles() * tile_; }
-  [[nodiscard]] std::int64_t num_words() const noexcept { return rows_ * row_words_; }
+  /// Tiles stored: ceil(rows / tile), the last one padded when T does not
+  /// divide K.
+  [[nodiscard]] std::int64_t tiles() const noexcept { return (rows_ + tile_ - 1) / tile_; }
+  /// Words stored, pad rows included.
+  [[nodiscard]] std::int64_t num_words() const noexcept {
+    return padded_rows(rows_, tile_) * row_words_;
+  }
 
   [[nodiscard]] std::uint64_t* words() noexcept {
     return reinterpret_cast<std::uint64_t*>(buffer_.data());
@@ -265,29 +271,18 @@ class TiledBitMatrix {
   /// Pointer to tile `t`'s interleaved block: row_words * tile consecutive
   /// words, word-major ([w][lane]).
   [[nodiscard]] const std::uint64_t* tile_block(std::int64_t t) const noexcept {
-    BF_DCHECK(t >= 0 && t < full_tiles(), "tile ", t, " outside ", full_tiles());
+    BF_DCHECK(t >= 0 && t < tiles(), "tile ", t, " outside ", tiles());
     return words() + t * row_words_ * tile_;
   }
   [[nodiscard]] std::uint64_t* tile_block(std::int64_t t) noexcept {
-    BF_DCHECK(t >= 0 && t < full_tiles(), "tile ", t, " outside ", full_tiles());
+    BF_DCHECK(t >= 0 && t < tiles(), "tile ", t, " outside ", tiles());
     return words() + t * row_words_ * tile_;
   }
 
-  /// Pointer to remainder row `r` (r in [0, remainder_rows())), row-major.
-  [[nodiscard]] const std::uint64_t* remainder_row(std::int64_t r) const noexcept {
-    BF_DCHECK(r >= 0 && r < remainder_rows(), "remainder row ", r, " outside ",
-              remainder_rows());
-    return words() + tiled_rows() * row_words_ + r * row_words_;
-  }
-  [[nodiscard]] std::uint64_t* remainder_row(std::int64_t r) noexcept {
-    BF_DCHECK(r >= 0 && r < remainder_rows(), "remainder row ", r, " outside ",
-              remainder_rows());
-    return words() + tiled_rows() * row_words_ + r * row_words_;
-  }
-
-  /// Writes tile `t`'s rows to `rows` row-major (tile * row_words words):
-  /// the inverse of the interleave, one block at a time, for writers that
-  /// need the filter-major order back without a whole second copy.
+  /// Writes tile `t`'s rows, pad rows included, to `rows` row-major
+  /// (tile * row_words words): the inverse of the interleave, one block at a
+  /// time, for writers that need the filter-major order back without a
+  /// whole second copy.
   void untile_block(std::int64_t t, std::uint64_t* rows) const noexcept {
     const std::uint64_t* block = tile_block(t);
     for (std::int64_t l = 0; l < tile_; ++l) {
@@ -297,23 +292,13 @@ class TiledBitMatrix {
     }
   }
 
-  /// Word `w` of logical row `k`, resolving the interleave — packers and
-  /// tests only; kernels walk the tile blocks directly.
+  /// Word `w` of row `k` (a pad row when k >= rows()), resolving the
+  /// interleave — packers and tests only; kernels walk the tile blocks
+  /// directly.
   [[nodiscard]] std::uint64_t row_word(std::int64_t k, std::int64_t w) const noexcept {
-    BF_DCHECK(k >= 0 && k < rows_ && w >= 0 && w < row_words_, "row word (", k, ", ", w,
-              ") outside ", rows_, "x", row_words_);
-    if (k < tiled_rows()) {
-      return tile_block(k / tile_)[w * tile_ + k % tile_];
-    }
-    return remainder_row(k - tiled_rows())[w];
-  }
-  std::uint64_t& row_word(std::int64_t k, std::int64_t w) noexcept {
-    BF_DCHECK(k >= 0 && k < rows_ && w >= 0 && w < row_words_, "row word (", k, ", ", w,
-              ") outside ", rows_, "x", row_words_);
-    if (k < tiled_rows()) {
-      return tile_block(k / tile_)[w * tile_ + k % tile_];
-    }
-    return remainder_row(k - tiled_rows())[w];
+    BF_DCHECK(k >= 0 && k < padded_rows(rows_, tile_) && w >= 0 && w < row_words_,
+              "row word (", k, ", ", w, ") outside ", rows_, "x", row_words_);
+    return tile_block(k / tile_)[w * tile_ + k % tile_];
   }
 
  private:
@@ -323,8 +308,9 @@ class TiledBitMatrix {
 
 /// Interleaved counterpart of PackedFilterBank: each logical row of the
 /// underlying TiledBitMatrix is one filter's kh*kw*pc packed words, grouped
-/// into tiles of T filters (produced once per process by
-/// bitpack::tile_filters, consumed by the register-tiled PressedConv).
+/// into whole tiles of T filters, the last padded with zero filters
+/// (produced once per process by bitpack::tile_filters or the model
+/// loader, consumed by the register-tiled PressedConv).
 class TiledFilterBank {
  public:
   TiledFilterBank() = default;

@@ -186,7 +186,7 @@ TEST(UnoptBinaryConv, MatchesPressedConvSemantics) {
   const PackedTensor packed = bitpack::pack_activations(in);
   const PackedFilterBank pf = bitpack::pack_filters(filters);
   Tensor out_pressed = Tensor::hwc(6, 6, k);
-  testing::EngineLayer(k).conv_dot(packed, pf, kernels::ConvSpec{3, 3, 1}, pool, out_pressed);
+  testing::EngineLayer().conv_dot(packed, pf, kernels::ConvSpec{3, 3, 1}, pool, out_pressed);
 
   EXPECT_EQ(max_abs_diff(out_unopt, out_pressed), 0.0f);
 }

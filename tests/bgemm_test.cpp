@@ -27,7 +27,7 @@ TEST_P(BgemmParam, MatchesDecodedReference) {
   fill_random_bits(w, static_cast<std::uint64_t>(k * 13));
   runtime::ThreadPool pool(2);
   std::vector<float> y(static_cast<std::size_t>(k));
-  testing::EngineLayer(k, isa).bgemm(a, w, pool, y.data());
+  testing::EngineLayer(isa).bgemm(a, w, pool, y.data());
   for (std::int64_t j = 0; j < k; ++j) {
     const std::int64_t ref = testing::reference_binary_dot(a, 0, w, j);
     ASSERT_EQ(static_cast<std::int64_t>(y[static_cast<std::size_t>(j)]), ref)
@@ -54,7 +54,7 @@ TEST(Bgemm, BatchedRows) {
   fill_random_bits(w, 22);
   runtime::ThreadPool pool(2);
   std::vector<float> y(static_cast<std::size_t>(m * k));
-  testing::EngineLayer(k).bgemm(a, w, pool, y.data());
+  testing::EngineLayer().bgemm(a, w, pool, y.data());
   for (std::int64_t r = 0; r < m; ++r) {
     for (std::int64_t j = 0; j < k; ++j) {
       ASSERT_EQ(static_cast<std::int64_t>(y[static_cast<std::size_t>(r * k + j)]),
@@ -69,7 +69,7 @@ TEST(Bgemm, BinarizeMatchesDotPlusThreshold) {
   fill_random_bits(a, 31);
   fill_random_bits(w, 32);
   runtime::ThreadPool pool(3);
-  const testing::EngineLayer layer(k);
+  const testing::EngineLayer layer;
   std::vector<float> y(static_cast<std::size_t>(k));
   layer.bgemm(a, w, pool, y.data());
   std::vector<float> th(static_cast<std::size_t>(k));
@@ -98,7 +98,7 @@ TEST(Bgemm, ThreadCountInvariance) {
   fill_random_bits(w, 42);
   runtime::ThreadPool p1(1), p5(5);
   std::vector<float> y1(static_cast<std::size_t>(k)), y5(static_cast<std::size_t>(k));
-  const testing::EngineLayer layer(k);
+  const testing::EngineLayer layer;
   layer.bgemm(a, w, p1, y1.data());
   layer.bgemm(a, w, p5, y5.data());
   EXPECT_EQ(y1, y5);
@@ -108,17 +108,15 @@ TEST(Bgemm, RejectsMismatchedDims) {
   PackedMatrix a(1, 64), w(4, 128);
   runtime::ThreadPool pool(1);
   std::vector<float> y(4);
-  const testing::EngineLayer layer(4);
+  const testing::EngineLayer layer;
   EXPECT_THROW(layer.bgemm(a, w, pool, y.data()), std::invalid_argument);
   PackedMatrix w_ok(4, 64), out_bad(1, 5);
   EXPECT_THROW(layer.bgemm_binarize(a, w_ok, nullptr, pool, out_bad), std::invalid_argument);
   // m_rows past A, and a bank tiled at another width than the kernel's.
-  const TiledBitMatrix bank = bitpack::tile_fc_weights(w_ok, layer.plan().tile);
-  const auto fn = bgemm_kernel(layer.plan().isa, simd::cpu_features().avx512vpopcntdq,
-                               layer.plan().tile);
+  const TiledBitMatrix bank = bitpack::tile_fc_weights(w_ok, layer.tile());
+  const auto fn = bgemm_kernel(layer.plan().isa, simd::cpu_features().avx512vpopcntdq);
   EXPECT_THROW(fn(a, 2, bank, pool, y.data()), std::invalid_argument);
-  const TiledBitMatrix other =
-      bitpack::tile_fc_weights(w_ok, layer.plan().tile == 4 ? 8 : 4);
+  const TiledBitMatrix other = bitpack::tile_fc_weights(w_ok, layer.tile() == 4 ? 8 : 4);
   EXPECT_THROW(fn(a, 1, other, pool, y.data()), std::invalid_argument);
 }
 
@@ -129,11 +127,11 @@ TEST(Bgemm, AllIsaVariantsAgree) {
   fill_random_bits(w, 52);
   runtime::ThreadPool pool(1);
   std::vector<float> base(static_cast<std::size_t>(k));
-  testing::EngineLayer(k, IsaLevel::kU64).bgemm(a, w, pool, base.data());
+  testing::EngineLayer(IsaLevel::kU64).bgemm(a, w, pool, base.data());
   for (IsaLevel isa : {IsaLevel::kSse, IsaLevel::kAvx2, IsaLevel::kAvx512}) {
     if (!simd::cpu_features().supports(isa)) continue;
     std::vector<float> y(static_cast<std::size_t>(k));
-    testing::EngineLayer(k, isa).bgemm(a, w, pool, y.data());
+    testing::EngineLayer(isa).bgemm(a, w, pool, y.data());
     EXPECT_EQ(y, base) << simd::isa_name(isa);
   }
 }

@@ -22,7 +22,7 @@ TEST(EdgeCases, OnePixelConvOneFilter) {
   fill_random_bits(f, 2);
   runtime::ThreadPool pool(1);
   Tensor out = Tensor::hwc(1, 1, 1);
-  testing::EngineLayer(f.num_filters()).conv_dot(in, f, kernels::ConvSpec{1, 1, 1}, pool, out);
+  testing::EngineLayer().conv_dot(in, f, kernels::ConvSpec{1, 1, 1}, pool, out);
   const Tensor ref = testing::reference_binary_conv(in, f, kernels::ConvSpec{1, 1, 1});
   EXPECT_EQ(out.at(0, 0, 0), ref.at(0, 0, 0));
 }
@@ -34,7 +34,7 @@ TEST(EdgeCases, KernelCoversWholeInput) {
   fill_random_bits(f, 4);
   runtime::ThreadPool pool(2);
   Tensor out = Tensor::hwc(1, 1, 3);
-  testing::EngineLayer(f.num_filters()).conv_dot(in, f, kernels::ConvSpec{5, 5, 1}, pool, out);
+  testing::EngineLayer().conv_dot(in, f, kernels::ConvSpec{5, 5, 1}, pool, out);
   const Tensor ref = testing::reference_binary_conv(in, f, kernels::ConvSpec{5, 5, 1});
   EXPECT_EQ(max_abs_diff(out, ref), 0.0f);
 }
@@ -47,7 +47,7 @@ TEST(EdgeCases, StrideWiderThanKernel) {
   runtime::ThreadPool pool(1);
   const kernels::ConvSpec spec{2, 2, 4};  // skips pixels entirely
   Tensor out = Tensor::hwc(3, 3, 2);
-  testing::EngineLayer(f.num_filters()).conv_dot(in, f, spec, pool, out);
+  testing::EngineLayer().conv_dot(in, f, spec, pool, out);
   const Tensor ref = testing::reference_binary_conv(in, f, spec);
   EXPECT_EQ(max_abs_diff(out, ref), 0.0f);
 }
@@ -60,7 +60,7 @@ TEST(EdgeCases, SingleChannelEverything) {
   fill_random_bits(f, 8);
   runtime::ThreadPool pool(1);
   Tensor out = Tensor::hwc(4, 4, 4);
-  testing::EngineLayer(f.num_filters()).conv_dot(in, f, kernels::ConvSpec{3, 3, 1}, pool, out);
+  testing::EngineLayer().conv_dot(in, f, kernels::ConvSpec{3, 3, 1}, pool, out);
   const Tensor ref = testing::reference_binary_conv(in, f, kernels::ConvSpec{3, 3, 1});
   EXPECT_EQ(max_abs_diff(out, ref), 0.0f);
   // Dots range over [-9, 9] with parity of 9.
@@ -76,7 +76,7 @@ TEST(EdgeCases, OneByOneFc) {
   w.set_bit(0, 0, false);
   runtime::ThreadPool pool(1);
   float y = 0;
-  testing::EngineLayer(1).bgemm(a, w, pool, &y);
+  testing::EngineLayer().bgemm(a, w, pool, &y);
   EXPECT_EQ(y, -1.0f);  // +1 * -1
 }
 
@@ -122,7 +122,7 @@ TEST(EdgeCases, ExtremeThresholdsSaturateBits) {
       graph::popcount_limits(f.bits_per_filter(), {-1e30f, -1e30f}, 2);
   const std::vector<std::int64_t> never =
       graph::popcount_limits(f.bits_per_filter(), {1e30f, 1e30f}, 2);
-  const testing::EngineLayer layer(2);  // K = 2: no full tile
+  const testing::EngineLayer layer;  // K = 2: one tile, the rest pad lanes
   PackedTensor out(2, 2, 2);
   layer.conv_binarize(in, f, kernels::ConvSpec{3, 3, 1}, always.data(), pool, out, 0);
   for (std::int64_t h = 0; h < 2; ++h)
@@ -158,7 +158,7 @@ TEST(EdgeCases, NonSquareEverything) {
   runtime::ThreadPool pool(3);
   const kernels::ConvSpec spec{3, 5, 2};
   Tensor out = Tensor::hwc(1, 4, 5);
-  testing::EngineLayer(f.num_filters()).conv_dot(in, f, spec, pool, out);
+  testing::EngineLayer().conv_dot(in, f, spec, pool, out);
   const Tensor ref = testing::reference_binary_conv(in, f, spec);
   EXPECT_EQ(max_abs_diff(out, ref), 0.0f);
 }

@@ -26,6 +26,7 @@
 #include "data/synthetic.hpp"
 #include "graph/scheduler.hpp"
 #include "io/model.hpp"
+#include "kernels/conv_spec.hpp"
 #include "models/vgg.hpp"
 #include "serve/engine.hpp"
 #include "simd/cpu_features.hpp"
@@ -221,8 +222,8 @@ TEST(ModelIo, VggScaleModelFileSize) {
 
 /// conv -> conv -> pool -> fc in which every binary layer has K mod T != 0
 /// at both tile widths (K = 11, 13, 10) and the later layers have channel
-/// tails (C = 11, N = 52): save() must de-interleave the full tiles and
-/// write the remainder rows and padded last words unchanged.
+/// tails (C = 11, N = 52): save() must de-interleave the tiles, drop the
+/// last tile's pad rows and write the padded last words unchanged.
 Model make_tail_model() {
   Model m(graph::TensorDesc{4, 4, 256});
   PackedFilterBank c1(11, 3, 3, 256);
@@ -302,7 +303,7 @@ TEST(ModelPadding, ConvTapTailBitIsRejected) {
   PackedFilterBank bad(5, 3, 3, 70);
   bad.tap(4, 2, 1)[1] |= std::uint64_t{1} << 40;
   EXPECT_THROW(m.add_conv("tail_conv_2", std::move(bad), 1, 1), std::runtime_error);
-  // K = 3 has no full tile: every filter streams row-major, same check.
+  // K = 3 fills one tile in part: its short block gets the same check.
   Model tiny(graph::TensorDesc{4, 4, 70});
   PackedFilterBank f3(3, 3, 3, 70);
   fill_random_bits(f3, 9);
@@ -397,19 +398,19 @@ struct SharedChain {
   }
 };
 
-/// The register-tile width of a K-filter layer's plan under `cap` (none:
-/// the default plan lowering and finalize() both commit).
-std::int64_t default_tile_for(std::int64_t k, std::optional<simd::IsaLevel> cap = std::nullopt) {
-  return graph::default_kernel_plan(k, simd::cpu_features(), cap).tile;
+/// The register-tile width of the plan under `cap` (none: the default plan
+/// lowering and finalize() both commit).
+std::int64_t default_tile_for(std::optional<simd::IsaLevel> cap = std::nullopt) {
+  return kernels::weight_tile_width(graph::default_kernel_plan(simd::cpu_features(), cap).isa);
 }
 
 /// One chain per C in {96 (channel tail), 256} and K in {T-1, T, 2T+3} at
-/// the default width T of a wide layer, plus C in {3, 64} (VGG's first two
-/// fan-ins) with K in {15, 16, 17} around T = 16.
+/// the default width T, plus C in {3, 64} (VGG's first two fan-ins) with K
+/// in {15, 16, 17} around T = 16.
 std::vector<SharedChain> shared_chains() {
   std::vector<SharedChain> chains;
   for (const std::int64_t c : {96, 256}) {
-    const std::int64_t t = default_tile_for(64);
+    const std::int64_t t = default_tile_for();
     for (const std::int64_t k : {t - 1, t, 2 * t + 3}) chains.emplace_back(c, k);
   }
   for (const std::int64_t c : {3, 64}) {
@@ -449,16 +450,14 @@ TEST(ModelSharing, InstantiateAllocatesNoWeightStorage) {
       const AllocationsFail no_alloc;
       a.emplace(model.instantiate(graph::NetworkConfig{}));
       b.emplace(model.instantiate(graph::NetworkConfig{}));
-      // An ISA cap that keeps every layer's tile width (AVX2 on an AVX-512
-      // host) still shares the banks.  One that changes a width (T 16 or 8
-      // -> 4 at u64/SSE on AVX2 and AVX-512 hosts) needs a private copy: the
-      // allocation that fails here is that copy.
+      // An ISA cap that keeps the tile width (AVX2 on an AVX-512 host) still
+      // shares the banks.  One that changes it (T 16 -> 4 at u64/SSE on AVX2
+      // and AVX-512 hosts) needs a private copy: the allocation that fails
+      // here is that copy.
       for (const simd::IsaLevel isa : simd::supported_isa_levels()) {
         graph::NetworkConfig capped;
         capped.max_isa = isa;
-        const bool same_tiles = default_tile_for(chain.k, isa) == default_tile_for(chain.k) &&
-                                default_tile_for(10, isa) == default_tile_for(10);
-        if (same_tiles) {
+        if (default_tile_for(isa) == default_tile_for()) {
           EXPECT_NO_THROW((void)model.instantiate(capped)) << simd::isa_name(isa);
         } else {
           EXPECT_THROW((void)model.instantiate(capped), std::bad_alloc) << simd::isa_name(isa);
@@ -491,7 +490,7 @@ TEST(ModelSharing, EveryPlanIsBitExactAgainstTheBaseline) {
 }
 
 TEST(ModelSharing, NetworksOutliveTheModelAndRunConcurrently) {
-  const SharedChain chain(96, 2 * default_tile_for(64) + 3);
+  const SharedChain chain(96, 2 * default_tile_for() + 3);
   std::optional<graph::BinaryNetwork> one_thread, three_threads;
   {
     const Model model = chain.loaded_model();
@@ -673,6 +672,38 @@ TEST(ModelLoadBudget, BudgetIsAdjustableAndValidated) {
   EXPECT_EQ(Model::load(in).num_layers(), a.num_layers());
 }
 
+TEST(ModelLoadBudget, PaddedBankIsChargedBeforeAllocation) {
+  // A K = 1 fc: the file holds one 8000-byte row, the bank in memory one
+  // whole tile of T rows.  Under a budget the file's bytes fit and the
+  // padded bank's do not, the load is rejected before anything is allocated
+  // (every allocation throws std::bad_alloc here).
+  constexpr std::int64_t kN = 64 * 1000, kRowBytes = kN / 8;
+  const std::int64_t t = default_tile_for();
+  Model m(graph::TensorDesc{1, 1, kN});
+  PackedMatrix w(1, kN);
+  fill_random_bits(w, 1401);
+  m.add_fc("one", std::move(w));
+  std::stringstream ss;
+  m.save(ss);
+  {
+    const BudgetGuard guard(t * kRowBytes - 1);
+    ASSERT_GT(t * kRowBytes - 1, kRowBytes + 4) << "the file's bytes must fit the budget";
+    const AllocationsFail no_alloc;
+    std::stringstream in(ss.str());
+    try {
+      (void)Model::load(in);
+      FAIL() << "a padded bank past the load budget loaded";
+    } catch (const std::runtime_error& e) {
+      EXPECT_NE(std::string(e.what()).find("load budget at fc weights"), std::string::npos)
+          << e.what();
+    }
+  }
+  // The padded bank plus its thresholds' charge fit exactly: it loads.
+  const BudgetGuard exact(t * kRowBytes + 4);
+  std::stringstream in(ss.str());
+  EXPECT_EQ(Model::load(in).num_layers(), 1u);
+}
+
 // --- streamed, fanned-out load -------------------------------------------------
 
 /// CPUs in this process's affinity mask: the loader's cap on load workers.
@@ -741,9 +772,10 @@ std::size_t put_fc(std::string& out, const std::string& name, const PackedMatrix
 }
 
 /// A model whose two big banks fan out on any host with >= 2 CPUs, over a
-/// 1x1x1000 input, every conv 3x3 with pad 1:
-///   k3    K = 3 (< 4: no full tile), C = 1000 (C mod 64 = 40);
-///   small K = 21, C = 3: tiled with 5 remainder filters, inline;
+/// 1x1x1000 input, every conv 3x3 with pad 1.  Every bank has K mod T != 0
+/// at both tile widths, so each ends in a short block of pad rows:
+///   k3    K = 3 (one tile, in part), C = 1000 (C mod 64 = 40);
+///   small K = 21, C = 3: inline;
 ///   wide  K = 29199 (mod 16 = 15), C = 21: 2,102,328 bytes, 2 workers;
 ///   fc    K = 581 (mod 16 = 5), N = 29199 (mod 64 = 15): 2,124,136 bytes,
 ///         2 workers, 16 rows per chunk at every tile width.
@@ -780,7 +812,7 @@ struct StreamModel {
 
   /// Rows per chunk of the fc bank: whole tile blocks of ~kStreamChunkBytes.
   [[nodiscard]] static std::int64_t fc_chunk_rows() {
-    const std::int64_t t = default_tile_for(kFcRows);
+    const std::int64_t t = default_tile_for();
     const std::int64_t block = t * words_for_channels(kWideK) * 8;
     return std::max<std::int64_t>(1, graph::kStreamChunkBytes / block) * t;
   }
@@ -840,13 +872,16 @@ struct StreamModel {
 };
 
 /// `loaded` holds exactly the bank lower_conv_weights makes of `f`: the same
-/// layout and raw storage, and the same words through word().
+/// layout and raw storage, pad rows included, and the same words through
+/// word().
 void expect_same_bank(const graph::ConvWeights& loaded, const PackedFilterBank& f) {
   const graph::ConvWeights lowered = graph::lower_conv_weights(PackedFilterBank(f), "copy");
   ASSERT_EQ(loaded.tile(), lowered.tile());
   ASSERT_EQ(loaded.num_words(), lowered.num_words());
-  EXPECT_EQ(std::memcmp(loaded.bank().rows().words(), lowered.bank().rows().words(),
-                        static_cast<std::size_t>(loaded.num_words() * 8)),
+  const TiledBitMatrix& rows = loaded.bank().rows();
+  ASSERT_EQ(rows.num_words(), lowered.bank().rows().num_words());
+  EXPECT_EQ(std::memcmp(rows.words(), lowered.bank().rows().words(),
+                        static_cast<std::size_t>(rows.num_words() * 8)),
             0);
   for (std::int64_t k = 0; k < f.num_filters(); ++k) {
     for (std::int64_t w = 0; w < f.words_per_filter(); ++w) {
@@ -860,8 +895,9 @@ void expect_same_bank(const graph::FcWeights& loaded, const PackedMatrix& m) {
   const graph::FcWeights lowered = graph::lower_fc_weights(PackedMatrix(m), "copy");
   ASSERT_EQ(loaded.tile(), lowered.tile());
   ASSERT_EQ(loaded.num_words(), lowered.num_words());
+  ASSERT_EQ(loaded.bank().num_words(), lowered.bank().num_words());
   EXPECT_EQ(std::memcmp(loaded.bank().words(), lowered.bank().words(),
-                        static_cast<std::size_t>(loaded.num_words() * 8)),
+                        static_cast<std::size_t>(loaded.bank().num_words() * 8)),
             0);
   for (std::int64_t r = 0; r < m.rows(); ++r) {
     for (std::int64_t w = 0; w < m.words_per_row(); ++w) {
@@ -978,31 +1014,43 @@ TEST(ModelStreamLoad, TwoLoadsRunAtOnce) {
 }
 
 TEST(ModelStreamLoad, FirstFailingChunkInFileOrderIsReported) {
-  // fc before wide in the file: padding bits in the fc bank's 2nd, 3rd and
-  // 5th chunks (the 2nd and 3rd are checked at once by two workers), and in
-  // the later conv.  Whichever worker checks first, the error is the 2nd
-  // chunk's.
+  // fc before wide in the file, with padding bits set in fc rows and in the
+  // later conv.  In the first case the bad rows sit in the fc bank's 2nd,
+  // 3rd and 5th chunks (the 2nd and 3rd are checked at once by two
+  // workers); in the others, in its last chunk, whose last tile block the
+  // file holds only in part (K mod T != 0).  Whichever worker checks first,
+  // the error is the first bad chunk's in file order.
   const StreamModel sm;
-  std::size_t fc_at = 0;
-  std::string file = sm.bytes(/*fc_before_wide=*/true, &fc_at);
   const std::int64_t chunk = StreamModel::fc_chunk_rows();
   const std::int64_t fc_words = words_for_channels(StreamModel::kWideK);
-  const std::int64_t bad_rows[] = {chunk + 3, 2 * chunk + 5, 4 * chunk + 7};
-  for (const std::int64_t row : bad_rows) {
-    file[fc_at + static_cast<std::size_t>((row + 1) * fc_words * 8 - 1)] |= '\x80';  // bit 63
-  }
-  // Bit 63 of filter 1000's first tap in wide (one word per tap, C = 21).
-  const std::size_t wide_at = file.size() - static_cast<std::size_t>(StreamModel::kWideK * 9 * 8);
-  file[wide_at + 1000 * 9 * 8 + 7] |= '\x80';
-  const std::string want = "weights of layer 'fc': padding bits above N=29199 are set in row " +
-                           std::to_string(bad_rows[0]);
-  for (int i = 0; i < 20; ++i) {
-    std::stringstream in(file);
-    try {
-      (void)Model::load(in);
-      FAIL() << "a set padding bit loaded";
-    } catch (const std::runtime_error& e) {
-      ASSERT_EQ(std::string(e.what()), want) << "load " << i;
+  const std::int64_t last_row = StreamModel::kFcRows - 1;  // in the short last block
+  ASSERT_NE(StreamModel::kFcRows % default_tile_for(), 0);
+  const std::vector<std::vector<std::int64_t>> cases = {
+      {chunk + 3, 2 * chunk + 5, 4 * chunk + 7},
+      {last_row},
+      {2 * chunk + 5, last_row},
+  };
+  for (const std::vector<std::int64_t>& bad_rows : cases) {
+    std::size_t fc_at = 0;
+    std::string file = sm.bytes(/*fc_before_wide=*/true, &fc_at);
+    for (const std::int64_t row : bad_rows) {
+      file[fc_at + static_cast<std::size_t>((row + 1) * fc_words * 8 - 1)] |= '\x80';  // bit 63
+    }
+    // Bit 63 of filter 1000's first tap in wide (one word per tap, C = 21).
+    const std::size_t wide_at =
+        file.size() - static_cast<std::size_t>(StreamModel::kWideK * 9 * 8);
+    file[wide_at + 1000 * 9 * 8 + 7] |= '\x80';
+    const std::string want =
+        "weights of layer 'fc': padding bits above N=29199 are set in row " +
+        std::to_string(bad_rows[0]);
+    for (int i = 0; i < 20; ++i) {
+      std::stringstream in(file);
+      try {
+        (void)Model::load(in);
+        FAIL() << "a set padding bit loaded";
+      } catch (const std::runtime_error& e) {
+        ASSERT_EQ(std::string(e.what()), want) << "load " << i;
+      }
     }
   }
 }
@@ -1023,6 +1071,34 @@ TEST(ModelStreamLoad, TruncationInsideAFannedOutBankThrows) {
     } catch (const std::runtime_error& e) {
       EXPECT_EQ(std::string(e.what()), "model load: truncated fc weights");
     }
+  }
+}
+
+TEST(ModelStreamLoad, PaddedBanksSaveLoadSaveByteIdentically) {
+  // K = 1, 10 and 1000 leave 15, 6 and 8 pad rows at T = 16 (3, 2 and 0 at
+  // T = 4).  The pad rows exist only in memory: the file holds the K real
+  // rows, a load equals the in-memory lowering, and saving it again
+  // reproduces the file.
+  for (const std::int64_t k : {1, 10, 1000}) {
+    SCOPED_TRACE("K=" + std::to_string(k));
+    PackedFilterBank f(k, 3, 3, 70);
+    fill_random_bits(f, 1700 + static_cast<std::uint64_t>(k));
+    PackedMatrix w(k, 200);
+    fill_random_bits(w, 1800 + static_cast<std::uint64_t>(k));
+    Model m(graph::TensorDesc{4, 4, 70});
+    m.add_conv("c", PackedFilterBank(f), 1, 1);
+    m.add_fc("f", PackedMatrix(w));
+    std::stringstream first;
+    m.save(first);
+    const std::string bytes = first.str();
+    std::stringstream in(bytes);
+    const Model loaded = Model::load(in);
+    expect_same_bank(loaded.layers()[0].filters, f);
+    expect_same_bank(loaded.layers()[1].fc_weights, w);
+    std::stringstream second;
+    loaded.save(second);
+    EXPECT_TRUE(second.str() == bytes) << "load -> save must reproduce the bytes";
+    EXPECT_EQ(loaded.weight_bytes(), (k * 9 * 2 + k * 4) * 8) << "the K real rows only";
   }
 }
 

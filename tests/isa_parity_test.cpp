@@ -2,16 +2,16 @@
 // primitives, PressedConv, bgemm, binary max pool — must be bit-exact across
 // every ISA variant the executing CPU supports, including both AVX-512
 // popcount lowerings where available.  PressedConv and bgemm are checked at
-// every (ISA variant, tile width) pair, each with the register-block height
-// P it compiles in: the raw dots against src/baseline's decoded reference,
-// the fused binarize against the float compare over those dots.
+// every ISA variant, each at its one tile width T and the register-block
+// height P it compiles in: the raw dots against src/baseline's decoded
+// reference, the fused binarize against the float compare over those dots.
 //
 // Shapes are randomized (seeded) and deliberately adversarial: odd channel
-// counts that leave ragged tail bits, K below every tile width (no full
-// tile: every filter a remainder filter), stride/margin combinations, tiny
-// spatial extents, and one large-H*W case.  Failures name the kernel, the
-// variant, the tile width and the full shape so a divergence on exotic
-// hardware is reproducible from the log alone.
+// counts that leave ragged tail bits, K below and around every tile width
+// (banks whose last tile is mostly or partly zero pad filters),
+// stride/margin combinations, tiny spatial extents, and one large-H*W case.
+// Failures name the kernel, the variant, the tile width and the full shape
+// so a divergence on exotic hardware is reproducible from the log alone.
 #include <cmath>
 #include <cstdint>
 #include <limits>
@@ -135,33 +135,71 @@ PackedMatrix float_oracle(const PackedMatrix& a, std::int64_t m_rows, const Pack
   return out;
 }
 
-/// One (ISA variant, tile width) pair the host can run, named for failure
+/// One ISA variant the host can run at its one tile width, named for failure
 /// messages with the register-block height it compiles in ("avx512vp,t16,p4").
 struct Plan {
   IsaVariant v;
   std::int64_t tile;
   [[nodiscard]] std::string name() const {
     return std::string(v.name) + ",t" + std::to_string(tile) + ",p" +
-           std::to_string(kernels::pixel_block(v.isa, tile));
+           std::to_string(kernels::pixel_block(v.isa));
   }
 };
 
 std::vector<Plan> all_plans() {
   std::vector<Plan> plans;
   for (const IsaVariant& v : simd::supported_isa_variants()) {
-    const kernels::TileWidthSet widths = kernels::supported_tile_widths(v.isa);
-    for (std::int64_t i = 0; i < widths.count; ++i) {
-      plans.push_back({v, widths.widths[static_cast<std::size_t>(i)]});
-    }
+    plans.push_back({v, kernels::weight_tile_width(v.isa)});
   }
   return plans;
 }
 
 kernels::ConvDotFn dot_fn(const Plan& p) {
-  return kernels::conv_dot_kernel(p.v.isa, p.v.use_vpopcntdq, p.tile);
+  return kernels::conv_dot_kernel(p.v.isa, p.v.use_vpopcntdq);
 }
 kernels::ConvBinarizeFn binarize_fn(const Plan& p) {
-  return kernels::conv_binarize_kernel(p.v.isa, p.v.use_vpopcntdq, p.tile);
+  return kernels::conv_binarize_kernel(p.v.isa, p.v.use_vpopcntdq);
+}
+
+/// The K values of the padded-bank cases: 1, 3, T - 1, T + 1 and 2T + 3 at
+/// each ISA's one tile width (4 on u64/SSE, 16 on AVX2/AVX-512), and 1000
+/// (62 whole T = 16 tiles and one of 8 filters).
+std::vector<std::int64_t> padded_ks() {
+  std::set<std::int64_t> ks = {1, 3, 1000};
+  for (const IsaLevel isa : {IsaLevel::kU64, IsaLevel::kAvx512}) {
+    const std::int64_t t = kernels::weight_tile_width(isa);
+    ks.insert({t - 1, t + 1, 2 * t + 3});
+  }
+  return {ks.begin(), ks.end()};
+}
+
+/// Fails (once) unless every bit at or above K in the last word of every
+/// pixel of a binarize output — its margin included — reads 0: no pad
+/// lane of a bank's last tile may leak a result bit.
+void expect_zero_tail(const PackedTensor& out, const std::string& what) {
+  if (out.channels() % 64 == 0) return;
+  const std::uint64_t tail = ~std::uint64_t{0} << (out.channels() % 64);
+  for (std::int64_t y = 0; y < out.height(); ++y) {
+    for (std::int64_t x = 0; x < out.width(); ++x) {
+      if ((out.pixel(y, x)[out.words_per_pixel() - 1] & tail) != 0) {
+        ADD_FAILURE() << what << " sets a bit at or above K=" << out.channels() << " at pixel ("
+                      << y << ", " << x << ")";
+        return;
+      }
+    }
+  }
+}
+
+/// expect_zero_tail over the rows of a bgemm binarize output.
+void expect_zero_tail(const PackedMatrix& out, const std::string& what) {
+  if (out.cols() % 64 == 0) return;
+  const std::uint64_t tail = ~std::uint64_t{0} << (out.cols() % 64);
+  for (std::int64_t m = 0; m < out.rows(); ++m) {
+    if ((out.row(m)[out.words_per_row() - 1] & tail) != 0) {
+      ADD_FAILURE() << what << " sets a bit at or above K=" << out.cols() << " in row " << m;
+      return;
+    }
+  }
 }
 
 // Fixed adversarial shapes plus seeded random draws.  Channels are chosen to
@@ -178,9 +216,9 @@ std::vector<ConvShape> conv_shapes() {
       {8, 8, 513, 3, 3, 2, 1},     // one bit past AVX-512 width
       {4, 9, 96, 7, 1, 1, 0},      // 1x1 kernel (pure channel reduction)
       {40, 40, 63, 4, 3, 1, 0},    // large H*W, ragged tail
-      {7, 8, 70, 1, 3, 2, 1},      // K = 1: a single remainder filter
+      {7, 8, 70, 1, 3, 2, 1},      // K = 1: one lane of one tile
       {6, 5, 130, 2, 1, 1, 2},     // K = 2, 1x1, fat margin
-      {9, 9, 64, 37, 3, 1, 1},     // two full T = 16 tiles + 5 remainder filters
+      {9, 9, 64, 37, 3, 1, 1},     // two whole T = 16 tiles, a third with 5 filters
   };
   std::mt19937_64 rng(20260805);
   std::uniform_int_distribution<std::int64_t> dim(5, 14);
@@ -346,7 +384,8 @@ TEST(IsaParity, PressedConvBinarizeBatchMatchesSingleImageAllVariants) {
 // adjacent output pixels, then the pixels left at the end of a row or of
 // the block at P = 1.  Output widths in every class mod P (and below P),
 // n = 3 images and pools of 1, 2, 3 and 5 threads make blocks end mid-row
-// and mid-block; every output is checked against src/baseline.
+// and mid-block; every output is checked against src/baseline, and every
+// binarize output's bits at or above K must read 0.
 
 /// Output widths 1..11: every residue mod 2 and mod 4, widths below P, and
 /// whole blocks.
@@ -358,29 +397,42 @@ struct WalkShape {
   std::int64_t out_h, out_w;
 };
 
-/// 1x1, 3x3 and 5x5 windows at stride 1 and 2; a stride-2 input carries one
-/// column and row no window reaches.  K = 37 (full tiles plus remainder
-/// filters at every T) alternates with K = 70 (a second output word), C = 70
-/// (two words per pixel) with C = 3 (sub-word).
+/// The walk shape of an out_h x out_w output under a kernel x kernel window
+/// at `stride`; a stride-2 input carries one column and row no window
+/// reaches.
+WalkShape walk_shape(std::int64_t out_h, std::int64_t out_w, std::int64_t kernel,
+                     std::int64_t stride, std::int64_t c, std::int64_t k, std::int64_t margin) {
+  ConvShape s{};
+  s.kernel = kernel;
+  s.stride = stride;
+  s.h = (out_h - 1) * stride + kernel + (stride - 1);
+  s.w = (out_w - 1) * stride + kernel + (stride - 1);
+  s.c = c;
+  s.k = k;
+  s.margin = margin;
+  return {s, out_h, out_w};
+}
+
+/// 1x1, 3x3 and 5x5 windows at stride 1 and 2.  K = 37 (a padded last tile
+/// at every T) alternates with K = 70 (a second output word), C = 70 (two
+/// words per pixel) with C = 3 (sub-word).  Then one margin-carrying shape
+/// per padded_ks() K, at output widths 5 and 9.
 std::vector<WalkShape> walk_shapes() {
   std::vector<WalkShape> shapes;
   std::int64_t i = 0;
   for (const std::int64_t out_w : kWalkWidths) {
     for (const std::int64_t kernel : {1, 3, 5}) {
       for (const std::int64_t stride : {1, 2}) {
-        const std::int64_t out_h = 2 + i % 2;
-        ConvShape s{};
-        s.kernel = kernel;
-        s.stride = stride;
-        s.h = (out_h - 1) * stride + kernel + (stride - 1);
-        s.w = (out_w - 1) * stride + kernel + (stride - 1);
-        s.c = i % 2 == 0 ? 70 : 3;
-        s.k = i % 3 == 0 ? 70 : 37;
-        s.margin = i % 3;
-        shapes.push_back({s, out_h, out_w});
+        shapes.push_back(walk_shape(2 + i % 2, out_w, kernel, stride, i % 2 == 0 ? 70 : 3,
+                                    i % 3 == 0 ? 70 : 37, i % 3));
         ++i;
       }
     }
+  }
+  for (const std::int64_t k : padded_ks()) {
+    shapes.push_back(walk_shape(2, 5 + 4 * (i % 2), 3, 1 + i % 2, i % 2 == 0 ? 70 : 3, k,
+                                1 + i % 2));
+    ++i;
   }
   return shapes;
 }
@@ -429,8 +481,10 @@ TEST(IsaParity, PressedConvRowWalkMatchesBaselineAtEveryPoolSize) {
           const auto bi = static_cast<std::size_t>(b);
           ASSERT_EQ(max_abs_diff(dot[bi], want_dot[bi]), 0.0f)
               << "kernel conv_dot[" << where << ", image " << b;
-          expect_words_eq(bin[bi], want_bin[bi],
-                          "kernel conv_binarize[" + where + ", image " + std::to_string(b));
+          const std::string bin_where =
+              "kernel conv_binarize[" + where + ", image " + std::to_string(b);
+          expect_words_eq(bin[bi], want_bin[bi], bin_where);
+          expect_zero_tail(bin[bi], bin_where);
         }
       }
     }
@@ -475,7 +529,7 @@ std::vector<GemmShape> gemm_shapes() {
       {2, 513, 33},    // ragged everything
       {3, 1000, 17},   // several vector widths + tail
       {1, 4096, 101},  // large-N fully connected layer shape
-      {2, 70, 2},      // K = 2: remainder rows only
+      {2, 70, 2},      // K = 2: one tile, the rest pad rows
       {3, 130, 3},     // K = 3
   };
   std::mt19937_64 rng(20260806);
@@ -487,10 +541,10 @@ std::vector<GemmShape> gemm_shapes() {
 }
 
 kernels::BgemmFn bgemm_fn(const Plan& p) {
-  return kernels::bgemm_kernel(p.v.isa, p.v.use_vpopcntdq, p.tile);
+  return kernels::bgemm_kernel(p.v.isa, p.v.use_vpopcntdq);
 }
 kernels::BgemmBinarizeFn bgemm_binarize_fn(const Plan& p) {
-  return kernels::bgemm_binarize_kernel(p.v.isa, p.v.use_vpopcntdq, p.tile);
+  return kernels::bgemm_binarize_kernel(p.v.isa, p.v.use_vpopcntdq);
 }
 
 TEST(IsaParity, BgemmDotAllVariants) {
@@ -604,13 +658,16 @@ TEST(IsaParity, BgemmBinarizeRowsMatchesFullAndLeavesTailUntouched) {
 
 // Row blocks of bgemm: m_rows 1..9 covers every residue mod P, rows below
 // P and several blocks, on pools that split the group-major range mid-group
-// and mid-block.
+// and mid-block; K = 37, 70 and every padded_ks() K.  Every binarize row's
+// bits at or above K must read 0.
 TEST(IsaParity, BgemmRowBlocksMatchBaselineAtEveryPoolSize) {
   std::vector<std::unique_ptr<runtime::ThreadPool>> pools;
   for (const int t : kWalkThreads) pools.push_back(std::make_unique<runtime::ThreadPool>(t));
+  std::vector<GemmShape> shapes = {{0, 200, 37}, {0, 65, 70}};
+  for (const std::int64_t k : padded_ks()) shapes.push_back({0, shapes.size() % 2 ? 65 : 200, k});
   std::uint64_t seed = 18000;
   for (std::int64_t m_rows = 1; m_rows <= 9; ++m_rows) {
-    for (const GemmShape& shape : {GemmShape{0, 200, 37}, GemmShape{0, 65, 70}}) {
+    for (const GemmShape& shape : shapes) {
       const GemmShape s{m_rows, shape.n_bits, shape.k};
       // Two rows past m_rows: the serving path's "fill n of max_batch rows".
       PackedMatrix a(m_rows + 2, s.n_bits), w(s.k, s.n_bits);
@@ -635,6 +692,7 @@ TEST(IsaParity, BgemmRowBlocksMatchBaselineAtEveryPoolSize) {
           PackedMatrix out(a.rows(), s.k);
           bgemm_binarize_fn(p)(a, m_rows, bank, limits.data(), *pools[pi], out);
           expect_words_eq(out, want_bin, "kernel bgemm_binarize[" + where);
+          expect_zero_tail(out, "kernel bgemm_binarize[" + where);
         }
       }
     }
@@ -644,78 +702,85 @@ TEST(IsaParity, BgemmRowBlocksMatchBaselineAtEveryPoolSize) {
 // --- the interleaved weight layout -------------------------------------------
 //
 // The conv_shapes() K values (1..40) and gemm_shapes() k values straddle the
-// tile widths (4, 8 and 16), so K < T, K = T exactly, and K % T != 0
-// remainder paths are all exercised at every plan above.
+// tile widths (4 and 16), so K < T, K = T exactly, and K % T != 0 padded
+// last tiles are all exercised at every plan above.
+
+/// Fails unless `m` holds `rows` rows of `row_words` words in whole tiles,
+/// each real row's words where row_word() resolves the interleave (word(k,
+/// w) gives them) and every word of a pad row zero.
+template <typename Word>
+void expect_tiled(const TiledBitMatrix& m, std::int64_t rows, std::int64_t row_words,
+                  Word&& word, const std::string& what) {
+  ASSERT_EQ(m.rows(), rows) << what;
+  ASSERT_EQ(m.row_words(), row_words) << what;
+  ASSERT_EQ(m.tiles(), (rows + m.tile() - 1) / m.tile()) << what;
+  ASSERT_EQ(m.num_words(), m.tiles() * m.tile() * row_words) << what;
+  for (std::int64_t k = 0; k < m.tiles() * m.tile(); ++k) {
+    for (std::int64_t w = 0; w < row_words; ++w) {
+      ASSERT_EQ(m.row_word(k, w), k < rows ? word(k, w) : 0)
+          << what << (k < rows ? ": lost word " : ": pad row holds word ") << w << " of row "
+          << k;
+    }
+  }
+}
 
 TEST(IsaParity, TileFiltersIsAPermutation) {
+  // Every word kept and every pad word zero, at each ISA's one tile width.
   std::uint64_t seed = 11000;
   for (const ConvShape& s : conv_shapes()) {
     PackedFilterBank filters(s.k, s.kernel, s.kernel, s.c);
     fill_random_bits(filters, seed++);
-    for (std::int64_t tile : {4, 8}) {
+    for (const IsaLevel isa : {IsaLevel::kU64, IsaLevel::kAvx512}) {
+      const std::int64_t tile = kernels::weight_tile_width(isa);
       const TiledFilterBank tiled = bitpack::tile_filters(filters, tile);
       ASSERT_EQ(tiled.num_filters(), s.k);
       ASSERT_EQ(tiled.words_per_filter(), filters.words_per_filter());
-      ASSERT_EQ(tiled.rows().num_words(), s.k * filters.words_per_filter());
-      for (std::int64_t k = 0; k < s.k; ++k) {
-        for (std::int64_t w = 0; w < filters.words_per_filter(); ++w) {
-          ASSERT_EQ(tiled.rows().row_word(k, w), filters.filter(k)[w])
-              << "tile_filters lost word " << w << " of filter " << k << " at tile " << tile
-              << ", shape " << describe(s);
-        }
-      }
+      expect_tiled(
+          tiled.rows(), s.k, filters.words_per_filter(),
+          [&](std::int64_t k, std::int64_t w) { return filters.filter(k)[w]; },
+          "tile_filters at T=" + std::to_string(tile) + ", shape " + describe(s));
     }
   }
 }
 
 TEST(IsaParity, InPlaceTilingMatchesReferencePermutation) {
-  // The tilers permute the moved-in bank's own storage block by block.  At
-  // every tile width some host ISA supports, and for K = T-1 (remainder
-  // only), T (one full tile) and 2T+3 (tiles plus a remainder), every word
-  // must land where row_word() resolves it.  Ragged C and n_bits leave tail
-  // bits in each row's last word.
+  // The tilers interleave the moved-in bank's own storage block by block,
+  // after growing it by the pad rows only when T does not divide K.  At
+  // every tile width some host ISA supports, and for K = 1 and T - 1 (one
+  // padded tile), T (one whole tile, in place) and 2T + 3 (whole tiles and
+  // a padded one), every word must land where row_word() resolves it and
+  // every pad word be zero.  Ragged C and n_bits leave tail bits in each
+  // row's last word.
   std::set<std::int64_t> widths;
   for (const IsaLevel isa : simd::supported_isa_levels()) {
-    const kernels::TileWidthSet set = kernels::supported_tile_widths(isa);
-    for (std::int64_t i = 0; i < set.count; ++i) {
-      widths.insert(set.widths[static_cast<std::size_t>(i)]);
-    }
+    widths.insert(kernels::weight_tile_width(isa));
   }
   ASSERT_FALSE(widths.empty());
   std::uint64_t seed = 11500;
   for (const std::int64_t tile : widths) {
-    for (const std::int64_t k : {tile - 1, tile, 2 * tile + 3}) {
+    for (const std::int64_t k : {std::int64_t{1}, tile - 1, tile, 2 * tile + 3}) {
+      const std::string at = " at T=" + std::to_string(tile) + " K=" + std::to_string(k);
       PackedFilterBank filters(k, 3, 3, 70);
       fill_random_bits(filters, seed++);
       const TiledFilterBank tiled = bitpack::tile_filters(PackedFilterBank(filters), tile);
       ASSERT_EQ(tiled.num_filters(), k);
       ASSERT_EQ(tiled.tile(), tile);
-      ASSERT_EQ(tiled.rows().full_tiles(), k / tile);
-      for (std::int64_t f = 0; f < k; ++f) {
-        for (std::int64_t w = 0; w < filters.words_per_filter(); ++w) {
-          ASSERT_EQ(tiled.rows().row_word(f, w), filters.filter(f)[w])
-              << "tile_filters moved word " << w << " of filter " << f << " wrong at T=" << tile
-              << " K=" << k;
-        }
-      }
+      expect_tiled(
+          tiled.rows(), k, filters.words_per_filter(),
+          [&](std::int64_t f, std::int64_t w) { return filters.filter(f)[w]; },
+          "tile_filters" + at);
 
       PackedMatrix fc(k, 200);
       fill_random_bits(fc, seed++);
       const TiledBitMatrix rows = bitpack::tile_fc_weights(PackedMatrix(fc), tile);
-      ASSERT_EQ(rows.rows(), k);
-      ASSERT_EQ(rows.row_words(), fc.words_per_row());
-      for (std::int64_t r = 0; r < k; ++r) {
-        for (std::int64_t w = 0; w < fc.words_per_row(); ++w) {
-          ASSERT_EQ(rows.row_word(r, w), fc.row(r)[w])
-              << "tile_fc_weights moved word " << w << " of row " << r << " wrong at T=" << tile
-              << " K=" << k;
-        }
-      }
+      expect_tiled(
+          rows, k, fc.words_per_row(), [&](std::int64_t r, std::int64_t w) { return fc.row(r)[w]; },
+          "tile_fc_weights" + at);
     }
   }
 }
 
-// The fused binarize at every (ISA variant, tile width) pair against the
+// The fused binarize at every ISA variant, at its tile width, against the
 // float oracle: the kernels' popcount-limit epilogue is checked against the
 // float compare it replaces.  Thresholds hit every edge of the
 // limit: NaN, infinities, signed zeros, integers exactly on a dot product
@@ -752,7 +817,7 @@ std::vector<float> edge_thresholds(std::int64_t bits, std::int64_t k, std::uint6
 }
 
 /// The K values of the oracle tests: K mod 16 in {1, 8, 15}, below and
-/// past one 64-bit output word, so every width has remainder filters.
+/// past one 64-bit output word, so every width has a padded last tile.
 constexpr std::int64_t kOracleKs[] = {1, 17, 24, 31, 65, 72, 79};
 constexpr std::int64_t kOracleCs[] = {3, 64, 96, 128, 513};
 
@@ -813,22 +878,14 @@ TEST(IsaParity, TiledKernelRejectsMismatchedTileWidth) {
   const PackedTensor* in_ptr = &in;
   Tensor out = Tensor::hwc(2, 2, 8);
   Tensor* out_ptr = &out;
+  // Each kernel takes banks tiled at its ISA's one width only.
   for (const IsaVariant& v : simd::supported_isa_variants()) {
-    const std::int64_t right = kernels::weight_tile_width(v.isa);
-    const std::int64_t wrong = right == 4 ? 8 : 4;
+    const std::int64_t wrong = kernels::weight_tile_width(v.isa) == 4 ? 16 : 4;
     const TiledFilterBank bad = bitpack::tile_filters(filters, wrong);
-    EXPECT_THROW(kernels::conv_dot_kernel(v.isa, v.use_vpopcntdq, right)(&in_ptr, 1, bad, spec,
-                                                                        pool, &out_ptr),
+    EXPECT_THROW(kernels::conv_dot_kernel(v.isa, v.use_vpopcntdq)(&in_ptr, 1, bad, spec, pool,
+                                                                 &out_ptr),
                  std::invalid_argument)
         << "variant " << v.name;
-  }
-  // An (ISA, tile) pair with no instantiation is rejected by the getters;
-  // u64 and SSE stamp T = 4 only.
-  EXPECT_THROW((void)kernels::conv_dot_kernel(IsaLevel::kU64, false, 16), std::invalid_argument);
-  EXPECT_THROW((void)kernels::bgemm_kernel(IsaLevel::kSse, false, 2), std::invalid_argument);
-  for (const IsaLevel isa : {IsaLevel::kU64, IsaLevel::kSse}) {
-    EXPECT_THROW((void)kernels::conv_binarize_kernel(isa, false, 8), std::invalid_argument);
-    EXPECT_THROW((void)kernels::bgemm_binarize_kernel(isa, false, 8), std::invalid_argument);
   }
 }
 

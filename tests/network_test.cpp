@@ -163,22 +163,22 @@ TEST(BinaryNetwork, InferMatchesManualComposition) {
   bitpack::pack_activations_into_interior(input, in0, 1);
   const auto pf1 = bitpack::pack_filters(f1);
   PackedTensor a1(16, 16, 64);
-  testing::EngineLayer(64).conv_binarize(in0, pf1, kernels::ConvSpec{3, 3, 1}, nullptr, pool,
-                                         a1, 0);
+  testing::EngineLayer().conv_binarize(in0, pf1, kernels::ConvSpec{3, 3, 1}, nullptr, pool, a1,
+                                       0);
   PackedTensor a2(10, 10, 64);  // pool output with margin 1 for the next conv
   kernels::binary_maxpool(a1, kernels::PoolSpec{2, 2, 2}, pool, a2, 1);
   const auto pf2 = bitpack::pack_filters(f2);
   PackedTensor a3(8, 8, 32);
-  testing::EngineLayer(32).conv_binarize(a2, pf2, kernels::ConvSpec{3, 3, 1}, nullptr, pool,
-                                         a3, 0);
+  testing::EngineLayer().conv_binarize(a2, pf2, kernels::ConvSpec{3, 3, 1}, nullptr, pool, a3,
+                                       0);
   PackedMatrix flat(1, 8 * 8 * 32);
   bitpack::flatten_packed(a3, flat);
   const auto pw1 = bitpack::pack_transpose_fc_weights(w1.data(), 8 * 8 * 32, 40);
   PackedMatrix h1(1, 40);
-  testing::EngineLayer(40).bgemm_binarize(flat, pw1, nullptr, pool, h1);
+  testing::EngineLayer().bgemm_binarize(flat, pw1, nullptr, pool, h1);
   const auto pw2 = bitpack::pack_transpose_fc_weights(w2.data(), 40, 10);
   std::vector<float> manual(10);
-  testing::EngineLayer(10).bgemm(h1, pw2, pool, manual.data());
+  testing::EngineLayer().bgemm(h1, pw2, pool, manual.data());
 
   for (int i = 0; i < 10; ++i) {
     ASSERT_EQ(scores[static_cast<std::size_t>(i)], manual[static_cast<std::size_t>(i)]) << i;
@@ -249,10 +249,10 @@ TEST(BinaryNetwork, FcOnlyNetwork) {
   const auto x = bitpack::pack_rows(input.data(), 1, 64);
   const auto pw1 = bitpack::pack_transpose_fc_weights(w1.data(), 64, 32);
   PackedMatrix h(1, 32);
-  testing::EngineLayer(32).bgemm_binarize(x, pw1, nullptr, pool, h);
+  testing::EngineLayer().bgemm_binarize(x, pw1, nullptr, pool, h);
   const auto pw2 = bitpack::pack_transpose_fc_weights(w2.data(), 32, 8);
   std::vector<float> manual(8);
-  testing::EngineLayer(8).bgemm(h, pw2, pool, manual.data());
+  testing::EngineLayer().bgemm(h, pw2, pool, manual.data());
   for (int i = 0; i < 8; ++i) ASSERT_EQ(s[static_cast<std::size_t>(i)], manual[static_cast<std::size_t>(i)]);
 }
 
@@ -531,10 +531,10 @@ std::vector<float> baseline_fc(const std::vector<float>& w, std::int64_t n, std:
 
 TEST(BinaryNetwork, LayerInfoReportsWeightLayout) {
   // Every conv/fc reports the register-tile width its bank is interleaved
-  // at: the default plan's, or the capped ISA's under max_isa.  The profile's
-  // kernel name carries the same plan and the register-block height P that
-  // (isa, T) compiles in, "[isa,tT,pP]".  The pool has no weights, no tile
-  // width and no P.
+  // at: that of the default plan's ISA, or of the capped ISA under max_isa.
+  // The profile's kernel name carries the same plan and the register-block
+  // height P the ISA compiles in, "[isa,tT,pP]".  The pool has no weights,
+  // no tile width and no P.
   NetworkConfig capped;
   capped.max_isa = simd::IsaLevel::kU64;
   for (const NetworkConfig& cfg : {NetworkConfig{}, capped}) {
@@ -551,31 +551,34 @@ TEST(BinaryNetwork, LayerInfoReportsWeightLayout) {
         continue;
       }
       // out.c is K for a conv and for an fc ({1, 1, K}).
-      const KernelPlan plan = default_kernel_plan(l.out.c, simd::cpu_features(), cfg.max_isa);
-      EXPECT_EQ(l.tile, plan.tile) << l.name;
+      const KernelPlan plan = default_kernel_plan(simd::cpu_features(), cfg.max_isa);
+      EXPECT_EQ(l.tile, kernels::weight_tile_width(plan.isa)) << l.name;
       EXPECT_EQ(l.isa, plan.isa) << l.name;
       const std::string suffix = "[" + std::string(simd::isa_name(plan.isa)) + ",t" +
-                                 std::to_string(plan.tile) + ",p" +
-                                 std::to_string(kernels::pixel_block(plan.isa, plan.tile)) + "]";
+                                 std::to_string(kernels::weight_tile_width(plan.isa)) + ",p" +
+                                 std::to_string(kernels::pixel_block(plan.isa)) + "]";
       ASSERT_GE(kernel.size(), suffix.size()) << kernel;
       EXPECT_EQ(kernel.substr(kernel.size() - suffix.size()), suffix) << l.name;
     }
   }
 }
 
-TEST(BinaryNetwork, TinyLayerFallsBackToFilterMajor) {
-  // K = 3 is below every tile width: the layer runs at T = 4 with no full
-  // tile, so its bank is byte for byte the filter-major bank and every
-  // filter takes the kernel's remainder path.  It must match the baseline.
+TEST(BinaryNetwork, TinyLayerRunsOnePaddedTile) {
+  // K = 3 is below every tile width: the layer runs its ISA's T in one tile
+  // whose other T - 3 lanes are zero pad filters, never stored or set.  It
+  // must match the baseline.
   const FilterBank f = random_filters(3, 16, 41);
   const std::vector<float> w = models::random_fc_weights(6 * 6 * 3, 3, 42);
   BinaryNetwork net{NetworkConfig{}};
   net.add_conv("c", f, 1, 0);
   net.add_fc("f", w, 6 * 6 * 3, 3);
   net.finalize(TensorDesc{8, 8, 16});
+  const std::int64_t t = kernels::weight_tile_width(simd::cpu_features().best_isa());
   for (const LayerInfo& l : net.layers()) {
-    EXPECT_EQ(l.tile, 4) << l.name;
-    EXPECT_NE(l.isa_reason.find("no full tile"), std::string::npos) << l.isa_reason;
+    EXPECT_EQ(l.tile, t) << l.name;
+    const std::string idle = "1 tile of T=" + std::to_string(t) + ", " + std::to_string(t - 3) +
+                             " idle lanes";
+    EXPECT_NE(l.isa_reason.find(idle), std::string::npos) << l.isa_reason;
   }
   Tensor input = Tensor::hwc(8, 8, 16);
   fill_uniform(input, 43);
@@ -588,9 +591,8 @@ TEST(BinaryNetwork, TinyLayerFallsBackToFilterMajor) {
 
 TEST(BinaryNetwork, TiledRemainderLayerBitExact) {
   // K = 13 and fc outputs 11/5: K % T != 0 at every tile width, so the
-  // remainder (filter-major) rows of the interleaved banks are exercised
-  // end-to-end through infer_batch, against src/baseline, at every batch
-  // size.
+  // padded last tiles of the interleaved banks are exercised end-to-end
+  // through infer_batch, against src/baseline, at every batch size.
   const FilterBank f = random_filters(13, 16, 51);
   const std::vector<float> w1 = models::random_fc_weights(8 * 8 * 13, 11, 52);
   const std::vector<float> w2 = models::random_fc_weights(11, 5, 53);
@@ -797,12 +799,11 @@ TEST(BinaryNetwork, VggShapedChainUnderTheDefaultPlanMatchesBaseline) {
   net.add_fc("fc2", f2, 24, 10);
   net.finalize(TensorDesc{16, 16, 3});
   const simd::IsaLevel widest = simd::cpu_features().best_isa();
-  const std::int64_t t_max = kernels::weight_tile_width(widest);
   for (const LayerInfo& l : net.layers()) {
     if (l.kind == LayerKind::kPool) continue;
     EXPECT_EQ(l.isa, widest) << l.name;
-    // The ISA's default width, or the largest one K fills (fc2: K = 10).
-    EXPECT_EQ(l.tile, l.out.c >= t_max ? t_max : 8) << l.name;
+    // The ISA's one width, whatever K (fc2: K = 10 in one padded tile).
+    EXPECT_EQ(l.tile, kernels::weight_tile_width(widest)) << l.name;
     EXPECT_NE(l.isa_reason.find("register tiles"), std::string::npos) << l.isa_reason;
   }
 

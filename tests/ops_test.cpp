@@ -89,18 +89,17 @@ TEST(BinaryConvOp, ForcedIsaVariantsAgree) {
 }
 
 TEST(BinaryConvOp, RunsTheEnginePlan) {
-  // Whatever C, conv and fc run the engine's default plan: the widest ISA,
-  // T from K (T = 4 with no full tile for K < 4); force_isa caps the ISA.
+  // Whatever C and K, conv and fc run the engine's default plan: the widest
+  // ISA and its one T (K < T is one padded tile); force_isa caps the ISA.
   const simd::IsaLevel widest = simd::cpu_features().best_isa();
+  const std::int64_t t = kernels::weight_tile_width(widest);
   for (const std::int64_t c : {64, 128, 256, 512}) {
     for (const std::int64_t k : {2, 8, 64}) {
       const BinaryConvOp op(random_filters(k, c, 1), 1, 1);
       EXPECT_EQ(op.isa(), widest) << "C=" << c << " K=" << k;
-      EXPECT_EQ(op.tile(), graph::default_kernel_plan(k, simd::cpu_features()).tile)
-          << "C=" << c << " K=" << k;
+      EXPECT_EQ(op.tile(), t) << "C=" << c << " K=" << k;
     }
   }
-  EXPECT_EQ(BinaryConvOp(random_filters(2, 64, 1), 1, 1).tile(), 4);
   BinaryOpOptions u64;
   u64.force_isa = simd::IsaLevel::kU64;
   const BinaryConvOp capped(random_filters(64, 64, 1), 1, 1, u64);
@@ -109,7 +108,7 @@ TEST(BinaryConvOp, RunsTheEnginePlan) {
   const std::vector<float> w(static_cast<std::size_t>(64 * 3), 1.0f);
   const BinaryFcOp fc(w.data(), 64, 3);
   EXPECT_EQ(fc.isa(), widest);
-  EXPECT_EQ(fc.tile(), 4);
+  EXPECT_EQ(fc.tile(), t);
 }
 
 TEST(BinaryConvOp, SteadyStateRunAllocatesNothing) {

@@ -37,7 +37,7 @@ TEST_P(PressedConvParam, DotMatchesReference) {
   const ConvSpec spec{cs.kernel, cs.kernel, cs.stride};
   runtime::ThreadPool pool(2);
   Tensor out = Tensor::hwc(spec.out_h(cs.h), spec.out_w(cs.w), cs.k);
-  testing::EngineLayer(cs.k, isa).conv_dot(in, filters, spec, pool, out);
+  testing::EngineLayer(isa).conv_dot(in, filters, spec, pool, out);
   const Tensor ref = testing::reference_binary_conv(in, filters, spec);
   EXPECT_EQ(max_abs_diff(out, ref), 0.0f)
       << "isa=" << simd::isa_name(isa) << " h=" << cs.h << " c=" << cs.c;
@@ -53,7 +53,7 @@ TEST_P(PressedConvParam, BinarizeMatchesDotAcrossIsa) {
   const ConvSpec spec{cs.kernel, cs.kernel, cs.stride};
   runtime::ThreadPool pool(2);
   const std::int64_t oh = spec.out_h(cs.h), ow = spec.out_w(cs.w);
-  const testing::EngineLayer layer(cs.k, isa);
+  const testing::EngineLayer layer(isa);
   Tensor dots = Tensor::hwc(oh, ow, cs.k);
   layer.conv_dot(in, filters, spec, pool, dots);
   PackedTensor out(oh, ow, cs.k);
@@ -103,11 +103,11 @@ TEST(PressedConv, AllIsaVariantsAgree) {
   const ConvSpec spec{3, 3, 1};
   runtime::ThreadPool pool(1);
   Tensor base = Tensor::hwc(6, 6, 16);
-  testing::EngineLayer(16, IsaLevel::kU64).conv_dot(in, filters, spec, pool, base);
+  testing::EngineLayer(IsaLevel::kU64).conv_dot(in, filters, spec, pool, base);
   for (IsaLevel isa : {IsaLevel::kSse, IsaLevel::kAvx2, IsaLevel::kAvx512}) {
     if (!simd::cpu_features().supports(isa)) continue;
     Tensor out = Tensor::hwc(6, 6, 16);
-    testing::EngineLayer(16, isa).conv_dot(in, filters, spec, pool, out);
+    testing::EngineLayer(isa).conv_dot(in, filters, spec, pool, out);
     EXPECT_EQ(max_abs_diff(base, out), 0.0f) << simd::isa_name(isa);
   }
 }
@@ -120,7 +120,7 @@ TEST(PressedConv, ThreadCountInvariance) {
   const ConvSpec spec{3, 3, 1};
   runtime::ThreadPool p1(1), p4(4), p7(7);
   Tensor o1 = Tensor::hwc(10, 10, 8), o4 = Tensor::hwc(10, 10, 8), o7 = Tensor::hwc(10, 10, 8);
-  const testing::EngineLayer layer(8);
+  const testing::EngineLayer layer;
   layer.conv_dot(in, filters, spec, p1, o1);
   layer.conv_dot(in, filters, spec, p4, o4);
   layer.conv_dot(in, filters, spec, p7, o7);
@@ -135,7 +135,7 @@ TEST(PressedConv, BinarizeMatchesDotPlusSign) {
   fill_random_bits(filters, 9);
   const ConvSpec spec{3, 3, 1};
   runtime::ThreadPool pool(3);
-  const testing::EngineLayer layer(70);
+  const testing::EngineLayer layer;
   Tensor dots = Tensor::hwc(5, 5, 70);
   layer.conv_dot(in, filters, spec, pool, dots);
   std::vector<float> thresholds(70);
@@ -162,7 +162,7 @@ TEST(PressedConv, BinarizeNullThresholdIsSignAtZero) {
   fill_random_bits(filters, 19);
   const ConvSpec spec{3, 3, 1};
   runtime::ThreadPool pool(1);
-  const testing::EngineLayer layer(10);
+  const testing::EngineLayer layer;
   Tensor dots = Tensor::hwc(3, 3, 10);
   layer.conv_dot(in, filters, spec, pool, dots);
   PackedTensor out(3, 3, 10);
@@ -183,7 +183,7 @@ TEST(PressedConv, BinarizeWithMarginLeavesBorderZero) {
   fill_random_bits(filters, 13);
   const ConvSpec spec{3, 3, 1};
   runtime::ThreadPool pool(2);
-  const testing::EngineLayer layer(64);
+  const testing::EngineLayer layer;
   PackedTensor out(6, 6, 64);  // 4x4 logical output + margin 1
   layer.conv_binarize(in, filters, spec, nullptr, pool, out, 1);
   for (std::int64_t h = 0; h < 6; ++h) {
@@ -215,7 +215,7 @@ TEST(PressedConv, ZeroCostPaddingEqualsExplicitPad) {
   const ConvSpec spec{3, 3, 1};
   runtime::ThreadPool pool(1);
   Tensor out = Tensor::hwc(5, 5, 8);
-  testing::EngineLayer(8).conv_dot(padded, filters, spec, pool, out);
+  testing::EngineLayer().conv_dot(padded, filters, spec, pool, out);
   const Tensor ref = testing::reference_binary_conv(padded, filters, spec);
   EXPECT_EQ(max_abs_diff(out, ref), 0.0f);
 }
@@ -229,7 +229,7 @@ TEST(PressedConv, DotValuesHaveCorrectParityAndRange) {
   const ConvSpec spec{3, 3, 1};
   runtime::ThreadPool pool(1);
   Tensor out = Tensor::hwc(2, 2, 6);
-  testing::EngineLayer(6).conv_dot(in, filters, spec, pool, out);
+  testing::EngineLayer().conv_dot(in, filters, spec, pool, out);
   const std::int64_t n = filters.bits_per_filter();
   for (float v : out.elements()) {
     const auto d = static_cast<std::int64_t>(v);

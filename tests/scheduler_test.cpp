@@ -7,6 +7,7 @@
 
 #include "core/bitflow.hpp"
 #include "graph/scheduler.hpp"
+#include "kernels/conv_spec.hpp"
 #include "simd/cpu_features.hpp"
 
 namespace bitflow::graph {
@@ -85,46 +86,41 @@ TEST(Scheduler, SelectionNeverWidensAsHardwareNarrows) {
 }
 
 TEST(Scheduler, DefaultKernelPlanRule) {
-  // The conv/fc plan: the widest ISA the CPU supports, clamped by the cap,
-  // and T = the largest supported width <= min(K, weight_tile_width(isa)),
-  // or 4 with no full tile when K < 4.  It depends on K, the CPU and the cap
-  // only; nothing is measured.
+  // The conv/fc plan: the widest ISA the CPU supports, clamped by the cap.
+  // T follows from the ISA (16 on AVX2/AVX-512, 4 on u64/SSE) whatever K;
+  // a K that fills no whole number of tiles is padded.  Nothing is measured.
   struct Case {
-    std::int64_t k;
     std::optional<IsaLevel> cap;
     IsaLevel isa;
     std::int64_t tile;
   };
   const Case cases[] = {
-      {4096, std::nullopt, IsaLevel::kAvx512, 16},
-      {16, std::nullopt, IsaLevel::kAvx512, 16},
-      {15, std::nullopt, IsaLevel::kAvx512, 8},
-      {10, std::nullopt, IsaLevel::kAvx512, 8},
-      {7, std::nullopt, IsaLevel::kAvx512, 4},
-      {4, std::nullopt, IsaLevel::kAvx512, 4},
-      {3, std::nullopt, IsaLevel::kAvx512, 4},
-      {1, std::nullopt, IsaLevel::kAvx512, 4},
-      {64, IsaLevel::kAvx2, IsaLevel::kAvx2, 16},
-      {10, IsaLevel::kAvx2, IsaLevel::kAvx2, 8},
-      {2, IsaLevel::kAvx2, IsaLevel::kAvx2, 4},
-      {64, IsaLevel::kSse, IsaLevel::kSse, 4},
-      {10, IsaLevel::kSse, IsaLevel::kSse, 4},
-      {64, IsaLevel::kU64, IsaLevel::kU64, 4},
-      {8, IsaLevel::kU64, IsaLevel::kU64, 4},
-      {3, IsaLevel::kU64, IsaLevel::kU64, 4},
+      {std::nullopt, IsaLevel::kAvx512, 16},
+      {IsaLevel::kAvx512, IsaLevel::kAvx512, 16},
+      {IsaLevel::kAvx2, IsaLevel::kAvx2, 16},
+      {IsaLevel::kSse, IsaLevel::kSse, 4},
+      {IsaLevel::kU64, IsaLevel::kU64, 4},
   };
   const CpuFeatures f = all_features();
   for (const Case& c : cases) {
-    const KernelPlan plan = default_kernel_plan(c.k, f, c.cap);
+    const KernelPlan plan = default_kernel_plan(f, c.cap);
     const std::string cap = c.cap ? std::string(simd::isa_name(*c.cap)) : "none";
-    EXPECT_EQ(plan.isa, c.isa) << "K=" << c.k << " cap=" << cap;
-    EXPECT_EQ(plan.tile, c.tile) << "K=" << c.k << " cap=" << cap;
+    EXPECT_EQ(plan.isa, c.isa) << "cap=" << cap;
+    EXPECT_EQ(kernels::weight_tile_width(plan.isa), c.tile) << "cap=" << cap;
   }
   // Without a cap the hardware bounds the ISA.
   CpuFeatures avx2 = all_features();
   avx2.avx512f = avx2.avx512bw = false;
-  EXPECT_EQ(default_kernel_plan(64, avx2).isa, IsaLevel::kAvx2);
-  EXPECT_EQ(default_kernel_plan(64, avx2).tile, 16);
+  EXPECT_EQ(default_kernel_plan(avx2).isa, IsaLevel::kAvx2);
+  // The layer's reason names how K fills the tiles: K = 1000 at T = 16 is
+  // 63 tiles with 8 idle lanes, K = 1 one tile with 15, K = 64 none idle.
+  const std::string wide = explain_kernel_plan(default_kernel_plan(f), 1000);
+  EXPECT_NE(wide.find("63 tiles of T=16, 8 idle lanes"), std::string::npos) << wide;
+  EXPECT_NE(wide.find("P=4"), std::string::npos) << wide;
+  const std::string one = explain_kernel_plan(default_kernel_plan(f), 1);
+  EXPECT_NE(one.find("1 tile of T=16, 15 idle lanes"), std::string::npos) << one;
+  const std::string narrow = explain_kernel_plan(default_kernel_plan(f, IsaLevel::kU64), 64);
+  EXPECT_NE(narrow.find("16 tiles of T=4, 0 idle lanes; P=2"), std::string::npos) << narrow;
 }
 
 TEST(SystemReport, MentionsVersionAndMapping) {

@@ -240,12 +240,13 @@ TEST_F(ServerTest, HttpEndpointsServeHealthVarzAndMetrics) {
   EXPECT_NE(varz.value().find("router.shards 2"), std::string::npos);
   EXPECT_NE(varz.value().find("shard.1.queue_depth"), std::string::npos);
   // Per-layer execution plan of the served generation: the default plan of
-  // c1 (K = 16) and f1 (K = 10), one line each.
-  for (const auto& [name, k] : {std::pair{"c1", 16}, std::pair{"f1", 10}}) {
-    const graph::KernelPlan plan = graph::default_kernel_plan(k, simd::cpu_features());
+  // c1 (K = 16) and f1 (K = 10, one padded tile), one line each.
+  for (const char* name : {"c1", "f1"}) {
+    const graph::KernelPlan plan = graph::default_kernel_plan(simd::cpu_features());
     const std::string line = std::string("layer.") + name + ".plan isa=" +
                              std::string(simd::isa_name(plan.isa)) +
-                             " tile=" + std::to_string(plan.tile) + "\n";
+                             " tile=" + std::to_string(kernels::weight_tile_width(plan.isa)) +
+                             "\n";
     EXPECT_NE(varz.value().find(line), std::string::npos) << line << varz.value();
   }
 

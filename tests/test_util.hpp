@@ -54,51 +54,55 @@ inline Tensor reference_binary_maxpool(const PackedTensor& in, const kernels::Po
 }
 
 /// One layer on the engine's kernel at its default plan: the bank is tiled
-/// at graph::default_kernel_plan(K, cpu_features(), cap) — `cap` pins the
-/// ISA the way NetworkConfig::max_isa does — and run on one image (n = 1),
-/// or on every row of A.  The way tests compose layers by hand.
+/// at the tile width of graph::default_kernel_plan(cpu_features(), cap)'s
+/// ISA — `cap` pins the ISA the way NetworkConfig::max_isa does — and run
+/// on one image (n = 1), or on every row of A.  The way tests compose
+/// layers by hand.
 class EngineLayer {
  public:
-  explicit EngineLayer(std::int64_t k, std::optional<simd::IsaLevel> cap = std::nullopt)
-      : plan_(graph::default_kernel_plan(k, simd::cpu_features(), cap)) {}
+  explicit EngineLayer(std::optional<simd::IsaLevel> cap = std::nullopt)
+      : plan_(graph::default_kernel_plan(simd::cpu_features(), cap)) {}
 
   [[nodiscard]] const graph::KernelPlan& plan() const noexcept { return plan_; }
+  /// The register-tile width T the plan's kernels take.
+  [[nodiscard]] std::int64_t tile() const noexcept {
+    return kernels::weight_tile_width(plan_.isa);
+  }
 
   /// Raw-dot PressedConv of `in` into the pre-shaped `out`.
   void conv_dot(const PackedTensor& in, const PackedFilterBank& filters,
                 const kernels::ConvSpec& spec, runtime::ThreadPool& pool, Tensor& out) const {
-    const TiledFilterBank bank = bitpack::tile_filters(filters, plan_.tile);
+    const TiledFilterBank bank = bitpack::tile_filters(filters, tile());
     const PackedTensor* ins[] = {&in};
     kernels::check_conv_args(ins, 1, bank, spec);
     Tensor* outs[] = {&out};
-    kernels::conv_dot_kernel(plan_.isa, vpopcnt(), plan_.tile)(ins, 1, bank, spec, pool, outs);
+    kernels::conv_dot_kernel(plan_.isa, vpopcnt())(ins, 1, bank, spec, pool, outs);
   }
 
   /// Fused PressedConv + binarize of `in` into the interior of `out`.
   void conv_binarize(const PackedTensor& in, const PackedFilterBank& filters,
                      const kernels::ConvSpec& spec, const std::int64_t* limits,
                      runtime::ThreadPool& pool, PackedTensor& out, std::int64_t margin) const {
-    const TiledFilterBank bank = bitpack::tile_filters(filters, plan_.tile);
+    const TiledFilterBank bank = bitpack::tile_filters(filters, tile());
     const PackedTensor* ins[] = {&in};
     kernels::check_conv_args(ins, 1, bank, spec);
     PackedTensor* outs[] = {&out};
-    kernels::conv_binarize_kernel(plan_.isa, vpopcnt(), plan_.tile)(ins, 1, bank, spec, limits,
-                                                                    pool, outs, margin);
+    kernels::conv_binarize_kernel(plan_.isa, vpopcnt())(ins, 1, bank, spec, limits, pool, outs,
+                                                        margin);
   }
 
   /// Raw-dot bgemm of every row of `a` against the K x N rows of `w`.
   void bgemm(const PackedMatrix& a, const PackedMatrix& w, runtime::ThreadPool& pool,
              float* y) const {
-    const TiledBitMatrix bank = bitpack::tile_fc_weights(w, plan_.tile);
-    kernels::bgemm_kernel(plan_.isa, vpopcnt(), plan_.tile)(a, a.rows(), bank, pool, y);
+    const TiledBitMatrix bank = bitpack::tile_fc_weights(w, tile());
+    kernels::bgemm_kernel(plan_.isa, vpopcnt())(a, a.rows(), bank, pool, y);
   }
 
   /// Fused bgemm + binarize of every row of `a` into `out`.
   void bgemm_binarize(const PackedMatrix& a, const PackedMatrix& w, const std::int64_t* limits,
                       runtime::ThreadPool& pool, PackedMatrix& out) const {
-    const TiledBitMatrix bank = bitpack::tile_fc_weights(w, plan_.tile);
-    kernels::bgemm_binarize_kernel(plan_.isa, vpopcnt(), plan_.tile)(a, a.rows(), bank, limits,
-                                                                     pool, out);
+    const TiledBitMatrix bank = bitpack::tile_fc_weights(w, tile());
+    kernels::bgemm_binarize_kernel(plan_.isa, vpopcnt())(a, a.rows(), bank, limits, pool, out);
   }
 
  private:

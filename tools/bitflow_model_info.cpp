@@ -9,6 +9,7 @@
 
 #include "graph/scheduler.hpp"
 #include "io/model.hpp"
+#include "kernels/conv_spec.hpp"
 #include "simd/cpu_features.hpp"
 
 int main(int argc, char** argv) {
@@ -73,8 +74,9 @@ int main(int argc, char** argv) {
     // register-tile width.
     std::string kernel = "-";
     if (outputs > 0) {
-      const graph::KernelPlan plan = graph::default_kernel_plan(outputs, simd::cpu_features());
-      kernel = std::string(simd::isa_name(plan.isa)) + " t" + std::to_string(plan.tile);
+      const graph::KernelPlan plan = graph::default_kernel_plan(simd::cpu_features());
+      kernel = std::string(simd::isa_name(plan.isa)) + " t" +
+               std::to_string(kernels::weight_tile_width(plan.isa));
     }
     std::printf("%-12s %-10s %-26s %-6s %-8s\n", l.name.c_str(), kind, geom,
                 l.thresholds.empty() ? "no" : "yes", kernel.c_str());
