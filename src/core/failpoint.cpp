@@ -19,8 +19,9 @@ namespace {
 // back to a Status code by this prefix (serve/error_map.cpp).
 constexpr std::array<PointInfo, 15> kCatalog{{
     {"io.open", "Model::load(path) after the file was opened"},
-    {"io.read_header", "Model::load(istream) after magic/version were read"},
-    {"io.read_weights", "Model::load(istream) before each layer weight payload"},
+    {"io.read_header", "Model::load(path) and load(istream) after magic/version were read"},
+    {"io.read_weights",
+     "Model::load(path) and load(istream) before each layer weight payload"},
     {"alloc.buffer", "AlignedBuffer allocation (every tensor/weight buffer)"},
     {"runtime.worker", "ThreadPool job execution, every worker incl. the caller"},
     {"runtime.worker_stall", "ThreadPool job execution (stall flavour, same site)"},

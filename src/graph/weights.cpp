@@ -4,7 +4,6 @@
 #include <cmath>
 #include <cstring>
 #include <exception>
-#include <limits>
 #include <stdexcept>
 #include <thread>
 #include <utility>
@@ -67,118 +66,19 @@ std::int64_t affinity_cpus() {
   return std::max(1u, std::thread::hardware_concurrency());
 }
 
-/// One bank's streamed lowering: `rows` rows of `row_words` words into the
-/// ceil(rows / tile) tile blocks at `words`.  Chunks are runs of whole tile
-/// blocks, numbered in file order; each is read into a worker's scratch and
-/// interleaved from there.  The last block is read short — the file holds
-/// only its real rows — and its pad rows are zero-filled in the scratch, so
-/// every word of the bank is written before run() returns normally.
-class BankStream {
- public:
-  BankStream(std::uint64_t* words, std::int64_t rows, std::int64_t row_words, std::int64_t tile,
-             const Padding& padding, const std::string& layer, const ByteSource& read)
-      : words_(words),
-        rows_(rows),
-        row_words_(row_words),
-        tile_(tile),
-        chunk_rows_(tile * std::clamp<std::int64_t>(
-                               kStreamChunkBytes / (tile * row_words * 8), 1,
-                               std::max<std::int64_t>(1, ceil_div(rows, tile)))),
-        chunks_(ceil_div(rows, chunk_rows_)),
-        padding_(padding),
-        layer_(layer),
-        read_(read) {}
+std::int64_t ceil_div(std::int64_t a, std::int64_t b) { return (a + b - 1) / b; }
 
-  BankStream(const BankStream&) = delete;
-  BankStream& operator=(const BankStream&) = delete;
-
-  void run() BF_EXCLUDES(mu_) {
-    const std::int64_t workers =
-        std::min(rows_ * row_words_ * 8 / kStreamBytesPerWorker, chunks_);
-    const int threads = workers < 2 ? 1 : static_cast<int>(std::min(workers, affinity_cpus()));
-    // Scratch for one chunk per worker, allocated here rather than by each
-    // worker (a worker's first malloc costs it a heap arena of its own).
-    const std::int64_t scratch_words = chunk_rows_ * row_words_;
-    std::vector<std::uint64_t> scratch(static_cast<std::size_t>(threads * scratch_words));
-    if (threads == 1) {
-      work(scratch.data());
-    } else {
-      runtime::ThreadPool pool(threads);
-      pool.run_on_all([&](int w) { work(scratch.data() + w * scratch_words); });
-    }
-    std::exception_ptr error;
-    {
-      core::MutexLock lock(mu_);
-      error = error_;
-    }
-    if (error) std::rethrow_exception(error);
-  }
-
- private:
-  static std::int64_t ceil_div(std::int64_t a, std::int64_t b) { return (a + b - 1) / b; }
-
-  /// Takes chunks until none are left or one has failed: reads each under
-  /// the stream lock, then checks and places it outside the lock.
-  void work(std::uint64_t* scratch) BF_EXCLUDES(mu_) {
-    for (;;) {
-      std::int64_t chunk = 0, first = 0, end = 0;
-      {
-        core::MutexLock lock(mu_);
-        if (failed_chunk_ != kNone || next_ == chunks_) return;
-        chunk = next_++;
-        first = chunk * chunk_rows_;
-        end = std::min(rows_, first + chunk_rows_);
-        try {
-          read_(scratch, (end - first) * row_words_ * 8);
-        } catch (...) {
-          fail(chunk, std::current_exception());
-          return;
-        }
-      }
-      try {
-        check_padding(scratch, first, end - first, padding_, layer_);
-        // The bank's short last block: zero pad rows up to a whole tile.
-        const std::int64_t padded_end = ceil_div(end, tile_) * tile_;
-        std::fill(scratch + (end - first) * row_words_, scratch + (padded_end - first) * row_words_,
-                  std::uint64_t{0});
-        for (std::int64_t r = first; r < padded_end; r += tile_) {
-          bitpack::interleave_block(scratch + (r - first) * row_words_, tile_, row_words_,
-                                    words_ + r * row_words_);
-        }
-      } catch (...) {
-        core::MutexLock lock(mu_);
-        fail(chunk, std::current_exception());
-        return;
-      }
-    }
-  }
-
-  /// Keeps the error of the first failing chunk in file order: chunks are
-  /// taken in order, so every chunk before it was taken and is checked.
-  void fail(std::int64_t chunk, std::exception_ptr error) BF_REQUIRES(mu_) {
-    if (chunk < failed_chunk_) {
-      failed_chunk_ = chunk;
-      error_ = std::move(error);
-    }
-  }
-
-  static constexpr std::int64_t kNone = std::numeric_limits<std::int64_t>::max();
-
-  std::uint64_t* const words_;
-  const std::int64_t rows_, row_words_, tile_;
-  const std::int64_t chunk_rows_;  ///< rows per chunk: whole tile blocks, at most the bank's
-  const std::int64_t chunks_;
-  const Padding padding_;
-  const std::string& layer_;
-  const ByteSource& read_;
-
-  /// The stream lock: a leaf, held only to take a chunk and read it (or to
-  /// record a failure).
-  core::Mutex mu_;
-  std::int64_t next_ BF_GUARDED_BY(mu_) = 0;
-  std::int64_t failed_chunk_ BF_GUARDED_BY(mu_) = kNone;
-  std::exception_ptr error_ BF_GUARDED_BY(mu_);
-};
+/// A bank of `rows` rows of `row_words` words in whole tiles of the default
+/// width, its words not yet written: every one is written by BankLoad's
+/// chunks, which fault its pages in where they write them.
+TiledBitMatrix uninitialized_bank(std::int64_t rows, std::int64_t row_words) {
+  const std::int64_t tile = default_tile();
+  return TiledBitMatrix(
+      AlignedBuffer::uninitialized(static_cast<std::size_t>(
+                                       TiledBitMatrix::padded_rows(rows, tile) * row_words) *
+                                   sizeof(std::uint64_t)),
+      rows, row_words, tile);
+}
 
 /// Streams an interleaved matrix row-major, one tile block at a time through
 /// scratch; the last block's pad rows are not written.
@@ -236,21 +136,6 @@ ConvWeights lower_conv_weights(PackedFilterBank filters, const std::string& laye
   return ConvWeights(std::move(filters), tile);
 }
 
-ConvWeights stream_conv_weights(std::int64_t k, std::int64_t kh, std::int64_t kw,
-                                std::int64_t c, const std::string& layer,
-                                const ByteSource& read) {
-  const Padding padding{kh * kw, words_for_channels(c), c, "C", "filter"};
-  const std::int64_t tile = default_tile();
-  const std::int64_t row_words = kh * kw * words_for_channels(c);
-  TiledBitMatrix rows(AlignedBuffer::uninitialized(
-                          static_cast<std::size_t>(TiledBitMatrix::padded_rows(k, tile) *
-                                                   row_words) *
-                          sizeof(std::uint64_t)),
-                      k, row_words, tile);
-  BankStream(rows.words(), k, row_words, tile, padding, layer, read).run();
-  return ConvWeights(TiledFilterBank(std::move(rows), kh, kw, c));
-}
-
 // --- fc --------------------------------------------------------------------
 
 FcWeights::FcWeights(PackedMatrix weights, std::int64_t tile)
@@ -286,18 +171,136 @@ FcWeights lower_fc_weights(PackedMatrix weights, const std::string& layer) {
   return FcWeights(std::move(weights), tile);
 }
 
-FcWeights stream_fc_weights(std::int64_t rows, std::int64_t cols, const std::string& layer,
-                            const ByteSource& read) {
+// --- loading banks from a model file ------------------------------------------
+
+/// One queued bank.
+struct BankLoad::Bank {
+  std::shared_ptr<const void> owner;  ///< keeps `words` alive while chunks may write them
+  std::uint64_t* words;
+  std::int64_t rows, row_words, tile;
+  Padding padding;
+  std::string layer;
+  ByteSource read;
+};
+
+BankLoad::BankLoad(bool fan_out) : fan_out_(fan_out) {}
+
+BankLoad::~BankLoad() = default;
+
+ConvWeights BankLoad::conv(std::int64_t k, std::int64_t kh, std::int64_t kw, std::int64_t c,
+                           const std::string& layer, ByteSource read) {
+  const std::int64_t row_words = kh * kw * words_for_channels(c);
+  TiledBitMatrix rows = uninitialized_bank(k, row_words);
+  std::uint64_t* const words = rows.words();
+  const std::int64_t tile = rows.tile();
+  ConvWeights w(TiledFilterBank(std::move(rows), kh, kw, c));
+  queue(Bank{w.bank_, words, k, row_words, tile,
+             Padding{kh * kw, words_for_channels(c), c, "C", "filter"}, layer, std::move(read)});
+  return w;
+}
+
+FcWeights BankLoad::fc(std::int64_t rows, std::int64_t cols, const std::string& layer,
+                       ByteSource read) {
   const std::int64_t row_words = words_for_channels(cols);
-  const Padding padding{1, row_words, cols, "N", "row"};
-  const std::int64_t tile = default_tile();
-  TiledBitMatrix m(AlignedBuffer::uninitialized(
-                       static_cast<std::size_t>(TiledBitMatrix::padded_rows(rows, tile) *
-                                                row_words) *
-                       sizeof(std::uint64_t)),
-                   rows, row_words, tile);
-  BankStream(m.words(), rows, row_words, tile, padding, layer, read).run();
-  return FcWeights(std::move(m), cols);
+  TiledBitMatrix m = uninitialized_bank(rows, row_words);
+  std::uint64_t* const words = m.words();
+  const std::int64_t tile = m.tile();
+  FcWeights w(std::move(m), cols);
+  queue(Bank{w.bank_, words, rows, row_words, tile, Padding{1, row_words, cols, "N", "row"},
+             layer, std::move(read)});
+  return w;
+}
+
+void BankLoad::queue(Bank bank) {
+  // Whole tile blocks of about kStreamChunkBytes, at most the bank.
+  const std::int64_t chunk_rows =
+      bank.tile * std::clamp<std::int64_t>(kStreamChunkBytes / (bank.tile * bank.row_words * 8),
+                                           1, ceil_div(bank.rows, bank.tile));
+  // Reserve first, so that a bad_alloc leaves nothing queued.
+  const std::size_t needed =
+      chunks_.size() + static_cast<std::size_t>(ceil_div(bank.rows, chunk_rows));
+  if (needed > chunks_.capacity()) chunks_.reserve(std::max(needed, 2 * chunks_.capacity()));
+  banks_.push_back(std::move(bank));
+  const Bank& b = banks_.back();
+  for (std::int64_t first = 0; first < b.rows; first += chunk_rows) {
+    chunks_.push_back(Chunk{banks_.size() - 1, first, std::min(b.rows, first + chunk_rows)});
+  }
+  if (!fan_out_) run();
+}
+
+void BankLoad::run() {
+  const std::size_t begin = ran_;
+  ran_ = chunks_.size();
+  std::int64_t bytes = 0, scratch_words = 0;
+  for (std::size_t c = begin; c < chunks_.size(); ++c) {
+    const Chunk& chunk = chunks_[c];
+    const Bank& b = banks_[chunk.bank];
+    bytes += (chunk.end - chunk.first) * b.row_words * 8;
+    scratch_words = std::max(scratch_words,
+                             (ceil_div(chunk.end, b.tile) * b.tile - chunk.first) * b.row_words);
+  }
+  // A worker per kStreamBytesPerWorker, or per chunk scratch where a chunk
+  // is larger (rows of MiBs), so that the scratch never exceeds the bytes.
+  const std::int64_t workers =
+      fan_out_ ? std::min({affinity_cpus(),
+                           bytes / std::max(kStreamBytesPerWorker, scratch_words * 8),
+                           static_cast<std::int64_t>(chunks_.size() - begin)})
+               : 1;
+  const int threads = workers < 2 ? 1 : static_cast<int>(workers);
+  // Scratch for one chunk per worker, allocated here rather than by each
+  // worker (a worker's first malloc costs it a heap arena of its own).
+  std::vector<std::uint64_t> scratch(static_cast<std::size_t>(threads * scratch_words));
+  next_.store(static_cast<std::int64_t>(begin), std::memory_order_relaxed);
+  if (threads == 1) {
+    work(scratch.data());
+  } else {
+    runtime::ThreadPool pool(threads);
+    pool.run_on_all([&](int w) { work(scratch.data() + w * scratch_words); });
+  }
+  std::exception_ptr error;
+  {
+    core::MutexLock lock(mu_);
+    error = error_;
+  }
+  if (error) std::rethrow_exception(error);
+}
+
+void BankLoad::work(std::uint64_t* scratch) {
+  for (;;) {
+    const std::int64_t c = next_.fetch_add(1, std::memory_order_relaxed);
+    if (c >= static_cast<std::int64_t>(chunks_.size())) return;
+    {
+      // Chunks are taken in file order, so every chunk before a failed one
+      // has been taken and runs to its end: c cannot be the first failure.
+      core::MutexLock lock(mu_);
+      if (failed_chunk_ < c) return;
+    }
+    try {
+      place(chunks_[static_cast<std::size_t>(c)], scratch);
+    } catch (...) {
+      core::MutexLock lock(mu_);
+      if (c < failed_chunk_) {
+        failed_chunk_ = c;
+        error_ = std::current_exception();
+      }
+      return;
+    }
+  }
+}
+
+void BankLoad::place(const Chunk& chunk, std::uint64_t* scratch) const {
+  const Bank& b = banks_[chunk.bank];
+  const std::int64_t rows = chunk.end - chunk.first;
+  b.read(scratch, chunk.first * b.row_words * 8, rows * b.row_words * 8);
+  check_padding(scratch, chunk.first, rows, b.padding, b.layer);
+  // The bank's short last block: zero pad rows up to a whole tile.
+  const std::int64_t padded_end = ceil_div(chunk.end, b.tile) * b.tile;
+  std::fill(scratch + rows * b.row_words, scratch + (padded_end - chunk.first) * b.row_words,
+            std::uint64_t{0});
+  for (std::int64_t r = chunk.first; r < padded_end; r += b.tile) {
+    bitpack::interleave_block(scratch + (r - chunk.first) * b.row_words, b.tile, b.row_words,
+                              b.words + r * b.row_words);
+  }
 }
 
 std::int64_t lowered_rows(std::int64_t rows) {

@@ -14,19 +14,23 @@
 //     calls): the bank is checked, then interleaved in place
 //     (bitpack::tile_*), its storage grown by the pad rows first only when
 //     T does not divide K;
-//   * streamed (stream_conv_weights / stream_fc_weights, from
-//     io::Model::load): the bank is allocated without zeroing and its
-//     filter-major words are read from the model stream in chunks of about
-//     kStreamChunkBytes, whole tile blocks at a time; each chunk is checked
-//     and its blocks interleaved straight into their final place.  The last
-//     block is read short and its pad rows zero-filled.  A bank
-//     gets one worker per kStreamBytesPerWorker bytes, up to the CPUs in the
-//     process's affinity mask.  With fewer than two it runs inline on the
-//     caller's thread; otherwise the call owns a transient runtime::ThreadPool
-//     that it joins before returning, so no load thread outlives the call
-//     and two loads may run at once.  Workers take chunks in file order
-//     under one stream lock (a leaf: nothing else is locked and no failpoint
-//     is evaluated while it is held), and check and interleave outside it.
+//   * from the model file (BankLoad, from io::Model::load): each bank is
+//     allocated without zeroing and its filter-major words are read in
+//     chunks of about kStreamChunkBytes, whole tile blocks at a time; each
+//     chunk is read into a worker's scratch, checked, and its blocks
+//     interleaved straight into their final place.  The last block is read
+//     short and its pad rows zero-filled.  On the serial route (any
+//     std::istream, or a path that is not a regular file) a bank's chunks
+//     run in order on the caller's thread as the bank is reached.  On the
+//     fan-out (a regular file) the loader queues every bank's chunks at
+//     their file offsets and run() takes them all from one atomic cursor on
+//     one transient runtime::ThreadPool: one worker per
+//     kStreamBytesPerWorker bytes, up to the CPUs in the process's affinity
+//     mask and the chunk count, inline below two.  Each worker reads its
+//     own chunks, outside any lock, so every page of every bank is first
+//     touched by a worker.  run() joins the pool before returning, so no
+//     load thread outlives the load and two loads may run at once.  On both
+//     routes the error is the first failing chunk's in file order.
 //
 // BinaryNetwork::add_conv_packed / add_fc_packed take weights already
 // lowered.  The result is immutable and shared_ptr-owned, so an io::Model and
@@ -41,18 +45,23 @@
 // private copy (in_layout()) only when the plan's T differs: a max_isa cap
 // or an armed simd.force_fallback that changes T.  Lowering evaluates no
 // failpoint of its own (a `once`
-// simd.force_fallback still fires at finalize); the streamed route's bank
-// allocation passes alloc.buffer on the caller's thread, and its pool's
-// workers pass the runtime.worker points.
+// simd.force_fallback still fires at finalize); BankLoad's bank allocations
+// pass alloc.buffer on the caller's thread, and its pool's workers pass the
+// runtime.worker points.
 #pragma once
 
+#include <atomic>
 #include <cstdint>
+#include <exception>
 #include <functional>
+#include <limits>
 #include <memory>
 #include <string>
 #include <vector>
 
 #include "core/check.hpp"
+#include "core/sync.hpp"
+#include "core/thread_annotations.hpp"
 #include "tensor/packed_tensor.hpp"
 
 namespace bitflow::graph {
@@ -61,18 +70,22 @@ namespace bitflow::graph {
 /// a time: `count` words starting at `words`, valid only during the call.
 using WordSink = std::function<void(const std::uint64_t* words, std::int64_t count)>;
 
-/// Reads the next `bytes` bytes of a model stream into `dst`, or throws
-/// (a short read is a truncated file).  The streamed lowering calls it from
-/// its load workers, one call at a time, under its stream lock.
-using ByteSource = std::function<void(void* dst, std::int64_t bytes)>;
+/// Reads `bytes` bytes of one bank's filter-major words, starting `offset`
+/// bytes into them, into `dst`, or throws (a short read is a truncated
+/// file).  BankLoad calls it once per chunk: on the serial route in file
+/// order from one thread, on the fan-out from its load workers at once.
+using ByteSource = std::function<void(void* dst, std::int64_t offset, std::int64_t bytes)>;
 
-/// The streamed lowering's unit of work: whole tile blocks of about this
-/// many bytes (at least one block) are read, checked and placed at a time.
+/// A model load's unit of work: whole tile blocks of about this many bytes
+/// (at least one block) are read, checked and placed at a time.
 inline constexpr std::int64_t kStreamChunkBytes = std::int64_t{64} << 10;
 
-/// A streamed bank gets one load worker per this many bytes, up to the CPUs
-/// the process may run on and its chunk count; below two it runs inline.
+/// A load's fan-out gets one worker per this many bytes of its banks, up to
+/// the CPUs the process may run on and its chunk count; below two it runs
+/// inline.
 inline constexpr std::int64_t kStreamBytesPerWorker = std::int64_t{1} << 20;
+
+class BankLoad;
 
 /// A binary conv layer's packed filters (K x kh x kw x C bits) in execution
 /// layout: one TiledFilterBank.  Copies share one immutable bank; a
@@ -111,9 +124,7 @@ class ConvWeights {
 
  private:
   friend ConvWeights lower_conv_weights(PackedFilterBank filters, const std::string& layer);
-  friend ConvWeights stream_conv_weights(std::int64_t k, std::int64_t kh, std::int64_t kw,
-                                         std::int64_t c, const std::string& layer,
-                                         const ByteSource& read);
+  friend class BankLoad;
   ConvWeights(PackedFilterBank filters, std::int64_t tile);
   /// Adopts a bank already in its layout.
   explicit ConvWeights(TiledFilterBank bank);
@@ -153,8 +164,7 @@ class FcWeights {
 
  private:
   friend FcWeights lower_fc_weights(PackedMatrix weights, const std::string& layer);
-  friend FcWeights stream_fc_weights(std::int64_t rows, std::int64_t cols,
-                                     const std::string& layer, const ByteSource& read);
+  friend class BankLoad;
   FcWeights(PackedMatrix weights, std::int64_t tile);
   /// Adopts a bank of `cols`-bit rows already in its layout.
   FcWeights(TiledBitMatrix bank, std::int64_t cols);
@@ -174,27 +184,78 @@ class FcWeights {
 /// word of any row.
 [[nodiscard]] FcWeights lower_fc_weights(PackedMatrix weights, const std::string& layer);
 
-/// Reads a conv layer's K x kh x kw x C packed filters from `read` — the
-/// filter-major words of the model file, K * kh * kw * ceil(C/64) of them —
-/// straight into the layout lower_conv_weights gives the same bank, with the
-/// same padding check (see the file comment for the chunks and workers).
-/// The extents' byte count must not overflow (the loader charges it to its
-/// budget first).  Throws what `read` throws on a short read, and the
-/// padding error naming `layer` and the filter; when several chunks fail,
-/// the error of the first in file order.  The stream is left after the
-/// bank on success.
-[[nodiscard]] ConvWeights stream_conv_weights(std::int64_t k, std::int64_t kh, std::int64_t kw,
-                                              std::int64_t c, const std::string& layer,
-                                              const ByteSource& read);
+/// One model load's binary banks, filled from the file's filter-major words
+/// chunk by chunk (see the file comment).  conv() and fc() allocate a bank
+/// and queue its chunks; run() reads, checks and places them.  One load
+/// owns a BankLoad; only run()'s workers share it.
+class BankLoad {
+ public:
+  /// `fan_out` false is the serial route: conv() and fc() run their bank's
+  /// chunks before returning, in order on the caller's thread.
+  explicit BankLoad(bool fan_out);
+  ~BankLoad();
+  BankLoad(const BankLoad&) = delete;
+  BankLoad& operator=(const BankLoad&) = delete;
 
-/// stream_conv_weights for a K x N fc matrix (`rows` x `cols` bits).
-[[nodiscard]] FcWeights stream_fc_weights(std::int64_t rows, std::int64_t cols,
-                                          const std::string& layer, const ByteSource& read);
+  /// Allocates the bank lower_conv_weights makes of a layer's K x kh x kw x C
+  /// packed filters, its words not yet written, and queues its chunks, whose
+  /// K * kh * kw * ceil(C/64) filter-major words `read` delivers.  The
+  /// extents' byte count must not overflow (the loader charges it to its
+  /// budget first).  The returned weights hold the lowered bank once run()
+  /// has returned normally; until then nothing may read them.
+  [[nodiscard]] ConvWeights conv(std::int64_t k, std::int64_t kh, std::int64_t kw,
+                                 std::int64_t c, const std::string& layer, ByteSource read);
+
+  /// conv() for a K x N fc matrix (`rows` x `cols` bits).
+  [[nodiscard]] FcWeights fc(std::int64_t rows, std::int64_t cols, const std::string& layer,
+                             ByteSource read);
+
+  /// Runs every queued chunk that has not run (on the fan-out, on a
+  /// transient pool when there are bytes enough for two workers), then
+  /// throws the error of the first failing chunk in file order, if any: what
+  /// its ByteSource threw, or the padding error naming the layer and the
+  /// filter or row.  Once a chunk has failed, no later chunk runs and every
+  /// call throws that error.  A pool worker's own failure (a runtime.worker
+  /// failpoint) propagates as ThreadPool::run_on_all throws it.
+  void run() BF_EXCLUDES(mu_);
+
+ private:
+  struct Bank;
+  /// Rows [first, end) of banks_[bank]: whole tile blocks, in file order.
+  struct Chunk {
+    std::size_t bank;
+    std::int64_t first, end;
+  };
+  static constexpr std::int64_t kNone = std::numeric_limits<std::int64_t>::max();
+
+  /// Queues `bank`'s chunks; on the serial route, runs them.
+  void queue(Bank bank);
+  /// Takes chunks from the cursor until none is left or one before the next
+  /// has failed; `scratch` holds one chunk.
+  void work(std::uint64_t* scratch) BF_EXCLUDES(mu_);
+  /// Reads, checks and places one chunk through `scratch`.
+  void place(const Chunk& chunk, std::uint64_t* scratch) const;
+
+  const bool fan_out_;
+  std::vector<Bank> banks_;
+  std::vector<Chunk> chunks_;
+  std::size_t ran_ = 0;  ///< chunks_ before this index have been handed to run()
+  /// The fan-out's cursor: the next chunk to take.  Ordering contract:
+  /// relaxed fetch_add/store — it only hands out indices; the chunks it
+  /// indexes are published to the workers by the pool's job start, and
+  /// their words to the caller by its join.
+  std::atomic<std::int64_t> next_{0};
+  /// The first-failure bookkeeping: a leaf lock, held only to read or
+  /// record the earliest failing chunk.
+  core::Mutex mu_;
+  std::int64_t failed_chunk_ BF_GUARDED_BY(mu_) = kNone;
+  std::exception_ptr error_ BF_GUARDED_BY(mu_);
+};
 
 /// The rows of the bank the lowering makes of a layer's `rows` filters or
 /// output neurons: whole tiles of the default plan's width T, so up to
 /// T - 1 zero pad rows more than the model file holds.  io::Model::load
-/// charges them to its load budget before the bank is allocated.
+/// charges them to its load budget before BankLoad allocates the bank.
 [[nodiscard]] std::int64_t lowered_rows(std::int64_t rows);
 
 /// The popcount limit L of one binarized filter with `bits` valid bits: a

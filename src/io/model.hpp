@@ -14,14 +14,16 @@
 // In memory the binary weights are already in engine layout: load() and
 // add_conv()/add_fc() lower each bank once (graph/weights.hpp), and every
 // network instantiate() builds shares those immutable banks instead of
-// copying them.  load() streams each bank straight into that layout as it
-// reads it: a bank of 2 MiB or more is checked and interleaved by a
-// transient pool of load workers, one per MiB up to the CPUs the process may
-// run on, which graph owns and joins before the bank is returned; smaller
-// banks run inline on the caller's thread.  So no thread outlives load(),
-// two loads may run at once, and any std::istream works, seekable or not.
-// The file format does not follow the memory layout: save() writes the v1
-// filter-major words, de-interleaving as it goes.
+// copying them.  load() reads each bank straight into that layout.
+// load(path) on a regular file walks the headers, then reads, checks and
+// interleaves every bank's chunks in one fan-out over the CPUs the process
+// may run on, on a transient pool it joins before returning.  load(istream)
+// (and load(path) on a FIFO or a character device) is the serial route: it
+// reads the stream straight through, with no seeking, and places each bank
+// on the caller's thread as it reaches it, so any std::istream works.  No
+// thread outlives load(), and two loads may run at once.  The file format
+// does not follow the memory layout: save() writes the v1 filter-major
+// words, de-interleaving as it goes.
 #pragma once
 
 #include <cstdint>
@@ -113,10 +115,16 @@ class Model {
 
   /// Reads a model from `path` (throws std::runtime_error on I/O failure or
   /// malformed/unsupported content, including a set weight padding bit).
+  /// Both overloads load the same model, or throw the same error, for the
+  /// same bytes.
   [[nodiscard]] static Model load(const std::string& path);
   [[nodiscard]] static Model load(std::istream& is);
 
  private:
+  /// What load() reads from, and the one parse both load()s run (model.cpp).
+  class Source;
+  static Model parse(Source& src);
+
   graph::TensorDesc input_{};
   std::vector<LayerRecord> layers_;
 };

@@ -6,9 +6,16 @@
 // asserting that Model::load either succeeds or throws a clean
 // std::exception — never crashes, leaks, or trips UB (the suite runs under
 // ASan+UBSan in CI) — and that every flip landing in a weight padding bit
-// is rejected.  Seeding is fully deterministic so a failure reproduces from
-// the test name alone.
+// is rejected.  Every byte string is loaded through both routes,
+// load(istream) and load(path) on one per-process file, which must load
+// the same banks or throw the same what().  Seeding is fully deterministic
+// so a failure reproduces from the test name alone.
+#include <unistd.h>
+
 #include <cstdint>
+#include <cstring>
+#include <filesystem>
+#include <fstream>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -72,18 +79,71 @@ bool is_padding_bit(std::size_t offset, unsigned bit) {
   return false;
 }
 
+/// This process's model file for load(path), removed at exit.
+const std::string& model_path() {
+  struct File {
+    std::string path = (std::filesystem::temp_directory_path() /
+                        ("bitflow_fuzz_model_io." + std::to_string(::getpid()) + ".bflow"))
+                           .string();
+    ~File() { std::filesystem::remove(path); }
+  };
+  static const File file;
+  return file.path;
+}
+
+/// What a load made of a byte string: the model's saved bytes followed by
+/// every binary bank's words in memory (pad rows included), or what() of
+/// the error it threw.
+struct Result {
+  bool loaded = false;
+  std::string bytes_or_error;
+};
+
+Result result_of(const Model& m) {
+  std::stringstream ss;
+  m.save(ss);
+  std::string out = ss.str();
+  const auto append = [&out](const TiledBitMatrix& bank) {
+    out.append(reinterpret_cast<const char*>(bank.words()),
+               static_cast<std::size_t>(bank.num_words() * 8));
+  };
+  for (const LayerRecord& r : m.layers()) {
+    if (r.kind == graph::LayerKind::kConv && !r.full_precision) append(r.filters.bank().rows());
+    if (r.kind == graph::LayerKind::kFc) append(r.fc_weights.bank());
+  }
+  return {true, out};
+}
+
 /// load() must either succeed or throw std::exception; anything else
 /// (crash, non-std exception) fails the test/sanitizer run.
-enum class Outcome { kLoaded, kRejected };
-Outcome try_load(const std::string& bytes) {
-  std::stringstream ss(bytes);
+template <typename Load>
+Result load_with(const Load& load) {
   try {
-    const Model m = Model::load(ss);
-    (void)m.num_layers();
-    return Outcome::kLoaded;
-  } catch (const std::exception&) {
-    return Outcome::kRejected;
+    return result_of(load());
+  } catch (const std::exception& e) {
+    return {false, e.what()};
   }
+}
+
+enum class Outcome { kLoaded, kRejected };
+
+/// Loads `bytes` through load(istream) and load(path), and expects both to
+/// load the same banks or throw the same error.
+Outcome try_load(const std::string& bytes) {
+  const Result streamed = load_with([&] {
+    std::stringstream ss(bytes);
+    return Model::load(ss);
+  });
+  {
+    std::ofstream out(model_path(), std::ios::binary | std::ios::trunc);
+    out.write(bytes.data(), static_cast<std::streamsize>(bytes.size()));
+  }
+  const Result from_path = load_with([] { return Model::load(model_path()); });
+  EXPECT_EQ(from_path.loaded, streamed.loaded);
+  EXPECT_TRUE(from_path.bytes_or_error == streamed.bytes_or_error)
+      << "path: " << (from_path.loaded ? "loaded" : from_path.bytes_or_error)
+      << "\nstream: " << (streamed.loaded ? "loaded" : streamed.bytes_or_error);
+  return streamed.loaded ? Outcome::kLoaded : Outcome::kRejected;
 }
 
 TEST(ModelFuzz, TruncationAtEveryOffsetIsRejectedCleanly) {

@@ -1,10 +1,14 @@
 // Model serialization: save/load round-trips, instantiate equivalence, and
 // rejection of malformed files.
+#include <fcntl.h>
 #include <sched.h>
+#include <sys/stat.h>
 #include <unistd.h>
 
 #include <algorithm>
+#include <cerrno>
 #include <chrono>
+#include <csignal>
 #include <cstdio>
 #include <cstring>
 #include <filesystem>
@@ -156,36 +160,70 @@ TEST(ModelIo, TrainedModelSurvivesTheFullPipeline) {
   EXPECT_GT(exported.weight_bytes(), 0);
 }
 
+// --- the two routes into Model::load -------------------------------------------
+
+/// load(istream), read straight through (the serial route), and load(path)
+/// on a regular file (the fan-out).
+enum class Route { kStream, kPath };
+constexpr Route kRoutes[] = {Route::kStream, Route::kPath};
+
+const char* route_name(Route route) { return route == Route::kStream ? "stream" : "path"; }
+
+/// This process's model file for the path route, removed at exit.
+const std::string& model_path() {
+  struct File {
+    std::string path = (std::filesystem::temp_directory_path() /
+                        ("bitflow_io_test." + std::to_string(::getpid()) + ".bflow"))
+                           .string();
+    ~File() { std::filesystem::remove(path); }
+  };
+  static const File file;
+  return file.path;
+}
+
+/// Makes model_path() hold `bytes`, writing only when it holds others.  Two
+/// threads may call it at once only with the bytes it already holds.
+void write_model_file(const std::string& bytes) {
+  static std::string written;
+  if (written == bytes && std::filesystem::exists(model_path())) return;
+  std::ofstream out(model_path(), std::ios::binary | std::ios::trunc);
+  out.write(bytes.data(), static_cast<std::streamsize>(bytes.size()));
+  out.close();
+  ASSERT_TRUE(out) << "cannot write " << model_path();
+  written = bytes;
+}
+
+/// Loads `bytes` through `route`.
+Model load_via(Route route, const std::string& bytes) {
+  if (route == Route::kStream) {
+    std::stringstream in(bytes);
+    return Model::load(in);
+  }
+  write_model_file(bytes);
+  return Model::load(model_path());
+}
+
+/// The bytes `m` saves to.
+std::string saved(const Model& m) {
+  std::stringstream ss;
+  m.save(ss);
+  return ss.str();
+}
+
 TEST(ModelIo, RejectsMalformedStreams) {
-  // Bad magic.
-  {
-    std::stringstream ss;
-    ss << "NOPE garbage";
-    EXPECT_THROW((void)Model::load(ss), std::runtime_error);
-  }
-  // Truncated: valid prefix, missing weights.
-  {
-    const Model a = make_test_model();
-    std::stringstream ss;
-    a.save(ss);
-    const std::string full = ss.str();
-    std::stringstream truncated(full.substr(0, full.size() / 2));
-    EXPECT_THROW((void)Model::load(truncated), std::runtime_error);
-  }
-  // Wrong version.
-  {
-    const Model a = make_test_model();
-    std::stringstream ss;
-    a.save(ss);
-    std::string bytes = ss.str();
-    bytes[4] = 99;  // version field
-    std::stringstream bad(bytes);
-    EXPECT_THROW((void)Model::load(bad), std::runtime_error);
-  }
-  // Empty stream.
-  {
-    std::stringstream empty;
-    EXPECT_THROW((void)Model::load(empty), std::runtime_error);
+  const std::string full = saved(make_test_model());
+  std::string wrong_version = full;
+  wrong_version[4] = 99;  // version field
+  for (const Route route : kRoutes) {
+    SCOPED_TRACE(route_name(route));
+    // Bad magic.
+    EXPECT_THROW((void)load_via(route, "NOPE garbage"), std::runtime_error);
+    // Truncated: valid prefix, missing weights.
+    EXPECT_THROW((void)load_via(route, full.substr(0, full.size() / 2)), std::runtime_error);
+    // Wrong version.
+    EXPECT_THROW((void)load_via(route, wrong_version), std::runtime_error);
+    // Empty stream.
+    EXPECT_THROW((void)load_via(route, ""), std::runtime_error);
   }
 }
 
@@ -602,12 +640,13 @@ TEST(ModelLoadBudget, GiganticDeclaredPayloadIsRejectedBeforeAllocation) {
   // demands ~2^57 bytes of weights — the checked budget must reject it up
   // front (a naive loader would attempt a petabyte allocation here).
   const std::string bytes = conv_header(1 << 24, 64, 64, 1 << 24);
-  std::stringstream ss(bytes);
-  try {
-    (void)Model::load(ss);
-    FAIL() << "expected the load budget to reject the layer";
-  } catch (const std::runtime_error& e) {
-    EXPECT_NE(std::string(e.what()).find("load budget"), std::string::npos) << e.what();
+  for (const Route route : kRoutes) {
+    try {
+      (void)load_via(route, bytes);
+      FAIL() << "expected the load budget to reject the layer (" << route_name(route) << ")";
+    } catch (const std::runtime_error& e) {
+      EXPECT_NE(std::string(e.what()).find("load budget"), std::string::npos) << e.what();
+    }
   }
 }
 
@@ -636,16 +675,17 @@ TEST(ModelLoadBudget, ChargesAccumulateAcrossLayers) {
     bytes.append(1024 * 4, '\0');
     bytes.append(static_cast<std::size_t>(1024) * 3 * 3 * 8, '\0');
   }
-  // Each layer charges 72 KiB weights + 4 KiB thresholds; with a 100 KiB
-  // budget the second layer must push it over.
-  const BudgetGuard tight(100 * 1024);
-  std::stringstream ss(bytes);
-  EXPECT_THROW((void)Model::load(ss), std::runtime_error);
-  // With the 1 MiB guard budget alone it loads fine.
-  const BudgetGuard relaxed(std::int64_t{1} << 20);
-  std::stringstream ss2(bytes);
-  const Model m = Model::load(ss2);
-  EXPECT_EQ(m.num_layers(), 2u);
+  for (const Route route : kRoutes) {
+    SCOPED_TRACE(route_name(route));
+    {
+      // Each layer charges 72 KiB weights + 4 KiB thresholds; with a 100 KiB
+      // budget the second layer must push it over.
+      const BudgetGuard tight(100 * 1024);
+      EXPECT_THROW((void)load_via(route, bytes), std::runtime_error);
+    }
+    // With the 1 MiB guard budget alone it loads fine.
+    EXPECT_EQ(load_via(route, bytes).num_layers(), 2u);
+  }
 }
 
 TEST(ModelLoadBudget, BudgetIsAdjustableAndValidated) {
@@ -655,21 +695,21 @@ TEST(ModelLoadBudget, BudgetIsAdjustableAndValidated) {
 
   // A model that loads under the default budget fails under a 64-byte one.
   const Model a = make_test_model();
-  std::stringstream ss;
-  a.save(ss);
-  {
-    const BudgetGuard guard(64);
-    std::stringstream in(ss.str());
-    try {
-      (void)Model::load(in);
-      FAIL() << "expected budget rejection";
-    } catch (const std::runtime_error& e) {
-      EXPECT_NE(std::string(e.what()).find("load budget"), std::string::npos) << e.what();
+  const std::string bytes = saved(a);
+  for (const Route route : kRoutes) {
+    SCOPED_TRACE(route_name(route));
+    {
+      const BudgetGuard guard(64);
+      try {
+        (void)load_via(route, bytes);
+        FAIL() << "expected budget rejection";
+      } catch (const std::runtime_error& e) {
+        EXPECT_NE(std::string(e.what()).find("load budget"), std::string::npos) << e.what();
+      }
     }
+    // Guard restored the default: the same bytes load again.
+    EXPECT_EQ(load_via(route, bytes).num_layers(), a.num_layers());
   }
-  // Guard restored the default: the same bytes load again.
-  std::stringstream in(ss.str());
-  EXPECT_EQ(Model::load(in).num_layers(), a.num_layers());
 }
 
 TEST(ModelLoadBudget, PaddedBankIsChargedBeforeAllocation) {
@@ -683,25 +723,26 @@ TEST(ModelLoadBudget, PaddedBankIsChargedBeforeAllocation) {
   PackedMatrix w(1, kN);
   fill_random_bits(w, 1401);
   m.add_fc("one", std::move(w));
-  std::stringstream ss;
-  m.save(ss);
-  {
-    const BudgetGuard guard(t * kRowBytes - 1);
-    ASSERT_GT(t * kRowBytes - 1, kRowBytes + 4) << "the file's bytes must fit the budget";
-    const AllocationsFail no_alloc;
-    std::stringstream in(ss.str());
-    try {
-      (void)Model::load(in);
-      FAIL() << "a padded bank past the load budget loaded";
-    } catch (const std::runtime_error& e) {
-      EXPECT_NE(std::string(e.what()).find("load budget at fc weights"), std::string::npos)
-          << e.what();
+  const std::string bytes = saved(m);
+  for (const Route route : kRoutes) {
+    SCOPED_TRACE(route_name(route));
+    write_model_file(bytes);  // before allocations fail
+    {
+      const BudgetGuard guard(t * kRowBytes - 1);
+      ASSERT_GT(t * kRowBytes - 1, kRowBytes + 4) << "the file's bytes must fit the budget";
+      const AllocationsFail no_alloc;
+      try {
+        (void)load_via(route, bytes);
+        FAIL() << "a padded bank past the load budget loaded";
+      } catch (const std::runtime_error& e) {
+        EXPECT_NE(std::string(e.what()).find("load budget at fc weights"), std::string::npos)
+            << e.what();
+      }
     }
+    // The padded bank plus its thresholds' charge fit exactly: it loads.
+    const BudgetGuard exact(t * kRowBytes + 4);
+    EXPECT_EQ(load_via(route, bytes).num_layers(), 1u);
   }
-  // The padded bank plus its thresholds' charge fit exactly: it loads.
-  const BudgetGuard exact(t * kRowBytes + 4);
-  std::stringstream in(ss.str());
-  EXPECT_EQ(Model::load(in).num_layers(), 1u);
 }
 
 // --- streamed, fanned-out load -------------------------------------------------
@@ -808,6 +849,14 @@ struct StreamModel {
     if (!fc_before_wide) at = put_fc(out, "fc", fc);
     if (fc_at != nullptr) *fc_at = at;
     return out;
+  }
+
+  /// Bytes of bank words in the file: what sizes a path load's fan-out.
+  [[nodiscard]] std::int64_t bank_bytes() const {
+    return (k3.num_filters() * k3.words_per_filter() +
+            small.num_filters() * small.words_per_filter() +
+            wide.num_filters() * wide.words_per_filter() + fc.num_words()) *
+           8;
   }
 
   /// Rows per chunk of the fc bank: whole tile blocks of ~kStreamChunkBytes.
@@ -938,33 +987,91 @@ class OneWayBuf : public std::streambuf {
 TEST(ModelStreamLoad, StreamedBanksAreTheLoweredBanks) {
   const StreamModel sm;
   const std::string file = sm.bytes();
+  for (const Route route : kRoutes) {
+    SCOPED_TRACE(route_name(route));
+    const Model m = load_via(route, file + "tail");
+    expect_same_banks(m, sm);
+    EXPECT_TRUE(saved(m) == file) << "save() must reproduce the loaded bytes";
+  }
+  // The serial route leaves the stream right after the model.
   std::stringstream in(file + "tail");
+  (void)Model::load(in);
+  std::string rest;
+  in >> rest;
+  EXPECT_EQ(rest, "tail");
+}
+
+TEST(ModelStreamLoad, PathLoadRunsOneJobPerWorker) {
+  // One fan-out for the whole file: one worker per kStreamBytesPerWorker of
+  // its banks (four here), up to the CPUs, each running one pool job.
+  const StreamModel sm;
+  const std::string file = sm.bytes();
+  write_model_file(file);
+  const std::int64_t workers =
+      std::min(affinity_cpus(), sm.bank_bytes() / graph::kStreamBytesPerWorker);
+  ASSERT_EQ(sm.bank_bytes() / graph::kStreamBytesPerWorker, 4);
   // A sanitizer runtime may start a helper thread at the process's first
   // thread creation: let it happen here, so that only load workers count.
   std::thread([] {}).join();
   std::this_thread::sleep_for(std::chrono::milliseconds(10));
   const std::size_t threads = process_threads();
-  const std::uint64_t tasks = pool_tasks();
-  const Model m = Model::load(in);
-  // The two 2 MiB banks ran on two load workers each; the rest inline.
-  EXPECT_EQ(pool_tasks() - tasks, affinity_cpus() >= 2 ? 4u : 0u);
+  std::uint64_t tasks = pool_tasks();
+  const Model m = Model::load(model_path());
+  EXPECT_EQ(pool_tasks() - tasks, workers >= 2 ? static_cast<std::uint64_t>(workers) : 0u);
   EXPECT_LE(settled_threads(threads), threads) << "a load worker outlived Model::load";
   expect_same_banks(m, sm);
-  // The stream is left right after the model.
-  std::string rest;
-  in >> rest;
-  EXPECT_EQ(rest, "tail");
-  std::stringstream again;
-  m.save(again);
-  EXPECT_TRUE(again.str() == file) << "save() must reproduce the loaded bytes";
+  // The serial route runs no pool.
+  tasks = pool_tasks();
+  std::stringstream in(file);
+  (void)Model::load(in);
+  EXPECT_EQ(pool_tasks(), tasks);
 }
 
 TEST(ModelStreamLoad, SmallBanksLoadInline) {
-  std::stringstream ss;
-  make_tail_model().save(ss);
+  // A small file loads with no pool task on either route.
+  const std::string bytes = saved(make_tail_model());
+  for (const Route route : kRoutes) {
+    write_model_file(bytes);
+    const std::uint64_t tasks = pool_tasks();
+    (void)load_via(route, bytes);
+    EXPECT_EQ(pool_tasks(), tasks) << route_name(route);
+  }
+}
+
+TEST(ModelStreamLoad, FifoPathLoadsThroughTheSerialRoute) {
+  // A FIFO cannot be read at offsets: load(path) reads it straight through,
+  // as a writer thread feeds it.
+  const StreamModel sm;
+  const std::string file = sm.bytes();
+  const std::string fifo = model_path() + ".fifo";
+  ASSERT_EQ(::mkfifo(fifo.c_str(), 0600), 0) << std::strerror(errno);
+  const auto old_sigpipe = std::signal(SIGPIPE, SIG_IGN);  // a failed load closes early
+  std::thread writer([&] {
+    const int fd = ::open(fifo.c_str(), O_WRONLY | O_CLOEXEC);  // waits for the load
+    if (fd < 0) return;
+    for (std::size_t at = 0; at < file.size();) {
+      const ssize_t n = ::write(fd, file.data() + at, file.size() - at);
+      if (n <= 0) break;
+      at += static_cast<std::size_t>(n);
+    }
+    ::close(fd);
+  });
   const std::uint64_t tasks = pool_tasks();
-  (void)Model::load(ss);
-  EXPECT_EQ(pool_tasks(), tasks);
+  std::optional<Model> m;
+  try {
+    m.emplace(Model::load(fifo));
+  } catch (const std::exception& e) {
+    ADD_FAILURE() << e.what();
+    // Let a writer still waiting to open the FIFO through.
+    const int fd = ::open(fifo.c_str(), O_RDONLY | O_NONBLOCK | O_CLOEXEC);
+    if (fd >= 0) ::close(fd);
+  }
+  writer.join();
+  std::signal(SIGPIPE, old_sigpipe);
+  std::filesystem::remove(fifo);
+  ASSERT_TRUE(m.has_value());
+  EXPECT_EQ(pool_tasks(), tasks) << "a FIFO must take the serial route";
+  expect_same_banks(*m, sm);
 }
 
 TEST(ModelStreamLoad, NonSeekableStreamLoadsIdentically) {
@@ -979,17 +1086,20 @@ TEST(ModelStreamLoad, NonSeekableStreamLoadsIdentically) {
 
 TEST(ModelStreamLoad, InstantiateMatchesTheBaseline) {
   const StreamModel sm;
-  std::stringstream in(sm.bytes());
-  const Model m = Model::load(in);
-  for (const int threads : {1, 3}) {
-    graph::NetworkConfig cfg;
-    cfg.num_threads = threads;
-    const graph::BinaryNetwork net = m.instantiate(cfg);
-    for (const std::uint64_t seed : {31u, 32u}) {
-      Tensor x = Tensor::hwc(1, 1, 1000);
-      fill_uniform(x, seed);
-      EXPECT_EQ(scores_of(net, x, threads), sm.baseline_scores(x))
-          << threads << " threads, seed " << seed;
+  const std::string file = sm.bytes();
+  std::vector<Model> models;
+  for (const Route route : kRoutes) models.push_back(load_via(route, file));
+  for (const std::uint64_t seed : {31u, 32u}) {
+    Tensor x = Tensor::hwc(1, 1, 1000);
+    fill_uniform(x, seed);
+    const std::vector<float> want = sm.baseline_scores(x);
+    for (const int threads : {1, 3}) {
+      graph::NetworkConfig cfg;
+      cfg.num_threads = threads;
+      for (std::size_t r = 0; r < models.size(); ++r) {
+        EXPECT_EQ(scores_of(models[r].instantiate(cfg), x, threads), want)
+            << route_name(kRoutes[r]) << ", " << threads << " threads, seed " << seed;
+      }
     }
   }
 }
@@ -997,20 +1107,18 @@ TEST(ModelStreamLoad, InstantiateMatchesTheBaseline) {
 TEST(ModelStreamLoad, TwoLoadsRunAtOnce) {
   const StreamModel sm;
   const std::string file = sm.bytes();
-  std::optional<Model> a, b;
-  std::thread ta([&] {
-    std::stringstream in(file);
-    a.emplace(Model::load(in));
-  });
-  std::thread tb([&] {
-    std::stringstream in(file);
-    b.emplace(Model::load(in));
-  });
-  ta.join();
-  tb.join();
-  ASSERT_TRUE(a && b);
-  expect_same_banks(*a, sm);
-  expect_same_banks(*b, sm);
+  for (const Route route : kRoutes) {
+    SCOPED_TRACE(route_name(route));
+    write_model_file(file);  // so that the two loads only read it
+    std::optional<Model> a, b;
+    std::thread ta([&] { a.emplace(load_via(route, file)); });
+    std::thread tb([&] { b.emplace(load_via(route, file)); });
+    ta.join();
+    tb.join();
+    ASSERT_TRUE(a && b);
+    expect_same_banks(*a, sm);
+    expect_same_banks(*b, sm);
+  }
 }
 
 TEST(ModelStreamLoad, FirstFailingChunkInFileOrderIsReported) {
@@ -1043,33 +1151,44 @@ TEST(ModelStreamLoad, FirstFailingChunkInFileOrderIsReported) {
     const std::string want =
         "weights of layer 'fc': padding bits above N=29199 are set in row " +
         std::to_string(bad_rows[0]);
-    for (int i = 0; i < 20; ++i) {
-      std::stringstream in(file);
-      try {
-        (void)Model::load(in);
-        FAIL() << "a set padding bit loaded";
-      } catch (const std::runtime_error& e) {
-        ASSERT_EQ(std::string(e.what()), want) << "load " << i;
+    for (const Route route : kRoutes) {
+      for (int i = 0; i < 20; ++i) {
+        try {
+          (void)load_via(route, file);
+          FAIL() << "a set padding bit loaded";
+        } catch (const std::runtime_error& e) {
+          ASSERT_EQ(std::string(e.what()), want) << route_name(route) << " load " << i;
+        }
       }
     }
   }
 }
 
 TEST(ModelStreamLoad, TruncationInsideAFannedOutBankThrows) {
+  // Cuts inside the fc bank, with the bank last in the file and with the
+  // wide conv after it.  In the second file the path route's walk steps
+  // over the short fc bank and fails at wide's header past the end of the
+  // file; the fc chunk's short read comes first in file order and wins.
   const StreamModel sm;
-  std::size_t fc_at = 0;
-  const std::string file = sm.bytes(false, &fc_at);
   const std::size_t chunk_bytes = static_cast<std::size_t>(
       StreamModel::fc_chunk_rows() * words_for_channels(StreamModel::kWideK) * 8);
-  const std::size_t fc_bytes = file.size() - fc_at;
-  for (const std::size_t cut : {fc_at + 100, fc_at + 17 * chunk_bytes + 5, file.size() - 8}) {
-    ASSERT_LT(cut, file.size());
-    std::stringstream in(file.substr(0, cut));
-    try {
-      (void)Model::load(in);
-      FAIL() << "a load cut at byte " << cut << " of " << fc_bytes << " fc bytes succeeded";
-    } catch (const std::runtime_error& e) {
-      EXPECT_EQ(std::string(e.what()), "model load: truncated fc weights");
+  for (const bool fc_before_wide : {false, true}) {
+    std::size_t fc_at = 0;
+    const std::string file = sm.bytes(fc_before_wide, &fc_at);
+    const std::size_t fc_end =
+        fc_at + static_cast<std::size_t>(sm.fc.num_words() * 8);
+    for (const std::size_t cut : {fc_at + 100, fc_at + 17 * chunk_bytes + 5, fc_end - 8}) {
+      ASSERT_LT(cut, fc_end);
+      for (const Route route : kRoutes) {
+        try {
+          (void)load_via(route, file.substr(0, cut));
+          FAIL() << "a load cut at byte " << cut << " of " << file.size() << " succeeded ("
+                 << route_name(route) << ")";
+        } catch (const std::runtime_error& e) {
+          EXPECT_EQ(std::string(e.what()), "model load: truncated fc weights")
+              << route_name(route) << ", cut at " << cut;
+        }
+      }
     }
   }
 }
@@ -1088,17 +1207,15 @@ TEST(ModelStreamLoad, PaddedBanksSaveLoadSaveByteIdentically) {
     Model m(graph::TensorDesc{4, 4, 70});
     m.add_conv("c", PackedFilterBank(f), 1, 1);
     m.add_fc("f", PackedMatrix(w));
-    std::stringstream first;
-    m.save(first);
-    const std::string bytes = first.str();
-    std::stringstream in(bytes);
-    const Model loaded = Model::load(in);
-    expect_same_bank(loaded.layers()[0].filters, f);
-    expect_same_bank(loaded.layers()[1].fc_weights, w);
-    std::stringstream second;
-    loaded.save(second);
-    EXPECT_TRUE(second.str() == bytes) << "load -> save must reproduce the bytes";
-    EXPECT_EQ(loaded.weight_bytes(), (k * 9 * 2 + k * 4) * 8) << "the K real rows only";
+    const std::string bytes = saved(m);
+    for (const Route route : kRoutes) {
+      SCOPED_TRACE(route_name(route));
+      const Model loaded = load_via(route, bytes);
+      expect_same_bank(loaded.layers()[0].filters, f);
+      expect_same_bank(loaded.layers()[1].fc_weights, w);
+      EXPECT_TRUE(saved(loaded) == bytes) << "load -> save must reproduce the bytes";
+      EXPECT_EQ(loaded.weight_bytes(), (k * 9 * 2 + k * 4) * 8) << "the K real rows only";
+    }
   }
 }
 

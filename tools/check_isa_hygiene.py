@@ -30,6 +30,17 @@ Three rules, in decreasing order of severity:
 Exit status: 0 when the tree is clean, 1 with one "file:line: message" per
 violation otherwise.  Run from anywhere: paths are resolved relative to the
 repository root (the parent of this script's directory).
+
+`--objects ARCHIVE...` checks the built code instead of the source: it runs
+`nm -A` over the static archives that hold the per-ISA translation units and
+fails when one of their objects defines a symbol the linker may merge across
+objects (nm types W, V and u: weak and unique definitions), other than the
+personality reference every throwing TU emits.  Two per-ISA TUs that emit
+the same such symbol (an un-inlined `inline` helper of a SIMD header, a
+template instantiated the same way) leave the linker free to keep one TU's
+lowering for both, so an AVX-512 VPOPCNTDQ entry point could run byte-LUT
+code with every test still bit-exact.  Exit 77 (ctest's skip code) when nm
+is missing.  `--self-test` runs that check on canned `nm -A` text.
 """
 
 from __future__ import annotations
@@ -37,6 +48,8 @@ from __future__ import annotations
 import argparse
 import pathlib
 import re
+import shutil
+import subprocess
 import sys
 
 # --- the allowlists: the only places ISA-specific code may live --------------
@@ -196,12 +209,119 @@ def check_cmake_file(rel: str, text: str, errors: list[str]) -> None:
             "set_source_files_properties call on a per-ISA translation unit")
 
 
+# --- object mode: what the linker sees of the per-ISA TUs ---------------------
+
+# nm types of definitions the linker may merge across objects: weak (W, V)
+# and unique global (u).
+MERGEABLE_TYPES = {"W", "V", "u"}
+# The personality routine's reference: the same bytes whatever the -m flags.
+MERGEABLE_ALLOWED = {"DW.ref.__gxx_personality_v0"}
+# One `nm -A` line of an archive member: "archive:member.o:address type name"
+# (no address for undefined symbols).
+NM_LINE = re.compile(
+    r"^(?P<archive>.*):(?P<member>[^:/]+\.o):\s*[0-9A-Fa-f]*\s+(?P<type>\S)\s+(?P<name>\S+)$")
+SKIP = 77
+
+
+def per_isa_objects() -> set[str]:
+    """Archive member names of the per-ISA TUs (CMake names them <tu>.o)."""
+    return {pathlib.PurePosixPath(tu).name + ".o" for tu in PER_ISA_TUS}
+
+
+def check_nm_output(text: str) -> list[str]:
+    """Violations in `nm -A` output over the archives: a mergeable symbol
+    defined by a per-ISA object, or a per-ISA object the archives lack."""
+    objects = per_isa_objects()
+    seen: set[str] = set()
+    errors = []
+    for line in text.splitlines():
+        m = NM_LINE.match(line)
+        if not m or m["member"] not in objects:
+            continue
+        seen.add(m["member"])
+        if m["type"] in MERGEABLE_TYPES and m["name"] not in MERGEABLE_ALLOWED:
+            errors.append(
+                f"{m['archive']}({m['member']}): defines {m['type']} {m['name']} — a per-ISA "
+                "object's weak or unique symbol lets the linker keep another TU's lowering")
+    for missing in sorted(objects - seen):
+        errors.append(f"{missing}: per-ISA object not found in the archives")
+    return errors
+
+
+def check_objects(nm: str, archives: list[str]) -> int:
+    tool = shutil.which(nm or "nm")
+    if tool is None:
+        print(f"ISA object hygiene: skipped ({nm or 'nm'} not found)")
+        return SKIP
+    run = subprocess.run([tool, "-A", *archives], capture_output=True, text=True)
+    if run.returncode != 0:
+        print(f"ISA object hygiene: nm failed: {run.stderr.strip()}", file=sys.stderr)
+        return 1
+    errors = check_nm_output(run.stdout)
+    if errors:
+        print(f"ISA object hygiene: {len(errors)} violation(s):", file=sys.stderr)
+        for e in errors:
+            print(f"  {e}", file=sys.stderr)
+        return 1
+    print(f"ISA object hygiene: OK ({len(per_isa_objects())} per-ISA objects in "
+          f"{len(archives)} archives)")
+    return 0
+
+
+def self_test() -> int:
+    """check_nm_output on canned text: a clean listing passes; seeded shared
+    symbols and a missing object are each reported."""
+    clean = []
+    for obj in sorted(per_isa_objects()):
+        clean += [f"lib/libbitflow_x.a:{obj}:0000000000000000 T _ZN7bitflow6kernel_{len(clean)}Ev",
+                  f"lib/libbitflow_x.a:{obj}:0000000000000010 t _ZN12_GLOBAL__N_13OpsEv",
+                  f"lib/libbitflow_x.a:{obj}:                 U memcpy",
+                  f"lib/libbitflow_x.a:{obj}:0000000000000000 V DW.ref.__gxx_personality_v0"]
+    # Generic objects may define mergeable symbols: only per-ISA ones count.
+    clean += ["lib/libbitflow_x.a:parity.cpp.o:0000000000000000 W _ZN7bitflow4simd6ResultD1Ev",
+              "lib/libbitflow_x.a:pressedconv.cpp.o:0000000000000000 u _ZZN6digitsE"]
+    shared = "_ZN7bitflow4simd3inl18popcount_epi64_512EDv8_x"
+    bad = clean + [
+        f"lib/libbitflow_simd.a:bitops_avx512.cpp.o:0000000000000000 W {shared}",
+        f"lib/libbitflow_simd.a:bitops_avx512vp.cpp.o:0000000000000000 W {shared}",
+        "lib/libbitflow_kernels.a:pressedconv_avx2.cpp.o:0000000000000000 u _ZZN4bitflowE4lut",
+        "lib/libbitflow_kernels.a:pressedconv_u64.cpp.o:0000000000000000 V _ZTV8Tile",
+    ]
+    missing = [line for line in clean if ":bitops_sse.cpp.o:" not in line]
+    cases = [
+        ("clean listing", clean, []),
+        ("shared symbols", bad, ["bitops_avx512.cpp.o", "bitops_avx512vp.cpp.o",
+                                 "pressedconv_avx2.cpp.o", "pressedconv_u64.cpp.o"]),
+        ("missing object", missing, ["bitops_sse.cpp.o: per-ISA object not found"]),
+    ]
+    failed = 0
+    for name, lines, want in cases:
+        errors = check_nm_output("\n".join(lines))
+        ok = len(errors) == len(want) and all(w in e for w, e in zip(want, errors))
+        if not ok:
+            failed += 1
+            print(f"self-test '{name}': expected {want}, got {errors}", file=sys.stderr)
+    if failed:
+        return 1
+    print(f"ISA object hygiene self-test: OK ({len(cases)} cases)")
+    return 0
+
+
 def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--root", type=pathlib.Path,
                         default=pathlib.Path(__file__).resolve().parent.parent,
                         help="repository root (default: parent of tools/)")
+    parser.add_argument("--objects", nargs="+", metavar="ARCHIVE",
+                        help="check these static archives' per-ISA objects instead of the source")
+    parser.add_argument("--nm", default="nm", help="the nm to run in --objects mode")
+    parser.add_argument("--self-test", action="store_true",
+                        help="run the --objects check on canned nm output")
     args = parser.parse_args()
+    if args.self_test:
+        return self_test()
+    if args.objects:
+        return check_objects(args.nm, args.objects)
     root = args.root.resolve()
 
     errors: list[str] = []
