@@ -8,18 +8,6 @@ namespace bitflow::baseline {
 
 namespace {
 
-/// Scalar 32-bit xor+popcount over a word run viewed as uint32 halves —
-/// the arithmetic granularity of a bit-packed but unvectorized engine.
-std::uint64_t xor_popcount_u32(const std::uint64_t* a, const std::uint64_t* b, std::int64_t n64) {
-  const auto* a32 = reinterpret_cast<const std::uint32_t*>(a);
-  const auto* b32 = reinterpret_cast<const std::uint32_t*>(b);
-  std::uint64_t total = 0;
-  for (std::int64_t i = 0; i < 2 * n64; ++i) {
-    total += static_cast<std::uint64_t>(__builtin_popcount(a32[i] ^ b32[i]));
-  }
-  return total;
-}
-
 /// Bit-by-bit binarize + pack of one float row (no bit64_u fusion tricks).
 void pack_row_simple(const float* src, std::int64_t bits, std::uint64_t* dst) {
   const std::int64_t words = (bits + 63) / 64;
@@ -81,12 +69,8 @@ void UnoptBinaryConv::run(const Tensor& in, runtime::ThreadPool& pool, Tensor& o
   float* out_data = out.data();
   pool.parallel_for(m, [&](runtime::Range r, int) {
     for (std::int64_t i = r.begin; i < r.end; ++i) {
-      const std::uint64_t* xi = cols.row(i);
-      for (std::int64_t k = 0; k < num_k; ++k) {
-        const std::uint64_t pops = xor_popcount_u32(xi, weights_.row(k), n_words);
-        out_data[i * num_k + k] =
-            static_cast<float>(row_len - 2 * static_cast<std::int64_t>(pops));
-      }
+      detail::xor_popcount_rows_u32(cols.row(i), weights_.words(), weights_.words_per_row(),
+                                    num_k, n_words, row_len, out_data + i * num_k);
     }
   });
 }
@@ -107,11 +91,10 @@ void UnoptBinaryFc::run(const float* x, runtime::ThreadPool& pool, float* y) con
   pack_row_simple(x, n_, xa.row(0));
   const std::int64_t n_words = xa.words_per_row();
   const std::int64_t k = weights_.rows();
+  const std::int64_t stride = weights_.words_per_row();
   pool.parallel_for(k, [&](runtime::Range r, int) {
-    for (std::int64_t j = r.begin; j < r.end; ++j) {
-      const std::uint64_t pops = xor_popcount_u32(xa.row(0), weights_.row(j), n_words);
-      y[j] = static_cast<float>(n_ - 2 * static_cast<std::int64_t>(pops));
-    }
+    detail::xor_popcount_rows_u32(xa.row(0), weights_.words() + r.begin * stride, stride,
+                                  r.end - r.begin, n_words, n_, y + r.begin);
   });
 }
 

@@ -68,4 +68,14 @@ class UnoptBinaryFc {
 void unopt_binary_maxpool(const PackedTensor& in, const kernels::PoolSpec& spec,
                           runtime::ThreadPool& pool, PackedTensor& out);
 
+namespace detail {
+/// out[k] = bits - 2 * popcount(x ^ w_k) for k in [0, rows), where w_k is the
+/// n64-word row at w + k * w_stride: scalar xor + popcount over uint32 halves,
+/// the arithmetic granularity of a bit-packed but unvectorized engine.  The
+/// -mpopcnt TU unopt_popcount.cpp holds it.
+void xor_popcount_rows_u32(const std::uint64_t* x, const std::uint64_t* w,
+                           std::int64_t w_stride, std::int64_t rows, std::int64_t n64,
+                           std::int64_t bits, float* out);
+}  // namespace detail
+
 }  // namespace bitflow::baseline

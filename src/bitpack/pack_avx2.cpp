@@ -6,9 +6,10 @@
 // _CMP_GE_OQ... except that unordered (NaN) compares false there while the
 // scalar `x >= 0.0f` is also false for NaN — so GE_OQ matches the scalar
 // semantics bit-for-bit, including x == -0.0f (>= 0 is true: bit 1).
+//
+// This TU sees raw pointers only: pack_activations_avx2 (packer.cpp) builds
+// the tensor, so no checked tensor code is compiled here with -mavx2.
 #include <immintrin.h>
-
-#include <stdexcept>
 
 #include "bitpack/packer.hpp"
 
@@ -30,16 +31,9 @@ inline std::uint64_t pack64_avx2(const float* p) {
 
 }  // namespace
 
-PackedTensor pack_activations_avx2(const Tensor& hwc) {
-  if (hwc.layout() != Layout::kHWC) {
-    throw std::invalid_argument("pack_activations_avx2 expects an HWC tensor");
-  }
-  PackedTensor out(hwc.height(), hwc.width(), hwc.channels());
-  const std::int64_t c = hwc.channels();
-  const std::int64_t pc = out.words_per_pixel();
-  const float* src = hwc.data();
-  std::uint64_t* dst = out.words();
-  for (std::int64_t px = 0; px < hwc.height() * hwc.width(); ++px) {
+void detail::pack_pixels_avx2(const float* src, std::int64_t pixels, std::int64_t c,
+                              std::int64_t pc, std::uint64_t* dst) {
+  for (std::int64_t px = 0; px < pixels; ++px) {
     const float* p = src + px * c;
     std::uint64_t* o = dst + px * pc;
     std::int64_t i = 0, word = 0;
@@ -52,7 +46,6 @@ PackedTensor pack_activations_avx2(const Tensor& hwc) {
       o[word] = w;
     }
   }
-  return out;
 }
 
 }  // namespace bitflow::bitpack

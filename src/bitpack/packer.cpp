@@ -223,6 +223,16 @@ void pack_row_into(const float* x, std::int64_t count, PackedMatrix& out, std::i
   pack_run(x, count, out.row(row));
 }
 
+PackedTensor pack_activations_avx2(const Tensor& hwc) {
+  if (hwc.layout() != Layout::kHWC) {
+    throw std::invalid_argument("pack_activations_avx2 expects an HWC tensor");
+  }
+  PackedTensor out(hwc.height(), hwc.width(), hwc.channels());
+  detail::pack_pixels_avx2(hwc.data(), hwc.height() * hwc.width(), hwc.channels(),
+                           out.words_per_pixel(), out.words());
+  return out;
+}
+
 PackedTensor pack_activations(const Tensor& hwc) {
   if (simd::cpu_features().avx2) return pack_activations_avx2(hwc);
   return pack_activations_scalar(hwc);

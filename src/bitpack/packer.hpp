@@ -32,6 +32,13 @@ PackedTensor pack_activations_scalar(const Tensor& hwc);
 /// (requires AVX2 at runtime; used automatically by pack_activations).
 PackedTensor pack_activations_avx2(const Tensor& hwc);
 
+namespace detail {
+/// pack_activations_avx2's loop on raw words, alone in its -mavx2 TU: packs
+/// `pixels` HWC pixels of `c` floats each into `pc` words per pixel.
+void pack_pixels_avx2(const float* src, std::int64_t pixels, std::int64_t c, std::int64_t pc,
+                      std::uint64_t* dst);
+}  // namespace detail
+
 /// Packs a channel-planar (CHW) tensor.  The strided gathers this forces are
 /// the reason BitFlow adopts NHWC; kept for the layout ablation.
 PackedTensor pack_activations_from_chw(const Tensor& chw);

@@ -69,7 +69,7 @@ std::string varz_body(const serve::ShardRouter& router) {
     out += p + "queue_depth " + std::to_string(rs.shards[i].queue_depth) + "\n";
     out += p + "outstanding " + std::to_string(rs.shards[i].outstanding) + "\n";
   }
-  // The served generation's committed per-layer execution plan (ISA and
+  // The served network's committed per-layer execution plan (ISA and
   // tile width) — rendered by the serve layer so
   // the wire front-end never reaches around the router into graph.
   out += serve::plan_varz_text(router);
@@ -176,7 +176,7 @@ struct Server::Impl {
         http_requests(telemetry::registry().counter("net.http.requests", label)),
         conns_open(telemetry::registry().gauge("net.connections.open", label)) {
     // Bundle context providers: a triggered diagnostic bundle snapshots the
-    // tier's /varz block and the served generation's profile report next to
+    // tier's /varz block and the served network's profile report next to
     // the trace.  Callbacks run on the triggering thread and only read
     // router state (stats/layers) — they never re-enter the recorder.
     telemetry::flight_add_context(this, "varz", [this] { return varz_body(router); });
@@ -342,11 +342,10 @@ struct Server::Impl {
       resp = http_response(405, "Method Not Allowed", "text/plain", "GET only\n");
     } else if (req.target == "/healthz") {
       const serve::EngineState st = router.state();
-      const bool healthy = st == serve::EngineState::kServing ||
-                           st == serve::EngineState::kReloading;
-      resp = healthy ? http_response(200, "OK", "text/plain", "ok\n")
-                     : http_response(503, "Service Unavailable", "text/plain",
-                                     std::string(serve::engine_state_name(st)) + "\n");
+      resp = st == serve::EngineState::kServing
+                 ? http_response(200, "OK", "text/plain", "ok\n")
+                 : http_response(503, "Service Unavailable", "text/plain",
+                                 std::string(serve::engine_state_name(st)) + "\n");
     } else if (req.target == "/varz") {
       resp = http_response(200, "OK", "text/plain", varz_text(router));
     } else if (req.target == "/metrics") {

@@ -32,7 +32,6 @@ const char* engine_state_name(EngineState s) noexcept {
   switch (s) {
     case EngineState::kStarting: return "starting";
     case EngineState::kServing: return "serving";
-    case EngineState::kReloading: return "reloading";
     case EngineState::kDraining: return "draining";
     case EngineState::kDrained: return "drained";
   }
@@ -86,9 +85,9 @@ struct Engine::Impl {
   std::once_flag shutdown_once;
 
   // --- lifecycle state -------------------------------------------------------
-  // mu_ guards the lifecycle: state machine, generation pointer, in-flight
-  // accounting, per-worker batch tokens, and the breaker census.  It is never
-  // held across inference, a context (re)build, or a queue operation —
+  // mu_ guards the lifecycle: state machine, in-flight accounting,
+  // per-worker batch tokens, and the breaker census.  It is never held
+  // across inference, a context build, or a queue operation —
   // RequestQueue's internal mutex and mu_ stay independent leaves.  Lock
   // order with telemetry: the callback gauges below take mu_ inside the
   // registry mutex at scrape time (Registry mu -> mu_, one-way); nothing
@@ -102,17 +101,14 @@ struct Engine::Impl {
   core::CondVar idle_cv_;
   /// Wakes quarantined workers early (shutdown or drain escalation).
   core::CondVar state_cv_;
-  /// The served network generation.  Workers hold their own shared_ptr while
-  /// executing, so retiring a generation never invalidates a running batch.
-  std::shared_ptr<const graph::BinaryNetwork> net_ BF_GUARDED_BY(mu_);
-  std::uint64_t net_gen_ BF_GUARDED_BY(mu_) = 1;
   /// batch_tokens_[w] = cancel token of worker w's in-progress batch (inert
   /// when the worker is between batches); drain() escalation cancels them.
   std::vector<core::CancelToken> batch_tokens_ BF_GUARDED_BY(mu_);
   int quarantined_ BF_GUARDED_BY(mu_) = 0;
 
-  /// Reload keeps these invariant (validated), so admission reads them
-  /// without touching the generation pointer.
+  /// The served network, set once here and never replaced, so every thread
+  /// reads it (and the shape below, cached for admission) without mu_.
+  const std::shared_ptr<const graph::BinaryNetwork> net_;
   const graph::TensorDesc in_desc_;
   const std::int64_t out_size_;
 
@@ -139,7 +135,6 @@ struct Engine::Impl {
   telemetry::Counter& batch_images;    // occupancy numerator
   telemetry::Counter& queue_overflow;  // full-queue rejections specifically
   telemetry::Counter& drains;
-  telemetry::Counter& reloads;
   telemetry::Counter& quarantines;
   telemetry::Histogram& batch_size_hist;  // linear: exact counts for 0..max_batch
   telemetry::Histogram& latency_us_hist;  // log2 microseconds
@@ -161,7 +156,6 @@ struct Engine::Impl {
         batch_images(telemetry::registry().counter("serve.batch.images", label)),
         queue_overflow(telemetry::registry().counter("serve.queue.overflow", label)),
         drains(telemetry::registry().counter("serve.drains", label)),
-        reloads(telemetry::registry().counter("serve.reloads", label)),
         quarantines(telemetry::registry().counter("serve.worker.quarantines", label)),
         batch_size_hist(
             telemetry::registry().histogram("serve.batch.size", label, c.max_batch)),
@@ -232,57 +226,6 @@ struct Engine::Impl {
   /// it is deliberately not firewalled — it is a caller bug, not an engine
   /// fault.
   void do_submit(Request r, std::chrono::milliseconds deadline) BF_EXCLUDES(mu_);
-
-  /// Shared reload state machine: enter kReloading, obtain the replacement
-  /// generation from `build` (which runs off every serving path — workers
-  /// keep batching on the old generation meanwhile), validate its shape
-  /// against the serving contract, swap under mu_, return to kServing.  On
-  /// any failure the old generation keeps serving untouched.
-  core::Status reload_with(
-      const std::function<
-          core::Result<std::shared_ptr<const graph::BinaryNetwork>>()>& build)
-      BF_EXCLUDES(mu_) {
-    telemetry::TraceSpan span("serve.reload", "serve");
-    {
-      core::MutexLock lock(mu_);
-      if (closing_ || state_ != EngineState::kServing) {
-        return Status{ErrorCode::kUnavailable,
-                      "reload: engine is " + std::string(engine_state_name(state_)) +
-                          (closing_ ? " (shutting down)" : "") +
-                          "; only a serving engine can reload"};
-      }
-      state_ = EngineState::kReloading;  // admission continues in this state
-    }
-    note_state("reloading");
-    Status result;
-    core::Result<std::shared_ptr<const graph::BinaryNetwork>> fresh = build();
-    if (!fresh.is_ok()) {
-      result = fresh.status();
-    } else if (fresh.value()->input_desc() != in_desc_ ||
-               fresh.value()->output_size() != out_size_) {
-      result = Status{
-          ErrorCode::kInvalidModel,
-          "reload: replacement network shape differs from the serving one "
-          "(input/output shapes must be stable across reloads; drain and "
-          "start a new engine instead)"};
-    } else {
-      core::MutexLock lock(mu_);
-      net_ = std::move(fresh.value());
-      ++net_gen_;
-    }
-    if (result.is_ok()) {
-      reloads.add();
-      telemetry::trace_instant("network generation swapped", "reload");
-    } else {
-      telemetry::trace_instant(result.message().c_str(), "reload");
-    }
-    {
-      core::MutexLock lock(mu_);
-      state_ = EngineState::kServing;
-    }
-    note_state("serving");
-    return result;
-  }
 
   void resolve_ok(Request& r, const float* scores, std::int64_t count) {
     const auto now = std::chrono::steady_clock::now();
@@ -414,24 +357,17 @@ struct Engine::Impl {
     --quarantined_;
   }
 
-  /// Worker thread body: replicated per-generation context + batching loop.
-  /// Exits when the queue is closed and drained; every popped request
-  /// resolves.
+  /// Worker thread body: one replicated context, built at start, then the
+  /// batching loop.  Exits when the queue is closed and drained; every
+  /// popped request resolves.
   void worker_main(int widx) {
-    std::shared_ptr<const graph::BinaryNetwork> my_net;
-    std::uint64_t my_gen = 0;
-    {
-      core::MutexLock lock(mu_);
-      my_net = net_;
-      my_gen = net_gen_;
-    }
     // A context build can fail (allocation fault injection, genuine memory
     // pressure): retry — such faults are transient — and bail out only once
     // the engine is shutting down with nothing left to drain.
     std::optional<graph::InferenceContext> ctx;
     while (!ctx.has_value()) {
       try {
-        ctx.emplace(my_net->make_context(cfg.max_batch, cfg.net.num_threads));
+        ctx.emplace(net_->make_context(cfg.max_batch, cfg.net.num_threads));
       } catch (...) {
         // Retrying is right for transient pressure, but a drain escalation
         // must not wait on a worker that cannot build a context: under
@@ -465,34 +401,13 @@ struct Engine::Impl {
     while (next_batch(batch, lapsed)) {
       for (Request& r : lapsed) resolve_expired(r);
 
-      // Generation + drain checks at the batch boundary: one short lock.
+      if (batch.empty()) continue;
+      // Drain check at the batch boundary: one short lock.
       bool hard = false;
-      std::shared_ptr<const graph::BinaryNetwork> fresh;
-      std::uint64_t fresh_gen = 0;
       {
         core::MutexLock lock(mu_);
         hard = drain_hard_;
-        if (net_gen_ != my_gen) {
-          fresh = net_;
-          fresh_gen = net_gen_;
-        }
       }
-      if (fresh) {
-        try {
-          // Build the new generation's context BEFORE retiring the old one:
-          // if the build fails (allocation fault), this worker keeps serving
-          // the previous generation and retries at the next batch boundary.
-          graph::InferenceContext next_ctx =
-              fresh->make_context(cfg.max_batch, cfg.net.num_threads);
-          ctx.reset();  // old context must not outlive its network below
-          ctx.emplace(std::move(next_ctx));
-          my_net = std::move(fresh);
-          my_gen = fresh_gen;
-        } catch (...) {
-          // Transient: stay on the old generation, retry next batch.
-        }
-      }
-      if (batch.empty()) continue;
       if (hard) {
         for (Request& r : batch) {
           resolve_cancelled(r, "request cancelled: engine drained before it could run");
@@ -544,7 +459,7 @@ struct Engine::Impl {
         }
         try {
           BF_FAILPOINT("serve.infer");
-          const std::span<const float> scores = my_net->infer_batch(inputs, *ctx, token);
+          const std::span<const float> scores = net_->infer_batch(inputs, *ctx, token);
           for (std::int64_t b = 0; b < n; ++b) {
             resolve_ok(batch[static_cast<std::size_t>(b)], scores.data() + b * out_size_,
                        out_size_);
@@ -562,7 +477,7 @@ struct Engine::Impl {
               BF_FAILPOINT("serve.infer");
               const Tensor* one = &r.input;
               const std::span<const float> scores =
-                  my_net->infer_batch({&one, 1}, *ctx, token);
+                  net_->infer_batch({&one, 1}, *ctx, token);
               resolve_ok(r, scores.data(), out_size_);
             } catch (const core::CancelledError&) {
               resolve_abandoned(r);
@@ -719,18 +634,8 @@ std::future<core::Result<std::vector<float>>> Engine::submit(Tensor input,
 
 std::future<core::Result<std::vector<float>>> Engine::submit(
     Tensor input, std::chrono::milliseconds deadline, Priority priority) {
-  // Every request resolves exactly once, so the callback owns the promise
-  // and deletes it once set.  A bare pointer keeps the callable inside
-  // std::function's inline buffer: a shared_ptr capture added two heap
-  // blocks per submit, freed by workers, and cut one open-loop submitter's
-  // goodput by 10-20% (bench_serving_throughput --overload).
-  auto* p = new std::promise<core::Result<std::vector<float>>>();
-  std::future<core::Result<std::vector<float>>> fut = p->get_future();
-  submit(std::move(input), deadline, priority,
-         [p](core::Result<std::vector<float>>&& outcome) {
-           p->set_value(std::move(outcome));
-           delete p;
-         });
+  std::future<core::Result<std::vector<float>>> fut;
+  submit(std::move(input), deadline, priority, promise_callback(fut));
   return fut;
 }
 
@@ -942,30 +847,6 @@ core::Status Engine::drain(std::chrono::milliseconds timeout) {
   return {};
 }
 
-core::Status Engine::reload(const io::Model& model) {
-  Impl& im = *impl_;
-  return im.reload_with([&im, &model]()
-                            -> core::Result<std::shared_ptr<const graph::BinaryNetwork>> {
-    try {
-      // The expensive part — instantiate + finalize — happens off every
-      // serving path.
-      return std::make_shared<const graph::BinaryNetwork>(model.instantiate(im.cfg.net));
-    } catch (...) {
-      return map_open_error();
-    }
-  });
-}
-
-core::Status Engine::reload(std::shared_ptr<const graph::BinaryNetwork> net) {
-  if (!net) {
-    return Status{ErrorCode::kBadInput, "reload: network must be non-null"};
-  }
-  return impl_->reload_with(
-      [&net]() -> core::Result<std::shared_ptr<const graph::BinaryNetwork>> {
-        return std::move(net);
-      });
-}
-
 void Engine::shutdown() {
   Impl& im = *impl_;
   std::call_once(im.shutdown_once, [&im] {
@@ -995,7 +876,6 @@ EngineStats Engine::stats() const {
   s.failed = im.failed.value();
   s.cancelled = im.cancelled.value();
   s.batches = im.batches.value();
-  s.reloads = im.reloads.value();
   s.drains = im.drains.value();
   s.quarantines = im.quarantines.value();
   s.queue_depth = im.queue.size();
@@ -1030,21 +910,10 @@ EngineState Engine::state() const {
 
 std::size_t Engine::queue_depth() const { return impl_->queue.size(); }
 
-std::shared_ptr<const graph::BinaryNetwork> Engine::network() const {
-  core::MutexLock lock(impl_->mu_);
-  return impl_->net_;
-}
+std::shared_ptr<const graph::BinaryNetwork> Engine::network() const { return impl_->net_; }
 
 graph::TensorDesc Engine::input_desc() const { return impl_->in_desc_; }
 std::int64_t Engine::output_size() const { return impl_->out_size_; }
-std::vector<graph::LayerInfo> Engine::layers() const {
-  std::shared_ptr<const graph::BinaryNetwork> net;
-  {
-    core::MutexLock lock(impl_->mu_);
-    net = impl_->net_;
-  }
-  return net->layers();
-}
 int Engine::workers() const noexcept { return impl_->cfg.workers; }
 std::int64_t Engine::max_batch() const noexcept { return impl_->cfg.max_batch; }
 

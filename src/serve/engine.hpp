@@ -13,22 +13,17 @@
 // they return a Result carrying the mapped code.  A one-worker engine with
 // infer() is the plain blocking form: one request in, scores or a Status out.
 //
-// Concurrency model: the network is finalized once and immutable; each
-// worker owns a private graph::InferenceContext (buffers + thread pool), so
-// workers never alias mutable state (see the contract in graph/network.hpp).
-// Batches run through the fused batch-N kernels — N requests cost one
-// fork/join per layer and are bit-exact with N separate batch-1 runs.
-// reload() swaps the network between *generations*: each request runs
-// entirely on the generation that was current when its batch started, so a
-// reload under load is linearizable (no request sees two networks).
+// Concurrency model: an engine serves the network it was created with until
+// shutdown.  That network is finalized once and immutable; each worker
+// builds one private graph::InferenceContext (buffers + thread pool) when it
+// starts, so workers never alias mutable state (see the contract in
+// graph/network.hpp).  Batches run through the fused batch-N kernels — N
+// requests cost one fork/join per layer and are bit-exact with N separate
+// batch-1 runs.
 //
 // Lifecycle state machine (see DESIGN.md §"Request lifecycle"):
 //
-//   Starting ──► Serving ◄──► Reloading
-//                  │
-//                drain()
-//                  ▼
-//               Draining ──► Drained ──(shutdown)──► joined
+//   Starting ──► Serving ──drain()──► Draining ──► Drained ──(shutdown)──► joined
 //
 // Error contract:
 //   * bad input: a request whose shape does not match the network fails
@@ -106,12 +101,12 @@ struct EngineConfig {
 };
 
 /// Lifecycle state of an Engine (guarded internally; stats().state snapshots
-/// it).  Serving <-> Reloading admit requests; Draining/Drained refuse with
-/// kUnavailable.
+/// it).  Serving admits requests; Draining/Drained refuse with kUnavailable.
+/// The values are exported as the `serve.state` and `serve.router.state`
+/// gauges, so they stay fixed (2 is unused).
 enum class EngineState : std::uint8_t {
   kStarting = 0,
   kServing = 1,
-  kReloading = 2,
   kDraining = 3,
   kDrained = 4,
 };
@@ -138,7 +133,6 @@ struct EngineStats {
   std::size_t queue_depth = 0;  ///< requests queued at snapshot time
   std::size_t in_flight = 0;    ///< admitted but not yet resolved
   std::uint64_t batches = 0;    ///< micro-batches executed
-  std::uint64_t reloads = 0;    ///< successful reload() generation swaps
   std::uint64_t drains = 0;     ///< drain() calls that entered Draining
   /// Per-request service-time EWMA feeding the shed estimate (ms); 0 until
   /// the first batch completes.
@@ -165,7 +159,7 @@ struct EngineStats {
 
 /// A running serving engine.  Move-only; all public methods are thread-safe
 /// (submit/infer may be called from any number of caller threads, and
-/// drain/reload/shutdown may race with submitters).
+/// drain/shutdown may race with submitters).
 class Engine {
  public:
   /// Builds the network from an in-memory model and starts the workers.
@@ -178,8 +172,8 @@ class Engine {
   /// This is the zero-copy sharding entry point (serve::ShardRouter): N
   /// engines created from the same shared_ptr serve one set of packed
   /// weights — only the per-worker scratch contexts are replicated.  The
-  /// network must be finalized and must outlive nothing (the shared_ptr
-  /// keeps it alive past reload()/shutdown() as long as any batch runs).
+  /// network must be finalized; the engine's shared_ptr keeps it alive
+  /// until the engine is destroyed.
   /// cfg.net.num_threads still sizes the per-worker context pools;
   /// cfg.net's graph-construction fields are ignored (the network exists).
   [[nodiscard]] static core::Result<Engine> create(
@@ -207,7 +201,7 @@ class Engine {
   /// invoked exactly once with the outcome, on whichever thread resolves
   /// the request — an engine worker for served requests, the CALLING thread
   /// (inline, before this returns) for admission rejections.  The callback
-  /// must not throw and must not re-enter this engine (submit/drain/reload
+  /// must not throw and must not re-enter this engine (submit/drain/shutdown
   /// from inside it deadlocks by design, like re-entering the registry from
   /// a callback gauge).  This is the wire front-end's path: the poll loop
   /// hands the socket response directly to the worker that produced the
@@ -233,26 +227,9 @@ class Engine {
   /// checkpoints (kCancelled / kDeadlineExceeded) and drain() returns once
   /// every future has still resolved.  Terminal: a drained engine only
   /// accepts shutdown().  Returns kUnavailable when the engine is not in a
-  /// drainable state (already draining elsewhere, reloading, or shut
-  /// down); an OK Status once drained (idempotent on an already-drained
-  /// engine).
+  /// drainable state (already draining elsewhere, or shut down); an OK
+  /// Status once drained (idempotent on an already-drained engine).
   [[nodiscard]] core::Status drain(std::chrono::milliseconds timeout);
-
-  /// Hot-swaps the served network to `model` without dropping admitted
-  /// requests: builds and finalizes the replacement off the serving path,
-  /// then atomically publishes it as a new generation — workers pick it up
-  /// at their next batch boundary, and every request runs entirely on one
-  /// generation.  Admission continues throughout.  The replacement must
-  /// keep the same input shape and output size (kInvalidModel otherwise —
-  /// the old generation keeps serving).  Returns kUnavailable unless the
-  /// engine is Serving.
-  [[nodiscard]] core::Status reload(const io::Model& model);
-
-  /// Same, but publishing an ALREADY-finalized network built elsewhere: the
-  /// router's fan-out path, where one replacement is instantiated once and
-  /// every shard swaps to the same shared weights (zero copies, N pointer
-  /// swaps).  Same shape contract and state rules as reload(model).
-  [[nodiscard]] core::Status reload(std::shared_ptr<const graph::BinaryNetwork> net);
 
   /// Stops admission, drains queued requests, joins the workers.
   /// Idempotent; called by the destructor.  submit() after shutdown is
@@ -267,14 +244,11 @@ class Engine {
   /// lock, no histogram snapshots — so routing layers may poll it per
   /// request; stats() is the full (heavier) snapshot.
   [[nodiscard]] std::size_t queue_depth() const;
-  /// The CURRENT network generation (shared: reload() may retire it while
-  /// the caller holds the pointer; the weights stay valid regardless).
+  /// The network this engine was created with (lock-free: it never
+  /// changes).  The pointer keeps it alive past the engine.
   [[nodiscard]] std::shared_ptr<const graph::BinaryNetwork> network() const;
   [[nodiscard]] graph::TensorDesc input_desc() const;
   [[nodiscard]] std::int64_t output_size() const;
-  /// Layer descriptors of the CURRENT generation (a snapshot by value:
-  /// reload() may retire the generation while the caller is still reading).
-  [[nodiscard]] std::vector<graph::LayerInfo> layers() const;
   [[nodiscard]] int workers() const noexcept;
   [[nodiscard]] std::int64_t max_batch() const noexcept;
 

@@ -20,7 +20,9 @@
 #include <cstdint>
 #include <deque>
 #include <functional>
+#include <future>
 #include <optional>
+#include <utility>
 #include <vector>
 
 #include "core/status.hpp"
@@ -40,6 +42,22 @@ enum class Priority : std::uint8_t { kNormal = 0, kHigh = 1 };
 /// the submitter itself for admission rejections).  Must not throw and must
 /// not re-enter the engine that invoked it.
 using ResponseCallback = std::function<void(core::Result<std::vector<float>>&&)>;
+
+/// The future form of a ResponseCallback: points `fut` at a new promise and
+/// returns the callback that fulfils it.  The request resolves exactly once,
+/// so the callback owns the promise and deletes it once set.  A bare pointer
+/// keeps the callable inside std::function's inline buffer: a shared_ptr
+/// capture added two heap blocks per submit, freed by workers, and cut one
+/// open-loop submitter's goodput by 10-20% (bench_serving_throughput
+/// --overload).
+inline ResponseCallback promise_callback(std::future<core::Result<std::vector<float>>>& fut) {
+  auto* p = new std::promise<core::Result<std::vector<float>>>();
+  fut = p->get_future();
+  return [p](core::Result<std::vector<float>>&& outcome) {
+    p->set_value(std::move(outcome));
+    delete p;
+  };
+}
 
 /// Observability identity of a request, threaded from the wire frame down
 /// to the kernel spans so one trace joins a request's whole timeline.  Both

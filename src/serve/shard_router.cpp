@@ -212,15 +212,8 @@ core::Result<ShardRouter> ShardRouter::create(const io::Model& model, RouterConf
 
 std::future<core::Result<std::vector<float>>> ShardRouter::submit(
     Tensor input, std::chrono::milliseconds deadline, Priority priority) {
-  // std::function requires copyable callables, so the promise rides in a
-  // shared_ptr.  The router cannot reuse Engine's future form: it completes
-  // through its own callback for the outstanding_ bookkeeping.
-  auto p = std::make_shared<std::promise<core::Result<std::vector<float>>>>();
-  std::future<core::Result<std::vector<float>>> fut = p->get_future();
-  impl_->route(std::move(input), deadline, priority, RequestMeta{},
-               [p = std::move(p)](core::Result<std::vector<float>>&& outcome) {
-                 p->set_value(std::move(outcome));
-               });
+  std::future<core::Result<std::vector<float>>> fut;
+  impl_->route(std::move(input), deadline, priority, RequestMeta{}, promise_callback(fut));
   return fut;
 }
 
@@ -276,58 +269,6 @@ core::Status ShardRouter::drain(std::chrono::milliseconds timeout) {
     }
   }
   return {};
-}
-
-core::Status ShardRouter::reload(std::shared_ptr<const graph::BinaryNetwork> net) {
-  Impl& im = *impl_;
-  if (!net) {
-    return Status{ErrorCode::kBadInput, "reload: network must be non-null"};
-  }
-  {
-    core::MutexLock lock(im.mu_);
-    if (im.state_ != EngineState::kServing) {
-      return Status{ErrorCode::kUnavailable,
-                    "reload: router is " + std::string(engine_state_name(im.state_)) +
-                        "; only a serving router can reload"};
-    }
-    im.state_ = EngineState::kReloading;  // admission continues in this state
-  }
-  note_router_state("reloading");
-  // Fail the whole swap up front on a shape mismatch instead of relying on
-  // every shard rejecting it individually (they would — identically).
-  Status result;
-  if (net->input_desc() != im.engines_.front().input_desc() ||
-      net->output_size() != im.engines_.front().output_size()) {
-    result = Status{ErrorCode::kInvalidModel,
-                    "reload: replacement network shape differs from the serving one "
-                    "(input/output shapes must be stable across reloads)"};
-  } else {
-    for (std::size_t s = 0; s < im.engines_.size(); ++s) {
-      Status st = im.engines_[s].reload(net);  // shared: no copy per shard
-      if (!st.is_ok()) {
-        result = Status{st.code(), "shard " + std::to_string(s) + ": " + st.message()};
-        break;  // already-swapped shards keep the new generation; retry converges
-      }
-    }
-  }
-  {
-    core::MutexLock lock(im.mu_);
-    im.state_ = EngineState::kServing;
-  }
-  note_router_state("serving");
-  return result;
-}
-
-core::Status ShardRouter::reload(const io::Model& model) {
-  try {
-    // Instantiate ONCE for the whole tier — the per-shard fan-out shares
-    // the pointer, preserving zero-copy across reload generations.
-    auto net = std::make_shared<const graph::BinaryNetwork>(
-        model.instantiate(impl_->cfg.engine.net));
-    return reload(std::move(net));
-  } catch (...) {
-    return map_open_error();
-  }
 }
 
 void ShardRouter::shutdown() {

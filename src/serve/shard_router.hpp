@@ -14,10 +14,9 @@
 //
 // Zero-copy weight sharing: every shard serves the SAME immutable finalized
 // graph::BinaryNetwork through a shared_ptr — N shards cost N inference
-// contexts (activation buffers), not N copies of the packed weights.
-// reload() instantiates the replacement generation once and fans the same
-// shared_ptr out to every shard through the PR 7 per-engine Reloading state
-// machine, so a model swap under live traffic drops nothing.
+// contexts (activation buffers), not N copies of the packed weights.  Like
+// an engine, the router serves the network it was created with until
+// shutdown.
 //
 // Routing policy: power of two choices.  Each request probes two distinct
 // uniformly-random shards and joins the one with fewer outstanding
@@ -75,7 +74,7 @@ struct RouterStats {
 
 /// N-shard serving tier over one shared immutable network.  Movable,
 /// non-copyable; thread-safe like Engine (any thread may submit/drain/
-/// reload concurrently).
+/// shutdown concurrently).
 class ShardRouter {
  public:
   /// Builds the network once (instantiate + finalize) and shares it across
@@ -84,7 +83,7 @@ class ShardRouter {
                                                         RouterConfig cfg = {});
 
   /// Shares an already-finalized network across the shards (zero-copy: the
-  /// caller's pointer IS the served generation).
+  /// caller's pointer IS the served network).
   [[nodiscard]] static core::Result<ShardRouter> create(
       std::shared_ptr<const graph::BinaryNetwork> net, RouterConfig cfg = {});
 
@@ -122,14 +121,6 @@ class ShardRouter {
   /// kDrained regardless; the returned status is the first shard failure.
   [[nodiscard]] core::Status drain(std::chrono::milliseconds timeout);
 
-  /// Builds the replacement generation ONCE, then fans the shared_ptr out
-  /// to every shard (Engine::reload).  On a shard failure the fan-out
-  /// stops and the error is returned: shards already swapped keep the new
-  /// generation, the rest keep the old (both satisfy the same shape
-  /// contract; retry to converge).
-  [[nodiscard]] core::Status reload(const io::Model& model);
-  [[nodiscard]] core::Status reload(std::shared_ptr<const graph::BinaryNetwork> net);
-
   /// Stops every shard: closes queues, resolves all admitted requests,
   /// joins all workers.  Idempotent.
   void shutdown();
@@ -140,8 +131,7 @@ class ShardRouter {
   /// Direct shard access for tests and diagnostics.  REQUIRES: 0 <= i <
   /// shards().
   [[nodiscard]] Engine& shard(int i);
-  /// The served generation (shard 0's; all shards converge on it outside a
-  /// failed-reload window).
+  /// The served network, the one every shard shares.
   [[nodiscard]] std::shared_ptr<const graph::BinaryNetwork> network() const;
   [[nodiscard]] graph::TensorDesc input_desc() const;
   [[nodiscard]] std::int64_t output_size() const;
@@ -152,7 +142,7 @@ class ShardRouter {
   std::unique_ptr<Impl> impl_;
 };
 
-/// One "/varz" line per weight layer of the served generation, exposing the
+/// One "/varz" line per weight layer of the served network, exposing the
 /// committed execution plan:
 ///   layer.<name>.plan isa=<isa> tile=<T>
 /// tile is the register-tile width T (graph::default_kernel_plan).
@@ -160,7 +150,7 @@ class ShardRouter {
 /// router instead of reaching into graph.
 [[nodiscard]] std::string plan_varz_text(const ShardRouter& router);
 
-/// One "/varz" line per profiled layer of the served generation, exposing
+/// One "/varz" line per profiled layer of the served network, exposing
 /// the roofline attribution next to the plan:
 ///   layer.<name>.perf gops=<G> roof_gops=<R> ait=<A> ipc=<I> llc_mpki=<M>
 ///   source=<measured|calibrated>

@@ -5,7 +5,7 @@
 // looks at a shed storm or a p99 blowout, the trace that would explain it is
 // gone.  The flight recorder keeps the trace sink armed permanently in
 // passive mode (per-thread rings that keep each thread's newest events, see
-// trace.hpp).  Discrete facts — sheds, quarantines, reloads, deadline
+// trace.hpp).  Discrete facts — sheds, quarantines, drains, deadline
 // breaches, failpoint hits, lifecycle transitions — are trace instants in
 // the same rings, categorized and joined to their wire request id.  When a
 // trigger fires — the SLO-breach detector over observed outcomes, a worker

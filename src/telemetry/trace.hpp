@@ -18,7 +18,7 @@
 //   net     : "net.request" — wire frame receipt on the poll thread
 //   serve   : "serve.batch" — one micro-batch through a worker;
 //             "serve.batch.member" — instant, one request joining a batch;
-//             "serve.reload", "serve.drain"
+//             "serve.drain"
 //   graph   : "graph.infer_batch", "pack_input" — one pass through the chain
 //   layer   : "layer:<name>" — one network stage
 //   kernel  : "<kernel>[<isa>,tN]" — the kernel dispatch inside a stage
@@ -31,7 +31,7 @@
 //   deadline, error, cancel : one request's failed resolution (rid-tagged)
 //   shed    : a rejection by the router's lifecycle gate or the wire's
 //             per-connection in-flight cap
-//   reload, drain, failpoint, decode_error : serving-tier facts
+//   drain, failpoint, decode_error : serving-tier facts
 //   flight  : "<trigger>" — a flight-recorder trigger fired
 //
 // Request-scoped joining: events carry an optional request id (`rid`,

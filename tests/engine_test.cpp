@@ -148,7 +148,7 @@ TEST_F(EngineTest, IntrospectionReflectsModelAndConfig) {
   EXPECT_EQ(engine.max_batch(), 4);
   EXPECT_EQ(engine.output_size(), 10);
   EXPECT_EQ(engine.input_desc(), (graph::TensorDesc{8, 8, 8}));
-  EXPECT_EQ(engine.layers().size(), 3u);
+  EXPECT_EQ(engine.network()->layers().size(), 3u);
 }
 
 // --- bit-exactness ----------------------------------------------------------

@@ -249,7 +249,7 @@ TEST_F(FaultMatrixTest, ForcedIsaFallbackKeepsResultsBitExact) {
   failpoint::arm("simd.force_fallback",
                  Config{Action::kSite, Trigger::kAlways, 1});
   Engine engine = open_engine();
-  for (const graph::LayerInfo& info : engine.layers()) {
+  for (const graph::LayerInfo& info : engine.network()->layers()) {
     if (!info.full_precision) {
       EXPECT_EQ(info.isa, simd::IsaLevel::kU64) << info.name;
     }

@@ -1,5 +1,5 @@
 // telemetry/flight_recorder under stress: passive trace snapshots while the
-// serving tier drains/reloads under a chaos failpoint schedule, trigger
+// serving tier drains under a chaos failpoint schedule, trigger
 // rate-limiting (exactly-one-bundle), the SLO-breach and error-rate
 // detectors, bundles that keep a thread's newest events after its ring
 // wrapped, and byte-level corruption fuzzing of the bundle loader with the
@@ -288,11 +288,11 @@ TEST(FlightBundles, LoadWithNoEventsAfterTheTraceStopped) {
 }
 
 // ---------------------------------------------------------------------------
-// Chaos: concurrent trace snapshots while a real engine drains and reloads
-// under the chaos failpoint schedule.  TSan gate for every lock-free path
-// the serving layer exercises in production.
+// Chaos: concurrent trace snapshots while a real engine drains under the
+// chaos failpoint schedule.  TSan gate for every lock-free path the serving
+// layer exercises in production.
 
-TEST(FlightChaos, EventLoggingSurvivesDrainReloadAndFailpoints) {
+TEST(FlightChaos, EventLoggingSurvivesDrainAndFailpoints) {
   failpoint::disarm_all();
   TempDir dir("chaos");
   FlightRecorderConfig cfg = base_cfg(dir);
@@ -335,8 +335,8 @@ TEST(FlightChaos, EventLoggingSurvivesDrainReloadAndFailpoints) {
     });
   }
 
-  // Chaos thread: the chaos_test failpoint catalog plus drain/reload flips.
-  std::thread chaos([&engine, &model, &stop] {
+  // Chaos thread: the chaos_test failpoint catalog.
+  std::thread chaos([&stop] {
     struct Entry {
       const char* point;
       failpoint::Action action;
@@ -350,7 +350,6 @@ TEST(FlightChaos, EventLoggingSurvivesDrainReloadAndFailpoints) {
         {"serve.cancel_checkpoint", failpoint::Action::kSite, 0},
     };
     std::mt19937 rng(1234);
-    int round = 0;
     while (!stop.load(std::memory_order_relaxed)) {
       const Entry& e = kSchedule[rng() % std::size(kSchedule)];
       failpoint::Config c;
@@ -360,10 +359,6 @@ TEST(FlightChaos, EventLoggingSurvivesDrainReloadAndFailpoints) {
       c.n = 1 + rng() % 3;
       failpoint::arm(e.point, c);
       std::this_thread::sleep_for(10ms);
-      if (++round % 5 == 0) {
-        failpoint::disarm_all();
-        (void)engine.reload(model);
-      }
     }
     failpoint::disarm_all();
   });
@@ -378,7 +373,11 @@ TEST(FlightChaos, EventLoggingSurvivesDrainReloadAndFailpoints) {
     }
   });
 
-  std::this_thread::sleep_for(400ms);
+  // Drain mid-storm: traffic, failpoints and snapshots keep running through
+  // it, and the traffic that follows meets the drained engine's gate.
+  std::this_thread::sleep_for(200ms);
+  const core::Status drained = engine.drain(5000ms);
+  std::this_thread::sleep_for(100ms);
   stop.store(true, std::memory_order_relaxed);
   for (auto& t : traffic) t.join();
   chaos.join();
@@ -386,12 +385,14 @@ TEST(FlightChaos, EventLoggingSurvivesDrainReloadAndFailpoints) {
   failpoint::disarm_all();
   engine.shutdown();
 
+  ASSERT_TRUE(drained.is_ok()) << drained.to_string();
   EXPECT_GT(submitted.load(std::memory_order_relaxed), 0u);
-  // The chaos left its facts in the passive trace: every reload records a
-  // "reload" instant, and the lifecycle transitions around it.
+  // The drain left its facts in the passive trace: its span and the
+  // lifecycle transitions on either side of it.
   const std::string snap = trace_snapshot_json();
-  EXPECT_NE(snap.find("\"cat\":\"reload\""), std::string::npos);
-  EXPECT_NE(snap.find("\"cat\":\"lifecycle\""), std::string::npos);
+  EXPECT_NE(snap.find("\"name\":\"serve.drain\""), std::string::npos);
+  EXPECT_NE(snap.find("\"name\":\"lifecycle:draining\""), std::string::npos);
+  EXPECT_NE(snap.find("\"name\":\"lifecycle:drained\""), std::string::npos);
   // At most one bundle despite sustained trigger pressure: the 1h interval
   // rate limit held under full concurrency.
   EXPECT_LE(bundle_dirs(dir).size(), 1u);

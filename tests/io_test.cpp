@@ -564,32 +564,6 @@ TEST(ModelSharing, NetworksOutliveTheModelAndRunConcurrently) {
   EXPECT_TRUE(bad_three.empty());
 }
 
-TEST(ModelSharing, EngineReloadServesTheModelsBanks) {
-  // Same shapes, different weights.
-  const SharedChain first(96, 11, 100), second(96, 11, 200);
-  serve::EngineConfig cfg;
-  cfg.workers = 1;
-  auto created = serve::Engine::create(first.loaded_model(), cfg);
-  ASSERT_TRUE(created.is_ok()) << created.status().to_string();
-  serve::Engine& engine = created.value();
-  const Tensor x = first.input(20);
-  // One answered request: the worker has built its context before
-  // allocations are made to fail.
-  auto served = engine.submit(x).get();
-  ASSERT_TRUE(served.is_ok()) << served.status().to_string();
-  EXPECT_EQ(served.value(), first.baseline_scores(x));
-  {
-    const Model model = second.loaded_model();
-    // The new generation adopts the Model's banks: nothing to allocate.
-    const AllocationsFail no_alloc;
-    const core::Status st = engine.reload(model);
-    ASSERT_TRUE(st.is_ok()) << st.to_string();
-  }  // the Model is gone; the serving network keeps the banks alive
-  served = engine.submit(x).get();
-  ASSERT_TRUE(served.is_ok()) << served.status().to_string();
-  EXPECT_EQ(served.value(), second.baseline_scores(x));
-}
-
 // --- load-budget hardening ---------------------------------------------------
 
 /// Little-endian append of a trivially copyable value (matches write_pod in

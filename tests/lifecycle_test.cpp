@@ -1,14 +1,11 @@
 // Request-lifecycle hardening: deadline propagation with cooperative
 // cancellation, adaptive load shedding, priority lanes, circuit-breaker
-// quarantine, and graceful drain/reload.
+// quarantine, and graceful drain.
 //
-// Covers the lifecycle tentpole's acceptance criteria:
+// Covers the lifecycle acceptance criteria:
 //   * drain() completes in-flight work, refuses new submits (kUnavailable),
 //     and past its timeout cancels the remainder — every admitted future
 //     still resolves;
-//   * reload() swaps network generations without dropping a single admitted
-//     request, stays linearizable under a submit storm (every result is
-//     bit-exact against exactly one generation), and rejects shape changes;
 //   * a mid-inference deadline aborts at the next layer-boundary checkpoint
 //     (kDeadlineExceeded) instead of running the network to completion;
 //   * adaptive shedding rejects doomed normal-priority requests at admission
@@ -48,16 +45,15 @@ using failpoint::Action;
 using failpoint::Config;
 using failpoint::Trigger;
 
-/// Same miniature conv->pool->fc model the engine tests use; `weight_seed`
-/// varies the filters so two models share shapes but not outputs.
-io::Model make_model(std::uint64_t weight_seed = 11) {
+/// Same miniature conv->pool->fc model the engine tests use.
+io::Model make_model() {
   io::Model m(graph::TensorDesc{8, 8, 8});
-  FilterBank filters = models::random_filters(16, 3, 3, 8, weight_seed);
+  FilterBank filters = models::random_filters(16, 3, 3, 8, 11);
   std::vector<float> th(16);
   for (int i = 0; i < 16; ++i) th[static_cast<std::size_t>(i)] = static_cast<float>(i) - 8.0f;
   m.add_conv("c1", bitpack::pack_filters(filters), 1, 1, th);
   m.add_maxpool("p1", kernels::PoolSpec{2, 2, 2});
-  const auto w = models::random_fc_weights(4 * 4 * 16, 10, 12 + weight_seed);
+  const auto w = models::random_fc_weights(4 * 4 * 16, 10, 23);
   m.add_fc("f1", bitpack::pack_transpose_fc_weights(w.data(), 4 * 4 * 16, 10));
   return m;
 }
@@ -258,7 +254,6 @@ TEST_F(LifecycleTest, DrainCompletesInFlightThenRefusesNewWork) {
   auto rejected = engine.submit(make_input(99)).get();
   ASSERT_FALSE(rejected.is_ok());
   EXPECT_EQ(rejected.status().code(), ErrorCode::kUnavailable);
-  EXPECT_EQ(engine.reload(model).code(), ErrorCode::kUnavailable);
   EXPECT_TRUE(engine.drain(1ms).is_ok());  // idempotent
 
   engine.shutdown();
@@ -353,107 +348,6 @@ TEST_F(LifecycleTest, DrainFailpointRefusesWithUnavailable) {
   EXPECT_EQ(engine.state(), EngineState::kServing);
   EXPECT_TRUE(engine.infer(make_input(1)).is_ok());
   ASSERT_TRUE(engine.drain(1000ms).is_ok());
-}
-
-// --- reload -----------------------------------------------------------------
-
-TEST_F(LifecycleTest, ReloadSwapsGenerationsBitExactly) {
-  const io::Model m1 = make_model(11);
-  const io::Model m2 = make_model(77);
-  const Tensor input = make_input(5);
-  const std::vector<float> ref1 = reference_scores(m1, input);
-  const std::vector<float> ref2 = reference_scores(m2, input);
-  ASSERT_NE(ref1, ref2) << "weight seeds must produce distinct networks";
-
-  EngineConfig cfg;
-  cfg.workers = 2;
-  Engine engine = make_engine(cfg, m1);
-  auto r1 = engine.infer(input);
-  ASSERT_TRUE(r1.is_ok());
-  EXPECT_EQ(r1.value(), ref1);
-
-  ASSERT_TRUE(engine.reload(m2).is_ok());
-  EXPECT_EQ(engine.state(), EngineState::kServing);
-  auto r2 = engine.infer(input);
-  ASSERT_TRUE(r2.is_ok());
-  EXPECT_EQ(r2.value(), ref2);
-
-  const EngineStats s = engine.stats();
-  EXPECT_EQ(s.reloads, 1u);
-  EXPECT_EQ(s.failed, 0u);
-}
-
-TEST_F(LifecycleTest, ReloadRejectsShapeChangeAndKeepsServingOldGeneration) {
-  const io::Model m1 = make_model();
-  io::Model wrong(graph::TensorDesc{8, 8, 8});
-  std::vector<float> th(16, 0.0f);
-  wrong.add_conv("c1", bitpack::pack_filters(models::random_filters(16, 3, 3, 8, 3)), 1, 1,
-                 th);
-  wrong.add_maxpool("p1", kernels::PoolSpec{2, 2, 2});
-  const auto w = models::random_fc_weights(4 * 4 * 16, 7, 4);  // 7 classes != 10
-  wrong.add_fc("f1", bitpack::pack_transpose_fc_weights(w.data(), 4 * 4 * 16, 7));
-
-  const Tensor input = make_input(5);
-  Engine engine = make_engine({}, m1);
-  EXPECT_EQ(engine.reload(wrong).code(), ErrorCode::kInvalidModel);
-  EXPECT_EQ(engine.state(), EngineState::kServing);
-  EXPECT_EQ(engine.stats().reloads, 0u);
-  auto r = engine.infer(input);
-  ASSERT_TRUE(r.is_ok());
-  EXPECT_EQ(r.value(), reference_scores(m1, input));
-}
-
-TEST_F(LifecycleTest, ReloadUnderSubmitStormIsLinearizable) {
-  // Callers hammer submit() while the main thread flips generations; every
-  // future must resolve OK and bit-exactly match exactly ONE generation —
-  // a request that saw half of each network would produce a third answer.
-  const io::Model m1 = make_model(11);
-  const io::Model m2 = make_model(77);
-  const Tensor input = make_input(5);
-  const std::vector<float> ref1 = reference_scores(m1, input);
-  const std::vector<float> ref2 = reference_scores(m2, input);
-
-  EngineConfig cfg;
-  cfg.workers = 2;
-  cfg.max_batch = 4;
-  cfg.batch_timeout = 100us;
-  cfg.queue_capacity = 1024;
-  Engine engine = make_engine(cfg, m1);
-
-  std::vector<std::future<core::Result<std::vector<float>>>> futures(256);
-  std::vector<std::thread> callers;
-  std::atomic<std::size_t> next{0};
-  for (int t = 0; t < 4; ++t) {
-    callers.emplace_back([&] {
-      for (;;) {
-        // Ordering contract: relaxed — slot indices only need uniqueness.
-        const std::size_t slot = next.fetch_add(1, std::memory_order_relaxed);
-        if (slot >= futures.size()) return;
-        futures[slot] = engine.submit(input);
-      }
-    });
-  }
-  for (int flip = 0; flip < 6; ++flip) {
-    const core::Status st = engine.reload(flip % 2 == 0 ? m2 : m1);
-    ASSERT_TRUE(st.is_ok()) << st.to_string();
-    std::this_thread::sleep_for(2ms);
-  }
-  for (std::thread& t : callers) t.join();
-
-  int gen1 = 0, gen2 = 0;
-  for (std::size_t i = 0; i < futures.size(); ++i) {
-    auto r = futures[i].get();
-    ASSERT_TRUE(r.is_ok()) << "request " << i << ": " << r.status().to_string();
-    if (r.value() == ref1) {
-      ++gen1;
-    } else if (r.value() == ref2) {
-      ++gen2;
-    } else {
-      FAIL() << "request " << i << " matches neither generation";
-    }
-  }
-  EXPECT_EQ(gen1 + gen2, 256);
-  EXPECT_EQ(engine.stats().reloads, 6u);
 }
 
 // --- adaptive load shedding -------------------------------------------------

@@ -7,7 +7,8 @@
 //     admitted request completes, and the p99 latency of admitted requests
 //     stays at or below the request deadline;
 //   * observability rides the same port: /healthz, /varz, /metrics (the
-//     PR 5 Prometheus exposition) answer over minimal HTTP/1.1;
+//     Prometheus exposition) answer over minimal HTTP/1.1, and the
+//     exported state gauges follow a drain;
 //   * fail-closed wire handling: malformed bytes and the net.frame_decode
 //     failpoint produce ONE machine-readable Error frame, then close;
 //   * fault matrix: net.accept and net.frame_decode injections surface the
@@ -26,6 +27,7 @@
 #include <cstdint>
 #include <cstring>
 #include <filesystem>
+#include <sstream>
 #include <string>
 #include <thread>
 #include <utility>
@@ -239,7 +241,7 @@ TEST_F(ServerTest, HttpEndpointsServeHealthVarzAndMetrics) {
   EXPECT_NE(varz.value().find("router.state serving"), std::string::npos) << varz.value();
   EXPECT_NE(varz.value().find("router.shards 2"), std::string::npos);
   EXPECT_NE(varz.value().find("shard.1.queue_depth"), std::string::npos);
-  // Per-layer execution plan of the served generation: the default plan of
+  // Per-layer execution plan of the served network: the default plan of
   // c1 (K = 16) and f1 (K = 10, one padded tile), one line each.
   for (const char* name : {"c1", "f1"}) {
     const graph::KernelPlan plan = graph::default_kernel_plan(simd::cpu_features());
@@ -274,8 +276,29 @@ TEST_F(ServerTest, HttpRejectsUnknownTargetsAndNonGet) {
   EXPECT_FALSE(Client::http_get("127.0.0.1", server_->port(), "/nope").is_ok());
 }
 
+/// The values of every series of one family in a Prometheus exposition.
+std::vector<double> series_values(const std::string& body, const std::string& family) {
+  std::vector<double> values;
+  std::istringstream lines(body);
+  for (std::string line; std::getline(lines, line);) {
+    if (line.rfind(family + "{", 0) == 0) values.push_back(std::stod(line.substr(line.rfind(' '))));
+  }
+  return values;
+}
+
 TEST_F(ServerTest, HealthzReportsUnhealthyOnceDraining) {
+  // The state gauges export EngineState's numbers: the router and each of
+  // its shards (the only engines alive) read 1 while serving, 4 once drained.
+  const auto expect_state_gauges = [this](double want) {
+    auto metrics = Client::http_get("127.0.0.1", server_->port(), "/metrics");
+    ASSERT_TRUE(metrics.is_ok()) << metrics.status().to_string();
+    EXPECT_EQ(series_values(metrics.value(), "serve_router_state"), std::vector<double>{want});
+    EXPECT_EQ(series_values(metrics.value(), "serve_state"),
+              std::vector<double>(static_cast<std::size_t>(router_->shards()), want));
+  };
+  expect_state_gauges(1);
   ASSERT_TRUE(router_->drain(1000ms).is_ok());
+  expect_state_gauges(4);
   auto health = Client::http_get("127.0.0.1", server_->port(), "/healthz");
   EXPECT_FALSE(health.is_ok());  // 503: the tier refuses new work
   // The data plane agrees with the health check.

@@ -1,22 +1,20 @@
 // serve::ShardRouter: sharded routing over one shared network.
 //
 // Pins the tentpole's router guarantees:
-//   * zero-copy weight sharing: every shard's served generation is the SAME
-//     BinaryNetwork object (pointer equality), before and after reload;
+//   * zero-copy weight sharing: every shard's served network is the SAME
+//     BinaryNetwork object (pointer equality);
 //   * power-of-two-choices balance: with shards wedged open (stalled
 //     workers), routed load keeps the max/min outstanding gap bounded far
 //     below what a pathological single-shard pile-up would show;
 //   * bit-exactness through routing: whatever shard a request lands on, the
 //     scores equal the direct infer_batch answer;
-//   * drain/reload fan-out: a drain under load resolves EVERY admitted
-//     future (no broken_promise, no hang), reload under live traffic keeps
-//     every request on exactly one generation;
+//   * drain fan-out: a drain under load resolves EVERY admitted future (no
+//     broken_promise, no hang);
 //   * lifecycle gates: Draining/Drained reject new work with kUnavailable.
 #include <chrono>
 #include <cstdint>
 #include <future>
 #include <set>
-#include <thread>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -96,52 +94,11 @@ TEST_F(ShardRouterTest, ShardsShareOneNetworkZeroCopy) {
   ASSERT_TRUE(r.is_ok()) << r.status().to_string();
   ShardRouter router = std::move(r.value());
 
-  // The caller's pointer IS the served generation, on every shard.
+  // The caller's pointer IS the served network, on every shard.
   EXPECT_EQ(router.network().get(), net.get());
   for (int s = 0; s < router.shards(); ++s) {
     EXPECT_EQ(router.shard(s).network().get(), net.get()) << "shard " << s;
   }
-}
-
-TEST_F(ShardRouterTest, ReloadSwapsEveryShardToOneNewGeneration) {
-  auto r = ShardRouter::create(model_, small_config(2));
-  ASSERT_TRUE(r.is_ok()) << r.status().to_string();
-  ShardRouter router = std::move(r.value());
-  const graph::BinaryNetwork* old_gen = router.network().get();
-
-  auto fresh = std::make_shared<const graph::BinaryNetwork>(
-      model_.instantiate(graph::NetworkConfig{}));
-  ASSERT_TRUE(router.reload(fresh).is_ok());
-  for (int s = 0; s < router.shards(); ++s) {
-    EXPECT_EQ(router.shard(s).network().get(), fresh.get()) << "shard " << s;
-    EXPECT_NE(router.shard(s).network().get(), old_gen) << "shard " << s;
-  }
-  // Scores from the reloaded tier still match the direct answer.
-  Tensor in = make_input(1);
-  graph::InferenceContext ctx = fresh->make_context(1);
-  const Tensor* batch[] = {&in};
-  const auto direct = fresh->infer_batch(batch, ctx);
-  auto routed = router.infer(make_input(1));
-  ASSERT_TRUE(routed.is_ok()) << routed.status().to_string();
-  ASSERT_EQ(routed.value().size(), direct.size());
-  for (std::size_t i = 0; i < direct.size(); ++i) {
-    EXPECT_EQ(routed.value()[i], direct[i]) << "score " << i;
-  }
-}
-
-TEST_F(ShardRouterTest, ReloadRejectsShapeChange) {
-  auto r = ShardRouter::create(model_, small_config(2));
-  ASSERT_TRUE(r.is_ok());
-  ShardRouter router = std::move(r.value());
-
-  io::Model other(graph::TensorDesc{4, 4, 8});  // different input shape
-  const auto w = models::random_fc_weights(4 * 4 * 8, 10, 5);
-  other.add_fc("f1", bitpack::pack_transpose_fc_weights(w.data(), 4 * 4 * 8, 10));
-  const core::Status st = router.reload(other);
-  ASSERT_FALSE(st.is_ok());
-  EXPECT_EQ(st.code(), ErrorCode::kInvalidModel);
-  // The old generation keeps serving.
-  EXPECT_TRUE(router.infer(make_input(2)).is_ok());
 }
 
 // --- routing ----------------------------------------------------------------
@@ -259,52 +216,6 @@ TEST_F(ShardRouterTest, DrainUnderLoadResolvesEveryAdmittedFuture) {
 
   // Idempotent.
   EXPECT_TRUE(router.drain(20ms).is_ok());
-}
-
-TEST_F(ShardRouterTest, ReloadUnderLiveTrafficDropsNothing) {
-  RouterConfig cfg = small_config(2);
-  auto r = ShardRouter::create(model_, cfg);
-  ASSERT_TRUE(r.is_ok());
-  ShardRouter router = std::move(r.value());
-
-  auto fresh = std::make_shared<const graph::BinaryNetwork>(
-      model_.instantiate(graph::NetworkConfig{}));
-
-  std::atomic<bool> stop{false};
-  std::atomic<int> ok{0}, failed{0};
-  std::vector<std::thread> clients;
-  for (int t = 0; t < 3; ++t) {
-    clients.emplace_back([&router, &stop, &ok, &failed, t] {
-      std::uint64_t seed = static_cast<std::uint64_t>(t) * 1000;
-      // Ordering contract: relaxed — test-local tallies and a stop flag.
-      while (!stop.load(std::memory_order_relaxed)) {
-        auto outcome = router.infer(make_input(seed++));
-        if (outcome.is_ok()) {
-          ok.fetch_add(1, std::memory_order_relaxed);
-        } else {
-          failed.fetch_add(1, std::memory_order_relaxed);
-        }
-      }
-    });
-  }
-  // Pace the reloads against observed traffic so every swap really happens
-  // under live load (and some requests land on each generation).
-  for (int i = 0; i < 5; ++i) {
-    const int before = ok.load(std::memory_order_relaxed);
-    while (ok.load(std::memory_order_relaxed) < before + 3) {
-      std::this_thread::sleep_for(1ms);
-    }
-    ASSERT_TRUE(router.reload(fresh).is_ok()) << "reload " << i;
-  }
-  stop.store(true, std::memory_order_relaxed);
-  for (std::thread& t : clients) t.join();
-
-  // Reloads are invisible to traffic: nothing failed, everything resolved.
-  EXPECT_EQ(failed.load(std::memory_order_relaxed), 0);
-  EXPECT_GT(ok.load(std::memory_order_relaxed), 0);
-  for (int s = 0; s < router.shards(); ++s) {
-    EXPECT_EQ(router.shard(s).network().get(), fresh.get()) << "shard " << s;
-  }
 }
 
 TEST_F(ShardRouterTest, CallbackSubmitResolvesInlineOnRejection) {

@@ -104,7 +104,7 @@ int self_test() {
   telemetry::flight_add_context(&cfg, "selftest",
                                 [] { return std::string("fixture section\n"); });
   telemetry::trace_instant("self-test shed", "shed", 7);
-  telemetry::trace_instant("self-test reload", "reload");
+  telemetry::trace_instant("self-test drain escalated", "drain");
   CHECK(telemetry::flight_trigger(telemetry::FlightTrigger::kManual,
                                   "bundle_dump self-test"));
   {
@@ -122,7 +122,7 @@ int self_test() {
   auto loaded = telemetry::load_bundle(bundle_dir);
   CHECK(loaded.is_ok());
   // The summary counts instants per category (the trigger adds "flight").
-  CHECK(telemetry::bundle_summary(loaded.value()).find(" reload=1 shed=1") !=
+  CHECK(telemetry::bundle_summary(loaded.value()).find(" drain=1 flight=1 shed=1") !=
         std::string::npos);
 
   const auto run_on_bundle = [&bundle_dir](std::vector<const char*> args) {

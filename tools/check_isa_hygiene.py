@@ -69,7 +69,7 @@ PER_ISA_TUS = {
     "src/kernels/pressedconv_avx512vp.cpp",
     "src/bitpack/pack_avx2.cpp",
     "src/baseline/sgemm_avx2.cpp",
-    "src/baseline/unopt_binary.cpp",
+    "src/baseline/unopt_popcount.cpp",
 }
 
 # Headers holding intrinsic implementations; their lowering depends on the
