@@ -1,15 +1,16 @@
 // google-benchmark microbenchmarks of the gemm-level primitives: per-ISA
-// xor+popcount word runs (the Eq. 1 inner loop), the binarize+pack
-// transforms, and the PressedConv kernel at every (ISA, tile width) — the
-// raw numbers behind every figure.
+// or-accumulate word runs (the max pool), the binarize+pack transforms, and
+// the PressedConv kernel at every (ISA, tile width) — the raw numbers behind
+// every figure.  The kernel rows skip SSE: its getters return the u64
+// entry points, so an sse row would time the u64 tile a second time.
 //
 // After the google-benchmark run, main() prints one machine-readable
-// `BENCH {...}` JSON line per supported ISA level for the headline tiling
-// workload (3x3, C = K = 256, 16x16 output: the kernel at that ISA's
-// default T against the scalar u64 tile), and one comparing the default
-// plan with the paper-rule plan at VGG-16 conv1_2's shape; CI's perf-smoke
-// job and the committed BENCH_pressedconv.json baseline come from these
-// lines.
+// `BENCH {...}` JSON line per supported ISA level with a kernel of its own
+// for the headline tiling workload (3x3, C = K = 256, 16x16 output: the
+// kernel at that ISA's default T against the scalar u64 tile), and one
+// comparing the default plan with the paper-rule plan at VGG-16 conv1_2's
+// shape; CI's perf-smoke job and the committed BENCH_pressedconv.json
+// baseline come from these lines.
 #include <algorithm>
 #include <chrono>
 #include <cstdint>
@@ -41,23 +42,6 @@ std::vector<std::uint64_t> random_words(std::int64_t n, std::uint64_t seed) {
   std::vector<std::uint64_t> v(static_cast<std::size_t>(n));
   for (auto& w : v) w = rng();
   return v;
-}
-
-void BM_XorPopcount(benchmark::State& state) {
-  const auto isa = static_cast<simd::IsaLevel>(state.range(0));
-  const std::int64_t n = state.range(1);
-  if (!simd::cpu_features().supports(isa)) {
-    state.SkipWithError("ISA not available");
-    return;
-  }
-  const auto a = random_words(n, 1);
-  const auto b = random_words(n, 2);
-  const auto fn = simd::xor_popcount_fn(isa);
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(fn(a.data(), b.data(), n));
-  }
-  state.SetBytesProcessed(static_cast<std::int64_t>(state.iterations()) * n * 16);
-  state.SetLabel(std::string(simd::isa_name(isa)));
 }
 
 void BM_OrAccumulate(benchmark::State& state) {
@@ -188,11 +172,11 @@ void IsaByLength(benchmark::internal::Benchmark* b) {
 
 void IsaByTile(benchmark::internal::Benchmark* b) {
   for (int isa = 0; isa < 4; ++isa) {
+    if (static_cast<simd::IsaLevel>(isa) == simd::IsaLevel::kSse) continue;  // the u64 tile
     b->Args({isa, kernels::weight_tile_width(static_cast<simd::IsaLevel>(isa))});
   }
 }
 
-BENCHMARK(BM_XorPopcount)->Apply(IsaByLength);
 BENCHMARK(BM_OrAccumulate)->Apply(IsaByLength);
 BENCHMARK(BM_PackActivationsScalar)->Args({56, 128})->Args({14, 512});
 BENCHMARK(BM_PackActivationsAvx2)->Args({56, 128})->Args({14, 512});
@@ -209,6 +193,7 @@ BENCHMARK(BM_HistogramRecord);
 void emit_tiling_bench_json() {
   constexpr std::int64_t kC = 256, kK = 256, kKernel = 3, kIn = 18;
   for (simd::IsaLevel isa : simd::supported_isa_levels()) {
+    if (isa == simd::IsaLevel::kSse) continue;  // runs the u64 tile
     const bench::TiledConvResult r = bench::measure_tiled_conv(isa, kIn, kIn, kC, kK, kKernel);
     std::printf(
         "BENCH {\"bench\":\"pressedconv_tiled\",\"isa\":\"%s\",\"tile\":%lld,\"p\":%lld,"
@@ -388,8 +373,9 @@ void emit_cancel_bench_json() {
 }
 
 // --plans mode: the matrix of the fused-binarize tiled conv over VGG-16's
-// 13 conv shapes (224x224 input, 3x3, pad 1), at every ISA variant the host
-// runs — both AVX-512 popcount lowerings included — on `threads` threads
+// 13 conv shapes (224x224 input, 3x3, pad 1), at every kernel lowering the
+// host runs — both AVX-512 popcount lowerings included, SSE left out as the
+// u64 tile under another name — on `threads` threads
 // (one unless --threads N follows).  One `BENCH {"bench":"vgg16_conv_plan",
 // ...}` line per (layer, variant) with the variant's one tile width T and
 // the register-block height P it compiles in; "default" marks the plan the
@@ -417,6 +403,7 @@ void emit_vgg16_plan_matrix_json(int threads) {
       PackedTensor* outs[] = {&out};
       const simd::IsaLevel def = graph::default_kernel_plan(features).isa;
       for (const simd::IsaVariant& v : simd::supported_isa_variants()) {
+        if (v.isa == simd::IsaLevel::kSse) continue;  // runs the u64 tile
         const std::int64_t t = kernels::weight_tile_width(v.isa);
         const TiledFilterBank bank = bitpack::tile_filters(filters, t);
         const auto fn = kernels::conv_binarize_kernel(v.isa, v.use_vpopcntdq);

@@ -12,7 +12,8 @@ int main() {
 
   const simd::CpuFeatures& f = simd::cpu_features();
   std::printf("Paper Table I instruction coverage on this CPU:\n");
-  std::printf("  _mm_xor_si128 (SSE)                         : %s\n", f.sse42 ? "native" : "-");
+  std::printf("  _mm_xor_si128 (SSE)                         : %s\n",
+              f.sse42 ? "native, no kernel of its own: sse → u64 tile" : "-");
   std::printf("  _mm256_xor_si256 (AVX2)                     : %s\n", f.avx2 ? "native" : "-");
   std::printf("  _mm512_xor_si512 / maskz_xor_epi64 (AVX512) : %s\n",
               f.avx512f ? "native" : "-");
@@ -22,14 +23,17 @@ int main() {
               "governs the pools, and the engine plan the conv and fc operators run:\n");
   for (const auto& op : models::table4_benchmarks()) {
     const auto isa = graph::select_isa(op.c, f);
-    std::printf("  %-8s C=%-6lld -> paper rule %-7s", op.name.c_str(),
-                static_cast<long long>(op.c), std::string(simd::isa_name(isa)).c_str());
+    const std::string rule(simd::isa_name(isa));
+    std::printf("  %-8s C=%-6lld -> ", op.name.c_str(), static_cast<long long>(op.c));
     if (op.kind == graph::LayerKind::kPool) {
-      std::printf("  (pool: runs the paper rule)\n");
+      std::printf("paper rule %s (pool: runs the paper rule)\n", rule.c_str());
     } else {
+      // The paper's SSE rung has no tile of its own: it would run the u64 one.
       const graph::KernelPlan plan = graph::default_kernel_plan(f);
-      std::printf("  engine plan %s, T=%lld\n", std::string(simd::isa_name(plan.isa)).c_str(),
-                  static_cast<long long>(kernels::weight_tile_width(plan.isa)));
+      std::printf("engine plan %s, T=%lld; paper rule %s\n",
+                  std::string(simd::isa_name(plan.isa)).c_str(),
+                  static_cast<long long>(kernels::weight_tile_width(plan.isa)),
+                  isa == simd::IsaLevel::kSse ? "sse → u64 tile" : rule.c_str());
     }
   }
   return 0;

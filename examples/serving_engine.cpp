@@ -15,7 +15,7 @@
 //   4. read the engine's counters: throughput, achieved batch sizes, and
 //      latency quantiles — the numbers bench_serving_throughput sweeps;
 //   5. print the per-layer profile of the served model: time, achieved
-//      GOPS and the measured roofline of each layer's chosen ISA.
+//      GOPS and the roof of the register-tiled kernel each layer runs.
 //
 // Observability: run with BITFLOW_TRACE=trace.json to get a Chrome-tracing
 // timeline of every request -> batch -> layer -> kernel span (open it at
@@ -120,7 +120,7 @@ int main() {
               stats.latency_p50_ms, stats.latency_p99_ms);
 
   // 5. Per-layer profile with roofline attribution: where the time goes and
-  // how close each layer runs to its ISA's measured xor+popcount peak.
+  // how close each layer runs to the calibrated roof of its tile kernel.
   graph::NetworkConfig prof_cfg;
   prof_cfg.profile = true;
   prof_cfg.num_threads = 1;

@@ -4,6 +4,8 @@
 #include <atomic>
 #include <cstdio>
 #include <cstring>
+#include <map>
+#include <new>
 #include <stdexcept>
 #include <utility>
 
@@ -11,7 +13,10 @@
 #include "bitpack/packer.hpp"
 #include "core/ait.hpp"
 #include "core/failpoint.hpp"
+#include "core/sync.hpp"
+#include "core/thread_annotations.hpp"
 #include "kernels/padding.hpp"
+#include "runtime/timer.hpp"
 #include "telemetry/perf_counters.hpp"
 #include "telemetry/profiler.hpp"
 #include "telemetry/trace.hpp"
@@ -106,6 +111,73 @@ struct BufferPlan {
   std::int64_t scores_size = 0;          // per-image output floats
 };
 
+/// Whether a conv or fc layer planned at `isa` runs the VPOPCNTDQ lowering:
+/// at AVX-512, whenever the CPU has it.
+bool runs_vpopcntdq(simd::IsaLevel isa) {
+  return isa == simd::IsaLevel::kAvx512 && simd::cpu_features().avx512vpopcntdq;
+}
+
+/// One thread's GOPS through the raw-dot conv entry point `dot`, whose banks
+/// are tiled at `tile`: C = 512, K = 64, 3x3 windows and an 8 x 16 output,
+/// so whole P-blocks and whole T-tiles at every ISA, and about 80 KiB of
+/// operands and dots.  Best of 16 calls after a warm-up: a few ms for the
+/// slowest (u64) tile.
+double time_roof_gops(kernels::ConvDotFn dot, std::int64_t tile) {
+  constexpr std::int64_t kC = 512, kK = 64, kWin = 3, kOutH = 8, kOutW = 16;
+  PackedTensor in(kOutH + kWin - 1, kOutW + kWin - 1, kC);
+  TiledFilterBank bank(TiledBitMatrix(kK, kWin * kWin * words_for_channels(kC), tile), kWin,
+                       kWin, kC);
+  // Popcounts cost the same on any bits; writing every word just keeps the
+  // operands off the shared zero page.
+  std::uint64_t x = 0x9e3779b97f4a7c15ULL;
+  const auto fill = [&x](std::uint64_t* w, std::int64_t n) {
+    for (std::int64_t i = 0; i < n; ++i) w[i] = x *= 0xbf58476d1ce4e5b9ULL;
+  };
+  fill(in.words(), in.num_words());
+  fill(bank.rows().words(), bank.rows().num_words());
+  Tensor out = Tensor::hwc(kOutH, kOutW, kK);
+  const PackedTensor* ins[] = {&in};
+  Tensor* outs[] = {&out};
+  runtime::ThreadPool pool(1);
+  const double seconds = runtime::measure_best_seconds(
+      [&] { dot(ins, 1, bank, kernels::ConvSpec{kWin, kWin, 1}, pool, outs); }, 16, 0.0);
+  return 2.0 * static_cast<double>(kOutH * kOutW * kK * kWin * kWin * kC) / seconds / 1e9;
+}
+
+/// The compute roof of one thread of every conv and fc layer planned at
+/// `isa`: time_roof_gops of the raw-dot conv entry point it dispatches
+/// (bgemm runs the same TileAcc at the same P), measured by the first call
+/// that needs it, then cached for the process.  The cache is keyed by the
+/// entry point, so an SSE cap, which runs the u64 entry, reads the u64
+/// roof.  0 when an injected pool or allocation fault (or a real
+/// allocation failure) interrupts the measurement: that report shows no
+/// roof, and the next one measures again.  Thread-safe.
+double one_thread_roof_gops(simd::IsaLevel isa) {
+  struct Cache {
+    core::Mutex mu;
+    std::map<kernels::ConvDotFn, double> gops BF_GUARDED_BY(mu);
+  };
+  static Cache* cache = new Cache();  // leaked: usable during static teardown
+  const kernels::ConvDotFn dot = kernels::conv_dot_kernel(isa, runs_vpopcntdq(isa));
+  {
+    core::MutexLock lock(cache->mu);
+    if (const auto it = cache->gops.find(dot); it != cache->gops.end()) return it->second;
+  }
+  // Measured without the lock, which stays a leaf (the pool takes its own).
+  double gops = 0.0;
+  try {
+    gops = time_roof_gops(dot, kernels::weight_tile_width(isa));
+  } catch (const failpoint::FaultInjected&) {
+    return 0.0;
+  } catch (const std::bad_alloc&) {
+    return 0.0;
+  }
+  core::MutexLock lock(cache->mu);
+  // When two first reports race, the first measurement stays: one roof per
+  // entry point for the process.
+  return cache->gops.try_emplace(dot, gops).first->second;
+}
+
 }  // namespace
 
 struct BinaryNetwork::Impl {
@@ -145,6 +217,12 @@ struct BinaryNetwork::Impl {
     std::atomic<std::uint64_t> samples{0};
   };
   std::unique_ptr<PerfStage[]> perf_stats;
+
+  /// Largest thread count among the contexts that ran a profiled inference
+  /// since finalize() or reset_profile(): the roof scales to it.
+  /// Ordering contract: relaxed — a monotonic maximum read by
+  /// profile_report() as a standalone value; it publishes nothing.
+  mutable std::atomic<int> profiled_threads{0};
 
   /// Folds one stage's counter delta into the shared accumulators.
   void record_perf(std::size_t row, const telemetry::PerfCounts& d) const {
@@ -461,7 +539,7 @@ void BinaryNetwork::finalize(TensorDesc input) {
     s.kind = l.kind;
     s.isa = info.isa;
     s.is_last = (i + 1 == n_layers);
-    const bool vpopcnt = info.isa == simd::IsaLevel::kAvx512 && hw.avx512vpopcntdq;
+    const bool vpopcnt = runs_vpopcntdq(info.isa);
     switch (l.kind) {
       case LayerKind::kConv: {
         s.conv_spec = l.conv_spec;
@@ -675,12 +753,20 @@ std::span<const float> BinaryNetwork::infer_batch(std::span<const Tensor* const>
   // more — the telemetry overhead budget CI enforces.
   const bool profile = im.cfg.profile || telemetry::profiling_enabled();
   cx.profile_ms.clear();
+  if (profile) {
+    // Ordering contract: relaxed — see Impl::profiled_threads.
+    int seen = im.profiled_threads.load(std::memory_order_relaxed);
+    while (seen < cx.pool.num_threads() &&
+           !im.profiled_threads.compare_exchange_weak(seen, cx.pool.num_threads(),
+                                                      std::memory_order_relaxed)) {
+    }
+  }
   telemetry::TraceSpan whole_span("graph.infer_batch", "graph", n);
   std::uint64_t t0 = profile ? telemetry::trace_now_ns() : 0;
   // Hardware-counter attribution rides the same stage boundaries as the
   // wall-clock profile.  When perf_event_open is unavailable (CI containers,
   // perf_event_paranoid, BITFLOW_NO_PERF) the sampler stays inactive and
-  // every profile row keeps the calibrated-peak roofline (source=calibrated).
+  // every profile row keeps the calibrated roof (source=calibrated).
   if (profile && !cx.perf_open_attempted) {
     cx.perf_open_attempted = true;
     if (telemetry::PerfSampler::available()) {
@@ -917,6 +1003,9 @@ ProfileReport BinaryNetwork::profile_report() const {
   if (!im.finalized) throw std::logic_error("BinaryNetwork: profile_report before finalize");
   ProfileReport rep;
   rep.rows.reserve(im.stages.size() + 1);
+  // Ordering contract: relaxed — see Impl::profiled_threads.
+  const int ran = im.profiled_threads.load(std::memory_order_relaxed);
+  const int threads = ran > 0 ? ran : im.cfg.num_threads;
   for (std::size_t i = 0; i < im.stages.size() + 1; ++i) {
     LayerProfile row;
     if (i == 0) {
@@ -938,14 +1027,15 @@ ProfileReport BinaryNetwork::profile_report() const {
       // ops/ns == GOPS; normalized per image so fused batches don't inflate.
       row.gops = im.stage_ops[i - 1] * static_cast<double>(v.units) /
                  static_cast<double>(v.total_ns);
-      // The roof only applies to layers running the binary primitive.
+      // The roof only applies to layers running a register tile: its
+      // kernel's one-thread roof times the threads that ran it.
       if (im.stage_ait[i - 1] > 0.0) {
-        row.roof_gops = telemetry::roofline_peak_gops(im.stages[i - 1].isa);
+        row.roof_gops = one_thread_roof_gops(im.stages[i - 1].isa) * threads;
       }
     }
     // Measured hardware-counter attribution, when the sampler ran for this
     // stage; otherwise the row keeps perf_source = "calibrated" and the
-    // calibrated-peak roofline above is the only evidence.
+    // calibrated roof above is the only evidence.
     const Impl::PerfStage& p = im.perf_stats[i];
     // Ordering contract: relaxed — see PerfStage declaration.
     if (p.samples.load(std::memory_order_relaxed) > 0) {
@@ -966,6 +1056,8 @@ ProfileReport BinaryNetwork::profile_report() const {
 void BinaryNetwork::reset_profile() {
   Impl& im = *impl_;
   if (!im.finalized) return;
+  // Ordering contract: relaxed — see Impl::profiled_threads.
+  im.profiled_threads.store(0, std::memory_order_relaxed);
   for (std::size_t i = 0; i < im.stages.size() + 1; ++i) {
     im.span_stats[i].reset();
     Impl::PerfStage& p = im.perf_stats[i];
@@ -978,22 +1070,25 @@ void BinaryNetwork::reset_profile() {
 }
 
 std::string ProfileReport::to_table() const {
+  // The kernel column holds the longest name, bgemm_binarize_rows[avx512,
+  // t16,p4]; the roof column a roof of up to six digits, since it scales
+  // with the thread count.
   std::string out;
-  char line[224];
-  std::snprintf(line, sizeof line,
-                "%-14s %-30s %7s %7s %9s %9s %9s %8s %14s %6s %5s %7s %10s\n", "layer",
-                "kernel", "calls", "images", "mean_ms", "p50_ms", "p99_ms", "gops",
-                "roof(gops)", "ait", "ipc", "mpki", "src");
+  char line[256];
+  const int header = std::snprintf(
+      line, sizeof line, "%-14s %-34s %7s %7s %9s %9s %9s %8s %15s %6s %5s %7s %10s\n", "layer",
+      "kernel", "calls", "images", "mean_ms", "p50_ms", "p99_ms", "gops", "roof(gops)", "ait",
+      "ipc", "mpki", "src");
   out += line;
-  out.append(143, '-');
+  out.append(static_cast<std::size_t>(header - 1), '-');
   out += '\n';
   for (const LayerProfile& r : rows) {
-    char roof[24] = "n/a";
+    char roof[32] = "n/a";
     char ait_s[16] = "n/a";
     char ipc_s[16] = "n/a";
     char mpki_s[16] = "n/a";
     if (r.roof_gops > 0.0) {
-      std::snprintf(roof, sizeof roof, "%6.1f (%3.0f%%)", r.roof_gops,
+      std::snprintf(roof, sizeof roof, "%8.1f (%3.0f%%)", r.roof_gops,
                     100.0 * r.gops / r.roof_gops);
     }
     if (r.ait > 0.0) std::snprintf(ait_s, sizeof ait_s, "%.1f", r.ait);
@@ -1002,7 +1097,7 @@ std::string ProfileReport::to_table() const {
       std::snprintf(mpki_s, sizeof mpki_s, "%.2f", r.llc_mpki);
     }
     std::snprintf(line, sizeof line,
-                  "%-14s %-30s %7llu %7llu %9.4f %9.4f %9.4f %8.1f %14s %6s %5s %7s %10s\n",
+                  "%-14s %-34s %7llu %7llu %9.4f %9.4f %9.4f %8.1f %15s %6s %5s %7s %10s\n",
                   r.name.c_str(), r.kernel.c_str(),
                   static_cast<unsigned long long>(r.calls),
                   static_cast<unsigned long long>(r.images), r.mean_ms, r.p50_ms, r.p99_ms,

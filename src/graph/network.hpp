@@ -110,8 +110,11 @@ struct LayerProfile {
   /// Achieved binary-op throughput (2 ops per MAC, the bench convention);
   /// 0 for stages with no counted arithmetic (pool, input pack).
   double gops = 0.0;
-  /// Measured xor+popcount roof for this layer's ISA (telemetry
-  /// roofline_peak_gops); 0 = not applicable (full-precision, pool, pack).
+  /// Compute roof of the register-tiled kernel this layer dispatches: its
+  /// one-thread GOPS on cache-resident operands, calibrated once per
+  /// process, times the largest thread count among the contexts that ran
+  /// the profiled inferences; 0 = not applicable (full-precision, pool,
+  /// pack) or no samples.
   double roof_gops = 0.0;
   /// Arithmetic intensity of the layer's direct binary convolution
   /// (core/ait, ops per memory element); 0 = not applicable.
@@ -123,7 +126,7 @@ struct LayerProfile {
   double ipc = 0.0;
   double llc_mpki = 0.0;
   /// Roofline provenance: "measured" when hardware counters backed this
-  /// row, "calibrated" when only the calibrated-peak model applies (perf
+  /// row, "calibrated" when only the calibrated roof applies (perf
   /// unavailable: CI containers, perf_event_paranoid, BITFLOW_NO_PERF).
   std::string perf_source = "calibrated";
 };
@@ -293,12 +296,15 @@ class BinaryNetwork {
   /// so concurrent replicated workers profile into the same report).
   /// Populated when NetworkConfig::profile is set or process-wide profiling
   /// is armed (telemetry::set_profiling / BITFLOW_PROFILE=1); with profiling
-  /// disarmed the rows carry the static metadata but zero samples.
-  /// Only valid after finalize().
+  /// disarmed the rows carry the static metadata but zero samples.  The
+  /// first report with samples on a kernel not yet calibrated in this
+  /// process times that kernel on one thread (a few ms; see
+  /// LayerProfile::roof_gops).  Only valid after finalize().
   [[nodiscard]] ProfileReport profile_report() const;
 
-  /// Clears the profile accumulators (not the static metadata).  Do not call
-  /// concurrently with in-flight profiled inferences.
+  /// Clears the profile accumulators and the roof's thread count (not the
+  /// static metadata).  Do not call concurrently with in-flight profiled
+  /// inferences.
   void reset_profile();
 
  private:

@@ -15,7 +15,6 @@ namespace detail {
                                           const TiledBitMatrix&, const std::int64_t*,          \
                                           runtime::ThreadPool&, PackedMatrix&);
 BITFLOW_DECLARE_BGEMM_TILED(u64)
-BITFLOW_DECLARE_BGEMM_TILED(sse)
 BITFLOW_DECLARE_BGEMM_TILED(avx2)
 BITFLOW_DECLARE_BGEMM_TILED(avx512)
 BITFLOW_DECLARE_BGEMM_TILED(avx512vp)
@@ -26,9 +25,8 @@ BITFLOW_DECLARE_BGEMM_TILED(avx512vp)
 #define BITFLOW_TILED_DISPATCH(NAME, GETTER)                                                   \
   switch (isa) {                                                                               \
     case simd::IsaLevel::kU64:                                                                 \
-      return &detail::NAME##_u64;                                                              \
     case simd::IsaLevel::kSse:                                                                 \
-      return &detail::NAME##_sse;                                                              \
+      return &detail::NAME##_u64;                                                              \
     case simd::IsaLevel::kAvx2:                                                                \
       return &detail::NAME##_avx2;                                                             \
     case simd::IsaLevel::kAvx512:                                                              \

@@ -47,8 +47,8 @@ using BgemmBinarizeFn = void (*)(const PackedMatrix& a, std::int64_t m_rows,
 
 /// Returns the raw-dot bgemm compiled for `isa`; same contract as
 /// conv_dot_kernel: W must be tiled at weight_tile_width(isa),
-/// `use_vpopcntdq` picks the AVX-512 popcount TU, and hardware support is
-/// the caller's responsibility.
+/// `use_vpopcntdq` picks the AVX-512 popcount TU, kSse returns the kU64
+/// kernel, and hardware support is the caller's responsibility.
 [[nodiscard]] BgemmFn bgemm_kernel(simd::IsaLevel isa, bool use_vpopcntdq);
 
 /// Returns the fused binarize bgemm compiled for `isa`.

@@ -20,7 +20,6 @@ namespace detail {
                                           const std::int64_t*, runtime::ThreadPool&,             \
                                           PackedTensor* const*, std::int64_t);
 BITFLOW_DECLARE_PRESSEDCONV_TILED(u64)
-BITFLOW_DECLARE_PRESSEDCONV_TILED(sse)
 BITFLOW_DECLARE_PRESSEDCONV_TILED(avx2)
 BITFLOW_DECLARE_PRESSEDCONV_TILED(avx512)
 BITFLOW_DECLARE_PRESSEDCONV_TILED(avx512vp)
@@ -28,13 +27,13 @@ BITFLOW_DECLARE_PRESSEDCONV_TILED(avx512vp)
 }  // namespace detail
 
 // The ISA dispatch shared by the two getters: one TU per ISA level, two at
-// AVX-512 (the popcount lowering).
+// AVX-512 (the popcount lowering) and none at SSE, whose 128-bit registers
+// have no popcount: its tile is the u64 one, so it runs the u64 TU.
 #define BITFLOW_TILED_DISPATCH(NAME, GETTER)                                                     \
   switch (isa) {                                                                                 \
     case simd::IsaLevel::kU64:                                                                   \
-      return &detail::NAME##_u64;                                                                \
     case simd::IsaLevel::kSse:                                                                   \
-      return &detail::NAME##_sse;                                                                \
+      return &detail::NAME##_u64;                                                                \
     case simd::IsaLevel::kAvx2:                                                                  \
       return &detail::NAME##_avx2;                                                               \
     case simd::IsaLevel::kAvx512:                                                                \

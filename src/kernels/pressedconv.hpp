@@ -26,9 +26,10 @@
 //               compare per filter, vectorized across a register tile.
 //
 // Each ISA variant is compiled in its own TU with exactly that ISA enabled,
-// at its one tile width T = weight_tile_width(isa); conv_dot_kernel /
-// conv_binarize_kernel return it, and graph::default_kernel_plan chooses the
-// ISA.
+// at its one tile width T = weight_tile_width(isa): u64 (which kSse also
+// runs), AVX2, and AVX-512 with byte-LUT or VPOPCNTDQ popcounts.
+// conv_dot_kernel / conv_binarize_kernel return it, and
+// graph::default_kernel_plan chooses the ISA.
 #pragma once
 
 #include <cstdint>
@@ -72,8 +73,9 @@ using ConvBinarizeFn = void (*)(const PackedTensor* const* in, std::int64_t n,
 /// Returns the raw-dot kernel compiled for `isa`; it takes banks tiled at
 /// weight_tile_width(isa).  At kAvx512, `use_vpopcntdq` selects the
 /// native-VPOPCNTDQ TU over the byte-LUT one (the flag is ignored at
-/// narrower levels).  The caller must have verified hardware support
-/// (simd::cpu_features().supports(isa)).
+/// narrower levels).  kSse returns the kU64 kernel: SSE has no popcount
+/// wider than the scalar one, so the u64 tile is its tile.  The caller must
+/// have verified hardware support (simd::cpu_features().supports(isa)).
 [[nodiscard]] ConvDotFn conv_dot_kernel(simd::IsaLevel isa, bool use_vpopcntdq);
 
 /// Returns the fused binarize kernel compiled for `isa`; see

@@ -155,7 +155,7 @@ class ShardRouter {
 ///   layer.<name>.perf gops=<G> roof_gops=<R> ait=<A> ipc=<I> llc_mpki=<M>
 ///   source=<measured|calibrated>
 /// `source` is "measured" when hardware counters (perf_event_open) backed
-/// the row, "calibrated" when only the calibrated-peak model applies.
+/// the row, "calibrated" when only the calibrated roof applies.
 /// Empty until a profiled inference has run.
 [[nodiscard]] std::string profile_varz_text(const ShardRouter& router);
 

@@ -1,14 +1,14 @@
-// Vectorized bitwise primitives over runs of packed 64-bit words.
+// Vectorized bitwise-OR accumulation over runs of packed 64-bit words: the
+// binary max-pool reduction, dst |= src over n words.
 //
-// These are the Table I instructions of the paper wrapped as word-run
-// operations:
-//   xor_popcount  — popcount(XOR(a, b)) over n words (Eq. 1 inner product)
-//   or_accumulate — dst |= src over n words (binary max-pool reduction)
+// The Eq. 1 XOR + popcount has no word-run form here: it runs only inside
+// the register tiles of simd/bitops_tile.hpp, compiled into the per-ISA
+// kernel translation units.
 //
 // One implementation per ISA level, each compiled in its own translation
 // unit with exactly that ISA enabled (see CMakeLists.txt), dispatched at
-// runtime.  Calling a variant the CPU does not support is undefined; use
-// xor_popcount_fn / or_accumulate_fn which consult cpu_features().
+// runtime by or_accumulate_fn.  Calling a variant the CPU does not support
+// is undefined, so callers check cpu_features().supports(isa) first.
 #pragma once
 
 #include <cstdint>
@@ -16,31 +16,6 @@
 #include "simd/isa.hpp"
 
 namespace bitflow::simd {
-
-// --- per-ISA xor+popcount reductions -------------------------------------
-
-/// Scalar: 64-bit XOR + hardware POPCNT per word.
-std::uint64_t xor_popcount_u64(const std::uint64_t* a, const std::uint64_t* b, std::int64_t n);
-
-/// SSE: _mm_xor_si128 + two scalar popcnt per 128-bit lane pair.
-std::uint64_t xor_popcount_sse(const std::uint64_t* a, const std::uint64_t* b, std::int64_t n);
-
-/// AVX2: _mm256_xor_si256 + nibble-LUT (vpshufb) popcount with vpsadbw
-/// horizontal accumulation.
-std::uint64_t xor_popcount_avx2(const std::uint64_t* a, const std::uint64_t* b, std::int64_t n);
-
-/// AVX-512: _mm512_xor_si512 + _mm512_popcnt_epi64 (VPOPCNTDQ) when the CPU
-/// has it, otherwise an AVX-512BW nibble-LUT; tails use the zero-masked
-/// _mm512_maskz_* forms of Table I.
-std::uint64_t xor_popcount_avx512(const std::uint64_t* a, const std::uint64_t* b, std::int64_t n);
-
-/// AVX-512 xor_popcount pinned to one popcount lowering instead of the
-/// CPUID-selected one: the byte-LUT half (use_vpopcntdq = false, any
-/// AVX-512BW CPU) or the native VPOPCNTDQ half (use_vpopcntdq = true,
-/// requires cpu_features().avx512vpopcntdq).  Exists so the ISA-parity
-/// harness can exercise both halves explicitly.
-std::uint64_t xor_popcount_avx512_variant(const std::uint64_t* a, const std::uint64_t* b,
-                                          std::int64_t n, bool use_vpopcntdq);
 
 // --- per-ISA bitwise-OR accumulation (binary max pooling) ----------------
 
@@ -51,23 +26,10 @@ void or_accumulate_avx512(std::uint64_t* dst, const std::uint64_t* src, std::int
 
 // --- runtime dispatch ------------------------------------------------------
 
-using XorPopcountFn = std::uint64_t (*)(const std::uint64_t*, const std::uint64_t*, std::int64_t);
 using OrAccumulateFn = void (*)(std::uint64_t*, const std::uint64_t*, std::int64_t);
 
-/// Function implementing xor_popcount at exactly `isa` (caller must have
+/// Function implementing or_accumulate at exactly `isa` (caller must have
 /// verified cpu_features().supports(isa)).
-[[nodiscard]] XorPopcountFn xor_popcount_fn(IsaLevel isa);
-
-/// Function implementing or_accumulate at exactly `isa`.
 [[nodiscard]] OrAccumulateFn or_accumulate_fn(IsaLevel isa);
-
-/// Binary inner product of two n-word vectors holding `bits` valid bits
-/// (Eq. 1):  dot = bits - 2 * popcount(xor).  Both operands must keep their
-/// tail bits zero.
-[[nodiscard]] inline std::int64_t binary_dot(XorPopcountFn f, const std::uint64_t* a,
-                                             const std::uint64_t* b, std::int64_t n_words,
-                                             std::int64_t bits) {
-  return bits - 2 * static_cast<std::int64_t>(f(a, b, n_words));
-}
 
 }  // namespace bitflow::simd

@@ -1,14 +1,9 @@
-// AVX2 dispatch wrappers: 256-bit XOR (_mm256_xor_si256, Table I) with the
-// Muła nibble-LUT popcount (vpshufb + vpsadbw) — AVX2 has no vector popcount
-// instruction.
+// AVX2 dispatch wrapper: 256-bit OR (_mm256_or_si256) over four words at a
+// time.
 #include "simd/bitops.hpp"
 #include "simd/bitops_inline.hpp"
 
 namespace bitflow::simd {
-
-std::uint64_t xor_popcount_avx2(const std::uint64_t* a, const std::uint64_t* b, std::int64_t n) {
-  return inl::xor_popcount_avx2(a, b, n);
-}
 
 void or_accumulate_avx2(std::uint64_t* dst, const std::uint64_t* src, std::int64_t n) {
   inl::or_accumulate_avx2(dst, src, n);

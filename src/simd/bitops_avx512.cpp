@@ -1,38 +1,9 @@
-// AVX-512 dispatch wrappers, LUT half: this TU is compiled with
-// AVX512F/BW/DQ/VL but *without* VPOPCNTDQ, so the shared inline loops lower
-// popcount through the 512-bit byte-LUT — the portable path for CPUs like
-// Skylake-SP.  The VPOPCNTDQ-native half lives in bitops_avx512vp.cpp; the
-// public xor_popcount_avx512 picks between them once, by CPUID.
+// AVX-512 dispatch wrapper: 512-bit OR over eight words at a time, the 1..7
+// word tail in one zero-masked load/store pair (Table I's masked forms).
 #include "simd/bitops.hpp"
 #include "simd/bitops_inline.hpp"
-#include "simd/cpu_features.hpp"
 
 namespace bitflow::simd {
-
-namespace detail {
-
-// Defined in bitops_avx512vp.cpp (compiled with -mavx512vpopcntdq).
-std::uint64_t xor_popcount_avx512_vpopcnt(const std::uint64_t* a, const std::uint64_t* b,
-                                          std::int64_t n);
-
-std::uint64_t xor_popcount_avx512_lut(const std::uint64_t* a, const std::uint64_t* b,
-                                      std::int64_t n) {
-  return inl::xor_popcount_avx512(a, b, n);
-}
-
-}  // namespace detail
-
-std::uint64_t xor_popcount_avx512(const std::uint64_t* a, const std::uint64_t* b, std::int64_t n) {
-  static const auto impl = cpu_features().avx512vpopcntdq ? &detail::xor_popcount_avx512_vpopcnt
-                                                          : &detail::xor_popcount_avx512_lut;
-  return impl(a, b, n);
-}
-
-std::uint64_t xor_popcount_avx512_variant(const std::uint64_t* a, const std::uint64_t* b,
-                                          std::int64_t n, bool use_vpopcntdq) {
-  return use_vpopcntdq ? detail::xor_popcount_avx512_vpopcnt(a, b, n)
-                       : detail::xor_popcount_avx512_lut(a, b, n);
-}
 
 void or_accumulate_avx512(std::uint64_t* dst, const std::uint64_t* src, std::int64_t n) {
   inl::or_accumulate_avx512(dst, src, n);

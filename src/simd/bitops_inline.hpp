@@ -1,10 +1,10 @@
-// Inline implementations of the xor+popcount / or-accumulate word-run
-// primitives, guarded by the ISA macros of the including translation unit.
-//
-// This header is the single source of truth for the inner loops: the
-// out-of-line dispatch wrappers in bitops_*.cpp and the PressedConv / bgemm
-// kernel TUs (each compiled with its own -m flags) all include it, so the
-// hot loops inline into the kernels without link-time optimization.
+// Inline SIMD building blocks, guarded by the ISA macros of the including
+// translation unit: the or-accumulate word runs behind the out-of-line
+// dispatch wrappers in bitops_*.cpp (the binary max pool), and the per-byte
+// and per-qword popcounts that the register tiles of bitops_tile.hpp run in
+// the PressedConv / bgemm kernel TUs.  Each includer is compiled with its
+// own -m flags, so the bodies lower to that ISA and inline into its loops
+// without link-time optimization.
 //
 // Only the sections matching the TU's enabled ISA are visible; including
 // this header never *requires* any ISA.
@@ -20,25 +20,6 @@ namespace bitflow::simd::inl {
 
 // --- scalar 64-bit ---------------------------------------------------------
 
-inline std::uint64_t xor_popcount_u64(const std::uint64_t* a, const std::uint64_t* b,
-                                      std::int64_t n) {
-  // 4 independent 64-bit accumulator lanes: the unrolled popcnts feed
-  // separate registers instead of one serial chain, and the horizontal
-  // reduction happens once per run rather than once per word.
-  std::uint64_t t0 = 0, t1 = 0, t2 = 0, t3 = 0;
-  std::int64_t i = 0;
-  for (; i + 4 <= n; i += 4) {
-    t0 += static_cast<std::uint64_t>(__builtin_popcountll(a[i + 0] ^ b[i + 0]));
-    t1 += static_cast<std::uint64_t>(__builtin_popcountll(a[i + 1] ^ b[i + 1]));
-    t2 += static_cast<std::uint64_t>(__builtin_popcountll(a[i + 2] ^ b[i + 2]));
-    t3 += static_cast<std::uint64_t>(__builtin_popcountll(a[i + 3] ^ b[i + 3]));
-  }
-  for (; i < n; ++i) {
-    t0 += static_cast<std::uint64_t>(__builtin_popcountll(a[i] ^ b[i]));
-  }
-  return (t0 + t1) + (t2 + t3);
-}
-
 inline void or_accumulate_u64(std::uint64_t* dst, const std::uint64_t* src, std::int64_t n) {
   for (std::int64_t i = 0; i < n; ++i) dst[i] |= src[i];
 }
@@ -46,25 +27,6 @@ inline void or_accumulate_u64(std::uint64_t* dst, const std::uint64_t* src, std:
 // --- SSE ---------------------------------------------------------------------
 
 #ifdef __SSE4_2__
-
-inline std::uint64_t xor_popcount_sse(const std::uint64_t* a, const std::uint64_t* b,
-                                      std::int64_t n) {
-  std::uint64_t total = 0;
-  std::int64_t i = 0;
-  for (; i + 2 <= n; i += 2) {
-    const __m128i va = _mm_loadu_si128(reinterpret_cast<const __m128i*>(a + i));
-    const __m128i vb = _mm_loadu_si128(reinterpret_cast<const __m128i*>(b + i));
-    const __m128i vx = _mm_xor_si128(va, vb);
-    total += static_cast<std::uint64_t>(
-        _mm_popcnt_u64(static_cast<std::uint64_t>(_mm_extract_epi64(vx, 0))));
-    total += static_cast<std::uint64_t>(
-        _mm_popcnt_u64(static_cast<std::uint64_t>(_mm_extract_epi64(vx, 1))));
-  }
-  for (; i < n; ++i) {
-    total += static_cast<std::uint64_t>(_mm_popcnt_u64(a[i] ^ b[i]));
-  }
-  return total;
-}
 
 inline void or_accumulate_sse(std::uint64_t* dst, const std::uint64_t* src, std::int64_t n) {
   std::int64_t i = 0;
@@ -90,26 +52,6 @@ inline __m256i popcount_bytes_256(__m256i v) {
   const __m256i lo = _mm256_and_si256(v, low_mask);
   const __m256i hi = _mm256_and_si256(_mm256_srli_epi32(v, 4), low_mask);
   return _mm256_add_epi8(_mm256_shuffle_epi8(lut, lo), _mm256_shuffle_epi8(lut, hi));
-}
-
-inline std::uint64_t xor_popcount_avx2(const std::uint64_t* a, const std::uint64_t* b,
-                                       std::int64_t n) {
-  __m256i acc = _mm256_setzero_si256();
-  std::int64_t i = 0;
-  for (; i + 4 <= n; i += 4) {
-    const __m256i va = _mm256_loadu_si256(reinterpret_cast<const __m256i*>(a + i));
-    const __m256i vb = _mm256_loadu_si256(reinterpret_cast<const __m256i*>(b + i));
-    const __m256i bytes = popcount_bytes_256(_mm256_xor_si256(va, vb));
-    acc = _mm256_add_epi64(acc, _mm256_sad_epu8(bytes, _mm256_setzero_si256()));
-  }
-  std::uint64_t total = static_cast<std::uint64_t>(_mm256_extract_epi64(acc, 0)) +
-                        static_cast<std::uint64_t>(_mm256_extract_epi64(acc, 1)) +
-                        static_cast<std::uint64_t>(_mm256_extract_epi64(acc, 2)) +
-                        static_cast<std::uint64_t>(_mm256_extract_epi64(acc, 3));
-  for (; i < n; ++i) {
-    total += static_cast<std::uint64_t>(_mm_popcnt_u64(a[i] ^ b[i]));
-  }
-  return total;
 }
 
 inline void or_accumulate_avx2(std::uint64_t* dst, const std::uint64_t* src, std::int64_t n) {
@@ -147,31 +89,6 @@ inline __m512i popcount_epi64_512(__m512i v) {
 #else
   return _mm512_sad_epu8(popcount_bytes_512(v), _mm512_setzero_si512());
 #endif
-}
-
-inline std::uint64_t xor_popcount_avx512(const std::uint64_t* a, const std::uint64_t* b,
-                                         std::int64_t n) {
-  __m512i acc = _mm512_setzero_si512();
-  std::int64_t i = 0;
-  for (; i + 8 <= n; i += 8) {
-    const __m512i va = _mm512_loadu_si512(a + i);
-    const __m512i vb = _mm512_loadu_si512(b + i);
-    acc = _mm512_add_epi64(acc, popcount_epi64_512(_mm512_xor_si512(va, vb)));
-  }
-  if (i < n) {
-    // 1..7 word tail: the Table I zero-masked forms keep everything in one
-    // masked register operation.
-    const __mmask8 k = static_cast<__mmask8>((1u << (n - i)) - 1u);
-    const __m512i va = _mm512_maskz_loadu_epi64(k, a + i);
-    const __m512i vb = _mm512_maskz_loadu_epi64(k, b + i);
-#ifdef __AVX512VPOPCNTDQ__
-    const __m512i vx = _mm512_maskz_xor_epi64(k, va, vb);
-    acc = _mm512_add_epi64(acc, _mm512_maskz_popcnt_epi64(k, vx));
-#else
-    acc = _mm512_add_epi64(acc, popcount_epi64_512(_mm512_xor_si512(va, vb)));
-#endif
-  }
-  return static_cast<std::uint64_t>(_mm512_reduce_add_epi64(acc));
 }
 
 inline void or_accumulate_avx512(std::uint64_t* dst, const std::uint64_t* src, std::int64_t n) {

@@ -1,14 +1,10 @@
-// SSE dispatch wrappers: 128-bit XOR (_mm_xor_si128, Table I) with popcount
-// on the two 64-bit halves via the scalar POPCNT unit — pre-AVX2 x86 has no
-// vector popcount, so this mirrors what the paper's SSE kernel can emit.
+// SSE dispatch wrapper: 128-bit OR (_mm_or_si128) over two words at a time,
+// the pools' rung for channel counts that are multiples of 128 but of
+// nothing wider (paper rule 3).
 #include "simd/bitops.hpp"
 #include "simd/bitops_inline.hpp"
 
 namespace bitflow::simd {
-
-std::uint64_t xor_popcount_sse(const std::uint64_t* a, const std::uint64_t* b, std::int64_t n) {
-  return inl::xor_popcount_sse(a, b, n);
-}
 
 void or_accumulate_sse(std::uint64_t* dst, const std::uint64_t* src, std::int64_t n) {
   inl::or_accumulate_sse(dst, src, n);

@@ -9,21 +9,22 @@
 // the counters; at the end of the filter block reduce() spills them once (raw
 // dot products), or le_mask() compares them in registers against the fused
 // binarize's per-filter popcount limits and returns the kWidth output bits.
-// Each ISA has one accumulator, so one tile width: TileAcc4Scalar on u64 and
-// SSE, TileAcc16Avx2, and TileAcc16Avx512 for both AVX-512 popcount
-// lowerings.  A bank whose K is not a multiple of kWidth ends in a tile
-// padded with zero rows, whose counters the kernels never store or set.
+// Each ISA has one accumulator, so one tile width: TileAcc4Scalar on u64
+// (which an SSE cap runs too), TileAcc16Avx2, and TileAcc16Avx512 for both
+// AVX-512 popcount lowerings.  Compiled into the four per-ISA kernel
+// objects, they are the program's only XOR + popcount (Eq. 1).  A bank
+// whose K is not a multiple of kWidth ends in a tile padded with zero rows,
+// whose counters the kernels never store or set; whole tiles have no tails,
+// so Table I's masked XOR and popcount forms appear nowhere.
 // The kernels keep P of them side by side, one per output pixel (conv) or
 // batch row (bgemm), and hand each tile row to all P in turn
 // (kernels/tile_walk.hpp): the loads of `f` are the same address, so the
 // compiler loads the tile row once per P accumulates.
-// This is the dual of bitops_inline.hpp's word-run primitives: there the
-// activation run streams against one filter, here one activation word fans
-// out across a tile of filters.
 //
-// Like bitops_inline.hpp, this is a SIMD implementation header: the bodies
-// lower to whatever ISA the including translation unit enables, so only the
-// per-ISA kernel TUs may include it (enforced by tools/check_isa_hygiene.py).
+// Like bitops_inline.hpp, whose per-byte and per-qword popcounts the tiles
+// call, this is a SIMD implementation header: the bodies lower to whatever
+// ISA the including translation unit enables, so only the per-ISA kernel
+// TUs may include it (enforced by tools/check_isa_hygiene.py).
 #pragma once
 
 #include <cstdint>
@@ -42,9 +43,10 @@ inline std::uint64_t le_bit(std::uint64_t count, std::int64_t limit) noexcept {
   return static_cast<std::uint64_t>(static_cast<std::int64_t>(count) <= limit);
 }
 
-/// 4-filter tile in four independent scalar 64-bit lanes (u64 and SSE
-/// kernels: hardware popcnt has no vector form below AVX-512VPOPCNTDQ, so
-/// four parallel dependency chains are the widest profitable tile).
+/// 4-filter tile in four independent scalar 64-bit lanes (the u64 kernels,
+/// which an SSE cap also runs: hardware popcnt has no vector form below
+/// AVX-512VPOPCNTDQ, so four parallel dependency chains are the widest
+/// profitable tile).
 struct TileAcc4Scalar {
   static constexpr std::int64_t kWidth = 4;
   std::uint64_t c0 = 0, c1 = 0, c2 = 0, c3 = 0;

@@ -1,15 +1,10 @@
-// Scalar 64-bit word implementations (dispatch wrappers over the shared
-// inline inner loops).  Compiled with -mpopcnt only: this is the kernel the
-// scheduler selects for channel counts that are multiples of 32/64 but of
-// nothing wider (paper rule 4).
+// Scalar 64-bit word implementation (dispatch wrapper over the shared inline
+// inner loop): the pools' rung for channel counts that are multiples of
+// 32/64 but of nothing wider (paper rule 4).
 #include "simd/bitops.hpp"
 #include "simd/bitops_inline.hpp"
 
 namespace bitflow::simd {
-
-std::uint64_t xor_popcount_u64(const std::uint64_t* a, const std::uint64_t* b, std::int64_t n) {
-  return inl::xor_popcount_u64(a, b, n);
-}
 
 void or_accumulate_u64(std::uint64_t* dst, const std::uint64_t* src, std::int64_t n) {
   inl::or_accumulate_u64(dst, src, n);

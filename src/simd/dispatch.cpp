@@ -4,16 +4,6 @@
 
 namespace bitflow::simd {
 
-XorPopcountFn xor_popcount_fn(IsaLevel isa) {
-  switch (isa) {
-    case IsaLevel::kU64: return &xor_popcount_u64;
-    case IsaLevel::kSse: return &xor_popcount_sse;
-    case IsaLevel::kAvx2: return &xor_popcount_avx2;
-    case IsaLevel::kAvx512: return &xor_popcount_avx512;
-  }
-  throw std::invalid_argument("xor_popcount_fn: bad ISA level");
-}
-
 OrAccumulateFn or_accumulate_fn(IsaLevel isa) {
   switch (isa) {
     case IsaLevel::kU64: return &or_accumulate_u64;

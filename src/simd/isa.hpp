@@ -10,7 +10,9 @@
 // BitFlow packs into 64-bit base words (the paper packs 32-bit unsigned
 // ints and combines them); a channel count that is a multiple of 32 but not
 // of 64 simply leaves a zeroed half-word tail, which the Eq. 1 identity
-// absorbs (see packed_tensor.hpp).
+// absorbs (see packed_tensor.hpp).  Here the rule picks the ISA of the
+// pools only; conv and fc run register tiles along K at the widest ISA, and
+// at kSse, whose popcount is the scalar one, they run the u64 tile.
 #pragma once
 
 #include <cstdint>

@@ -17,12 +17,6 @@ std::vector<std::uint64_t> random_words(std::mt19937_64& rng, std::int64_t n) {
   return v;
 }
 
-std::uint64_t variant_xor_popcount(const IsaVariant& v, const std::uint64_t* a,
-                                   const std::uint64_t* b, std::int64_t n) {
-  if (v.isa == IsaLevel::kAvx512) return xor_popcount_avx512_variant(a, b, n, v.use_vpopcntdq);
-  return xor_popcount_fn(v.isa)(a, b, n);
-}
-
 }  // namespace
 
 std::vector<IsaLevel> supported_isa_levels() {
@@ -57,31 +51,6 @@ std::string ParityResult::to_string() const {
   return os.str();
 }
 
-ParityResult check_xor_popcount_parity(const IsaVariant& v, std::int64_t n_words,
-                                       std::uint64_t seed) {
-  BF_CHECK(n_words >= 0, "check_xor_popcount_parity: negative n_words ", n_words);
-  std::mt19937_64 rng(seed);
-  const auto a = random_words(rng, n_words);
-  const auto b = random_words(rng, n_words);
-
-  ParityResult r;
-  r.kernel = "xor_popcount[" + std::string(v.name) + "]";
-  {
-    std::ostringstream os;
-    os << "n_words=" << n_words << " seed=" << seed;
-    r.shape = os.str();
-  }
-  const std::uint64_t ref = xor_popcount_u64(a.data(), b.data(), n_words);
-  const std::uint64_t got = variant_xor_popcount(v, a.data(), b.data(), n_words);
-  if (got != ref) {
-    r.ok = false;
-    std::ostringstream os;
-    os << "u64 reference=" << ref << " variant=" << got;
-    r.detail = os.str();
-  }
-  return r;
-}
-
 ParityResult check_or_accumulate_parity(IsaLevel isa, std::int64_t n_words, std::uint64_t seed) {
   BF_CHECK(n_words >= 0, "check_or_accumulate_parity: negative n_words ", n_words);
   std::mt19937_64 rng(seed);
@@ -114,15 +83,9 @@ ParityResult check_or_accumulate_parity(IsaLevel isa, std::int64_t n_words, std:
 ParityResult check_all_bitops_parity(std::uint64_t seed) {
   // Every tail class each vector width can see: empty, sub-word counts, one
   // short of / exactly / one past each of 2-, 4-, and 8-word boundaries, and
-  // runs long enough to engage the unrolled main loops plus a ragged tail.
+  // runs long enough to engage the main loops plus a ragged tail.
   static constexpr std::int64_t kRuns[] = {0, 1,  2,  3,  4,  5,  7,   8,   9,
                                            15, 16, 17, 31, 33, 64, 127, 257, 1000};
-  for (const IsaVariant& v : supported_isa_variants()) {
-    for (std::int64_t n : kRuns) {
-      ParityResult r = check_xor_popcount_parity(v, n, seed + static_cast<std::uint64_t>(n));
-      if (!r.ok) return r;
-    }
-  }
   for (IsaLevel isa : supported_isa_levels()) {
     for (std::int64_t n : kRuns) {
       ParityResult r = check_or_accumulate_parity(isa, n, seed + static_cast<std::uint64_t>(n));

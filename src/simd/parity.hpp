@@ -1,13 +1,13 @@
 // ISA-parity harness support: enumerate what the executing CPU can run and
-// check that every vector implementation of the Table I primitives is
+// check that every vector implementation of the or-accumulate primitive is
 // bit-exact against the scalar u64 reference.
 //
-// The per-ISA kernels are separately compiled translation units whose only
-// correctness contract is "same answer as the scalar path"; nothing in the
-// type system enforces it.  This header gives tests (tests/isa_parity_test.cpp)
-// and debugging tools one place to sweep every supported variant over
-// adversarial word-run lengths — empty runs, single words, lengths straddling
-// each vector width's tail handling — and to report the first divergence with
+// The per-ISA translation units' only correctness contract is "same answer
+// as the scalar path"; nothing in the type system enforces it.  This header
+// gives tests (tests/isa_parity_test.cpp) and the benches one list of the
+// variants the host runs, and one place to sweep the or-accumulate word runs
+// over adversarial lengths — empty runs, single words, lengths straddling
+// each vector width's tail handling — reporting the first divergence with
 // enough context (kernel, shape, operand index) to reproduce it.
 #pragma once
 
@@ -40,7 +40,7 @@ struct IsaVariant {
 /// kernel and the exact inputs so the failure is reproducible.
 struct ParityResult {
   bool ok = true;
-  std::string kernel;  ///< e.g. "xor_popcount[avx512vp]"
+  std::string kernel;  ///< e.g. "or_accumulate[avx512]"
   std::string shape;   ///< e.g. "n_words=37 seed=7"
   std::string detail;  ///< reference vs variant values at first divergence
 
@@ -48,20 +48,15 @@ struct ParityResult {
   [[nodiscard]] std::string to_string() const;
 };
 
-/// Checks xor_popcount at `v` against the scalar reference over random
-/// operands of `n_words` words.  Deterministic in `seed`.
-[[nodiscard]] ParityResult check_xor_popcount_parity(const IsaVariant& v, std::int64_t n_words,
-                                                     std::uint64_t seed);
-
 /// Checks or_accumulate at `isa` against the scalar reference (word-by-word
-/// OR) over random operands of `n_words` words.
+/// OR) over random operands of `n_words` words.  Deterministic in `seed`.
 [[nodiscard]] ParityResult check_or_accumulate_parity(IsaLevel isa, std::int64_t n_words,
                                                       std::uint64_t seed);
 
-/// Sweeps both primitives over every supported variant and a canonical set
+/// Sweeps or_accumulate over every supported ISA level and a canonical set
 /// of word-run lengths (0, 1, around each vector width's boundary, and runs
-/// long enough to engage the unrolled main loops).  Returns the first
-/// failure, or ok.
+/// long enough to engage the main loops).  Returns the first failure, or
+/// ok.
 [[nodiscard]] ParityResult check_all_bitops_parity(std::uint64_t seed);
 
 }  // namespace bitflow::simd

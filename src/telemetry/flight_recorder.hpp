@@ -26,7 +26,7 @@
 // Environment: BITFLOW_FLIGHT_DIR=<dir> arms the recorder (and passive
 // tracing) at static init with default thresholds — no code changes needed.
 //
-// Layering: telemetry depends only on core/simd, so serving-layer state
+// Layering: telemetry depends only on core, so serving-layer state
 // (lifecycle, /varz, profile report, layer plans) enters bundles through
 // context providers registered by the owning layer (`flight_add_context`).
 //

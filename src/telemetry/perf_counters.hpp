@@ -1,8 +1,8 @@
 // Hardware performance-counter sampling for the per-layer roofline.
 //
-// The PR 5 profiler attributes each layer's achieved GOPS against a
-// *calibrated* peak (an L1-resident xor+popcount microbenchmark) — a model,
-// not a measurement.  PerfSampler turns the same per-layer span hooks into
+// The profiler attributes each layer's achieved GOPS against a *calibrated*
+// roof (its tile kernel timed on one thread over cache-resident operands) —
+// a model, not a measurement.  PerfSampler turns the same per-layer span hooks into
 // measured evidence: one perf_event_open counter group per worker thread
 // (cycles leader + instructions + LLC misses, opened with
 // PERF_FORMAT_GROUP | TOTAL_TIME_ENABLED | TOTAL_TIME_RUNNING so
@@ -13,7 +13,7 @@
 // Graceful degradation is a hard requirement (acceptance criterion): the
 // syscall is frequently unavailable — seccomp'd containers, CI runners,
 // perf_event_paranoid — so available() probes once and everything else
-// no-ops, leaving the calibrated-peak roofline as the explicit
+// no-ops, leaving the calibrated roof as the explicit
 // `source=calibrated` fallback.  BITFLOW_NO_PERF=1 forces the fallback for
 // deterministic tests.
 //

@@ -1,14 +1,6 @@
 #include "telemetry/profiler.hpp"
 
-#include <algorithm>
-#include <chrono>
 #include <cstdlib>
-#include <vector>
-
-#include "core/sync.hpp"
-#include "core/thread_annotations.hpp"
-#include "simd/bitops.hpp"
-#include "simd/cpu_features.hpp"
 
 namespace bitflow::telemetry {
 
@@ -28,13 +20,6 @@ const bool g_profile_env_applied = [] {
   return false;
 }();
 
-std::uint64_t steady_ns() {
-  return static_cast<std::uint64_t>(
-      std::chrono::duration_cast<std::chrono::nanoseconds>(
-          std::chrono::steady_clock::now().time_since_epoch())
-          .count());
-}
-
 }  // namespace
 
 bool profiling_enabled() noexcept {
@@ -43,57 +28,6 @@ bool profiling_enabled() noexcept {
 
 void set_profiling(bool on) noexcept {
   g_profiling.store(on, std::memory_order_relaxed);
-}
-
-double roofline_peak_gops(simd::IsaLevel isa) {
-  // Cache one measurement per ISA level; the measurement itself runs the
-  // xor+popcount primitive over an L1-resident pair of buffers long enough
-  // to amortize timing overhead and pick the best of a few repetitions
-  // (best, not mean: the roof is what the kernel can reach, and anything
-  // slower is interference).
-  struct Cache {
-    core::Mutex mu;
-    double gops[4] BF_GUARDED_BY(mu) = {0.0, 0.0, 0.0, 0.0};
-  };
-  static Cache* c = new Cache();
-  const auto idx = static_cast<std::size_t>(isa);
-
-  {
-    core::MutexLock lock(c->mu);
-    if (c->gops[idx] > 0.0) return c->gops[idx];
-  }
-  if (!simd::cpu_features().supports(isa)) return 0.0;
-
-  // Two 1024-word (8 KiB) operands: comfortably L1-resident together, long
-  // enough that the per-call dispatch overhead is noise.
-  constexpr std::int64_t kWords = 1024;
-  std::vector<std::uint64_t> a(kWords), b(kWords);
-  for (std::int64_t i = 0; i < kWords; ++i) {
-    a[i] = 0x9e3779b97f4a7c15ULL * static_cast<std::uint64_t>(i + 1);
-    b[i] = ~a[i] ^ (a[i] >> 31);
-  }
-  const simd::XorPopcountFn fn = simd::xor_popcount_fn(isa);
-
-  volatile std::uint64_t sink = 0;  // keep the reduction alive
-  double best_gops = 0.0;
-  for (int rep = 0; rep < 5; ++rep) {
-    constexpr int kCalls = 2000;
-    const std::uint64_t t0 = steady_ns();
-    std::uint64_t acc = 0;
-    for (int k = 0; k < kCalls; ++k) acc += fn(a.data(), b.data(), kWords);
-    const std::uint64_t t1 = steady_ns();
-    sink = sink + acc;
-    const double ns = static_cast<double>(t1 - t0);
-    if (ns <= 0.0) continue;
-    // 1 word = 64 binary MACs = 128 ops (the bench convention).
-    const double ops = static_cast<double>(kCalls) * static_cast<double>(kWords) * 128.0;
-    best_gops = std::max(best_gops, ops / ns);  // ops/ns == GOPS
-  }
-  (void)sink;
-
-  core::MutexLock lock(c->mu);
-  if (c->gops[idx] <= 0.0) c->gops[idx] = best_gops;
-  return c->gops[idx];
 }
 
 }  // namespace bitflow::telemetry

@@ -1,5 +1,4 @@
-// Per-site latency/throughput accumulators and the roofline calibration the
-// per-layer profiler reports against.
+// Per-site latency/throughput accumulators behind the per-layer profiler.
 //
 // A SpanStats is a lock-free accumulator for one instrumented site (one
 // network layer, one pipeline stage): invocation count, work units (images),
@@ -10,21 +9,14 @@
 // Profiling is armed per network (NetworkConfig::profile) or process-wide:
 // set_profiling(true), or the BITFLOW_PROFILE environment variable.  The
 // disarmed cost in the inference path is one relaxed atomic load per layer.
-//
-// roofline_peak_gops(isa) measures — once, lazily, cached — the throughput
-// of the raw xor+popcount primitive at `isa` over an L1-resident buffer, in
-// the same "2 ops per binary multiply-accumulate" unit the benches use
-// (one 64-bit word = 64 MACs = 128 ops).  That is the compute roof a binary
-// conv/fc layer of that ISA can at best reach; the profiler reports each
-// layer's achieved GOPS as a fraction of it, next to the layer's
-// arithmetic-intensity (core/ait) so memory-bound layers are attributable:
-// a low roof fraction with low AIT is bandwidth, not kernel quality.
+// The compute roof each profiled layer is reported against is calibrated by
+// graph, on the kernel the layer dispatches (graph::BinaryNetwork::
+// profile_report).
 #pragma once
 
 #include <atomic>
 #include <cstdint>
 
-#include "simd/isa.hpp"
 #include "telemetry/metrics.hpp"
 
 namespace bitflow::telemetry {
@@ -93,10 +85,5 @@ class SpanStats {
   std::atomic<std::uint64_t> min_ns_{UINT64_MAX};
   Histogram hist_;  // log2 ns buckets; reset() leaves it cumulative
 };
-
-/// Measured compute roof for binary kernels at `isa`: xor+popcount GOPS over
-/// an L1-resident working set, cached after the first call (which spends a
-/// few milliseconds measuring).  Thread-safe.
-[[nodiscard]] double roofline_peak_gops(simd::IsaLevel isa);
 
 }  // namespace bitflow::telemetry

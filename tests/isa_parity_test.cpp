@@ -1,5 +1,5 @@
-// ISA-parity harness: every kernel — xor/popcount + or_accumulate
-// primitives, PressedConv, bgemm, binary max pool — must be bit-exact across
+// ISA-parity harness: every kernel — the or_accumulate primitive,
+// PressedConv, bgemm, binary max pool — must be bit-exact across
 // every ISA variant the executing CPU supports, including both AVX-512
 // popcount lowerings where available.  PressedConv and bgemm are checked at
 // every ISA variant, each at its one tile width T and the register-block
@@ -50,6 +50,20 @@ TEST(IsaParity, BitopsPrimitivesMatchScalar) {
     const simd::ParityResult r = simd::check_all_bitops_parity(seed);
     ASSERT_TRUE(r.ok) << r.to_string();
   }
+}
+
+// SSE has no TU of its own: its 128-bit registers have no popcount, so
+// every getter returns the u64 entry point at kSse, and an SSE cap runs the
+// u64 tile (the kSse variants below run through this mapping).
+TEST(IsaParity, SseGettersReturnTheU64EntryPoints) {
+  EXPECT_EQ(kernels::conv_dot_kernel(IsaLevel::kSse, false),
+            kernels::conv_dot_kernel(IsaLevel::kU64, false));
+  EXPECT_EQ(kernels::conv_binarize_kernel(IsaLevel::kSse, false),
+            kernels::conv_binarize_kernel(IsaLevel::kU64, false));
+  EXPECT_EQ(kernels::bgemm_kernel(IsaLevel::kSse, false),
+            kernels::bgemm_kernel(IsaLevel::kU64, false));
+  EXPECT_EQ(kernels::bgemm_binarize_kernel(IsaLevel::kSse, false),
+            kernels::bgemm_binarize_kernel(IsaLevel::kU64, false));
 }
 
 TEST(IsaParity, VariantEnumerationIsSane) {

@@ -5,10 +5,13 @@
 #include <algorithm>
 #include <cmath>
 #include <cstdint>
+#include <cstring>
 #include <limits>
 #include <random>
+#include <sstream>
 #include <stdexcept>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -16,6 +19,7 @@
 #include "baseline/float_ops.hpp"
 #include "baseline/unopt_binary.hpp"
 #include "bitpack/packer.hpp"
+#include "core/failpoint.hpp"
 #include "graph/network.hpp"
 #include "kernels/padding.hpp"
 #include "models/vgg.hpp"
@@ -320,6 +324,131 @@ TEST(BinaryNetwork, ProfileReportAttributesRooflinePerLayer) {
   const ProfileReport cleared = net.profile_report();
   ASSERT_EQ(cleared.rows.size(), 6u);
   for (const LayerProfile& row : cleared.rows) EXPECT_EQ(row.calls, 0u);
+
+  // Every row's columns start where the header's do, with the longest
+  // kernel name (an fc-binarize row) and a five-digit roof: left-aligned
+  // columns start at their label, right-aligned ones end at it.
+  ProfileReport wide;
+  wide.rows.resize(3);
+  wide.rows[0].name = "pack_input";
+  wide.rows[0].kernel = "bitpack";
+  wide.rows[1].name = "fc6";
+  wide.rows[1].kernel = "bgemm_binarize_rows[avx512,t16,p4]";
+  wide.rows[1].gops = 4321.0;
+  wide.rows[1].roof_gops = 12345.6;
+  wide.rows[1].ait = 2.0;
+  wide.rows[2].name = "conv1_2";
+  wide.rows[2].kernel = "pressedconv_bin[u64,t4,p2]";
+  wide.rows[2].gops = 250.0;
+  wide.rows[2].roof_gops = 310.0;
+  wide.rows[2].ait = 18.0;
+  std::istringstream lines(wide.to_table());
+  std::string header, rule, line;
+  std::getline(lines, header);
+  std::getline(lines, rule);
+  EXPECT_EQ(rule.size(), header.size());
+  const auto at = [](const std::string& l, std::size_t i) { return i < l.size() ? l[i] : ' '; };
+  for (const LayerProfile& row : wide.rows) {
+    ASSERT_TRUE(std::getline(lines, line));
+    EXPECT_EQ(line.size(), header.size()) << line;
+    EXPECT_EQ(line.compare(0, row.name.size(), row.name), 0) << line;
+    EXPECT_EQ(line.compare(header.find("kernel"), row.kernel.size(), row.kernel), 0) << line;
+    for (const char* label : {"calls", "images", "mean_ms", "p50_ms", "p99_ms", "gops",
+                              "roof(gops)", "ait", "ipc", "mpki", "src"}) {
+      const std::size_t end = header.find(label) + std::strlen(label);
+      EXPECT_NE(at(line, end - 1), ' ') << label << " in\n" << header << '\n' << line;
+      EXPECT_EQ(at(line, end), ' ') << label << " in\n" << header << '\n' << line;
+    }
+  }
+}
+
+// Whether this build instruments memory accesses (ASan, TSan).
+#if defined(__SANITIZE_ADDRESS__) || defined(__SANITIZE_THREAD__)
+#define BITFLOW_TEST_SANITIZED 1
+#elif defined(__has_feature)
+#if __has_feature(address_sanitizer) || __has_feature(thread_sanitizer)
+#define BITFLOW_TEST_SANITIZED 1
+#endif
+#endif
+#ifdef BITFLOW_TEST_SANITIZED
+constexpr bool kSanitized = true;
+#else
+constexpr bool kSanitized = false;
+#endif
+
+TEST(BinaryNetwork, ProfileReportRoofBoundsEveryConvRow) {
+  // A row's roof is the one-thread GOPS of the tile kernel it dispatches,
+  // times the threads that ran it, so a conv or fc row reads at most 100%
+  // of it, plus timing noise and the few % by which the binarizing epilogue
+  // of the inner layers beats the raw-dot one the roof is timed on.  Under
+  // ASan or TSan the instrumented raw-dot epilogue (float stores, spilled
+  // counts) costs far more than that, so the bound is asserted only in
+  // builds without sanitizers.
+  constexpr double kTolerancePct = 15.0;
+  models::VggConfig vgg = models::vgg16();  // the 13 conv shapes, at 32x32
+  vgg.input_size = 32;
+  vgg.fc_sizes = {256, 10};
+  Tensor input = Tensor::hwc(vgg.input_size, vgg.input_size, vgg.input_channels);
+  fill_uniform(input, 31);
+  const int nproc = static_cast<int>(std::max(1u, std::thread::hardware_concurrency()));
+  for (const int threads : {1, nproc}) {
+    NetworkConfig cfg;
+    cfg.num_threads = threads;
+    cfg.profile = true;
+    BinaryNetwork net = models::build_binary_vgg(vgg, cfg);
+    for (int i = 0; i < 4; ++i) (void)net.infer(input);
+    const ProfileReport report = net.profile_report();
+    const ProfileReport again = net.profile_report();
+    int convs = 0;
+    for (std::size_t i = 1; i < report.rows.size(); ++i) {
+      const LayerProfile& row = report.rows[i];
+      if (net.layers()[i - 1].kind == LayerKind::kPool) continue;
+      convs += net.layers()[i - 1].kind == LayerKind::kConv ? 1 : 0;
+      ASSERT_GT(row.roof_gops, 0.0) << row.name;
+      EXPECT_EQ(again.rows[i].roof_gops, row.roof_gops) << row.name;  // calibrated once
+      if (kSanitized) continue;
+      EXPECT_LE(100.0 * row.gops / row.roof_gops, 100.0 + kTolerancePct)
+          << row.name << " " << row.kernel << " at " << threads << " threads: " << row.gops
+          << " of " << row.roof_gops << " GOPS";
+    }
+    EXPECT_EQ(convs, 13);
+  }
+
+  // An SSE cap runs the u64 entry points, so it reads the u64 roof.
+  if (!simd::cpu_features().supports(simd::IsaLevel::kSse)) return;
+  double roofs[2] = {0.0, 0.0};
+  for (const simd::IsaLevel cap : {simd::IsaLevel::kU64, simd::IsaLevel::kSse}) {
+    NetworkConfig cfg;
+    cfg.profile = true;
+    cfg.max_isa = cap;
+    BinaryNetwork net = make_small_net(cfg);
+    Tensor small = Tensor::hwc(16, 16, 16);
+    fill_uniform(small, 13);
+    (void)net.infer(small);
+    roofs[cap == simd::IsaLevel::kSse ? 1 : 0] = net.profile_report().rows[1].roof_gops;
+  }
+  EXPECT_GT(roofs[0], 0.0);
+  EXPECT_EQ(roofs[1], roofs[0]);
+}
+
+TEST(BinaryNetwork, ProfileReportSurvivesAnInjectedPoolFault) {
+  // The roof's calibration runs a pool job, which an armed runtime.worker
+  // fault fails: the report must still come back (the /varz scrape of a
+  // served network calls it on the server's poll thread).  An AVX2 cap
+  // keeps this test's lowering apart from the other profile tests' when
+  // the binary runs in one process.
+  if (!simd::cpu_features().supports(simd::IsaLevel::kAvx2)) GTEST_SKIP() << "no AVX2";
+  NetworkConfig cfg;
+  cfg.profile = true;
+  cfg.max_isa = simd::IsaLevel::kAvx2;
+  BinaryNetwork net = make_small_net(cfg);
+  Tensor input = Tensor::hwc(16, 16, 16);
+  fill_uniform(input, 13);
+  (void)net.infer(input);
+  failpoint::arm("runtime.worker", {failpoint::Action::kError, failpoint::Trigger::kAlways});
+  EXPECT_NO_THROW((void)net.profile_report());
+  failpoint::disarm_all();
+  EXPECT_GT(net.profile_report().rows[1].roof_gops, 0.0);
 }
 
 TEST(BinaryNetwork, ProfileReportAccumulatesAcrossContextsWhenGloballyEnabled) {

@@ -238,17 +238,12 @@ TEST(SpanStats, AccumulatesAndViews) {
   EXPECT_GE(v.p99_ns, v.p50_ns);
 }
 
-TEST(Profiler, GlobalSwitchTogglesAndRoofIsPositive) {
+TEST(Profiler, GlobalSwitchToggles) {
   EXPECT_FALSE(profiling_enabled());
   set_profiling(true);
   EXPECT_TRUE(profiling_enabled());
   set_profiling(false);
   EXPECT_FALSE(profiling_enabled());
-  // Scalar xor+popcount always runs; its measured roof must be non-trivial
-  // (and cached: the second call returns the identical value instantly).
-  const double roof = roofline_peak_gops(simd::IsaLevel::kU64);
-  EXPECT_GT(roof, 1.0);
-  EXPECT_EQ(roofline_peak_gops(simd::IsaLevel::kU64), roof);
 }
 
 }  // namespace

@@ -41,6 +41,16 @@ template instantiated the same way) leave the linker free to keep one TU's
 lowering for both, so an AVX-512 VPOPCNTDQ entry point could run byte-LUT
 code with every test still bit-exact.  Exit 77 (ctest's skip code) when nm
 is missing.  `--self-test` runs that check on canned `nm -A` text.
+
+`--lowering ARCHIVE` checks what each per-ISA kernel object issues: it runs
+`objdump -d` over the kernels archive and asserts, per member, that the
+VPOPCNTDQ object issues vpopcntq and no vpshufb, the byte-LUT AVX-512
+object issues vpshufb on zmm and no vpopcntq, the AVX2 object names no zmm
+register and the u64 object no ymm or zmm.  With --objects, which leaves the
+linker nothing to merge, this pins each entry point to its lowering.  A
+per-ISA member (pressedconv_<isa>.cpp.o) that is missing or has no rule
+fails it; exit 77 when objdump is missing.  `--self-test=lowering` runs
+this check on canned `objdump -d` text.
 """
 
 from __future__ import annotations
@@ -61,9 +71,7 @@ PER_ISA_TUS = {
     "src/simd/bitops_sse.cpp",
     "src/simd/bitops_avx2.cpp",
     "src/simd/bitops_avx512.cpp",
-    "src/simd/bitops_avx512vp.cpp",
     "src/kernels/pressedconv_u64.cpp",
-    "src/kernels/pressedconv_sse.cpp",
     "src/kernels/pressedconv_avx2.cpp",
     "src/kernels/pressedconv_avx512.cpp",
     "src/kernels/pressedconv_avx512vp.cpp",
@@ -268,6 +276,152 @@ def check_objects(nm: str, archives: list[str]) -> int:
     return 0
 
 
+# --- lowering mode: what each per-ISA kernel object issues --------------------
+
+# Per member of the kernels archive: instruction counts that must be zero and
+# ones that must be positive.  Counted keys: vpopcntq, vpshufb, vpshufb_zmm
+# (a vpshufb with a zmm operand), zmm and ymm (instructions naming one).
+LOWERING_RULES = {
+    "pressedconv_avx512vp.cpp.o": {"positive": ["vpopcntq"], "zero": ["vpshufb"]},
+    "pressedconv_avx512.cpp.o": {"positive": ["vpshufb_zmm"], "zero": ["vpopcntq"]},
+    "pressedconv_avx2.cpp.o": {"positive": [], "zero": ["zmm"]},
+    "pressedconv_u64.cpp.o": {"positive": [], "zero": ["ymm", "zmm"]},
+}
+PER_ISA_KERNEL_MEMBER = re.compile(r"^pressedconv_\w+\.cpp\.o$")
+# "member.o:     file format elf64-x86-64" opens each archive member.
+OBJDUMP_MEMBER = re.compile(r"^(?P<member>[^\s:]+\.o):\s+file format")
+# "  addr:<TAB>bytes<TAB>mnemonic operands"; a wrapped line of bytes alone
+# has no second tab.
+OBJDUMP_INSN = re.compile(r"^\s*[0-9a-f]+:\t[^\t]*\t(?P<mnemonic>\S+)\s*(?P<operands>.*)$")
+
+
+def count_lowering(text: str) -> dict[str, dict[str, int]]:
+    """Per archive member of `objdump -d` output, the counted instructions."""
+    counts: dict[str, dict[str, int]] = {}
+    member = None
+    for line in text.splitlines():
+        m = OBJDUMP_MEMBER.match(line)
+        if m:
+            member = m["member"]
+            counts[member] = {"vpopcntq": 0, "vpshufb": 0, "vpshufb_zmm": 0, "zmm": 0, "ymm": 0}
+            continue
+        m = OBJDUMP_INSN.match(line)
+        if not m or member is None:
+            continue
+        c = counts[member]
+        mnemonic, operands = m["mnemonic"], m["operands"]
+        c["vpopcntq"] += mnemonic == "vpopcntq"
+        c["vpshufb"] += mnemonic == "vpshufb"
+        c["vpshufb_zmm"] += mnemonic == "vpshufb" and "%zmm" in operands
+        c["zmm"] += "%zmm" in operands
+        c["ymm"] += "%ymm" in operands
+    return counts
+
+
+def check_lowering_output(text: str) -> list[str]:
+    """Violations in `objdump -d` output over the kernels archive: a rule a
+    member breaks, a ruled member that is missing, a per-ISA member with no
+    rule."""
+    counts = count_lowering(text)
+    errors = []
+    for member, c in counts.items():
+        rule = LOWERING_RULES.get(member)
+        if rule is None:
+            if PER_ISA_KERNEL_MEMBER.match(member):
+                errors.append(f"{member}: per-ISA kernel object with no lowering rule")
+            continue
+        for key in rule["positive"]:
+            if c[key] == 0:
+                errors.append(f"{member}: issues no {key} ({c})")
+        for key in rule["zero"]:
+            if c[key] != 0:
+                errors.append(f"{member}: issues {c[key]} {key} ({c})")
+    for missing in sorted(set(LOWERING_RULES) - set(counts)):
+        errors.append(f"{missing}: per-ISA kernel object not found in the archive")
+    return errors
+
+
+def check_lowering(objdump: str, archive: str) -> int:
+    tool = shutil.which(objdump or "objdump")
+    if tool is None:
+        print(f"ISA lowering: skipped ({objdump or 'objdump'} not found)")
+        return SKIP
+    run = subprocess.run([tool, "-d", archive], capture_output=True, text=True)
+    if run.returncode != 0:
+        print(f"ISA lowering: objdump failed: {run.stderr.strip()}", file=sys.stderr)
+        return 1
+    errors = check_lowering_output(run.stdout)
+    if errors:
+        print(f"ISA lowering: {len(errors)} violation(s):", file=sys.stderr)
+        for e in errors:
+            print(f"  {e}", file=sys.stderr)
+        return 1
+    counts = count_lowering(run.stdout)
+    print("ISA lowering: OK (" + "; ".join(
+        f"{m}: {counts[m]['vpopcntq']} vpopcntq, {counts[m]['vpshufb_zmm']} zmm vpshufb, "
+        f"{counts[m]['zmm']} zmm, {counts[m]['ymm']} ymm" for m in sorted(LOWERING_RULES)) + ")")
+    return 0
+
+
+def lowering_self_test() -> int:
+    """check_lowering_output on canned text: a clean listing passes; an
+    avx512vp object lowered to the byte-LUT, an avx512 object issuing
+    vpopcntq, wider registers in u64 and AVX2, and an unknown and a missing
+    member are each reported."""
+    def member(name: str, *insns: str) -> list[str]:
+        return ["", f"{name}:     file format elf64-x86-64", "",
+                "Disassembly of section .text:", "",
+                "0000000000000000 <_ZN7bitflow7kernels6detail1fE>:"] + [
+            f"  {4 * i:x}:\t62 f2 fd 48\t{insn}" for i, insn in enumerate(insns)] + [
+            "  40:\t00 00 00 00 00 00 00 00 00 00 00 00 00 00 00 \tnopw   0x0(%rax,%rax,1)",
+            "  4f:\t00 "]
+
+    def listing(*members: list[str]) -> str:
+        return "\n".join(["In archive lib/libbitflow_kernels.a:"] + sum(members, []))
+
+    vp = member("pressedconv_avx512vp.cpp.o", "vpopcntq %zmm1,%zmm2", "vpaddq %zmm2,%zmm3,%zmm3")
+    lut = member("pressedconv_avx512.cpp.o", "vpshufb %zmm1,%zmm4,%zmm5",
+                 "vpsadbw %zmm6,%zmm5,%zmm5")
+    avx2 = member("pressedconv_avx2.cpp.o", "vpshufb %ymm1,%ymm4,%ymm5", "vmovdqu (%rdi),%ymm0")
+    u64 = member("pressedconv_u64.cpp.o", "popcnt %rax,%rax", "movq %xmm0,%rax")
+    generic = member("pressedconv.cpp.o", "vmovdqu (%rdi),%ymm0")
+    vp_as_lut = member("pressedconv_avx512vp.cpp.o", "vpshufb %zmm1,%zmm4,%zmm5",
+                       "vpsadbw %zmm6,%zmm5,%zmm5")
+    avx2_zmm = member("pressedconv_avx2.cpp.o", "vpxorq %zmm1,%zmm1,%zmm1")
+    u64_ymm = member("pressedconv_u64.cpp.o", "vpxor %ymm1,%ymm1,%ymm1")
+    sse = member("pressedconv_sse.cpp.o", "popcnt %rax,%rax")
+    cases = [
+        ("clean listing", listing(generic, u64, avx2, lut, vp), []),
+        ("avx512vp lowered to the byte-LUT", listing(u64, avx2, lut, vp_as_lut),
+         ["pressedconv_avx512vp.cpp.o: issues no vpopcntq",
+          "pressedconv_avx512vp.cpp.o: issues 1 vpshufb"]),
+        ("avx512 issues vpopcntq",
+         listing(u64, avx2, member("pressedconv_avx512.cpp.o", "vpopcntq %zmm1,%zmm2"), vp),
+         ["pressedconv_avx512.cpp.o: issues no vpshufb_zmm",
+          "pressedconv_avx512.cpp.o: issues 1 vpopcntq"]),
+        ("wider registers", listing(u64_ymm, avx2_zmm, lut, vp),
+         ["pressedconv_u64.cpp.o: issues 1 ymm", "pressedconv_avx2.cpp.o: issues 1 zmm"]),
+        ("unknown and missing members", listing(sse, avx2, lut, vp),
+         ["pressedconv_sse.cpp.o: per-ISA kernel object with no lowering rule",
+          "pressedconv_u64.cpp.o: per-ISA kernel object not found"]),
+    ]
+    return run_cases("ISA lowering", check_lowering_output, cases)
+
+
+def run_cases(check: str, fn, cases) -> int:
+    """Runs `fn` on each (name, text, expected error substrings) case."""
+    failed = 0
+    for name, text, want in cases:
+        errors = fn(text)
+        if not (len(errors) == len(want) and all(w in e for w, e in zip(want, errors))):
+            failed += 1
+            print(f"self-test '{name}': expected {want}, got {errors}", file=sys.stderr)
+    if failed:
+        return 1
+    print(f"{check} self-test: OK ({len(cases)} cases)")
+    return 0
+
+
 def self_test() -> int:
     """check_nm_output on canned text: a clean listing passes; seeded shared
     symbols and a missing object are each reported."""
@@ -282,29 +436,20 @@ def self_test() -> int:
               "lib/libbitflow_x.a:pressedconv.cpp.o:0000000000000000 u _ZZN6digitsE"]
     shared = "_ZN7bitflow4simd3inl18popcount_epi64_512EDv8_x"
     bad = clean + [
-        f"lib/libbitflow_simd.a:bitops_avx512.cpp.o:0000000000000000 W {shared}",
-        f"lib/libbitflow_simd.a:bitops_avx512vp.cpp.o:0000000000000000 W {shared}",
+        f"lib/libbitflow_kernels.a:pressedconv_avx512.cpp.o:0000000000000000 W {shared}",
+        f"lib/libbitflow_kernels.a:pressedconv_avx512vp.cpp.o:0000000000000000 W {shared}",
         "lib/libbitflow_kernels.a:pressedconv_avx2.cpp.o:0000000000000000 u _ZZN4bitflowE4lut",
         "lib/libbitflow_kernels.a:pressedconv_u64.cpp.o:0000000000000000 V _ZTV8Tile",
     ]
     missing = [line for line in clean if ":bitops_sse.cpp.o:" not in line]
     cases = [
-        ("clean listing", clean, []),
-        ("shared symbols", bad, ["bitops_avx512.cpp.o", "bitops_avx512vp.cpp.o",
-                                 "pressedconv_avx2.cpp.o", "pressedconv_u64.cpp.o"]),
-        ("missing object", missing, ["bitops_sse.cpp.o: per-ISA object not found"]),
+        ("clean listing", "\n".join(clean), []),
+        ("shared symbols", "\n".join(bad),
+         ["pressedconv_avx512.cpp.o", "pressedconv_avx512vp.cpp.o", "pressedconv_avx2.cpp.o",
+          "pressedconv_u64.cpp.o"]),
+        ("missing object", "\n".join(missing), ["bitops_sse.cpp.o: per-ISA object not found"]),
     ]
-    failed = 0
-    for name, lines, want in cases:
-        errors = check_nm_output("\n".join(lines))
-        ok = len(errors) == len(want) and all(w in e for w, e in zip(want, errors))
-        if not ok:
-            failed += 1
-            print(f"self-test '{name}': expected {want}, got {errors}", file=sys.stderr)
-    if failed:
-        return 1
-    print(f"ISA object hygiene self-test: OK ({len(cases)} cases)")
-    return 0
+    return run_cases("ISA object hygiene", check_nm_output, cases)
 
 
 def main() -> int:
@@ -315,13 +460,23 @@ def main() -> int:
     parser.add_argument("--objects", nargs="+", metavar="ARCHIVE",
                         help="check these static archives' per-ISA objects instead of the source")
     parser.add_argument("--nm", default="nm", help="the nm to run in --objects mode")
-    parser.add_argument("--self-test", action="store_true",
-                        help="run the --objects check on canned nm output")
+    parser.add_argument("--lowering", metavar="ARCHIVE",
+                        help="check what each per-ISA object of this kernels archive issues")
+    parser.add_argument("--objdump", default="objdump",
+                        help="the objdump to run in --lowering mode")
+    parser.add_argument("--self-test", nargs="?", const="objects",
+                        choices=["objects", "lowering"],
+                        help="run the --objects (default) or --lowering check on canned "
+                             "tool output")
     args = parser.parse_args()
-    if args.self_test:
+    if args.self_test == "objects":
         return self_test()
+    if args.self_test == "lowering":
+        return lowering_self_test()
     if args.objects:
         return check_objects(args.nm, args.objects)
+    if args.lowering:
+        return check_lowering(args.objdump, args.lowering)
     root = args.root.resolve()
 
     errors: list[str] = []

@@ -13,7 +13,7 @@ The layering (leaves first):
     core                          — Status/Result, checks, failpoints, sync
     tensor, simd      -> core
     data              -> tensor
-    telemetry         -> core, simd
+    telemetry         -> core
     runtime           -> core, telemetry
     bitpack, kernels  -> core, runtime, simd, tensor
     baseline          -> kernels (+ the floors below)
@@ -49,7 +49,7 @@ DIRECT_DEPS: dict[str, set[str]] = {
     "tensor": {"core"},
     "simd": {"core"},
     "data": {"tensor"},
-    "telemetry": {"core", "simd"},
+    "telemetry": {"core"},
     "runtime": {"core", "telemetry"},
     "bitpack": {"core", "runtime", "simd", "tensor"},
     "kernels": {"core", "runtime", "simd", "tensor"},
