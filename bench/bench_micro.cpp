@@ -10,14 +10,17 @@
 // kernel at that ISA's default T against the scalar u64 tile), and one
 // comparing the default plan with the paper-rule plan at VGG-16 conv1_2's
 // shape; CI's perf-smoke job and the committed BENCH_pressedconv.json
-// baseline come from these lines.
+// baseline come from these lines.  --plans and --forkjoin run one matrix
+// each instead (see their functions).
 #include <algorithm>
 #include <chrono>
 #include <cstdint>
 #include <cstdio>
 #include <cstdlib>
+#include <optional>
 #include <random>
 #include <string_view>
+#include <thread>
 #include <vector>
 
 #include <benchmark/benchmark.h>
@@ -433,12 +436,70 @@ void emit_vgg16_plan_matrix_json(int threads) {
   std::fflush(stdout);
 }
 
+// --forkjoin mode: the pool's fork/join cost inside one inference.  A call
+// is 22 empty parallel_for jobs, as many as a VGG-16 infer_batch makes
+// (pack, 13 convs, 5 pools, 3 fcs), on an nproc pool, once unheld (every
+// job wakes the parked workers) and once under a ThreadPool::Hold taken for
+// the call, as infer_batch takes it (the workers spin from job to job and
+// park after the call).  The two modes alternate in blocks of 50 calls so
+// both see the same host; `calls` calls of each are timed after a warm-up.
+// One `BENCH {"bench":"forkjoin",...}` line with p50 and p99 per call, the
+// source of BENCH_forkjoin.json.
+void emit_forkjoin_json(int calls) {
+  constexpr int kJobsPerCall = 22, kBlock = 50;
+  const int threads = static_cast<int>(std::max(1u, std::thread::hardware_concurrency()));
+  runtime::ThreadPool pool(threads);
+  const auto one_call = [&pool](bool held) {
+    std::optional<runtime::ThreadPool::Hold> hold;
+    if (held) hold.emplace(pool);
+    for (int j = 0; j < kJobsPerCall; ++j) {
+      pool.parallel_for(1024, [](runtime::Range r, int) { benchmark::DoNotOptimize(r); });
+    }
+  };
+  std::vector<double> us[2];
+  for (int done = -2 * kBlock; done < calls; done += kBlock) {  // two warm-up blocks
+    for (const bool held : {false, true}) {
+      for (int i = 0; i < kBlock; ++i) {
+        const auto t0 = std::chrono::steady_clock::now();
+        one_call(held);
+        const double dt =
+            std::chrono::duration<double, std::micro>(std::chrono::steady_clock::now() - t0)
+                .count();
+        if (done >= 0) us[held ? 1 : 0].push_back(dt);
+      }
+    }
+  }
+  const auto quantile = [](std::vector<double> v, double q) {
+    std::sort(v.begin(), v.end());
+    return v[static_cast<std::size_t>(q * static_cast<double>(v.size() - 1))];
+  };
+  std::printf(
+      "BENCH {\"bench\":\"forkjoin\",\"threads\":%d,\"jobs_per_call\":%d,\"calls\":%zu,"
+      "\"unheld_p50_us\":%.2f,\"unheld_p99_us\":%.2f,\"held_p50_us\":%.2f,"
+      "\"held_p99_us\":%.2f}\n",
+      threads, kJobsPerCall, us[0].size(), quantile(us[0], 0.5), quantile(us[0], 0.99),
+      quantile(us[1], 0.5), quantile(us[1], 0.99));
+  std::fflush(stdout);
+}
+
 }  // namespace
 
 int main(int argc, char** argv) {
-  // --plans [--threads N] runs the VGG-16 plan matrix instead of the
-  // google-benchmark suite.
+  // --plans [--threads N] runs the VGG-16 plan matrix, and --forkjoin
+  // [--calls N] the fork/join timing, instead of the google-benchmark suite.
   for (int i = 1; i < argc; ++i) {
+    if (std::string_view(argv[i]) == "--forkjoin") {
+      int calls = 2000;
+      if (i + 1 < argc && std::string_view(argv[i + 1]) == "--calls") {
+        calls = i + 2 < argc ? std::atoi(argv[i + 2]) : 0;
+      }
+      if (calls < 1000 || calls > 1000000) {
+        std::fprintf(stderr, "bench_micro: --forkjoin [--calls N] takes 1000 <= N <= 1000000\n");
+        return 2;
+      }
+      emit_forkjoin_json(calls);
+      return 0;
+    }
     if (std::string_view(argv[i]) == "--plans") {
       int threads = 1;
       if (i + 1 < argc && std::string_view(argv[i + 1]) == "--threads") {

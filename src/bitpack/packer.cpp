@@ -1,5 +1,6 @@
 #include "bitpack/packer.hpp"
 
+#include <algorithm>
 #include <cstring>
 #include <stdexcept>
 #include <vector>
@@ -100,43 +101,56 @@ void pack_activations_into(const Tensor& hwc, PackedTensor& out) {
   }
 }
 
-void pack_activations_into_interior(const Tensor& hwc, PackedTensor& out, std::int64_t margin) {
+namespace {
+
+/// The checks both interior packs make of one (input, output) pair.
+void check_interior_pack(const Tensor& hwc, const PackedTensor& out, std::int64_t margin,
+                         const Tensor& first) {
   if (hwc.layout() != Layout::kHWC) {
     throw std::invalid_argument("pack_activations_into_interior expects an HWC tensor");
+  }
+  if (hwc.height() != first.height() || hwc.width() != first.width() ||
+      hwc.channels() != first.channels()) {
+    throw std::invalid_argument("pack_activations_into_interior: batch extents differ");
   }
   if (out.height() != hwc.height() + 2 * margin || out.width() != hwc.width() + 2 * margin ||
       out.channels() != hwc.channels()) {
     throw std::invalid_argument("pack_activations_into_interior: extent mismatch");
-  }
-  const std::int64_t c = hwc.channels();
-  const std::int64_t pc = out.words_per_pixel();
-  for (std::int64_t h = 0; h < hwc.height(); ++h) {
-    const float* src = hwc.data() + hwc.index(h, 0, 0);
-    std::uint64_t* dst = out.pixel(h + margin, margin);
-    for (std::int64_t w = 0; w < hwc.width(); ++w) {
-      pack_run(src + w * c, c, dst + w * pc);
-    }
   }
 }
 
-void pack_activations_into_interior(const Tensor& hwc, PackedTensor& out, std::int64_t margin,
-                                    runtime::ThreadPool& pool) {
-  if (hwc.layout() != Layout::kHWC) {
-    throw std::invalid_argument("pack_activations_into_interior expects an HWC tensor");
-  }
-  if (out.height() != hwc.height() + 2 * margin || out.width() != hwc.width() + 2 * margin ||
-      out.channels() != hwc.channels()) {
-    throw std::invalid_argument("pack_activations_into_interior: extent mismatch");
-  }
+/// Packs rows [h0, h1) of `hwc` into the interior of `out`.
+void pack_interior_rows(const Tensor& hwc, PackedTensor& out, std::int64_t margin,
+                        std::int64_t h0, std::int64_t h1) {
   const std::int64_t c = hwc.channels();
   const std::int64_t pc = out.words_per_pixel();
-  pool.parallel_for(hwc.height(), [&](runtime::Range r, int) {
-    for (std::int64_t h = r.begin; h < r.end; ++h) {
-      const float* src = hwc.data() + hwc.index(h, 0, 0);
-      std::uint64_t* dst = out.pixel(h + margin, margin);
-      for (std::int64_t w = 0; w < hwc.width(); ++w) {
-        pack_run(src + w * c, c, dst + w * pc);
-      }
+  for (std::int64_t h = h0; h < h1; ++h) {
+    const float* src = hwc.data() + hwc.index(h, 0, 0);
+    std::uint64_t* dst = out.pixel(h + margin, margin);
+    for (std::int64_t w = 0; w < hwc.width(); ++w) pack_run(src + w * c, c, dst + w * pc);
+  }
+}
+
+}  // namespace
+
+void pack_activations_into_interior(const Tensor& hwc, PackedTensor& out, std::int64_t margin) {
+  check_interior_pack(hwc, out, margin, hwc);
+  pack_interior_rows(hwc, out, margin, 0, hwc.height());
+}
+
+void pack_activations_into_interior(const Tensor* const* in, std::int64_t n,
+                                    PackedTensor* const* out, std::int64_t margin,
+                                    runtime::ThreadPool& pool) {
+  BF_CHECK(n >= 1, "pack_activations_into_interior: batch of ", n);
+  for (std::int64_t b = 0; b < n; ++b) check_interior_pack(*in[b], *out[b], margin, *in[0]);
+  const std::int64_t h = in[0]->height();
+  pool.parallel_for(n * h, [&](runtime::Range r, int) {
+    // The block walks image by image: (b, y) = divmod(i, h).
+    for (std::int64_t i = r.begin; i < r.end;) {
+      const std::int64_t b = i / h, y = i % h;
+      const std::int64_t y1 = std::min(h, y + (r.end - i));
+      pack_interior_rows(*in[b], *out[b], margin, y, y1);
+      i += y1 - y;
     }
   });
 }

@@ -50,12 +50,16 @@ void pack_activations_into(const Tensor& hwc, PackedTensor& out);
 /// Packs `hwc` into the interior of `out`, leaving a `margin`-pixel border
 /// untouched on every side (out extents = hwc extents + 2*margin).  This is
 /// how the engine's input stage realizes the first convolution's padding at
-/// zero cost.
+/// zero cost.  Every interior word is assigned whole, tail bits included.
 void pack_activations_into_interior(const Tensor& hwc, PackedTensor& out, std::int64_t margin);
 
-/// Multi-threaded variant: rows are split across the pool's workers (the
-/// engine's input stage, so the pack scales with the conv layers).
-void pack_activations_into_interior(const Tensor& hwc, PackedTensor& out, std::int64_t margin,
+/// Batch variant, the engine's input stage: packs in[b] into the interior of
+/// out[b] for b in [0, n), like the single-image form.  All n inputs share
+/// in[0]'s extents.  The fused n*H row range is split across the pool's
+/// workers, so the pack scales with the conv layers and a batch costs one
+/// fork/join; image b's words are those of a single-image pack of in[b].
+void pack_activations_into_interior(const Tensor* const* in, std::int64_t n,
+                                    PackedTensor* const* out, std::int64_t margin,
                                     runtime::ThreadPool& pool);
 
 /// Packs `hwc` into the interior of `out` like pack_activations_into_interior,

@@ -7,7 +7,9 @@
 #include <map>
 #include <new>
 #include <stdexcept>
+#include <type_traits>
 #include <utility>
+#include <vector>
 
 #include "baseline/float_ops.hpp"
 #include "bitpack/packer.hpp"
@@ -117,12 +119,14 @@ bool runs_vpopcntdq(simd::IsaLevel isa) {
   return isa == simd::IsaLevel::kAvx512 && simd::cpu_features().avx512vpopcntdq;
 }
 
-/// One thread's GOPS through the raw-dot conv entry point `dot`, whose banks
-/// are tiled at `tile`: C = 512, K = 64, 3x3 windows and an 8 x 16 output,
-/// so whole P-blocks and whole T-tiles at every ISA, and about 80 KiB of
-/// operands and dots.  Best of 16 calls after a warm-up: a few ms for the
-/// slowest (u64) tile.
-double time_roof_gops(kernels::ConvDotFn dot, std::int64_t tile) {
+/// One thread's GOPS through the conv entry point `kernel`, a raw dot
+/// (kernels::ConvDotFn) or a fused binarize (kernels::ConvBinarizeFn) whose
+/// banks are tiled at `tile`: C = 512, K = 64, 3x3 windows and an 8 x 16
+/// output, so whole P-blocks and whole T-tiles at every ISA, and about
+/// 80 KiB of operands and outputs.  Best of 16 calls after a warm-up: a few
+/// ms for the slowest (u64) tile.
+template <typename Kernel>
+double time_roof_gops(Kernel kernel, std::int64_t tile) {
   constexpr std::int64_t kC = 512, kK = 64, kWin = 3, kOutH = 8, kOutW = 16;
   PackedTensor in(kOutH + kWin - 1, kOutW + kWin - 1, kC);
   TiledFilterBank bank(TiledBitMatrix(kK, kWin * kWin * words_for_channels(kC), tile), kWin,
@@ -135,38 +139,47 @@ double time_roof_gops(kernels::ConvDotFn dot, std::int64_t tile) {
   };
   fill(in.words(), in.num_words());
   fill(bank.rows().words(), bank.rows().num_words());
-  Tensor out = Tensor::hwc(kOutH, kOutW, kK);
   const PackedTensor* ins[] = {&in};
-  Tensor* outs[] = {&out};
+  const kernels::ConvSpec spec{kWin, kWin, 1};
   runtime::ThreadPool pool(1);
-  const double seconds = runtime::measure_best_seconds(
-      [&] { dot(ins, 1, bank, kernels::ConvSpec{kWin, kWin, 1}, pool, outs); }, 16, 0.0);
+  double seconds = 0.0;
+  if constexpr (std::is_same_v<Kernel, kernels::ConvDotFn>) {
+    Tensor out = Tensor::hwc(kOutH, kOutW, kK);
+    Tensor* outs[] = {&out};
+    seconds = runtime::measure_best_seconds([&] { kernel(ins, 1, bank, spec, pool, outs); }, 16,
+                                            0.0);
+  } else {
+    // One limit per filter, as a lowered layer passes them.
+    const std::vector<std::int64_t> limits(kK, bank.bits_per_filter() / 2);
+    PackedTensor out(kOutH, kOutW, kK);
+    PackedTensor* outs[] = {&out};
+    seconds = runtime::measure_best_seconds(
+        [&] { kernel(ins, 1, bank, spec, limits.data(), pool, outs, 0); }, 16, 0.0);
+  }
   return 2.0 * static_cast<double>(kOutH * kOutW * kK * kWin * kWin * kC) / seconds / 1e9;
 }
 
-/// The compute roof of one thread of every conv and fc layer planned at
-/// `isa`: time_roof_gops of the raw-dot conv entry point it dispatches
-/// (bgemm runs the same TileAcc at the same P), measured by the first call
-/// that needs it, then cached for the process.  The cache is keyed by the
-/// entry point, so an SSE cap, which runs the u64 entry, reads the u64
-/// roof.  0 when an injected pool or allocation fault (or a real
-/// allocation failure) interrupts the measurement: that report shows no
-/// roof, and the next one measures again.  Thread-safe.
-double one_thread_roof_gops(simd::IsaLevel isa) {
+/// time_roof_gops of `kernel`, measured by the first call that needs it,
+/// then cached for the process.  The cache is keyed by the entry point, so
+/// an SSE cap, which runs the u64 entries, reads the u64 roof.  0 when an
+/// injected pool or allocation fault (or a real allocation failure)
+/// interrupts the measurement: that report shows no roof, and the next one
+/// measures again.  Thread-safe.
+template <typename Kernel>
+double cached_roof_gops(Kernel kernel, std::int64_t tile) {
   struct Cache {
     core::Mutex mu;
-    std::map<kernels::ConvDotFn, double> gops BF_GUARDED_BY(mu);
+    std::map<Kernel, double> gops BF_GUARDED_BY(mu);
   };
   static Cache* cache = new Cache();  // leaked: usable during static teardown
-  const kernels::ConvDotFn dot = kernels::conv_dot_kernel(isa, runs_vpopcntdq(isa));
   {
     core::MutexLock lock(cache->mu);
-    if (const auto it = cache->gops.find(dot); it != cache->gops.end()) return it->second;
+    if (const auto it = cache->gops.find(kernel); it != cache->gops.end()) return it->second;
   }
   // Measured without the lock, which stays a leaf (the pool takes its own).
   double gops = 0.0;
   try {
-    gops = time_roof_gops(dot, kernels::weight_tile_width(isa));
+    gops = time_roof_gops(kernel, tile);
   } catch (const failpoint::FaultInjected&) {
     return 0.0;
   } catch (const std::bad_alloc&) {
@@ -175,7 +188,18 @@ double one_thread_roof_gops(simd::IsaLevel isa) {
   core::MutexLock lock(cache->mu);
   // When two first reports race, the first measurement stays: one roof per
   // entry point for the process.
-  return cache->gops.try_emplace(dot, gops).first->second;
+  return cache->gops.try_emplace(kernel, gops).first->second;
+}
+
+/// The compute roof of one thread of a conv or fc layer planned at `isa`:
+/// the cached roof of the conv entry point its rows run — the fused
+/// binarize for an inner layer, the raw dot for the last one (bgemm runs
+/// the same TileAcc at the same P, and the same epilogue).
+double one_thread_roof_gops(simd::IsaLevel isa, bool is_last) {
+  const std::int64_t tile = kernels::weight_tile_width(isa);
+  return is_last
+             ? cached_roof_gops(kernels::conv_dot_kernel(isa, runs_vpopcntdq(isa)), tile)
+             : cached_roof_gops(kernels::conv_binarize_kernel(isa, runs_vpopcntdq(isa)), tile);
 }
 
 }  // namespace
@@ -282,10 +306,17 @@ struct InferenceContext::Impl {
       : net(n), max_batch(mb), pool(threads) {
     const BufferPlan& plan = n->plan;
     const std::size_t b = static_cast<std::size_t>(mb);
+    // Allocated, not written: the inference that first writes a page
+    // faults it in (pack_input, a producer's interior stores, zero_margin),
+    // on the thread that writes it, and a batch slot no call fills never
+    // becomes resident.  Nothing reads a word before it is written: every
+    // producer assigns whole words, tail bits included, and each margin
+    // ring is zeroed before its producer runs.
     arenas.reserve(2 * b);
     for (std::int64_t i = 0; i < mb; ++i) {
       for (const std::int64_t words : plan.arena_words) {
-        arenas.emplace_back(static_cast<std::size_t>(words) * sizeof(std::uint64_t));
+        arenas.push_back(
+            AlignedBuffer::uninitialized(static_cast<std::size_t>(words) * sizeof(std::uint64_t)));
       }
     }
     // One view per planned buffer and image, built once: buffer j of image
@@ -324,6 +355,7 @@ struct InferenceContext::Impl {
     in_ptrs.resize(b);
     out_ptrs.resize(b);
     dot_ptrs.resize(b);
+    profile_ms.reserve(n->stages.size() + 1);
   }
 };
 
@@ -799,6 +831,10 @@ std::span<const float> BinaryNetwork::infer_batch(std::span<const Tensor* const>
       throw core::CancelledError(core::CancelReason::kCancelled);
     }
   };
+  // One wake per call: the pool's workers spin from one stage's job to the
+  // next instead of parking between them, and park again when this returns
+  // or throws.
+  const runtime::ThreadPool::Hold hold(cx.pool);
   checkpoint();
   // Padding re-arm: the arena under a padded buffer held another layer's
   // activations, so its margin ring is zeroed right before the producer
@@ -810,6 +846,13 @@ std::span<const float> BinaryNetwork::infer_batch(std::span<const Tensor* const>
     for (std::int64_t b = 0; b < n; ++b) {
       kernels::zero_margin(views[static_cast<std::size_t>(b)], margin);
     }
+  };
+  // Points a batched kernel's pointer array at images [0, n) of `views`.
+  const auto batch_of = [n](auto& ptrs, auto& views) {
+    for (std::int64_t b = 0; b < n; ++b) {
+      ptrs[static_cast<std::size_t>(b)] = &views[static_cast<std::size_t>(b)];
+    }
+    return ptrs.data();
   };
 
   // Input stage: binarize + pack each image into its batch slot of the
@@ -825,11 +868,8 @@ std::span<const float> BinaryNetwork::infer_batch(std::span<const Tensor* const>
       // stage loop right before each image's float convolution.
     } else if (!starts_with_fc) {
       arm_margins(0);
-      for (std::int64_t b = 0; b < n; ++b) {
-        bitpack::pack_activations_into_interior(*inputs[static_cast<std::size_t>(b)],
-                                                cx.acts[0][static_cast<std::size_t>(b)],
-                                                im.input_margin, cx.pool);
-      }
+      bitpack::pack_activations_into_interior(inputs.data(), n, batch_of(cx.out_ptrs, cx.acts[0]),
+                                              im.input_margin, cx.pool);
     } else {
       PackedMatrix& rows = cx.fc_bits[static_cast<std::size_t>(im.stages.front().in_fc)];
       for (std::int64_t b = 0; b < n; ++b) {
@@ -888,17 +928,11 @@ std::span<const float> BinaryNetwork::infer_batch(std::span<const Tensor* const>
           }
           break;
         }
-        std::vector<PackedTensor>& in = cx.acts[static_cast<std::size_t>(s.in_act)];
-        for (std::int64_t b = 0; b < n; ++b) {
-          cx.in_ptrs[static_cast<std::size_t>(b)] = &in[static_cast<std::size_t>(b)];
-        }
+        const PackedTensor* const* in =
+            batch_of(cx.in_ptrs, cx.acts[static_cast<std::size_t>(s.in_act)]);
         if (s.is_last) {
-          for (std::int64_t b = 0; b < n; ++b) {
-            cx.dot_ptrs[static_cast<std::size_t>(b)] =
-                &cx.last_conv_dot[static_cast<std::size_t>(b)];
-          }
-          s.conv_dot(cx.in_ptrs.data(), n, s.filters.bank(), s.conv_spec, cx.pool,
-                     cx.dot_ptrs.data());
+          s.conv_dot(in, n, s.filters.bank(), s.conv_spec, cx.pool,
+                     batch_of(cx.dot_ptrs, cx.last_conv_dot));
           for (std::int64_t b = 0; b < n; ++b) {
             const Tensor& dots = cx.last_conv_dot[static_cast<std::size_t>(b)];
             std::copy(dots.data(), dots.data() + dots.num_elements(),
@@ -906,33 +940,35 @@ std::span<const float> BinaryNetwork::infer_batch(std::span<const Tensor* const>
           }
         } else {
           arm_margins(s.out_act);
-          std::vector<PackedTensor>& out = cx.acts[static_cast<std::size_t>(s.out_act)];
-          for (std::int64_t b = 0; b < n; ++b) {
-            cx.out_ptrs[static_cast<std::size_t>(b)] = &out[static_cast<std::size_t>(b)];
-          }
-          s.conv_bin(cx.in_ptrs.data(), n, s.filters.bank(), s.conv_spec, limits, cx.pool,
-                     cx.out_ptrs.data(), s.out_margin);
+          s.conv_bin(in, n, s.filters.bank(), s.conv_spec, limits, cx.pool,
+                     batch_of(cx.out_ptrs, cx.acts[static_cast<std::size_t>(s.out_act)]),
+                     s.out_margin);
         }
         break;
       }
       case LayerKind::kPool: {
-        std::vector<PackedTensor>& in = cx.acts[static_cast<std::size_t>(s.in_act)];
+        const PackedTensor* const* in =
+            batch_of(cx.in_ptrs, cx.acts[static_cast<std::size_t>(s.in_act)]);
         if (s.is_last) {
+          kernels::binary_maxpool(in, n, s.pool_spec, s.isa, cx.pool,
+                                  batch_of(cx.out_ptrs, cx.last_pool_out), 0);
+          // Decode each image's bits straight into its +-1 scores, HWC order.
           for (std::int64_t b = 0; b < n; ++b) {
-            PackedTensor& out = cx.last_pool_out[static_cast<std::size_t>(b)];
-            kernels::binary_maxpool(in[static_cast<std::size_t>(b)], s.pool_spec, s.isa,
-                                    cx.pool, out, 0);
-            const Tensor signs = bitpack::unpack_to_signs(out);
-            std::copy(signs.data(), signs.data() + signs.num_elements(),
-                      cx.scores.data() + b * out_size);
+            const PackedTensor& out = cx.last_pool_out[static_cast<std::size_t>(b)];
+            float* score = cx.scores.data() + b * out_size;
+            for (std::int64_t h = 0; h < out.height(); ++h) {
+              for (std::int64_t w = 0; w < out.width(); ++w) {
+                for (std::int64_t c = 0; c < out.channels(); ++c) {
+                  *score++ = out.sign_value(h, w, c);
+                }
+              }
+            }
           }
         } else {
           arm_margins(s.out_act);
-          std::vector<PackedTensor>& out = cx.acts[static_cast<std::size_t>(s.out_act)];
-          for (std::int64_t b = 0; b < n; ++b) {
-            kernels::binary_maxpool(in[static_cast<std::size_t>(b)], s.pool_spec, s.isa,
-                                    cx.pool, out[static_cast<std::size_t>(b)], s.out_margin);
-          }
+          kernels::binary_maxpool(
+              in, n, s.pool_spec, s.isa, cx.pool,
+              batch_of(cx.out_ptrs, cx.acts[static_cast<std::size_t>(s.out_act)]), s.out_margin);
         }
         break;
       }
@@ -1030,7 +1066,8 @@ ProfileReport BinaryNetwork::profile_report() const {
       // The roof only applies to layers running a register tile: its
       // kernel's one-thread roof times the threads that ran it.
       if (im.stage_ait[i - 1] > 0.0) {
-        row.roof_gops = one_thread_roof_gops(im.stages[i - 1].isa) * threads;
+        const Stage& stage = im.stages[i - 1];
+        row.roof_gops = one_thread_roof_gops(stage.isa, stage.is_last) * threads;
       }
     }
     // Measured hardware-counter attribution, when the sampler ran for this

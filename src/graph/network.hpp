@@ -38,9 +38,12 @@
 //
 // `infer_batch()` runs N <= max_batch images in one pass with zero
 // allocation at steady state: the batch axis is fused with the spatial
-// output range inside the kernels (one n*H*W parallel_for per conv, one
-// n*K bgemm per fc), so a micro-batch costs one fork/join per layer
-// instead of N.  Output b is bit-identical to a batch-1 run of input b.
+// range inside the kernels (one n*H parallel_for for the input pack, one
+// n*out_h per pool, one n*H*W per conv, one n*K bgemm per fc), so a
+// micro-batch costs one fork/join per layer instead of N, and the call
+// holds the context's pool (runtime::ThreadPool::Hold), so its workers
+// wake once per call rather than once per layer.  Output b is
+// bit-identical to a batch-1 run of input b.
 #pragma once
 
 #include <cstdint>

@@ -1,8 +1,9 @@
 #include "kernels/binary_maxpool.hpp"
 
+#include <algorithm>
 #include <cstring>
 #include <stdexcept>
-#include <vector>
+#include <string>
 
 #include "core/check.hpp"
 #include "simd/bitops.hpp"
@@ -10,49 +11,75 @@
 
 namespace bitflow::kernels {
 
-void binary_maxpool(const PackedTensor& in, const PoolSpec& spec, simd::IsaLevel isa,
-                    runtime::ThreadPool& pool, PackedTensor& out, std::int64_t margin) {
+void binary_maxpool(const PackedTensor* const* in, std::int64_t n, const PoolSpec& spec,
+                    simd::IsaLevel isa, runtime::ThreadPool& pool, PackedTensor* const* out,
+                    std::int64_t margin) {
+  BF_CHECK(n >= 1, "binary_maxpool: batch of ", n);
   BF_CHECK(spec.pool_h >= 1 && spec.pool_w >= 1, "binary_maxpool: window ", spec.pool_h, "x",
            spec.pool_w);
   BF_CHECK(spec.stride >= 1, "binary_maxpool: stride ", spec.stride);
   BF_CHECK(margin >= 0, "binary_maxpool: negative margin ", margin);
-  const std::int64_t oh = spec.out_h(in.height());
-  const std::int64_t ow = spec.out_w(in.width());
+  const PackedTensor& first = *in[0];
+  const std::int64_t oh = spec.out_h(first.height());
+  const std::int64_t ow = spec.out_w(first.width());
   if (oh <= 0 || ow <= 0) throw std::invalid_argument("binary_maxpool: window larger than input");
-  if (out.height() != oh + 2 * margin || out.width() != ow + 2 * margin ||
-      out.channels() != in.channels()) {
-    throw std::invalid_argument("binary_maxpool: output mis-shaped for margin");
+  for (std::int64_t b = 0; b < n; ++b) {
+    if (in[b]->height() != first.height() || in[b]->width() != first.width() ||
+        in[b]->channels() != first.channels()) {
+      throw std::invalid_argument("binary_maxpool: batch extents differ");
+    }
+    if (out[b]->height() != oh + 2 * margin || out[b]->width() != ow + 2 * margin ||
+        out[b]->channels() != first.channels()) {
+      throw std::invalid_argument("binary_maxpool: output mis-shaped for margin");
+    }
   }
-  const std::int64_t pc = in.words_per_pixel();
-  const std::int64_t row_words = in.width() * pc;
+  const std::int64_t pc = first.words_per_pixel();
+  if (spec.pool_w * pc > kPoolScratchWords) {
+    throw std::invalid_argument("binary_maxpool: a window row spans more than " +
+                                std::to_string(kPoolScratchWords) + " words");
+  }
+  // Output pixels per chunk: as many whole windows as the scratch row holds
+  // (all of them when C = 0 leaves no words to pool).
+  const std::int64_t fit = kPoolScratchWords / std::max<std::int64_t>(pc, 1);
+  const std::int64_t chunk = std::min(ow, (fit - spec.pool_w) / spec.stride + 1);
   const auto or_acc = simd::or_accumulate_fn(isa);
 
-  // One full-width scratch row per worker.
-  std::vector<std::vector<std::uint64_t>> scratch(
-      static_cast<std::size_t>(pool.num_threads()),
-      std::vector<std::uint64_t>(static_cast<std::size_t>(row_words)));
-
-  pool.parallel_for(oh, [&](runtime::Range r, int worker) {
-    std::uint64_t* tmp = scratch[static_cast<std::size_t>(worker)].data();
-    for (std::int64_t y = r.begin; y < r.end; ++y) {
-      // Vertical OR of the window's input rows (contiguous SIMD runs).
+  pool.parallel_for(n * oh, [&](runtime::Range r, int) {
+    std::uint64_t tmp[kPoolScratchWords];  // every word read is first written
+    for (std::int64_t i = r.begin; i < r.end; ++i) {
+      const PackedTensor& src = *in[i / oh];
+      PackedTensor& dst = *out[i / oh];
+      const std::int64_t y = i % oh;
       const std::int64_t iy = y * spec.stride;
-      std::memcpy(tmp, in.pixel(iy, 0), static_cast<std::size_t>(row_words) * 8);
-      for (std::int64_t i = 1; i < spec.pool_h; ++i) {
-        or_acc(tmp, in.pixel(iy + i, 0), row_words);
-      }
-      // Horizontal combine: OR the pool_w pixel blocks of each window.
-      for (std::int64_t x = 0; x < ow; ++x) {
-        std::uint64_t* out_px = out.pixel(y + margin, x + margin);
-        const std::uint64_t* first = tmp + (x * spec.stride) * pc;
-        for (std::int64_t p = 0; p < pc; ++p) out_px[p] = first[p];
-        for (std::int64_t j = 1; j < spec.pool_w; ++j) {
-          const std::uint64_t* block = tmp + (x * spec.stride + j) * pc;
-          for (std::int64_t p = 0; p < pc; ++p) out_px[p] |= block[p];
+      for (std::int64_t x0 = 0; x0 < ow; x0 += chunk) {
+        const std::int64_t x1 = std::min(ow, x0 + chunk);
+        // Vertical OR of the window's input rows over the chunk's windows
+        // (contiguous SIMD runs).
+        const std::int64_t words = ((x1 - 1 - x0) * spec.stride + spec.pool_w) * pc;
+        std::memcpy(tmp, src.pixel(iy, x0 * spec.stride), static_cast<std::size_t>(words) * 8);
+        for (std::int64_t k = 1; k < spec.pool_h; ++k) {
+          or_acc(tmp, src.pixel(iy + k, x0 * spec.stride), words);
+        }
+        // Horizontal combine: OR the pool_w pixel blocks of each window.
+        for (std::int64_t x = x0; x < x1; ++x) {
+          std::uint64_t* out_px = dst.pixel(y + margin, x + margin);
+          const std::uint64_t* win = tmp + (x - x0) * spec.stride * pc;
+          for (std::int64_t p = 0; p < pc; ++p) out_px[p] = win[p];
+          for (std::int64_t j = 1; j < spec.pool_w; ++j) {
+            const std::uint64_t* block = win + j * pc;
+            for (std::int64_t p = 0; p < pc; ++p) out_px[p] |= block[p];
+          }
         }
       }
     }
   });
+}
+
+void binary_maxpool(const PackedTensor& in, const PoolSpec& spec, simd::IsaLevel isa,
+                    runtime::ThreadPool& pool, PackedTensor& out, std::int64_t margin) {
+  const PackedTensor* ins[] = {&in};
+  PackedTensor* outs[] = {&out};
+  binary_maxpool(ins, 1, spec, isa, pool, outs, margin);
 }
 
 void binary_maxpool(const PackedTensor& in, const PoolSpec& spec, runtime::ThreadPool& pool,

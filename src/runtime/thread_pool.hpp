@@ -6,17 +6,24 @@
 // and deterministic: block b of p covers [b*n/p, (b+1)*n/p).  The same
 // partition function is reused by the multicore scaling simulator
 // (scaling_sim.hpp) so simulated speedups reflect the real load balance.
+//
+// Jobs are passed as FunctionRef, a non-owning reference, so a dispatch
+// allocates nothing.  Between jobs the workers park on a condition variable,
+// except inside a ThreadPool::Hold: there a worker that finishes a job spins
+// for the next one (up to kHoldSpinNs), so a burst of jobs — the stages of
+// one inference — pays one wake-up instead of one per job.
 #pragma once
 
 #include <algorithm>
 #include <atomic>
 #include <cstdint>
 #include <exception>
-#include <functional>
 #include <memory>
 #include <stdexcept>
 #include <string>
 #include <thread>
+#include <type_traits>
+#include <utility>
 #include <vector>
 
 #include "core/cancel.hpp"
@@ -87,14 +94,71 @@ struct Range {
   return {lo, hi};
 }
 
+template <typename Sig>
+class FunctionRef;
+
+/// Non-owning reference to a callable taking `Args...`: a pointer to the
+/// caller's callable plus one trampoline.  Binding a capturing lambda never
+/// allocates, where std::function would for any capture past its small
+/// buffer.  The callable must outlive every call through the reference; a
+/// lambda written in a call's argument list lives until that call returns.
+template <typename R, typename... Args>
+class FunctionRef<R(Args...)> {
+ public:
+  template <typename F, typename = std::enable_if_t<
+                            !std::is_same_v<std::remove_cvref_t<F>, FunctionRef> &&
+                            std::is_invocable_r_v<R, F&, Args...>>>
+  // NOLINTNEXTLINE(google-explicit-constructor): binds lambdas at the call site
+  FunctionRef(F&& f) noexcept
+      : obj_(const_cast<void*>(static_cast<const void*>(std::addressof(f)))),
+        call_([](void* obj, Args... args) -> R {
+          return (*static_cast<std::remove_reference_t<F>*>(obj))(std::forward<Args>(args)...);
+        }) {}
+
+  R operator()(Args... args) const { return call_(obj_, std::forward<Args>(args)...); }
+
+ private:
+  void* obj_;
+  R (*call_)(void*, Args...);
+};
+
 /// Fixed-size pool of worker threads executing fork/join parallel loops.
 ///
 /// The pool is created once (typically at engine initialization) and reused
-/// across layers; workers sleep between jobs.  Thread count 1 degenerates to
-/// inline execution with zero synchronization, which keeps single-thread
-/// measurements honest.
+/// across layers; workers sleep between jobs unless a Hold keeps them
+/// spinning.  Thread count 1 degenerates to inline execution with zero
+/// synchronization, which keeps single-thread measurements honest.
 class ThreadPool {
  public:
+  /// How long a worker of a held pool spins for the next job, and the
+  /// caller for its workers' completion, before parking on the condition
+  /// variable as an unheld pool does.  Long enough to bridge the gap between
+  /// two stages of an inference (a few µs of margin zeroing and profile
+  /// bookkeeping) and the imbalance of a stage's blocks; short enough that a
+  /// hold left idle, or a pool oversubscribed on shared cores, burns at most
+  /// this much per worker before it sleeps.  Sized on a 4-vCPU VM: see
+  /// EXPERIMENTS ("One wake per call").
+  static constexpr std::int64_t kHoldSpinNs = 200'000;
+
+  /// Scoped hold: while one exists, the pool's workers spin between jobs
+  /// (bounded by kHoldSpinNs) instead of parking, and the caller's join
+  /// spins before it waits.  Its destructor parks the spinners at once.
+  /// One hold per pool at a time, taken by the thread that dispatches its
+  /// jobs (graph::BinaryNetwork::infer_batch holds its context's pool for
+  /// the whole call); a second throws std::logic_error.  A job run under a
+  /// hold keeps the unheld contract: errors, failpoints, cancellation and
+  /// stats are unchanged.
+  class Hold {
+   public:
+    explicit Hold(ThreadPool& pool);
+    ~Hold();
+    Hold(const Hold&) = delete;
+    Hold& operator=(const Hold&) = delete;
+
+   private:
+    ThreadPool& pool_;
+  };
+
   /// Creates a pool with `num_threads` logical workers (>= 1).  The calling
   /// thread acts as worker 0, so only num_threads-1 OS threads are spawned.
   explicit ThreadPool(int num_threads);
@@ -111,7 +175,7 @@ class ThreadPool {
   /// fn throws, that exception is rethrown unchanged on the calling thread;
   /// if several throw, a WorkerFailure aggregating the count and the first
   /// message is thrown instead.  The pool remains fully usable afterwards.
-  void run_on_all(const std::function<void(int)>& fn) BF_EXCLUDES(mutex_);
+  void run_on_all(FunctionRef<void(int)> fn) BF_EXCLUDES(mutex_);
 
   /// Splits [0, n) into static blocks and runs `fn(range, worker_index)` on
   /// each worker.  Workers whose block is empty skip the call.
@@ -123,8 +187,7 @@ class ThreadPool {
   /// (graph layer) converts the latched token into an error at its next
   /// layer-boundary checkpoint; buffers touched by skipped chunks are
   /// garbage by then but provably never read.
-  void parallel_for(std::int64_t n, const std::function<void(Range, int)>& fn)
-      BF_EXCLUDES(mutex_);
+  void parallel_for(std::int64_t n, FunctionRef<void(Range, int)> fn) BF_EXCLUDES(mutex_);
 
   /// Installs the token every subsequent parallel_for chunk polls (an inert
   /// default token disables the checks beyond one null-pointer test).  Must
@@ -149,7 +212,11 @@ class ThreadPool {
  private:
   void worker_loop(int index);
   /// One worker's share of a job: fault-injection hooks + tick accounting.
-  void run_job(const std::function<void(int)>& fn, int worker);
+  void run_job(FunctionRef<void(int)> fn, int worker);
+  /// While the pool is held, spins until `waiting()` turns false, the hold
+  /// ends or kHoldSpinNs pass; returns at once on an unheld pool.
+  template <typename Pred>
+  void spin_while_held(Pred waiting) const;
 
   /// Cache-line-padded so workers never contend on each other's tallies.
   /// Ordering contract: both counters are pure tallies written by their
@@ -179,9 +246,17 @@ class ThreadPool {
   /// by mutex_ only for the handle copy (set vs the per-dispatch snapshot);
   /// the token's own state is atomic and polled lock-free inside chunks.
   core::CancelToken cancel_ BF_GUARDED_BY(mutex_);
-  const std::function<void(int)>* job_ BF_GUARDED_BY(mutex_) = nullptr;
+  const FunctionRef<void(int)>* job_ BF_GUARDED_BY(mutex_) = nullptr;
   std::uint64_t job_epoch_ BF_GUARDED_BY(mutex_) = 0;
   int pending_ BF_GUARDED_BY(mutex_) = 0;
+  /// Ordering contract: relaxed everywhere.  `held_` is set and cleared by
+  /// Hold; `spin_epoch_` and `spin_pending_` are copies of job_epoch_ and
+  /// pending_, stored under mutex_ right after each change.  The bounded
+  /// spins only poll them to decide when to stop spinning: the spinner then
+  /// takes mutex_ and re-reads the guarded field, so they publish nothing.
+  std::atomic<bool> held_{false};
+  std::atomic<std::uint64_t> spin_epoch_{0};
+  std::atomic<int> spin_pending_{0};
   bool shutting_down_ BF_GUARDED_BY(mutex_) = false;
   /// First worker exception of the current job.
   std::exception_ptr first_error_ BF_GUARDED_BY(mutex_);

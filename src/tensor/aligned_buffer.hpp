@@ -25,9 +25,9 @@ inline constexpr std::size_t kBufferAlignment = 64;
 ///
 /// Zero-initialization gives every fresh tensor defined contents (all-zero
 /// bits decode to -1), which standalone kernel callers rely on for padded
-/// outputs.  It is no longer what keeps the engine's padding margins zero:
-/// the activation arenas are reused by several layers, so
-/// BinaryNetwork::infer_batch re-zeroes each margin ring before use
+/// outputs.  It is not what keeps the engine's padding margins zero: the
+/// activation arenas are uninitialized and reused by several layers, so
+/// BinaryNetwork::infer_batch zeroes each margin ring before use
 /// (kernels::zero_margin).
 class AlignedBuffer {
  public:
@@ -40,9 +40,13 @@ class AlignedBuffer {
 
   /// A buffer whose bytes are left indeterminate: no memset, so each page is
   /// first touched by whoever first writes it.  Only for a caller that
-  /// writes every byte before anything reads one — the model loader's
-  /// streamed weight banks (graph/weights.hpp), whose load workers fault
-  /// the pages in where they write them.
+  /// writes every byte before anything reads one:
+  ///   * the model loader's streamed weight banks (graph/weights.hpp), whose
+  ///     load workers fault the pages in where they write them;
+  ///   * an inference context's activation arenas (graph/network.cpp), whose
+  ///     pages the first inference that writes them faults in — a producer
+  ///     assigns whole words and each margin ring is zeroed before its
+  ///     producer runs, so no word is read before it is written.
   [[nodiscard]] static AlignedBuffer uninitialized(std::size_t bytes) {
     AlignedBuffer b;
     b.allocate(bytes);

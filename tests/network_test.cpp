@@ -25,8 +25,10 @@
 #include "models/vgg.hpp"
 #include "simd/cpu_features.hpp"
 #include "simd/parity.hpp"
+#include "telemetry/metrics.hpp"
 #include "telemetry/profiler.hpp"
 #include "tensor/util.hpp"
+#include "arena_chain.hpp"
 #include "test_util.hpp"
 
 namespace bitflow::graph {
@@ -362,28 +364,13 @@ TEST(BinaryNetwork, ProfileReportAttributesRooflinePerLayer) {
   }
 }
 
-// Whether this build instruments memory accesses (ASan, TSan).
-#if defined(__SANITIZE_ADDRESS__) || defined(__SANITIZE_THREAD__)
-#define BITFLOW_TEST_SANITIZED 1
-#elif defined(__has_feature)
-#if __has_feature(address_sanitizer) || __has_feature(thread_sanitizer)
-#define BITFLOW_TEST_SANITIZED 1
-#endif
-#endif
-#ifdef BITFLOW_TEST_SANITIZED
-constexpr bool kSanitized = true;
-#else
-constexpr bool kSanitized = false;
-#endif
-
 TEST(BinaryNetwork, ProfileReportRoofBoundsEveryConvRow) {
-  // A row's roof is the one-thread GOPS of the tile kernel it dispatches,
-  // times the threads that ran it, so a conv or fc row reads at most 100%
-  // of it, plus timing noise and the few % by which the binarizing epilogue
-  // of the inner layers beats the raw-dot one the roof is timed on.  Under
-  // ASan or TSan the instrumented raw-dot epilogue (float stores, spilled
-  // counts) costs far more than that, so the bound is asserted only in
-  // builds without sanitizers.
+  // A row's roof is the one-thread GOPS of the entry point it dispatches
+  // (the fused binarize for inner rows, the raw dot for the last), times
+  // the threads that ran it, so a conv or fc row reads at most 100% of it,
+  // plus timing noise.  Timing each row's own epilogue keeps the bound in
+  // sanitizer builds too, where an instrumented epilogue costs far more
+  // than the tile loop it follows.
   constexpr double kTolerancePct = 15.0;
   models::VggConfig vgg = models::vgg16();  // the 13 conv shapes, at 32x32
   vgg.input_size = 32;
@@ -406,7 +393,6 @@ TEST(BinaryNetwork, ProfileReportRoofBoundsEveryConvRow) {
       convs += net.layers()[i - 1].kind == LayerKind::kConv ? 1 : 0;
       ASSERT_GT(row.roof_gops, 0.0) << row.name;
       EXPECT_EQ(again.rows[i].roof_gops, row.roof_gops) << row.name;  // calibrated once
-      if (kSanitized) continue;
       EXPECT_LE(100.0 * row.gops / row.roof_gops, 100.0 + kTolerancePct)
           << row.name << " " << row.kernel << " at " << threads << " threads: " << row.gops
           << " of " << row.roof_gops << " GOPS";
@@ -797,76 +783,11 @@ TEST(BinaryNetwork, ContextAndBatchArgumentValidation) {
 
 // --- ping-pong activation arenas ---------------------------------------------
 
-/// Weights of a chain whose activation buffers stress the arenas: margins
-/// 1,0,1,1,0,0 along buffers 0..5, C = 96 and K = 70 leave tail bits in every
-/// pixel's last word, and both pools and convs write into buffers that sit
-/// over a larger, earlier buffer's data.
-struct ArenaChain {
-  FilterBank c1 = models::random_filters(96, 3, 3, 96, 61);
-  FilterBank c2 = models::random_filters(70, 3, 3, 96, 62);
-  FilterBank c3 = models::random_filters(96, 3, 3, 70, 63);
-  std::vector<float> th1 = thresholds(96, 64), th2 = thresholds(70, 65), th3 = thresholds(96, 66);
-  std::vector<float> f1 = models::random_fc_weights(3 * 3 * 96, 40, 67);
-  std::vector<float> f2 = models::random_fc_weights(40, 10, 68);
-  std::vector<float> thf = thresholds(40, 69);
-
-  static std::vector<float> thresholds(std::int64_t k, std::uint64_t seed) {
-    std::mt19937_64 rng(seed);
-    std::uniform_real_distribution<float> dist(-6.0f, 6.0f);
-    std::vector<float> th(static_cast<std::size_t>(k));
-    for (float& t : th) t = dist(rng);
-    return th;
-  }
-
-  /// 12x12x96 -> conv(p1) -> pool -> conv(p1) -> conv(p1) -> pool -> fc -> fc.
-  [[nodiscard]] BinaryNetwork build(NetworkConfig cfg) const {
-    BinaryNetwork net(cfg);
-    net.add_conv("c1", c1, 1, 1, th1);
-    net.add_maxpool("p1", kernels::PoolSpec{2, 2, 2});
-    net.add_conv("c2", c2, 1, 1, th2);
-    net.add_conv("c3", c3, 1, 1, th3);
-    net.add_maxpool("p2", kernels::PoolSpec{2, 2, 2});
-    net.add_fc("f1", f1, 3 * 3 * 96, 40, thf);
-    net.add_fc("f2", f2, 40, 10);
-    net.finalize(TensorDesc{12, 12, 96});
-    return net;
-  }
-
-  /// The same chain through the unoptimized src/baseline engine (im2col +
-  /// scalar 32-bit words), on freshly allocated float tensors throughout.
-  [[nodiscard]] std::vector<float> baseline_forward(const Tensor& input) const {
-    runtime::ThreadPool pool(1);
-    const auto conv = [&](const Tensor& x, const FilterBank& f, const std::vector<float>& th) {
-      const baseline::UnoptBinaryConv op(f, kernels::ConvSpec{3, 3, 1});
-      Tensor dots = Tensor::hwc(x.height(), x.width(), f.num_filters());
-      op.run(baseline::pad_float(x, 1, -1.0f), pool, dots);  // -1 = zero-bit padding
-      Tensor signs = Tensor::hwc(x.height(), x.width(), f.num_filters());
-      for (std::int64_t i = 0; i < dots.num_elements(); ++i) {
-        const float t = th[static_cast<std::size_t>(i % f.num_filters())];
-        signs.data()[i] = dots.data()[i] >= t ? 1.0f : -1.0f;
-      }
-      return signs;
-    };
-    const auto maxpool = [&](const Tensor& x) {
-      PackedTensor out(x.height() / 2, x.width() / 2, x.channels());
-      baseline::unopt_binary_maxpool(bitpack::pack_activations(x), kernels::PoolSpec{2, 2, 2},
-                                     pool, out);
-      return bitpack::unpack_to_signs(out);
-    };
-    const Tensor a = maxpool(conv(conv(maxpool(conv(input, c1, th1)), c2, th2), c3, th3));
-    std::vector<float> h(40), scores(10);
-    baseline::UnoptBinaryFc(f1.data(), 3 * 3 * 96, 40).run(a.data(), pool, h.data());
-    for (std::size_t i = 0; i < h.size(); ++i) h[i] = h[i] >= thf[i] ? 1.0f : -1.0f;
-    baseline::UnoptBinaryFc(f2.data(), 40, 10).run(h.data(), pool, scores.data());
-    return scores;
-  }
-};
-
 TEST(BinaryNetwork, ArenaReuseMatchesUnoptimizedBaseline) {
   // Two passes through one context with different images: the second pass
   // reads margins that the first pass's later layers overwrote, so a missed
   // margin re-zero or a producer that ORs into stale words diverges here.
-  const ArenaChain chain;
+  const testing::ArenaChain chain;
   for (simd::IsaLevel isa : simd::supported_isa_levels()) {
     NetworkConfig cfg;
     cfg.num_threads = 2;
@@ -896,6 +817,136 @@ TEST(BinaryNetwork, ArenaReuseMatchesUnoptimizedBaseline) {
         }
       }
     }
+  }
+}
+
+// --- the batch axis in the pack and the pools, and the held pool -------------
+
+TEST(BinaryNetwork, BatchedPackAndPoolMatchSingleImages) {
+  // pack_input and every pool run a batch as one fused n*H range, whose
+  // blocks straddle images on a 3-thread pool: image b of an n = 8 call
+  // must equal an n = 1 call over image b, margins included.
+  constexpr std::int64_t kN = 8;
+  runtime::ThreadPool pool(3);
+  const auto same_words = [](const PackedTensor& a, const PackedTensor& b) {
+    return a.num_words() == b.num_words() &&
+           std::memcmp(a.words(), b.words(), static_cast<std::size_t>(a.num_words()) * 8) == 0;
+  };
+  for (const std::int64_t margin : {0, 1}) {
+    // The pack, over odd extents and C = 70 (a tail in every pixel).
+    std::vector<Tensor> images;
+    std::vector<PackedTensor> batch, single;
+    for (std::int64_t b = 0; b < kN; ++b) {
+      images.push_back(Tensor::hwc(7, 5, 70));
+      fill_uniform(images.back(), 700 + static_cast<std::uint64_t>(b));
+      batch.emplace_back(7 + 2 * margin, 5 + 2 * margin, 70);
+      single.emplace_back(7 + 2 * margin, 5 + 2 * margin, 70);
+    }
+    std::vector<const Tensor*> in_ptrs;
+    std::vector<PackedTensor*> out_ptrs;
+    for (std::int64_t b = 0; b < kN; ++b) {
+      in_ptrs.push_back(&images[static_cast<std::size_t>(b)]);
+      out_ptrs.push_back(&batch[static_cast<std::size_t>(b)]);
+    }
+    bitpack::pack_activations_into_interior(in_ptrs.data(), kN, out_ptrs.data(), margin, pool);
+    for (std::int64_t b = 0; b < kN; ++b) {
+      const Tensor* one_in[] = {in_ptrs[static_cast<std::size_t>(b)]};
+      PackedTensor* one_out[] = {&single[static_cast<std::size_t>(b)]};
+      bitpack::pack_activations_into_interior(one_in, 1, one_out, margin, pool);
+      EXPECT_TRUE(same_words(batch[static_cast<std::size_t>(b)],
+                             single[static_cast<std::size_t>(b)]))
+          << "pack, margin " << margin << ", image " << b;
+    }
+
+    // The pool, over odd 9x7 extents and C = 130, at strides 1 and 2.
+    for (const kernels::PoolSpec spec : {kernels::PoolSpec{2, 2, 2}, kernels::PoolSpec{3, 3, 2},
+                                         kernels::PoolSpec{2, 3, 1}}) {
+      const std::int64_t oh = spec.out_h(9), ow = spec.out_w(7);
+      std::vector<PackedTensor> in, pooled, pooled_one;
+      for (std::int64_t b = 0; b < kN; ++b) {
+        Tensor t = Tensor::hwc(9, 7, 130);
+        fill_uniform(t, 800 + static_cast<std::uint64_t>(b));
+        in.push_back(bitpack::pack_activations(t));
+        pooled.emplace_back(oh + 2 * margin, ow + 2 * margin, 130);
+        pooled_one.emplace_back(oh + 2 * margin, ow + 2 * margin, 130);
+      }
+      std::vector<const PackedTensor*> pin;
+      std::vector<PackedTensor*> pout;
+      for (std::int64_t b = 0; b < kN; ++b) {
+        pin.push_back(&in[static_cast<std::size_t>(b)]);
+        pout.push_back(&pooled[static_cast<std::size_t>(b)]);
+      }
+      const simd::IsaLevel isa = simd::cpu_features().best_isa();
+      kernels::binary_maxpool(pin.data(), kN, spec, isa, pool, pout.data(), margin);
+      for (std::int64_t b = 0; b < kN; ++b) {
+        kernels::binary_maxpool(in[static_cast<std::size_t>(b)], spec, isa, pool,
+                                pooled_one[static_cast<std::size_t>(b)], margin);
+        EXPECT_TRUE(same_words(pooled[static_cast<std::size_t>(b)],
+                               pooled_one[static_cast<std::size_t>(b)]))
+            << "pool " << spec.pool_h << "x" << spec.pool_w << "/" << spec.stride << ", margin "
+            << margin << ", image " << b;
+      }
+    }
+  }
+}
+
+TEST(BinaryNetwork, HoldEndsWhenInferBatchThrows) {
+  // infer_batch holds its context's pool for the whole call.  A hold that
+  // outlived a throwing call would make the next call's hold throw.
+  struct DisarmAll {
+    ~DisarmAll() { failpoint::disarm_all(); }
+  } disarm;
+  const testing::ArenaChain chain;
+  NetworkConfig cfg;
+  cfg.num_threads = 3;
+  const BinaryNetwork net = chain.build(cfg);
+  InferenceContext ctx = net.make_context(2);
+  Tensor a = Tensor::hwc(12, 12, 96), b = Tensor::hwc(12, 12, 96);
+  fill_uniform(a, 41);
+  fill_uniform(b, 42);
+  const Tensor* ptrs[] = {&a, &b};
+  const std::vector<float> want = [&] {
+    const auto s = net.infer_batch(ptrs, ctx);
+    return std::vector<float>(s.begin(), s.end());
+  }();
+
+  failpoint::Config once;
+  once.trigger = failpoint::Trigger::kOnce;
+  failpoint::arm("runtime.worker", once);  // a pool job fails mid-call
+  EXPECT_THROW((void)net.infer_batch(ptrs, ctx), failpoint::FaultInjected);
+  const core::CancelToken cancelled = core::CancelToken::cancellable();
+  cancelled.cancel();  // the first checkpoint throws, after the hold is taken
+  EXPECT_THROW((void)net.infer_batch(ptrs, ctx, cancelled), core::CancelledError);
+
+  const auto got = net.infer_batch(ptrs, ctx);
+  EXPECT_EQ(std::vector<float>(got.begin(), got.end()), want);
+}
+
+TEST(ThreadPool, StatsGrowByOneTaskPerWorkerPerStageAtAnyBatch) {
+  // pack_input and the pools fuse the batch axis like the convs and fcs, so
+  // a VGG-16 call is 22 pool jobs (pack, 13 convs, 5 pools, 3 fcs) at n = 1
+  // and at n = 8, each ticking every worker once.
+  models::VggConfig vgg = models::vgg16();
+  vgg.input_size = 32;
+  vgg.fc_sizes = {64, 64, 10};
+  const int nproc = static_cast<int>(std::max(1u, std::thread::hardware_concurrency()));
+  NetworkConfig cfg;
+  cfg.num_threads = nproc;
+  const BinaryNetwork net = models::build_binary_vgg(vgg, cfg);
+  ASSERT_EQ(net.layers().size(), 21u);
+  const telemetry::Counter& tasks = telemetry::registry().counter("runtime.pool.tasks");
+  std::vector<Tensor> images;
+  for (std::uint64_t seed = 0; seed < 8; ++seed) {
+    images.push_back(Tensor::hwc(32, 32, 3));
+    fill_uniform(images.back(), 900 + seed);
+  }
+  std::vector<const Tensor*> ptrs;
+  for (const Tensor& t : images) ptrs.push_back(&t);
+  for (const std::int64_t n : {1, 8}) {
+    InferenceContext ctx = net.make_context(n);
+    const std::uint64_t before = tasks.value();
+    (void)net.infer_batch({ptrs.data(), static_cast<std::size_t>(n)}, ctx);
+    EXPECT_EQ(tasks.value() - before, 22u * static_cast<std::uint64_t>(nproc)) << "n=" << n;
   }
 }
 

@@ -1,13 +1,20 @@
 #include <algorithm>
 #include <atomic>
+#include <chrono>
 #include <cstdint>
 #include <numeric>
 #include <random>
 #include <string>
 #include <vector>
 
+#if defined(__linux__)
+#include <sched.h>
+#endif
+
 #include <gtest/gtest.h>
 
+#include "core/cancel.hpp"
+#include "core/failpoint.hpp"
 #include "runtime/scaling_sim.hpp"
 #include "runtime/thread_pool.hpp"
 #include "runtime/timer.hpp"
@@ -370,6 +377,121 @@ TEST(ThreadPool, UsableAfterWorkerThrowsTwiceInARow) {
   std::atomic<int> visits{0};
   pool.run_on_all([&](int) { visits.fetch_add(1, std::memory_order_relaxed); });
   EXPECT_EQ(visits.load(std::memory_order_relaxed), 4);
+}
+
+// --- held pools ----------------------------------------------------------------
+
+TEST(ThreadPool, HeldPoolKeepsTheJobContract) {
+  ThreadPool pool(4);
+  const ThreadPool::Hold hold(pool);
+  // One failure: the worker's own exception type.
+  EXPECT_THROW(pool.run_on_all([](int w) {
+    if (w == 2) throw std::invalid_argument("just worker two");
+  }),
+               std::invalid_argument);
+  // Several: one aggregate that counts them.
+  try {
+    pool.run_on_all([](int w) {
+      if (w != 0) throw std::runtime_error("worker " + std::to_string(w));
+    });
+    FAIL() << "expected WorkerFailure";
+  } catch (const WorkerFailure& e) {
+    EXPECT_EQ(e.failed_count(), 3);
+  }
+  // Still usable: back-to-back jobs reach every worker, spinning or parked,
+  // and each job ticks every worker's tally once.
+  const std::uint64_t tasks_before = pool.stats().total_tasks();
+  for (int job = 0; job < 200; ++job) {
+    std::atomic<int> visits{0};
+    pool.run_on_all([&](int) { visits.fetch_add(1, std::memory_order_relaxed); });
+    ASSERT_EQ(visits.load(std::memory_order_relaxed), 4) << "job " << job;
+  }
+  EXPECT_EQ(pool.stats().total_tasks() - tasks_before, 200u * 4u);
+  // The cancellation chunk skip still applies.
+  const core::CancelToken token = core::CancelToken::cancellable();
+  token.cancel();
+  pool.set_cancel_token(token);
+  std::atomic<int> chunks{0};
+  pool.parallel_for(100, [&](Range, int) { chunks.fetch_add(1, std::memory_order_relaxed); });
+  EXPECT_EQ(chunks.load(std::memory_order_relaxed), 0);
+  pool.set_cancel_token(core::CancelToken{});
+}
+
+TEST(ThreadPool, HoldEndsOnEveryExitPath) {
+  ThreadPool pool(3);
+  {
+    const ThreadPool::Hold hold(pool);
+    pool.run_on_all([](int) {});
+  }
+  try {
+    const ThreadPool::Hold hold(pool);
+    pool.run_on_all([](int w) {
+      if (w == 1) throw std::runtime_error("held job failure");
+    });
+  } catch (const std::runtime_error&) {
+  }
+  // A hold that outlived either scope would make the next one throw.
+  {
+    const ThreadPool::Hold hold(pool);
+    EXPECT_THROW(ThreadPool::Hold second(pool), std::logic_error);
+  }
+  EXPECT_NO_THROW(ThreadPool::Hold again(pool));
+}
+
+TEST(ThreadPool, HeldPoolCompletesThroughAWorkerStall) {
+  struct DisarmAll {
+    ~DisarmAll() { failpoint::disarm_all(); }
+  } disarm;
+  failpoint::Config stall;
+  stall.action = failpoint::Action::kStall;
+  stall.stall_ms = 10;  // far past the spin bound: the caller's join parks
+  failpoint::arm("runtime.worker_stall", stall);
+  ThreadPool pool(4);
+  const ThreadPool::Hold hold(pool);
+  for (int job = 0; job < 5; ++job) {
+    std::atomic<int> visits{0};
+    pool.run_on_all([&](int) { visits.fetch_add(1, std::memory_order_relaxed); });
+    EXPECT_EQ(visits.load(std::memory_order_relaxed), 4) << "job " << job;
+  }
+  EXPECT_EQ(failpoint::hit_count("runtime.worker_stall"), 5u * 4u);
+}
+
+TEST(ThreadPool, HeldPoolOnOneCpuDoesNotStarveTheCaller) {
+#if defined(__linux__)
+  // Confine this thread to one of its CPUs; the workers inherit the mask,
+  // so the caller and three spinners share one CPU.  Each spinner gives it
+  // up within kHoldSpinNs (or at the scheduler's next tick), so 1,000 short
+  // jobs take about 0.8 s on a 4-vCPU VM, in plain and TSan builds alike;
+  // the bound only catches a spin that never yields.
+  cpu_set_t saved;
+  ASSERT_EQ(sched_getaffinity(0, sizeof saved, &saved), 0);
+  int cpu = 0;
+  while (!CPU_ISSET(cpu, &saved)) ++cpu;
+  cpu_set_t one;
+  CPU_ZERO(&one);
+  CPU_SET(cpu, &one);
+  ASSERT_EQ(sched_setaffinity(0, sizeof one, &one), 0);
+  struct Restore {
+    cpu_set_t* mask;
+    ~Restore() { (void)sched_setaffinity(0, sizeof *mask, mask); }
+  } restore{&saved};
+
+  ThreadPool pool(4);
+  std::atomic<int> visits{0};
+  const auto t0 = std::chrono::steady_clock::now();
+  {
+    const ThreadPool::Hold hold(pool);
+    for (int job = 0; job < 1000; ++job) {
+      pool.run_on_all([&](int) { visits.fetch_add(1, std::memory_order_relaxed); });
+    }
+  }
+  const double seconds =
+      std::chrono::duration<double>(std::chrono::steady_clock::now() - t0).count();
+  EXPECT_EQ(visits.load(std::memory_order_relaxed), 4000);
+  EXPECT_LT(seconds, 20.0);
+#else
+  GTEST_SKIP() << "needs sched_setaffinity";
+#endif
 }
 
 TEST(MeasureChunkCosts, CountsAndPositivity) {
